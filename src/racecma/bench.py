@@ -28,7 +28,7 @@ from .baselines import (
     spsa_optimize,
 )
 from .cma import default_params
-from .config import config_hash
+from .config import config_hash, spec_to_config
 from .feedback import DEFAULT_ACTIONS, StateActionTable, ThresholdVector
 from .objective import IsacObjective
 from .race import FeasibleMap, RacingConfig, inverse_feasible, race_cma_optimize
@@ -85,92 +85,6 @@ class ExperimentSpec:
         lo, hi = self.scenario.tx_power_range_dbm
         if any(not lo <= p <= hi for p in self.power_grid):
             raise ValueError("power grid outside the scenario power range")
-
-
-def spec_to_config(spec: ExperimentSpec) -> dict[str, str]:
-    """Flat key-value snapshot of a spec (drives the output config hash)."""
-    sc = spec.scenario
-    gm = sc.gain_model
-    pairs = {
-        "scenario.n_bs_antennas": sc.n_bs_antennas,
-        "scenario.n_ue_antennas": sc.n_ue_antennas,
-        "scenario.antenna_spacing": sc.antenna_spacing,
-        "scenario.carrier_freq": sc.carrier_freq,
-        "scenario.subcarrier_spacing": sc.subcarrier_spacing,
-        "scenario.n_subcarriers": sc.n_subcarriers,
-        "scenario.n_symbols": sc.n_symbols,
-        "scenario.symbol_duration": sc.symbol_duration,
-        "scenario.n_beams": sc.n_beams,
-        "scenario.sweep_range": f"{sc.sweep_range[0]},{sc.sweep_range[1]}",
-        "scenario.tx_power_dbm": sc.tx_power_dbm,
-        "scenario.tx_power_range_dbm": f"{sc.tx_power_range_dbm[0]},{sc.tx_power_range_dbm[1]}",
-        "scenario.noise_figure_db": sc.noise_figure_db,
-        "scenario.n_targets": sc.n_targets,
-        "scenario.target_speed": sc.target_speed,
-        "scenario.sensing_horizon": sc.sensing_horizon,
-        "scenario.n_delay_bins": sc.n_delay_bins,
-        "scenario.n_doppler_bins": sc.n_doppler_bins,
-        "scenario.nlos_path_count": sc.nlos_path_count,
-        "scenario.region": f"{sc.region.x_min},{sc.region.x_max},{sc.region.y_min},{sc.region.y_max}",
-        "scenario.bs_position": f"{sc.bs_position[0]},{sc.bs_position[1]}",
-        "scenario.ue_position": f"{sc.ue_position[0]},{sc.ue_position[1]}",
-        "scenario.delay_window": f"{sc.delay_window[0]},{sc.delay_window[1]}",
-        "scenario.doppler_window": f"{sc.doppler_window[0]},{sc.doppler_window[1]}",
-        "scenario.null_fraction": sc.null_fraction,
-        "scenario.noise_bandwidth_scale": sc.noise_bandwidth_scale,
-        "scenario.interference_factor": sc.interference_factor,
-        "scenario.heading_jitter": sc.heading_jitter,
-        "scenario.scattering_gain": gm.scattering_gain,
-        "scenario.nlos_gain_ratio": gm.nlos_gain_ratio,
-        "scenario.nlos_excess_delay": gm.nlos_excess_delay,
-        "scenario.nlos_angle_offset": gm.nlos_angle_offset,
-        "scenario.nlos_doppler_ratio": gm.nlos_doppler_ratio,
-        "actions.power_factors": ",".join(str(f) for f in spec.actions.power_factors),
-        "actions.period_multipliers": ",".join(
-            str(p) for p in spec.actions.period_multipliers
-        ),
-        "weights.detection": spec.weights[0],
-        "weights.latency": spec.weights[1],
-        "weights.power": spec.weights[2],
-        "racing.promotion_fraction": spec.racing.promotion_fraction,
-        "racing.fidelity_ratio": spec.racing.fidelity_ratio,
-        "racing.truncation": spec.racing.truncation,
-        "racing.repetitions": spec.racing.repetitions,
-        "racing.weighting_floor": spec.racing.weighting_floor,
-        "racing.min_spacing": spec.racing.min_spacing,
-        "racing.diagonal_warmup_generations": spec.racing.diagonal_warmup_generations,
-        "racing.mirrored_sampling": str(spec.racing.mirrored_sampling).lower(),
-        "cma.population": spec.population,
-        "ipn.barrier_init": spec.ipn.barrier_init,
-        "ipn.barrier_shrink": spec.ipn.barrier_shrink,
-        "ipn.outer_rounds": spec.ipn.outer_rounds,
-        "ipn.newton_iters": spec.ipn.newton_iters,
-        "ipn.fd_step": spec.ipn.fd_step,
-        "spsa.a": spec.spsa.a,
-        "spsa.stability": spec.spsa.stability,
-        "spsa.c": spec.spsa.c,
-        "spsa.alpha": spec.spsa.alpha,
-        "spsa.gamma": spec.spsa.gamma,
-        "experiment.methods": ",".join(spec.methods),
-        "experiment.repetitions": spec.repetitions,
-        "experiment.budget": spec.budget,
-        "experiment.power_grid": ",".join(str(p) for p in spec.power_grid),
-        "experiment.master_seed": spec.master_seed,
-        "experiment.generations": spec.generations,
-        "experiment.convergence_powers": ",".join(str(p) for p in spec.convergence_powers),
-        "experiment.resi_bounds": f"{spec.resi_bounds[0]},{spec.resi_bounds[1]}",
-        "experiment.fixed_thresholds": ",".join(
-            str(v) for v in spec.fixed_thresholds.as_array()
-        ),
-        "experiment.ue_box": ",".join(str(v) for v in spec.ue_box),
-        "experiment.eval_repeats": spec.eval_repeats,
-        "experiment.init_sigma": spec.init_sigma,
-        "experiment.sweep_weights": ",".join(str(w) for w in spec.sweep_weights),
-        "experiment.sweep_stage2_repetitions": spec.sweep_stage2_repetitions,
-        "experiment.map_min_samples": spec.map_min_samples,
-        "experiment.map_episodes": spec.map_episodes,
-    }
-    return {k: str(v) for k, v in pairs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -8,60 +8,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import ExperimentSpec, run_compare, run_convergence, run_sweep
-from .config import (
-    actions_from_config,
-    ipn_from_config,
-    load_config,
-    racing_from_config,
-    scenario_from_config,
-    spsa_from_config,
-    weights_from_config,
-)
-from .feedback import ThresholdVector
+from .config import load_config, spec_from_config
 from .validate import validate, write_validation_report
-
-
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(","))
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Benchmark defaults, overlaid with config-file keys, then CLI flags."""
     cfg = load_config(args.config) if args.config else {}
-    base = ExperimentSpec()
-
-    exp = {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("experiment.")}
-    spec = replace(
-        base,
-        scenario=scenario_from_config(cfg, base.scenario),
-        actions=actions_from_config(cfg, base.actions),
-        weights=weights_from_config(cfg, base.weights),
-        racing=racing_from_config(cfg, base.racing),
-        ipn=ipn_from_config(cfg, base.ipn),
-        spsa=spsa_from_config(cfg, base.spsa),
-        methods=tuple(exp["methods"].split(",")) if "methods" in exp else base.methods,
-        repetitions=int(exp.get("repetitions", base.repetitions)),
-        power_grid=_floats(exp["power_grid"]) if "power_grid" in exp else base.power_grid,
-        budget=float(exp.get("budget", base.budget)),
-        master_seed=int(exp.get("master_seed", base.master_seed)),
-        generations=int(exp.get("generations", base.generations)),
-        convergence_powers=_floats(exp["convergence_powers"])
-        if "convergence_powers" in exp else base.convergence_powers,
-        resi_bounds=_floats(exp["resi_bounds"]) if "resi_bounds" in exp else base.resi_bounds,
-        fixed_thresholds=ThresholdVector.from_array(_floats(exp["fixed_thresholds"]))
-        if "fixed_thresholds" in exp else base.fixed_thresholds,
-        ue_box=_floats(exp["ue_box"]) if "ue_box" in exp else base.ue_box,
-        init_sigma=float(exp.get("init_sigma", base.init_sigma)),
-        eval_repeats=int(exp.get("eval_repeats", base.eval_repeats)),
-        sweep_weights=_floats(exp["sweep_weights"])
-        if "sweep_weights" in exp else base.sweep_weights,
-        sweep_stage2_repetitions=int(
-            exp.get("sweep_stage2_repetitions", base.sweep_stage2_repetitions)
-        ),
-        population=int(cfg.get("cma.population", base.population)),
-        map_min_samples=int(exp.get("map_min_samples", base.map_min_samples)),
-        map_episodes=int(exp.get("map_episodes", base.map_episodes)),
-    )
+    spec = spec_from_config(cfg, ExperimentSpec())
 
     overrides = {}
     if args.seed is not None:

@@ -1,70 +1,23 @@
-"""Key-value configuration files for scenarios and experiments.
+"""Key-value configuration files for benchmark specs.
 
-Format: one ``section.key = value`` per line, ``#`` starts a comment.
-Lists are comma-separated. Unknown keys are rejected so typos fail loudly.
-
-Scenario keys mirror the simulation-parameter names::
-
-    scenario.n_bs_antennas = 32        scenario.n_ue_antennas = 16
-    scenario.antenna_spacing = 0.5     scenario.carrier_freq = 24e9
-    scenario.subcarrier_spacing = 15e3 scenario.n_subcarriers = 40
-    scenario.n_symbols = 100           scenario.symbol_duration = 100e-6
-    scenario.n_beams = 20              scenario.sweep_range = 0.7854,2.3562
-    scenario.tx_power_dbm = 20         scenario.tx_power_range_dbm = 10,30
-    scenario.noise_figure_db = 6       scenario.n_targets = 1
-    scenario.target_speed = 3          scenario.sensing_horizon = 10
-    scenario.n_delay_bins = 10         scenario.n_doppler_bins = 10
-    scenario.nlos_path_count = 0       scenario.region = -25,25,25,75
-    scenario.bs_position = 0,0         scenario.ue_position = 15,10
-    scenario.delay_window = 5e-8,7.5e-7
-    scenario.doppler_window = -250,250
-    scenario.null_fraction = 0.1       scenario.noise_bandwidth_scale = 1
-    scenario.interference_factor = 0   scenario.heading_jitter = 0.3
-    scenario.scattering_gain = 100     scenario.nlos_gain_ratio = 0.2
-    scenario.nlos_excess_delay = 1.5e-7
-    scenario.nlos_angle_offset = 0.35  scenario.nlos_doppler_ratio = 0.5
-
-Feedback actions, scalarization and optimizers::
-
-    actions.power_factors = 1.0,0.8,0.5,0.2
-    actions.period_multipliers = 1,1,1,1
-    weights.detection = 1.0   weights.latency = 0.0   weights.power = 0.0
-    racing.promotion_fraction = 0.5    racing.fidelity_ratio = 0.2
-    racing.truncation = 1.0            racing.repetitions = 1
-    racing.weighting_floor = 1e-8      racing.min_spacing = 0.1
-    racing.diagonal_warmup_generations = 2
-    racing.mirrored_sampling = true
-    cma.population = 12
-    ipn.outer_rounds = 4               ipn.newton_iters = 2
-    ipn.fd_step = 0.05                 ipn.barrier_init = 1.0
-    spsa.a = 0.5  spsa.stability = 10  spsa.c = 0.2
-    spsa.alpha = 0.602  spsa.gamma = 0.101
-
-Experiment protocol::
-
-    experiment.methods = MAP,IPN,SPSA,CMA-ES,RACE-CMA
-    experiment.repetitions = 20        experiment.budget = 120
-    experiment.power_grid = 10,15,20,25,30
-    experiment.master_seed = 1         experiment.generations = 10
-    experiment.convergence_powers = 20,24.7
-    experiment.resi_bounds = 0.05,6.0
-    experiment.fixed_thresholds = 2.0,3.0,4.0
-    experiment.ue_box = -20,20,5,15
-    experiment.eval_repeats = 5
-    experiment.sweep_weights = 1.0,0.3,0.1
-    experiment.map_min_samples = 8
-    experiment.map_episodes = 3
+Format: one ``section.key = value`` per line, ``#`` starts a comment. Lists
+are comma-separated. Every key names one field of ``ExperimentSpec`` or of a
+config object nested in it. :func:`schema` derives that key table from the
+dataclass fields, and the table alone drives parsing
+(:func:`spec_from_config`, which rejects every key outside it), the
+``spec.cfg`` snapshot (:func:`spec_to_config`), the output config hash and
+the key table in the README (:func:`key_table`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
-from .baselines import IpnConfig, SpsaSchedule
-from .feedback import StateActionTable
-from .race import RacingConfig
-from .scenario import Rect, ScenarioConfig
+from .feedback import ThresholdVector
+from .scenario import Rect
 
 
 class ConfigError(ValueError):
@@ -94,141 +47,160 @@ def load_config(path) -> dict[str, str]:
         return parse_kv(fh.read())
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(","))
-
-
-def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(","))
-
-
 def _bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
-_SCENARIO_FIELDS = {
-    "n_bs_antennas": int, "n_ue_antennas": int, "antenna_spacing": float,
-    "carrier_freq": float, "subcarrier_spacing": float, "n_subcarriers": int,
-    "n_symbols": int, "symbol_duration": float, "n_beams": int,
-    "tx_power_dbm": float, "noise_figure_db": float, "n_targets": int,
-    "target_speed": float, "sensing_horizon": float, "n_delay_bins": int,
-    "n_doppler_bins": int, "nlos_path_count": int, "null_fraction": float,
-    "noise_bandwidth_scale": float, "interference_factor": float,
-    "heading_jitter": float,
-}
-_SCENARIO_PAIRS = {"sweep_range", "tx_power_range_dbm", "bs_position",
-                   "ue_position", "delay_window", "doppler_window"}
-_GAIN_FIELDS = {"scattering_gain", "nlos_gain_ratio", "nlos_excess_delay",
-                "nlos_angle_offset", "nlos_doppler_ratio"}
+def _text(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def scenario_from_config(cfg: dict[str, str], base: ScenarioConfig) -> ScenarioConfig:
-    updates: dict = {}
-    gain_updates: dict = {}
-    for key, raw in cfg.items():
-        if not key.startswith("scenario."):
-            continue
-        name = key.split(".", 1)[1]
-        if name in _SCENARIO_FIELDS:
-            updates[name] = _SCENARIO_FIELDS[name](raw)
-        elif name in _SCENARIO_PAIRS:
-            pair = _floats(raw)
-            if len(pair) != 2:
-                raise ConfigError(f"{key} expects two comma-separated values")
-            updates[name] = pair
-        elif name == "region":
-            rect = _floats(raw)
-            if len(rect) != 4:
-                raise ConfigError("scenario.region expects x_min,x_max,y_min,y_max")
-            updates["region"] = Rect(*rect)
-        elif name in _GAIN_FIELDS:
-            gain_updates[name] = float(raw)
-        else:
-            raise ConfigError(f"unknown scenario key {key!r}")
-    if gain_updates:
-        updates["gain_model"] = replace(base.gain_model, **gain_updates)
-    return replace(base, **updates) if updates else base
+@dataclass(frozen=True)
+class SchemaKey:
+    """One file key: where its value sits on the spec and how it is spelled."""
+
+    path: tuple  # attribute names and tuple indices, starting at the spec
+    item: type  # int, float, bool or str: the type of each listed value
+    count: int | None = 1  # comma-separated values; None means one or more
+    pack: type | None = None  # tuple or a value type for lists, None for scalars
+
+    def parse(self, key: str, raw: str):
+        parts = raw.split(",") if self.pack else [raw]
+        if self.count is not None and len(parts) != self.count:
+            raise ConfigError(f"{key} expects {self.count} comma-separated values, got {raw!r}")
+        try:
+            values = [_bool(p) if self.item is bool else self.item(p) for p in parts]
+        except ValueError:
+            raise ConfigError(f"{key} expects {self.describe()}, got {raw!r}") from None
+        if self.pack is None:
+            return values[0]
+        return tuple(values) if self.pack is tuple else self.pack(*values)
+
+    def format(self, value) -> str:
+        if self.pack is None:
+            return _text(value)
+        if self.pack is not tuple:
+            value = [getattr(value, f.name) for f in fields(value)]
+        return ",".join(_text(v) for v in value)
+
+    def describe(self) -> str:
+        name = self.item.__name__
+        if self.pack is None:
+            return name
+        if self.pack is not tuple:
+            return ",".join(f.name for f in fields(self.pack))
+        return f"{name} list" if self.count is None else f"{self.count} {name}s"
 
 
-def actions_from_config(cfg: dict[str, str], base: StateActionTable) -> StateActionTable:
-    updates: dict = {}
-    if "actions.power_factors" in cfg:
-        factors = _floats(cfg["actions.power_factors"])
-        if len(factors) != 4:
-            raise ConfigError("actions.power_factors expects four values")
-        updates["power_factors"] = factors
-    if "actions.period_multipliers" in cfg:
-        periods = _ints(cfg["actions.period_multipliers"])
-        if len(periods) != 4:
-            raise ConfigError("actions.period_multipliers expects four values")
-        updates["period_multipliers"] = periods
-    return replace(base, **updates) if updates else base
+# Written as their comma-separated fields, not as a section of their own.
+_VALUE_TYPES = (Rect, ThresholdVector)
+# Spec fields whose keys depart from ``experiment.<field>``.
+_RENAMED = {"experiment.population": "cma.population"}
+_ITEM_KEYS = {"experiment.weights": ("weights.detection", "weights.latency", "weights.power")}
+# Fields that no file sets and no snapshot records, so that the snapshot of
+# every earlier run keeps its bytes. ``jobs`` never changes outputs; the
+# others keep their defaults unless code sets them, which config_hash misses.
+_UNFILED = {"experiment.jobs", "scenario.target_spawn_margin",
+            "ipn.armijo", "ipn.backtrack", "ipn.max_backtracks"}
 
 
-def weights_from_config(cfg: dict[str, str], base: tuple[float, float, float]) -> tuple[float, float, float]:
-    return (
-        float(cfg.get("weights.detection", base[0])),
-        float(cfg.get("weights.latency", base[1])),
-        float(cfg.get("weights.power", base[2])),
-    )
+@cache
+def schema(spec_type: type) -> dict[str, SchemaKey]:
+    """Every file key of ``spec_type`` (an ``ExperimentSpec``), sorted by key.
+
+    A config object on the spec is the section named after its field, with
+    config objects nested inside it flattened into that section. Every other
+    spec field is an ``experiment.*`` key. Value types come from the field
+    annotations: ``tuple[float, ...]`` is a list of any length, while
+    ``tuple[float, float]``, ``Rect`` and ``ThresholdVector`` take exactly as
+    many values as they have entries.
+    """
+    keys: dict[str, SchemaKey] = {}
+
+    def walk(cls: type, path: tuple, section: str) -> None:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            hint, at = hints[f.name], path + (f.name,)
+            if is_dataclass(hint) and hint not in _VALUE_TYPES:
+                walk(hint, at, section or f.name)
+                continue
+            key = f"{section or 'experiment'}.{f.name}"
+            if key in _ITEM_KEYS:
+                for i, (item_key, item) in enumerate(zip(_ITEM_KEYS[key], get_args(hint))):
+                    keys[item_key] = SchemaKey(at + (i,), item)
+            elif key not in _UNFILED:
+                keys[_RENAMED.get(key, key)] = _schema_key(at, hint)
+
+    walk(spec_type, (), "")
+    return dict(sorted(keys.items()))
 
 
-_RACING_FIELDS = {
-    "promotion_fraction": float, "fidelity_ratio": float, "truncation": float,
-    "repetitions": int, "weighting_floor": float, "min_spacing": float,
-    "diagonal_warmup_generations": int, "mirrored_sampling": _bool,
-}
+def _schema_key(path: tuple, hint) -> SchemaKey:
+    if hint in _VALUE_TYPES:
+        (item,) = set(get_type_hints(hint).values())
+        return SchemaKey(path, item, len(fields(hint)), hint)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if args[-1] is Ellipsis:
+            return SchemaKey(path, args[0], None, tuple)
+        (item,) = set(args)
+        return SchemaKey(path, item, len(args), tuple)
+    return SchemaKey(path, hint)
 
 
-def racing_from_config(cfg: dict[str, str], base: RacingConfig) -> RacingConfig:
-    updates: dict = {}
-    for key, raw in cfg.items():
-        if not key.startswith("racing."):
-            continue
-        name = key.split(".", 1)[1]
-        if name not in _RACING_FIELDS:
-            raise ConfigError(f"unknown racing key {key!r}")
-        updates[name] = _RACING_FIELDS[name](raw)
-    return replace(base, **updates) if updates else base
+def _get(obj, path: tuple):
+    for step in path:
+        obj = obj[step] if isinstance(step, int) else getattr(obj, step)
+    return obj
 
 
-_IPN_FIELDS = {
-    "barrier_init": float, "barrier_shrink": float, "outer_rounds": int,
-    "newton_iters": int, "fd_step": float, "armijo": float,
-    "backtrack": float, "max_backtracks": int,
-}
+def _apply(obj, updates: dict[tuple, object]):
+    """``obj`` with the value at each path of ``updates`` replaced.
+
+    Each object on the way is rebuilt once, with all of its updates at
+    once, so its checks see the final combination of values.
+    """
+    if () in updates:
+        return updates[()]
+    by_head: dict = {}
+    for path, value in updates.items():
+        by_head.setdefault(path[0], {})[path[1:]] = value
+    new = {head: _apply(_get(obj, (head,)), sub) for head, sub in by_head.items()}
+    if isinstance(obj, tuple):
+        return tuple(new.get(i, v) for i, v in enumerate(obj))
+    return replace(obj, **new)
 
 
-def ipn_from_config(cfg: dict[str, str], base: IpnConfig) -> IpnConfig:
-    updates = {}
-    for key, raw in cfg.items():
-        if not key.startswith("ipn."):
-            continue
-        name = key.split(".", 1)[1]
-        if name not in _IPN_FIELDS:
-            raise ConfigError(f"unknown ipn key {key!r}")
-        updates[name] = _IPN_FIELDS[name](raw)
-    return replace(base, **updates) if updates else base
+def spec_from_config(cfg: dict[str, str], base):
+    """``base`` (an ``ExperimentSpec``) with every key of ``cfg`` applied.
+
+    Keys outside the schema raise :class:`ConfigError`, as do values of the
+    wrong type or count; the spec's own checks raise ``ValueError``.
+    """
+    table = schema(type(base))
+    unknown = sorted(set(cfg) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    return _apply(base, {table[k].path: table[k].parse(k, raw) for k, raw in cfg.items()})
 
 
-_SPSA_FIELDS = {"a": float, "stability": float, "c": float, "alpha": float, "gamma": float}
+def spec_to_config(spec) -> dict[str, str]:
+    """Flat key-value snapshot of a spec (drives the output config hash)."""
+    return {key: entry.format(_get(spec, entry.path)) for key, entry in schema(type(spec)).items()}
 
 
-def spsa_from_config(cfg: dict[str, str], base: SpsaSchedule) -> SpsaSchedule:
-    updates = {}
-    for key, raw in cfg.items():
-        if not key.startswith("spsa."):
-            continue
-        name = key.split(".", 1)[1]
-        if name not in _SPSA_FIELDS:
-            raise ConfigError(f"unknown spsa key {key!r}")
-        updates[name] = _SPSA_FIELDS[name](raw)
-    return replace(base, **updates) if updates else base
+def key_table(spec) -> str:
+    """Markdown table of every file key, its value type and its value in ``spec``."""
+    values = spec_to_config(spec)
+    rows = ["| key | type | default |", "| --- | --- | --- |"]
+    for key, entry in schema(type(spec)).items():
+        rows.append(f"| `{key}` | {entry.describe()} | `{values[key]}` |")
+    return "\n".join(rows)
 
 
 def config_hash(cfg: dict[str, str]) -> str:

@@ -107,12 +107,13 @@ class ScenarioConfig:
             self.n_subcarriers,
             self.n_symbols,
             self.n_beams,
-            self.n_targets,
             self.n_delay_bins,
             self.n_doppler_bins,
         )
         if any(c < 1 for c in counts):
             raise ValueError("all counts must be >= 1")
+        if self.n_targets != 1:
+            raise ValueError("n_targets must be 1: the simulator models a single target")
         if self.nlos_path_count not in (0, 1):
             raise ValueError("nlos_path_count must be 0 or 1")
         lo, hi = self.sweep_range

@@ -1,19 +1,27 @@
-import pytest
+import argparse
+import hashlib
+import tempfile
+from pathlib import Path
 
-from racecma import RacingConfig, ScenarioConfig, IpnConfig, SpsaSchedule
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+
+from racecma import RacingConfig, ScenarioConfig
+from racecma.bench import METHODS, ExperimentSpec, _write_spec_snapshot
+from racecma.cli import build_spec, main
 from racecma.config import (
     ConfigError,
-    actions_from_config,
     config_hash,
-    ipn_from_config,
+    key_table,
     load_config,
     parse_kv,
-    racing_from_config,
-    scenario_from_config,
-    spsa_from_config,
-    weights_from_config,
+    schema,
+    spec_from_config,
+    spec_to_config,
 )
 from racecma.feedback import DEFAULT_ACTIONS
+
+SCHEMA = schema(ExperimentSpec)
 
 
 class TestParse:
@@ -46,7 +54,7 @@ class TestParse:
 
 class TestBuilders:
     def test_scenario_overrides(self):
-        base = ScenarioConfig()
+        base = ExperimentSpec(scenario=ScenarioConfig())
         cfg = parse_kv(
             """
             scenario.n_beams = 10
@@ -56,17 +64,17 @@ class TestBuilders:
             scenario.scattering_gain = 50
             """
         )
-        sc = scenario_from_config(cfg, base)
+        sc = spec_from_config(cfg, base).scenario
         assert sc.n_beams == 10
         assert sc.tx_power_dbm == 25.0
         assert sc.sweep_range == (0.8, 2.2)
         assert sc.region.x_min == -10 and sc.region.y_max == 40
         assert sc.gain_model.scattering_gain == 50.0
-        assert sc.n_bs_antennas == base.n_bs_antennas  # untouched default
+        assert sc.n_bs_antennas == base.scenario.n_bs_antennas  # untouched default
 
     def test_unknown_scenario_key_rejected(self):
         with pytest.raises(ConfigError):
-            scenario_from_config({"scenario.bogus": "1"}, ScenarioConfig())
+            spec_from_config({"scenario.bogus": "1"}, ExperimentSpec())
 
     def test_actions_and_weights(self):
         cfg = parse_kv(
@@ -76,10 +84,10 @@ class TestBuilders:
             weights.latency = 0.5
             """
         )
-        actions = actions_from_config(cfg, DEFAULT_ACTIONS)
-        assert actions.power_factors == (1.0, 0.9, 0.6, 0.3)
-        assert actions.period_multipliers == (1, 1, 2, 4)
-        assert weights_from_config(cfg, (1.0, 0.0, 0.0)) == (1.0, 0.5, 0.0)
+        spec = spec_from_config(cfg, ExperimentSpec(actions=DEFAULT_ACTIONS, weights=(1.0, 0.0, 0.0)))
+        assert spec.actions.power_factors == (1.0, 0.9, 0.6, 0.3)
+        assert spec.actions.period_multipliers == (1, 1, 2, 4)
+        assert spec.weights == (1.0, 0.5, 0.0)
 
     def test_racing_overrides(self):
         cfg = parse_kv(
@@ -89,20 +97,20 @@ class TestBuilders:
             racing.repetitions = 3
             """
         )
-        racing = racing_from_config(cfg, RacingConfig())
+        racing = spec_from_config(cfg, ExperimentSpec(racing=RacingConfig())).racing
         assert racing.promotion_fraction == 0.25
         assert racing.mirrored_sampling is False
         assert racing.repetitions == 3
         assert racing.fidelity_ratio == RacingConfig().fidelity_ratio
 
     def test_optimizer_configs(self):
-        cfg = parse_kv("ipn.fd_step = 0.1\nspsa.a = 0.8")
-        assert ipn_from_config(cfg, IpnConfig()).fd_step == 0.1
-        assert spsa_from_config(cfg, SpsaSchedule()).a == 0.8
+        spec = spec_from_config(parse_kv("ipn.fd_step = 0.1\nspsa.a = 0.8"), ExperimentSpec())
+        assert spec.ipn.fd_step == 0.1
+        assert spec.spsa.a == 0.8
 
     def test_invalid_values_propagate(self):
         with pytest.raises(ValueError):
-            racing_from_config({"racing.promotion_fraction": "1.5"}, RacingConfig())
+            spec_from_config({"racing.promotion_fraction": "1.5"}, ExperimentSpec())
 
 
 class TestHash:
@@ -114,3 +122,131 @@ class TestHash:
 
     def test_sensitive_to_values(self):
         assert config_hash({"a.b": "1"}) != config_hash({"a.b": "2"})
+
+
+def _changed_values(key: str):
+    """Spellings of the default value of ``key`` with one entry changed."""
+    entry = SCHEMA[key]
+    parts = spec_to_config(ExperimentSpec())[key].split(",")
+    if entry.item is str:
+        yield ",".join(parts[:-1])
+        return
+    for i, part in enumerate(parts):
+        if entry.item is bool:
+            options = [str(part != "true").lower()]
+        elif entry.item is int:
+            options = [str(int(part) + 1), str(int(part) - 1)]
+        else:
+            options = [str(float(part) * 1.01 + 0.01), str(float(part) * 0.99 - 0.01)]
+        for new in options:
+            yield ",".join(parts[:i] + [new] + parts[i + 1:])
+
+
+def _other_values(key: str):
+    """Strategy for non-default spellings of ``key``, of the schema's type and count."""
+    entry = SCHEMA[key]
+    parts = spec_to_config(ExperimentSpec())[key].split(",")
+    if entry.item is str:
+        return st.lists(st.sampled_from(METHODS), min_size=1, max_size=len(METHODS),
+                        unique=True).map(",".join)
+    if entry.item is bool:
+        return st.just(str(parts[0] != "true").lower())
+
+    def one(part: str):
+        if entry.item is int:
+            return st.integers(1, 3).map(lambda d: str(int(part) + d))
+        x = float(part)
+        rel = st.builds(lambda sign, size: sign * size, st.sampled_from((-1, 1)),
+                        st.floats(1e-3, 1e-2))
+        return rel.map(lambda e: str(x * (1 + e) if x else e))
+
+    values = st.tuples(*map(one, parts))
+    if entry.count is None:
+        values = st.tuples(values, st.integers(1, len(parts))).map(lambda v: v[0][: v[1]])
+    return values.map(",".join)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("line", [
+        "experiment.budgett = 5", "foo.bar = 1", "weights.detecton = 2",
+        "actions.bogus = 1", "cma.sigma = 3",
+        "ipn.armijo = 0.5", "ipn.backtrack = 0.5", "ipn.max_backtracks = 3",
+    ])
+    def test_unknown_keys_rejected_through_cli(self, tmp_path, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, raw", [
+        ("experiment.resi_bounds", "1"),
+        ("experiment.sweep_weights", "1.0,0.5"),
+        ("experiment.fixed_thresholds", "1,2,3,4"),
+        ("scenario.region", "-10,10,20"),
+        ("actions.period_multipliers", "1,1,2"),
+        ("experiment.power_grid", "10,,20"),
+        ("scenario.n_beams", "1.5"),
+        ("racing.mirrored_sampling", "maybe"),
+    ])
+    def test_malformed_values_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            spec_from_config({key: raw}, ExperimentSpec())
+
+    def test_accepted_keys_are_the_snapshot_keys(self):
+        spec = ExperimentSpec()
+        snapshot = spec_to_config(spec)
+        assert set(SCHEMA) == set(snapshot)
+        for key, raw in snapshot.items():
+            assert spec_from_config({key: raw}, spec) == spec
+
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    def test_every_key_moves_the_hash(self, key):
+        base = ExperimentSpec()
+        base_hash = config_hash(spec_to_config(base))
+        if key == "scenario.n_targets":  # the only valid value is the default
+            with pytest.raises(ValueError):
+                spec_from_config({key: "2"}, base)
+            return
+        for raw in _changed_values(key):
+            try:
+                changed = spec_from_config({key: raw}, base)
+            except ValueError:
+                continue
+            assert changed != base
+            assert config_hash(spec_to_config(changed)) != base_hash
+            return
+        pytest.fail(f"no valid non-default value found for {key}")
+
+    def test_spec_snapshot_golden(self, tmp_path):
+        _write_spec_snapshot(ExperimentSpec(repetitions=1, master_seed=1, jobs=1), tmp_path)
+        digest = hashlib.sha256((tmp_path / "spec.cfg").read_bytes()).hexdigest()
+        assert digest == "5458fb6dc366cd055a20c8c9403f47359488fe43af6446651fae914e500e7e72"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_snapshot_round_trip(self, data):
+        keys = data.draw(st.lists(st.sampled_from(sorted(SCHEMA)), min_size=1, max_size=3,
+                                  unique=True))
+        cfg = {key: data.draw(_other_values(key), label=key) for key in keys}
+        try:
+            spec = spec_from_config(cfg, ExperimentSpec())
+        except ValueError:
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_spec_snapshot(spec, Path(tmp))
+            args = argparse.Namespace(config=Path(tmp) / "spec.cfg", seed=None, reps=None,
+                                      budget=None, methods=None, jobs=None)
+            reloaded = build_spec(args)
+            header = (Path(tmp) / "spec.cfg").read_text().splitlines()[0]
+        assert reloaded == spec
+        assert header == f"# config_hash={config_hash(spec_to_config(reloaded))}"
+
+    def test_readme_key_table_matches_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("<!-- config-keys:begin -->\n", 1)[1]
+        table = table.split("\n<!-- config-keys:end -->", 1)[0]
+        assert table == key_table(ExperimentSpec()), (
+            "README key table is stale; paste the output of "
+            "racecma.config.key_table(racecma.bench.ExperimentSpec())"
+        )

@@ -63,6 +63,12 @@ def test_config_invariants_rejected():
         ScenarioConfig(symbol_duration=0.0)
 
 
+@pytest.mark.parametrize("n_targets", [0, 2])
+def test_single_target_only(n_targets):
+    with pytest.raises(ValueError, match="n_targets"):
+        ScenarioConfig(n_targets=n_targets)
+
+
 def test_reference_defaults():
     sc = ScenarioConfig()
     assert (sc.n_bs_antennas, sc.n_ue_antennas) == (32, 16)
