@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .bench import ExperimentSpec, run_compare, run_convergence, run_sweep
 from .config import load_config, spec_from_config
-from .validate import validate, write_validation_report
+from .validate import ORDERING_METHODS, validate, write_validation_report
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
@@ -25,20 +25,20 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     if args.budget is not None:
         overrides["budget"] = args.budget
     if args.methods is not None:
-        overrides["methods"] = tuple(args.methods.split(","))
+        overrides["methods"] = tuple(m.strip() for m in args.methods.split(","))
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
     return replace(spec, **overrides) if overrides else spec
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
     parser.add_argument("--config", type=Path, help="key-value config file")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--reps", type=int, help="repetition count override")
     parser.add_argument("--budget", type=float, help="per-run evaluation budget (N_eq)")
     parser.add_argument("--methods", help="comma-separated method subset")
     parser.add_argument("--jobs", type=int, help="parallel repetition workers")
-    parser.add_argument("--out", type=Path, required=True, help="output directory")
+    parser.add_argument("--out", type=Path, required=out_required, help="output directory")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,14 +55,12 @@ def main(argv: list[str] | None = None) -> int:
         cmd = sub.add_parser(name, help=helptext)
         _add_common(cmd)
 
-    val = sub.add_parser("validate", help="run the acceptance checks")
-    val.add_argument("--config", type=Path, help="key-value config file")
-    val.add_argument("--seed", type=int, help="master seed override")
-    val.add_argument("--reps", type=int, help="repetition count override")
-    val.add_argument("--budget", type=float, help="per-run budget override")
-    val.add_argument("--methods", help="unused; accepted for flag symmetry")
-    val.add_argument("--jobs", type=int, help="parallel repetition workers")
-    val.add_argument("--out", type=Path, help="directory for the report CSV")
+    val = sub.add_parser(
+        "validate", help="run the acceptance checks",
+        description="Run the acceptance checks. The spec flags apply only with --full, "
+                    "whose methods must include " + ", ".join(ORDERING_METHODS) + ".",
+    )
+    _add_common(val, out_required=False)
     val.add_argument("--full", action="store_true",
                      help="include the Monte-Carlo comparison checks")
 
@@ -70,6 +68,15 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "validate":
         full_spec = build_spec(args) if args.full else None
+        # The spec flags shape only the spec that the --full checks run.
+        given = [f"--{name}" for name in ("config", "seed", "reps", "budget", "methods", "jobs")
+                 if getattr(args, name) is not None]
+        if given and full_spec is None:
+            val.error(f"spec flags only apply with --full: {', '.join(given)}")
+        missing = [m for m in ORDERING_METHODS if full_spec and m not in full_spec.methods]
+        if missing:
+            val.error(f"--full compares {', '.join(ORDERING_METHODS)}; "
+                      f"the methods lack {', '.join(missing)}")
         passed, results = validate(
             level="full" if args.full else "quick",
             full_spec=full_spec,

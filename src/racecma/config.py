@@ -70,7 +70,7 @@ class SchemaKey:
     pack: type | None = None  # tuple or a value type for lists, None for scalars
 
     def parse(self, key: str, raw: str):
-        parts = raw.split(",") if self.pack else [raw]
+        parts = [part.strip() for part in raw.split(",")] if self.pack else [raw]
         if self.count is not None and len(parts) != self.count:
             raise ConfigError(f"{key} expects {self.count} comma-separated values, got {raw!r}")
         try:

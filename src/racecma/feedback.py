@@ -11,13 +11,15 @@ the echo (candidate/detected/locked).
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
-from .scenario import ScenarioConfig, initial_target_state, propagate_target
+from .scenario import ScenarioConfig, TargetState, initial_target_state, propagate_target
 from .seeding import derive_seed
 
 
@@ -125,6 +127,125 @@ class EpisodeTrace:
             )
 
 
+# Frames the world cache may hold over all its worlds: about 20 desk
+# episodes or 2 paper-scale ones. A cap on the number of worlds would let
+# 1000-frame paper worlds pile up and grow the resident set instead.
+MAX_WORLD_FRAMES = 2048
+
+
+class EpisodeWorld:
+    """The part of an episode that the thresholds cannot change.
+
+    Target motion is a pure function of (scenario, seed, frame), and a
+    frame's echo strength is a pure function of those plus the beam and
+    power factor the loop chooses. The world propagates the target up to
+    the longest prefix asked of it, and measures each (frame, beam, power
+    factor) cell once, on first visit, through the radar chain. Replays
+    under any thresholds and action table then read the stored floats.
+    """
+
+    def __init__(self, scenario: ScenarioConfig, seed: int) -> None:
+        self.scenario = scenario
+        self.seed = seed
+        self.targets: list[TargetState] = []
+        self.bearings: list[float] = []  # target angle seen from the BS
+        self.cells: dict[tuple[int, int, float], float] = {}
+        # Looked up once: each lookup hashes the whole scenario.
+        self._window = scenario.search_window()
+        self._null_mask = scenario.null_mask()
+        self._budget_w = scenario.tx_power_w
+
+    def extend(self, n_frames: int) -> None:
+        """Propagate the target through frame ``n_frames - 1``."""
+        sc = self.scenario
+        dt = sc.frame_duration
+        bs = sc.bs_position
+        target = self.targets[-1] if self.targets else initial_target_state(sc, self.seed)
+        for t in range(len(self.targets), n_frames):
+            target = propagate_target(
+                target, dt, derive_seed(self.seed, "motion", t), sc.region, sc.heading_jitter
+            )
+            self.targets.append(target)
+            self.bearings.append(
+                math.atan2(target.position[1] - bs[1], target.position[0] - bs[0])
+            )
+
+    def measure(self, t: int, beam: int, eta: float) -> float:
+        """Echo strength of frame ``t`` under ``beam`` at power factor ``eta``."""
+        sc = self.scenario
+        channel = realize_channel(sc, self.targets[t])
+        grid = synthesize_rx_grid(
+            sc, channel, beam, eta * self._budget_w, derive_seed(self.seed, "frame", t)
+        )
+        value = compute_resi(matched_filter(grid, self._window), grid, self._null_mask).value
+        self.cells[(t, beam, eta)] = value
+        return value
+
+
+class WorldCacheInfo(NamedTuple):
+    worlds: int
+    frames: int
+    max_frames: int
+    world_hits: int
+    world_misses: int
+    cell_hits: int
+    cell_misses: int
+
+
+class WorldCache:
+    """Least-recently-used episode worlds, bounded by the frames they hold.
+
+    Safe under concurrent episodes: a lock guards the table, the counters
+    and every world's growth. Two episodes may measure the same cell at
+    once; both compute the same float.
+    """
+
+    def __init__(self, max_frames: int) -> None:
+        self.max_frames = max_frames
+        self._lock = threading.Lock()
+        self._worlds: OrderedDict[tuple, EpisodeWorld] = OrderedDict()
+        self._frames = 0
+        self._counts = [0, 0, 0, 0]  # world hits, world misses, cell hits, cell misses
+
+    def world(self, scenario: ScenarioConfig, seed: int, n_frames: int) -> EpisodeWorld:
+        """The world of (scenario, seed), grown to at least ``n_frames``."""
+        # derive_seed hashes repr(seed), so 3 and np.int64(3) are different seeds.
+        key = (scenario, type(seed), seed)
+        with self._lock:
+            world = self._worlds.get(key)
+            if world is None:
+                world = self._worlds[key] = EpisodeWorld(scenario, seed)
+                self._counts[1] += 1
+            else:
+                self._worlds.move_to_end(key)
+                self._counts[0] += 1
+            held = len(world.targets)
+            world.extend(n_frames)
+            self._frames += len(world.targets) - held
+            # A world larger than the bound serves its episode but is not kept.
+            while self._frames > self.max_frames:
+                self._frames -= len(self._worlds.popitem(last=False)[1].targets)
+        return world
+
+    def count_cells(self, hits: int, misses: int) -> None:
+        with self._lock:
+            self._counts[2] += hits
+            self._counts[3] += misses
+
+    def cache_info(self) -> WorldCacheInfo:
+        with self._lock:
+            return WorldCacheInfo(len(self._worlds), self._frames, self.max_frames, *self._counts)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._worlds.clear()
+            self._frames = 0
+            self._counts = [0, 0, 0, 0]
+
+
+WORLDS = WorldCache(MAX_WORLD_FRAMES)
+
+
 def run_episode(
     scenario: ScenarioConfig,
     thresholds: ThresholdVector,
@@ -140,17 +261,15 @@ def run_episode(
     cadence spend no sensing power and keep the last measured value as the
     current belief. Noise and motion draw from per-frame seeds derived from
     ``seed``, so the randomness a candidate threshold vector faces does not
-    depend on the decisions it makes.
+    depend on the decisions it makes. That is what lets every episode of a
+    (scenario, seed) replay one shared :class:`EpisodeWorld` from ``WORLDS``.
     """
     if not 0.0 < fidelity <= 1.0:
         raise ValueError("fidelity must lie in (0, 1]")
     n_frames = math.ceil(fidelity * scenario.frame_count)
-    dt = scenario.frame_duration
-    window = scenario.search_window()
-    null_mask = scenario.null_mask()
-    budget_w = scenario.tx_power_w
+    world = WORLDS.world(scenario, seed, n_frames)
+    targets, bearings, cells = world.targets, world.bearings, world.cells
 
-    target = initial_target_state(scenario, seed)
     resi = np.zeros(n_frames)
     states = np.zeros(n_frames, dtype=np.int64)
     in_region = np.zeros(n_frames, dtype=bool)
@@ -162,11 +281,9 @@ def run_episode(
     beam = 0
     frames_since_measure = 0
     belief = 0.0  # last measured echo strength
+    measured = misses = 0
 
     for t in range(n_frames):
-        target = propagate_target(
-            target, dt, derive_seed(seed, "motion", t), scenario.region, scenario.heading_jitter
-        )
         if state == 0:
             beam = sweep_ptr
             sweep_ptr = (sweep_ptr + 1) % scenario.n_beams
@@ -175,12 +292,11 @@ def run_episode(
         if frames_since_measure >= actions.period_multipliers[state]:
             frames_since_measure = 0
             eta = actions.power_factors[state]
-            channel = realize_channel(scenario, target)
-            grid = synthesize_rx_grid(
-                scenario, channel, beam, eta * budget_w, derive_seed(seed, "frame", t)
-            )
-            sample = compute_resi(matched_filter(grid, window), grid, null_mask)
-            belief = sample.value
+            belief = cells.get((t, beam, eta))
+            if belief is None:
+                belief = world.measure(t, beam, eta)
+                misses += 1
+            measured += 1
             resi[t] = belief
             states[t] = classify(belief, thresholds)
             power[t] = eta
@@ -189,12 +305,11 @@ def run_episode(
             states[t] = state
             power[t] = 0.0
 
-        bs = scenario.bs_position
-        angle = math.atan2(target.position[1] - bs[1], target.position[0] - bs[0])
-        in_region[t] = target.inside_region
-        in_beam[t] = scenario.beam_contains(beam, angle)
+        in_region[t] = targets[t].inside_region
+        in_beam[t] = scenario.beam_contains(beam, bearings[t])
         state = int(states[t])
 
+    WORLDS.count_cells(measured - misses, misses)
     return EpisodeTrace(
         resi=resi, states=states, in_region=in_region, in_beam=in_beam,
         power=power, horizon=n_frames,

@@ -128,7 +128,8 @@ class IsacObjective:
     """Closed-loop sensing episode cost as a function of the thresholds.
 
     Evaluations are pure: identical (point, seed, fidelity) always return
-    the same value and nothing but the ledger accumulates state.
+    the same value, and only the ledger keeps state that results depend on
+    (the world cache behind ``run_episode`` only saves work).
     """
 
     def __init__(

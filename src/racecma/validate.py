@@ -313,6 +313,10 @@ def check_reproducibility(scratch: Path | None = None) -> CheckResult:
     return CheckResult("reproducibility", True, "compare outputs byte-identical")
 
 
+# The methods whose compare rows check_efficiency_ordering reads.
+ORDERING_METHODS = ("IPN", "SPSA", "CMA-ES", "RACE-CMA")
+
+
 def check_efficiency_ordering(
     spec: ExperimentSpec | None = None, scratch: Path | None = None
 ) -> CheckResult:

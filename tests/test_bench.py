@@ -197,3 +197,22 @@ class TestCli:
         assert not ok
         failed = {r.name for r in results if not r.passed}
         assert "cost-identity" in failed
+
+    @pytest.mark.parametrize("flags", [
+        ["--config", "x.cfg"], ["--seed", "3"], ["--reps", "1"], ["--budget", "12"],
+        ["--methods", "MAP"], ["--jobs", "2"],
+    ])
+    def test_validate_rejects_spec_flags_without_full(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", *flags])
+        assert exc.value.code == 2
+        assert f"only apply with --full: {flags[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods, lacking", [
+        ("MAP", "IPN, SPSA, CMA-ES, RACE-CMA"), ("IPN,SPSA,CMA-ES", "RACE-CMA"),
+    ])
+    def test_validate_full_needs_the_ordering_methods(self, methods, lacking, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--full", "--methods", methods, "--reps", "1", "--budget", "12"])
+        assert exc.value.code == 2
+        assert f"the methods lack {lacking}" in capsys.readouterr().err

@@ -193,6 +193,19 @@ class TestSchema:
         with pytest.raises(ConfigError, match=key):
             spec_from_config({key: raw}, ExperimentSpec())
 
+    def test_list_values_may_hold_spaces(self, tmp_path):
+        spec = spec_from_config({"experiment.methods": "MAP, IPN",
+                                 "experiment.power_grid": "10.0, 20.0"}, ExperimentSpec())
+        assert spec.methods == ("MAP", "IPN")
+        assert spec.power_grid == (10.0, 20.0)
+        _write_spec_snapshot(spec, tmp_path)
+        assert "experiment.methods = MAP,IPN\n" in (tmp_path / "spec.cfg").read_text()
+
+    def test_cli_methods_may_hold_spaces(self):
+        args = argparse.Namespace(config=None, seed=None, reps=None, budget=None,
+                                  methods="MAP, IPN", jobs=None)
+        assert build_spec(args).methods == ("MAP", "IPN")
+
     def test_accepted_keys_are_the_snapshot_keys(self):
         spec = ExperimentSpec()
         snapshot = spec_to_config(spec)
