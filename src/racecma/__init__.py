@@ -48,6 +48,7 @@ from .objective import (
     CostLedger,
     CrnSeedPlan,
     IsacObjective,
+    OptimizeResult,
     RepeatedEstimate,
     SyntheticObjective,
     derive_seed_plan,

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
 
 import numpy as np
 
 from .feedback import ThresholdVector, classify, run_episode
-from .objective import StochasticObjective
+from .objective import OptimizeResult, RoundRecord, StochasticObjective
 from .scenario import ScenarioConfig
 from .seeding import derive_seed, rng_from
 
@@ -180,18 +179,6 @@ def map_calibrate(
     return map_thresholds(samples_by_state, None, min_spacing, min_samples)
 
 
-def history_to_csv(
-    history: Sequence[tuple[int, float, tuple[float, float, float], float]],
-    stream: TextIO,
-) -> None:
-    """Per-iteration trace shared by the local optimizers."""
-    stream.write("iteration,cost,t1,t2,t3,n_eq\n")
-    for iteration, cost, point, n_eq in history:
-        stream.write(
-            f"{iteration},{cost!r},{point[0]!r},{point[1]!r},{point[2]!r},{n_eq!r}\n"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Interior-point Newton
 
@@ -233,21 +220,13 @@ def _barrier_hessian(t: np.ndarray) -> np.ndarray:
     return h1 + h2
 
 
-@dataclass
-class IpnResult:
-    best_point: ThresholdVector
-    best_cost: float
-    n_eq: float
-    history: list[tuple[int, float, tuple[float, float, float], float]]
-
-
 def ipn_optimize(
     objective: StochasticObjective,
     t0: ThresholdVector,
     config: IpnConfig = IpnConfig(),
     budget: float = 60.0,
     seed: int = 0,
-) -> IpnResult:
+) -> OptimizeResult:
     """Barrier Newton descent with central differences on the objective.
 
     Each Newton step spends 2n+1 = 7 objective evaluations on the stencil
@@ -255,80 +234,83 @@ def ipn_optimize(
     probe, all under a per-iteration seed. The Hessian of the objective is
     diagonal (that is all the stencil supports); the barrier contributes its
     exact full Hessian, and a ridge is added until the solve is definite.
+    The descent stops early when the budget cannot pay for the next stencil
+    or probe, or when the line search accepts no step.
     """
     t = t0.as_array().astype(float)
     if t[1] <= t[0] or t[2] <= t[1]:
         raise ValueError("initial point must be strictly feasible")
 
+    # One barrier weight per Newton step, shrunk after each outer round.
+    schedule: list[float] = []
     mu = config.barrier_init
+    for _round in range(config.outer_rounds):
+        schedule += [mu] * config.newton_iters
+        mu /= config.barrier_shrink
+
     spent = 0.0
     best_cost = math.inf
     best_point = t.copy()
-    history: list[tuple[int, float, tuple[float, float, float], float]] = []
-    iteration = 0
+    history: list[RoundRecord] = []
 
-    def phi(point: np.ndarray, j_value: float) -> float:
-        return j_value + mu * _barrier_value(point)
+    for iteration, mu in enumerate(schedule):
+        if spent + 7 > budget + 1e-12:
+            break
+        iter_seed = derive_seed(seed, "ipn", iteration)
+        j_center = objective.evaluate(t.copy(), iter_seed, 1.0)
+        grad_j = np.zeros(3)
+        hess_diag = np.zeros(3)
+        h = config.fd_step
+        for i in range(3):
+            e = np.zeros(3)
+            e[i] = h
+            j_plus = objective.evaluate(t + e, iter_seed, 1.0)
+            j_minus = objective.evaluate(t - e, iter_seed, 1.0)
+            grad_j[i] = (j_plus - j_minus) / (2.0 * h)
+            hess_diag[i] = (j_plus - 2.0 * j_center + j_minus) / h**2
+        spent += 7.0
 
-    for _round in range(config.outer_rounds):
-        for _step in range(config.newton_iters):
-            if spent + 7 > budget + 1e-12:
-                return IpnResult(ThresholdVector.from_array(best_point), best_cost, spent, history)
-            iter_seed = derive_seed(seed, "ipn", iteration)
-            j_center = objective.evaluate(t.copy(), iter_seed, 1.0)
-            grad_j = np.zeros(3)
-            hess_diag = np.zeros(3)
-            h = config.fd_step
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                j_plus = objective.evaluate(t + e, iter_seed, 1.0)
-                j_minus = objective.evaluate(t - e, iter_seed, 1.0)
-                grad_j[i] = (j_plus - j_minus) / (2.0 * h)
-                hess_diag[i] = (j_plus - 2.0 * j_center + j_minus) / h**2
-            spent += 7.0
+        if j_center < best_cost:
+            best_cost = j_center
+            best_point = t.copy()
 
-            if j_center < best_cost:
-                best_cost = j_center
-                best_point = t.copy()
+        grad = grad_j + mu * _barrier_gradient(t)
+        hess = np.diag(hess_diag) + mu * _barrier_hessian(t)
+        ridge = 0.0
+        while True:
+            try:
+                direction = np.linalg.solve(hess + ridge * np.eye(3), -grad)
+                if np.min(np.linalg.eigvalsh(hess + ridge * np.eye(3))) > 0:
+                    break
+            except np.linalg.LinAlgError:
+                pass
+            ridge = max(2.0 * ridge, 1e-6)
 
-            grad = grad_j + mu * _barrier_gradient(t)
-            hess = np.diag(hess_diag) + mu * _barrier_hessian(t)
-            ridge = 0.0
-            while True:
-                try:
-                    direction = np.linalg.solve(hess + ridge * np.eye(3), -grad)
-                    if np.min(np.linalg.eigvalsh(hess + ridge * np.eye(3))) > 0:
-                        break
-                except np.linalg.LinAlgError:
-                    pass
-                ridge = max(2.0 * ridge, 1e-6)
+        phi_current = j_center + mu * _barrier_value(t)
+        slope = float(grad @ direction)
+        alpha = 1.0
+        accepted = exhausted = False
+        for _bt in range(config.max_backtracks):
+            candidate = t + alpha * direction
+            if candidate[1] > candidate[0] and candidate[2] > candidate[1]:
+                if spent + 1 > budget + 1e-12:
+                    exhausted = True
+                    break
+                j_cand = objective.evaluate(candidate, iter_seed, 1.0)
+                spent += 1.0
+                phi_cand = j_cand + mu * _barrier_value(candidate)
+                if phi_cand <= phi_current + config.armijo * alpha * slope:
+                    t = candidate
+                    accepted = True
+                    break
+            alpha *= config.backtrack
+        if exhausted:
+            break
+        history.append(RoundRecord(iteration + 1, spent, tuple(t)))
+        if not accepted:
+            break
 
-            phi_current = phi(t, j_center)
-            slope = float(grad @ direction)
-            alpha = 1.0
-            accepted = False
-            for _bt in range(config.max_backtracks):
-                candidate = t + alpha * direction
-                if candidate[1] > candidate[0] and candidate[2] > candidate[1]:
-                    if spent + 1 > budget + 1e-12:
-                        return IpnResult(
-                            ThresholdVector.from_array(best_point), best_cost, spent, history
-                        )
-                    j_cand = objective.evaluate(candidate, iter_seed, 1.0)
-                    spent += 1.0
-                    if phi(candidate, j_cand) <= phi_current + config.armijo * alpha * slope:
-                        t = candidate
-                        accepted = True
-                        break
-                alpha *= config.backtrack
-            iteration += 1
-            history.append((iteration, j_center, tuple(t), spent))
-            if not accepted:
-                return IpnResult(ThresholdVector.from_array(best_point), best_cost, spent, history)
-        mu /= config.barrier_shrink
-
-    return IpnResult(ThresholdVector.from_array(best_point), best_cost, spent, history)
+    return OptimizeResult(ThresholdVector.from_array(best_point), best_cost, spent, history)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +375,6 @@ def spsa_gradient(
     return (j_plus - j_minus) / (2.0 * c_k * delta)
 
 
-@dataclass
-class SpsaResult:
-    best_point: ThresholdVector
-    best_cost: float
-    n_eq: float
-    history: list[tuple[int, float, tuple[float, float, float], float]]
-
-
 def spsa_optimize(
     objective: StochasticObjective,
     t0: ThresholdVector,
@@ -409,7 +383,7 @@ def spsa_optimize(
     seed: int = 0,
     min_spacing: float = 0.1,
     probe_every: int = 10,
-) -> SpsaResult:
+) -> OptimizeResult:
     """SPSA descent on the threshold triple with feasibility projection.
 
     The iterate sequence is not monotone under noise, so the returned point
@@ -421,7 +395,7 @@ def spsa_optimize(
     best_cost = math.inf
     best_point = t.copy()
     probed = False
-    history: list[tuple[int, float, tuple[float, float, float], float]] = []
+    history: list[RoundRecord] = []
 
     k = 0
     while spent + 2 <= budget + 1e-12:
@@ -440,8 +414,8 @@ def spsa_optimize(
             if probe < best_cost:
                 best_cost = probe
                 best_point = t.copy()
-            history.append((k, probe, tuple(t), spent))
+            history.append(RoundRecord(k, spent, tuple(t)))
 
     if not probed:
         best_point = t.copy()
-    return SpsaResult(ThresholdVector.from_array(best_point), best_cost, spent, history)
+    return OptimizeResult(ThresholdVector.from_array(best_point), best_cost, spent, history)

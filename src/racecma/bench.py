@@ -79,6 +79,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.budget <= 0:
+            raise ValueError("budget must be positive")
+        if self.eval_repeats < 1:
+            raise ValueError("eval_repeats must be >= 1")
+        if self.map_episodes < 1:
+            raise ValueError("map_episodes must be >= 1")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -181,12 +187,6 @@ class MethodRun:
     failed: bool = False
 
 
-def _as_thresholds(point) -> ThresholdVector:
-    if isinstance(point, ThresholdVector):
-        return point
-    return ThresholdVector.from_array(np.asarray(point, float))
-
-
 def run_method(
     method: str,
     scenario: ScenarioConfig,
@@ -203,7 +203,6 @@ def run_method(
     )
     racing_cfg = racing if racing is not None else spec.racing
     delta = racing_cfg.min_spacing
-    mapper = FeasibleMap(mode="softplus", min_spacing=delta)
     rounds = generations if generations is not None else spec.generations
 
     if method == "MAP":
@@ -214,45 +213,35 @@ def run_method(
             )
         except CalibrationError:
             final = t0
-        best = [final] * rounds
-    elif method == "IPN":
-        result = ipn_optimize(objective, t0, spec.ipn, spec.budget, seed)
-        final = result.best_point
-        trail = [_as_thresholds(h[2]) for h in result.history]
-        best = _pad_rounds(trail if trail else [final], rounds)
-    elif method == "SPSA":
-        result = spsa_optimize(
-            objective, t0, spec.spsa, spec.budget, seed, min_spacing=delta
-        )
-        final = result.best_point
-        trail = [_as_thresholds(h[2]) for h in result.history]
-        best = _pad_rounds(trail if trail else [final], rounds)
-    elif method == "CMA-ES":
-        params = default_params(3, spec.population)
-        u0 = inverse_feasible(t0, delta)
-        result = cma_mod.cma_optimize(
-            objective, params, (u0, spec.init_sigma), spec.budget, seed,
-            feasible_map=mapper, max_generations=rounds,
-        )
-        final = _as_thresholds(result.best_point)
-        best = _pad_rounds(
-            [_as_thresholds(rec.best_point) for rec in result.history] or [final], rounds
-        )
-    elif method == "RACE-CMA":
-        params = default_params(3, spec.population)
-        u0 = inverse_feasible(t0, delta)
-        result = race_cma_optimize(
-            objective, params, racing_cfg, (u0, spec.init_sigma), spec.budget, seed,
-            feasible_map=mapper, max_generations=rounds,
-        )
-        final = _as_thresholds(result.best_point)
-        best = _pad_rounds(
-            [_as_thresholds(rec.best_point) for rec in result.history] or [final], rounds
-        )
+        trail = []
     else:
-        raise ValueError(f"unknown method {method!r}")
+        if method == "IPN":
+            result = ipn_optimize(objective, t0, spec.ipn, spec.budget, seed)
+        elif method == "SPSA":
+            result = spsa_optimize(
+                objective, t0, spec.spsa, spec.budget, seed, min_spacing=delta
+            )
+        elif method in ("CMA-ES", "RACE-CMA"):
+            params = default_params(3, spec.population)
+            init = (inverse_feasible(t0, delta), spec.init_sigma)
+            mapper = FeasibleMap(mode="softplus", min_spacing=delta)
+            if method == "CMA-ES":
+                result = cma_mod.cma_optimize(
+                    objective, params, init, spec.budget, seed,
+                    feasible_map=mapper, max_generations=rounds,
+                )
+            else:
+                result = race_cma_optimize(
+                    objective, params, racing_cfg, init, spec.budget, seed,
+                    feasible_map=mapper, max_generations=rounds,
+                )
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        final = result.best_point
+        trail = [ThresholdVector.from_array(r.point) for r in result.history]
 
     n_eq = objective.ledger.n_eq
+    best = _pad_rounds(trail or [final], rounds)
     return MethodRun(
         method=method, final=final, n_eq=n_eq, best_so_far=best,
         failed=n_eq > 10.0 * spec.budget,

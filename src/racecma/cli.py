@@ -31,6 +31,14 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
+def _spec_or_exit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ExperimentSpec:
+    """``build_spec``, with a bad flag, config key or config file as a usage error."""
+    try:
+        return build_spec(args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+
+
 def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
     parser.add_argument("--config", type=Path, help="key-value config file")
     parser.add_argument("--seed", type=int, help="master seed override")
@@ -47,13 +55,14 @@ def main(argv: list[str] | None = None) -> int:
         description="Benchmarks for racing threshold optimization on the bistatic sensing loop",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, helptext in (
         ("compare", "method comparison: improvement, cost, efficiency"),
         ("sweep", "fixed-vs-tuned thresholds across transmit powers"),
         ("converge", "best-so-far detection reliability per generation"),
     ):
-        cmd = sub.add_parser(name, help=helptext)
-        _add_common(cmd)
+        commands[name] = sub.add_parser(name, help=helptext)
+        _add_common(commands[name])
 
     val = sub.add_parser(
         "validate", help="run the acceptance checks",
@@ -67,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
-        full_spec = build_spec(args) if args.full else None
+        full_spec = _spec_or_exit(val, args) if args.full else None
         # The spec flags shape only the spec that the --full checks run.
         given = [f"--{name}" for name in ("config", "seed", "reps", "budget", "methods", "jobs")
                  if getattr(args, name) is not None]
@@ -88,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             write_validation_report(results, args.out / "validation.csv")
         return 0 if passed else 1
 
-    spec = build_spec(args)
+    spec = _spec_or_exit(commands[args.command], args)
     if args.command == "compare":
         rows = run_compare(spec, args.out)
         for row in rows:

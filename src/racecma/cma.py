@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
-from .objective import StochasticObjective
+from .objective import OptimizeResult, RoundRecord, StochasticObjective
 from .seeding import derive_seed, rng_from
 
 EIGEN_FLOOR_RATIO = 1e-14
@@ -179,23 +179,11 @@ def update(
 
 
 @dataclass(frozen=True)
-class GenerationRecord:
-    generation: int
-    best_cost: float
-    mean_cost: float
-    sigma: float
-    n_eq: float
+class GenerationRecord(RoundRecord):
+    """A CMA generation: the distribution mean and step size after its update."""
+
     mean: tuple[float, ...]
-    best_point: tuple[float, ...]
-
-
-@dataclass
-class OptimizeResult:
-    best_point: object
-    best_cost: float
-    n_eq: float
-    history: list[GenerationRecord]
-    state: CmaState
+    sigma: float
 
 
 def point_array(point) -> np.ndarray:
@@ -204,14 +192,6 @@ def point_array(point) -> np.ndarray:
     if as_array is not None:
         return as_array()
     return np.asarray(point, float)
-
-
-def history_to_csv(history: list[GenerationRecord], stream: TextIO) -> None:
-    stream.write("generation,best_cost,mean_cost,sigma,n_eq\n")
-    for rec in history:
-        stream.write(
-            f"{rec.generation},{rec.best_cost!r},{rec.mean_cost!r},{rec.sigma!r},{rec.n_eq!r}\n"
-        )
 
 
 def cma_optimize(
@@ -265,20 +245,9 @@ def cma_optimize(
         state = update(state, params, points[order[: params.mu]])
         history.append(
             GenerationRecord(
-                generation=gen,
-                best_cost=float(costs[order[0]]),
-                mean_cost=float(costs.mean()),
-                sigma=state.sigma,
-                n_eq=spent,
-                mean=tuple(state.mean),
-                best_point=tuple(point_array(best_point)),
+                index=gen, n_eq=spent, point=tuple(point_array(best_point)),
+                mean=tuple(state.mean), sigma=state.sigma,
             )
         )
 
-    return OptimizeResult(
-        best_point=best_point,
-        best_cost=best_cost,
-        n_eq=spent,
-        history=history,
-        state=state,
-    )
+    return OptimizeResult(best_point, best_cost, spent, history)

@@ -14,7 +14,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,14 +117,6 @@ class EpisodeTrace:
             raise ValueError("all series must cover the horizon")
         if np.any(self.power < 0) or np.any(self.power > 1):
             raise ValueError("power fractions must lie in [0, 1]")
-
-    def to_csv(self, stream: TextIO) -> None:
-        stream.write("frame,resi,state,in_region,in_beam,power_fraction\n")
-        for t in range(self.horizon):
-            stream.write(
-                f"{t},{self.resi[t]!r},{int(self.states[t])},"
-                f"{int(self.in_region[t])},{int(self.in_beam[t])},{self.power[t]!r}\n"
-            )
 
 
 # Frames the world cache may hold over all its worlds: about 20 desk

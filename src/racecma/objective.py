@@ -109,6 +109,32 @@ class StochasticObjective(Protocol):
     def evaluate(self, point, seed: int, fidelity: float = 1.0) -> float: ...
 
 
+@dataclass(frozen=True)
+class RoundRecord:
+    """One optimizer round and the point the convergence trace reports for it.
+
+    ``index`` is the generation for the CMA loops and the iteration for IPN
+    and SPSA; ``n_eq`` is the cost spent up to the end of the round. The
+    point is the best so far for CMA-ES and RACE-CMA, the iterate after the
+    step for IPN and the probed iterate for SPSA.
+    """
+
+    index: int
+    n_eq: float
+    point: tuple[float, ...]
+
+
+@dataclass
+class OptimizeResult:
+    """What every optimizer returns: the best point it found, that point's
+    estimated cost, the n_eq it spent and one record per round."""
+
+    best_point: object
+    best_cost: float
+    n_eq: float
+    history: list[RoundRecord]
+
+
 def evaluate_repeated(
     objective: StochasticObjective,
     point,
@@ -185,9 +211,6 @@ class SyntheticObjective:
         self.noise_std = noise_std
         self.noise_mode = noise_mode
         self.ledger = ledger if ledger is not None else CostLedger()
-
-    def true_value(self, point) -> float:
-        return float(self.fn(np.asarray(point, float)))
 
     def evaluate(self, point, seed: int, fidelity: float = 1.0, kind: str = "full") -> float:
         if not 0.0 < fidelity <= 1.0:

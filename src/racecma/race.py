@@ -29,6 +29,7 @@ from .cma import (
 from .feedback import ThresholdVector, run_episode
 from .objective import (
     CrnSeedPlan,
+    OptimizeResult,
     RepeatedEstimate,
     StochasticObjective,
     derive_seed_plan,
@@ -87,7 +88,10 @@ def map_unconstrained(u, min_spacing: float) -> np.ndarray:
 
     Works on a single 3-vector or an (N, 3) batch; every input satisfies
     both spacing constraints by construction, so no post-hoc sorting is
-    ever applied to sampled candidates.
+    ever applied to sampled candidates. In double precision the gaps hold
+    the spacing to within 1e-12 for inputs up to 1e3 in magnitude; beyond
+    about 1e4, ``t1 + min_spacing`` rounds off part of the spacing, though
+    every finite input still maps to an ordered triple.
     """
     if min_spacing <= 0:
         raise ValueError("min_spacing must be positive")
@@ -323,17 +327,17 @@ def uncertainty_weights(
 
 
 @dataclass(frozen=True)
-class GenerationReport:
-    """Racing diagnostics for one generation."""
+class GenerationReport(GenerationRecord):
+    """A racing generation with its diagnostics: every screening value, the
+    promoted indices, their Stage-2 estimates, the recombination weights
+    and the generation's charge."""
 
-    generation: int
     stage1_values: tuple[float, ...]
     promoted: tuple[int, ...]
     stage2_means: tuple[float, ...]
     stage2_variances: tuple[float, ...]
     effective_weights: tuple[float, ...]
     ledger_delta: float
-    cumulative_n_eq: float
 
 
 def reports_to_csv(reports: Sequence[GenerationReport], stream: TextIO) -> None:
@@ -344,23 +348,13 @@ def reports_to_csv(reports: Sequence[GenerationReport], stream: TextIO) -> None:
     for rep in reports:
         s1 = np.asarray(rep.stage1_values)
         stream.write(
-            f"{rep.generation},{float(s1.min())!r},{float(np.median(s1))!r},"
+            f"{rep.index},{float(s1.min())!r},{float(np.median(s1))!r},"
             f"{';'.join(str(i) for i in rep.promoted)},"
             f"{';'.join(repr(v) for v in rep.stage2_means)},"
             f"{';'.join(repr(v) for v in rep.stage2_variances)},"
             f"{';'.join(repr(v) for v in rep.effective_weights)},"
-            f"{rep.ledger_delta!r},{rep.cumulative_n_eq!r}\n"
+            f"{rep.ledger_delta!r},{rep.n_eq!r}\n"
         )
-
-
-@dataclass
-class RaceResult:
-    best_point: object
-    best_cost: float
-    n_eq: float
-    history: list[GenerationRecord]
-    reports: list[GenerationReport]
-    state: CmaState
 
 
 def race_cma_optimize(
@@ -373,7 +367,7 @@ def race_cma_optimize(
     feasible_map: Callable[[np.ndarray], object] | None = None,
     max_generations: int | None = None,
     sigma_stop: float = 1e-12,
-) -> RaceResult:
+) -> OptimizeResult:
     """Full racing loop on top of the CMA-ES backbone.
 
     The covariance stays diagonal for the configured warmup generations,
@@ -392,8 +386,7 @@ def race_cma_optimize(
     best_cost = math.inf
     best_point = mapper(state.mean)
     seen_variances: list[float] = []
-    history: list[GenerationRecord] = []
-    reports: list[GenerationReport] = []
+    history: list[GenerationReport] = []
 
     while float(spent + gen_cost) <= budget + 1e-12 and state.sigma > sigma_stop:
         if max_generations is not None and state.generation >= max_generations:
@@ -417,7 +410,6 @@ def race_cma_optimize(
             stage1, promoted, estimates, racing.weighting_floor, prior
         )
         spent += gen_cost
-        spent_f = float(spent)
 
         for idx, est in zip(promoted, estimates):
             if est.mean < best_cost:
@@ -438,19 +430,9 @@ def race_cma_optimize(
             )
 
         history.append(
-            GenerationRecord(
-                generation=gen,
-                best_cost=float(min(e.mean for e in estimates)),
-                mean_cost=float(np.mean(costs)),
-                sigma=state.sigma,
-                n_eq=spent_f,
-                mean=tuple(state.mean),
-                best_point=tuple(point_array(best_point)),
-            )
-        )
-        reports.append(
             GenerationReport(
-                generation=gen,
+                index=gen, n_eq=float(spent), point=tuple(point_array(best_point)),
+                mean=tuple(state.mean), sigma=state.sigma,
                 stage1_values=tuple(float(v) for v in stage1),
                 promoted=tuple(int(i) for i in promoted),
                 stage2_means=tuple(e.mean for e in estimates),
@@ -459,15 +441,7 @@ def race_cma_optimize(
                 ),
                 effective_weights=tuple(float(w) for w in weights),
                 ledger_delta=float(gen_cost),
-                cumulative_n_eq=spent_f,
             )
         )
 
-    return RaceResult(
-        best_point=best_point,
-        best_cost=best_cost,
-        n_eq=float(spent),
-        history=history,
-        reports=reports,
-        state=state,
-    )
+    return OptimizeResult(best_point, best_cost, float(spent), history)

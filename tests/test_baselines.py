@@ -116,8 +116,8 @@ class TestIpn:
         obj = SyntheticObjective(lambda x: sphere(x - np.array([1.0, 1.1, 1.2])))
         result = ipn_optimize(obj, ThresholdVector(0.5, 1.5, 2.5), IpnConfig(),
                               budget=200.0, seed=2)
-        for _, _, point, _ in result.history:
-            assert point[1] > point[0] and point[2] > point[1]
+        for rec in result.history:
+            assert rec.point[1] > rec.point[0] and rec.point[2] > rec.point[1]
 
     def test_infeasible_start_rejected(self):
         obj = SyntheticObjective(sphere)
@@ -196,17 +196,3 @@ class TestSpsaOptimize:
         sched = SpsaSchedule()
         assert sched.gain(0) < sched.a
         assert sched.perturbation(10) < sched.c
-
-    def test_history_export(self):
-        import io
-
-        from racecma.baselines import history_to_csv
-
-        obj = SyntheticObjective(sphere)
-        result = spsa_optimize(obj, ThresholdVector(1.0, 2.0, 3.0), SpsaSchedule(),
-                               budget=60.0, seed=3)
-        buf = io.StringIO()
-        history_to_csv(result.history, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "iteration,cost,t1,t2,t3,n_eq"
-        assert len(lines) == len(result.history) + 1

@@ -143,6 +143,16 @@ class TestHelpers:
         with pytest.raises(ValueError):
             ExperimentSpec(methods=("GRADIENT",))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("budget", -1.0, "budget must be positive"),
+        ("budget", 0.0, "budget must be positive"),
+        ("eval_repeats", 0, "eval_repeats must be >= 1"),
+        ("map_episodes", 0, "map_episodes must be >= 1"),
+    ])
+    def test_meaningless_specs_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(**{field: value})
+
     def test_spec_config_covers_scenario_and_experiment(self):
         cfg = spec_to_config(tiny_spec())
         assert cfg["scenario.n_bs_antennas"] == "32"
@@ -207,6 +217,36 @@ class TestCli:
             main(["validate", *flags])
         assert exc.value.code == 2
         assert f"only apply with --full: {flags[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--methods", "FOO"], "unknown methods: ['FOO']"),
+        (["--reps", "0"], "repetitions must be >= 1"),
+        (["--budget", "0"], "budget must be positive"),
+        (["--config", "missing.cfg"], "No such file or directory"),
+    ])
+    def test_bad_spec_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                             flags, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", *flags, "--out", "o"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment.budgett = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unknown config key(s): experiment.budgett" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_validate_full_bad_config_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--full", "--config", str(tmp_path / "missing.cfg")])
+        assert exc.value.code == 2
+        assert "missing.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("methods, lacking", [
         ("MAP", "IPN, SPSA, CMA-ES, RACE-CMA"), ("IPN,SPSA,CMA-ES", "RACE-CMA"),

@@ -143,20 +143,6 @@ class TestOptimize:
         )
         assert len(result.history) == 4
 
-    def test_history_export(self):
-        import io
-
-        from racecma.cma import history_to_csv
-
-        params = default_params(3, 8)
-        result = cma_optimize(SyntheticObjective(sphere), params,
-                              (np.full(3, 2.0), 1.0), 40.0, 5)
-        buf = io.StringIO()
-        history_to_csv(result.history, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "generation,best_cost,mean_cost,sigma,n_eq"
-        assert len(lines) == len(result.history) + 1
-
 
 class TestInvariants:
     def test_covariance_stays_symmetric_pd(self):

@@ -172,11 +172,13 @@ class TestSchema:
         "actions.bogus = 1", "cma.sigma = 3",
         "ipn.armijo = 0.5", "ipn.backtrack = 0.5", "ipn.max_backtracks = 3",
     ])
-    def test_unknown_keys_rejected_through_cli(self, tmp_path, line):
+    def test_unknown_keys_rejected_through_cli(self, tmp_path, capsys, line):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(line + "\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(SystemExit) as exc:
             main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unknown config key" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, raw", [

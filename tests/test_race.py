@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from racecma import (
     FeasibleMap,
@@ -32,6 +34,16 @@ def sphere(x):
     return float(np.sum(np.asarray(x, float) ** 2))
 
 
+def unconstrained_inputs(bound: float | None):
+    """A 3-vector or an (N, 3) batch of finite values, within +-bound if given."""
+    shapes = st.one_of(st.just((3,)), st.tuples(st.integers(1, 16), st.just(3)))
+    if bound is None:
+        elements = st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        elements = st.floats(-bound, bound)
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
+
+
 class TestFeasibleMap:
     def test_softplus_at_zero_gives_log_two_gaps(self):
         t = feasible_map(np.array([1.0, 0.0, 0.0]), 0.1)
@@ -44,6 +56,25 @@ class TestFeasibleMap:
         t = map_unconstrained(u, 0.1)
         assert np.all(t[:, 1] - t[:, 0] >= 0.1 - 1e-12)
         assert np.all(t[:, 2] - t[:, 1] >= 0.1 - 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=unconstrained_inputs(1e3), spacing=st.floats(1e-3, 1.0))
+    def test_spacing_holds_for_inputs_up_to_1e3(self, u, spacing):
+        t = map_unconstrained(u, spacing)
+        assert t.shape == u.shape
+        assert np.array_equal(t[..., 0], u[..., 0])
+        assert np.all(t[..., 1] - t[..., 0] >= spacing - 1e-12)
+        assert np.all(t[..., 2] - t[..., 1] >= spacing - 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=unconstrained_inputs(None), spacing=st.floats(1e-3, 1.0))
+    def test_order_holds_for_every_finite_input(self, u, spacing):
+        # Far beyond any echo strength, t1 + spacing rounds to t1 (from about
+        # 1e4) and the sums may overflow to inf, but the triple stays ordered.
+        with np.errstate(over="ignore"):
+            t = map_unconstrained(u, spacing)
+        assert not np.any(np.isnan(t))
+        assert np.all(t[..., 0] <= t[..., 1]) and np.all(t[..., 1] <= t[..., 2])
 
     def test_deep_negative_offsets_saturate_at_spacing(self):
         # softplus(-40) = log1p(exp(-40)) ~ 4.248e-18: gap is delta exactly
@@ -258,7 +289,7 @@ class TestRaceOptimize:
                                    1e9, 3, max_generations=10)
         assert obj.ledger.exact_total == Fraction(84)
         assert result.n_eq == 84.0
-        assert [rep.ledger_delta for rep in result.reports] == [8.4] * 10
+        assert [rec.ledger_delta for rec in result.history] == [8.4] * 10
 
     def test_crn_ranking_matches_noiseless_under_common_noise(self):
         params = default_params(3, 12)
@@ -307,7 +338,7 @@ class TestRaceOptimize:
                                    1e9, 4, max_generations=3)
         # After the final generation the covariance may be full again, but
         # the sampling distribution during warmup stayed axis-aligned.
-        assert result.state.generation == 3
+        assert [rec.index for rec in result.history] == [0, 1, 2]
 
     def test_reports_track_promotions_and_weights(self):
         params = default_params(3, 12)
@@ -315,7 +346,7 @@ class TestRaceOptimize:
         obj = SyntheticObjective(sphere, noise_std=0.1)
         result = race_cma_optimize(obj, params, racing, (np.full(3, 1.0), 1.0),
                                    1e9, 9, max_generations=2)
-        for report in result.reports:
+        for report in result.history:
             assert len(report.promoted) == racing.promoted_count(params.lam)
             assert len(report.stage1_values) == params.lam
             assert sum(report.effective_weights) == pytest.approx(1.0)
@@ -325,7 +356,7 @@ class TestRaceOptimize:
         obj = SyntheticObjective(sphere)
         result = race_cma_optimize(obj, params, RacingConfig(), (np.full(3, 2.0), 1.0),
                                    1e9, 13, max_generations=5)
-        refined_means = [m for rep in result.reports for m in rep.stage2_means]
+        refined_means = [m for rec in result.history for m in rec.stage2_means]
         assert result.best_cost == min(refined_means)
 
     def test_report_export(self):
@@ -338,7 +369,7 @@ class TestRaceOptimize:
         result = race_cma_optimize(obj, params, RacingConfig(repetitions=2),
                                    (np.full(3, 2.0), 1.0), 1e9, 21, max_generations=3)
         buf = io.StringIO()
-        reports_to_csv(result.reports, buf)
+        reports_to_csv(result.history, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].startswith("generation,stage1_min,stage1_median,promoted")
         assert len(lines) == 4
