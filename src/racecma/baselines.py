@@ -146,34 +146,33 @@ def posterior_crossing(
 def map_calibrate(
     objective,
     seed: int,
-    provisional: ThresholdVector | None = None,
     episodes: int = 1,
     min_spacing: float = 0.1,
     min_samples: int = 30,
 ) -> ThresholdVector:
     """One-shot MAP placement from seeded calibration episodes.
 
-    Labels the collected echo-strength values with provisional thresholds
-    (observed quantiles when none are given), fits the per-state densities
-    and solves the crossings. Charges one full evaluation per episode.
+    Runs sweep-only episodes (thresholds nothing reaches), labels the
+    collected echo-strength values with provisional thresholds at their
+    observed quantiles, fits the per-state densities and solves the
+    crossings. Charges one full evaluation per episode.
     """
     scenario: ScenarioConfig = objective.scenario
+    passive = ThresholdVector(1e9, 2e9, 3e9)
     values: list[float] = []
     for ep in range(episodes):
-        passive = ThresholdVector(1e9, 2e9, 3e9)
         trace = run_episode(
-            scenario, provisional if provisional is not None else passive,
-            objective.actions, derive_seed(seed, "map-calibration", ep), 1.0,
+            scenario, passive, objective.actions,
+            derive_seed(seed, "map-calibration", ep), 1.0,
         )
         objective.ledger.add(1.0, "full")
         values.extend(trace.resi.tolist())
     x = np.asarray(values)
-    if provisional is None:
-        q = np.quantile(x, [0.5, 0.75, 0.9])
-        provisional = ThresholdVector(
-            float(q[0]), float(max(q[1], q[0] + min_spacing)),
-            float(max(q[2], q[1] + 2 * min_spacing)),
-        )
+    q = np.quantile(x, [0.5, 0.75, 0.9])
+    provisional = ThresholdVector(
+        float(q[0]), float(max(q[1], q[0] + min_spacing)),
+        float(max(q[2], q[1] + 2 * min_spacing)),
+    )
     labels = np.array([classify(v, provisional) for v in x])
     samples_by_state = {s: x[labels == s] for s in range(4)}
     return map_thresholds(samples_by_state, None, min_spacing, min_samples)
@@ -181,6 +180,12 @@ def map_calibrate(
 
 # ---------------------------------------------------------------------------
 # Interior-point Newton
+
+# Backtracking line search: Armijo sufficient-decrease constant, step
+# shrink factor and the most shrinks tried per Newton step.
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 20
 
 
 @dataclass(frozen=True)
@@ -196,9 +201,6 @@ class IpnConfig:
     outer_rounds: int = 6
     newton_iters: int = 2
     fd_step: float = 0.05
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 20
 
 
 def _barrier_value(t: np.ndarray) -> float:
@@ -290,7 +292,7 @@ def ipn_optimize(
         slope = float(grad @ direction)
         alpha = 1.0
         accepted = exhausted = False
-        for _bt in range(config.max_backtracks):
+        for _bt in range(MAX_BACKTRACKS):
             candidate = t + alpha * direction
             if candidate[1] > candidate[0] and candidate[2] > candidate[1]:
                 if spent + 1 > budget + 1e-12:
@@ -299,11 +301,11 @@ def ipn_optimize(
                 j_cand = objective.evaluate(candidate, iter_seed, 1.0)
                 spent += 1.0
                 phi_cand = j_cand + mu * _barrier_value(candidate)
-                if phi_cand <= phi_current + config.armijo * alpha * slope:
+                if phi_cand <= phi_current + ARMIJO * alpha * slope:
                     t = candidate
                     accepted = True
                     break
-            alpha *= config.backtrack
+            alpha *= BACKTRACK
         if exhausted:
             break
         history.append(RoundRecord(iteration + 1, spent, tuple(t)))
@@ -315,6 +317,9 @@ def ipn_optimize(
 
 # ---------------------------------------------------------------------------
 # SPSA
+
+# Iterations between the full-fidelity probes that pick SPSA's returned point.
+SPSA_PROBE_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -356,20 +361,18 @@ def spsa_gradient(
     c_k: float,
     delta: np.ndarray,
     seed: int,
-    min_spacing: float = 0.0,
 ) -> np.ndarray:
     """Two-evaluation simultaneous-perturbation gradient estimate.
 
-    Both probes are reordered (and, if ``min_spacing`` > 0, spaced) before
-    evaluation so a perturbation cannot break feasibility, and share one
-    seed so their noise is common-mode. The divisor uses the nominal
-    perturbation.
+    Both probes are sorted before evaluation so a perturbation cannot break
+    the threshold order, and share one seed so their noise is common-mode.
+    The divisor uses the nominal perturbation.
     """
     delta = np.asarray(delta, float)
     if not np.all(np.abs(delta) == 1.0):
         raise ValueError("perturbation entries must be +/-1")
-    plus = project_thresholds(t + c_k * delta, min_spacing)
-    minus = project_thresholds(t - c_k * delta, min_spacing)
+    plus = np.sort(t + c_k * delta)
+    minus = np.sort(t - c_k * delta)
     j_plus = objective.evaluate(plus, seed, 1.0)
     j_minus = objective.evaluate(minus, seed, 1.0)
     return (j_plus - j_minus) / (2.0 * c_k * delta)
@@ -382,7 +385,6 @@ def spsa_optimize(
     budget: float = 60.0,
     seed: int = 0,
     min_spacing: float = 0.1,
-    probe_every: int = 10,
 ) -> OptimizeResult:
     """SPSA descent on the threshold triple with feasibility projection.
 
@@ -401,13 +403,12 @@ def spsa_optimize(
     while spent + 2 <= budget + 1e-12:
         delta = rng_from(seed, "spsa-delta", k).choice([-1.0, 1.0], size=3)
         grad = spsa_gradient(
-            objective, t, schedule.perturbation(k), delta,
-            derive_seed(seed, "spsa", k), min_spacing=0.0,
+            objective, t, schedule.perturbation(k), delta, derive_seed(seed, "spsa", k)
         )
         spent += 2.0
         t = project_thresholds(t - schedule.gain(k) * grad, min_spacing)
         k += 1
-        if k % probe_every == 0 and spent + 1 <= budget + 1e-12:
+        if k % SPSA_PROBE_EVERY == 0 and spent + 1 <= budget + 1e-12:
             probe = objective.evaluate(t.copy(), derive_seed(seed, "spsa-probe", k), 1.0)
             spent += 1.0
             probed = True

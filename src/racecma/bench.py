@@ -85,12 +85,22 @@ class ExperimentSpec:
             raise ValueError("eval_repeats must be >= 1")
         if self.map_episodes < 1:
             raise ValueError("map_episodes must be >= 1")
+        if self.population < 2:
+            raise ValueError("population must be >= 2")
+        if self.init_sigma <= 0:
+            raise ValueError("init_sigma must be positive")
+        if self.sweep_stage2_repetitions < 1:
+            raise ValueError("sweep_stage2_repetitions must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         lo, hi = self.scenario.tx_power_range_dbm
         if any(not lo <= p <= hi for p in self.power_grid):
             raise ValueError("power grid outside the scenario power range")
+        if any(not lo <= p <= hi for p in self.convergence_powers):
+            raise ValueError("convergence powers outside the scenario power range")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +218,7 @@ def run_method(
     if method == "MAP":
         try:
             final = map_calibrate(
-                objective, seed, provisional=None, episodes=spec.map_episodes,
+                objective, seed, episodes=spec.map_episodes,
                 min_spacing=delta, min_samples=spec.map_min_samples,
             )
         except CalibrationError:

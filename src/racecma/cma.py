@@ -18,6 +18,8 @@ from .objective import OptimizeResult, RoundRecord, StochasticObjective
 from .seeding import derive_seed, rng_from
 
 EIGEN_FLOOR_RATIO = 1e-14
+# Both CMA loops stop once the step size falls to this value.
+SIGMA_STOP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,19 +98,17 @@ def init_state(mean, sigma: float) -> CmaState:
     )
 
 
-def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric root and inverse root of the covariance, with PD repair.
 
-    Eigenvalues below EIGEN_FLOOR_RATIO times the largest are floored; the
-    flag reports whether a repair happened.
+    Eigenvalues below EIGEN_FLOOR_RATIO times the largest are floored.
     """
     eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
     floor = max(eigvals.max(), 0.0) * EIGEN_FLOOR_RATIO + 1e-300
-    repaired = bool(np.any(eigvals < floor))
     eigvals = np.maximum(eigvals, floor)
     root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
     inv_root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-    return root, inv_root, repaired
+    return root, inv_root
 
 
 def sample_population(
@@ -125,7 +125,7 @@ def sample_population(
 
 
 def _points_from_draws(state: CmaState, z: np.ndarray) -> np.ndarray:
-    root, _, _ = _decompose(state.cov)
+    root, _ = _decompose(state.cov)
     return state.mean + state.sigma * z @ root.T
 
 
@@ -148,7 +148,7 @@ def update(
     if len(w) != params.mu or abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
         raise ValueError("recombination weights must be nonnegative and sum to 1")
 
-    _, inv_root, _ = _decompose(state.cov)
+    _, inv_root = _decompose(state.cov)
     mean_new = w @ pts
     step = (mean_new - state.mean) / state.sigma
 
@@ -202,7 +202,6 @@ def cma_optimize(
     seed: int,
     feasible_map: Callable[[np.ndarray], object] | None = None,
     max_generations: int | None = None,
-    sigma_stop: float = 1e-12,
 ) -> OptimizeResult:
     """Plain CMA-ES loop: every candidate gets one full-fidelity evaluation.
 
@@ -210,7 +209,7 @@ def cma_optimize(
     candidate); correlating draws across a generation is the racing loop's
     improvement, not the baseline's. The loop runs whole generations while
     the budget allows lambda more full evaluations, the step size stays
-    above ``sigma_stop`` and the generation cap (if any) is not reached.
+    above ``SIGMA_STOP`` and the generation cap (if any) is not reached.
     ``feasible_map`` translates raw search points into objective arguments;
     identity when omitted.
     """
@@ -224,7 +223,7 @@ def cma_optimize(
     best_point = mapper(state.mean)
     history: list[GenerationRecord] = []
 
-    while spent + params.lam <= budget + 1e-12 and state.sigma > sigma_stop:
+    while spent + params.lam <= budget + 1e-12 and state.sigma > SIGMA_STOP:
         if max_generations is not None and state.generation >= max_generations:
             break
         gen = state.generation

@@ -102,11 +102,9 @@ _VALUE_TYPES = (Rect, ThresholdVector)
 # Spec fields whose keys depart from ``experiment.<field>``.
 _RENAMED = {"experiment.population": "cma.population"}
 _ITEM_KEYS = {"experiment.weights": ("weights.detection", "weights.latency", "weights.power")}
-# Fields that no file sets and no snapshot records, so that the snapshot of
-# every earlier run keeps its bytes. ``jobs`` never changes outputs; the
-# others keep their defaults unless code sets them, which config_hash misses.
-_UNFILED = {"experiment.jobs", "scenario.target_spawn_margin",
-            "ipn.armijo", "ipn.backtrack", "ipn.max_backtracks"}
+# Fields that no file sets and no snapshot records. ``jobs`` only says how
+# many processes run the repetitions, which never changes an output byte.
+_UNFILED = {"experiment.jobs"}
 
 
 @cache

@@ -106,7 +106,9 @@ class RepeatedEstimate:
 class StochasticObjective(Protocol):
     ledger: CostLedger
 
-    def evaluate(self, point, seed: int, fidelity: float = 1.0) -> float: ...
+    def evaluate(
+        self, point, seed: int, fidelity: float = 1.0, kind: str = "full"
+    ) -> float: ...
 
 
 @dataclass(frozen=True)

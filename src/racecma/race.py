@@ -18,6 +18,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .cma import (
+    SIGMA_STOP,
     CmaParams,
     CmaState,
     GenerationRecord,
@@ -67,10 +68,7 @@ class RacingConfig:
     def promoted_count(self, lam: int) -> int:
         return max(1, int(self.promotion_fraction * lam))
 
-    def generation_cost(self, lam: int) -> float:
-        return float(self.generation_cost_exact(lam))
-
-    def generation_cost_exact(self, lam: int) -> Fraction:
+    def generation_cost(self, lam: int) -> Fraction:
         """Exact per-generation charge: lam*tau + k*r*beta."""
         k = self.promoted_count(lam)
         tau = Fraction(str(self.fidelity_ratio))
@@ -366,7 +364,6 @@ def race_cma_optimize(
     seed: int,
     feasible_map: Callable[[np.ndarray], object] | None = None,
     max_generations: int | None = None,
-    sigma_stop: float = 1e-12,
 ) -> OptimizeResult:
     """Full racing loop on top of the CMA-ES backbone.
 
@@ -380,7 +377,7 @@ def race_cma_optimize(
         raise ValueError("budget must be positive")
     state = init_state(*init)
     mapper = feasible_map if feasible_map is not None else (lambda u: u)
-    gen_cost = racing.generation_cost_exact(params.lam)
+    gen_cost = racing.generation_cost(params.lam)
 
     spent = Fraction(0)
     best_cost = math.inf
@@ -388,7 +385,7 @@ def race_cma_optimize(
     seen_variances: list[float] = []
     history: list[GenerationReport] = []
 
-    while float(spent + gen_cost) <= budget + 1e-12 and state.sigma > sigma_stop:
+    while float(spent + gen_cost) <= budget + 1e-12 and state.sigma > SIGMA_STOP:
         if max_generations is not None and state.generation >= max_generations:
             break
         gen = state.generation

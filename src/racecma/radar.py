@@ -71,20 +71,15 @@ def _free_space_gain(wavelength: float, distance: float) -> float:
     return (wavelength / (4.0 * math.pi * distance)) ** 2
 
 
-def realize_channel(
-    scenario: ScenarioConfig,
-    target: TargetState,
-    bs_position: tuple[float, float] | None = None,
-    ue_position: tuple[float, float] | None = None,
-) -> ChannelRealization:
+def realize_channel(scenario: ScenarioConfig, target: TargetState) -> ChannelRealization:
     """Channel parameters from the current geometry.
 
     Delays are path length over the speed of light; Doppler is the radial
     velocity projected on the target-to-UE leg (receding target gives a
     negative shift); leg gains follow the free-space/scattering model.
     """
-    bs = np.asarray(bs_position if bs_position is not None else scenario.bs_position, float)
-    ue = np.asarray(ue_position if ue_position is not None else scenario.ue_position, float)
+    bs = np.asarray(scenario.bs_position, float)
+    ue = np.asarray(scenario.ue_position, float)
     tg = np.asarray(target.position, float)
 
     d_fwd = float(np.linalg.norm(tg - bs))
@@ -290,24 +285,16 @@ class ResiSample:
             raise ValueError("invalid echo-strength sample")
 
 
-def compute_resi(
-    ddmap: DelayDopplerMap,
-    grid: RxGrid,
-    null_mask: np.ndarray,
-    noise_floor: float | None = None,
-) -> ResiSample:
+def compute_resi(ddmap: DelayDopplerMap, grid: RxGrid, null_mask: np.ndarray) -> ResiSample:
     """Reduce the delay-Doppler surface to the scalar echo-strength indicator.
 
-    The noise floor is the RMS of the grid samples over the null set unless
-    supplied externally. Peak ties resolve to the first bin in row-major
-    order, keeping the reduction deterministic.
+    The noise floor is the RMS of the grid samples over the null set. Peak
+    ties resolve to the first bin in row-major order, keeping the reduction
+    deterministic.
     """
-    if noise_floor is None:
-        if null_mask is None or not np.any(null_mask):
-            raise ValueError("null set must be non-empty")
-        floor = float(np.sqrt(np.mean(np.abs(grid.samples[null_mask]) ** 2)))
-    else:
-        floor = float(noise_floor)
+    if null_mask is None or not np.any(null_mask):
+        raise ValueError("null set must be non-empty")
+    floor = float(np.sqrt(np.mean(np.abs(grid.samples[null_mask]) ** 2)))
     if floor <= 0:
         raise ValueError("noise floor must be positive")
 

@@ -18,6 +18,9 @@ from .seeding import rng_from
 
 SPEED_OF_LIGHT = 299_792_458.0
 BOLTZMANN_X_T0 = 1.380649e-23 * 290.0  # thermal noise density at 290 K, W/Hz
+# Inset of the target's spawn band from each side of the region, as a
+# fraction of the region's extent.
+TARGET_SPAWN_MARGIN = 0.25
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,6 @@ class ScenarioConfig:
     noise_bandwidth_scale: float = 1.0
     interference_factor: float = 0.0
     heading_jitter: float = 0.3
-    target_spawn_margin: float = 0.25  # inset fraction per side for entry points
 
     def __post_init__(self) -> None:
         counts = (
@@ -128,8 +130,6 @@ class ScenarioConfig:
             raise ValueError("null_fraction must lie in (0, 1)")
         if self.interference_factor < 0:
             raise ValueError("interference_factor must be >= 0")
-        if not (0.0 <= self.target_spawn_margin < 0.5):
-            raise ValueError("target_spawn_margin must lie in [0, 0.5)")
 
     # Derived quantities -------------------------------------------------
 
@@ -244,13 +244,13 @@ class TargetState:
 def initial_target_state(scenario: ScenarioConfig, seed: int) -> TargetState:
     """Draw a starting position inside the spawn band, heading uniform.
 
-    The spawn band insets the region by ``target_spawn_margin`` per side, so
+    The spawn band insets the region by ``TARGET_SPAWN_MARGIN`` per side, so
     episodes start with the target properly inside the surveilled area.
     """
     rng = rng_from(seed, "target-init")
     r = scenario.region
-    mx = scenario.target_spawn_margin * (r.x_max - r.x_min)
-    my = scenario.target_spawn_margin * (r.y_max - r.y_min)
+    mx = TARGET_SPAWN_MARGIN * (r.x_max - r.x_min)
+    my = TARGET_SPAWN_MARGIN * (r.y_max - r.y_min)
     pos = (rng.uniform(r.x_min + mx, r.x_max - mx), rng.uniform(r.y_min + my, r.y_max - my))
     heading = rng.uniform(0.0, 2.0 * math.pi)
     vel = (

@@ -57,17 +57,20 @@ class TestAcceptance:
         plain CMA-ES bitwise on a deterministic objective."""
         _report(check_degenerate_limit())
 
+    @pytest.mark.slow
     def test_04_efficiency_ordering(self, tmp_path):
         """Racing exceeds plain CMA-ES in improvement-per-cost by >= 1.3x;
         both exceed SPSA and IPN (20 repetitions, desk scale)."""
         _report(check_efficiency_ordering(ExperimentSpec(), tmp_path))
 
+    @pytest.mark.slow
     def test_05_convergence_direction_gen4(self, tmp_path):
         """Racing's best-so-far detection reliability at generation 4 beats
         plain CMA-ES at the 24.7 dBm configuration (mean over 20 runs)."""
         spec = ExperimentSpec(methods=("CMA-ES", "RACE-CMA"), convergence_powers=(24.7,))
         _report(check_convergence_direction(spec, tmp_path))
 
+    @pytest.mark.slow
     def test_06_sweep_direction(self, tmp_path):
         """Tuned thresholds dominate the static configuration in detection
         reliability at every power point and cut low-power latency >= 30%."""

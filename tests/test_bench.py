@@ -223,10 +223,20 @@ class TestCli:
         (["--reps", "0"], "repetitions must be >= 1"),
         (["--budget", "0"], "budget must be positive"),
         (["--config", "missing.cfg"], "No such file or directory"),
+        (["--jobs", "0"], "jobs must be >= 1"),
+        (["--config", "cma.population = 1"], "population must be >= 2"),
+        (["--config", "experiment.init_sigma = 0"], "init_sigma must be positive"),
+        (["--config", "experiment.sweep_stage2_repetitions = 0"],
+         "sweep_stage2_repetitions must be >= 1"),
+        (["--config", "experiment.convergence_powers = 35"],
+         "convergence powers outside the scenario power range"),
     ])
     def test_bad_spec_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                              flags, message):
         monkeypatch.chdir(tmp_path)
+        if "=" in flags[-1]:  # a config line: run with a file that holds it
+            Path("bad.cfg").write_text(flags[-1] + "\n")
+            flags = [*flags[:-1], "bad.cfg"]
         with pytest.raises(SystemExit) as exc:
             main(["compare", *flags, "--out", "o"])
         assert exc.value.code == 2

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import tempfile
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -142,6 +144,16 @@ def _changed_values(key: str):
             yield ",".join(parts[:i] + [new] + parts[i + 1:])
 
 
+def _field_paths(cls: type, path: tuple = ()):
+    """Attribute path of every dataclass field reachable from ``cls``."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _field_paths(hints[f.name], path + (f.name,))
+        else:
+            yield path + (f.name,)
+
+
 def _other_values(key: str):
     """Strategy for non-default spellings of ``key``, of the schema's type and count."""
     entry = SCHEMA[key]
@@ -214,6 +226,16 @@ class TestSchema:
         assert set(SCHEMA) == set(snapshot)
         for key, raw in snapshot.items():
             assert spec_from_config({key: raw}, spec) == spec
+
+    def test_every_spec_field_is_a_key_but_jobs(self):
+        # A field no key covers could change results without moving
+        # config_hash. A key covers a whole value type (``scenario.region``)
+        # or one item of a tuple (``weights.latency``).
+        def covered(path):
+            return any(path[:len(k.path)] == k.path[:len(path)] for k in SCHEMA.values())
+
+        unfiled = [".".join(p) for p in _field_paths(ExperimentSpec) if not covered(p)]
+        assert unfiled == ["jobs"], f"spec fields outside spec.cfg: {unfiled}"
 
     @pytest.mark.parametrize("key", sorted(SCHEMA))
     def test_every_key_moves_the_hash(self, key):

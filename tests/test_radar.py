@@ -29,9 +29,8 @@ class TestRealizeChannel:
 
     def test_delays_are_path_length_over_c(self, desk):
         # 150 m on both legs: delay 150/c on each, about half a microsecond.
-        ch = realize_channel(
-            desk, _target((0.0, 150.0)), bs_position=(0.0, 0.0), ue_position=(0.0, 300.0)
-        )
+        geometry = replace(desk, bs_position=(0.0, 0.0), ue_position=(0.0, 300.0))
+        ch = realize_channel(geometry, _target((0.0, 150.0)))
         assert ch.forward_delay == pytest.approx(150.0 / SPEED_OF_LIGHT, rel=1e-12)
         assert ch.return_delay == pytest.approx(150.0 / SPEED_OF_LIGHT, rel=1e-12)
         assert ch.forward_delay == pytest.approx(5.0034e-7, rel=1e-4)
@@ -185,13 +184,14 @@ class TestMatchedFilter:
 
 
 class TestResi:
-    def test_external_unit_floor_returns_raw_peak(self, desk):
+    def test_value_times_floor_is_raw_peak(self, desk):
         quiet = replace(desk, noise_figure_db=-150.0)
         ch = _on_grid_channel(quiet, 4, 2, beam=10)
         grid = synthesize_rx_grid(quiet, ch, 10, 0.1, seed=2)
         ddmap = matched_filter(grid, quiet.search_window())
-        sample = compute_resi(ddmap, grid, quiet.null_mask(), noise_floor=1.0)
-        assert sample.value == pytest.approx(float(np.max(np.abs(ddmap.surface))))
+        sample = compute_resi(ddmap, grid, quiet.null_mask())
+        peak = float(np.max(np.abs(ddmap.surface)))
+        assert sample.value * sample.noise_floor == pytest.approx(peak, rel=1e-12)
         assert sample.peak_delay == pytest.approx(float(quiet.search_window()[0][4]))
 
     def test_pure_noise_median_below_three(self, desk):
