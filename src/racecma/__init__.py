@@ -55,11 +55,9 @@ from .objective import (
     evaluate_repeated,
 )
 from .race import (
-    FeasibleMap,
     GenerationReport,
     RacingConfig,
     assemble_ranking,
-    calibrate_resi_cdf,
     feasible_map,
     inverse_feasible,
     map_unconstrained,
@@ -72,7 +70,6 @@ from .race import (
 )
 from .radar import (
     ChannelRealization,
-    DelayDopplerMap,
     GeometryError,
     ResiSample,
     RxGrid,

@@ -202,6 +202,14 @@ class IpnConfig:
     newton_iters: int = 2
     fd_step: float = 0.05
 
+    def __post_init__(self) -> None:
+        if self.fd_step <= 0 or self.barrier_init <= 0:
+            raise ValueError("fd_step and barrier_init must be positive")
+        if self.barrier_shrink <= 1:
+            raise ValueError("barrier_shrink must be > 1")
+        if self.outer_rounds < 1 or self.newton_iters < 1:
+            raise ValueError("outer_rounds and newton_iters must be >= 1")
+
 
 def _barrier_value(t: np.ndarray) -> float:
     g1, g2 = t[1] - t[0], t[2] - t[1]
@@ -335,6 +343,8 @@ class SpsaSchedule:
     def __post_init__(self) -> None:
         if self.a <= 0 or self.c <= 0:
             raise ValueError("gain constants must be positive")
+        if self.stability < 0:
+            raise ValueError("stability must be >= 0")
         if not 0.5 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0.5, 1]")
         if not 0.0 < self.gamma < 0.5:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -25,13 +26,14 @@ from .baselines import (
     SpsaSchedule,
     ipn_optimize,
     map_calibrate,
+    project_thresholds,
     spsa_optimize,
 )
 from .cma import default_params
 from .config import config_hash, spec_to_config
 from .feedback import DEFAULT_ACTIONS, StateActionTable, ThresholdVector
 from .objective import IsacObjective
-from .race import FeasibleMap, RacingConfig, inverse_feasible, race_cma_optimize
+from .race import RacingConfig, feasible_map, inverse_feasible, race_cma_optimize
 from .scenario import ScenarioConfig, desk_scenario
 from .seeding import derive_seed, rng_from
 
@@ -87,6 +89,13 @@ class ExperimentSpec:
             raise ValueError("map_episodes must be >= 1")
         if self.population < 2:
             raise ValueError("population must be >= 2")
+        # Checked for every method list: sweep always runs RACE-CMA.
+        if self.racing.mirrored_sampling and self.population % 2:
+            raise ValueError("population must be even while racing.mirrored_sampling is on")
+        if self.generations < 1:
+            raise ValueError("generations must be >= 1")
+        if len(self.power_grid) < 2:
+            raise ValueError("power_grid needs at least two points")
         if self.init_sigma <= 0:
             raise ValueError("init_sigma must be positive")
         if self.sweep_stage2_repetitions < 1:
@@ -155,11 +164,8 @@ def _rep_scenario(spec: ExperimentSpec, rep: int, power_dbm: float | None = None
 def _initial_thresholds(spec: ExperimentSpec, rep: int) -> ThresholdVector:
     """Random feasible starting point inside the declared echo-strength box."""
     rng = rng_from(spec.master_seed, "rep", rep, "init-thresholds")
-    lo, hi = spec.resi_bounds
-    draw = np.sort(rng.uniform(lo, hi, size=3))
-    draw[1] = max(draw[1], draw[0] + spec.racing.min_spacing)
-    draw[2] = max(draw[2], draw[1] + spec.racing.min_spacing)
-    return ThresholdVector.from_array(draw)
+    draw = rng.uniform(*spec.resi_bounds, size=3)
+    return ThresholdVector.from_array(project_thresholds(draw, spec.racing.min_spacing))
 
 
 def _eval_seeds(spec: ExperimentSpec, rep: int) -> list[int]:
@@ -234,7 +240,7 @@ def run_method(
         elif method in ("CMA-ES", "RACE-CMA"):
             params = default_params(3, spec.population)
             init = (inverse_feasible(t0, delta), spec.init_sigma)
-            mapper = FeasibleMap(mode="softplus", min_spacing=delta)
+            mapper = partial(feasible_map, min_spacing=delta)
             if method == "CMA-ES":
                 result = cma_mod.cma_optimize(
                     objective, params, init, spec.budget, seed,
@@ -391,8 +397,6 @@ def _sweep_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
 
 def run_sweep(spec: ExperimentSpec, out_dir: Path | str) -> list[tuple]:
     """Fixed-vs-tuned comparison across the transmit-power grid."""
-    if len(spec.power_grid) < 2:
-        raise ValueError("power sweep needs at least two grid points")
     out = Path(out_dir)
     raw = [row for rep_rows in _map_reps(spec, _sweep_rep) for row in rep_rows]
 
@@ -449,8 +453,6 @@ def _convergence_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
 
 def run_convergence(spec: ExperimentSpec, out_dir: Path | str) -> list[tuple]:
     """Best-so-far detection reliability per generation, per method and power."""
-    if spec.generations < 1:
-        raise ValueError("need at least one generation")
     out = Path(out_dir)
     raw = [row for rep_rows in _map_reps(spec, _convergence_rep) for row in rep_rows]
 

@@ -24,7 +24,7 @@ from .seeding import derive_seed
 
 
 class InfeasibleThresholdsError(ValueError):
-    """Raised when a threshold vector violates the ordering/spacing contract."""
+    """Raised for a non-finite or unordered threshold vector."""
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,6 @@ class ThresholdVector:
     def __post_init__(self) -> None:
         if not all(math.isfinite(t) for t in (self.t1, self.t2, self.t3)):
             raise InfeasibleThresholdsError("thresholds must be finite")
-
-    def validate(self, min_spacing: float) -> None:
-        if self.t1 + min_spacing > self.t2 or self.t2 + min_spacing > self.t3:
-            raise InfeasibleThresholdsError(
-                f"thresholds {self.as_array()} violate spacing {min_spacing}"
-            )
-
-    def is_feasible(self, min_spacing: float) -> bool:
-        return self.t1 + min_spacing <= self.t2 and self.t2 + min_spacing <= self.t3
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t1, self.t2, self.t3])

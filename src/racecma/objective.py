@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -69,8 +69,6 @@ class CostLedger:
 class CrnSeedPlan:
     """Common-random-number seeds shared by every candidate in a generation."""
 
-    master_seed: int
-    generation: int
     stage1_seed: int
     stage2_seeds: tuple[int, ...]
 
@@ -80,8 +78,6 @@ def derive_seed_plan(master_seed: int, generation: int, repetitions: int) -> Crn
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     return CrnSeedPlan(
-        master_seed=master_seed,
-        generation=generation,
         stage1_seed=derive_seed(master_seed, generation, "stage1"),
         stage2_seeds=tuple(
             derive_seed(master_seed, generation, "stage2", rep) for rep in range(repetitions)
@@ -102,7 +98,6 @@ class RepeatedEstimate:
     repetitions: int
 
 
-@runtime_checkable
 class StochasticObjective(Protocol):
     ledger: CostLedger
 
@@ -142,12 +137,13 @@ def evaluate_repeated(
     point,
     seeds,
     fidelity: float = 1.0,
+    kind: str = "full",
 ) -> RepeatedEstimate:
     """Evaluate a point under each seed; unbiased variance needs >= 2 seeds."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed list must be non-empty")
-    values = np.array([objective.evaluate(point, s, fidelity) for s in seeds])
+    values = np.array([objective.evaluate(point, s, fidelity, kind=kind) for s in seeds])
     variance = float(np.var(values, ddof=1)) if len(values) >= 2 else None
     return RepeatedEstimate(mean=float(np.mean(values)), variance=variance, repetitions=len(values))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .cma import (
     point_array,
     update,
 )
+# Nothing here calls run_episode; the name stays bound because
+# perfbench/tracer.py wraps race.run_episode and fails if it is missing.
 from .feedback import ThresholdVector, run_episode
 from .objective import (
     CrnSeedPlan,
@@ -34,8 +36,8 @@ from .objective import (
     RepeatedEstimate,
     StochasticObjective,
     derive_seed_plan,
+    evaluate_repeated,
 )
-from .scenario import ScenarioConfig
 from .seeding import derive_seed, rng_from
 
 
@@ -124,66 +126,6 @@ def inverse_feasible(thresholds: ThresholdVector, min_spacing: float) -> np.ndar
     )
 
 
-def calibrate_resi_cdf(
-    scenario: ScenarioConfig,
-    seed: int,
-    n_frames: int = 1000,
-    fidelity: float = 1.0,
-) -> np.ndarray:
-    """Sorted echo-strength samples from sweep-only episodes.
-
-    Runs the loop with unreachably high thresholds so nothing ever locks and
-    the collected values describe the plain sweeping scenario.
-    """
-    passive = ThresholdVector(1e9, 2e9, 3e9)
-    samples: list[float] = []
-    episode = 0
-    while len(samples) < n_frames:
-        trace = run_episode(scenario, passive, seed=derive_seed(seed, "cdf", episode),
-                            fidelity=fidelity)
-        samples.extend(trace.resi.tolist())
-        episode += 1
-    return np.sort(np.asarray(samples[:n_frames]))
-
-
-@dataclass(frozen=True)
-class FeasibleMap:
-    """Unconstrained-to-feasible threshold mapping.
-
-    "softplus" chains spacing offsets directly in threshold units;
-    "quantile" places thresholds on an empirical echo-strength CDF (built by
-    :func:`calibrate_resi_cdf`), chaining quantile gaps so the output is
-    still ordered and spaced for every input.
-    """
-
-    mode: str = "softplus"
-    min_spacing: float = 0.1
-    resi_samples: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("softplus", "quantile"):
-            raise ValueError("mode must be 'softplus' or 'quantile'")
-        if self.mode == "quantile" and (
-            self.resi_samples is None or len(self.resi_samples) < 2
-        ):
-            raise ValueError("quantile mode needs calibration samples")
-
-    def __call__(self, u) -> ThresholdVector:
-        if self.mode == "softplus":
-            return feasible_map(u, self.min_spacing)
-        u = np.asarray(u, float)
-        sig = 1.0 / (1.0 + np.exp(-u))
-        q1 = sig[0]
-        q2 = q1 + (1.0 - q1) * sig[1]
-        q3 = q2 + (1.0 - q2) * sig[2]
-        grid = np.linspace(0.0, 1.0, len(self.resi_samples))
-        v1, v2, v3 = np.interp([q1, q2, q3], grid, self.resi_samples)
-        t1 = v1
-        t2 = t1 + self.min_spacing + max(v2 - v1, 0.0)
-        t3 = t2 + self.min_spacing + max(v3 - v2, 0.0)
-        return ThresholdVector(float(t1), float(t2), float(t3))
-
-
 def structured_sample(
     state: CmaState,
     lam: int,
@@ -260,20 +202,11 @@ def stage2_refine(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    estimates = []
-    for point in points:
-        values = np.array(
-            [
-                objective.evaluate(point, s, truncation, kind="stage2")
-                for s in plan.stage2_seeds[:repetitions]
-            ]
-        )
-        variance = float(np.var(values, ddof=1)) if repetitions >= 2 else None
-        estimates.append(
-            RepeatedEstimate(mean=float(values.mean()), variance=variance,
-                             repetitions=repetitions)
-        )
-    return estimates
+    seeds = plan.stage2_seeds[:repetitions]
+    return [
+        evaluate_repeated(objective, point, seeds, truncation, kind="stage2")
+        for point in points
+    ]
 
 
 def assemble_ranking(
@@ -336,23 +269,6 @@ class GenerationReport(GenerationRecord):
     stage2_variances: tuple[float, ...]
     effective_weights: tuple[float, ...]
     ledger_delta: float
-
-
-def reports_to_csv(reports: Sequence[GenerationReport], stream: TextIO) -> None:
-    stream.write(
-        "generation,stage1_min,stage1_median,promoted,stage2_means,"
-        "stage2_variances,effective_weights,delta_n_eq,cumulative_n_eq\n"
-    )
-    for rep in reports:
-        s1 = np.asarray(rep.stage1_values)
-        stream.write(
-            f"{rep.index},{float(s1.min())!r},{float(np.median(s1))!r},"
-            f"{';'.join(str(i) for i in rep.promoted)},"
-            f"{';'.join(repr(v) for v in rep.stage2_means)},"
-            f"{';'.join(repr(v) for v in rep.stage2_variances)},"
-            f"{';'.join(repr(v) for v in rep.effective_weights)},"
-            f"{rep.ledger_delta!r},{rep.n_eq!r}\n"
-        )
 
 
 def race_cma_optimize(

@@ -124,15 +124,12 @@ class RxGrid:
 
     samples: np.ndarray
     pilot: np.ndarray
-    noise_variance: float
     subcarrier_spacing: float
     symbol_duration: float
 
     def __post_init__(self) -> None:
         if self.samples.shape != self.pilot.shape:
             raise ValueError("samples and pilot dimensions must match")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
 
 
 @lru_cache(maxsize=64)
@@ -202,31 +199,18 @@ def synthesize_rx_grid(
             scenario, amp_nlos, channel.forward_delay + channel.nlos.delay, channel.nlos.doppler
         )
 
-    sigma2 = scenario.noise_variance
     rng = rng_from(seed, "rx-noise")
     n_sc, n_sym = pilot.shape
-    noise = math.sqrt(sigma2 / 2.0) * rng.standard_normal(
+    noise = math.sqrt(scenario.noise_variance / 2.0) * rng.standard_normal(
         (n_sc, n_sym, 2)
     ).view(np.complex128)[..., 0]
     samples = math.sqrt(power_w) * signal * pilot + noise
     return RxGrid(
         samples=samples,
         pilot=pilot,
-        noise_variance=sigma2,
         subcarrier_spacing=scenario.subcarrier_spacing,
         symbol_duration=scenario.symbol_duration,
     )
-
-
-@dataclass(frozen=True)
-class DelayDopplerMap:
-    surface: np.ndarray  # complex, indexed [delay bin, doppler bin]
-    bin_delays: np.ndarray
-    bin_dopplers: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.surface.shape != (len(self.bin_delays), len(self.bin_dopplers)):
-            raise ValueError("surface dimensions must match the bin axes")
 
 
 @lru_cache(maxsize=64)
@@ -248,12 +232,13 @@ def _filter_bank(
     return e_delay, e_doppler
 
 
-def matched_filter(grid: RxGrid, window: tuple[np.ndarray, np.ndarray]) -> DelayDopplerMap:
+def matched_filter(grid: RxGrid, window: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Correlate the grid against delay/Doppler-shifted pilot replicas.
 
-    Each surface entry is the inner product with the replica at that bin,
-    normalized by the total resource-element count; the output is linear in
-    the grid samples.
+    Returns the complex surface indexed [delay bin, doppler bin] of
+    ``window``. Each entry is the inner product with the replica at that
+    bin, normalized by the total resource-element count; the output is
+    linear in the grid samples.
     """
     delays, dopplers = np.asarray(window[0], float), np.asarray(window[1], float)
     n_sc, n_sym = grid.samples.shape
@@ -267,8 +252,7 @@ def matched_filter(grid: RxGrid, window: tuple[np.ndarray, np.ndarray]) -> Delay
         tuple(delays.tolist()), tuple(dopplers.tolist()),
     )
     weighted = np.conj(grid.pilot) * grid.samples
-    surface = e_delay @ weighted @ e_doppler.T / (n_sc * n_sym)
-    return DelayDopplerMap(surface=surface, bin_delays=delays, bin_dopplers=dopplers)
+    return e_delay @ weighted @ e_doppler.T / (n_sc * n_sym)
 
 
 @dataclass(frozen=True)
@@ -276,8 +260,6 @@ class ResiSample:
     """Peak correlation magnitude over the estimated noise floor."""
 
     value: float
-    peak_delay: float
-    peak_doppler: float
     noise_floor: float
 
     def __post_init__(self) -> None:
@@ -285,25 +267,13 @@ class ResiSample:
             raise ValueError("invalid echo-strength sample")
 
 
-def compute_resi(ddmap: DelayDopplerMap, grid: RxGrid, null_mask: np.ndarray) -> ResiSample:
-    """Reduce the delay-Doppler surface to the scalar echo-strength indicator.
-
-    The noise floor is the RMS of the grid samples over the null set. Peak
-    ties resolve to the first bin in row-major order, keeping the reduction
-    deterministic.
-    """
+def compute_resi(surface: np.ndarray, grid: RxGrid, null_mask: np.ndarray) -> ResiSample:
+    """Reduce the delay-Doppler surface to the scalar echo-strength indicator:
+    the peak magnitude over the noise floor, the RMS of the grid samples over
+    the null set."""
     if null_mask is None or not np.any(null_mask):
         raise ValueError("null set must be non-empty")
     floor = float(np.sqrt(np.mean(np.abs(grid.samples[null_mask]) ** 2)))
     if floor <= 0:
         raise ValueError("noise floor must be positive")
-
-    magnitudes = np.abs(ddmap.surface)
-    flat_index = int(np.argmax(magnitudes))
-    d_idx, v_idx = np.unravel_index(flat_index, magnitudes.shape)
-    return ResiSample(
-        value=float(magnitudes[d_idx, v_idx]) / floor,
-        peak_delay=float(ddmap.bin_delays[d_idx]),
-        peak_doppler=float(ddmap.bin_dopplers[v_idx]),
-        noise_floor=floor,
-    )
+    return ResiSample(value=float(np.abs(surface).max()) / floor, noise_floor=floor)

@@ -52,7 +52,7 @@ class TestMap:
             3: rng.normal(7.5, 1.0, 1000),
         }
         t = map_thresholds(samples, min_spacing=0.1)
-        t.validate(0.1)
+        assert t.t1 + 0.1 <= t.t2 and t.t2 + 0.1 <= t.t3
         assert 0.0 < t.t1 < 2.0 < t.t2 < 4.5 < t.t3 < 7.5
 
     def test_crossing_matches_dense_grid_argmin(self):
@@ -91,7 +91,7 @@ class TestMap:
         objective = IsacObjective(desk)
         t = map_calibrate(objective, seed=3, episodes=3, min_samples=5)
         assert objective.ledger.n_eq == 3.0
-        t.validate(0.0)
+        assert t.t1 <= t.t2 <= t.t3
 
 
 class TestIpn:

@@ -1,9 +1,13 @@
 import csv
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from racecma import cma as cma_mod
+from racecma import validate as validate_mod
 from racecma.bench import (
     ExperimentSpec,
     assess,
@@ -17,6 +21,7 @@ from racecma.bench import (
     _rep_scenario,
 )
 from racecma.cli import main
+from racecma.objective import CostLedger
 from racecma.validate import validate
 
 
@@ -76,7 +81,8 @@ class TestCompare:
         assert a.ue_position == b.ue_position
         assert _rep_scenario(spec, 1).ue_position != a.ue_position
         t0 = _initial_thresholds(spec, 0)
-        t0.validate(spec.racing.min_spacing)
+        delta = spec.racing.min_spacing
+        assert t0.t1 + delta <= t0.t2 and t0.t2 + delta <= t0.t3
 
 
 class TestSweep:
@@ -196,14 +202,28 @@ class TestCli:
         snapshot = (tmp_path / "o" / "spec.cfg").read_text()
         assert "experiment.repetitions = 1" in snapshot
 
-    def test_validate_negative_controls(self):
-        ok, results = validate(level="quick", corrupt_covariance=True)
+    def test_validate_negative_controls(self, monkeypatch):
+        def corrupted_update(state, params, ranked_points, weights_used=None):
+            # Shift the covariance below zero: no longer positive definite.
+            good = cma_mod.update(state, params, ranked_points, weights_used)
+            eig_max = float(np.max(np.linalg.eigvalsh(good.cov)))
+            return replace(good, cov=good.cov - 1.5 * eig_max * np.eye(good.dimension))
+
+        monkeypatch.setattr(validate_mod, "update", corrupted_update)
+        ok, results = validate(level="quick")
         assert not ok
         failed = {r.name for r in results if not r.passed}
         assert "cma-invariants" in failed
 
-    def test_validate_ledger_tamper_detected(self):
-        ok, results = validate(level="quick", tamper_ledger=True)
+    def test_validate_ledger_tamper_detected(self, monkeypatch):
+        add = CostLedger.add
+
+        def drop_stage1(self, weight, kind="full"):
+            if kind != "stage1":
+                add(self, weight, kind)
+
+        monkeypatch.setattr(CostLedger, "add", drop_stage1)
+        ok, results = validate(level="quick")
         assert not ok
         failed = {r.name for r in results if not r.passed}
         assert "cost-identity" in failed
@@ -230,6 +250,13 @@ class TestCli:
          "sweep_stage2_repetitions must be >= 1"),
         (["--config", "experiment.convergence_powers = 35"],
          "convergence powers outside the scenario power range"),
+        (["--methods", "CMA-ES", "--config", "cma.population = 13"],
+         "population must be even while racing.mirrored_sampling is on"),
+        (["--config", "experiment.power_grid = 20"], "power_grid needs at least two points"),
+        (["--config", "experiment.generations = 0"], "generations must be >= 1"),
+        (["--config", "ipn.fd_step = 0"], "fd_step and barrier_init must be positive"),
+        (["--config", "ipn.barrier_shrink = 0"], "barrier_shrink must be > 1"),
+        (["--config", "spsa.stability = -5"], "stability must be >= 0"),
     ])
     def test_bad_spec_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                              flags, message):

@@ -137,7 +137,8 @@ def _changed_values(key: str):
         if entry.item is bool:
             options = [str(part != "true").lower()]
         elif entry.item is int:
-            options = [str(int(part) + 1), str(int(part) - 1)]
+            # +2 for keys that take even values only (cma.population).
+            options = [str(int(part) + d) for d in (1, -1, 2)]
         else:
             options = [str(float(part) * 1.01 + 0.01), str(float(part) * 0.99 - 0.01)]
         for new in options:

@@ -48,10 +48,9 @@ class TestClassify:
             classify(1.0, ThresholdVector(5.0, 3.0, 7.0))
 
     def test_spacing_contract(self):
-        ThresholdVector(1.0, 1.2, 1.4).validate(0.1)
-        with pytest.raises(InfeasibleThresholdsError):
-            ThresholdVector(1.0, 1.05, 2.0).validate(0.1)
-        assert not ThresholdVector(1.0, 1.05, 2.0).is_feasible(0.1)
+        # A vector only needs finite values: the minimum spacing is kept by
+        # the feasible map (tests/test_race.py), so a close pair still works.
+        assert classify(1.03, ThresholdVector(1.0, 1.05, 2.0)) == 1
         with pytest.raises(InfeasibleThresholdsError):
             ThresholdVector(math.inf, 1.0, 2.0)
 
