@@ -102,6 +102,9 @@ class ExperimentSpec:
             raise ValueError("sweep_stage2_repetitions must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        fixed = self.fixed_thresholds
+        if not fixed.t1 <= fixed.t2 <= fixed.t3:
+            raise ValueError("fixed_thresholds must be ordered: t1 <= t2 <= t3")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -131,10 +134,6 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Sequence[Se
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _provenance(spec: ExperimentSpec) -> str:
-    return f"config_hash={config_hash(spec_to_config(spec))} master_seed={spec.master_seed}"
-
-
 def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
     """Mean and normal-approximation 95% half-width (nan when n == 1)."""
     arr = np.asarray(values, float)
@@ -150,26 +149,27 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
 # Per-repetition environment and method runners
 
 
-def _rep_scenario(spec: ExperimentSpec, rep: int, power_dbm: float | None = None) -> ScenarioConfig:
-    """Scenario for one repetition: randomized UE placement, optional power."""
+def _rep_env(
+    spec: ExperimentSpec, rep: int, tag: str = "", power: float | None = None
+) -> tuple[ScenarioConfig, ThresholdVector, list[int], int]:
+    """One repetition's scenario (randomized UE placement, optional power),
+    random feasible start, assessment seeds and optimizer seed. ``tag`` and
+    ``power`` keep the seeds of the three experiments apart."""
     rng = rng_from(spec.master_seed, "rep", rep, "ue")
     x_min, x_max, y_min, y_max = spec.ue_box
     ue = (float(rng.uniform(x_min, x_max)), float(rng.uniform(y_min, y_max)))
     scenario = replace(spec.scenario, ue_position=ue)
-    if power_dbm is not None:
-        scenario = scenario.with_power(power_dbm)
-    return scenario
-
-
-def _initial_thresholds(spec: ExperimentSpec, rep: int) -> ThresholdVector:
-    """Random feasible starting point inside the declared echo-strength box."""
+    if power is not None:
+        scenario = scenario.with_power(power)
     rng = rng_from(spec.master_seed, "rep", rep, "init-thresholds")
     draw = rng.uniform(*spec.resi_bounds, size=3)
-    return ThresholdVector.from_array(project_thresholds(draw, spec.racing.min_spacing))
-
-
-def _eval_seeds(spec: ExperimentSpec, rep: int) -> list[int]:
-    return [derive_seed(spec.master_seed, "rep", rep, "assess", j) for j in range(spec.eval_repeats)]
+    t0 = ThresholdVector.from_array(project_thresholds(draw, spec.racing.min_spacing))
+    at = () if power is None else (power,)
+    seeds = [
+        derive_seed(spec.master_seed, "rep", rep, tag + "assess", *at, j)
+        for j in range(spec.eval_repeats)
+    ]
+    return scenario, t0, seeds, derive_seed(spec.master_seed, "rep", rep, tag + "opt", *at)
 
 
 def assess(
@@ -196,7 +196,6 @@ def assess(
 
 @dataclass
 class MethodRun:
-    method: str
     final: ThresholdVector
     n_eq: float
     best_so_far: list[ThresholdVector]
@@ -258,10 +257,7 @@ def run_method(
 
     n_eq = objective.ledger.n_eq
     best = _pad_rounds(trail or [final], rounds)
-    return MethodRun(
-        method=method, final=final, n_eq=n_eq, best_so_far=best,
-        failed=n_eq > 10.0 * spec.budget,
-    )
+    return MethodRun(final=final, n_eq=n_eq, best_so_far=best, failed=n_eq > 10.0 * spec.budget)
 
 
 def _pad_rounds(points: list[ThresholdVector], rounds: int) -> list[ThresholdVector]:
@@ -272,29 +268,42 @@ def _pad_rounds(points: list[ThresholdVector], rounds: int) -> list[ThresholdVec
 
 
 # ---------------------------------------------------------------------------
-# compare
+# Experiments: one runner, one rep function and one summary per experiment
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    method: str
-    delta_j: float
-    delta_j_ci: float
-    n_eq: float
-    n_eq_ci: float
-    efficiency: float
-    efficiency_ci: float
-    runs: int
-    failures: int
+def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
+         raw_header: Sequence[str], summarize: Callable,
+         summary_header: Sequence[str]) -> list[dict]:
+    """Run ``rep_fn(spec, rep)`` for every repetition, in ``spec.jobs``
+    processes; write ``<name>_runs.csv``, ``<name>_summary.csv`` and
+    ``spec.cfg`` into ``out_dir``. ``summarize(spec, runs)`` turns the runs,
+    keyed by ``raw_header``, into summary rows in ``summary_header`` order,
+    which are returned keyed by that header."""
+    reps = range(spec.repetitions)
+    if spec.jobs > 1:
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            per_rep = list(pool.map(rep_fn, [spec] * spec.repetitions, reps))
+    else:
+        per_rep = [rep_fn(spec, rep) for rep in reps]
+    raw = [row for rows in per_rep for row in rows]
+    summary = summarize(spec, [dict(zip(raw_header, row)) for row in raw])
+
+    out = Path(out_dir)
+    cfg = spec_to_config(spec)
+    digest = config_hash(cfg)
+    comment = f"config_hash={digest} master_seed={spec.master_seed}"
+    write_csv(out / f"{name}_runs.csv", comment, raw_header, raw)
+    write_csv(out / f"{name}_summary.csv", comment, summary_header, summary)
+    with open(out / "spec.cfg", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config_hash={digest}\n")
+        for key in sorted(cfg):
+            fh.write(f"{key} = {cfg[key]}\n")
+    return [dict(zip(summary_header, row)) for row in summary]
 
 
 def _compare_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
-    scenario = _rep_scenario(spec, rep)
-    t0 = _initial_thresholds(spec, rep)
-    seeds = _eval_seeds(spec, rep)
-    opt_seed = derive_seed(spec.master_seed, "rep", rep, "opt")
+    scenario, t0, seeds, opt_seed = _rep_env(spec, rep)
     j_init, _, _ = assess(scenario, spec.actions, t0, seeds)
-
     rows = []
     for method in spec.methods:
         run = run_method(method, scenario, spec, t0, opt_seed)
@@ -305,143 +314,77 @@ def _compare_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     return rows
 
 
-def run_compare(spec: ExperimentSpec, out_dir: Path | str) -> list[ComparisonRow]:
-    """Method comparison over randomized repetitions; writes raw + summary CSVs."""
-    out = Path(out_dir)
-    per_rep = _map_reps(spec, _compare_rep)
-    raw_rows = [row for rep_rows in per_rep for row in rep_rows]
-
-    summary: list[ComparisonRow] = []
+def _compare_summary(spec: ExperimentSpec, runs: list[dict]) -> list[tuple]:
+    rows = []
     for method in spec.methods:
-        ok = [r for r in raw_rows if r[1] == method and not r[7]]
-        failures = sum(1 for r in raw_rows if r[1] == method and r[7])
-        deltas = [r[4] for r in ok]
-        costs = [r[5] for r in ok]
-        effs = [r[6] for r in ok]
-        d_mean, d_ci = _mean_ci(deltas)
-        c_mean, c_ci = _mean_ci(costs)
-        _, e_ci = _mean_ci(effs)
-        efficiency = d_mean / c_mean if costs and c_mean > 0 else math.nan
-        summary.append(
-            ComparisonRow(
-                method=method, delta_j=d_mean, delta_j_ci=d_ci, n_eq=c_mean,
-                n_eq_ci=c_ci, efficiency=efficiency, efficiency_ci=e_ci,
-                runs=len(ok), failures=failures,
-            )
+        mine = [r for r in runs if r["method"] == method]
+        ok = [r for r in mine if not r["failed"]]
+        d_mean, d_ci = _mean_ci([r["delta_j"] for r in ok])
+        c_mean, c_ci = _mean_ci([r["n_eq"] for r in ok])
+        _, e_ci = _mean_ci([r["efficiency"] for r in ok])
+        efficiency = d_mean / c_mean if ok and c_mean > 0 else math.nan
+        rows.append(
+            (method, d_mean, d_ci, c_mean, c_ci, efficiency, e_ci, len(ok), len(mine) - len(ok))
         )
+    return rows
 
-    comment = _provenance(spec)
-    write_csv(
-        out / "compare_runs.csv", comment,
+
+def run_compare(spec: ExperimentSpec, out_dir: Path | str) -> list[dict]:
+    """Method comparison over randomized repetitions: improvement, cost and
+    efficiency per method."""
+    return _run(
+        spec, out_dir, "compare", _compare_rep,
         ("rep", "method", "j_init", "j_final", "delta_j", "n_eq", "efficiency", "failed"),
-        raw_rows,
-    )
-    write_csv(
-        out / "compare_summary.csv", comment,
+        _compare_summary,
         ("method", "delta_j", "delta_j_ci95", "n_eq", "n_eq_ci95",
          "efficiency", "efficiency_ci95", "runs", "failures"),
-        [
-            (r.method, r.delta_j, r.delta_j_ci, r.n_eq, r.n_eq_ci,
-             r.efficiency, r.efficiency_ci, r.runs, r.failures)
-            for r in summary
-        ],
     )
-    _write_spec_snapshot(spec, out)
-    return summary
-
-
-def _write_spec_snapshot(spec: ExperimentSpec, out: Path) -> None:
-    cfg = spec_to_config(spec)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "spec.cfg", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)}\n")
-        for key in sorted(cfg):
-            fh.write(f"{key} = {cfg[key]}\n")
-
-
-def _map_reps(spec: ExperimentSpec, fn: Callable) -> list:
-    reps = range(spec.repetitions)
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            return list(pool.map(fn, [spec] * spec.repetitions, reps))
-    return [fn(spec, rep) for rep in reps]
-
-
-# ---------------------------------------------------------------------------
-# sweep
 
 
 def _sweep_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
+    racing = replace(spec.racing, repetitions=spec.sweep_stage2_repetitions)
+    generations = max(
+        spec.generations, int(spec.budget // racing.generation_cost(spec.population))
+    )
     rows = []
     for power in spec.power_grid:
-        scenario = _rep_scenario(spec, rep, power_dbm=power)
-        seeds = [
-            derive_seed(spec.master_seed, "rep", rep, "sweep-assess", power, j)
-            for j in range(spec.eval_repeats)
-        ]
-        opt_seed = derive_seed(spec.master_seed, "rep", rep, "sweep-opt", power)
-        t0 = _initial_thresholds(spec, rep)
-        racing = replace(spec.racing, repetitions=spec.sweep_stage2_repetitions)
-        generations = max(
-            spec.generations, int(spec.budget // racing.generation_cost(spec.population))
-        )
+        scenario, t0, seeds, opt_seed = _rep_env(spec, rep, "sweep-", power)
         tuned = run_method(
             "RACE-CMA", scenario, spec, t0, opt_seed,
             weights=spec.sweep_weights, racing=racing, generations=generations,
         )
         for variant, thresholds in (("fixed", spec.fixed_thresholds), ("tuned", tuned.final)):
-            j_det, j_lat, j_pow = assess(scenario, spec.actions, thresholds, seeds)
-            rows.append((rep, power, variant, j_det, j_lat, j_pow))
+            rows.append((rep, power, variant, *assess(scenario, spec.actions, thresholds, seeds)))
     return rows
 
 
-def run_sweep(spec: ExperimentSpec, out_dir: Path | str) -> list[tuple]:
-    """Fixed-vs-tuned comparison across the transmit-power grid."""
-    out = Path(out_dir)
-    raw = [row for rep_rows in _map_reps(spec, _sweep_rep) for row in rep_rows]
-
-    summary_rows = []
+def _sweep_summary(spec: ExperimentSpec, runs: list[dict]) -> list[tuple]:
+    rows = []
     for power in spec.power_grid:
         for variant in ("fixed", "tuned"):
-            sel = [r for r in raw if r[1] == power and r[2] == variant]
-            det_mean, det_ci = _mean_ci([r[3] for r in sel])
-            lat_mean, lat_ci = _mean_ci([r[4] for r in sel])
-            pow_mean, pow_ci = _mean_ci([r[5] for r in sel])
-            summary_rows.append(
-                (power, variant, det_mean, det_ci, lat_mean, lat_ci,
-                 pow_mean, pow_ci, 1.0 - pow_mean)
-            )
+            sel = [r for r in runs if r["power_dbm"] == power and r["variant"] == variant]
+            det = _mean_ci([r["j_det"] for r in sel])
+            lat = _mean_ci([r["j_lat_norm"] for r in sel])
+            sense = _mean_ci([r["sense_power_frac"] for r in sel])
+            rows.append((power, variant, *det, *lat, *sense, 1.0 - sense[0]))
+    return rows
 
-    comment = _provenance(spec)
-    write_csv(
-        out / "sweep_runs.csv", comment,
+
+def run_sweep(spec: ExperimentSpec, out_dir: Path | str) -> list[dict]:
+    """Fixed-vs-tuned comparison across the transmit-power grid."""
+    return _run(
+        spec, out_dir, "sweep", _sweep_rep,
         ("rep", "power_dbm", "variant", "j_det", "j_lat_norm", "sense_power_frac"),
-        raw,
-    )
-    write_csv(
-        out / "sweep_summary.csv", comment,
+        _sweep_summary,
         ("power_dbm", "variant", "j_det", "j_det_ci95", "j_lat_norm", "j_lat_ci95",
          "sense_power_frac", "sense_power_ci95", "comm_power_frac"),
-        summary_rows,
     )
-    _write_spec_snapshot(spec, out)
-    return summary_rows
-
-
-# ---------------------------------------------------------------------------
-# convergence
 
 
 def _convergence_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     rows = []
     for power in spec.convergence_powers:
-        scenario = _rep_scenario(spec, rep, power_dbm=power)
-        t0 = _initial_thresholds(spec, rep)
-        seeds = [
-            derive_seed(spec.master_seed, "rep", rep, "conv-assess", power, j)
-            for j in range(spec.eval_repeats)
-        ]
-        opt_seed = derive_seed(spec.master_seed, "rep", rep, "conv-opt", power)
+        scenario, t0, seeds, opt_seed = _rep_env(spec, rep, "conv-", power)
         for method in spec.methods:
             run = run_method(method, scenario, spec, t0, opt_seed)
             per_gen = max(run.n_eq / spec.generations, 0.0)
@@ -451,30 +394,26 @@ def _convergence_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     return rows
 
 
-def run_convergence(spec: ExperimentSpec, out_dir: Path | str) -> list[tuple]:
-    """Best-so-far detection reliability per generation, per method and power."""
-    out = Path(out_dir)
-    raw = [row for rep_rows in _map_reps(spec, _convergence_rep) for row in rep_rows]
-
-    summary_rows = []
+def _convergence_summary(spec: ExperimentSpec, runs: list[dict]) -> list[tuple]:
+    rows = []
     for power in spec.convergence_powers:
         for method in spec.methods:
             for gen in range(1, spec.generations + 1):
-                sel = [r for r in raw if r[1] == power and r[2] == method and r[3] == gen]
-                det_mean, det_ci = _mean_ci([r[4] for r in sel])
-                neq_mean, _ = _mean_ci([r[5] for r in sel])
-                summary_rows.append((power, method, gen, det_mean, det_ci, neq_mean))
+                sel = [
+                    r for r in runs
+                    if r["power_dbm"] == power and r["method"] == method and r["generation"] == gen
+                ]
+                det_mean, det_ci = _mean_ci([r["j_det"] for r in sel])
+                neq_mean, _ = _mean_ci([r["n_eq"] for r in sel])
+                rows.append((power, method, gen, det_mean, det_ci, neq_mean))
+    return rows
 
-    comment = _provenance(spec)
-    write_csv(
-        out / "convergence_runs.csv", comment,
+
+def run_convergence(spec: ExperimentSpec, out_dir: Path | str) -> list[dict]:
+    """Best-so-far detection reliability per generation, per method and power."""
+    return _run(
+        spec, out_dir, "convergence", _convergence_rep,
         ("rep", "power_dbm", "method", "generation", "j_det", "n_eq"),
-        raw,
-    )
-    write_csv(
-        out / "convergence_summary.csv", comment,
+        _convergence_summary,
         ("power_dbm", "method", "generation", "j_det", "j_det_ci95", "n_eq"),
-        summary_rows,
     )
-    _write_spec_snapshot(spec, out)
-    return summary_rows

@@ -99,22 +99,22 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = _spec_or_exit(commands[args.command], args)
     if args.command == "compare":
-        rows = run_compare(spec, args.out)
-        for row in rows:
+        for row in run_compare(spec, args.out):
             print(
-                f"{row.method:10s} dJ={row.delta_j:+.4f} N_eq={row.n_eq:7.2f} "
-                f"eff={row.efficiency:.4f}"
+                f"{row['method']:10s} dJ={row['delta_j']:+.4f} N_eq={row['n_eq']:7.2f} "
+                f"eff={row['efficiency']:.4f}"
             )
     elif args.command == "sweep":
         for row in run_sweep(spec, args.out):
             print(
-                f"{row[0]:5.1f} dBm {row[1]:5s} J_det={row[2]:.4f} "
-                f"J_lat={row[4]:.4f} sense={row[6]:.4f}"
+                f"{row['power_dbm']:5.1f} dBm {row['variant']:5s} J_det={row['j_det']:.4f} "
+                f"J_lat={row['j_lat_norm']:.4f} sense={row['sense_power_frac']:.4f}"
             )
     elif args.command == "converge":
         for row in run_convergence(spec, args.out):
             print(
-                f"{row[0]:5.1f} dBm {row[1]:10s} gen={row[2]:2d} J_det={row[3]:.4f}"
+                f"{row['power_dbm']:5.1f} dBm {row['method']:10s} "
+                f"gen={row['generation']:2d} J_det={row['j_det']:.4f}"
             )
     print(f"outputs written to {args.out}")
     return 0

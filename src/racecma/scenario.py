@@ -126,6 +126,18 @@ class ScenarioConfig:
             raise ValueError("tx_power_dbm outside the configured budget range")
         if self.symbol_duration <= 0 or self.sensing_horizon <= 0:
             raise ValueError("durations must be positive")
+        if self.subcarrier_spacing <= 0:
+            raise ValueError("subcarrier_spacing must be positive")
+        # The bins radar.matched_filter scans, which it rejects outside the
+        # unambiguous range of the OFDM grid.
+        delays = np.linspace(*self.delay_window, self.n_delay_bins)
+        dopplers = np.linspace(*self.doppler_window, self.n_doppler_bins)
+        if np.any(delays < 0) or np.any(delays >= 1.0 / self.subcarrier_spacing):
+            raise ValueError("delay_window outside the unambiguous range "
+                             "[0, 1/subcarrier_spacing)")
+        if np.any(np.abs(dopplers) > 0.5 / self.symbol_duration):
+            raise ValueError("doppler_window outside the unambiguous range "
+                             "[-0.5/symbol_duration, 0.5/symbol_duration]")
         if not (0.0 < self.null_fraction < 1.0):
             raise ValueError("null_fraction must lie in (0, 1)")
         if self.interference_factor < 0:

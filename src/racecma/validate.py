@@ -290,9 +290,14 @@ def check_simulator_physics() -> CheckResult:
 # End-to-end
 
 
+def _scratch_dir(scratch: Path | None) -> Path:
+    """``scratch``, or a fresh temporary directory when none is given."""
+    return Path(scratch) if scratch else Path(tempfile.mkdtemp(prefix="racecma-validate-"))
+
+
 def check_reproducibility(scratch: Path | None = None) -> CheckResult:
     """The compare benchmark is byte-identical across runs."""
-    base = Path(scratch) if scratch else Path(tempfile.mkdtemp(prefix="racecma-validate-"))
+    base = _scratch_dir(scratch)
     spec = ExperimentSpec(
         repetitions=2, methods=("CMA-ES", "RACE-CMA"), budget=24.0,
         generations=2, eval_repeats=2, master_seed=1,
@@ -316,38 +321,35 @@ def check_efficiency_ordering(
     """Racing beats plain CMA-ES on cost-normalized improvement; both beat
     the local baselines."""
     spec = spec if spec is not None else ExperimentSpec()
-    base = Path(scratch) if scratch else Path(tempfile.mkdtemp(prefix="racecma-validate-"))
-    rows = {row.method: row for row in run_compare(spec, base / "compare")}
-    race, cma = rows["RACE-CMA"], rows["CMA-ES"]
-    spsa, ipn = rows["SPSA"], rows["IPN"]
+    base = _scratch_dir(scratch)
+    eff = {row["method"]: row["efficiency"] for row in run_compare(spec, base / "compare")}
+    race, cma, spsa, ipn = (eff[m] for m in ("RACE-CMA", "CMA-ES", "SPSA", "IPN"))
     checks = [
-        race.efficiency >= 1.3 * cma.efficiency,
-        cma.efficiency > spsa.efficiency,
-        cma.efficiency > ipn.efficiency,
-        race.efficiency > spsa.efficiency,
-        race.efficiency > ipn.efficiency,
+        race >= 1.3 * cma,
+        cma > spsa,
+        cma > ipn,
+        race > spsa,
+        race > ipn,
     ]
-    detail = (
-        f"efficiency: RACE={race.efficiency:.4f} CMA={cma.efficiency:.4f} "
-        f"SPSA={spsa.efficiency:.4f} IPN={ipn.efficiency:.4f}"
-    )
+    detail = f"efficiency: RACE={race:.4f} CMA={cma:.4f} SPSA={spsa:.4f} IPN={ipn:.4f}"
     return CheckResult("efficiency-ordering", all(checks), detail)
 
 
 def check_convergence_direction(
     spec: ExperimentSpec | None = None, scratch: Path | None = None
 ) -> CheckResult:
-    """Racing is ahead of plain CMA-ES at generation four, high power."""
-    spec = spec if spec is not None else ExperimentSpec(
-        methods=("CMA-ES", "RACE-CMA"), convergence_powers=(24.7,)
+    """Racing is ahead of plain CMA-ES at generation four, high power.
+
+    Runs ``spec`` (default ``ExperimentSpec()``) with those two methods at
+    24.7 dBm only.
+    """
+    spec = replace(
+        spec if spec is not None else ExperimentSpec(),
+        methods=("CMA-ES", "RACE-CMA"), convergence_powers=(24.7,),
     )
-    base = Path(scratch) if scratch else Path(tempfile.mkdtemp(prefix="racecma-validate-"))
+    base = _scratch_dir(scratch)
     rows = run_convergence(spec, base / "converge")
-    gen4 = {
-        row[1]: row[3]
-        for row in rows
-        if row[0] == spec.convergence_powers[-1] and row[2] == 4
-    }
+    gen4 = {row["method"]: row["j_det"] for row in rows if row["generation"] == 4}
     passed = gen4["RACE-CMA"] > gen4["CMA-ES"]
     return CheckResult(
         "convergence-direction", passed,
@@ -361,15 +363,15 @@ def check_sweep_direction(
     """Tuned thresholds dominate fixed ones across the power grid and cut
     latency at the low-power point."""
     spec = spec if spec is not None else ExperimentSpec()
-    base = Path(scratch) if scratch else Path(tempfile.mkdtemp(prefix="racecma-validate-"))
+    base = _scratch_dir(scratch)
     rows = run_sweep(spec, base / "sweep")
-    by_key = {(row[0], row[1]): row for row in rows}
+    by_key = {(row["power_dbm"], row["variant"]): row for row in rows}
     det_ok = all(
-        by_key[(p, "tuned")][2] >= by_key[(p, "fixed")][2] for p in spec.power_grid
+        by_key[(p, "tuned")]["j_det"] >= by_key[(p, "fixed")]["j_det"] for p in spec.power_grid
     )
     low = min(spec.power_grid)
-    fixed_lat = by_key[(low, "fixed")][4]
-    tuned_lat = by_key[(low, "tuned")][4]
+    fixed_lat = by_key[(low, "fixed")]["j_lat_norm"]
+    tuned_lat = by_key[(low, "tuned")]["j_lat_norm"]
     reduction = (fixed_lat - tuned_lat) / fixed_lat if fixed_lat > 0 else 0.0
     passed = det_ok and reduction >= 0.30
     return CheckResult(
@@ -404,12 +406,7 @@ def validate(
     ]
     if level == "full":
         results.append(check_efficiency_ordering(full_spec, scratch))
-        conv_spec = None
-        if full_spec is not None:
-            conv_spec = replace(
-                full_spec, methods=("CMA-ES", "RACE-CMA"), convergence_powers=(24.7,)
-            )
-        results.append(check_convergence_direction(conv_spec, scratch))
+        results.append(check_convergence_direction(full_spec, scratch))
         results.append(check_sweep_direction(full_spec, scratch))
     return all(r.passed for r in results), results
 

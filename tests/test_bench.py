@@ -16,9 +16,8 @@ from racecma.bench import (
     run_method,
     run_sweep,
     spec_to_config,
-    _initial_thresholds,
     _mean_ci,
-    _rep_scenario,
+    _rep_env,
 )
 from racecma.cli import main
 from racecma.objective import CostLedger
@@ -54,11 +53,11 @@ class TestCompare:
             assert float(row["efficiency"]) == pytest.approx(
                 float(row["delta_j"]) / float(row["n_eq"]), rel=1e-12
             )
-            assert agg.method == row["method"]
+            assert agg["method"] == row["method"]
 
     def test_single_rep_ci_not_applicable(self, tmp_path):
         rows = run_compare(tiny_spec(repetitions=1, methods=("MAP",)), tmp_path)
-        assert math.isnan(rows[0].delta_j_ci)
+        assert math.isnan(rows[0]["delta_j_ci95"])
         summary = read_rows(tmp_path / "compare_summary.csv")
         assert summary[0]["delta_j_ci95"] == "na"
 
@@ -76,13 +75,17 @@ class TestCompare:
 
     def test_methods_share_environment_within_rep(self):
         spec = tiny_spec()
-        a = _rep_scenario(spec, 0)
-        b = _rep_scenario(spec, 0)
+        a, t0, seeds, opt_seed = _rep_env(spec, 0)
+        b, *_ = _rep_env(spec, 0)
         assert a.ue_position == b.ue_position
-        assert _rep_scenario(spec, 1).ue_position != a.ue_position
-        t0 = _initial_thresholds(spec, 0)
+        assert _rep_env(spec, 1)[0].ue_position != a.ue_position
         delta = spec.racing.min_spacing
         assert t0.t1 + delta <= t0.t2 and t0.t2 + delta <= t0.t3
+        # Another experiment's tag and power move the seeds only.
+        swept, t0_swept, seeds_swept, opt_swept = _rep_env(spec, 0, "sweep-", 20.0)
+        assert swept.ue_position == a.ue_position and t0_swept == t0
+        assert swept.tx_power_dbm == 20.0
+        assert not set(seeds_swept) & set(seeds) and opt_swept != opt_seed
 
 
 class TestSweep:
@@ -110,20 +113,20 @@ class TestConvergence:
                          generations=3)
         rows = run_convergence(spec, tmp_path)
         assert len(rows) == 2 * 3
-        gens = sorted({r[2] for r in rows})
+        gens = sorted({r["generation"] for r in rows})
         assert gens == [1, 2, 3]
 
     def test_race_generations_cost_less(self, tmp_path):
         spec = tiny_spec(methods=("CMA-ES", "RACE-CMA"), convergence_powers=(20.0,),
                          generations=2, budget=30.0)
         rows = run_convergence(spec, tmp_path)
-        per_gen = {r[1]: r[5] for r in rows if r[2] == 1}
+        per_gen = {r["method"]: r["n_eq"] for r in rows if r["generation"] == 1}
         assert per_gen["RACE-CMA"] < per_gen["CMA-ES"]
 
     def test_map_runs_appear_flat(self, tmp_path):
         spec = tiny_spec(methods=("MAP",), convergence_powers=(20.0,), generations=3)
         rows = run_convergence(spec, tmp_path)
-        dets = [r[3] for r in rows]
+        dets = [r["j_det"] for r in rows]
         assert len(set(dets)) == 1
 
 
@@ -257,6 +260,12 @@ class TestCli:
         (["--config", "ipn.fd_step = 0"], "fd_step and barrier_init must be positive"),
         (["--config", "ipn.barrier_shrink = 0"], "barrier_shrink must be > 1"),
         (["--config", "spsa.stability = -5"], "stability must be >= 0"),
+        (["--config", "experiment.fixed_thresholds = 3,2,1"],
+         "fixed_thresholds must be ordered"),
+        (["--config", "scenario.symbol_duration = 0.01"],
+         "doppler_window outside the unambiguous range"),
+        (["--config", "scenario.delay_window = 0.05e-6,1e-3"],
+         "delay_window outside the unambiguous range"),
     ])
     def test_bad_spec_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                              flags, message):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from racecma import RacingConfig, ScenarioConfig
-from racecma.bench import METHODS, ExperimentSpec, _write_spec_snapshot
+from racecma.bench import METHODS, ExperimentSpec, _run
 from racecma.cli import build_spec, main
 from racecma.config import (
     ConfigError,
@@ -24,6 +24,11 @@ from racecma.config import (
 from racecma.feedback import DEFAULT_ACTIONS
 
 SCHEMA = schema(ExperimentSpec)
+
+
+def write_snapshot(spec: ExperimentSpec, out: Path) -> None:
+    """Write ``spec.cfg`` as every run does: an experiment whose reps yield no rows."""
+    _run(spec, out, "empty", lambda spec, rep: [], (), lambda spec, runs: [], ())
 
 
 class TestParse:
@@ -140,7 +145,10 @@ def _changed_values(key: str):
             # +2 for keys that take even values only (cma.population).
             options = [str(int(part) + d) for d in (1, -1, 2)]
         else:
-            options = [str(float(part) * 1.01 + 0.01), str(float(part) * 0.99 - 0.01)]
+            # Relative steps: an absolute one would push the 1e-7 s delay
+            # window out of its unambiguous range.
+            x = float(part)
+            options = [str(x * 1.01 if x else 0.01), str(x * 0.99 if x else -0.01)]
         for new in options:
             yield ",".join(parts[:i] + [new] + parts[i + 1:])
 
@@ -213,7 +221,7 @@ class TestSchema:
                                  "experiment.power_grid": "10.0, 20.0"}, ExperimentSpec())
         assert spec.methods == ("MAP", "IPN")
         assert spec.power_grid == (10.0, 20.0)
-        _write_spec_snapshot(spec, tmp_path)
+        write_snapshot(spec, tmp_path)
         assert "experiment.methods = MAP,IPN\n" in (tmp_path / "spec.cfg").read_text()
 
     def test_cli_methods_may_hold_spaces(self):
@@ -257,7 +265,7 @@ class TestSchema:
         pytest.fail(f"no valid non-default value found for {key}")
 
     def test_spec_snapshot_golden(self, tmp_path):
-        _write_spec_snapshot(ExperimentSpec(repetitions=1, master_seed=1, jobs=1), tmp_path)
+        write_snapshot(ExperimentSpec(repetitions=1, master_seed=1, jobs=1), tmp_path)
         digest = hashlib.sha256((tmp_path / "spec.cfg").read_bytes()).hexdigest()
         assert digest == "5458fb6dc366cd055a20c8c9403f47359488fe43af6446651fae914e500e7e72"
 
@@ -272,7 +280,7 @@ class TestSchema:
         except ValueError:
             reject()
         with tempfile.TemporaryDirectory() as tmp:
-            _write_spec_snapshot(spec, Path(tmp))
+            write_snapshot(spec, Path(tmp))
             args = argparse.Namespace(config=Path(tmp) / "spec.cfg", seed=None, reps=None,
                                       budget=None, methods=None, jobs=None)
             reloaded = build_spec(args)

@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from racecma.bench import ExperimentSpec, run_compare, run_convergence, run_sweep
+from racecma.bench import ExperimentSpec, _fmt, run_compare, run_convergence, run_sweep
 from racecma.scenario import desk_scenario
 
 # Two reps, two generations, all five methods on the 100-frame desk episode.
@@ -37,7 +37,15 @@ GOLDEN = {
 
 @pytest.mark.parametrize("body", list(GOLDEN), ids=lambda body: body.__name__)
 def test_outputs_match_golden_digests(body, tmp_path):
-    body(SPEC, tmp_path)
+    rows = body(SPEC, tmp_path)
     expected = {**GOLDEN[body], "spec.cfg": SPEC_CFG}
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
     assert got == expected
+
+    # The returned rows are the summary CSV, keyed by its header.
+    summary = next(name for name in GOLDEN[body] if name.endswith("_summary.csv"))
+    header, *cells = (
+        line.split(",") for line in (tmp_path / summary).read_text().splitlines()[1:]
+    )
+    assert [list(row) for row in rows] == [header] * len(cells)
+    assert [[_fmt(value) for value in row.values()] for row in rows] == cells

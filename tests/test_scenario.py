@@ -61,6 +61,13 @@ def test_config_invariants_rejected():
         ScenarioConfig(tx_power_dbm=40.0)
     with pytest.raises(ValueError):
         ScenarioConfig(symbol_duration=0.0)
+    with pytest.raises(ValueError, match="subcarrier_spacing must be positive"):
+        ScenarioConfig(subcarrier_spacing=0.0)
+    # The edges of the range radar.matched_filter scans: delay 1/spacing is
+    # out, Doppler +-0.5/symbol_duration is in.
+    with pytest.raises(ValueError, match="delay_window"):
+        ScenarioConfig(delay_window=(0.0, 1.0 / 15e3))
+    ScenarioConfig(doppler_window=(-0.5 / 100e-6, 0.5 / 100e-6))
 
 
 @pytest.mark.parametrize("n_targets", [0, 2])
