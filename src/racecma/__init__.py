@@ -58,7 +58,6 @@ from .race import (
     GenerationReport,
     RacingConfig,
     assemble_ranking,
-    feasible_map,
     inverse_feasible,
     map_unconstrained,
     promote,

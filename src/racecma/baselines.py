@@ -104,7 +104,7 @@ def map_thresholds(
     priors: tuple[float, ...] | None = None,
     min_spacing: float = 0.1,
     min_samples: int = 30,
-) -> ThresholdVector:
+) -> np.ndarray:
     """Thresholds at the posterior-equality points of adjacent hypotheses.
 
     Needs labeled calibration samples for all four states with
@@ -124,7 +124,7 @@ def map_thresholds(
     t1, t2, t3 = crossings
     t2 = max(t2, t1 + min_spacing)
     t3 = max(t3, t2 + min_spacing)
-    return ThresholdVector(t1, t2, t3)
+    return np.array([t1, t2, t3])
 
 
 def posterior_crossing(
@@ -149,7 +149,7 @@ def map_calibrate(
     episodes: int = 1,
     min_spacing: float = 0.1,
     min_samples: int = 30,
-) -> ThresholdVector:
+) -> np.ndarray:
     """One-shot MAP placement from seeded calibration episodes.
 
     Runs sweep-only episodes (thresholds nothing reaches), labels the
@@ -232,7 +232,7 @@ def _barrier_hessian(t: np.ndarray) -> np.ndarray:
 
 def ipn_optimize(
     objective: StochasticObjective,
-    t0: ThresholdVector,
+    t0: np.ndarray,
     config: IpnConfig = IpnConfig(),
     budget: float = 60.0,
     seed: int = 0,
@@ -241,13 +241,15 @@ def ipn_optimize(
 
     Each Newton step spends 2n+1 = 7 objective evaluations on the stencil
     (the barrier derivatives are analytic and free) plus one per line-search
-    probe, all under a per-iteration seed. The Hessian of the objective is
-    diagonal (that is all the stencil supports); the barrier contributes its
-    exact full Hessian, and a ridge is added until the solve is definite.
+    probe, all under a per-iteration seed. Stencil points are sorted, as in
+    :func:`spsa_gradient`, so a step longer than a gap keeps the order. The
+    Hessian of the objective is diagonal (that is all the stencil supports);
+    the barrier contributes its exact full Hessian, and a ridge is added
+    until the solve is definite.
     The descent stops early when the budget cannot pay for the next stencil
     or probe, or when the line search accepts no step.
     """
-    t = t0.as_array().astype(float)
+    t = np.array(t0, float)
     if t[1] <= t[0] or t[2] <= t[1]:
         raise ValueError("initial point must be strictly feasible")
 
@@ -274,8 +276,8 @@ def ipn_optimize(
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            j_plus = objective.evaluate(t + e, iter_seed, 1.0)
-            j_minus = objective.evaluate(t - e, iter_seed, 1.0)
+            j_plus = objective.evaluate(np.sort(t + e), iter_seed, 1.0)
+            j_minus = objective.evaluate(np.sort(t - e), iter_seed, 1.0)
             grad_j[i] = (j_plus - j_minus) / (2.0 * h)
             hess_diag[i] = (j_plus - 2.0 * j_center + j_minus) / h**2
         spent += 7.0
@@ -320,7 +322,7 @@ def ipn_optimize(
         if not accepted:
             break
 
-    return OptimizeResult(ThresholdVector.from_array(best_point), best_cost, spent, history)
+    return OptimizeResult(best_point, best_cost, spent, history)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,7 @@ def spsa_gradient(
 
 def spsa_optimize(
     objective: StochasticObjective,
-    t0: ThresholdVector,
+    t0: np.ndarray,
     schedule: SpsaSchedule = SpsaSchedule(),
     budget: float = 60.0,
     seed: int = 0,
@@ -402,7 +404,7 @@ def spsa_optimize(
     is the best among periodic full-fidelity probes (the final iterate when
     the budget never allowed a probe). Probes are charged to the ledger.
     """
-    t = t0.as_array().astype(float)
+    t = np.array(t0, float)
     spent = 0.0
     best_cost = math.inf
     best_point = t.copy()
@@ -429,4 +431,4 @@ def spsa_optimize(
 
     if not probed:
         best_point = t.copy()
-    return OptimizeResult(ThresholdVector.from_array(best_point), best_cost, spent, history)
+    return OptimizeResult(best_point, best_cost, spent, history)

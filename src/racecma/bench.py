@@ -33,7 +33,7 @@ from .cma import default_params
 from .config import config_hash, spec_to_config
 from .feedback import DEFAULT_ACTIONS, StateActionTable, ThresholdVector
 from .objective import IsacObjective
-from .race import RacingConfig, feasible_map, inverse_feasible, race_cma_optimize
+from .race import RacingConfig, inverse_feasible, map_unconstrained, race_cma_optimize
 from .scenario import ScenarioConfig, desk_scenario
 from .seeding import derive_seed, rng_from
 
@@ -151,7 +151,7 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
 
 def _rep_env(
     spec: ExperimentSpec, rep: int, tag: str = "", power: float | None = None
-) -> tuple[ScenarioConfig, ThresholdVector, list[int], int]:
+) -> tuple[ScenarioConfig, np.ndarray, list[int], int]:
     """One repetition's scenario (randomized UE placement, optional power),
     random feasible start, assessment seeds and optimizer seed. ``tag`` and
     ``power`` keep the seeds of the three experiments apart."""
@@ -163,7 +163,7 @@ def _rep_env(
         scenario = scenario.with_power(power)
     rng = rng_from(spec.master_seed, "rep", rep, "init-thresholds")
     draw = rng.uniform(*spec.resi_bounds, size=3)
-    t0 = ThresholdVector.from_array(project_thresholds(draw, spec.racing.min_spacing))
+    t0 = project_thresholds(draw, spec.racing.min_spacing)
     at = () if power is None else (power,)
     seeds = [
         derive_seed(spec.master_seed, "rep", rep, tag + "assess", *at, j)
@@ -175,7 +175,7 @@ def _rep_env(
 def assess(
     scenario: ScenarioConfig,
     actions: StateActionTable,
-    thresholds: ThresholdVector,
+    thresholds: Sequence[float],
     seeds: Sequence[int],
 ) -> tuple[float, float, float]:
     """Uncharged mean (J_det, J_lat/horizon, J_pow) over assessment seeds.
@@ -196,9 +196,9 @@ def assess(
 
 @dataclass
 class MethodRun:
-    final: ThresholdVector
+    final: np.ndarray
     n_eq: float
-    best_so_far: list[ThresholdVector]
+    best_so_far: list[Sequence[float]]
     failed: bool = False
 
 
@@ -206,7 +206,7 @@ def run_method(
     method: str,
     scenario: ScenarioConfig,
     spec: ExperimentSpec,
-    t0: ThresholdVector,
+    t0: np.ndarray,
     seed: int,
     weights: tuple[float, float, float] | None = None,
     racing: RacingConfig | None = None,
@@ -239,7 +239,7 @@ def run_method(
         elif method in ("CMA-ES", "RACE-CMA"):
             params = default_params(3, spec.population)
             init = (inverse_feasible(t0, delta), spec.init_sigma)
-            mapper = partial(feasible_map, min_spacing=delta)
+            mapper = partial(map_unconstrained, min_spacing=delta)
             if method == "CMA-ES":
                 result = cma_mod.cma_optimize(
                     objective, params, init, spec.budget, seed,
@@ -253,14 +253,14 @@ def run_method(
         else:
             raise ValueError(f"unknown method {method!r}")
         final = result.best_point
-        trail = [ThresholdVector.from_array(r.point) for r in result.history]
+        trail = [r.point for r in result.history]
 
     n_eq = objective.ledger.n_eq
     best = _pad_rounds(trail or [final], rounds)
     return MethodRun(final=final, n_eq=n_eq, best_so_far=best, failed=n_eq > 10.0 * spec.budget)
 
 
-def _pad_rounds(points: list[ThresholdVector], rounds: int) -> list[ThresholdVector]:
+def _pad_rounds(points: list[Sequence[float]], rounds: int) -> list[Sequence[float]]:
     padded = list(points[:rounds])
     while len(padded) < rounds:
         padded.append(padded[-1])
@@ -343,6 +343,7 @@ def run_compare(spec: ExperimentSpec, out_dir: Path | str) -> list[dict]:
 
 def _sweep_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     racing = replace(spec.racing, repetitions=spec.sweep_stage2_repetitions)
+    fixed = spec.fixed_thresholds.as_array()
     generations = max(
         spec.generations, int(spec.budget // racing.generation_cost(spec.population))
     )
@@ -353,7 +354,7 @@ def _sweep_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
             "RACE-CMA", scenario, spec, t0, opt_seed,
             weights=spec.sweep_weights, racing=racing, generations=generations,
         )
-        for variant, thresholds in (("fixed", spec.fixed_thresholds), ("tuned", tuned.final)):
+        for variant, thresholds in (("fixed", fixed), ("tuned", tuned.final)):
             rows.append((rep, power, variant, *assess(scenario, spec.actions, thresholds, seeds)))
     return rows
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .bench import ExperimentSpec, run_compare, run_convergence, run_sweep
 from .config import load_config, spec_from_config
-from .validate import ORDERING_METHODS, validate, write_validation_report
+from .validate import CONVERGENCE_GENERATION, ORDERING_METHODS, validate, write_validation_report
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
@@ -67,7 +67,8 @@ def main(argv: list[str] | None = None) -> int:
     val = sub.add_parser(
         "validate", help="run the acceptance checks",
         description="Run the acceptance checks. The spec flags apply only with --full, "
-                    "whose methods must include " + ", ".join(ORDERING_METHODS) + ".",
+                    "whose methods must include " + ", ".join(ORDERING_METHODS) + " and "
+                    f"whose experiment.generations must be >= {CONVERGENCE_GENERATION}.",
     )
     _add_common(val, out_required=False)
     val.add_argument("--full", action="store_true",
@@ -86,6 +87,9 @@ def main(argv: list[str] | None = None) -> int:
         if missing:
             val.error(f"--full compares {', '.join(ORDERING_METHODS)}; "
                       f"the methods lack {', '.join(missing)}")
+        if full_spec and full_spec.generations < CONVERGENCE_GENERATION:
+            val.error(f"--full reads generation {CONVERGENCE_GENERATION}; "
+                      f"experiment.generations is {full_spec.generations}")
         passed, results = validate(
             level="full" if args.full else "quick",
             full_spec=full_spec,

@@ -186,21 +186,13 @@ class GenerationRecord(RoundRecord):
     sigma: float
 
 
-def point_array(point) -> np.ndarray:
-    """Coordinates of a search point, whatever object the feasible map built."""
-    as_array = getattr(point, "as_array", None)
-    if as_array is not None:
-        return as_array()
-    return np.asarray(point, float)
-
-
 def cma_optimize(
     objective: StochasticObjective,
     params: CmaParams,
     init: tuple[np.ndarray, float],
     budget: float,
     seed: int,
-    feasible_map: Callable[[np.ndarray], object] | None = None,
+    feasible_map: Callable[[np.ndarray], np.ndarray] | None = None,
     max_generations: int | None = None,
 ) -> OptimizeResult:
     """Plain CMA-ES loop: every candidate gets one full-fidelity evaluation.
@@ -210,8 +202,8 @@ def cma_optimize(
     improvement, not the baseline's. The loop runs whole generations while
     the budget allows lambda more full evaluations, the step size stays
     above ``SIGMA_STOP`` and the generation cap (if any) is not reached.
-    ``feasible_map`` translates raw search points into objective arguments;
-    identity when omitted.
+    ``feasible_map`` translates raw search points into the points the
+    objective evaluates and the result reports; identity when omitted.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -244,7 +236,7 @@ def cma_optimize(
         state = update(state, params, points[order[: params.mu]])
         history.append(
             GenerationRecord(
-                index=gen, n_eq=spent, point=tuple(point_array(best_point)),
+                index=gen, n_eq=spent, point=tuple(best_point),
                 mean=tuple(state.mean), sigma=state.sigma,
             )
         )

@@ -123,10 +123,11 @@ class RoundRecord:
 
 @dataclass
 class OptimizeResult:
-    """What every optimizer returns: the best point it found, that point's
-    estimated cost, the n_eq it spent and one record per round."""
+    """What every optimizer returns: the best point it found (a float array
+    of shape (3,)), that point's estimated cost, the n_eq it spent and one
+    record per round."""
 
-    best_point: object
+    best_point: np.ndarray
     best_cost: float
     n_eq: float
     history: list[RoundRecord]
@@ -168,14 +169,10 @@ class IsacObjective:
         self.weights = weights
         self.ledger = ledger if ledger is not None else CostLedger()
 
-    def _thresholds(self, point) -> ThresholdVector:
-        if isinstance(point, ThresholdVector):
-            return point
-        return ThresholdVector.from_array(point)
-
     def peek_values(self, point, seed: int, fidelity: float = 1.0) -> ObjectiveValues:
-        """Episode objectives without charging the ledger (assessment use)."""
-        thresholds = self._thresholds(point)
+        """Episode objectives of a threshold triple without charging the
+        ledger (assessment use)."""
+        thresholds = ThresholdVector.from_array(point)
         trace = run_episode(self.scenario, thresholds, self.actions, seed, fidelity)
         return episode_objectives(trace, thresholds, self.weights)
 
@@ -213,8 +210,7 @@ class SyntheticObjective:
     def evaluate(self, point, seed: int, fidelity: float = 1.0, kind: str = "full") -> float:
         if not 0.0 < fidelity <= 1.0:
             raise ValueError("fidelity must lie in (0, 1]")
-        as_array = getattr(point, "as_array", None)
-        x = as_array() if as_array is not None else np.asarray(point, float)
+        x = np.asarray(point, float)
         value = float(self.fn(x))
         if self.noise_std > 0.0:
             if self.noise_mode == "common":

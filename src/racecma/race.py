@@ -24,12 +24,12 @@ from .cma import (
     GenerationRecord,
     _points_from_draws,
     init_state,
-    point_array,
+    sample_population,
     update,
 )
 # Nothing here calls run_episode; the name stays bound because
 # perfbench/tracer.py wraps race.run_episode and fails if it is missing.
-from .feedback import ThresholdVector, run_episode
+from .feedback import run_episode
 from .objective import (
     CrnSeedPlan,
     OptimizeResult,
@@ -102,12 +102,8 @@ def map_unconstrained(u, min_spacing: float) -> np.ndarray:
     return np.stack([t1, t2, t3], axis=-1)
 
 
-def feasible_map(u, min_spacing: float) -> ThresholdVector:
-    return ThresholdVector.from_array(map_unconstrained(u, min_spacing))
-
-
-def inverse_feasible(thresholds: ThresholdVector, min_spacing: float) -> np.ndarray:
-    """Unconstrained coordinates that map (back) to the given thresholds.
+def inverse_feasible(thresholds: np.ndarray, min_spacing: float) -> np.ndarray:
+    """Unconstrained coordinates that map (back) to the threshold triple.
 
     Gaps at exactly the minimum spacing clamp to a large negative
     coordinate (the softplus offset saturates at zero from above).
@@ -117,18 +113,15 @@ def inverse_feasible(thresholds: ThresholdVector, min_spacing: float) -> np.ndar
         y = max(y, 1e-9)
         return y + math.log(-math.expm1(-y))
 
+    t1, t2, t3 = thresholds
     return np.array(
-        [
-            thresholds.t1,
-            inv_softplus(thresholds.t2 - thresholds.t1 - min_spacing),
-            inv_softplus(thresholds.t3 - thresholds.t2 - min_spacing),
-        ]
+        [t1, inv_softplus(t2 - t1 - min_spacing), inv_softplus(t3 - t2 - min_spacing)]
     )
 
 
 def structured_sample(
     state: CmaState,
-    lam: int,
+    params: CmaParams,
     seed: int,
     mirrored: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -138,13 +131,11 @@ def structured_sample(
     their negations, so the raw draws sum to zero exactly; the base block is
     orthogonalized (norms preserved) when it has at most as many directions
     as dimensions, otherwise plain draws are kept. Without mirroring this is
-    ordinary sampling.
+    ordinary sampling (:func:`cma.sample_population`).
     """
-    n = state.dimension
     if not mirrored:
-        rng = rng_from(seed, "cma-sample")
-        z = rng.standard_normal((lam, n))
-        return z, _points_from_draws(state, z)
+        return sample_population(state, params, seed)
+    n, lam = state.dimension, params.lam
     if lam % 2 != 0:
         raise ValueError("mirrored sampling needs an even population size")
 
@@ -278,7 +269,7 @@ def race_cma_optimize(
     init: tuple[np.ndarray, float],
     budget: float,
     seed: int,
-    feasible_map: Callable[[np.ndarray], object] | None = None,
+    feasible_map: Callable[[np.ndarray], np.ndarray] | None = None,
     max_generations: int | None = None,
 ) -> OptimizeResult:
     """Full racing loop on top of the CMA-ES backbone.
@@ -306,8 +297,8 @@ def race_cma_optimize(
             break
         gen = state.generation
         plan = derive_seed_plan(seed, gen, racing.repetitions)
-        z, points = structured_sample(
-            state, params.lam, derive_seed(seed, gen, "sample"), racing.mirrored_sampling
+        _, points = structured_sample(
+            state, params, derive_seed(seed, gen, "sample"), racing.mirrored_sampling
         )
         mapped = [mapper(u) for u in points]
 
@@ -344,7 +335,7 @@ def race_cma_optimize(
 
         history.append(
             GenerationReport(
-                index=gen, n_eq=float(spent), point=tuple(point_array(best_point)),
+                index=gen, n_eq=float(spent), point=tuple(best_point),
                 mean=tuple(state.mean), sigma=state.sigma,
                 stage1_values=tuple(float(v) for v in stage1),
                 promoted=tuple(int(i) for i in promoted),

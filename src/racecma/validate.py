@@ -335,6 +335,10 @@ def check_efficiency_ordering(
     return CheckResult("efficiency-ordering", all(checks), detail)
 
 
+# The generation whose convergence rows check_convergence_direction reads.
+CONVERGENCE_GENERATION = 4
+
+
 def check_convergence_direction(
     spec: ExperimentSpec | None = None, scratch: Path | None = None
 ) -> CheckResult:
@@ -349,7 +353,8 @@ def check_convergence_direction(
     )
     base = _scratch_dir(scratch)
     rows = run_convergence(spec, base / "converge")
-    gen4 = {row["method"]: row["j_det"] for row in rows if row["generation"] == 4}
+    gen4 = {row["method"]: row["j_det"] for row in rows
+            if row["generation"] == CONVERGENCE_GENERATION}
     passed = gen4["RACE-CMA"] > gen4["CMA-ES"]
     return CheckResult(
         "convergence-direction", passed,

@@ -9,7 +9,6 @@ from racecma import (
     IsacObjective,
     SpsaSchedule,
     SyntheticObjective,
-    ThresholdVector,
     ipn_optimize,
     map_calibrate,
     map_thresholds,
@@ -51,9 +50,9 @@ class TestMap:
             2: rng.normal(4.5, 0.8, 2000),
             3: rng.normal(7.5, 1.0, 1000),
         }
-        t = map_thresholds(samples, min_spacing=0.1)
-        assert t.t1 + 0.1 <= t.t2 and t.t2 + 0.1 <= t.t3
-        assert 0.0 < t.t1 < 2.0 < t.t2 < 4.5 < t.t3 < 7.5
+        t1, t2, t3 = map_thresholds(samples, min_spacing=0.1)
+        assert t1 + 0.1 <= t2 and t2 + 0.1 <= t3
+        assert 0.0 < t1 < 2.0 < t2 < 4.5 < t3 < 7.5
 
     def test_crossing_matches_dense_grid_argmin(self):
         rng = rng_from("map-grid")
@@ -69,7 +68,7 @@ class TestMap:
     def test_deterministic_given_samples(self):
         rng = rng_from("map-det")
         samples = {i: rng.normal(2.0 * i, 0.5, 500) for i in range(4)}
-        assert map_thresholds(samples) == map_thresholds(samples)
+        assert np.array_equal(map_thresholds(samples), map_thresholds(samples))
 
     def test_unordered_means_rejected(self):
         rng = rng_from("map-bad")
@@ -91,7 +90,8 @@ class TestMap:
         objective = IsacObjective(desk)
         t = map_calibrate(objective, seed=3, episodes=3, min_samples=5)
         assert objective.ledger.n_eq == 3.0
-        assert t.t1 <= t.t2 <= t.t3
+        assert t.dtype == float and t.shape == (3,)
+        assert t[0] <= t[1] <= t[2]
 
 
 class TestIpn:
@@ -99,9 +99,9 @@ class TestIpn:
         target = np.array([3.0, 5.0, 7.0])
         obj = SyntheticObjective(lambda x: sphere(x - target))
         config = IpnConfig(outer_rounds=8, newton_iters=2, barrier_init=1.0)
-        result = ipn_optimize(obj, ThresholdVector(2.0, 4.0, 6.0), config,
+        result = ipn_optimize(obj, np.array([2.0, 4.0, 6.0]), config,
                               budget=300.0, seed=0)
-        assert np.max(np.abs(result.best_point.as_array() - target)) < 1e-4
+        assert np.max(np.abs(result.best_point - target)) < 1e-4
 
     def test_unit_gap_barrier_is_zero(self):
         assert _barrier_value(np.array([1.0, 2.0, 3.0])) == 0.0
@@ -109,20 +109,27 @@ class TestIpn:
 
     def test_one_stencil_costs_seven(self):
         obj = SyntheticObjective(sphere)
-        ipn_optimize(obj, ThresholdVector(1.0, 2.0, 3.0), IpnConfig(), budget=7.0, seed=1)
+        ipn_optimize(obj, np.array([1.0, 2.0, 3.0]), IpnConfig(), budget=7.0, seed=1)
         assert obj.ledger.n_eq == 7.0
 
     def test_iterates_stay_strictly_feasible(self):
         obj = SyntheticObjective(lambda x: sphere(x - np.array([1.0, 1.1, 1.2])))
-        result = ipn_optimize(obj, ThresholdVector(0.5, 1.5, 2.5), IpnConfig(),
+        result = ipn_optimize(obj, np.array([0.5, 1.5, 2.5]), IpnConfig(),
                               budget=200.0, seed=2)
         for rec in result.history:
             assert rec.point[1] > rec.point[0] and rec.point[2] > rec.point[1]
 
+    def test_stencil_wider_than_a_gap_stays_ordered(self, desk):
+        # fd_step 0.5 moves t1 past t2 = t1 + 0.1; the episode's classifier
+        # rejects an unordered probe, so the stencil must sort its points.
+        obj = IsacObjective(desk)
+        ipn_optimize(obj, np.array([0.5, 0.6, 2.0]), IpnConfig(fd_step=0.5), 7.0, 1)
+        assert obj.ledger.n_eq == 7.0
+
     def test_infeasible_start_rejected(self):
         obj = SyntheticObjective(sphere)
         with pytest.raises(ValueError):
-            ipn_optimize(obj, ThresholdVector(2.0, 2.0, 3.0), IpnConfig(), 50.0, 0)
+            ipn_optimize(obj, np.array([2.0, 2.0, 3.0]), IpnConfig(), 50.0, 0)
 
 
 class TestSpsaGradient:
@@ -174,7 +181,7 @@ class TestSpsaOptimize:
 
     def test_budget_twenty_gives_ten_iterations(self):
         obj = SyntheticObjective(sphere)
-        spsa_optimize(obj, ThresholdVector(1.0, 2.0, 3.0), SpsaSchedule(),
+        spsa_optimize(obj, np.array([1.0, 2.0, 3.0]), SpsaSchedule(),
                       budget=20.0, seed=0)
         assert obj.ledger.n_eq == 20.0
 
@@ -183,9 +190,9 @@ class TestSpsaOptimize:
         errors = []
         for seed in range(20):
             obj = SyntheticObjective(lambda x: sphere(x - target))
-            result = spsa_optimize(obj, ThresholdVector(1.0, 2.0, 3.0), SpsaSchedule(),
+            result = spsa_optimize(obj, np.array([1.0, 2.0, 3.0]), SpsaSchedule(),
                                    budget=200.0, seed=seed)
-            errors.append(float(np.max(np.abs(result.best_point.as_array() - target))))
+            errors.append(float(np.max(np.abs(result.best_point - target))))
         assert float(np.median(errors)) < 0.1
 
     def test_schedule_validation(self):

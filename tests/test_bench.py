@@ -80,10 +80,10 @@ class TestCompare:
         assert a.ue_position == b.ue_position
         assert _rep_env(spec, 1)[0].ue_position != a.ue_position
         delta = spec.racing.min_spacing
-        assert t0.t1 + delta <= t0.t2 and t0.t2 + delta <= t0.t3
+        assert t0[0] + delta <= t0[1] and t0[1] + delta <= t0[2]
         # Another experiment's tag and power move the seeds only.
         swept, t0_swept, seeds_swept, opt_swept = _rep_env(spec, 0, "sweep-", 20.0)
-        assert swept.ue_position == a.ue_position and t0_swept == t0
+        assert swept.ue_position == a.ue_position and np.array_equal(t0_swept, t0)
         assert swept.tx_power_dbm == 20.0
         assert not set(seeds_swept) & set(seeds) and opt_swept != opt_seed
 
@@ -139,16 +139,14 @@ class TestHelpers:
         assert math.isnan(nan_ci)
 
     def test_assess_excludes_nothing_by_default(self, desk):
-        from racecma import ThresholdVector
-
         j_det, j_lat, j_pow = assess(desk, tiny_spec().actions,
-                                     ThresholdVector(0.5, 1.0, 1.5), seeds=[1, 2])
+                                     np.array([0.5, 1.0, 1.5]), seeds=[1, 2])
         assert 0.0 <= j_det <= 1.0 and 0.0 <= j_lat <= 1.0 and 0.0 <= j_pow <= 1.0
 
     def test_unknown_method_rejected(self, desk):
         spec = tiny_spec()
         with pytest.raises(ValueError):
-            run_method("NEWTON", desk, spec, spec.fixed_thresholds, 1)
+            run_method("NEWTON", desk, spec, spec.fixed_thresholds.as_array(), 1)
         with pytest.raises(ValueError):
             ExperimentSpec(methods=("GRADIENT",))
 
@@ -302,3 +300,12 @@ class TestCli:
             main(["validate", "--full", "--methods", methods, "--reps", "1", "--budget", "12"])
         assert exc.value.code == 2
         assert f"the methods lack {lacking}" in capsys.readouterr().err
+
+    def test_validate_full_needs_generation_four(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment.generations = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--full", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--full reads generation 4" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,10 +7,19 @@ import pytest
 from racecma import (
     CostLedger,
     IsacObjective,
+    RacingConfig,
     SyntheticObjective,
     ThresholdVector,
+    cma_optimize,
+    default_params,
     derive_seed_plan,
+    episode_objectives,
     evaluate_repeated,
+    ipn_optimize,
+    map_unconstrained,
+    race_cma_optimize,
+    run_episode,
+    spsa_optimize,
 )
 
 
@@ -110,7 +120,7 @@ class TestSeedPlan:
 class TestIsacObjective:
     def test_fidelity_charges(self, desk):
         obj = IsacObjective(desk)
-        t = ThresholdVector(0.5, 1.0, 1.5)
+        t = np.array([0.5, 1.0, 1.5])
         obj.evaluate(t, seed=0, fidelity=1.0)
         assert obj.ledger.n_eq == 1.0
         obj.evaluate(t, seed=0, fidelity=0.2)
@@ -118,21 +128,22 @@ class TestIsacObjective:
 
     def test_referential_transparency(self, desk):
         obj = IsacObjective(desk)
-        t = ThresholdVector(0.5, 1.0, 1.5)
+        t = np.array([0.5, 1.0, 1.5])
         assert obj.evaluate(t, 3, 0.5) == obj.evaluate(t, 3, 0.5)
         assert obj.peek_values(t, 3) == obj.peek_values(t, 3)
 
     def test_accepts_raw_arrays(self, desk):
         obj = IsacObjective(desk)
         a = obj.evaluate(np.array([0.5, 1.0, 1.5]), 3)
-        b = obj.evaluate(ThresholdVector(0.5, 1.0, 1.5), 3)
+        t = ThresholdVector(0.5, 1.0, 1.5)
+        b = episode_objectives(run_episode(desk, t, seed=3), t).scalar_cost
         assert a == b
 
     def test_crn_correlates_nearby_points(self, desk):
         # Shared seeds must shrink the variance of cost differences a lot.
         obj = IsacObjective(desk)
-        t_a = ThresholdVector(0.8, 1.6, 2.4)
-        t_b = ThresholdVector(0.9, 1.7, 2.5)
+        t_a = np.array([0.8, 1.6, 2.4])
+        t_b = np.array([0.9, 1.7, 2.5])
         d_crn, d_ind = [], []
         for s in range(40):
             ja = obj.peek_values(t_a, s).scalar_cost
@@ -165,3 +176,27 @@ class TestSyntheticObjective:
         full = abs(obj.evaluate([0.0], seed=3, fidelity=1.0))
         coarse = abs(obj.evaluate([0.0], seed=3, fidelity=0.25))
         assert coarse == pytest.approx(2.0 * full)
+
+
+START = np.array([0.5, 1.5, 2.5])
+MAPPER = partial(map_unconstrained, min_spacing=0.1)
+OPTIMIZERS = {
+    "CMA-ES": lambda obj: cma_optimize(
+        obj, default_params(3, 6), (START, 1.0), 24.0, 1, feasible_map=MAPPER),
+    "RACE-CMA": lambda obj: race_cma_optimize(
+        obj, default_params(3, 6), RacingConfig(), (START, 1.0), 24.0, 1,
+        feasible_map=MAPPER),
+    "IPN": lambda obj: ipn_optimize(obj, START, budget=24.0, seed=1),
+    "SPSA": lambda obj: spsa_optimize(obj, START, budget=24.0, seed=1),
+}
+
+
+@pytest.mark.parametrize("method", sorted(OPTIMIZERS))
+def test_every_optimizer_returns_a_float_triple(method):
+    result = OPTIMIZERS[method](SyntheticObjective(lambda x: float(np.sum(x**2))))
+    assert type(result.best_point) is np.ndarray
+    assert result.best_point.dtype == float and result.best_point.shape == (3,)
+    assert result.history
+    for record in result.history:
+        assert type(record.point) is tuple and len(record.point) == 3
+        assert all(isinstance(v, float) for v in record.point)

@@ -9,12 +9,10 @@ from hypothesis.extra.numpy import arrays
 from racecma import (
     RacingConfig,
     SyntheticObjective,
-    ThresholdVector,
     assemble_ranking,
     cma_optimize,
     default_params,
     derive_seed_plan,
-    feasible_map,
     init_state,
     inverse_feasible,
     map_unconstrained,
@@ -46,10 +44,10 @@ def unconstrained_inputs(bound: float | None):
 
 class TestFeasibleMap:
     def test_softplus_at_zero_gives_log_two_gaps(self):
-        t = feasible_map(np.array([1.0, 0.0, 0.0]), 0.1)
-        assert t.t1 == pytest.approx(1.0)
-        assert t.t2 == pytest.approx(1.0 + 0.1 + math.log(2.0), abs=1e-9)
-        assert t.t3 == pytest.approx(t.t2 + 0.1 + math.log(2.0), abs=1e-9)
+        t1, t2, t3 = map_unconstrained(np.array([1.0, 0.0, 0.0]), 0.1)
+        assert t1 == pytest.approx(1.0)
+        assert t2 == pytest.approx(1.0 + 0.1 + math.log(2.0), abs=1e-9)
+        assert t3 == pytest.approx(t2 + 0.1 + math.log(2.0), abs=1e-9)
 
     def test_spacing_holds_for_random_inputs(self, rng):
         u = rng.normal(0.0, 5.0, size=(1000, 3))
@@ -79,9 +77,9 @@ class TestFeasibleMap:
     def test_deep_negative_offsets_saturate_at_spacing(self):
         # softplus(-40) = log1p(exp(-40)) ~ 4.248e-18: gap is delta exactly
         # at double precision.
-        t = feasible_map(np.array([0.0, -40.0, -40.0]), 0.1)
-        assert abs((t.t2 - t.t1) - 0.1) <= 1e-15
-        assert abs((t.t3 - t.t2) - 0.1) <= 1e-15
+        t1, t2, t3 = map_unconstrained(np.array([0.0, -40.0, -40.0]), 0.1)
+        assert abs((t2 - t1) - 0.1) <= 1e-15
+        assert abs((t3 - t2) - 0.1) <= 1e-15
 
     def test_monotone_in_each_coordinate(self):
         base = map_unconstrained(np.array([0.5, 0.2, -0.3]), 0.1)
@@ -93,27 +91,27 @@ class TestFeasibleMap:
             assert out[axis] > base[axis]
 
     def test_inverse_round_trip(self):
-        t = ThresholdVector(0.7, 1.4, 2.9)
+        t = np.array([0.7, 1.4, 2.9])
         u = inverse_feasible(t, 0.1)
-        back = feasible_map(u, 0.1)
-        assert back.as_array() == pytest.approx(t.as_array(), rel=1e-9)
+        back = map_unconstrained(u, 0.1)
+        assert back == pytest.approx(t, rel=1e-9)
 
 
 class TestStructuredSample:
     def test_mirrored_pairs_interleaved(self):
         state = init_state(np.zeros(3), 1.0)
-        z, _ = structured_sample(state, 4, seed=3, mirrored=True)
+        z, _ = structured_sample(state, default_params(3, 4), seed=3, mirrored=True)
         assert np.array_equal(z[1], -z[0])
         assert np.array_equal(z[3], -z[2])
 
     def test_mirrored_draws_sum_to_zero_exactly(self):
         state = init_state(np.zeros(4), 1.0)
-        z, _ = structured_sample(state, 8, seed=9, mirrored=True)
+        z, _ = structured_sample(state, default_params(4, 8), seed=9, mirrored=True)
         assert np.all(z.sum(axis=0) == 0.0)
 
     def test_orthogonal_base_block(self):
         state = init_state(np.zeros(3), 1.0)
-        z, _ = structured_sample(state, 6, seed=7, mirrored=True)
+        z, _ = structured_sample(state, default_params(3, 6), seed=7, mirrored=True)
         base = z[0::2]
         gram = base @ base.T
         off = gram - np.diag(np.diag(gram))
@@ -122,7 +120,7 @@ class TestStructuredSample:
     def test_oversized_base_falls_back_to_plain_draws(self):
         # 6 base directions in 3 dimensions cannot be orthogonalized.
         state = init_state(np.zeros(3), 1.0)
-        z, _ = structured_sample(state, 12, seed=7, mirrored=True)
+        z, _ = structured_sample(state, default_params(3, 12), seed=7, mirrored=True)
         base = z[0::2]
         gram = base @ base.T
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) > 1e-6
@@ -130,7 +128,7 @@ class TestStructuredSample:
     def test_odd_population_rejected(self):
         state = init_state(np.zeros(3), 1.0)
         with pytest.raises(ValueError):
-            structured_sample(state, 5, seed=1, mirrored=True)
+            structured_sample(state, default_params(3, 5), seed=1, mirrored=True)
 
     def test_unmirrored_matches_plain_sampling(self):
         from racecma import sample_population
@@ -138,7 +136,7 @@ class TestStructuredSample:
         state = init_state(np.array([1.0, 2.0]), 0.5)
         params = default_params(2, 6)
         z_plain, u_plain = sample_population(state, params, seed=11)
-        z_struct, u_struct = structured_sample(state, 6, seed=11, mirrored=False)
+        z_struct, u_struct = structured_sample(state, params, seed=11, mirrored=False)
         assert np.array_equal(z_plain, z_struct)
         assert np.array_equal(u_plain, u_struct)
 
@@ -283,7 +281,7 @@ class TestRaceOptimize:
         params = default_params(3, 12)
         plan = derive_seed_plan(5, 0, 1)
         state = init_state(np.full(3, 1.5), 0.8)
-        _, points = structured_sample(state, 12, seed=2, mirrored=True)
+        _, points = structured_sample(state, params, seed=2, mirrored=True)
         noisy = SyntheticObjective(sphere, noise_std=5.0, noise_mode="common")
         clean = SyntheticObjective(sphere)
         noisy_vals = stage1_screen(list(points), noisy, plan, 0.2)
