@@ -8,6 +8,7 @@ noise is common-mode.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -168,6 +169,8 @@ def map_calibrate(
         objective.ledger.add(1.0, "full")
         values.extend(trace.resi.tolist())
     x = np.asarray(values)
+    if not np.all(np.isfinite(x)):
+        raise CalibrationError("calibration echo strengths must be finite")
     q = np.quantile(x, [0.5, 0.75, 0.9])
     provisional = ThresholdVector(
         float(q[0]), float(max(q[1], q[0] + min_spacing)),
@@ -205,6 +208,8 @@ class IpnConfig:
     def __post_init__(self) -> None:
         if self.fd_step <= 0 or self.barrier_init <= 0:
             raise ValueError("fd_step and barrier_init must be positive")
+        if not 0 < self.fd_step * self.fd_step < math.inf:
+            raise ValueError("fd_step squared, the stencil's divisor, must be a positive float")
         if self.barrier_shrink <= 1:
             raise ValueError("barrier_shrink must be > 1")
         if self.outer_rounds < 1 or self.newton_iters < 1:
@@ -253,19 +258,19 @@ def ipn_optimize(
     if t[1] <= t[0] or t[2] <= t[1]:
         raise ValueError("initial point must be strictly feasible")
 
-    # One barrier weight per Newton step, shrunk after each outer round.
-    schedule: list[float] = []
-    mu = config.barrier_init
-    for _round in range(config.outer_rounds):
-        schedule += [mu] * config.newton_iters
-        mu /= config.barrier_shrink
+    def schedule():
+        """One barrier weight per Newton step, shrunk after each outer round."""
+        mu = config.barrier_init
+        for _round in range(config.outer_rounds):
+            yield from itertools.repeat(mu, config.newton_iters)
+            mu /= config.barrier_shrink
 
     spent = 0.0
     best_cost = math.inf
     best_point = t.copy()
     history: list[RoundRecord] = []
 
-    for iteration, mu in enumerate(schedule):
+    for iteration, mu in enumerate(schedule()):
         if spent + 7 > budget + 1e-12:
             break
         iter_seed = derive_seed(seed, "ipn", iteration)
@@ -288,6 +293,8 @@ def ipn_optimize(
 
         grad = grad_j + mu * _barrier_gradient(t)
         hess = np.diag(hess_diag) + mu * _barrier_hessian(t)
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            break  # the stencil or the barrier overflowed: no Newton step to take
         ridge = 0.0
         while True:
             try:
@@ -418,7 +425,10 @@ def spsa_optimize(
             objective, t, schedule.perturbation(k), delta, derive_seed(seed, "spsa", k)
         )
         spent += 2.0
-        t = project_thresholds(t - schedule.gain(k) * grad, min_spacing)
+        step = project_thresholds(t - schedule.gain(k) * grad, min_spacing)
+        if not np.isfinite(step).all():
+            break  # the step left the float range: there is no iterate to take
+        t = step
         k += 1
         if k % SPSA_PROBE_EVERY == 0 and spent + 1 <= budget + 1e-12:
             probe = objective.evaluate(t.copy(), derive_seed(seed, "spsa-probe", k), 1.0)

@@ -31,7 +31,7 @@ from .baselines import (
 )
 from .cma import default_params
 from .config import config_hash, spec_to_config
-from .feedback import DEFAULT_ACTIONS, StateActionTable, ThresholdVector
+from .feedback import DEFAULT_ACTIONS, StateActionTable, ThresholdVector, check_weights
 from .objective import IsacObjective
 from .race import RacingConfig, inverse_feasible, map_unconstrained, race_cma_optimize
 from .scenario import ScenarioConfig, desk_scenario
@@ -102,6 +102,21 @@ class ExperimentSpec:
             raise ValueError("sweep_stage2_repetitions must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.map_min_samples < 1:
+            raise ValueError("map_min_samples must be >= 1")
+        x_min, x_max, y_min, y_max = self.ue_box
+        if not (x_min < x_max and y_min < y_max):
+            raise ValueError("ue_box must have positive extent: x_min < x_max, y_min < y_max")
+        if not self.resi_bounds[0] <= self.resi_bounds[1]:
+            raise ValueError("resi_bounds must be ordered: low <= high")
+        # IPN needs a strictly ordered start, even from three equal draws.
+        for end in self.resi_bounds:
+            t = project_thresholds(np.full(3, end), self.racing.min_spacing)
+            if not t[0] < t[1] < t[2]:
+                raise ValueError("racing.min_spacing vanishes in rounding next to "
+                                 f"experiment.resi_bounds value {end}")
+        check_weights(self.weights)
+        check_weights(self.sweep_weights)
         fixed = self.fixed_thresholds
         if not fixed.t1 <= fixed.t2 <= fixed.t3:
             raise ValueError("fixed_thresholds must be ordered: t1 <= t2 <= t3")

@@ -12,6 +12,7 @@ the key table in the README (:func:`key_table`).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
@@ -77,6 +78,8 @@ class SchemaKey:
             values = [_bool(p) if self.item is bool else self.item(p) for p in parts]
         except ValueError:
             raise ConfigError(f"{key} expects {self.describe()}, got {raw!r}") from None
+        if self.item is float and not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} expects finite values, got {raw!r}")
         if self.pack is None:
             return values[0]
         return tuple(values) if self.pack is tuple else self.pack(*values)

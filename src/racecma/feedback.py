@@ -341,6 +341,13 @@ class ObjectiveValues:
     det_vacuous: bool = False
 
 
+def check_weights(weights: tuple[float, float, float]) -> None:
+    """Reject objective weights that are negative or all zero."""
+    w_det, w_lat, w_pow = weights
+    if w_det < 0 or w_lat < 0 or w_pow < 0 or w_det + w_lat + w_pow == 0:
+        raise ValueError("weights must be nonnegative and not all zero")
+
+
 def scalarize(
     j_det: float,
     j_lat: float,
@@ -349,9 +356,8 @@ def scalarize(
     weights: tuple[float, float, float] = (1.0, 0.0, 0.0),
 ) -> float:
     """Weighted cost: miss fraction + normalized latency + power overhead."""
+    check_weights(weights)
     w_det, w_lat, w_pow = weights
-    if w_det < 0 or w_lat < 0 or w_pow < 0 or w_det + w_lat + w_pow == 0:
-        raise ValueError("weights must be nonnegative and not all zero")
     return w_det * (1.0 - j_det) + w_lat * (j_lat / horizon) + w_pow * j_pow
 
 

@@ -90,7 +90,7 @@ class RepeatedEstimate:
     """Mean/variance summary of repeated evaluations at one point.
 
     ``variance`` is the unbiased sample variance and is None for a single
-    repetition; inverse-variance weighting substitutes a prior in that case.
+    repetition; inverse-variance weighting counts that as variance 0.
     """
 
     mean: float

@@ -11,7 +11,7 @@ weights so noisier elite estimates pull the distribution less.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -169,12 +169,11 @@ def stage1_screen(
     )
 
 
-def promote(values: np.ndarray, promotion_fraction: float) -> np.ndarray:
+def promote(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k best screening values (ascending index on ties)."""
     values = np.asarray(values, float)
-    k = max(1, int(promotion_fraction * len(values)))
-    if k > len(values):
-        raise ValueError("cannot promote more candidates than screened")
+    if not 1 <= k <= len(values):
+        raise ValueError("can only promote between one and all screened candidates")
     order = np.argsort(values, kind="stable")
     return np.sort(order[:k])
 
@@ -183,19 +182,15 @@ def stage2_refine(
     points: Sequence,
     objective: StochasticObjective,
     plan: CrnSeedPlan,
-    repetitions: int,
     truncation: float = 1.0,
 ) -> list[RepeatedEstimate]:
-    """Repeated evaluation of the promoted candidates under shared seeds.
+    """Evaluate each promoted candidate once under each Stage-2 seed of the plan.
 
     ``truncation`` below 1 emulates early stopping by shortening each
     evaluation (and its charge) to that fraction of a full one.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    seeds = plan.stage2_seeds[:repetitions]
     return [
-        evaluate_repeated(objective, point, seeds, truncation, kind="stage2")
+        evaluate_repeated(objective, point, plan.stage2_seeds, truncation, kind="stage2")
         for point in points
     ]
 
@@ -203,30 +198,23 @@ def stage2_refine(
 def assemble_ranking(
     stage1_values: np.ndarray,
     promoted: np.ndarray,
-    estimates: Sequence[RepeatedEstimate],
+    means: Sequence[float],
+    variances: Sequence[float],
     weighting_floor: float,
-    prior_variance: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge both stages into per-candidate (cost, variance) arrays.
 
-    Promoted candidates carry their Stage-2 mean and variance (prior when a
-    single repetition leaves the variance undefined); the rest keep their
-    screening value plus a tie-breaking offset and inherit the worst
+    Promoted candidates carry their Stage-2 mean and variance; the rest keep
+    their screening value plus a tie-breaking offset and inherit the worst
     promoted variance, which keeps them rankable but down-weighted.
     """
-    if len(estimates) != len(promoted):
-        raise ValueError("need exactly one estimate per promoted candidate")
-    lam = len(stage1_values)
+    if not len(means) == len(variances) == len(promoted):
+        raise ValueError("need exactly one mean and variance per promoted candidate")
     costs = np.asarray(stage1_values, float) + weighting_floor
-    variances = np.empty(lam)
-    promoted_vars = np.array(
-        [e.variance if e.variance is not None else prior_variance for e in estimates]
-    )
-    variances[:] = promoted_vars.max() if len(promoted_vars) else prior_variance
-    for idx, est in zip(promoted, estimates):
-        costs[idx] = est.mean
-        variances[idx] = est.variance if est.variance is not None else prior_variance
-    return costs, variances
+    ranking_variances = np.full(len(costs), np.max(variances))
+    costs[promoted] = means
+    ranking_variances[promoted] = variances
+    return costs, ranking_variances
 
 
 def uncertainty_weights(
@@ -289,7 +277,6 @@ def race_cma_optimize(
     spent = Fraction(0)
     best_cost = math.inf
     best_point = mapper(state.mean)
-    seen_variances: list[float] = []
     history: list[GenerationReport] = []
 
     while float(spent + gen_cost) <= budget + 1e-12 and state.sigma > SIGMA_STOP:
@@ -303,21 +290,22 @@ def race_cma_optimize(
         mapped = [mapper(u) for u in points]
 
         stage1 = stage1_screen(mapped, objective, plan, racing.fidelity_ratio)
-        promoted = promote(stage1, racing.promotion_fraction)
+        promoted = promote(stage1, racing.promoted_count(params.lam))
         estimates = stage2_refine(
-            [mapped[i] for i in promoted], objective, plan,
-            racing.repetitions, racing.truncation,
+            [mapped[i] for i in promoted], objective, plan, racing.truncation
         )
-        seen_variances.extend(e.variance for e in estimates if e.variance is not None)
-        prior = float(np.median(seen_variances)) if seen_variances else 0.0
+        means = [e.mean for e in estimates]
+        # Every estimate has racing.repetitions values: all variances are
+        # None at one repetition, which counts as no spread, and none at more.
+        stage2_variances = [0.0 if e.variance is None else e.variance for e in estimates]
         costs, variances = assemble_ranking(
-            stage1, promoted, estimates, racing.weighting_floor, prior
+            stage1, promoted, means, stage2_variances, racing.weighting_floor
         )
         spent += gen_cost
 
-        for idx, est in zip(promoted, estimates):
-            if est.mean < best_cost:
-                best_cost = est.mean
+        for idx, mean in zip(promoted, means):
+            if mean < best_cost:
+                best_cost = mean
                 best_point = mapped[idx]
 
         order = np.argsort(costs, kind="stable")
@@ -327,11 +315,7 @@ def race_cma_optimize(
         )
         state = update(state, params, points[elite_idx], weights)
         if state.generation <= racing.diagonal_warmup_generations:
-            state = CmaState(
-                mean=state.mean, sigma=state.sigma, cov=np.diag(np.diag(state.cov)),
-                path_sigma=state.path_sigma, path_cov=state.path_cov,
-                generation=state.generation,
-            )
+            state = replace(state, cov=np.diag(np.diag(state.cov)))
 
         history.append(
             GenerationReport(
@@ -339,10 +323,8 @@ def race_cma_optimize(
                 mean=tuple(state.mean), sigma=state.sigma,
                 stage1_values=tuple(float(v) for v in stage1),
                 promoted=tuple(int(i) for i in promoted),
-                stage2_means=tuple(e.mean for e in estimates),
-                stage2_variances=tuple(
-                    e.variance if e.variance is not None else prior for e in estimates
-                ),
+                stage2_means=tuple(means),
+                stage2_variances=tuple(stage2_variances),
                 effective_weights=tuple(float(w) for w in weights),
                 ledger_delta=float(gen_cost),
             )

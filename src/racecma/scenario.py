@@ -124,10 +124,14 @@ class ScenarioConfig:
         p_lo, p_hi = self.tx_power_range_dbm
         if not (p_lo <= self.tx_power_dbm <= p_hi):
             raise ValueError("tx_power_dbm outside the configured budget range")
+        try:
+            dbm_to_watt(p_hi)
+        except OverflowError:
+            raise ValueError("tx_power_range_dbm exceeds the float range in watts") from None
         if self.symbol_duration <= 0 or self.sensing_horizon <= 0:
             raise ValueError("durations must be positive")
-        if self.subcarrier_spacing <= 0:
-            raise ValueError("subcarrier_spacing must be positive")
+        if self.carrier_freq <= 0 or self.subcarrier_spacing <= 0:
+            raise ValueError("carrier_freq and subcarrier_spacing must be positive")
         # The bins radar.matched_filter scans, which it rejects outside the
         # unambiguous range of the OFDM grid.
         delays = np.linspace(*self.delay_window, self.n_delay_bins)
@@ -140,8 +144,17 @@ class ScenarioConfig:
                              "[-0.5/symbol_duration, 0.5/symbol_duration]")
         if not (0.0 < self.null_fraction < 1.0):
             raise ValueError("null_fraction must lie in (0, 1)")
-        if self.interference_factor < 0:
-            raise ValueError("interference_factor must be >= 0")
+        if self.interference_factor < 0 or self.heading_jitter < 0:
+            raise ValueError("interference_factor and heading_jitter must be >= 0")
+        try:
+            noise = self.noise_variance
+        except OverflowError:  # 10 ** (noise_figure_db / 10) beyond the float range
+            noise = math.inf
+        # The noise-floor estimate squares noise samples: keep those normal floats.
+        if not 1e-300 < noise < math.inf:
+            raise ValueError("noise power per resource element must lie in (1e-300, inf) W; "
+                             "check noise_figure_db, noise_bandwidth_scale, "
+                             "interference_factor and subcarrier_spacing")
 
     # Derived quantities -------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,13 @@ class TestMap:
         assert t.dtype == float and t.shape == (3,)
         assert t[0] <= t[1] <= t[2]
 
+    def test_map_calibrate_rejects_non_finite_echo_strengths(self, desk):
+        # A BS 1e300 m away overflows the delay phase ramps, so every echo
+        # strength is nan and there are no densities to fit.
+        objective = IsacObjective(replace(desk, bs_position=(1e300, 0.0)))
+        with pytest.raises(CalibrationError, match="must be finite"):
+            map_calibrate(objective, seed=3, episodes=1, min_samples=1)
+
 
 class TestIpn:
     def test_quadratic_oracle_converges(self):
@@ -130,6 +138,20 @@ class TestIpn:
         obj = SyntheticObjective(sphere)
         with pytest.raises(ValueError):
             ipn_optimize(obj, np.array([2.0, 2.0, 3.0]), IpnConfig(), 50.0, 0)
+
+    def test_schedule_holds_only_the_steps_taken(self):
+        # Far more Newton steps than any budget pays for, none built ahead.
+        obj = SyntheticObjective(sphere)
+        ipn_optimize(obj, np.array([1.0, 2.0, 3.0]), IpnConfig(newton_iters=10**15), 7.0, 1)
+        assert obj.ledger.n_eq == 7.0
+
+    def test_overflowing_stencil_stops_the_descent(self):
+        # Costs near 1e308 overflow the second differences: with no finite
+        # Hessian there is no ridge that makes the solve definite.
+        obj = SyntheticObjective(lambda x: 1e307 * sphere(x))
+        result = ipn_optimize(obj, np.array([1.0, 2.0, 3.0]), IpnConfig(), 50.0, 0)
+        assert obj.ledger.n_eq == 7.0
+        assert result.history == []
 
 
 class TestSpsaGradient:
@@ -194,6 +216,13 @@ class TestSpsaOptimize:
                                    budget=200.0, seed=seed)
             errors.append(float(np.max(np.abs(result.best_point - target))))
         assert float(np.median(errors)) < 0.1
+
+    def test_overflowing_step_keeps_the_last_finite_iterate(self):
+        obj = SyntheticObjective(lambda x: 1e300 * sphere(x))
+        result = spsa_optimize(obj, np.array([1.0, 2.0, 3.0]), SpsaSchedule(a=1e300),
+                               budget=20.0, seed=0)
+        assert obj.ledger.n_eq == 2.0
+        assert result.best_point.tolist() == [1.0, 2.0, 3.0]
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

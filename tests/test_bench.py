@@ -1,10 +1,13 @@
+import argparse
 import csv
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from racecma import cma as cma_mod
 from racecma import validate as validate_mod
@@ -19,7 +22,8 @@ from racecma.bench import (
     _mean_ci,
     _rep_env,
 )
-from racecma.cli import main
+from racecma.cli import build_spec, main
+from racecma.config import schema
 from racecma.objective import CostLedger
 from racecma.validate import validate
 
@@ -167,12 +171,62 @@ class TestHelpers:
         assert cfg["racing.truncation"] == "0.8"
 
 
+# The tiny run every accepted spec must finish: compare, sweep and converge
+# with a 0.032 s horizon, one repetition, one generation and budget 12.
+TINY_RUN = {
+    "scenario.sensing_horizon": "0.032", "experiment.repetitions": "1",
+    "experiment.budget": "12", "experiment.generations": "1",
+    "experiment.eval_repeats": "1", "experiment.map_episodes": "1",
+}
+# Keys that set how much work a run does. A huge value there asks for
+# unbounded work by design, so they draw small boundary values only.
+WORK_VALUES = {
+    "experiment.budget": ["-1", "0", "1", "6", "12", "24"],
+    "scenario.sensing_horizon": ["-1", "0", "1e-300", "0.001", "0.032"],
+    # Frames per horizon grow as the symbol duration shrinks.
+    "scenario.symbol_duration": ["-1", "0", "1e-5", "1e-4", "1e300"],
+}
+WORK_COUNTS = {
+    "experiment.repetitions", "experiment.generations", "experiment.eval_repeats",
+    "experiment.map_episodes", "cma.population", "scenario.n_bs_antennas",
+    "scenario.n_ue_antennas", "scenario.n_subcarriers", "scenario.n_symbols",
+    "scenario.n_beams", "scenario.n_delay_bins", "scenario.n_doppler_bins",
+}
+WORK_LISTS = {"experiment.power_grid", "experiment.convergence_powers"}
+INTS = ["-9223372036854775808", "-1", "0", "1", "2", "9223372036854775807"]
+FLOATS = ["0", "-0.0", "-1", "-1e300", "1e300", "1e-300", "0.5", "1", "3", "25", "nan", "-inf"]
+
+
+def key_values(key: str):
+    """Raw config values for one key, drawn from the key's type."""
+    entry = schema(ExperimentSpec)[key]
+    if key in WORK_VALUES:
+        return st.sampled_from(WORK_VALUES[key])
+    if entry.item is bool:
+        item = st.sampled_from(["true", "false"])
+    elif entry.item is str:
+        item = st.sampled_from(["MAP", "IPN", "SPSA", "CMA-ES", "RACE-CMA", "FOO"])
+    elif entry.item is int:
+        item = st.sampled_from(["-1", "0", "1", "2", "3"] if key in WORK_COUNTS else INTS)
+    else:
+        item = st.sampled_from(FLOATS)
+    if entry.pack is None:
+        return item
+    if entry.count is None:  # a list of any length; an empty one is a syntax error
+        sizes = st.integers(0, 3 if key in WORK_LISTS else 4)
+    else:  # the right length, one short or one long
+        sizes = st.sampled_from([entry.count - 1, entry.count, entry.count + 1])
+    return sizes.flatmap(lambda n: st.lists(item, min_size=n, max_size=n)).map(",".join)
+
+
+def spec_overrides():
+    keys = st.lists(st.sampled_from(sorted(schema(ExperimentSpec))),
+                    min_size=1, max_size=3, unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: key_values(k) for k in ks}))
+
+
 class TestCli:
     def test_flagless_spec_equals_benchmark_defaults(self):
-        import argparse
-
-        from racecma.cli import build_spec
-
         ns = argparse.Namespace(config=None, seed=None, reps=None, budget=None,
                                 methods=None, jobs=None)
         assert build_spec(ns) == ExperimentSpec()
@@ -264,11 +318,38 @@ class TestCli:
          "doppler_window outside the unambiguous range"),
         (["--config", "scenario.delay_window = 0.05e-6,1e-3"],
          "delay_window outside the unambiguous range"),
+        (["--config", "experiment.ue_box = 0,0,0,0"], "ue_box must have positive extent"),
+        (["--config", "experiment.ue_box = 20,-20,15,5"], "ue_box must have positive extent"),
+        (["--config", "experiment.resi_bounds = 6,0.05"], "resi_bounds must be ordered"),
+        (["--config", "weights.detection = 0\nweights.latency = 0\nweights.power = 0"],
+         "weights must be nonnegative and not all zero"),
+        (["--config", "weights.power = -1"], "weights must be nonnegative and not all zero"),
+        (["--config", "experiment.sweep_weights = 0,0,0"],
+         "weights must be nonnegative and not all zero"),
+        (["--config", "scenario.carrier_freq = 0"], "carrier_freq and subcarrier_spacing must"),
+        (["--config", "scenario.noise_bandwidth_scale = 0"],
+         "noise power per resource element must lie in (1e-300, inf) W"),
+        (["--config", "scenario.noise_bandwidth_scale = -1"],
+         "noise power per resource element must lie in (1e-300, inf) W"),
+        (["--config", "experiment.map_min_samples = 0"], "map_min_samples must be >= 1"),
+        (["--config", "experiment.map_min_samples = -5"], "map_min_samples must be >= 1"),
+        (["--config", "scenario.heading_jitter = -1"], "heading_jitter must be >= 0"),
+        (["--config", "scenario.noise_figure_db = 1e300"],
+         "noise power per resource element must lie in (1e-300, inf) W"),
+        (["--config", "scenario.tx_power_range_dbm = 10,1e300"],
+         "tx_power_range_dbm exceeds the float range in watts"),
+        (["--config", "ipn.fd_step = 1e300"], "fd_step squared"),
+        (["--config", "ipn.fd_step = 1e-300"], "fd_step squared"),
+        (["--config", "experiment.resi_bounds = 1e300,1e300"],
+         "racing.min_spacing vanishes in rounding"),
+        (["--config", "experiment.resi_bounds = 3,3\nracing.min_spacing = 1e-300"],
+         "racing.min_spacing vanishes in rounding"),
+        (["--config", "scenario.carrier_freq = nan"], "expects finite values"),
     ])
     def test_bad_spec_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                              flags, message):
         monkeypatch.chdir(tmp_path)
-        if "=" in flags[-1]:  # a config line: run with a file that holds it
+        if "=" in flags[-1]:  # config lines: run with a file that holds them
             Path("bad.cfg").write_text(flags[-1] + "\n")
             flags = [*flags[:-1], "bad.cfg"]
         with pytest.raises(SystemExit) as exc:
@@ -309,3 +390,27 @@ class TestCli:
         assert exc.value.code == 2
         assert "--full reads generation 4" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(overrides=spec_overrides())
+    def test_any_spec_is_rejected_or_runs_to_the_end(self, overrides):
+        cfg = {**TINY_RUN, **overrides}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.cfg"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+            args = argparse.Namespace(config=path, seed=None, reps=None, budget=None,
+                                      methods=None, jobs=None)
+            try:
+                build_spec(args)
+                rejected = False
+            except ValueError:
+                rejected = True
+            for command in ("compare", "sweep", "converge"):
+                out = Path(tmp) / command
+                if rejected:
+                    with pytest.raises(SystemExit) as exc:
+                        main([command, "--config", str(path), "--out", str(out)])
+                    assert exc.value.code == 2
+                    assert not out.exists()
+                else:
+                    assert main([command, "--config", str(path), "--out", str(out)]) == 0

@@ -25,7 +25,6 @@ from racecma import (
 )
 from racecma import race as race_mod
 from racecma.cma import update
-from racecma.objective import RepeatedEstimate
 
 
 def sphere(x):
@@ -158,17 +157,18 @@ class TestStages:
         assert obj.ledger.exact_total == Fraction(12, 5)
 
     def test_promote_picks_smallest(self):
-        assert promote(np.array([3.0, 1.0, 4.0, 2.0]), 0.5).tolist() == [1, 3]
-        assert promote(np.array([3.0, 1.0, 4.0, 2.0]), 1.0).tolist() == [0, 1, 2, 3]
-        assert promote(np.array([2.0, 2.0, 2.0, 2.0]), 0.5).tolist() == [0, 1]
+        assert promote(np.array([3.0, 1.0, 4.0, 2.0]), 2).tolist() == [1, 3]
+        assert promote(np.array([3.0, 1.0, 4.0, 2.0]), 4).tolist() == [0, 1, 2, 3]
+        assert promote(np.array([2.0, 2.0, 2.0, 2.0]), 2).tolist() == [0, 1]
 
     def test_promote_floor_keeps_one(self):
-        assert promote(np.array([5.0, 1.0]), 0.1).tolist() == [1]
+        assert RacingConfig(promotion_fraction=0.1).promoted_count(2) == 1
+        assert promote(np.array([5.0, 1.0]), 1).tolist() == [1]
 
     def test_stage2_cost_counting(self):
         obj = SyntheticObjective(sphere)
         plan = derive_seed_plan(1, 0, 1)
-        ests = stage2_refine([np.zeros(2)] * 6, obj, plan, repetitions=1)
+        ests = stage2_refine([np.zeros(2)] * 6, obj, plan)
         assert obj.ledger.n_eq == 6.0
         assert obj.ledger.breakdown["stage2"] == (6, 6.0)
         assert all(e.variance is None for e in ests)
@@ -183,23 +183,21 @@ class TestStages:
     def test_deterministic_objective_zero_variance(self):
         obj = SyntheticObjective(sphere)
         plan = derive_seed_plan(1, 0, 3)
-        ests = stage2_refine([np.ones(2)], obj, plan, repetitions=3)
+        ests = stage2_refine([np.ones(2)], obj, plan)
         assert ests[0].variance == 0.0
 
 
 class TestAssembleRanking:
     def test_full_promotion_is_pure_stage2(self):
         stage1 = np.array([0.3, 0.1, 0.2])
-        ests = [RepeatedEstimate(1.0, 0.0, 2), RepeatedEstimate(2.0, 0.0, 2),
-                RepeatedEstimate(3.0, 0.0, 2)]
-        costs, variances = assemble_ranking(stage1, np.array([0, 1, 2]), ests, 1e-8)
+        costs, variances = assemble_ranking(stage1, np.array([0, 1, 2]), [1.0, 2.0, 3.0],
+                                            [0.0, 0.0, 0.0], 1e-8)
         assert costs.tolist() == [1.0, 2.0, 3.0]
         assert variances.tolist() == [0.0, 0.0, 0.0]
 
     def test_non_promoted_carry_offset_and_worst_variance(self):
         stage1 = np.array([0.5, 0.1, 0.9])
-        ests = [RepeatedEstimate(0.2, 0.04, 2)]
-        costs, variances = assemble_ranking(stage1, np.array([1]), ests, 1e-3)
+        costs, variances = assemble_ranking(stage1, np.array([1]), [0.2], [0.04], 1e-3)
         assert costs[1] == 0.2
         assert costs[0] == pytest.approx(0.5 + 1e-3)
         assert variances[0] == 0.04 and variances[2] == 0.04
@@ -209,8 +207,8 @@ class TestAssembleRanking:
         # promoted ones, but inherits the worst promoted variance, so its
         # recombination weight collapses relative to a well-verified elite.
         stage1 = np.array([0.05, 0.3, 0.4])
-        ests = [RepeatedEstimate(0.2, 1e-6, 2), RepeatedEstimate(0.35, 0.5, 2)]
-        costs, variances = assemble_ranking(stage1, np.array([1, 2]), ests, 0.0)
+        costs, variances = assemble_ranking(stage1, np.array([1, 2]), [0.2, 0.35],
+                                            [1e-6, 0.5], 0.0)
         order = np.argsort(costs, kind="stable")
         assert order.tolist() == [0, 1, 2]  # the screened value outranks
         assert variances[0] == 0.5  # worst promoted variance inherited
@@ -219,16 +217,8 @@ class TestAssembleRanking:
 
     def test_zero_offset_merges_by_value(self):
         stage1 = np.array([0.5, 0.1])
-        ests = [RepeatedEstimate(0.3, 0.0, 2)]
-        costs, _ = assemble_ranking(stage1, np.array([1]), ests, 0.0)
+        costs, _ = assemble_ranking(stage1, np.array([1]), [0.3], [0.0], 0.0)
         assert costs.tolist() == [0.5, 0.3]
-
-    def test_single_repetition_uses_prior_variance(self):
-        stage1 = np.array([0.5, 0.1])
-        ests = [RepeatedEstimate(0.3, None, 1)]
-        _, variances = assemble_ranking(stage1, np.array([1]), ests, 0.0,
-                                        prior_variance=0.7)
-        assert variances.tolist() == [0.7, 0.7]
 
 
 class TestUncertaintyWeights:
@@ -344,6 +334,26 @@ class TestRaceOptimize:
             assert len(report.promoted) == racing.promoted_count(params.lam)
             assert len(report.stage1_values) == params.lam
             assert sum(report.effective_weights) == pytest.approx(1.0)
+
+    def test_single_repetition_counts_as_zero_variance(self):
+        # One Stage-2 repetition leaves no sample variance: every estimate
+        # counts as variance 0, so recombination keeps the base weights.
+        # Two repetitions of a noisy objective give real variances.
+        params = default_params(3, 12)
+
+        def reports(repetitions):
+            obj = SyntheticObjective(sphere, noise_std=0.1)
+            result = race_cma_optimize(obj, params, RacingConfig(repetitions=repetitions),
+                                       (np.full(3, 1.0), 1.0), 1e9, 9, max_generations=3)
+            return result.history
+
+        base = tuple(params.weights)
+        single = reports(1)
+        assert all(rec.stage2_variances == (0.0,) * len(rec.promoted) for rec in single)
+        assert all(rec.effective_weights == base for rec in single)
+        double = reports(2)
+        assert all(0.0 not in rec.stage2_variances for rec in double)
+        assert all(rec.effective_weights != base for rec in double)
 
     def test_best_point_comes_from_refined_estimates(self):
         params = default_params(3, 8)
