@@ -35,7 +35,7 @@ from .feedback import (
     InfeasibleThresholdsError,
     ObjectiveValues,
     StateActionTable,
-    ThresholdVector,
+    check_thresholds,
     classify,
     detection_reliability,
     episode_objectives,

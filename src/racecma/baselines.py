@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import ThresholdVector, classify, run_episode
+from .feedback import classify, run_episode
 from .objective import OptimizeResult, RoundRecord, StochasticObjective
 from .scenario import ScenarioConfig
 from .seeding import derive_seed, rng_from
@@ -159,7 +159,7 @@ def map_calibrate(
     crossings. Charges one full evaluation per episode.
     """
     scenario: ScenarioConfig = objective.scenario
-    passive = ThresholdVector(1e9, 2e9, 3e9)
+    passive = (1e9, 2e9, 3e9)
     values: list[float] = []
     for ep in range(episodes):
         trace = run_episode(
@@ -172,10 +172,7 @@ def map_calibrate(
     if not np.all(np.isfinite(x)):
         raise CalibrationError("calibration echo strengths must be finite")
     q = np.quantile(x, [0.5, 0.75, 0.9])
-    provisional = ThresholdVector(
-        float(q[0]), float(max(q[1], q[0] + min_spacing)),
-        float(max(q[2], q[1] + 2 * min_spacing)),
-    )
+    provisional = (q[0], max(q[1], q[0] + min_spacing), max(q[2], q[1] + 2 * min_spacing))
     labels = np.array([classify(v, provisional) for v in x])
     samples_by_state = {s: x[labels == s] for s in range(4)}
     return map_thresholds(samples_by_state, None, min_spacing, min_samples)

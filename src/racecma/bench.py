@@ -31,7 +31,13 @@ from .baselines import (
 )
 from .cma import default_params
 from .config import config_hash, spec_to_config
-from .feedback import DEFAULT_ACTIONS, StateActionTable, ThresholdVector, check_weights
+from .feedback import (
+    DEFAULT_ACTIONS,
+    InfeasibleThresholdsError,
+    StateActionTable,
+    check_thresholds,
+    check_weights,
+)
 from .objective import IsacObjective
 from .race import RacingConfig, inverse_feasible, map_unconstrained, race_cma_optimize
 from .scenario import ScenarioConfig, desk_scenario
@@ -66,9 +72,7 @@ class ExperimentSpec:
     resi_bounds: tuple[float, float] = (0.05, 6.0)
     # Static reference configuration: conservative, interference-proof
     # thresholds of the kind a worst-case network default would use.
-    fixed_thresholds: ThresholdVector = field(
-        default_factory=lambda: ThresholdVector(3.0, 4.5, 6.0)
-    )
+    fixed_thresholds: tuple[float, float, float] = (3.0, 4.5, 6.0)
     ue_box: tuple[float, float, float, float] = (-20.0, 20.0, 5.0, 15.0)
     init_sigma: float = 1.5
     eval_repeats: int = 10
@@ -117,9 +121,10 @@ class ExperimentSpec:
                                  f"experiment.resi_bounds value {end}")
         check_weights(self.weights)
         check_weights(self.sweep_weights)
-        fixed = self.fixed_thresholds
-        if not fixed.t1 <= fixed.t2 <= fixed.t3:
-            raise ValueError("fixed_thresholds must be ordered: t1 <= t2 <= t3")
+        try:
+            check_thresholds(self.fixed_thresholds)
+        except InfeasibleThresholdsError as exc:
+            raise ValueError(f"fixed_{exc}") from None  # "fixed_thresholds must be ..."
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -223,17 +228,11 @@ def run_method(
     spec: ExperimentSpec,
     t0: np.ndarray,
     seed: int,
-    weights: tuple[float, float, float] | None = None,
-    racing: RacingConfig | None = None,
-    generations: int | None = None,
 ) -> MethodRun:
     """Run one optimizer against a fresh objective/ledger."""
-    objective = IsacObjective(
-        scenario, spec.actions, weights if weights is not None else spec.weights
-    )
-    racing_cfg = racing if racing is not None else spec.racing
-    delta = racing_cfg.min_spacing
-    rounds = generations if generations is not None else spec.generations
+    objective = IsacObjective(scenario, spec.actions, spec.weights)
+    delta = spec.racing.min_spacing
+    rounds = spec.generations
 
     if method == "MAP":
         try:
@@ -262,7 +261,7 @@ def run_method(
                 )
             else:
                 result = race_cma_optimize(
-                    objective, params, racing_cfg, init, spec.budget, seed,
+                    objective, params, spec.racing, init, spec.budget, seed,
                     feasible_map=mapper, max_generations=rounds,
                 )
         else:
@@ -358,18 +357,15 @@ def run_compare(spec: ExperimentSpec, out_dir: Path | str) -> list[dict]:
 
 def _sweep_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     racing = replace(spec.racing, repetitions=spec.sweep_stage2_repetitions)
-    fixed = spec.fixed_thresholds.as_array()
     generations = max(
         spec.generations, int(spec.budget // racing.generation_cost(spec.population))
     )
+    tuning = replace(spec, weights=spec.sweep_weights, racing=racing, generations=generations)
     rows = []
     for power in spec.power_grid:
         scenario, t0, seeds, opt_seed = _rep_env(spec, rep, "sweep-", power)
-        tuned = run_method(
-            "RACE-CMA", scenario, spec, t0, opt_seed,
-            weights=spec.sweep_weights, racing=racing, generations=generations,
-        )
-        for variant, thresholds in (("fixed", fixed), ("tuned", tuned.final)):
+        tuned = run_method("RACE-CMA", scenario, tuning, t0, opt_seed)
+        for variant, thresholds in (("fixed", spec.fixed_thresholds), ("tuned", tuned.final)):
             rows.append((rep, power, variant, *assess(scenario, spec.actions, thresholds, seeds)))
     return rows
 

@@ -39,6 +39,14 @@ def _spec_or_exit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error(str(exc))
 
 
+def _make_out(parser: argparse.ArgumentParser, out: Path) -> None:
+    """Create the output directory before any work, with a bad path as a usage error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(str(exc))
+
+
 def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
     parser.add_argument("--config", type=Path, help="key-value config file")
     parser.add_argument("--seed", type=int, help="master seed override")
@@ -90,6 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         if full_spec and full_spec.generations < CONVERGENCE_GENERATION:
             val.error(f"--full reads generation {CONVERGENCE_GENERATION}; "
                       f"experiment.generations is {full_spec.generations}")
+        if args.out:
+            _make_out(val, args.out)
         passed, results = validate(
             level="full" if args.full else "quick",
             full_spec=full_spec,
@@ -102,6 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if passed else 1
 
     spec = _spec_or_exit(commands[args.command], args)
+    _make_out(commands[args.command], args.out)
     if args.command == "compare":
         for row in run_compare(spec, args.out):
             print(

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
-from .feedback import ThresholdVector
 from .scenario import Rect
 
 
@@ -101,7 +100,7 @@ class SchemaKey:
 
 
 # Written as their comma-separated fields, not as a section of their own.
-_VALUE_TYPES = (Rect, ThresholdVector)
+_VALUE_TYPES = (Rect,)
 # Spec fields whose keys depart from ``experiment.<field>``.
 _RENAMED = {"experiment.population": "cma.population"}
 _ITEM_KEYS = {"experiment.weights": ("weights.detection", "weights.latency", "weights.power")}
@@ -118,8 +117,8 @@ def schema(spec_type: type) -> dict[str, SchemaKey]:
     config objects nested inside it flattened into that section. Every other
     spec field is an ``experiment.*`` key. Value types come from the field
     annotations: ``tuple[float, ...]`` is a list of any length, while
-    ``tuple[float, float]``, ``Rect`` and ``ThresholdVector`` take exactly as
-    many values as they have entries.
+    ``tuple[float, float]`` and ``Rect`` take exactly as many values as they
+    have entries.
     """
     keys: dict[str, SchemaKey] = {}
 

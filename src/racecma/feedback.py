@@ -14,7 +14,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,39 +27,28 @@ class InfeasibleThresholdsError(ValueError):
     """Raised for a non-finite or unordered threshold vector."""
 
 
-@dataclass(frozen=True)
-class ThresholdVector:
-    """Three ordered decision thresholds in echo-strength units."""
-
-    t1: float
-    t2: float
-    t3: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(t) for t in (self.t1, self.t2, self.t3)):
-            raise InfeasibleThresholdsError("thresholds must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t1, self.t2, self.t3])
-
-    @classmethod
-    def from_array(cls, values) -> "ThresholdVector":
-        t1, t2, t3 = (float(v) for v in values)
-        return cls(t1, t2, t3)
+def check_thresholds(thresholds: Sequence[float]) -> tuple[float, float, float]:
+    """Three decision thresholds (a tuple, list or array, in echo-strength
+    units) as floats, after checking that they are finite and ordered."""
+    t1, t2, t3 = (float(t) for t in thresholds)
+    if not all(math.isfinite(t) for t in (t1, t2, t3)):
+        raise InfeasibleThresholdsError("thresholds must be finite")
+    if not t1 <= t2 <= t3:
+        raise InfeasibleThresholdsError("thresholds must be ordered: t1 <= t2 <= t3")
+    return t1, t2, t3
 
 
-def classify(x: float, thresholds: ThresholdVector) -> int:
+def classify(x: float, thresholds: Sequence[float]) -> int:
     """Map an echo-strength value to a hypothesis state (upper-inclusive).
 
     State 0 for x <= t1, 1 for t1 < x <= t2, 2 for t2 < x <= t3, 3 above.
     """
-    if not (thresholds.t1 <= thresholds.t2 <= thresholds.t3):
-        raise InfeasibleThresholdsError("thresholds must be ordered")
-    if x <= thresholds.t1:
+    t1, t2, t3 = check_thresholds(thresholds)
+    if x <= t1:
         return 0
-    if x <= thresholds.t2:
+    if x <= t2:
         return 1
-    if x <= thresholds.t3:
+    if x <= t3:
         return 2
     return 3
 
@@ -231,7 +220,7 @@ WORLDS = WorldCache(MAX_WORLD_FRAMES)
 
 def run_episode(
     scenario: ScenarioConfig,
-    thresholds: ThresholdVector,
+    thresholds: Sequence[float],
     actions: StateActionTable = DEFAULT_ACTIONS,
     seed: int = 0,
     fidelity: float = 1.0,
@@ -249,6 +238,7 @@ def run_episode(
     """
     if not 0.0 < fidelity <= 1.0:
         raise ValueError("fidelity must lie in (0, 1]")
+    t1, t2, t3 = check_thresholds(thresholds)
     n_frames = math.ceil(fidelity * scenario.frame_count)
     world = WORLDS.world(scenario, seed, n_frames)
     targets, bearings, cells = world.targets, world.bearings, world.cells
@@ -281,7 +271,8 @@ def run_episode(
                 misses += 1
             measured += 1
             resi[t] = belief
-            states[t] = classify(belief, thresholds)
+            # classify(belief, thresholds), with the check done once above.
+            states[t] = 0 if belief <= t1 else 1 if belief <= t2 else 2 if belief <= t3 else 3
             power[t] = eta
         else:
             resi[t] = belief
@@ -304,7 +295,7 @@ class DetectionReliability(NamedTuple):
     vacuous: bool
 
 
-def detection_reliability(trace: EpisodeTrace, thresholds: ThresholdVector) -> DetectionReliability:
+def detection_reliability(trace: EpisodeTrace, thresholds: Sequence[float]) -> DetectionReliability:
     """Fraction of in-region frames with the beam on target and echo above t1.
 
     When the target never enters the region the metric is vacuously 1 and
@@ -313,16 +304,16 @@ def detection_reliability(trace: EpisodeTrace, thresholds: ThresholdVector) -> D
     eligible = int(np.sum(trace.in_region))
     if eligible == 0:
         return DetectionReliability(1.0, True)
-    hits = int(np.sum(trace.in_beam & (trace.resi > thresholds.t1)))
+    hits = int(np.sum(trace.in_beam & (trace.resi > thresholds[0])))
     return DetectionReliability(hits / eligible, False)
 
 
-def sensing_latency(trace: EpisodeTrace, thresholds: ThresholdVector) -> int:
+def sensing_latency(trace: EpisodeTrace, thresholds: Sequence[float]) -> int:
     """Frames spent below the locked state while the target is in region.
 
     If no frame ever exceeds t1 the full horizon is returned.
     """
-    if not np.any(trace.resi > thresholds.t1):
+    if not np.any(trace.resi > thresholds[0]):
         return trace.horizon
     return int(np.sum(trace.in_region & (trace.states < 3)))
 
@@ -363,7 +354,7 @@ def scalarize(
 
 def episode_objectives(
     trace: EpisodeTrace,
-    thresholds: ThresholdVector,
+    thresholds: Sequence[float],
     weights: tuple[float, float, float] = (1.0, 0.0, 0.0),
 ) -> ObjectiveValues:
     det = detection_reliability(trace, thresholds)

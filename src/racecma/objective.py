@@ -20,7 +20,6 @@ from .feedback import (
     DEFAULT_ACTIONS,
     ObjectiveValues,
     StateActionTable,
-    ThresholdVector,
     episode_objectives,
     run_episode,
 )
@@ -172,9 +171,8 @@ class IsacObjective:
     def peek_values(self, point, seed: int, fidelity: float = 1.0) -> ObjectiveValues:
         """Episode objectives of a threshold triple without charging the
         ledger (assessment use)."""
-        thresholds = ThresholdVector.from_array(point)
-        trace = run_episode(self.scenario, thresholds, self.actions, seed, fidelity)
-        return episode_objectives(trace, thresholds, self.weights)
+        trace = run_episode(self.scenario, point, self.actions, seed, fidelity)
+        return episode_objectives(trace, point, self.weights)
 
     def evaluate(self, point, seed: int, fidelity: float = 1.0, kind: str = "full") -> float:
         values = self.peek_values(point, seed, fidelity)

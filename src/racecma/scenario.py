@@ -155,6 +155,27 @@ class ScenarioConfig:
             raise ValueError("noise power per resource element must lie in (1e-300, inf) W; "
                              "check noise_figure_db, noise_bandwidth_scale, "
                              "interference_factor and subcarrier_spacing")
+        # radar.realize_channel turns path lengths and the wavelength into
+        # delay and Doppler phase ramps, which are nan once either overflows.
+        # A step no longer than the region's shorter side needs at most one
+        # reflection to end inside the region, so the target never leaves it
+        # and its distances to the BS and the UE stay below the corners'.
+        if not math.isfinite(self.wavelength):
+            raise ValueError("carrier_freq is too small: the wavelength overflows")
+        r = self.region
+        bs = np.asarray(self.bs_position, float)
+        ue = np.asarray(self.ue_position, float)
+        corners = np.array([(x, y) for x in (r.x_min, r.x_max) for y in (r.y_min, r.y_max)])
+        with np.errstate(over="ignore"):
+            distances = [np.linalg.norm(ue - bs)]
+            distances += [np.linalg.norm(c - p) for c in corners for p in (bs, ue)]
+        if not all(math.isfinite(d) for d in distances):
+            raise ValueError("bs_position, ue_position and region must lie within finite "
+                             "distances of each other")
+        step = abs(self.target_speed) * self.frame_duration
+        if not step <= min(r.x_max - r.x_min, r.y_max - r.y_min):
+            raise ValueError("target_speed * frame_duration must not exceed the "
+                             "region's shorter side")
 
     # Derived quantities -------------------------------------------------
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from racecma import baselines as baselines_mod
 from racecma import (
     CalibrationError,
     IpnConfig,
@@ -14,6 +15,7 @@ from racecma import (
     map_calibrate,
     map_thresholds,
     posterior_crossing,
+    run_episode,
     spsa_gradient,
     spsa_optimize,
 )
@@ -94,10 +96,15 @@ class TestMap:
         assert t.dtype == float and t.shape == (3,)
         assert t[0] <= t[1] <= t[2]
 
-    def test_map_calibrate_rejects_non_finite_echo_strengths(self, desk):
-        # A BS 1e300 m away overflows the delay phase ramps, so every echo
-        # strength is nan and there are no densities to fit.
-        objective = IsacObjective(replace(desk, bs_position=(1e300, 0.0)))
+    def test_map_calibrate_rejects_non_finite_echo_strengths(self, desk, monkeypatch):
+        # ScenarioConfig rejects the geometries whose phase ramps overflow to
+        # nan echo strengths (a BS 1e300 m away, say), so the nan is injected.
+        def nan_episode(*args, **kwargs):
+            trace = run_episode(*args, **kwargs)
+            return replace(trace, resi=np.full(trace.horizon, np.nan))
+
+        monkeypatch.setattr(baselines_mod, "run_episode", nan_episode)
+        objective = IsacObjective(desk)
         with pytest.raises(CalibrationError, match="must be finite"):
             map_calibrate(objective, seed=3, episodes=1, min_samples=1)
 

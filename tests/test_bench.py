@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from racecma import cli as cli_mod
 from racecma import cma as cma_mod
 from racecma import validate as validate_mod
 from racecma.bench import (
@@ -150,7 +151,7 @@ class TestHelpers:
     def test_unknown_method_rejected(self, desk):
         spec = tiny_spec()
         with pytest.raises(ValueError):
-            run_method("NEWTON", desk, spec, spec.fixed_thresholds.as_array(), 1)
+            run_method("NEWTON", desk, spec, np.array(spec.fixed_thresholds), 1)
         with pytest.raises(ValueError):
             ExperimentSpec(methods=("GRADIENT",))
 
@@ -159,6 +160,8 @@ class TestHelpers:
         ("budget", 0.0, "budget must be positive"),
         ("eval_repeats", 0, "eval_repeats must be >= 1"),
         ("map_episodes", 0, "map_episodes must be >= 1"),
+        ("fixed_thresholds", (math.inf, 4.5, 6.0), "fixed_thresholds must be finite"),
+        ("fixed_thresholds", (3.0, math.nan, 6.0), "fixed_thresholds must be finite"),
     ])
     def test_meaningless_specs_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -345,6 +348,13 @@ class TestCli:
         (["--config", "experiment.resi_bounds = 3,3\nracing.min_spacing = 1e-300"],
          "racing.min_spacing vanishes in rounding"),
         (["--config", "scenario.carrier_freq = nan"], "expects finite values"),
+        (["--config", "scenario.bs_position = 1e300,0"],
+         "must lie within finite distances of each other"),
+        (["--config", "scenario.target_speed = 1e300"],
+         "target_speed * frame_duration must not exceed the region's shorter side"),
+        (["--config", "scenario.carrier_freq = 1e-300"], "the wavelength overflows"),
+        (["--config", "scenario.region = -1e200,1e200,25,75"],
+         "must lie within finite distances of each other"),
     ])
     def test_bad_spec_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                              flags, message):
@@ -357,6 +367,25 @@ class TestCli:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--reps", "1", "--methods", "CMA-ES", "--budget", "12"], ["validate"],
+    ])
+    @pytest.mark.parametrize("out", ["taken", "taken/o"])
+    def test_bad_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, out):
+        # An existing file, or a path under one, fails before any repetition runs.
+        def never(*args, **kwargs):
+            raise AssertionError("ran with an unusable --out")
+
+        monkeypatch.setattr(cli_mod, "run_compare", never)
+        monkeypatch.setattr(cli_mod, "validate", never)
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("kept\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", out])
+        assert exc.value.code == 2
+        assert "taken" in capsys.readouterr().err
+        assert Path("taken").read_text() == "kept\n"
 
     def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

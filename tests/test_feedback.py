@@ -9,7 +9,6 @@ from racecma import (
     EpisodeTrace,
     InfeasibleThresholdsError,
     StateActionTable,
-    ThresholdVector,
     classify,
     detection_reliability,
     episode_objectives,
@@ -19,7 +18,7 @@ from racecma import (
     sensing_latency,
 )
 
-T357 = ThresholdVector(3.0, 5.0, 7.0)
+T357 = (3.0, 5.0, 7.0)
 
 
 class TestClassify:
@@ -39,20 +38,20 @@ class TestClassify:
     @given(t=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
            xy=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2))
     def test_monotone_for_any_ordered_thresholds(self, t, xy):
-        thresholds = ThresholdVector(*sorted(t))
+        thresholds = sorted(t)
         x, y = sorted(xy)
         assert classify(x, thresholds) <= classify(y, thresholds)
 
     def test_unordered_thresholds_rejected(self):
         with pytest.raises(InfeasibleThresholdsError):
-            classify(1.0, ThresholdVector(5.0, 3.0, 7.0))
+            classify(1.0, (5.0, 3.0, 7.0))
 
     def test_spacing_contract(self):
-        # A vector only needs finite values: the minimum spacing is kept by
+        # Thresholds only need finite values: the minimum spacing is kept by
         # the feasible map (tests/test_race.py), so a close pair still works.
-        assert classify(1.03, ThresholdVector(1.0, 1.05, 2.0)) == 1
+        assert classify(1.03, (1.0, 1.05, 2.0)) == 1
         with pytest.raises(InfeasibleThresholdsError):
-            ThresholdVector(math.inf, 1.0, 2.0)
+            classify(1.0, (math.inf, 1.0, 2.0))
 
 
 class TestActionTable:
@@ -81,14 +80,14 @@ class TestRunEpisode:
             run_episode(desk, T357, seed=1, fidelity=0.0)
 
     def test_determinism(self, desk):
-        a = run_episode(desk, ThresholdVector(0.5, 1.0, 1.5), seed=9)
-        b = run_episode(desk, ThresholdVector(0.5, 1.0, 1.5), seed=9)
+        a = run_episode(desk, (0.5, 1.0, 1.5), seed=9)
+        b = run_episode(desk, (0.5, 1.0, 1.5), seed=9)
         assert np.array_equal(a.resi, b.resi)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.power, b.power)
 
     def test_unreachable_thresholds_keep_state_zero(self, desk):
-        trace = run_episode(desk, ThresholdVector(1e6, 2e6, 3e6), seed=4)
+        trace = run_episode(desk, (1e6, 2e6, 3e6), seed=4)
         assert np.all(trace.states == 0)
         assert np.all(trace.power == DEFAULT_ACTIONS.power_factors[0])
 
@@ -99,6 +98,30 @@ class TestRunEpisode:
         n = part.horizon
         assert np.array_equal(part.resi, full.resi[:n])
         assert np.array_equal(part.states, full.states[:n])
+
+    def test_threshold_container_does_not_matter(self, desk):
+        traces = [run_episode(desk, t, seed=9)
+                  for t in ((0.5, 1.0, 1.5), [0.5, 1.0, 1.5], np.array([0.5, 1.0, 1.5]))]
+        for trace in traces[1:]:
+            for name in ("resi", "states", "in_region", "in_beam", "power"):
+                assert getattr(trace, name).tobytes() == getattr(traces[0], name).tobytes()
+
+    @pytest.mark.parametrize("bad", [(math.inf, 1.0, 2.0), (0.5, math.nan, 1.5),
+                                     (0.5, 1.0, -math.inf)])
+    def test_non_finite_thresholds_rejected(self, desk, bad):
+        with pytest.raises(InfeasibleThresholdsError, match="must be finite"):
+            classify(1.0, bad)
+        with pytest.raises(InfeasibleThresholdsError, match="must be finite"):
+            run_episode(desk, bad, seed=1)
+
+    def test_unordered_thresholds_rejected_without_a_measured_frame(self, desk):
+        # The first frame waits for its measurement, so no frame is classified.
+        actions = StateActionTable(period_multipliers=(2, 1, 1, 2))
+        fidelity = 1 / desk.frame_count
+        trace = run_episode(desk, (3.0, 5.0, 7.0), actions, seed=1, fidelity=fidelity)
+        assert trace.horizon == 1 and trace.power[0] == 0.0
+        with pytest.raises(InfeasibleThresholdsError, match="must be ordered"):
+            run_episode(desk, (5.0, 3.0, 7.0), actions, seed=1, fidelity=fidelity)
 
     def test_sensing_period_skips_measurements(self, desk):
         actions = StateActionTable(period_multipliers=(2, 2, 2, 2))
@@ -121,40 +144,40 @@ def _trace(resi, states, in_region=None, in_beam=None, power=None):
 
 class TestObjectives:
     def test_detection_all_hits(self):
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         trace = _trace([1.5] * 10, [1] * 10)
         result = detection_reliability(trace, t)
         assert result.value == 1.0 and not result.vacuous
 
     def test_detection_vacuous_when_never_in_region(self):
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         trace = _trace([1.5] * 10, [1] * 10, in_region=[False] * 10)
         result = detection_reliability(trace, t)
         assert result.value == 1.0 and result.vacuous
 
     def test_detection_partial_ratio(self):
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         resi = [1.5] * 4 + [0.5] * 6
         trace = _trace(resi, [1] * 4 + [0] * 6)
         assert detection_reliability(trace, t).value == pytest.approx(0.4)
 
     def test_detection_requires_beam(self):
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         trace = _trace([1.5] * 10, [1] * 10, in_beam=[True] * 5 + [False] * 5)
         assert detection_reliability(trace, t).value == pytest.approx(0.5)
 
     def test_latency_full_horizon_when_nothing_crosses(self):
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         trace = _trace([0.2] * 25, [0] * 25)
         assert sensing_latency(trace, t) == 25
 
     def test_latency_zero_when_locked_from_start(self):
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         trace = _trace([4.0] * 10, [3] * 10)
         assert sensing_latency(trace, t) == 0
 
     def test_latency_counts_frames_below_lock(self):
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         states = [0, 1, 2, 2, 3, 3, 3, 3, 3, 3]
         resi = [0.5, 1.5, 2.5, 2.5, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0]
         trace = _trace(resi, states)
@@ -178,7 +201,7 @@ class TestObjectives:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_objective_ranges_and_determinism(self, desk):
-        t = ThresholdVector(0.5, 1.0, 1.5)
+        t = (0.5, 1.0, 1.5)
         a = episode_objectives(run_episode(desk, t, seed=6), t)
         b = episode_objectives(run_episode(desk, t, seed=6), t)
         assert a == b

@@ -9,7 +9,6 @@ from racecma import (
     IsacObjective,
     RacingConfig,
     SyntheticObjective,
-    ThresholdVector,
     cma_optimize,
     default_params,
     derive_seed_plan,
@@ -135,7 +134,7 @@ class TestIsacObjective:
     def test_accepts_raw_arrays(self, desk):
         obj = IsacObjective(desk)
         a = obj.evaluate(np.array([0.5, 1.0, 1.5]), 3)
-        t = ThresholdVector(0.5, 1.0, 1.5)
+        t = (0.5, 1.0, 1.5)
         b = episode_objectives(run_episode(desk, t, seed=3), t).scalar_cost
         assert a == b
 

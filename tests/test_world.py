@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racecma import StateActionTable, ThresholdVector, classify, desk_scenario, run_episode
+from racecma import StateActionTable, classify, desk_scenario, run_episode
 from racecma.feedback import MAX_WORLD_FRAMES, WORLDS, EpisodeTrace
 from racecma.radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
 from racecma.scenario import initial_target_state, propagate_target
@@ -67,7 +67,7 @@ def short_desk():
 
 
 thresholds_st = st.lists(st.floats(0.0, 8.0), min_size=3, max_size=3).map(
-    lambda v: ThresholdVector(*sorted(v)))
+    lambda v: tuple(sorted(v)))
 actions_st = st.builds(
     lambda f, p: StateActionTable(tuple(sorted(f, reverse=True)), tuple(p)),
     st.lists(st.sampled_from((0.1, 0.2, 0.5, 0.8, 1.0)), min_size=4, max_size=4),
@@ -92,7 +92,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("first, second", [(0.3, 1.0), (1.0, 0.3)])
     def test_prefix_in_either_order(self, desk, first, second):
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         WORLDS.cache_clear()
         run_episode(desk, t, seed=5, fidelity=first)
         warm = run_episode(desk, t, seed=5, fidelity=second)
@@ -100,7 +100,7 @@ class TestReplay:
 
     def test_seed_type_is_part_of_the_world(self, short_desk):
         # derive_seed hashes repr(seed), so np.int64(3) and 3 seed different worlds.
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         WORLDS.cache_clear()
         run_episode(short_desk, t, seed=3)
         assert_identical(run_episode(short_desk, t, seed=np.int64(3)),
@@ -109,7 +109,7 @@ class TestReplay:
 
     def test_concurrent_generation_matches_serial(self, desk):
         rng = np.random.default_rng(11)
-        candidates = [ThresholdVector(*np.sort(rng.uniform(0.0, 6.0, 3))) for _ in range(12)]
+        candidates = [np.sort(rng.uniform(0.0, 6.0, 3)) for _ in range(12)]
         seed = derive_seed(1, 0, "stage1")
         WORLDS.cache_clear()
         serial = [run_episode(desk, c, seed=seed) for c in candidates]
@@ -132,7 +132,7 @@ class TestReplay:
 
 class TestCache:
     def test_counters(self, short_desk):
-        t = ThresholdVector(1e9, 2e9, 3e9)  # never leaves state 0: every frame measured
+        t = (1e9, 2e9, 3e9)  # never leaves state 0: every frame measured
         WORLDS.cache_clear()
         run_episode(short_desk, t, seed=1, fidelity=0.5)
         run_episode(short_desk, t, seed=1)
@@ -141,7 +141,7 @@ class TestCache:
 
     def test_lru_eviction_by_frames(self, short_desk, monkeypatch):
         monkeypatch.setattr(WORLDS, "max_frames", 100)
-        t = ThresholdVector(1.0, 2.0, 3.0)
+        t = (1.0, 2.0, 3.0)
         WORLDS.cache_clear()
         for seed in (1, 2):
             run_episode(short_desk, t, seed=seed)
@@ -158,7 +158,7 @@ class TestCache:
         # Every measurement locks, and locked frames measure one in eight,
         # so each 1000-frame world is cheap to build.
         actions = StateActionTable(period_multipliers=(1, 1, 1, 8))
-        t = ThresholdVector(-3.0, -2.0, -1.0)
+        t = (-3.0, -2.0, -1.0)
         WORLDS.cache_clear()
         for seed in range(10):
             run_episode(paper_scale, t, actions, seed=derive_seed("one-off", seed))
