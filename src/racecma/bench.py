@@ -397,12 +397,17 @@ def _convergence_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     rows = []
     for power in spec.convergence_powers:
         scenario, t0, seeds, opt_seed = _rep_env(spec, rep, "conv-", power)
+        # Best-so-far points repeat across generations and methods, and
+        # assess is a pure function of the point at a fixed power.
+        j_det_of: dict[tuple[float, ...], float] = {}
         for method in spec.methods:
             run = run_method(method, scenario, spec, t0, opt_seed)
             per_gen = max(run.n_eq / spec.generations, 0.0)
             for gen, point in enumerate(run.best_so_far, start=1):
-                j_det, _, _ = assess(scenario, spec.actions, point, seeds)
-                rows.append((rep, power, method, gen, j_det, per_gen * gen))
+                key = tuple(map(float, point))
+                if key not in j_det_of:
+                    j_det_of[key] = assess(scenario, spec.actions, point, seeds)[0]
+                rows.append((rep, power, method, gen, j_det_of[key], per_gen * gen))
     return rows
 
 

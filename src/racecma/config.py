@@ -85,10 +85,18 @@ class SchemaKey:
 
     def format(self, value) -> str:
         if self.pack is None:
-            return _text(value)
+            return self._spell(value)
         if self.pack is not tuple:
             value = [getattr(value, f.name) for f in fields(value)]
-        return ",".join(_text(v) for v in value)
+        return ",".join(self._spell(v) for v in value)
+
+    def _spell(self, value) -> str:
+        # Cast first, so that equal specs spell alike: 3 and 3.0 in a float
+        # field both read "3.0", and 1 in a bool field reads "true". A value
+        # the cast would change (20.5 in an int field) keeps its own spelling,
+        # so that unequal specs do not spell alike either.
+        cast = self.item(value)
+        return _text(cast if cast == value else value)
 
     def describe(self) -> str:
         name = self.item.__name__

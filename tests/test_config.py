@@ -1,7 +1,7 @@
 import argparse
 import hashlib
 import tempfile
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -13,6 +13,8 @@ from racecma.bench import METHODS, ExperimentSpec, _run
 from racecma.cli import build_spec, main
 from racecma.config import (
     ConfigError,
+    _apply,
+    _get,
     config_hash,
     key_table,
     load_config,
@@ -130,6 +132,12 @@ class TestHash:
     def test_sensitive_to_values(self):
         assert config_hash({"a.b": "1"}) != config_hash({"a.b": "2"})
 
+    def test_cast_keeps_unequal_specs_apart(self):
+        # ScenarioConfig accepts a non-integral count; it must not read as the default.
+        odd = ExperimentSpec(scenario=replace(ExperimentSpec().scenario, n_beams=20.5))
+        assert spec_to_config(odd)["scenario.n_beams"] == "20.5"
+        assert config_hash(spec_to_config(odd)) != config_hash(spec_to_config(ExperimentSpec()))
+
 
 def _changed_values(key: str):
     """Spellings of the default value of ``key`` with one entry changed."""
@@ -185,6 +193,17 @@ def _other_values(key: str):
     if entry.count is None:
         values = st.tuples(values, st.integers(1, len(parts))).map(lambda v: v[0][: v[1]])
     return values.map(",".join)
+
+
+def _respell(value):
+    """An equal value of another type: whole floats and bools as ints."""
+    if isinstance(value, tuple):
+        return tuple(map(_respell, value))
+    if is_dataclass(value):
+        return type(value)(*(_respell(getattr(value, f.name)) for f in fields(value)))
+    if isinstance(value, bool) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    return value
 
 
 class TestSchema:
@@ -287,6 +306,29 @@ class TestSchema:
             header = (Path(tmp) / "spec.cfg").read_text().splitlines()[0]
         assert reloaded == spec
         assert header == f"# config_hash={config_hash(spec_to_config(reloaded))}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equal_specs_write_equal_snapshots(self, data):
+        # Respelling a whole-number float as an int, or a bool as 0 or 1,
+        # gives an equal spec, which must not move config_hash.
+        keys = data.draw(st.lists(st.sampled_from(sorted(SCHEMA)), max_size=3, unique=True))
+        cfg = {key: data.draw(_other_values(key), label=key) for key in keys}
+        try:
+            spec = spec_from_config(cfg, ExperimentSpec())
+        except ValueError:
+            reject()
+        respelled = data.draw(st.lists(st.sampled_from(sorted(SCHEMA)), min_size=1,
+                                       unique=True), label="respelled")
+        twin = _apply(spec, {SCHEMA[k].path: _respell(_get(spec, SCHEMA[k].path))
+                             for k in respelled})
+        assert twin == spec
+        snapshots = []
+        for each in (spec, twin):
+            with tempfile.TemporaryDirectory() as tmp:
+                write_snapshot(each, Path(tmp))
+                snapshots.append((Path(tmp) / "spec.cfg").read_bytes())
+        assert snapshots[0] == snapshots[1]
 
     def test_readme_key_table_matches_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -6,6 +6,7 @@ not only a comparison of two runs of the same code.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -37,7 +38,18 @@ GOLDEN = {
 
 @pytest.mark.parametrize("body", list(GOLDEN), ids=lambda body: body.__name__)
 def test_outputs_match_golden_digests(body, tmp_path):
-    rows = body(SPEC, tmp_path)
+    _check_digests(body, SPEC, tmp_path)
+
+
+@pytest.mark.parametrize("body", list(GOLDEN), ids=lambda body: body.__name__)
+def test_two_jobs_match_golden_digests(body, tmp_path):
+    # ``jobs`` only says how many processes run the repetitions: no output
+    # byte, spec.cfg included, may depend on it.
+    _check_digests(body, replace(SPEC, jobs=2), tmp_path)
+
+
+def _check_digests(body, spec, tmp_path):
+    rows = body(spec, tmp_path)
     expected = {**GOLDEN[body], "spec.cfg": SPEC_CFG}
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
     assert got == expected

@@ -3,19 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from racecma import (
     ChannelRealization,
     GeometryError,
+    ScenarioConfig,
     TargetState,
     compute_resi,
+    desk_scenario,
     matched_filter,
     realize_channel,
     synthesize_rx_grid,
 )
-from racecma.radar import RxGrid, pilot_grid, steering_vector
+from racecma.radar import NlosComponent, RxGrid, pilot_grid, steering_vector
 from racecma.scenario import SPEED_OF_LIGHT
-from racecma.seeding import derive_seed
+from racecma.seeding import derive_seed, rng_from
 
 
 def _target(position, velocity=(0.0, 0.0)):
@@ -174,12 +177,17 @@ class TestMatchedFilter:
     def test_window_range_validated(self, desk):
         ch = realize_channel(desk, _target((0.0, 50.0)))
         grid = synthesize_rx_grid(desk, ch, 3, 0.1, seed=1)
+        good = (np.array([1e-7]), np.array([0.0]))
+        expected = matched_filter(grid, good)
         bad_delay = (np.array([1.0 / desk.subcarrier_spacing]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            matched_filter(grid, bad_delay)
         bad_doppler = (np.array([1e-7]), np.array([1.0 / desk.symbol_duration]))
-        with pytest.raises(ValueError):
-            matched_filter(grid, bad_doppler)
+        # The check sits in the cached filter bank, which keeps no exception:
+        # a rejected window raises on every call, not only the first.
+        for bad, axis in ((bad_delay, "delay"), (bad_doppler, "doppler")):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"{axis} bins outside"):
+                    matched_filter(grid, bad)
+            assert np.array_equal(matched_filter(grid, good), expected)
 
 
 class TestResi:
@@ -224,3 +232,143 @@ class TestResi:
         u = steering_vector(1.2, 16, 0.5)
         assert np.allclose(np.abs(u), 1.0)
         assert np.allclose(steering_vector(math.pi / 2, 8, 0.5), np.ones(8))
+
+
+# Reference: the radar chain as written before its scenario constants were
+# cached, line for line. The chain must reproduce it bit for bit, since the
+# pinned output digests rest on every measured cell.
+
+
+def _ref_steering_vector(angle, n_elements, spacing_wl):
+    phases = 2.0 * math.pi * spacing_wl * np.arange(n_elements) * math.cos(angle)
+    return np.exp(1j * phases)
+
+
+def _ref_realize_channel(scenario, target):
+    bs = np.asarray(scenario.bs_position, float)
+    ue = np.asarray(scenario.ue_position, float)
+    tg = np.asarray(target.position, float)
+
+    d_fwd = float(np.linalg.norm(tg - bs))
+    d_ret = float(np.linalg.norm(tg - ue))
+
+    lam = scenario.wavelength
+    radial_unit = (tg - ue) / d_ret
+    range_rate = float(np.dot(np.asarray(target.velocity, float), radial_unit))
+    doppler = -range_rate / lam
+
+    gains = scenario.gain_model
+    bs_gain = (lam / (4.0 * math.pi * d_fwd)) ** 2
+    ue_gain = gains.scattering_gain * (lam / (4.0 * math.pi * d_ret)) ** 2
+
+    nlos = None
+    if scenario.nlos_path_count == 1:
+        nlos = NlosComponent(
+            delay=d_ret / SPEED_OF_LIGHT + gains.nlos_excess_delay,
+            doppler=doppler * gains.nlos_doppler_ratio,
+            arrival_angle=math.atan2(*(tg - ue)[::-1]) + gains.nlos_angle_offset,
+            gain=ue_gain * gains.nlos_gain_ratio,
+        )
+
+    return ChannelRealization(
+        forward_delay=d_fwd / SPEED_OF_LIGHT,
+        return_delay=d_ret / SPEED_OF_LIGHT,
+        doppler=doppler,
+        departure_angle=math.atan2(*(tg - bs)[::-1]),
+        arrival_angle=math.atan2(*(tg - ue)[::-1]),
+        bs_gain=bs_gain,
+        ue_gain=ue_gain,
+        nlos=nlos,
+    )
+
+
+def _ref_echo_term(scenario, amplitude, delay, doppler):
+    k = np.arange(scenario.n_subcarriers)
+    m = np.arange(scenario.n_symbols)
+    delay_ramp = np.exp(-2j * math.pi * scenario.subcarrier_spacing * k * delay)
+    doppler_ramp = np.exp(2j * math.pi * doppler * m * scenario.symbol_duration)
+    return amplitude * np.outer(delay_ramp, doppler_ramp)
+
+
+def _ref_synthesize_rx_grid(scenario, channel, beam_index, power_w, seed):
+    n_bs, n_ue = scenario.n_bs_antennas, scenario.n_ue_antennas
+    spacing = scenario.antenna_spacing
+    angle = float(scenario.beam_centers()[beam_index])
+    f = _ref_steering_vector(angle, n_bs, spacing) / math.sqrt(n_bs)
+    w = _ref_steering_vector(channel.arrival_angle, n_ue, spacing) / math.sqrt(n_ue)
+
+    pilot = np.ones((scenario.n_subcarriers, scenario.n_symbols), dtype=complex)
+    pilot[scenario.null_mask()] = 0.0
+    tx_gain = np.vdot(_ref_steering_vector(channel.departure_angle, n_bs, spacing), f)
+    rx_gain = np.vdot(w, _ref_steering_vector(channel.arrival_angle, n_ue, spacing))
+    amp = math.sqrt(channel.bs_gain * channel.ue_gain) * rx_gain * tx_gain
+    signal = _ref_echo_term(scenario, amp, channel.total_delay, channel.doppler)
+
+    if channel.nlos is not None:
+        rx_gain_nlos = np.vdot(
+            w, _ref_steering_vector(channel.nlos.arrival_angle, n_ue, spacing)
+        )
+        amp_nlos = math.sqrt(channel.bs_gain * channel.nlos.gain) * rx_gain_nlos * tx_gain
+        signal = signal + _ref_echo_term(
+            scenario, amp_nlos, channel.forward_delay + channel.nlos.delay, channel.nlos.doppler
+        )
+
+    rng = rng_from(seed, "rx-noise")
+    n_sc, n_sym = pilot.shape
+    noise = math.sqrt(scenario.noise_variance / 2.0) * rng.standard_normal(
+        (n_sc, n_sym, 2)
+    ).view(np.complex128)[..., 0]
+    return math.sqrt(power_w) * signal * pilot + noise, pilot
+
+
+def _ref_surface(scenario, samples, pilot):
+    delays, dopplers = scenario.search_window()
+    n_sc, n_sym = samples.shape
+    e_delay = np.exp(2j * math.pi * scenario.subcarrier_spacing * np.outer(delays, np.arange(n_sc)))
+    e_doppler = np.exp(
+        -2j * math.pi * scenario.symbol_duration * np.outer(dopplers, np.arange(n_sym))
+    )
+    return e_delay @ (np.conj(pilot) * samples) @ e_doppler.T / (n_sc * n_sym)
+
+
+def _ref_floor(samples, null_mask):
+    return float(np.sqrt(np.mean(np.abs(samples[null_mask]) ** 2)))
+
+
+_SCENARIOS = {
+    (scale, nlos): replace(base, nlos_path_count=nlos)
+    for scale, base in (("desk", desk_scenario()), ("paper", ScenarioConfig()))
+    for nlos in (0, 1)
+}
+
+
+class TestChainMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.sampled_from(list(_SCENARIOS)),
+        position=st.tuples(st.floats(-40.0, 40.0), st.floats(20.0, 90.0)),
+        velocity=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        beam=st.integers(0, 19),
+        power_w=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e3)),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_cell_is_bitwise_the_reference(self, key, position, velocity, beam, power_w, seed):
+        scenario = _SCENARIOS[key]
+        target = _target(position, velocity)
+        channel = realize_channel(scenario, target)
+        assert channel == _ref_realize_channel(scenario, target)
+
+        grid = synthesize_rx_grid(scenario, channel, beam, power_w, seed)
+        ref_samples, ref_pilot = _ref_synthesize_rx_grid(scenario, channel, beam, power_w, seed)
+        assert np.array_equal(grid.samples, ref_samples)
+        assert np.array_equal(grid.pilot, ref_pilot)
+
+        surface = matched_filter(grid, scenario.search_window())
+        ref_surface = _ref_surface(scenario, ref_samples, ref_pilot)
+        assert np.array_equal(surface, ref_surface)
+
+        mask = scenario.null_mask()
+        sample = compute_resi(surface, grid, mask)
+        ref_floor = _ref_floor(ref_samples, mask)
+        assert sample.noise_floor == ref_floor
+        assert sample.value == float(np.abs(ref_surface).max()) / ref_floor
