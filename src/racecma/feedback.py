@@ -18,7 +18,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
+from .radar import FrameRecord, cell_constants, frame_record, measure_cell, realize_channel
+# Not used here: the benchmark tracer wraps these three names at this import
+# site (perfbench/tracer.py SITES) until it reads counters kept inside the
+# package (ROADMAP item 4b).
+from .radar import compute_resi, matched_filter, synthesize_rx_grid  # noqa: F401
 from .scenario import ScenarioConfig, TargetState, initial_target_state, propagate_target
 from .seeding import derive_seed
 
@@ -111,9 +115,11 @@ class EpisodeWorld:
     Target motion is a pure function of (scenario, seed, frame), and a
     frame's echo strength is a pure function of those plus the beam and
     power factor the loop chooses. The world propagates the target up to
-    the longest prefix asked of it, and measures each (frame, beam, power
-    factor) cell once, on first visit, through the radar chain. Replays
-    under any thresholds and action table then read the stored floats.
+    the longest prefix asked of it. At a frame's first measure it keeps the
+    frame's :class:`FrameRecord` (channel, arrival gain, noise seed), and it
+    measures each (frame, beam, power factor) cell once, on first visit,
+    from that record. Replays under any thresholds and action table then
+    read the stored floats.
     """
 
     def __init__(self, scenario: ScenarioConfig, seed: int) -> None:
@@ -121,10 +127,10 @@ class EpisodeWorld:
         self.seed = seed
         self.targets: list[TargetState] = []
         self.bearings: list[float] = []  # target angle seen from the BS
+        self.frames: dict[int, FrameRecord] = {}
         self.cells: dict[tuple[int, int, float], float] = {}
         # Looked up once: each lookup hashes the whole scenario.
-        self._window = scenario.search_window()
-        self._null_mask = scenario.null_mask()
+        self._const = cell_constants(scenario)
         self._budget_w = scenario.tx_power_w
 
     def extend(self, n_frames: int) -> None:
@@ -144,12 +150,12 @@ class EpisodeWorld:
 
     def measure(self, t: int, beam: int, eta: float) -> float:
         """Echo strength of frame ``t`` under ``beam`` at power factor ``eta``."""
-        sc = self.scenario
-        channel = realize_channel(sc, self.targets[t])
-        grid = synthesize_rx_grid(
-            sc, channel, beam, eta * self._budget_w, derive_seed(self.seed, "frame", t)
-        )
-        value = compute_resi(matched_filter(grid, self._window), grid, self._null_mask).value
+        frame = self.frames.get(t)
+        if frame is None:
+            channel = realize_channel(self.scenario, self.targets[t])
+            frame = frame_record(self._const, channel, derive_seed(self.seed, "frame", t))
+            self.frames[t] = frame
+        value = measure_cell(self._const, frame, beam, eta * self._budget_w)
         self.cells[(t, beam, eta)] = value
         return value
 

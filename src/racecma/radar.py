@@ -5,6 +5,12 @@ geometry, synthesize the received pilot grid under the active beam and
 sensing power, correlate it against delay/Doppler-shifted pilot replicas,
 and reduce the peak to a scalar echo-strength indicator normalized by the
 noise floor estimated on guard (null) resource elements.
+
+Two ways run it. The reference chain, ``synthesize_rx_grid`` ->
+``matched_filter`` -> ``compute_resi``, hands each stage's result to the
+next. The episode loop instead builds one :class:`FrameRecord` per frame
+and passes it to :func:`measure_cell` once per (beam, power) cell, which
+makes the same floating-point operations in the same order in one pass.
 """
 
 from __future__ import annotations
@@ -12,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, ScenarioConfig, TargetState
-from .seeding import rng_from
+from .seeding import derive_seed
 
 
 class GeometryError(ValueError):
@@ -63,7 +70,11 @@ class ChannelRealization:
 
 def steering_vector(angle: float, n_elements: int, spacing_wl: float) -> np.ndarray:
     """ULA response for a wave direction ``angle`` measured from the array axis."""
-    return np.exp(1j * (_element_phases(n_elements, spacing_wl) * math.cos(angle)))
+    return _steer(_element_phases(n_elements, spacing_wl), math.cos(angle))
+
+
+def _steer(phases: np.ndarray, cos_angle: float) -> np.ndarray:
+    return np.exp(1j * (phases * cos_angle))
 
 
 @lru_cache(maxsize=64)
@@ -90,7 +101,7 @@ def realize_channel(scenario: ScenarioConfig, target: TargetState) -> ChannelRea
     velocity projected on the target-to-UE leg (receding target gives a
     negative shift); leg gains follow the free-space/scattering model.
     """
-    const = _cell_constants(scenario)
+    const = cell_constants(scenario)
     tg = np.asarray(target.position, float)
     to_bs = tg - const.bs
     to_ue = tg - const.ue
@@ -147,33 +158,41 @@ class RxGrid:
 
 def pilot_grid(scenario: ScenarioConfig) -> np.ndarray:
     """Unit pilots on active resource elements, zero on the guard band."""
-    return _cell_constants(scenario).pilot
+    return cell_constants(scenario).pilot
 
 
 @dataclass(frozen=True)
-class _CellConstants:
+class CellConstants:
     """The values every cell of one scenario shares, built once per scenario.
 
-    A stage call looks them up once, so a cell neither rebuilds them nor
-    hashes the whole scenario once per value.
+    A caller looks them up once, so a cell neither rebuilds them nor hashes
+    the whole scenario once per value.
     """
 
     bs: np.ndarray
     ue: np.ndarray
     bs_ue_distance: float
     pilot: np.ndarray
+    conj_pilot: np.ndarray
+    null_row: int  # first guard subcarrier: scenario.null_mask() is every row from it on
     beamformers: tuple[np.ndarray, ...]  # unit-norm transmit weights per sweep beam
+    bs_phases: np.ndarray  # 2π·spacing·arange(n_bs): each element's phase per unit cos(angle)
+    ue_phases: np.ndarray  # the same for the UE array
     noise_scale: float  # per-component standard deviation of the disturbance
     delay_phases: np.ndarray  # -2jπ·Δf·arange(K): each subcarrier's phase per second of delay
     symbols: np.ndarray  # arange(M)
+    symbol_duration: float
+    e_delay: np.ndarray  # the matched filter's delay bank over search_window()
+    e_doppler_t: np.ndarray  # its Doppler bank, transposed
 
 
 @lru_cache(maxsize=64)
-def _cell_constants(scenario: ScenarioConfig) -> _CellConstants:
+def cell_constants(scenario: ScenarioConfig) -> CellConstants:
     bs = np.asarray(scenario.bs_position, float)
     ue = np.asarray(scenario.ue_position, float)
     pilot = np.ones((scenario.n_subcarriers, scenario.n_symbols), dtype=complex)
     pilot[scenario.null_mask()] = 0.0
+    conj_pilot = np.conj(pilot)
     beamformers = []
     for angle in scenario.beam_centers().tolist():
         f = steering_vector(angle, scenario.n_bs_antennas, scenario.antenna_spacing)
@@ -181,30 +200,105 @@ def _cell_constants(scenario: ScenarioConfig) -> _CellConstants:
         beamformers.append(f)
     delay_phases = -2j * math.pi * scenario.subcarrier_spacing * np.arange(scenario.n_subcarriers)
     symbols = np.arange(scenario.n_symbols)
-    for array in (bs, ue, pilot, delay_phases, symbols, *beamformers):
+    for array in (bs, ue, pilot, conj_pilot, delay_phases, symbols, *beamformers):
         array.setflags(write=False)
-    return _CellConstants(
+    delays, dopplers = scenario.search_window()
+    e_delay, e_doppler = _filter_bank(
+        scenario.subcarrier_spacing, scenario.symbol_duration,
+        scenario.n_subcarriers, scenario.n_symbols,
+        tuple(delays.tolist()), tuple(dopplers.tolist()),
+    )
+    return CellConstants(
         bs=bs,
         ue=ue,
         bs_ue_distance=_norm(ue - bs),
         pilot=pilot,
+        conj_pilot=conj_pilot,
+        null_row=scenario.n_subcarriers - scenario.null_subcarriers,
         beamformers=tuple(beamformers),
+        bs_phases=_element_phases(scenario.n_bs_antennas, scenario.antenna_spacing),
+        ue_phases=_element_phases(scenario.n_ue_antennas, scenario.antenna_spacing),
         noise_scale=math.sqrt(scenario.noise_variance / 2.0),
         delay_phases=delay_phases,
         symbols=symbols,
+        symbol_duration=scenario.symbol_duration,
+        e_delay=e_delay,
+        e_doppler_t=e_doppler.T,
+    )
+
+
+class FrameRecord(NamedTuple):
+    """What every (beam, power) cell of one frame shares.
+
+    Built once per frame from the channel; a cell adds only the transmit
+    gain of its beam, its power and the noise draw.
+    """
+
+    cos_departure: float
+    a0: complex  # sqrt(bs_gain·ue_gain)·rx_gain: the echo amplitude before the transmit gain
+    delay: float  # forward plus return delay
+    doppler: float
+    nlos: tuple[complex, float, float] | None  # (a0, delay, doppler) of the specular echo
+    noise_seed: int
+
+
+def frame_record(const: CellConstants, channel: ChannelRealization, seed: int) -> FrameRecord:
+    """The per-frame part of a cell; ``seed`` is the frame's seed, from which
+    the noise draw derives its own."""
+    arrival = _steer(const.ue_phases, math.cos(channel.arrival_angle))
+    w = arrival / math.sqrt(len(arrival))
+    a0 = math.sqrt(channel.bs_gain * channel.ue_gain) * np.vdot(w, arrival)
+    nlos = None
+    if channel.nlos is not None:
+        rx_gain_nlos = np.vdot(w, _steer(const.ue_phases, math.cos(channel.nlos.arrival_angle)))
+        nlos = (
+            math.sqrt(channel.bs_gain * channel.nlos.gain) * rx_gain_nlos,
+            channel.forward_delay + channel.nlos.delay,
+            channel.nlos.doppler,
+        )
+    return FrameRecord(
+        cos_departure=math.cos(channel.departure_angle),
+        a0=a0,
+        delay=channel.total_delay,
+        doppler=channel.doppler,
+        nlos=nlos,
+        noise_seed=derive_seed(seed, "rx-noise"),
     )
 
 
 def _echo_term(
-    const: _CellConstants,
-    symbol_duration: float,
-    amplitude: complex,
-    delay: float,
-    doppler: float,
+    const: CellConstants, amplitude: complex, delay: float, doppler: float
 ) -> np.ndarray:
     delay_ramp = np.exp(const.delay_phases * delay)
-    doppler_ramp = np.exp(2j * math.pi * doppler * const.symbols * symbol_duration)
-    return amplitude * (delay_ramp[:, None] * doppler_ramp)
+    doppler_ramp = np.exp(2j * math.pi * doppler * const.symbols * const.symbol_duration)
+    term = np.multiply(delay_ramp[:, None], doppler_ramp)
+    return np.multiply(amplitude, term, out=term)
+
+
+def _cell_samples(
+    const: CellConstants, frame: FrameRecord, beam_index: int, power_w: float
+) -> np.ndarray:
+    """The received grid of one cell: the frame's echo under the sweep beam
+    at ``power_w``, plus white complex Gaussian noise from the frame's seed."""
+    if not 0 <= beam_index < len(const.beamformers):
+        raise ValueError("beam_index out of range")
+    if power_w < 0:
+        raise ValueError("power must be nonnegative")
+
+    departure = _steer(const.bs_phases, frame.cos_departure)
+    tx_gain = np.vdot(departure, const.beamformers[beam_index])
+    samples = _echo_term(const, frame.a0 * tx_gain, frame.delay, frame.doppler)
+    if frame.nlos is not None:
+        a0_nlos, delay_nlos, doppler_nlos = frame.nlos
+        np.add(samples, _echo_term(const, a0_nlos * tx_gain, delay_nlos, doppler_nlos),
+               out=samples)
+
+    rng = np.random.default_rng(frame.noise_seed)
+    draw = rng.standard_normal((*samples.shape, 2)).view(np.complex128)[..., 0]
+    np.multiply(math.sqrt(power_w), samples, out=samples)
+    np.multiply(samples, const.pilot, out=samples)
+    np.add(samples, np.multiply(const.noise_scale, draw, out=draw), out=samples)
+    return samples
 
 
 def synthesize_rx_grid(
@@ -220,40 +314,42 @@ def synthesize_rx_grid(
     the combiner is matched to the direct arrival angle, and the disturbance
     is white complex Gaussian at the configured noise-figure level.
     """
-    if not 0 <= beam_index < scenario.n_beams:
-        raise ValueError("beam_index out of range")
-    if power_w < 0:
-        raise ValueError("power must be nonnegative")
-
-    const = _cell_constants(scenario)
-    n_ue = scenario.n_ue_antennas
-    spacing = scenario.antenna_spacing
-    arrival = steering_vector(channel.arrival_angle, n_ue, spacing)
-    w = arrival / math.sqrt(n_ue)
-
-    pilot = const.pilot
-    departure = steering_vector(channel.departure_angle, scenario.n_bs_antennas, spacing)
-    tx_gain = np.vdot(departure, const.beamformers[beam_index])
-    rx_gain = np.vdot(w, arrival)
-    amp = math.sqrt(channel.bs_gain * channel.ue_gain) * rx_gain * tx_gain
-    t_sym = scenario.symbol_duration
-    signal = _echo_term(const, t_sym, amp, channel.total_delay, channel.doppler)
-
-    if channel.nlos is not None:
-        rx_gain_nlos = np.vdot(w, steering_vector(channel.nlos.arrival_angle, n_ue, spacing))
-        amp_nlos = math.sqrt(channel.bs_gain * channel.nlos.gain) * rx_gain_nlos * tx_gain
-        delay_nlos = channel.forward_delay + channel.nlos.delay
-        signal = signal + _echo_term(const, t_sym, amp_nlos, delay_nlos, channel.nlos.doppler)
-
-    rng = rng_from(seed, "rx-noise")
-    draw = rng.standard_normal((*pilot.shape, 2)).view(np.complex128)[..., 0]
-    samples = math.sqrt(power_w) * signal * pilot + const.noise_scale * draw
+    const = cell_constants(scenario)
+    samples = _cell_samples(const, frame_record(const, channel, seed), beam_index, power_w)
     return RxGrid(
         samples=samples,
-        pilot=pilot,
+        pilot=const.pilot,
         subcarrier_spacing=scenario.subcarrier_spacing,
-        symbol_duration=t_sym,
+        symbol_duration=scenario.symbol_duration,
     )
+
+
+def measure_cell(
+    const: CellConstants, frame: FrameRecord, beam_index: int, power_w: float
+) -> float:
+    """Echo strength of one (frame, beam, power) cell in one pass.
+
+    Equals ``compute_resi(matched_filter(grid, window), grid, null_mask).value``
+    for the grid ``synthesize_rx_grid`` builds, bit for bit: the same
+    operations run in the same order on the same operands.
+    """
+    samples = _cell_samples(const, frame, beam_index, power_w)
+    n_sc, n_sym = samples.shape
+    # compute_resi's floor: the guard band is the last rows, so its samples
+    # in row-major order are one contiguous run.
+    power = np.abs(samples[const.null_row:].reshape(-1))
+    np.square(power, out=power)
+    floor = math.sqrt(np.add.reduce(power) / power.size)
+    if floor <= 0:
+        raise ValueError("noise floor must be positive")
+    # matched_filter's surface; the grid is not read again, so it is reused.
+    weighted = np.multiply(const.conj_pilot, samples, out=samples)
+    surface = const.e_delay @ weighted @ const.e_doppler_t
+    np.true_divide(surface, n_sc * n_sym, out=surface)
+    value = float(np.abs(surface).max()) / floor
+    if value < 0:
+        raise ValueError("invalid echo-strength sample")
+    return value
 
 
 @lru_cache(maxsize=64)

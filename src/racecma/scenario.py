@@ -9,6 +9,7 @@ rectangular sensing region, bouncing off its edges.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -63,6 +64,19 @@ class GainModel:
             raise ValueError("specular component must not precede or exceed the direct path")
 
 
+# Count fields that must be at least 1. These, n_targets and
+# nlos_path_count must also be integers (``operator.index``).
+_POSITIVE_COUNTS = (
+    "n_bs_antennas",
+    "n_ue_antennas",
+    "n_subcarriers",
+    "n_symbols",
+    "n_beams",
+    "n_delay_bins",
+    "n_doppler_bins",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full parameterization of the sensing link and its measurement chain.
@@ -103,16 +117,12 @@ class ScenarioConfig:
     heading_jitter: float = 0.3
 
     def __post_init__(self) -> None:
-        counts = (
-            self.n_bs_antennas,
-            self.n_ue_antennas,
-            self.n_subcarriers,
-            self.n_symbols,
-            self.n_beams,
-            self.n_delay_bins,
-            self.n_doppler_bins,
-        )
-        if any(c < 1 for c in counts):
+        for name in (*_POSITIVE_COUNTS, "n_targets", "nlos_path_count"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+        if any(getattr(self, name) < 1 for name in _POSITIVE_COUNTS):
             raise ValueError("all counts must be >= 1")
         if self.n_targets != 1:
             raise ValueError("n_targets must be 1: the simulator models a single target")

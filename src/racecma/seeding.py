@@ -23,11 +23,9 @@ def derive_seed(*parts) -> int:
     to distinct seeds (SHA-256 truncated to 63 bits; collisions are not a
     practical concern) and the result never depends on call order.
     """
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(repr(part).encode())
-        digest.update(b"\x1f")
-    return int.from_bytes(digest.digest()[:8], "little") & _MASK63
+    # One buffer, hashed once: each part's repr followed by a unit separator.
+    data = (("%r\x1f" * len(parts)) % parts).encode()
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little") & _MASK63
 
 
 def rng_from(*parts) -> np.random.Generator:

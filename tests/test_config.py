@@ -1,7 +1,7 @@
 import argparse
 import hashlib
 import tempfile
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -133,9 +133,10 @@ class TestHash:
         assert config_hash({"a.b": "1"}) != config_hash({"a.b": "2"})
 
     def test_cast_keeps_unequal_specs_apart(self):
-        # ScenarioConfig accepts a non-integral count; it must not read as the default.
-        odd = ExperimentSpec(scenario=replace(ExperimentSpec().scenario, n_beams=20.5))
-        assert spec_to_config(odd)["scenario.n_beams"] == "20.5"
+        # ExperimentSpec accepts a non-integral count (ScenarioConfig no longer
+        # does); int(3.5) is the default 3, but the spec must not read as the default.
+        odd = ExperimentSpec(map_episodes=3.5)
+        assert spec_to_config(odd)["experiment.map_episodes"] == "3.5"
         assert config_hash(spec_to_config(odd)) != config_hash(spec_to_config(ExperimentSpec()))
 
 

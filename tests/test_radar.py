@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from racecma import (
     ChannelRealization,
@@ -16,6 +16,7 @@ from racecma import (
     realize_channel,
     synthesize_rx_grid,
 )
+from racecma.feedback import EpisodeWorld
 from racecma.radar import NlosComponent, RxGrid, pilot_grid, steering_vector
 from racecma.scenario import SPEED_OF_LIGHT
 from racecma.seeding import derive_seed, rng_from
@@ -372,3 +373,48 @@ class TestChainMatchesReference:
         ref_floor = _ref_floor(ref_samples, mask)
         assert sample.noise_floor == ref_floor
         assert sample.value == float(np.abs(ref_surface).max()) / ref_floor
+
+
+def _chain_values(scenario, world, t, beam, eta):
+    """The cell a world measures, run through the radar chain stage by stage
+    and through the line-for-line reference above."""
+    channel = realize_channel(scenario, world.targets[t])
+    args = (scenario, channel, beam, eta * scenario.tx_power_w, derive_seed(world.seed, "frame", t))
+    grid = synthesize_rx_grid(*args)
+    surface = matched_filter(grid, scenario.search_window())
+    chain = compute_resi(surface, grid, scenario.null_mask()).value
+    samples, pilot = _ref_synthesize_rx_grid(*args)
+    peak = float(np.abs(_ref_surface(scenario, samples, pilot)).max())
+    return chain, peak / _ref_floor(samples, scenario.null_mask())
+
+
+class TestWorldCellIsTheChain:
+    """A world measures each cell from its frame's record in one pass; that
+    value must equal the chain's, bit for bit, whichever cell of the frame
+    built the record. The chain shares its synthesis with the one pass, so
+    the value is also held to the reference formulas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(list(_SCENARIOS)),
+        seed=st.integers(0, 2**63 - 1),
+        t=st.integers(0, 12),
+        cells=st.lists(
+            st.tuples(st.integers(0, 19),
+                      st.one_of(st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)), st.floats(0.0, 1.0))),
+            min_size=2, max_size=4, unique=True,
+        ),
+    )
+    @example(key=("paper", 1), seed=3, t=0, cells=[(0, 0.0), (7, 1.0)])
+    @example(key=("desk", 0), seed=3, t=5, cells=[(4, 0.5), (4, 0.0)])
+    def test_cell_equals_chain_in_either_visit_order(self, key, seed, t, cells):
+        scenario = _SCENARIOS[key]
+        values = {}
+        for order in (cells, cells[::-1]):
+            world = EpisodeWorld(scenario, seed)
+            world.extend(t + 1)
+            for beam, eta in order:
+                value = world.measure(t, beam, eta)
+                assert (value, value) == _chain_values(scenario, world, t, beam, eta)
+                assert values.setdefault((beam, eta), value) == value
+            assert list(world.frames) == [t]  # one record served every cell

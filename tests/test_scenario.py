@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from racecma import Rect, ScenarioConfig, TargetState, initial_target_state, propagate_target
+from racecma import (
+    Rect,
+    ScenarioConfig,
+    TargetState,
+    desk_scenario,
+    initial_target_state,
+    propagate_target,
+)
 from racecma.scenario import dbm_to_watt
 
 ARENA = Rect(-10.0, 10.0, -10.0, 10.0)
@@ -68,6 +75,22 @@ def test_config_invariants_rejected():
     with pytest.raises(ValueError, match="delay_window"):
         ScenarioConfig(delay_window=(0.0, 1.0 / 15e3))
     ScenarioConfig(doppler_window=(-0.5 / 100e-6, 0.5 / 100e-6))
+
+
+@pytest.mark.parametrize("whole_float", [False, True])
+@pytest.mark.parametrize("name", [
+    "n_bs_antennas", "n_ue_antennas", "n_subcarriers", "n_symbols", "n_beams",
+    "n_targets", "n_delay_bins", "n_doppler_bins", "nlos_path_count",
+])
+def test_counts_must_be_integers(name, whole_float):
+    # Without this check a float count passes every other one and fails only
+    # inside the first episode (run_episode on desk_scenario(n_beams=20.5)
+    # raised TypeError).
+    count = getattr(desk_scenario(), name)
+    value = float(count) if whole_float else count + 0.5
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        desk_scenario(**{name: value})
+    assert getattr(desk_scenario(**{name: np.int64(count)}), name) == count
 
 
 @pytest.mark.parametrize("n_targets", [0, 2])
