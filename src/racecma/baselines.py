@@ -16,7 +16,7 @@ import numpy as np
 
 from .feedback import classify, run_episode
 from .objective import OptimizeResult, RoundRecord, StochasticObjective
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, check_integers
 from .seeding import derive_seed, rng_from
 
 
@@ -203,6 +203,7 @@ class IpnConfig:
     fd_step: float = 0.05
 
     def __post_init__(self) -> None:
+        check_integers(self, ("outer_rounds", "newton_iters"))
         if self.fd_step <= 0 or self.barrier_init <= 0:
             raise ValueError("fd_step and barrier_init must be positive")
         if not 0 < self.fd_step * self.fd_step < math.inf:

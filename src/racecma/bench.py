@@ -40,10 +40,15 @@ from .feedback import (
 )
 from .objective import IsacObjective
 from .race import RacingConfig, inverse_feasible, map_unconstrained, race_cma_optimize
-from .scenario import ScenarioConfig, desk_scenario
+from .scenario import ScenarioConfig, check_integers, desk_scenario
 from .seeding import derive_seed, rng_from
 
 METHODS = ("MAP", "IPN", "SPSA", "CMA-ES", "RACE-CMA")
+# ExperimentSpec's count fields and the least value of each.
+_COUNT_MINIMA = {
+    "repetitions": 1, "eval_repeats": 1, "map_episodes": 1, "population": 2,
+    "generations": 1, "sweep_stage2_repetitions": 1, "jobs": 1, "map_min_samples": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -83,31 +88,19 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        check_integers(self, _COUNT_MINIMA)
+        for name, least in _COUNT_MINIMA.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        if self.eval_repeats < 1:
-            raise ValueError("eval_repeats must be >= 1")
-        if self.map_episodes < 1:
-            raise ValueError("map_episodes must be >= 1")
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
         # Checked for every method list: sweep always runs RACE-CMA.
         if self.racing.mirrored_sampling and self.population % 2:
             raise ValueError("population must be even while racing.mirrored_sampling is on")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
         if len(self.power_grid) < 2:
             raise ValueError("power_grid needs at least two points")
         if self.init_sigma <= 0:
             raise ValueError("init_sigma must be positive")
-        if self.sweep_stage2_repetitions < 1:
-            raise ValueError("sweep_stage2_repetitions must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.map_min_samples < 1:
-            raise ValueError("map_min_samples must be >= 1")
         x_min, x_max, y_min, y_max = self.ue_box
         if not (x_min < x_max and y_min < y_max):
             raise ValueError("ue_box must have positive extent: x_min < x_max, y_min < y_max")
@@ -198,20 +191,15 @@ def assess(
     thresholds: Sequence[float],
     seeds: Sequence[int],
 ) -> tuple[float, float, float]:
-    """Uncharged mean (J_det, J_lat/horizon, J_pow) over assessment seeds.
-
-    Vacuous detection values (target never in region) are excluded.
-    """
+    """Uncharged mean (J_det, J_lat/horizon, J_pow) over assessment seeds."""
     objective = IsacObjective(scenario, actions)
     det, lat, pw = [], [], []
     for seed in seeds:
         values = objective.peek_values(thresholds, seed)
-        if not values.det_vacuous:
-            det.append(values.j_det)
+        det.append(values.j_det)
         lat.append(values.j_lat / scenario.frame_count)
         pw.append(values.j_pow)
-    j_det = float(np.mean(det)) if det else 1.0
-    return j_det, float(np.mean(lat)), float(np.mean(pw))
+    return float(np.mean(det)), float(np.mean(lat)), float(np.mean(pw))
 
 
 @dataclass

@@ -89,14 +89,13 @@ class EpisodeTrace:
 
     resi: np.ndarray
     states: np.ndarray
-    in_region: np.ndarray
     in_beam: np.ndarray
     power: np.ndarray
     horizon: int
 
     def __post_init__(self) -> None:
         n = self.horizon
-        series = (self.resi, self.states, self.in_region, self.in_beam, self.power)
+        series = (self.resi, self.states, self.in_beam, self.power)
         if any(len(s) != n for s in series):
             raise ValueError("all series must cover the horizon")
         if np.any(self.power < 0) or np.any(self.power > 1):
@@ -247,11 +246,10 @@ def run_episode(
     t1, t2, t3 = check_thresholds(thresholds)
     n_frames = math.ceil(fidelity * scenario.frame_count)
     world = WORLDS.world(scenario, seed, n_frames)
-    targets, bearings, cells = world.targets, world.bearings, world.cells
+    bearings, cells = world.bearings, world.cells
 
     resi = np.zeros(n_frames)
     states = np.zeros(n_frames, dtype=np.int64)
-    in_region = np.zeros(n_frames, dtype=bool)
     in_beam = np.zeros(n_frames, dtype=bool)
     power = np.zeros(n_frames)
 
@@ -285,43 +283,33 @@ def run_episode(
             states[t] = state
             power[t] = 0.0
 
-        in_region[t] = targets[t].inside_region
         in_beam[t] = scenario.beam_contains(beam, bearings[t])
         state = int(states[t])
 
     WORLDS.count_cells(measured - misses, misses)
     return EpisodeTrace(
-        resi=resi, states=states, in_region=in_region, in_beam=in_beam,
-        power=power, horizon=n_frames,
+        resi=resi, states=states, in_beam=in_beam, power=power, horizon=n_frames,
     )
 
 
-class DetectionReliability(NamedTuple):
-    value: float
-    vacuous: bool
+def detection_reliability(trace: EpisodeTrace, thresholds: Sequence[float]) -> float:
+    """Fraction of frames with the beam on the target and the echo above t1.
 
-
-def detection_reliability(trace: EpisodeTrace, thresholds: Sequence[float]) -> DetectionReliability:
-    """Fraction of in-region frames with the beam on target and echo above t1.
-
-    When the target never enters the region the metric is vacuously 1 and
-    flagged, so callers can exclude it from aggregates.
+    The target never leaves the region (``propagate_target``), so every
+    frame counts.
     """
-    eligible = int(np.sum(trace.in_region))
-    if eligible == 0:
-        return DetectionReliability(1.0, True)
     hits = int(np.sum(trace.in_beam & (trace.resi > thresholds[0])))
-    return DetectionReliability(hits / eligible, False)
+    return hits / trace.horizon
 
 
 def sensing_latency(trace: EpisodeTrace, thresholds: Sequence[float]) -> int:
-    """Frames spent below the locked state while the target is in region.
+    """Frames spent below the locked state.
 
     If no frame ever exceeds t1 the full horizon is returned.
     """
     if not np.any(trace.resi > thresholds[0]):
         return trace.horizon
-    return int(np.sum(trace.in_region & (trace.states < 3)))
+    return int(np.sum(trace.states < 3))
 
 
 def power_overhead(trace: EpisodeTrace) -> float:
@@ -335,7 +323,6 @@ class ObjectiveValues:
     j_lat: float
     j_pow: float
     scalar_cost: float
-    det_vacuous: bool = False
 
 
 def check_weights(weights: tuple[float, float, float]) -> None:
@@ -366,8 +353,5 @@ def episode_objectives(
     det = detection_reliability(trace, thresholds)
     lat = sensing_latency(trace, thresholds)
     pow_frac = power_overhead(trace)
-    cost = scalarize(det.value, lat, pow_frac, trace.horizon, weights)
-    return ObjectiveValues(
-        j_det=det.value, j_lat=float(lat), j_pow=pow_frac,
-        scalar_cost=cost, det_vacuous=det.vacuous,
-    )
+    cost = scalarize(det, lat, pow_frac, trace.horizon, weights)
+    return ObjectiveValues(j_det=det, j_lat=float(lat), j_pow=pow_frac, scalar_cost=cost)

@@ -38,6 +38,7 @@ from .objective import (
     derive_seed_plan,
     evaluate_repeated,
 )
+from .scenario import check_integers
 from .seeding import derive_seed, rng_from
 
 
@@ -56,6 +57,7 @@ class RacingConfig:
     mirrored_sampling: bool = True
 
     def __post_init__(self) -> None:
+        check_integers(self, ("repetitions",))
         if not 0.0 < self.promotion_fraction <= 1.0:
             raise ValueError("promotion fraction must lie in (0, 1]")
         if not 0.0 < self.fidelity_ratio <= 1.0:

@@ -37,10 +37,6 @@ class Rect:
         if self.x_min >= self.x_max or self.y_min >= self.y_max:
             raise ValueError("rectangle must have positive extent")
 
-    def contains(self, position) -> bool:
-        x, y = float(position[0]), float(position[1])
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
 
 @dataclass(frozen=True)
 class GainModel:
@@ -64,8 +60,18 @@ class GainModel:
             raise ValueError("specular component must not precede or exceed the direct path")
 
 
-# Count fields that must be at least 1. These, n_targets and
-# nlos_path_count must also be integers (``operator.index``).
+def check_integers(config, names) -> None:
+    """Reject a count field of ``config`` that is not an integer
+    (``operator.index``): a float count passes every range check and fails
+    only mid-run, in ``range`` or in an array shape."""
+    for name in names:
+        try:
+            operator.index(getattr(config, name))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer") from None
+
+
+# Count fields that must be at least 1.
 _POSITIVE_COUNTS = (
     "n_bs_antennas",
     "n_ue_antennas",
@@ -117,11 +123,7 @@ class ScenarioConfig:
     heading_jitter: float = 0.3
 
     def __post_init__(self) -> None:
-        for name in (*_POSITIVE_COUNTS, "n_targets", "nlos_path_count"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+        check_integers(self, (*_POSITIVE_COUNTS, "n_targets", "nlos_path_count"))
         if any(getattr(self, name) < 1 for name in _POSITIVE_COUNTS):
             raise ValueError("all counts must be >= 1")
         if self.n_targets != 1:
@@ -290,7 +292,6 @@ class TargetState:
 
     position: tuple[float, float]
     velocity: tuple[float, float]
-    inside_region: bool
 
     @property
     def speed(self) -> float:
@@ -313,7 +314,7 @@ def initial_target_state(scenario: ScenarioConfig, seed: int) -> TargetState:
         scenario.target_speed * math.cos(heading),
         scenario.target_speed * math.sin(heading),
     )
-    return TargetState(position=pos, velocity=vel, inside_region=True)
+    return TargetState(position=pos, velocity=vel)
 
 
 def propagate_target(
@@ -327,7 +328,9 @@ def propagate_target(
 
     Motion is straight-line; only a boundary hit changes the direction:
     the velocity is mirrored on the wall normal and, when ``heading_jitter``
-    is nonzero, rotated by a seeded perturbation. Speed is preserved exactly.
+    is nonzero, rotated by a seeded perturbation. Speed is preserved exactly
+    and the target ends inside ``region``: a step too long to fold back in
+    16 reflections (about 15 region widths) raises ``ValueError``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -351,6 +354,8 @@ def propagate_target(
         reflected = reflected or moved
         if not moved:
             break
+    else:
+        raise ValueError("step too long to fold back into the region")
 
     if reflected and heading_jitter > 0.0:
         rng = rng_from(rng_seed, "reflect")
@@ -358,9 +363,4 @@ def propagate_target(
         c, s = math.cos(angle), math.sin(angle)
         vx, vy = c * vx - s * vy, s * vx + c * vy
 
-    position = (x, y)
-    return TargetState(
-        position=position,
-        velocity=(vx, vy),
-        inside_region=region.contains(position),
-    )
+    return TargetState(position=(x, y), velocity=(vx, vy))

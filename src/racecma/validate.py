@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -290,24 +291,29 @@ def check_simulator_physics() -> CheckResult:
 # End-to-end
 
 
-def _scratch_dir(scratch: Path | None) -> Path:
-    """``scratch``, or a fresh temporary directory when none is given."""
-    return Path(scratch) if scratch else Path(tempfile.mkdtemp(prefix="racecma-validate-"))
+@contextmanager
+def _scratch_dir(scratch: Path | None) -> Iterator[Path]:
+    """``scratch``, or a temporary directory removed when the block exits."""
+    if scratch:
+        yield Path(scratch)
+    else:
+        with tempfile.TemporaryDirectory(prefix="racecma-validate-") as tmp:
+            yield Path(tmp)
 
 
 def check_reproducibility(scratch: Path | None = None) -> CheckResult:
     """The compare benchmark is byte-identical across runs."""
-    base = _scratch_dir(scratch)
     spec = ExperimentSpec(
         repetitions=2, methods=("CMA-ES", "RACE-CMA"), budget=24.0,
         generations=2, eval_repeats=2, master_seed=1,
     )
     files = ("compare_runs.csv", "compare_summary.csv", "spec.cfg")
-    run_compare(spec, base / "a")
-    run_compare(spec, base / "b")
-    for name in files:
-        if (base / "a" / name).read_bytes() != (base / "b" / name).read_bytes():
-            return CheckResult("reproducibility", False, f"{name} differs between runs")
+    with _scratch_dir(scratch) as base:
+        run_compare(spec, base / "a")
+        run_compare(spec, base / "b")
+        for name in files:
+            if (base / "a" / name).read_bytes() != (base / "b" / name).read_bytes():
+                return CheckResult("reproducibility", False, f"{name} differs between runs")
     return CheckResult("reproducibility", True, "compare outputs byte-identical")
 
 
@@ -321,8 +327,9 @@ def check_efficiency_ordering(
     """Racing beats plain CMA-ES on cost-normalized improvement; both beat
     the local baselines."""
     spec = spec if spec is not None else ExperimentSpec()
-    base = _scratch_dir(scratch)
-    eff = {row["method"]: row["efficiency"] for row in run_compare(spec, base / "compare")}
+    with _scratch_dir(scratch) as base:
+        rows = run_compare(spec, base / "compare")
+    eff = {row["method"]: row["efficiency"] for row in rows}
     race, cma, spsa, ipn = (eff[m] for m in ("RACE-CMA", "CMA-ES", "SPSA", "IPN"))
     checks = [
         race >= 1.3 * cma,
@@ -351,8 +358,8 @@ def check_convergence_direction(
         spec if spec is not None else ExperimentSpec(),
         methods=("CMA-ES", "RACE-CMA"), convergence_powers=(24.7,),
     )
-    base = _scratch_dir(scratch)
-    rows = run_convergence(spec, base / "converge")
+    with _scratch_dir(scratch) as base:
+        rows = run_convergence(spec, base / "converge")
     gen4 = {row["method"]: row["j_det"] for row in rows
             if row["generation"] == CONVERGENCE_GENERATION}
     passed = gen4["RACE-CMA"] > gen4["CMA-ES"]
@@ -368,8 +375,8 @@ def check_sweep_direction(
     """Tuned thresholds dominate fixed ones across the power grid and cut
     latency at the low-power point."""
     spec = spec if spec is not None else ExperimentSpec()
-    base = _scratch_dir(scratch)
-    rows = run_sweep(spec, base / "sweep")
+    with _scratch_dir(scratch) as base:
+        rows = run_sweep(spec, base / "sweep")
     by_key = {(row["power_dbm"], row["variant"]): row for row in rows}
     det_ok = all(
         by_key[(p, "tuned")]["j_det"] >= by_key[(p, "fixed")]["j_det"] for p in spec.power_grid

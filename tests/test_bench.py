@@ -25,6 +25,7 @@ from racecma.bench import (
 )
 from racecma.cli import build_spec, main
 from racecma.config import schema
+from racecma.feedback import detection_reliability, run_episode
 from racecma.objective import CostLedger
 from racecma.validate import validate
 
@@ -144,9 +145,13 @@ class TestHelpers:
         assert math.isnan(nan_ci)
 
     def test_assess_excludes_nothing_by_default(self, desk):
-        j_det, j_lat, j_pow = assess(desk, tiny_spec().actions,
-                                     np.array([0.5, 1.0, 1.5]), seeds=[1, 2])
+        thresholds = np.array([0.5, 1.0, 1.5])
+        j_det, j_lat, j_pow = assess(desk, tiny_spec().actions, thresholds, seeds=[1, 2])
         assert 0.0 <= j_det <= 1.0 and 0.0 <= j_lat <= 1.0 and 0.0 <= j_pow <= 1.0
+        # J_det averages over every seed.
+        dets = [detection_reliability(run_episode(desk, thresholds, seed=s), thresholds)
+                for s in (1, 2)]
+        assert j_det == float(np.mean(dets))
 
     def test_unknown_method_rejected(self, desk):
         spec = tiny_spec()
@@ -162,9 +167,20 @@ class TestHelpers:
         ("map_episodes", 0, "map_episodes must be >= 1"),
         ("fixed_thresholds", (math.inf, 4.5, 6.0), "fixed_thresholds must be finite"),
         ("fixed_thresholds", (3.0, math.nan, 6.0), "fixed_thresholds must be finite"),
+        # A non-integral count would fail only mid-run, in range() or repeat().
+        *((name, 2.5, f"{name} must be an integer") for name in (
+            "repetitions", "eval_repeats", "generations", "population", "map_episodes",
+            "map_min_samples", "sweep_stage2_repetitions", "jobs")),
+        ("repetitions", 1.0, "repetitions must be an integer"),
+        # A dict replaces fields of the nested config of that name.
+        ("racing", {"repetitions": 1.5}, "repetitions must be an integer"),
+        ("ipn", {"outer_rounds": 2.5}, "outer_rounds must be an integer"),
+        ("ipn", {"newton_iters": 2.0}, "newton_iters must be an integer"),
     ])
     def test_meaningless_specs_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
+            if isinstance(value, dict):
+                value = replace(getattr(tiny_spec(), field), **value)
             tiny_spec(**{field: value})
 
     def test_spec_config_covers_scenario_and_experiment(self):
@@ -285,6 +301,17 @@ class TestCli:
         assert not ok
         failed = {r.name for r in results if not r.passed}
         assert "cost-identity" in failed
+
+    def test_validate_scratch_dir_removes_only_its_own(self, tmp_path):
+        # Without a scratch directory a check writes into a temporary one
+        # that is gone when the check returns; a given directory keeps its files.
+        with validate_mod._scratch_dir(None) as base:
+            (base / "a").mkdir()
+            (base / "a" / "compare_runs.csv").write_text("x")
+        assert not base.exists()
+        with validate_mod._scratch_dir(tmp_path) as base:
+            (base / "compare_runs.csv").write_text("x")
+        assert base == tmp_path and (tmp_path / "compare_runs.csv").read_text() == "x"
 
     @pytest.mark.parametrize("flags", [
         ["--config", "x.cfg"], ["--seed", "3"], ["--reps", "1"], ["--budget", "12"],

@@ -133,10 +133,11 @@ class TestHash:
         assert config_hash({"a.b": "1"}) != config_hash({"a.b": "2"})
 
     def test_cast_keeps_unequal_specs_apart(self):
-        # ExperimentSpec accepts a non-integral count (ScenarioConfig no longer
-        # does); int(3.5) is the default 3, but the spec must not read as the default.
-        odd = ExperimentSpec(map_episodes=3.5)
-        assert spec_to_config(odd)["experiment.map_episodes"] == "3.5"
+        # ExperimentSpec accepts a non-integral master seed (its counts no
+        # longer do); int(1.5) is the default 1, but the spec must not read as
+        # the default.
+        odd = ExperimentSpec(master_seed=1.5)
+        assert spec_to_config(odd)["experiment.master_seed"] == "1.5"
         assert config_hash(spec_to_config(odd)) != config_hash(spec_to_config(ExperimentSpec()))
 
 

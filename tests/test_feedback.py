@@ -103,7 +103,7 @@ class TestRunEpisode:
         traces = [run_episode(desk, t, seed=9)
                   for t in ((0.5, 1.0, 1.5), [0.5, 1.0, 1.5], np.array([0.5, 1.0, 1.5]))]
         for trace in traces[1:]:
-            for name in ("resi", "states", "in_region", "in_beam", "power"):
+            for name in ("resi", "states", "in_beam", "power"):
                 assert getattr(trace, name).tobytes() == getattr(traces[0], name).tobytes()
 
     @pytest.mark.parametrize("bad", [(math.inf, 1.0, 2.0), (0.5, math.nan, 1.5),
@@ -130,12 +130,11 @@ class TestRunEpisode:
         assert np.all(trace.power[1::2] > 0.0)
 
 
-def _trace(resi, states, in_region=None, in_beam=None, power=None):
+def _trace(resi, states, in_beam=None, power=None):
     n = len(resi)
     return EpisodeTrace(
         resi=np.asarray(resi, float),
         states=np.asarray(states, np.int64),
-        in_region=np.ones(n, bool) if in_region is None else np.asarray(in_region, bool),
         in_beam=np.ones(n, bool) if in_beam is None else np.asarray(in_beam, bool),
         power=np.full(n, 0.5) if power is None else np.asarray(power, float),
         horizon=n,
@@ -146,25 +145,18 @@ class TestObjectives:
     def test_detection_all_hits(self):
         t = (1.0, 2.0, 3.0)
         trace = _trace([1.5] * 10, [1] * 10)
-        result = detection_reliability(trace, t)
-        assert result.value == 1.0 and not result.vacuous
-
-    def test_detection_vacuous_when_never_in_region(self):
-        t = (1.0, 2.0, 3.0)
-        trace = _trace([1.5] * 10, [1] * 10, in_region=[False] * 10)
-        result = detection_reliability(trace, t)
-        assert result.value == 1.0 and result.vacuous
+        assert detection_reliability(trace, t) == 1.0
 
     def test_detection_partial_ratio(self):
         t = (1.0, 2.0, 3.0)
         resi = [1.5] * 4 + [0.5] * 6
         trace = _trace(resi, [1] * 4 + [0] * 6)
-        assert detection_reliability(trace, t).value == pytest.approx(0.4)
+        assert detection_reliability(trace, t) == pytest.approx(0.4)
 
     def test_detection_requires_beam(self):
         t = (1.0, 2.0, 3.0)
         trace = _trace([1.5] * 10, [1] * 10, in_beam=[True] * 5 + [False] * 5)
-        assert detection_reliability(trace, t).value == pytest.approx(0.5)
+        assert detection_reliability(trace, t) == pytest.approx(0.5)
 
     def test_latency_full_horizon_when_nothing_crosses(self):
         t = (1.0, 2.0, 3.0)

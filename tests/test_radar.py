@@ -23,7 +23,7 @@ from racecma.seeding import derive_seed, rng_from
 
 
 def _target(position, velocity=(0.0, 0.0)):
-    return TargetState(position=position, velocity=velocity, inside_region=True)
+    return TargetState(position=position, velocity=velocity)
 
 
 class TestRealizeChannel:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from racecma import (
     Rect,
@@ -11,31 +12,39 @@ from racecma import (
     initial_target_state,
     propagate_target,
 )
-from racecma.scenario import dbm_to_watt
+from racecma.feedback import EpisodeWorld
+from racecma.scenario import TARGET_SPAWN_MARGIN, dbm_to_watt
 
 ARENA = Rect(-10.0, 10.0, -10.0, 10.0)
 
 
+def inside(region: Rect, position, margin: float = 0.0) -> bool:
+    """Whether ``position`` lies in ``region`` inset by ``margin`` of each extent."""
+    mx = margin * (region.x_max - region.x_min)
+    my = margin * (region.y_max - region.y_min)
+    x, y = position
+    return (region.x_min + mx <= x <= region.x_max - mx
+            and region.y_min + my <= y <= region.y_max - my)
+
+
 def test_straight_line_motion():
-    state = TargetState(position=(0.0, 0.0), velocity=(3.0, 0.0), inside_region=True)
+    state = TargetState(position=(0.0, 0.0), velocity=(3.0, 0.0))
     moved = propagate_target(state, 1.0, rng_seed=0, region=ARENA)
     assert moved.position == (3.0, 0.0)
     assert moved.velocity == (3.0, 0.0)
-    assert moved.inside_region
 
 
 def test_zero_dt_rejected():
-    state = TargetState(position=(0.0, 0.0), velocity=(3.0, 0.0), inside_region=True)
+    state = TargetState(position=(0.0, 0.0), velocity=(3.0, 0.0))
     with pytest.raises(ValueError):
         propagate_target(state, 0.0, rng_seed=0, region=ARENA)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.4])
 def test_reflection_preserves_speed(jitter):
-    state = TargetState(position=(9.5, 0.0), velocity=(3.0, 0.0), inside_region=True)
+    state = TargetState(position=(9.5, 0.0), velocity=(3.0, 0.0))
     moved = propagate_target(state, 1.0, rng_seed=7, region=ARENA, heading_jitter=jitter)
-    assert moved.inside_region
-    assert moved.position[0] <= 10.0
+    assert inside(ARENA, moved.position)
     assert moved.speed == pytest.approx(3.0, abs=1e-12)
     if jitter == 0.0:
         assert moved.velocity == (-3.0, 0.0)
@@ -43,16 +52,50 @@ def test_reflection_preserves_speed(jitter):
 
 
 def test_reflection_jitter_deterministic():
-    state = TargetState(position=(9.5, 0.0), velocity=(3.0, 0.0), inside_region=True)
+    state = TargetState(position=(9.5, 0.0), velocity=(3.0, 0.0))
     a = propagate_target(state, 1.0, rng_seed=7, region=ARENA, heading_jitter=0.4)
     b = propagate_target(state, 1.0, rng_seed=7, region=ARENA, heading_jitter=0.4)
     assert a.position == b.position and a.velocity == b.velocity
 
 
+def test_overlong_step_rejected():
+    # 16 folding passes confine a step of up to about 15 region widths (20 m).
+    ten_widths = TargetState(position=(0.0, 0.0), velocity=(200.0, 0.0))
+    assert inside(ARENA, propagate_target(ten_widths, 1.0, rng_seed=0, region=ARENA).position)
+    twenty_widths = TargetState(position=(0.0, 0.0), velocity=(400.0, 0.0))
+    with pytest.raises(ValueError, match="fold back"):
+        propagate_target(twenty_widths, 1.0, rng_seed=0, region=ARENA)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corner=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+    extent=st.tuples(st.floats(1e-3, 100.0), st.floats(1e-3, 100.0)),
+    step_share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    jitter=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    seed=st.integers(0, 2**32),
+)
+def test_target_never_leaves_the_region(corner, extent, step_share, jitter, seed):
+    # The step bound of ScenarioConfig (up to and at the region's shorter
+    # side) keeps every propagated frame inside the region.
+    (x0, y0), (w, h) = corner, extent
+    region = Rect(x0, x0 + w, y0, y0 + h)
+    side = min(region.x_max - region.x_min, region.y_max - region.y_min)
+    dt = desk_scenario().frame_duration
+    speed = step_share * side / dt
+    while speed * dt > side:
+        speed = math.nextafter(speed, 0.0)
+    sc = desk_scenario(region=region, target_speed=speed, heading_jitter=jitter)
+    world = EpisodeWorld(sc, seed)
+    world.extend(sc.frame_count)
+    assert len(world.targets) == sc.frame_count
+    for target in world.targets:
+        assert inside(region, target.position), target.position
+
+
 def test_initial_target_state_respects_config(desk):
     state = initial_target_state(desk, seed=3)
-    assert state.inside_region
-    assert desk.region.contains(state.position)
+    assert inside(desk.region, state.position, TARGET_SPAWN_MARGIN)
     assert state.speed == pytest.approx(desk.target_speed)
     assert initial_target_state(desk, seed=3) == state
 

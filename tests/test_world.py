@@ -22,7 +22,6 @@ def reference_episode(scenario, thresholds, actions, seed, fidelity) -> EpisodeT
     resi = np.zeros(n_frames)
     power = np.zeros(n_frames)
     states = np.zeros(n_frames, dtype=np.int64)
-    in_region = np.zeros(n_frames, dtype=bool)
     in_beam = np.zeros(n_frames, dtype=bool)
     state = sweep_ptr = beam = since = 0
     belief = 0.0
@@ -46,17 +45,16 @@ def reference_episode(scenario, thresholds, actions, seed, fidelity) -> EpisodeT
             states[t] = state
         resi[t] = belief
         bs = scenario.bs_position
-        in_region[t] = target.inside_region
         in_beam[t] = scenario.beam_contains(
             beam, math.atan2(target.position[1] - bs[1], target.position[0] - bs[0]))
         state = int(states[t])
-    return EpisodeTrace(resi=resi, states=states, in_region=in_region, in_beam=in_beam,
-                        power=power, horizon=n_frames)
+    return EpisodeTrace(resi=resi, states=states, in_beam=in_beam, power=power,
+                        horizon=n_frames)
 
 
 def assert_identical(a: EpisodeTrace, b: EpisodeTrace) -> None:
     assert a.horizon == b.horizon
-    for name in ("resi", "states", "in_region", "in_beam", "power"):
+    for name in ("resi", "states", "in_beam", "power"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
