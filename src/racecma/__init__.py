@@ -41,6 +41,7 @@ from .feedback import (
     episode_objectives,
     power_overhead,
     run_episode,
+    run_episodes,
     scalarize,
     sensing_latency,
 )

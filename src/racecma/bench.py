@@ -37,6 +37,8 @@ from .feedback import (
     StateActionTable,
     check_thresholds,
     check_weights,
+    episode_objectives,
+    run_episodes,
 )
 from .objective import IsacObjective
 from .race import RacingConfig, inverse_feasible, map_unconstrained, race_cma_optimize
@@ -188,18 +190,22 @@ def _rep_env(
 def assess(
     scenario: ScenarioConfig,
     actions: StateActionTable,
-    thresholds: Sequence[float],
+    triples: Sequence[Sequence[float]],
     seeds: Sequence[int],
-) -> tuple[float, float, float]:
-    """Uncharged mean (J_det, J_lat/horizon, J_pow) over assessment seeds."""
-    objective = IsacObjective(scenario, actions)
-    det, lat, pw = [], [], []
+) -> list[tuple[float, float, float]]:
+    """Uncharged mean (J_det, J_lat/horizon, J_pow) over assessment seeds of
+    each threshold triple; the triples replay each seed together."""
+    per_seed = []
     for seed in seeds:
-        values = objective.peek_values(thresholds, seed)
-        det.append(values.j_det)
-        lat.append(values.j_lat / scenario.frame_count)
-        pw.append(values.j_pow)
-    return float(np.mean(det)), float(np.mean(lat)), float(np.mean(pw))
+        traces = run_episodes(scenario, triples, actions, seed)
+        per_seed.append([episode_objectives(tr, t) for tr, t in zip(traces, triples)])
+    means = []
+    for values in zip(*per_seed):
+        det = [v.j_det for v in values]
+        lat = [v.j_lat / scenario.frame_count for v in values]
+        pw = [v.j_pow for v in values]
+        means.append((float(np.mean(det)), float(np.mean(lat)), float(np.mean(pw))))
+    return means
 
 
 @dataclass
@@ -305,11 +311,10 @@ def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
 
 def _compare_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     scenario, t0, seeds, opt_seed = _rep_env(spec, rep)
-    j_init, _, _ = assess(scenario, spec.actions, t0, seeds)
+    runs = [run_method(method, scenario, spec, t0, opt_seed) for method in spec.methods]
+    (j_init, _, _), *finals = assess(scenario, spec.actions, [t0, *(r.final for r in runs)], seeds)
     rows = []
-    for method in spec.methods:
-        run = run_method(method, scenario, spec, t0, opt_seed)
-        j_final, _, _ = assess(scenario, spec.actions, run.final, seeds)
+    for method, run, (j_final, _, _) in zip(spec.methods, runs, finals):
         delta_j = j_final - j_init
         eff = delta_j / run.n_eq if run.n_eq > 0 else math.nan
         rows.append((rep, method, j_init, j_final, delta_j, run.n_eq, eff, int(run.failed)))
@@ -353,8 +358,9 @@ def _sweep_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     for power in spec.power_grid:
         scenario, t0, seeds, opt_seed = _rep_env(spec, rep, "sweep-", power)
         tuned = run_method("RACE-CMA", scenario, tuning, t0, opt_seed)
-        for variant, thresholds in (("fixed", spec.fixed_thresholds), ("tuned", tuned.final)):
-            rows.append((rep, power, variant, *assess(scenario, spec.actions, thresholds, seeds)))
+        for variant, means in zip(("fixed", "tuned"), assess(
+                scenario, spec.actions, [spec.fixed_thresholds, tuned.final], seeds)):
+            rows.append((rep, power, variant, *means))
     return rows
 
 
@@ -385,17 +391,21 @@ def _convergence_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     rows = []
     for power in spec.convergence_powers:
         scenario, t0, seeds, opt_seed = _rep_env(spec, rep, "conv-", power)
+        runs = [run_method(method, scenario, spec, t0, opt_seed) for method in spec.methods]
         # Best-so-far points repeat across generations and methods, and
         # assess is a pure function of the point at a fixed power.
-        j_det_of: dict[tuple[float, ...], float] = {}
-        for method in spec.methods:
-            run = run_method(method, scenario, spec, t0, opt_seed)
+        points = list(dict.fromkeys(
+            tuple(map(float, point)) for run in runs for point in run.best_so_far
+        ))
+        j_det_of = {
+            point: det for point, (det, _, _)
+            in zip(points, assess(scenario, spec.actions, points, seeds))
+        }
+        for method, run in zip(spec.methods, runs):
             per_gen = max(run.n_eq / spec.generations, 0.0)
             for gen, point in enumerate(run.best_so_far, start=1):
-                key = tuple(map(float, point))
-                if key not in j_det_of:
-                    j_det_of[key] = assess(scenario, spec.actions, point, seeds)[0]
-                rows.append((rep, power, method, gen, j_det_of[key], per_gen * gen))
+                rows.append((rep, power, method, gen, j_det_of[tuple(map(float, point))],
+                             per_gen * gen))
     return rows
 
 

@@ -10,6 +10,7 @@ the echo (candidate/detected/locked).
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -18,7 +19,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .radar import FrameRecord, cell_constants, frame_record, measure_cell, realize_channel
+from .radar import (
+    FrameRecord, cell_constants, frame_noise, frame_record, measure_cell, realize_channel,
+)
 # Not used here: the benchmark tracer wraps these three names at this import
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
 # package (ROADMAP item 4b).
@@ -117,8 +120,9 @@ class EpisodeWorld:
     the longest prefix asked of it. At a frame's first measure it keeps the
     frame's :class:`FrameRecord` (channel, arrival gain, noise seed), and it
     measures each (frame, beam, power factor) cell once, on first visit,
-    from that record. Replays under any thresholds and action table then
-    read the stored floats.
+    from that record and a draw of the frame's noise that the cells of one
+    visit share. Replays under any thresholds and action table then read
+    the stored floats.
     """
 
     def __init__(self, scenario: ScenarioConfig, seed: int) -> None:
@@ -147,16 +151,19 @@ class EpisodeWorld:
                 math.atan2(target.position[1] - bs[1], target.position[0] - bs[0])
             )
 
-    def measure(self, t: int, beam: int, eta: float) -> float:
-        """Echo strength of frame ``t`` under ``beam`` at power factor ``eta``."""
+    def measure(self, t: int, cells: Sequence[tuple[int, float]]) -> None:
+        """Measure frame ``t`` under each (beam, power factor) of ``cells``
+        into ``self.cells``, from one draw of the frame's noise."""
         frame = self.frames.get(t)
         if frame is None:
             channel = realize_channel(self.scenario, self.targets[t])
             frame = frame_record(self._const, channel, derive_seed(self.seed, "frame", t))
             self.frames[t] = frame
-        value = measure_cell(self._const, frame, beam, eta * self._budget_w)
-        self.cells[(t, beam, eta)] = value
-        return value
+        noise = frame_noise(self._const, frame)
+        for beam, eta in cells:
+            self.cells[(t, beam, eta)] = measure_cell(
+                self._const, frame, noise, beam, eta * self._budget_w
+            )
 
 
 class WorldCacheInfo(NamedTuple):
@@ -223,14 +230,54 @@ class WorldCache:
 WORLDS = WorldCache(MAX_WORLD_FRAMES)
 
 
-def run_episode(
+def _closed_loop(
+    thresholds: tuple[float, float, float],
+    actions: StateActionTable,
     scenario: ScenarioConfig,
-    thresholds: Sequence[float],
+    bearings: list[float],
+    out: tuple[list, list, list, list],
+):
+    """One episode's decisions, a frame per step. At each frame it yields
+    the cell it measures, ``(t, beam, power factor)``, and is sent that
+    cell's echo strength, or yields None and is sent None when the cadence
+    skips the frame. It appends the frame to ``out`` (resi, states, in_beam,
+    power). It never ends by itself: the caller stops sending after the last
+    frame, so the decision it yields for the frame after is never used."""
+    t1, t2, t3 = thresholds
+    resi, states, in_beam, power = out
+    periods, factors = actions.period_multipliers, actions.power_factors
+    state = sweep_ptr = beam = frames_since_measure = 0
+    belief = 0.0  # last measured echo strength
+    for t in itertools.count():
+        if state == 0:
+            beam = sweep_ptr
+            sweep_ptr = (sweep_ptr + 1) % scenario.n_beams
+
+        frames_since_measure += 1
+        if frames_since_measure >= periods[state]:
+            frames_since_measure = 0
+            eta = factors[state]
+            belief = yield (t, beam, eta)
+            # classify(belief, thresholds), with the check done once per episode.
+            state = 0 if belief <= t1 else 1 if belief <= t2 else 2 if belief <= t3 else 3
+            power.append(eta)
+        else:
+            yield None
+            power.append(0.0)
+        resi.append(belief)
+        states.append(state)
+        in_beam.append(scenario.beam_contains(beam, bearings[t]))
+
+
+def run_episodes(
+    scenario: ScenarioConfig,
+    triples: Sequence[Sequence[float]],
     actions: StateActionTable = DEFAULT_ACTIONS,
     seed: int = 0,
     fidelity: float = 1.0,
-) -> EpisodeTrace:
-    """Simulate the closed loop for ``ceil(fidelity * frame_count)`` frames.
+) -> list[EpisodeTrace]:
+    """Simulate the closed loop of every threshold triple for
+    ``ceil(fidelity * frame_count)`` frames, all on one seed.
 
     The state after frame t sets the power and cadence of frame t+1 (frame 0
     uses state 0). While in state 0 the beam sweeps cyclically; any higher
@@ -240,56 +287,61 @@ def run_episode(
     ``seed``, so the randomness a candidate threshold vector faces does not
     depend on the decisions it makes. That is what lets every episode of a
     (scenario, seed) replay one shared :class:`EpisodeWorld` from ``WORLDS``.
+
+    The episodes advance in lockstep, a frame at a time, and the cells they
+    miss at a frame are measured together from one draw of its noise. Every
+    triple is checked before any frame runs. Each trace equals, bit for
+    bit, the one its triple gives alone.
     """
     if not 0.0 < fidelity <= 1.0:
         raise ValueError("fidelity must lie in (0, 1]")
-    t1, t2, t3 = check_thresholds(thresholds)
+    checked = [check_thresholds(t) for t in triples]
     n_frames = math.ceil(fidelity * scenario.frame_count)
     world = WORLDS.world(scenario, seed, n_frames)
-    bearings, cells = world.bearings, world.cells
-
-    resi = np.zeros(n_frames)
-    states = np.zeros(n_frames, dtype=np.int64)
-    in_beam = np.zeros(n_frames, dtype=bool)
-    power = np.zeros(n_frames)
-
-    state = 0
-    sweep_ptr = 0
-    beam = 0
-    frames_since_measure = 0
-    belief = 0.0  # last measured echo strength
+    cells = world.cells
+    outs = [([], [], [], []) for _ in checked]
+    loops = [_closed_loop(t, actions, scenario, world.bearings, out)
+             for t, out in zip(checked, outs)]
+    wanted = [next(loop) for loop in loops]
     measured = misses = 0
 
     for t in range(n_frames):
-        if state == 0:
-            beam = sweep_ptr
-            sweep_ptr = (sweep_ptr + 1) % scenario.n_beams
-
-        frames_since_measure += 1
-        if frames_since_measure >= actions.period_multipliers[state]:
-            frames_since_measure = 0
-            eta = actions.power_factors[state]
-            belief = cells.get((t, beam, eta))
-            if belief is None:
-                belief = world.measure(t, beam, eta)
-                misses += 1
-            measured += 1
-            resi[t] = belief
-            # classify(belief, thresholds), with the check done once above.
-            states[t] = 0 if belief <= t1 else 1 if belief <= t2 else 2 if belief <= t3 else 3
-            power[t] = eta
-        else:
-            resi[t] = belief
-            states[t] = state
-            power[t] = 0.0
-
-        in_beam[t] = scenario.beam_contains(beam, bearings[t])
-        state = int(states[t])
+        missing = []
+        for key in wanted:
+            if key is not None:
+                measured += 1
+                if key not in cells and key not in missing:
+                    missing.append(key)
+        if missing:
+            world.measure(t, [key[1:] for key in missing])
+            misses += len(missing)
+        asked, wanted = wanted, []
+        for loop, key in zip(loops, asked):
+            wanted.append(loop.send(None if key is None else cells[key]))
 
     WORLDS.count_cells(measured - misses, misses)
-    return EpisodeTrace(
-        resi=resi, states=states, in_beam=in_beam, power=power, horizon=n_frames,
-    )
+    return [
+        EpisodeTrace(
+            resi=np.array(resi, dtype=float),
+            states=np.array(states, dtype=np.int64),
+            in_beam=np.array(in_beam, dtype=bool),
+            power=np.array(power, dtype=float),
+            horizon=n_frames,
+        )
+        for resi, states, in_beam, power in outs
+    ]
+
+
+def run_episode(
+    scenario: ScenarioConfig,
+    thresholds: Sequence[float],
+    actions: StateActionTable = DEFAULT_ACTIONS,
+    seed: int = 0,
+    fidelity: float = 1.0,
+) -> EpisodeTrace:
+    """The closed loop of one threshold triple: :func:`run_episodes` of a
+    batch of one."""
+    return run_episodes(scenario, (thresholds,), actions, seed, fidelity)[0]
 
 
 def detection_reliability(trace: EpisodeTrace, thresholds: Sequence[float]) -> float:

@@ -22,6 +22,7 @@ from .feedback import (
     StateActionTable,
     episode_objectives,
     run_episode,
+    run_episodes,
 )
 from .scenario import ScenarioConfig
 from .seeding import derive_seed, rng_from
@@ -96,6 +97,13 @@ class RepeatedEstimate:
     variance: float | None
     repetitions: int
 
+    @classmethod
+    def of(cls, values) -> "RepeatedEstimate":
+        """Mean and unbiased variance of one point's values, one per seed."""
+        values = np.array(values)
+        variance = float(np.var(values, ddof=1)) if len(values) >= 2 else None
+        return cls(mean=float(np.mean(values)), variance=variance, repetitions=len(values))
+
 
 class StochasticObjective(Protocol):
     ledger: CostLedger
@@ -103,6 +111,13 @@ class StochasticObjective(Protocol):
     def evaluate(
         self, point, seed: int, fidelity: float = 1.0, kind: str = "full"
     ) -> float: ...
+
+    def evaluate_many(
+        self, points, seed: int, fidelity: float = 1.0, kind: str = "full"
+    ) -> list[float]:
+        """``[evaluate(p, seed, fidelity, kind) for p in points]``, with the
+        same ledger charges."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -143,9 +158,7 @@ def evaluate_repeated(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed list must be non-empty")
-    values = np.array([objective.evaluate(point, s, fidelity, kind=kind) for s in seeds])
-    variance = float(np.var(values, ddof=1)) if len(values) >= 2 else None
-    return RepeatedEstimate(mean=float(np.mean(values)), variance=variance, repetitions=len(values))
+    return RepeatedEstimate.of([objective.evaluate(point, s, fidelity, kind=kind) for s in seeds])
 
 
 class IsacObjective:
@@ -178,6 +191,19 @@ class IsacObjective:
         values = self.peek_values(point, seed, fidelity)
         self.ledger.add(fidelity, kind)
         return values.scalar_cost
+
+    def evaluate_many(
+        self, points, seed: int, fidelity: float = 1.0, kind: str = "full"
+    ) -> list[float]:
+        """:meth:`evaluate` of each point, charged the same, with the
+        episodes replayed in one lockstep batch (:func:`run_episodes`). An
+        infeasible point raises before any episode runs or is charged."""
+        traces = run_episodes(self.scenario, points, self.actions, seed, fidelity)
+        costs = []
+        for point, trace in zip(points, traces):
+            costs.append(episode_objectives(trace, point, self.weights).scalar_cost)
+            self.ledger.add(fidelity, kind)
+        return costs
 
 
 class SyntheticObjective:
@@ -219,3 +245,8 @@ class SyntheticObjective:
             value += self.noise_std / np.sqrt(fidelity) * rng.standard_normal()
         self.ledger.add(fidelity, kind)
         return value
+
+    def evaluate_many(
+        self, points, seed: int, fidelity: float = 1.0, kind: str = "full"
+    ) -> list[float]:
+        return [self.evaluate(p, seed, fidelity, kind) for p in points]

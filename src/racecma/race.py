@@ -36,7 +36,6 @@ from .objective import (
     RepeatedEstimate,
     StochasticObjective,
     derive_seed_plan,
-    evaluate_repeated,
 )
 from .scenario import check_integers
 from .seeding import derive_seed, rng_from
@@ -164,10 +163,7 @@ def stage1_screen(
     if len(candidates) == 0:
         raise ValueError("candidate list must be non-empty")
     return np.array(
-        [
-            objective.evaluate(c, plan.stage1_seed, fidelity_ratio, kind="stage1")
-            for c in candidates
-        ]
+        objective.evaluate_many(candidates, plan.stage1_seed, fidelity_ratio, kind="stage1")
     )
 
 
@@ -189,12 +185,15 @@ def stage2_refine(
     """Evaluate each promoted candidate once under each Stage-2 seed of the plan.
 
     ``truncation`` below 1 emulates early stopping by shortening each
-    evaluation (and its charge) to that fraction of a full one.
+    evaluation (and its charge) to that fraction of a full one. The points
+    are evaluated together, one seed at a time; each estimate equals
+    :func:`evaluate_repeated` of its point over the same seeds.
     """
-    return [
-        evaluate_repeated(objective, point, plan.stage2_seeds, truncation, kind="stage2")
-        for point in points
+    per_seed = [
+        objective.evaluate_many(points, seed, truncation, kind="stage2")
+        for seed in plan.stage2_seeds
     ]
+    return [RepeatedEstimate.of(values) for values in zip(*per_seed)]
 
 
 def assemble_ranking(

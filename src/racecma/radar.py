@@ -8,9 +8,11 @@ noise floor estimated on guard (null) resource elements.
 
 Two ways run it. The reference chain, ``synthesize_rx_grid`` ->
 ``matched_filter`` -> ``compute_resi``, hands each stage's result to the
-next. The episode loop instead builds one :class:`FrameRecord` per frame
-and passes it to :func:`measure_cell` once per (beam, power) cell, which
-makes the same floating-point operations in the same order in one pass.
+next. The episode loop instead builds one :class:`FrameRecord` per frame,
+draws the frame's :class:`FrameNoise` once for all the cells it measures
+there, and passes both to :func:`measure_cell` once per (beam, power) cell,
+which makes the same floating-point operations in the same order in one
+pass.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ class FrameRecord(NamedTuple):
     """What every (beam, power) cell of one frame shares.
 
     Built once per frame from the channel; a cell adds only the transmit
-    gain of its beam, its power and the noise draw.
+    gain of its beam and its power to the frame's echo and noise.
     """
 
     cos_departure: float
@@ -266,6 +268,32 @@ def frame_record(const: CellConstants, channel: ChannelRealization, seed: int) -
     )
 
 
+class FrameNoise(NamedTuple):
+    """What every cell of one frame draws on beyond its record: the scaled
+    noise grid, its RMS over the guard rows and the departure steering
+    vector. Drawn for the cells measured at one visit and then dropped, so
+    no more than one grid of noise is held."""
+
+    scaled: np.ndarray  # noise_scale times the frame's complex Gaussian draw
+    floor: float  # compute_resi's noise floor of every cell of the frame
+    departure: np.ndarray
+
+
+def frame_noise(const: CellConstants, frame: FrameRecord) -> FrameNoise:
+    """Draw the frame's noise from its record's seed."""
+    rng = np.random.default_rng(frame.noise_seed)
+    draw = rng.standard_normal((*const.pilot.shape, 2)).view(np.complex128)[..., 0]
+    np.multiply(const.noise_scale, draw, out=draw)
+    # compute_resi's floor. The pilot is 0 on the guard rows, which are the
+    # last rows, so a cell's samples there are this noise plus the exact zero
+    # of its finite echo times the pilot, and in row-major order they are one
+    # contiguous run.
+    power = np.abs(draw[const.null_row:].reshape(-1))
+    np.square(power, out=power)
+    floor = math.sqrt(np.add.reduce(power) / power.size)
+    return FrameNoise(draw, floor, _steer(const.bs_phases, frame.cos_departure))
+
+
 def _echo_term(
     const: CellConstants, amplitude: complex, delay: float, doppler: float
 ) -> np.ndarray:
@@ -276,28 +304,26 @@ def _echo_term(
 
 
 def _cell_samples(
-    const: CellConstants, frame: FrameRecord, beam_index: int, power_w: float
+    const: CellConstants, frame: FrameRecord, noise: FrameNoise, beam_index: int,
+    power_w: float,
 ) -> np.ndarray:
     """The received grid of one cell: the frame's echo under the sweep beam
-    at ``power_w``, plus white complex Gaussian noise from the frame's seed."""
+    at ``power_w``, plus the frame's noise."""
     if not 0 <= beam_index < len(const.beamformers):
         raise ValueError("beam_index out of range")
     if power_w < 0:
         raise ValueError("power must be nonnegative")
 
-    departure = _steer(const.bs_phases, frame.cos_departure)
-    tx_gain = np.vdot(departure, const.beamformers[beam_index])
+    tx_gain = np.vdot(noise.departure, const.beamformers[beam_index])
     samples = _echo_term(const, frame.a0 * tx_gain, frame.delay, frame.doppler)
     if frame.nlos is not None:
         a0_nlos, delay_nlos, doppler_nlos = frame.nlos
         np.add(samples, _echo_term(const, a0_nlos * tx_gain, delay_nlos, doppler_nlos),
                out=samples)
 
-    rng = np.random.default_rng(frame.noise_seed)
-    draw = rng.standard_normal((*samples.shape, 2)).view(np.complex128)[..., 0]
     np.multiply(math.sqrt(power_w), samples, out=samples)
     np.multiply(samples, const.pilot, out=samples)
-    np.add(samples, np.multiply(const.noise_scale, draw, out=draw), out=samples)
+    np.add(samples, noise.scaled, out=samples)
     return samples
 
 
@@ -315,7 +341,8 @@ def synthesize_rx_grid(
     is white complex Gaussian at the configured noise-figure level.
     """
     const = cell_constants(scenario)
-    samples = _cell_samples(const, frame_record(const, channel, seed), beam_index, power_w)
+    frame = frame_record(const, channel, seed)
+    samples = _cell_samples(const, frame, frame_noise(const, frame), beam_index, power_w)
     return RxGrid(
         samples=samples,
         pilot=const.pilot,
@@ -325,28 +352,25 @@ def synthesize_rx_grid(
 
 
 def measure_cell(
-    const: CellConstants, frame: FrameRecord, beam_index: int, power_w: float
+    const: CellConstants, frame: FrameRecord, noise: FrameNoise, beam_index: int,
+    power_w: float,
 ) -> float:
     """Echo strength of one (frame, beam, power) cell in one pass.
 
     Equals ``compute_resi(matched_filter(grid, window), grid, null_mask).value``
     for the grid ``synthesize_rx_grid`` builds, bit for bit: the same
-    operations run in the same order on the same operands.
+    operations run in the same order on the same operands. ``noise`` is the
+    frame's :func:`frame_noise`, which any number of its cells may share.
     """
-    samples = _cell_samples(const, frame, beam_index, power_w)
+    samples = _cell_samples(const, frame, noise, beam_index, power_w)
     n_sc, n_sym = samples.shape
-    # compute_resi's floor: the guard band is the last rows, so its samples
-    # in row-major order are one contiguous run.
-    power = np.abs(samples[const.null_row:].reshape(-1))
-    np.square(power, out=power)
-    floor = math.sqrt(np.add.reduce(power) / power.size)
-    if floor <= 0:
+    if noise.floor <= 0:
         raise ValueError("noise floor must be positive")
     # matched_filter's surface; the grid is not read again, so it is reused.
     weighted = np.multiply(const.conj_pilot, samples, out=samples)
     surface = const.e_delay @ weighted @ const.e_doppler_t
     np.true_divide(surface, n_sc * n_sym, out=surface)
-    value = float(np.abs(surface).max()) / floor
+    value = float(np.abs(surface).max()) / noise.floor
     if value < 0:
         raise ValueError("invalid echo-strength sample")
     return value

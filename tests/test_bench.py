@@ -146,12 +146,17 @@ class TestHelpers:
 
     def test_assess_excludes_nothing_by_default(self, desk):
         thresholds = np.array([0.5, 1.0, 1.5])
-        j_det, j_lat, j_pow = assess(desk, tiny_spec().actions, thresholds, seeds=[1, 2])
+        [(j_det, j_lat, j_pow)] = assess(desk, tiny_spec().actions, [thresholds], seeds=[1, 2])
         assert 0.0 <= j_det <= 1.0 and 0.0 <= j_lat <= 1.0 and 0.0 <= j_pow <= 1.0
         # J_det averages over every seed.
         dets = [detection_reliability(run_episode(desk, thresholds, seed=s), thresholds)
                 for s in (1, 2)]
         assert j_det == float(np.mean(dets))
+        # A triple assessed beside others gets the same means as alone.
+        other = (2.0, 3.0, 4.0)
+        together = assess(desk, tiny_spec().actions, [other, thresholds, other], seeds=[1, 2])
+        assert together == [assess(desk, tiny_spec().actions, [t], seeds=[1, 2])[0]
+                            for t in (other, thresholds, other)]
 
     def test_unknown_method_rejected(self, desk):
         spec = tiny_spec()

@@ -152,6 +152,27 @@ class TestIsacObjective:
         assert reduction >= 0.30
 
 
+_OBJECTIVES = {
+    "isac": IsacObjective,
+    "synthetic": lambda _scenario: SyntheticObjective(lambda x: float(np.sum(x**2)),
+                                                       noise_std=0.3),
+}
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("make", list(_OBJECTIVES.values()), ids=list(_OBJECTIVES))
+    def test_values_and_charges_equal_an_evaluate_loop(self, desk, make):
+        points = [np.array([0.5, 1.0, 1.5]), np.array([1.0, 2.0, 3.0]),
+                  np.array([0.5, 1.0, 1.5]), np.array([2.0, 2.5, 6.0])]
+        batched, looped = make(desk), make(desk)
+        for fidelity, kind, seed in ((0.2, "stage1", 3), (0.8, "stage2", 5), (1.0, "full", 3)):
+            values = batched.evaluate_many(points, seed, fidelity, kind)
+            assert values == [looped.evaluate(p, seed, fidelity, kind) for p in points]
+        assert batched.ledger.exact_total == looped.ledger.exact_total == Fraction(8)
+        assert batched.ledger.breakdown == looped.ledger.breakdown == {
+            "stage1": (4, 0.8), "stage2": (4, 3.2), "full": (4, 4.0)}
+
+
 class TestSyntheticObjective:
     def test_deterministic_when_noiseless(self):
         obj = SyntheticObjective(lambda x: float(np.sum(x**2)))

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from racecma import (
+    IsacObjective,
     RacingConfig,
     SyntheticObjective,
     assemble_ranking,
     cma_optimize,
     default_params,
     derive_seed_plan,
+    evaluate_repeated,
     init_state,
     inverse_feasible,
     map_unconstrained,
@@ -179,6 +181,23 @@ class TestStages:
         beta = RacingConfig(promotion_fraction=0.5, fidelity_ratio=0.2,
                             truncation=0.8, repetitions=1)
         assert beta.generation_cost(12) == pytest.approx(7.2)
+
+    @pytest.mark.parametrize("make", [
+        IsacObjective,
+        lambda _scenario: SyntheticObjective(sphere, noise_std=0.1),
+    ], ids=["isac", "synthetic"])
+    def test_stage2_equals_repeated_evaluation_per_point(self, desk, make):
+        plan = derive_seed_plan(3, 1, 3)
+        points = [np.array([0.5, 1.0, 1.5]), np.array([1.0, 2.0, 3.0]),
+                  np.array([0.5, 1.0, 1.5])]
+        batched, looped = make(desk), make(desk)
+        estimates = stage2_refine(points, batched, plan, 0.8)
+        assert estimates == [
+            evaluate_repeated(looped, p, plan.stage2_seeds, 0.8, kind="stage2") for p in points
+        ]
+        assert all(e.repetitions == 3 and e.variance is not None for e in estimates)
+        assert batched.ledger.exact_total == looped.ledger.exact_total == Fraction(36, 5)
+        assert batched.ledger.breakdown == looped.ledger.breakdown
 
     def test_deterministic_objective_zero_variance(self):
         obj = SyntheticObjective(sphere)

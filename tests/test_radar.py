@@ -17,7 +17,9 @@ from racecma import (
     synthesize_rx_grid,
 )
 from racecma.feedback import EpisodeWorld
-from racecma.radar import NlosComponent, RxGrid, pilot_grid, steering_vector
+from racecma.radar import (
+    NlosComponent, RxGrid, cell_constants, frame_noise, pilot_grid, steering_vector,
+)
 from racecma.scenario import SPEED_OF_LIGHT
 from racecma.seeding import derive_seed, rng_from
 
@@ -377,22 +379,25 @@ class TestChainMatchesReference:
 
 def _chain_values(scenario, world, t, beam, eta):
     """The cell a world measures, run through the radar chain stage by stage
-    and through the line-for-line reference above."""
+    and through the line-for-line reference above: the two values, then the
+    two noise floors."""
     channel = realize_channel(scenario, world.targets[t])
     args = (scenario, channel, beam, eta * scenario.tx_power_w, derive_seed(world.seed, "frame", t))
     grid = synthesize_rx_grid(*args)
     surface = matched_filter(grid, scenario.search_window())
-    chain = compute_resi(surface, grid, scenario.null_mask()).value
+    chain = compute_resi(surface, grid, scenario.null_mask())
     samples, pilot = _ref_synthesize_rx_grid(*args)
     peak = float(np.abs(_ref_surface(scenario, samples, pilot)).max())
-    return chain, peak / _ref_floor(samples, scenario.null_mask())
+    ref_floor = _ref_floor(samples, scenario.null_mask())
+    return chain.value, peak / ref_floor, chain.noise_floor, ref_floor
 
 
 class TestWorldCellIsTheChain:
-    """A world measures each cell from its frame's record in one pass; that
-    value must equal the chain's, bit for bit, whichever cell of the frame
-    built the record. The chain shares its synthesis with the one pass, so
-    the value is also held to the reference formulas."""
+    """A world measures every missing cell of a frame from the frame's
+    record and one draw of its noise; each value must equal the chain's, bit
+    for bit, whichever cells share the draw and in whichever order. The
+    chain shares its synthesis with the one pass, so the value is also held
+    to the reference formulas, and the noise's floor to both floors."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -413,8 +418,11 @@ class TestWorldCellIsTheChain:
         for order in (cells, cells[::-1]):
             world = EpisodeWorld(scenario, seed)
             world.extend(t + 1)
+            world.measure(t, order)  # every cell from one draw
+            floor = frame_noise(cell_constants(scenario), world.frames[t]).floor
             for beam, eta in order:
-                value = world.measure(t, beam, eta)
-                assert (value, value) == _chain_values(scenario, world, t, beam, eta)
+                value = world.cells[(t, beam, eta)]
+                assert (value, value, floor, floor) == _chain_values(scenario, world, t, beam, eta)
                 assert values.setdefault((beam, eta), value) == value
             assert list(world.frames) == [t]  # one record served every cell
+            assert len(world.cells) == len(cells)

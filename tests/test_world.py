@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racecma import StateActionTable, classify, desk_scenario, run_episode
+from racecma import (
+    InfeasibleThresholdsError, IsacObjective, StateActionTable, classify, desk_scenario,
+    run_episode, run_episodes,
+)
+from racecma import feedback as feedback_mod
 from racecma.feedback import MAX_WORLD_FRAMES, WORLDS, EpisodeTrace
 from racecma.radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
 from racecma.scenario import initial_target_state, propagate_target
@@ -126,6 +130,71 @@ class TestReplay:
         measured = sum(int(np.count_nonzero(trace.power)) for trace in serial)
         assert (info.worlds, info.frames, info.world_hits + info.world_misses) == (1, 100, 12)
         assert info.cell_hits + info.cell_misses == measured
+
+
+class TestBatch:
+    """A lockstep batch replays each triple exactly as it would run alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(triples=st.lists(thresholds_st, min_size=1, max_size=5), actions=actions_st,
+           fidelity=fidelity_st, seed=st.integers(0, 3),
+           warm=st.lists(episode_st, max_size=2))
+    def test_batch_equals_separate_cold_episodes(self, short_desk, triples, actions, fidelity,
+                                                 seed, warm):
+        alone = []
+        for thresholds in triples:
+            WORLDS.cache_clear()
+            alone.append(run_episode(short_desk, thresholds, actions, seed, fidelity))
+        WORLDS.cache_clear()
+        for thresholds, warm_actions, warm_fidelity in warm:
+            run_episode(short_desk, thresholds, warm_actions, seed, warm_fidelity)
+        batch = run_episodes(short_desk, triples, actions, seed, fidelity)
+        assert len(batch) == len(triples)
+        for thresholds, together, single in zip(triples, batch, alone):
+            assert_identical(together, single)
+            assert_identical(together, reference_episode(short_desk, thresholds, actions, seed,
+                                                          fidelity))
+
+    def test_noise_is_drawn_once_per_frame(self, short_desk, monkeypatch):
+        draws = []
+        frame_noise = feedback_mod.frame_noise
+
+        def counted(const, frame):
+            draws.append(frame)
+            return frame_noise(const, frame)
+
+        monkeypatch.setattr(feedback_mod, "frame_noise", counted)
+        # Twelve triples that spread over states, so a frame has several cells.
+        triples = [(0.2 * i, 0.2 * i + 1.0, 0.2 * i + 2.0) for i in range(12)]
+        WORLDS.cache_clear()
+        traces = run_episodes(short_desk, triples, seed=7)
+        world = WORLDS.world(short_desk, 7, 1)
+        assert len(draws) == len(world.frames) == 40
+        assert len(world.cells) > len(world.frames)
+        info = WORLDS.cache_info()
+        measured = sum(int(np.count_nonzero(trace.power)) for trace in traces)
+        assert (info.cell_misses, info.cell_hits + info.cell_misses) == (len(world.cells),
+                                                                         measured)
+        # A warm replay of the same batch draws nothing.
+        run_episodes(short_desk, triples, seed=7)
+        assert len(draws) == 40
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [(1.0, 3.0, 2.0), (1.0, 2.0, math.inf), (math.nan, 1.0, 2.0)])
+    def test_infeasible_triple_raises_before_any_work(self, short_desk, position, bad):
+        triples = [(1.0, 2.0, 3.0), (0.5, 1.5, 2.5)]
+        triples.insert(position, bad)
+        WORLDS.cache_clear()
+        run_episode(short_desk, (1.0, 2.0, 3.0), seed=2, fidelity=0.5)
+        before = WORLDS.cache_info()
+        with pytest.raises(InfeasibleThresholdsError):
+            run_episodes(short_desk, triples, seed=2)
+        objective = IsacObjective(short_desk)
+        with pytest.raises(InfeasibleThresholdsError):
+            objective.evaluate_many(triples, 2, 0.2, kind="stage1")
+        assert WORLDS.cache_info() == before
+        assert objective.ledger.exact_total == 0
+        assert objective.ledger.breakdown["stage1"] == (0, 0.0)
 
 
 class TestCache:
