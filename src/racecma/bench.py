@@ -94,15 +94,16 @@ class ExperimentSpec:
         for name, least in _COUNT_MINIMA.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        # A budget of inf never ends SPSA's loop; nan lets IPN alone run.
+        if not 0 < self.budget < math.inf:
+            raise ValueError("budget must be positive and finite")
         # Checked for every method list: sweep always runs RACE-CMA.
         if self.racing.mirrored_sampling and self.population % 2:
             raise ValueError("population must be even while racing.mirrored_sampling is on")
         if len(self.power_grid) < 2:
             raise ValueError("power_grid needs at least two points")
-        if self.init_sigma <= 0:
-            raise ValueError("init_sigma must be positive")
+        if not 0 < self.init_sigma < math.inf:
+            raise ValueError("init_sigma must be positive and finite")
         x_min, x_max, y_min, y_max = self.ue_box
         if not (x_min < x_max and y_min < y_max):
             raise ValueError("ue_box must have positive extent: x_min < x_max, y_min < y_max")

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,12 +104,6 @@ class EpisodeTrace:
             raise ValueError("power fractions must lie in [0, 1]")
 
 
-# Frames the world cache may hold over all its worlds: about 20 desk
-# episodes or 2 paper-scale ones. A cap on the number of worlds would let
-# 1000-frame paper worlds pile up and grow the resident set instead.
-MAX_WORLD_FRAMES = 2048
-
-
 class EpisodeWorld:
     """The part of an episode that the thresholds cannot change.
 
@@ -166,68 +159,9 @@ class EpisodeWorld:
             )
 
 
-class WorldCacheInfo(NamedTuple):
-    worlds: int
-    frames: int
-    max_frames: int
-    world_hits: int
-    world_misses: int
-    cell_hits: int
-    cell_misses: int
-
-
-class WorldCache:
-    """Least-recently-used episode worlds, bounded by the frames they hold.
-
-    Safe under concurrent episodes: a lock guards the table, the counters
-    and every world's growth. Two episodes may measure the same cell at
-    once; both compute the same float.
-    """
-
-    def __init__(self, max_frames: int) -> None:
-        self.max_frames = max_frames
-        self._lock = threading.Lock()
-        self._worlds: OrderedDict[tuple, EpisodeWorld] = OrderedDict()
-        self._frames = 0
-        self._counts = [0, 0, 0, 0]  # world hits, world misses, cell hits, cell misses
-
-    def world(self, scenario: ScenarioConfig, seed: int, n_frames: int) -> EpisodeWorld:
-        """The world of (scenario, seed), grown to at least ``n_frames``."""
-        # derive_seed hashes repr(seed), so 3 and np.int64(3) are different seeds.
-        key = (scenario, type(seed), seed)
-        with self._lock:
-            world = self._worlds.get(key)
-            if world is None:
-                world = self._worlds[key] = EpisodeWorld(scenario, seed)
-                self._counts[1] += 1
-            else:
-                self._worlds.move_to_end(key)
-                self._counts[0] += 1
-            held = len(world.targets)
-            world.extend(n_frames)
-            self._frames += len(world.targets) - held
-            # A world larger than the bound serves its episode but is not kept.
-            while self._frames > self.max_frames:
-                self._frames -= len(self._worlds.popitem(last=False)[1].targets)
-        return world
-
-    def count_cells(self, hits: int, misses: int) -> None:
-        with self._lock:
-            self._counts[2] += hits
-            self._counts[3] += misses
-
-    def cache_info(self) -> WorldCacheInfo:
-        with self._lock:
-            return WorldCacheInfo(len(self._worlds), self._frames, self.max_frames, *self._counts)
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._worlds.clear()
-            self._frames = 0
-            self._counts = [0, 0, 0, 0]
-
-
-WORLDS = WorldCache(MAX_WORLD_FRAMES)
+# The world each thread replayed last (``_SLOT.world``). Threads never share
+# a world, so no lock is needed, and at most one per thread is held.
+_SLOT = threading.local()
 
 
 def _closed_loop(
@@ -286,7 +220,10 @@ def run_episodes(
     current belief. Noise and motion draw from per-frame seeds derived from
     ``seed``, so the randomness a candidate threshold vector faces does not
     depend on the decisions it makes. That is what lets every episode of a
-    (scenario, seed) replay one shared :class:`EpisodeWorld` from ``WORLDS``.
+    (scenario, seed) replay one :class:`EpisodeWorld`. Each thread keeps the
+    world it replayed last and grows it for the next batch on the same
+    scenario and seed (IPN's line-search probes after its stencil); a batch
+    on any other seed replaces it.
 
     The episodes advance in lockstep, a frame at a time, and the cells they
     miss at a frame are measured together from one draw of its noise. Every
@@ -297,29 +234,30 @@ def run_episodes(
         raise ValueError("fidelity must lie in (0, 1]")
     checked = [check_thresholds(t) for t in triples]
     n_frames = math.ceil(fidelity * scenario.frame_count)
-    world = WORLDS.world(scenario, seed, n_frames)
+    world = getattr(_SLOT, "world", None)
+    # derive_seed hashes repr(seed), so 3 and np.int64(3) are different seeds.
+    if world is None or (world.scenario, type(world.seed), world.seed) != (
+        scenario, type(seed), seed
+    ):
+        world = _SLOT.world = EpisodeWorld(scenario, seed)
+    world.extend(n_frames)
     cells = world.cells
     outs = [([], [], [], []) for _ in checked]
     loops = [_closed_loop(t, actions, scenario, world.bearings, out)
              for t, out in zip(checked, outs)]
     wanted = [next(loop) for loop in loops]
-    measured = misses = 0
 
     for t in range(n_frames):
         missing = []
         for key in wanted:
-            if key is not None:
-                measured += 1
-                if key not in cells and key not in missing:
-                    missing.append(key)
+            if key is not None and key not in cells and key not in missing:
+                missing.append(key)
         if missing:
             world.measure(t, [key[1:] for key in missing])
-            misses += len(missing)
         asked, wanted = wanted, []
         for loop, key in zip(loops, asked):
             wanted.append(loop.send(None if key is None else cells[key]))
 
-    WORLDS.count_cells(measured - misses, misses)
     return [
         EpisodeTrace(
             resi=np.array(resi, dtype=float),

@@ -165,8 +165,9 @@ class IsacObjective:
     """Closed-loop sensing episode cost as a function of the thresholds.
 
     Evaluations are pure: identical (point, seed, fidelity) always return
-    the same value, and only the ledger keeps state that results depend on
-    (the world cache behind ``run_episode`` only saves work).
+    the same value, and only the ledger keeps state that results depend on.
+    The episode world each thread keeps (:func:`run_episodes`) only saves
+    work.
     """
 
     def __init__(

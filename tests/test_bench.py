@@ -181,6 +181,8 @@ class TestHelpers:
         ("racing", {"repetitions": 1.5}, "repetitions must be an integer"),
         ("ipn", {"outer_rounds": 2.5}, "outer_rounds must be an integer"),
         ("ipn", {"newton_iters": 2.0}, "newton_iters must be an integer"),
+        *((name, value, f"{name} must be positive and finite")
+          for name in ("budget", "init_sigma") for value in (math.inf, math.nan)),
     ])
     def test_meaningless_specs_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -387,6 +389,9 @@ class TestCli:
         (["--config", "scenario.carrier_freq = 1e-300"], "the wavelength overflows"),
         (["--config", "scenario.region = -1e200,1e200,25,75"],
          "must lie within finite distances of each other"),
+        # Unchecked, inf never ends SPSA's loop and nan runs IPN alone.
+        (["--budget", "inf"], "budget must be positive and finite"),
+        (["--budget", "nan"], "budget must be positive and finite"),
     ])
     def test_bad_spec_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                              flags, message):

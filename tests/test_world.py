@@ -1,4 +1,5 @@
-"""Episode worlds: a replay over a warm world equals a cold episode bit for bit."""
+"""Episode worlds: a replay over a warm world equals a cold episode bit for bit,
+and each thread keeps only the world it replayed last."""
 
 import math
 import sys
@@ -13,7 +14,7 @@ from racecma import (
     run_episode, run_episodes,
 )
 from racecma import feedback as feedback_mod
-from racecma.feedback import MAX_WORLD_FRAMES, WORLDS, EpisodeTrace
+from racecma.feedback import EpisodeTrace
 from racecma.radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
 from racecma.scenario import initial_target_state, propagate_target
 from racecma.seeding import derive_seed
@@ -56,6 +57,29 @@ def reference_episode(scenario, thresholds, actions, seed, fidelity) -> EpisodeT
                         horizon=n_frames)
 
 
+def cold_start() -> None:
+    """Drop this thread's world, so the next episode builds a new one."""
+    feedback_mod._SLOT.world = None
+
+
+def held_world():
+    return feedback_mod._SLOT.world
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The frame records whose noise is drawn, in order."""
+    drawn = []
+    frame_noise = feedback_mod.frame_noise
+
+    def counted(const, frame):
+        drawn.append(frame)
+        return frame_noise(const, frame)
+
+    monkeypatch.setattr(feedback_mod, "frame_noise", counted)
+    return drawn
+
+
 def assert_identical(a: EpisodeTrace, b: EpisodeTrace) -> None:
     assert a.horizon == b.horizon
     for name in ("resi", "states", "in_beam", "power"):
@@ -84,9 +108,9 @@ class TestReplay:
     @given(target=episode_st, warm=st.lists(episode_st, min_size=1, max_size=3),
            seed=st.integers(0, 3))
     def test_warm_equals_cold(self, short_desk, target, warm, seed):
-        WORLDS.cache_clear()
+        cold_start()
         cold = run_episode(short_desk, *target[:2], seed, target[2])
-        WORLDS.cache_clear()
+        cold_start()
         for thresholds, actions, fidelity in warm:
             run_episode(short_desk, thresholds, actions, seed, fidelity)
         assert_identical(run_episode(short_desk, *target[:2], seed, target[2]), cold)
@@ -95,7 +119,7 @@ class TestReplay:
     @pytest.mark.parametrize("first, second", [(0.3, 1.0), (1.0, 0.3)])
     def test_prefix_in_either_order(self, desk, first, second):
         t = (1.0, 2.0, 3.0)
-        WORLDS.cache_clear()
+        cold_start()
         run_episode(desk, t, seed=5, fidelity=first)
         warm = run_episode(desk, t, seed=5, fidelity=second)
         assert_identical(warm, reference_episode(desk, t, StateActionTable(), 5, second))
@@ -103,19 +127,22 @@ class TestReplay:
     def test_seed_type_is_part_of_the_world(self, short_desk):
         # derive_seed hashes repr(seed), so np.int64(3) and 3 seed different worlds.
         t = (1.0, 2.0, 3.0)
-        WORLDS.cache_clear()
+        cold_start()
         run_episode(short_desk, t, seed=3)
+        world = held_world()
         assert_identical(run_episode(short_desk, t, seed=np.int64(3)),
                          reference_episode(short_desk, t, StateActionTable(), np.int64(3), 1.0))
-        assert WORLDS.cache_info().worlds == 2
+        assert held_world() is not world and type(held_world().seed) is np.int64
 
     def test_concurrent_generation_matches_serial(self, desk):
         rng = np.random.default_rng(11)
         candidates = [np.sort(rng.uniform(0.0, 6.0, 3)) for _ in range(12)]
         seed = derive_seed(1, 0, "stage1")
-        WORLDS.cache_clear()
+        cold_start()
         serial = [run_episode(desk, c, seed=seed) for c in candidates]
-        WORLDS.cache_clear()
+        cold_start()
+        run_episode(desk, candidates[0], seed=seed + 1)
+        main_world = held_world()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose lost updates
         try:
@@ -126,10 +153,8 @@ class TestReplay:
             sys.setswitchinterval(interval)
         for a, b in zip(threaded, serial):
             assert_identical(a, b)
-        info = WORLDS.cache_info()
-        measured = sum(int(np.count_nonzero(trace.power)) for trace in serial)
-        assert (info.worlds, info.frames, info.world_hits + info.world_misses) == (1, 100, 12)
-        assert info.cell_hits + info.cell_misses == measured
+        # Each pool thread kept a world of its own; this thread's is untouched.
+        assert held_world() is main_world and main_world.seed == seed + 1
 
 
 class TestBatch:
@@ -143,9 +168,9 @@ class TestBatch:
                                                  seed, warm):
         alone = []
         for thresholds in triples:
-            WORLDS.cache_clear()
+            cold_start()
             alone.append(run_episode(short_desk, thresholds, actions, seed, fidelity))
-        WORLDS.cache_clear()
+        cold_start()
         for thresholds, warm_actions, warm_fidelity in warm:
             run_episode(short_desk, thresholds, warm_actions, seed, warm_fidelity)
         batch = run_episodes(short_desk, triples, actions, seed, fidelity)
@@ -155,26 +180,14 @@ class TestBatch:
             assert_identical(together, reference_episode(short_desk, thresholds, actions, seed,
                                                           fidelity))
 
-    def test_noise_is_drawn_once_per_frame(self, short_desk, monkeypatch):
-        draws = []
-        frame_noise = feedback_mod.frame_noise
-
-        def counted(const, frame):
-            draws.append(frame)
-            return frame_noise(const, frame)
-
-        monkeypatch.setattr(feedback_mod, "frame_noise", counted)
+    def test_noise_is_drawn_once_per_frame(self, short_desk, draws):
         # Twelve triples that spread over states, so a frame has several cells.
         triples = [(0.2 * i, 0.2 * i + 1.0, 0.2 * i + 2.0) for i in range(12)]
-        WORLDS.cache_clear()
-        traces = run_episodes(short_desk, triples, seed=7)
-        world = WORLDS.world(short_desk, 7, 1)
+        cold_start()
+        run_episodes(short_desk, triples, seed=7)
+        world = held_world()
         assert len(draws) == len(world.frames) == 40
         assert len(world.cells) > len(world.frames)
-        info = WORLDS.cache_info()
-        measured = sum(int(np.count_nonzero(trace.power)) for trace in traces)
-        assert (info.cell_misses, info.cell_hits + info.cell_misses) == (len(world.cells),
-                                                                         measured)
         # A warm replay of the same batch draws nothing.
         run_episodes(short_desk, triples, seed=7)
         assert len(draws) == 40
@@ -184,52 +197,51 @@ class TestBatch:
     def test_infeasible_triple_raises_before_any_work(self, short_desk, position, bad):
         triples = [(1.0, 2.0, 3.0), (0.5, 1.5, 2.5)]
         triples.insert(position, bad)
-        WORLDS.cache_clear()
+        cold_start()
         run_episode(short_desk, (1.0, 2.0, 3.0), seed=2, fidelity=0.5)
-        before = WORLDS.cache_info()
+        world = held_world()
+        before = (len(world.targets), len(world.frames), len(world.cells))
         with pytest.raises(InfeasibleThresholdsError):
             run_episodes(short_desk, triples, seed=2)
         objective = IsacObjective(short_desk)
         with pytest.raises(InfeasibleThresholdsError):
             objective.evaluate_many(triples, 2, 0.2, kind="stage1")
-        assert WORLDS.cache_info() == before
+        assert held_world() is world
+        assert (len(world.targets), len(world.frames), len(world.cells)) == before
         assert objective.ledger.exact_total == 0
         assert objective.ledger.breakdown["stage1"] == (0, 0.0)
 
 
-class TestCache:
-    def test_counters(self, short_desk):
+class TestSlot:
+    """Each thread keeps the one world it replayed last."""
+
+    def test_probe_after_stencil_draws_only_for_new_cells(self, short_desk, draws):
+        # IPN's pattern: a 7-point stencil as one batch, then line-search
+        # probes on the same seed.
+        center = np.array([1.0, 2.0, 3.0])
+        steps = [sign * 0.4 * np.eye(3)[i] for i in range(3) for sign in (1, -1)]
+        stencil = [center, *(center + step for step in steps)]
+        cold_start()
+        run_episodes(short_desk, stencil, seed=4)
+        world, after_stencil = held_world(), len(draws)
+        run_episode(short_desk, stencil[3], seed=4)
+        assert len(draws) == after_stencil  # every cell was measured by the stencil
+        for probe in (center - 0.7, center + 0.25):
+            cells, n_draws = len(world.cells), len(draws)
+            trace = run_episode(short_desk, probe, seed=4)
+            assert held_world() is world
+            # An episode measures one cell a frame, so one draw per new cell.
+            assert len(draws) - n_draws == len(world.cells) - cells
+            assert_identical(trace, reference_episode(short_desk, probe, StateActionTable(),
+                                                      4, 1.0))
+        assert len(draws) > after_stencil  # a probe visited cells of its own
+
+    def test_other_seed_replaces_the_world(self, short_desk, draws):
         t = (1e9, 2e9, 3e9)  # never leaves state 0: every frame measured
-        WORLDS.cache_clear()
-        run_episode(short_desk, t, seed=1, fidelity=0.5)
-        run_episode(short_desk, t, seed=1)
-        info = WORLDS.cache_info()
-        assert info == (1, 40, MAX_WORLD_FRAMES, 1, 1, 20, 40)
-
-    def test_lru_eviction_by_frames(self, short_desk, monkeypatch):
-        monkeypatch.setattr(WORLDS, "max_frames", 100)
-        t = (1.0, 2.0, 3.0)
-        WORLDS.cache_clear()
-        for seed in (1, 2):
+        cold_start()
+        counts = []
+        for seed in (1, 1, 2, 1):
             run_episode(short_desk, t, seed=seed)
-        run_episode(short_desk, t, seed=1)  # seed 1 becomes the most recent
-        run_episode(short_desk, t, seed=3)  # 120 frames: seed 2 goes
-        run_episode(short_desk, t, seed=1)
-        info = WORLDS.cache_info()
-        assert (info.worlds, info.frames, info.world_hits, info.world_misses) == (2, 80, 2, 3)
-        monkeypatch.setattr(WORLDS, "max_frames", 30)
-        run_episode(short_desk, t, seed=4)  # larger than the bound: serves, is not kept
-        assert WORLDS.cache_info()[:2] == (0, 0)
-
-    def test_paper_scale_stream_stays_within_bound(self, paper_scale):
-        # Every measurement locks, and locked frames measure one in eight,
-        # so each 1000-frame world is cheap to build.
-        actions = StateActionTable(period_multipliers=(1, 1, 1, 8))
-        t = (-3.0, -2.0, -1.0)
-        WORLDS.cache_clear()
-        for seed in range(10):
-            run_episode(paper_scale, t, actions, seed=derive_seed("one-off", seed))
-            assert WORLDS.cache_info().frames <= MAX_WORLD_FRAMES
-        info = WORLDS.cache_info()
-        assert paper_scale.frame_count == 1000
-        assert (info.worlds, info.world_misses, info.world_hits) == (2, 10, 0)
+            counts.append(len(draws))
+        assert counts == [40, 40, 80, 120]
+        assert held_world().seed == 1 and len(held_world().frames) == 40
