@@ -53,7 +53,6 @@ from .objective import (
     RepeatedEstimate,
     SyntheticObjective,
     derive_seed_plan,
-    evaluate_repeated,
 )
 from .race import (
     GenerationReport,

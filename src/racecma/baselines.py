@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import classify, run_episode
+from .feedback import classify, run_episodes
+# Nothing here calls run_episode; the name stays bound because
+# perfbench/tracer.py wraps baselines.run_episode and fails if it is missing.
+from .feedback import run_episode  # noqa: F401
 from .objective import OptimizeResult, RoundRecord, StochasticObjective
 from .scenario import ScenarioConfig, check_integers
 from .seeding import derive_seed, rng_from
@@ -160,12 +163,9 @@ def map_calibrate(
     """
     scenario: ScenarioConfig = objective.scenario
     passive = (1e9, 2e9, 3e9)
+    seeds = [derive_seed(seed, "map-calibration", ep) for ep in range(episodes)]
     values: list[float] = []
-    for ep in range(episodes):
-        trace = run_episode(
-            scenario, passive, objective.actions,
-            derive_seed(seed, "map-calibration", ep), 1.0,
-        )
+    for trace in run_episodes(scenario, [passive] * episodes, seeds, objective.actions, 1.0):
         objective.ledger.add(1.0, "full")
         values.extend(trace.resi.tolist())
     x = np.asarray(values)
@@ -254,6 +254,8 @@ def ipn_optimize(
     The descent stops early when the budget cannot pay for the next stencil
     or probe, or when the line search accepts no step.
     """
+    if not 0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite")
     t = np.array(t0, float)
     if t[1] <= t[0] or t[2] <= t[1]:
         raise ValueError("initial point must be strictly feasible")
@@ -278,7 +280,7 @@ def ipn_optimize(
         stencil = [t.copy()]
         for e in np.eye(3) * h:
             stencil += [np.sort(t + e), np.sort(t - e)]
-        j_center, *probes = objective.evaluate_many(stencil, iter_seed, 1.0)
+        j_center, *probes = objective.evaluate_many(stencil, [iter_seed] * len(stencil), 1.0)
         grad_j = np.zeros(3)
         hess_diag = np.zeros(3)
         for i in range(3):
@@ -315,7 +317,7 @@ def ipn_optimize(
                 if spent + 1 > budget + 1e-12:
                     exhausted = True
                     break
-                j_cand = objective.evaluate(candidate, iter_seed, 1.0)
+                [j_cand] = objective.evaluate_many([candidate], [iter_seed], 1.0)
                 spent += 1.0
                 phi_cand = j_cand + mu * _barrier_value(candidate)
                 if phi_cand <= phi_current + ARMIJO * alpha * slope:
@@ -392,7 +394,7 @@ def spsa_gradient(
         raise ValueError("perturbation entries must be +/-1")
     plus = np.sort(t + c_k * delta)
     minus = np.sort(t - c_k * delta)
-    j_plus, j_minus = objective.evaluate_many([plus, minus], seed, 1.0)
+    j_plus, j_minus = objective.evaluate_many([plus, minus], [seed, seed], 1.0)
     return (j_plus - j_minus) / (2.0 * c_k * delta)
 
 
@@ -410,6 +412,8 @@ def spsa_optimize(
     is the best among periodic full-fidelity probes (the final iterate when
     the budget never allowed a probe). Probes are charged to the ledger.
     """
+    if not 0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite")
     t = np.array(t0, float)
     spent = 0.0
     best_cost = math.inf
@@ -431,7 +435,9 @@ def spsa_optimize(
         t = step
         k += 1
         if k % SPSA_PROBE_EVERY == 0 and spent + 1 <= budget + 1e-12:
-            probe = objective.evaluate(t.copy(), derive_seed(seed, "spsa-probe", k), 1.0)
+            [probe] = objective.evaluate_many(
+                [t.copy()], [derive_seed(seed, "spsa-probe", k)], 1.0
+            )
             spent += 1.0
             probed = True
             if probe < best_cost:

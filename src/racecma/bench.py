@@ -195,13 +195,16 @@ def assess(
     seeds: Sequence[int],
 ) -> list[tuple[float, float, float]]:
     """Uncharged mean (J_det, J_lat/horizon, J_pow) over assessment seeds of
-    each threshold triple; the triples replay each seed together."""
-    per_seed = []
-    for seed in seeds:
-        traces = run_episodes(scenario, triples, actions, seed)
-        per_seed.append([episode_objectives(tr, t) for tr, t in zip(traces, triples)])
+    each threshold triple. Every (seed, triple) pair goes into one
+    :func:`run_episodes` call, seed-major, so the triples of a seed replay
+    together."""
+    k = len(triples)
+    episodes = list(triples) * len(seeds)
+    traces = run_episodes(scenario, episodes, [seed for seed in seeds for _ in range(k)], actions)
+    per_episode = [episode_objectives(tr, t) for tr, t in zip(traces, episodes)]
     means = []
-    for values in zip(*per_seed):
+    for i in range(k):
+        values = per_episode[i::k]
         det = [v.j_det for v in values]
         lat = [v.j_lat / scenario.frame_count for v in values]
         pw = [v.j_pow for v in values]

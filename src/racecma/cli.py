@@ -100,11 +100,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"experiment.generations is {full_spec.generations}")
         if args.out:
             _make_out(val, args.out)
-        passed, results = validate(
-            level="full" if args.full else "quick",
-            full_spec=full_spec,
-            scratch=args.out / "scratch" if args.out else None,
-        )
+        passed, results = validate(full_spec, args.out / "scratch" if args.out else None)
         for result in results:
             print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
         if args.out:

@@ -205,8 +205,8 @@ def cma_optimize(
     ``feasible_map`` translates raw search points into the points the
     objective evaluates and the result reports; identity when omitted.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite")
     state = init_state(*init)
     mapper = feasible_map if feasible_map is not None else (lambda u: u)
 
@@ -221,12 +221,8 @@ def cma_optimize(
         gen = state.generation
         _, points = sample_population(state, params, derive_seed(seed, gen, "sample"))
         mapped = [mapper(u) for u in points]
-        costs = np.array(
-            [
-                objective.evaluate(pt, derive_seed(seed, gen, "eval", j), 1.0)
-                for j, pt in enumerate(mapped)
-            ]
-        )
+        seeds = [derive_seed(seed, gen, "eval", j) for j in range(params.lam)]
+        costs = np.array(objective.evaluate_many(mapped, seeds, 1.0))
         spent += params.lam
 
         order = np.argsort(costs, kind="stable")

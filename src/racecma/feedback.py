@@ -206,68 +206,76 @@ def _closed_loop(
 def run_episodes(
     scenario: ScenarioConfig,
     triples: Sequence[Sequence[float]],
+    seeds: Sequence[int],
     actions: StateActionTable = DEFAULT_ACTIONS,
-    seed: int = 0,
     fidelity: float = 1.0,
 ) -> list[EpisodeTrace]:
-    """Simulate the closed loop of every threshold triple for
-    ``ceil(fidelity * frame_count)`` frames, all on one seed.
+    """Simulate the closed loop of every threshold triple, ``triples[i]`` on
+    ``seeds[i]``, for ``ceil(fidelity * frame_count)`` frames.
 
     The state after frame t sets the power and cadence of frame t+1 (frame 0
     uses state 0). While in state 0 the beam sweeps cyclically; any higher
     state holds the beam that produced the echo. Frames skipped by the
     cadence spend no sensing power and keep the last measured value as the
     current belief. Noise and motion draw from per-frame seeds derived from
-    ``seed``, so the randomness a candidate threshold vector faces does not
-    depend on the decisions it makes. That is what lets every episode of a
-    (scenario, seed) replay one :class:`EpisodeWorld`. Each thread keeps the
-    world it replayed last and grows it for the next batch on the same
-    scenario and seed (IPN's line-search probes after its stencil); a batch
-    on any other seed replaces it.
+    the episode's seed, so the randomness a candidate threshold vector faces
+    does not depend on the decisions it makes. That is what lets every
+    episode of a (scenario, seed) replay one :class:`EpisodeWorld`.
 
-    The episodes advance in lockstep, a frame at a time, and the cells they
-    miss at a frame are measured together from one draw of its noise. Every
-    triple is checked before any frame runs. Each trace equals, bit for
-    bit, the one its triple gives alone.
+    The episodes are grouped by seed, in order of first appearance, and the
+    groups run one after another. Within a group the episodes advance in
+    lockstep, a frame at a time, and the cells they miss at a frame are
+    measured together from one draw of its noise. Each thread keeps the
+    world it replayed last and grows it for the next group on the same
+    scenario and seed (IPN's line-search probes after its stencil); a group
+    on any other seed replaces it. The seeds and triples are checked before
+    any frame runs. Each trace equals, bit for bit, the one its triple gives
+    alone on its seed.
     """
+    if len(seeds) != len(triples):
+        raise ValueError("need one seed per threshold triple")
     if not 0.0 < fidelity <= 1.0:
         raise ValueError("fidelity must lie in (0, 1]")
     checked = [check_thresholds(t) for t in triples]
     n_frames = math.ceil(fidelity * scenario.frame_count)
-    world = getattr(_SLOT, "world", None)
     # derive_seed hashes repr(seed), so 3 and np.int64(3) are different seeds.
-    if world is None or (world.scenario, type(world.seed), world.seed) != (
-        scenario, type(seed), seed
-    ):
-        world = _SLOT.world = EpisodeWorld(scenario, seed)
-    world.extend(n_frames)
-    cells = world.cells
-    outs = [([], [], [], []) for _ in checked]
-    loops = [_closed_loop(t, actions, scenario, world.bearings, out)
-             for t, out in zip(checked, outs)]
-    wanted = [next(loop) for loop in loops]
+    groups: dict[tuple[type, int], list[int]] = {}
+    for i, seed in enumerate(seeds):
+        groups.setdefault((type(seed), seed), []).append(i)
+    traces: dict[int, EpisodeTrace] = {}
+    for (_, seed), members in groups.items():
+        world = getattr(_SLOT, "world", None)
+        if world is None or (world.scenario, type(world.seed), world.seed) != (
+            scenario, type(seed), seed
+        ):
+            world = _SLOT.world = EpisodeWorld(scenario, seed)
+        world.extend(n_frames)
+        cells = world.cells
+        outs = [([], [], [], []) for _ in members]
+        loops = [_closed_loop(checked[i], actions, scenario, world.bearings, out)
+                 for i, out in zip(members, outs)]
+        wanted = [next(loop) for loop in loops]
 
-    for t in range(n_frames):
-        missing = []
-        for key in wanted:
-            if key is not None and key not in cells and key not in missing:
-                missing.append(key)
-        if missing:
-            world.measure(t, [key[1:] for key in missing])
-        asked, wanted = wanted, []
-        for loop, key in zip(loops, asked):
-            wanted.append(loop.send(None if key is None else cells[key]))
+        for t in range(n_frames):
+            missing = []
+            for key in wanted:
+                if key is not None and key not in cells and key not in missing:
+                    missing.append(key)
+            if missing:
+                world.measure(t, [key[1:] for key in missing])
+            asked, wanted = wanted, []
+            for loop, key in zip(loops, asked):
+                wanted.append(loop.send(None if key is None else cells[key]))
 
-    return [
-        EpisodeTrace(
-            resi=np.array(resi, dtype=float),
-            states=np.array(states, dtype=np.int64),
-            in_beam=np.array(in_beam, dtype=bool),
-            power=np.array(power, dtype=float),
-            horizon=n_frames,
-        )
-        for resi, states, in_beam, power in outs
-    ]
+        for i, (resi, states, in_beam, power) in zip(members, outs):
+            traces[i] = EpisodeTrace(
+                resi=np.array(resi, dtype=float),
+                states=np.array(states, dtype=np.int64),
+                in_beam=np.array(in_beam, dtype=bool),
+                power=np.array(power, dtype=float),
+                horizon=n_frames,
+            )
+    return [traces[i] for i in range(len(checked))]
 
 
 def run_episode(
@@ -279,7 +287,7 @@ def run_episode(
 ) -> EpisodeTrace:
     """The closed loop of one threshold triple: :func:`run_episodes` of a
     batch of one."""
-    return run_episodes(scenario, (thresholds,), actions, seed, fidelity)[0]
+    return run_episodes(scenario, (thresholds,), (seed,), actions, fidelity)[0]
 
 
 def detection_reliability(trace: EpisodeTrace, thresholds: Sequence[float]) -> float:

@@ -101,6 +101,8 @@ class RepeatedEstimate:
     def of(cls, values) -> "RepeatedEstimate":
         """Mean and unbiased variance of one point's values, one per seed."""
         values = np.array(values)
+        if len(values) == 0:
+            raise ValueError("need at least one value")
         variance = float(np.var(values, ddof=1)) if len(values) >= 2 else None
         return cls(mean=float(np.mean(values)), variance=variance, repetitions=len(values))
 
@@ -108,15 +110,13 @@ class RepeatedEstimate:
 class StochasticObjective(Protocol):
     ledger: CostLedger
 
-    def evaluate(
-        self, point, seed: int, fidelity: float = 1.0, kind: str = "full"
-    ) -> float: ...
-
     def evaluate_many(
-        self, points, seed: int, fidelity: float = 1.0, kind: str = "full"
+        self, points, seeds, fidelity: float = 1.0, kind: str = "full"
     ) -> list[float]:
-        """``[evaluate(p, seed, fidelity, kind) for p in points]``, with the
-        same ledger charges."""
+        """The cost of each point under its own seed, ``points[i]`` under
+        ``seeds[i]``, each charged ``fidelity`` of ``kind`` to the ledger.
+        Raises ``ValueError`` unless there is one seed per point, before any
+        point is evaluated or charged."""
         ...
 
 
@@ -147,20 +147,6 @@ class OptimizeResult:
     history: list[RoundRecord]
 
 
-def evaluate_repeated(
-    objective: StochasticObjective,
-    point,
-    seeds,
-    fidelity: float = 1.0,
-    kind: str = "full",
-) -> RepeatedEstimate:
-    """Evaluate a point under each seed; unbiased variance needs >= 2 seeds."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seed list must be non-empty")
-    return RepeatedEstimate.of([objective.evaluate(point, s, fidelity, kind=kind) for s in seeds])
-
-
 class IsacObjective:
     """Closed-loop sensing episode cost as a function of the thresholds.
 
@@ -182,29 +168,32 @@ class IsacObjective:
         self.weights = weights
         self.ledger = ledger if ledger is not None else CostLedger()
 
-    def peek_values(self, point, seed: int, fidelity: float = 1.0) -> ObjectiveValues:
-        """Episode objectives of a threshold triple without charging the
-        ledger (assessment use)."""
-        trace = run_episode(self.scenario, point, self.actions, seed, fidelity)
-        return episode_objectives(trace, point, self.weights)
-
-    def evaluate(self, point, seed: int, fidelity: float = 1.0, kind: str = "full") -> float:
-        values = self.peek_values(point, seed, fidelity)
-        self.ledger.add(fidelity, kind)
-        return values.scalar_cost
-
     def evaluate_many(
-        self, points, seed: int, fidelity: float = 1.0, kind: str = "full"
+        self, points, seeds, fidelity: float = 1.0, kind: str = "full"
     ) -> list[float]:
-        """:meth:`evaluate` of each point, charged the same, with the
-        episodes replayed in one lockstep batch (:func:`run_episodes`). An
+        """The scalar cost of each point's episode on its own seed, one ledger
+        entry per point, with the episodes replayed in one batch
+        (:func:`run_episodes`). A seed count that does not match or an
         infeasible point raises before any episode runs or is charged."""
-        traces = run_episodes(self.scenario, points, self.actions, seed, fidelity)
+        traces = run_episodes(self.scenario, points, seeds, self.actions, fidelity)
         costs = []
         for point, trace in zip(points, traces):
             costs.append(episode_objectives(trace, point, self.weights).scalar_cost)
             self.ledger.add(fidelity, kind)
         return costs
+
+    # Batches of one. Nothing in the package calls these two; they stay
+    # because perfbench/tracer.py wraps both by name and fails if either is
+    # missing.
+    def peek_values(self, point, seed: int, fidelity: float = 1.0) -> ObjectiveValues:
+        """Episode objectives of a threshold triple without charging the
+        ledger."""
+        return episode_objectives(
+            run_episode(self.scenario, point, self.actions, seed, fidelity), point, self.weights
+        )
+
+    def evaluate(self, point, seed: int, fidelity: float = 1.0, kind: str = "full") -> float:
+        return self.evaluate_many((point,), (seed,), fidelity, kind)[0]
 
 
 class SyntheticObjective:
@@ -232,22 +221,24 @@ class SyntheticObjective:
         self.noise_mode = noise_mode
         self.ledger = ledger if ledger is not None else CostLedger()
 
-    def evaluate(self, point, seed: int, fidelity: float = 1.0, kind: str = "full") -> float:
+    def evaluate_many(
+        self, points, seeds, fidelity: float = 1.0, kind: str = "full"
+    ) -> list[float]:
+        if len(seeds) != len(points):
+            raise ValueError("need one seed per point")
         if not 0.0 < fidelity <= 1.0:
             raise ValueError("fidelity must lie in (0, 1]")
-        x = np.asarray(point, float)
-        value = float(self.fn(x))
-        if self.noise_std > 0.0:
-            if self.noise_mode == "common":
-                rng = rng_from(seed, "noise")
-            else:
-                key = np.round(x, 9).tobytes()
-                rng = rng_from(seed, "noise", key)
-            value += self.noise_std / np.sqrt(fidelity) * rng.standard_normal()
-        self.ledger.add(fidelity, kind)
-        return value
-
-    def evaluate_many(
-        self, points, seed: int, fidelity: float = 1.0, kind: str = "full"
-    ) -> list[float]:
-        return [self.evaluate(p, seed, fidelity, kind) for p in points]
+        values = []
+        for point, seed in zip(points, seeds):
+            x = np.asarray(point, float)
+            value = float(self.fn(x))
+            if self.noise_std > 0.0:
+                if self.noise_mode == "common":
+                    rng = rng_from(seed, "noise")
+                else:
+                    key = np.round(x, 9).tobytes()
+                    rng = rng_from(seed, "noise", key)
+                value += self.noise_std / np.sqrt(fidelity) * rng.standard_normal()
+            self.ledger.add(fidelity, kind)
+            values.append(value)
+        return values

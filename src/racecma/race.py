@@ -162,9 +162,8 @@ def stage1_screen(
     """Coarse evaluation of every candidate under the shared Stage-1 seed."""
     if len(candidates) == 0:
         raise ValueError("candidate list must be non-empty")
-    return np.array(
-        objective.evaluate_many(candidates, plan.stage1_seed, fidelity_ratio, kind="stage1")
-    )
+    seeds = [plan.stage1_seed] * len(candidates)
+    return np.array(objective.evaluate_many(candidates, seeds, fidelity_ratio, kind="stage1"))
 
 
 def promote(values: np.ndarray, k: int) -> np.ndarray:
@@ -185,15 +184,17 @@ def stage2_refine(
     """Evaluate each promoted candidate once under each Stage-2 seed of the plan.
 
     ``truncation`` below 1 emulates early stopping by shortening each
-    evaluation (and its charge) to that fraction of a full one. The points
-    are evaluated together, one seed at a time; each estimate equals
-    :func:`evaluate_repeated` of its point over the same seeds.
+    evaluation (and its charge) to that fraction of a full one. Every
+    (seed, point) pair goes into one call, seed-major, so the points of a
+    seed replay together.
     """
-    per_seed = [
-        objective.evaluate_many(points, seed, truncation, kind="stage2")
-        for seed in plan.stage2_seeds
-    ]
-    return [RepeatedEstimate.of(values) for values in zip(*per_seed)]
+    k = len(points)
+    values = objective.evaluate_many(
+        list(points) * len(plan.stage2_seeds),
+        [seed for seed in plan.stage2_seeds for _ in range(k)],
+        truncation, kind="stage2",
+    )
+    return [RepeatedEstimate.of(values[i::k]) for i in range(k)]
 
 
 def assemble_ranking(
@@ -269,8 +270,8 @@ def race_cma_optimize(
     was ever promoted, which cannot happen with at least one promotion per
     generation).
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite")
     state = init_state(*init)
     mapper = feasible_map if feasible_map is not None else (lambda u: u)
     gen_cost = racing.generation_cost(params.lam)

@@ -1,10 +1,10 @@
 """Self-validation suite: every release gate as an executable check.
 
-``validate(level="quick")`` runs the fast exact/property checks (cost
-identities, degenerate-limit equivalence, feasibility totality, analytic
-baselines, simulator physics, reproducibility); ``level="full"`` adds the
+``validate()`` runs the fast exact/property checks (cost identities,
+degenerate-limit equivalence, feasibility totality, analytic baselines,
+simulator physics, reproducibility); ``validate(full_spec)`` adds the
 Monte-Carlo comparisons (efficiency ordering, convergence and sweep
-directions) at desk scale.
+directions) run on that spec.
 """
 
 from __future__ import annotations
@@ -321,12 +321,9 @@ def check_reproducibility(scratch: Path | None = None) -> CheckResult:
 ORDERING_METHODS = ("IPN", "SPSA", "CMA-ES", "RACE-CMA")
 
 
-def check_efficiency_ordering(
-    spec: ExperimentSpec | None = None, scratch: Path | None = None
-) -> CheckResult:
+def check_efficiency_ordering(spec: ExperimentSpec, scratch: Path | None = None) -> CheckResult:
     """Racing beats plain CMA-ES on cost-normalized improvement; both beat
     the local baselines."""
-    spec = spec if spec is not None else ExperimentSpec()
     with _scratch_dir(scratch) as base:
         rows = run_compare(spec, base / "compare")
     eff = {row["method"]: row["efficiency"] for row in rows}
@@ -346,18 +343,12 @@ def check_efficiency_ordering(
 CONVERGENCE_GENERATION = 4
 
 
-def check_convergence_direction(
-    spec: ExperimentSpec | None = None, scratch: Path | None = None
-) -> CheckResult:
+def check_convergence_direction(spec: ExperimentSpec, scratch: Path | None = None) -> CheckResult:
     """Racing is ahead of plain CMA-ES at generation four, high power.
 
-    Runs ``spec`` (default ``ExperimentSpec()``) with those two methods at
-    24.7 dBm only.
+    Runs ``spec`` with those two methods at 24.7 dBm only.
     """
-    spec = replace(
-        spec if spec is not None else ExperimentSpec(),
-        methods=("CMA-ES", "RACE-CMA"), convergence_powers=(24.7,),
-    )
+    spec = replace(spec, methods=("CMA-ES", "RACE-CMA"), convergence_powers=(24.7,))
     with _scratch_dir(scratch) as base:
         rows = run_convergence(spec, base / "converge")
     gen4 = {row["method"]: row["j_det"] for row in rows
@@ -369,12 +360,9 @@ def check_convergence_direction(
     )
 
 
-def check_sweep_direction(
-    spec: ExperimentSpec | None = None, scratch: Path | None = None
-) -> CheckResult:
+def check_sweep_direction(spec: ExperimentSpec, scratch: Path | None = None) -> CheckResult:
     """Tuned thresholds dominate fixed ones across the power grid and cut
     latency at the low-power point."""
-    spec = spec if spec is not None else ExperimentSpec()
     with _scratch_dir(scratch) as base:
         rows = run_sweep(spec, base / "sweep")
     by_key = {(row["power_dbm"], row["variant"]): row for row in rows}
@@ -397,14 +385,11 @@ def check_sweep_direction(
 
 
 def validate(
-    level: str = "quick",
     full_spec: ExperimentSpec | None = None,
     scratch: Path | None = None,
 ) -> tuple[bool, list[CheckResult]]:
-    """Run the acceptance checks; returns overall pass and per-check rows."""
-    if level not in ("quick", "full"):
-        raise ValueError("level must be 'quick' or 'full'")
-
+    """Run the acceptance checks; returns overall pass and per-check rows.
+    The Monte-Carlo comparisons run exactly when ``full_spec`` is given."""
     results = [
         check_cost_identity(),
         check_table_cost(),
@@ -416,7 +401,7 @@ def validate(
         check_simulator_physics(),
         check_reproducibility(scratch),
     ]
-    if level == "full":
+    if full_spec is not None:
         results.append(check_efficiency_ordering(full_spec, scratch))
         results.append(check_convergence_direction(full_spec, scratch))
         results.append(check_sweep_direction(full_spec, scratch))

@@ -15,7 +15,7 @@ from racecma import (
     map_calibrate,
     map_thresholds,
     posterior_crossing,
-    run_episode,
+    run_episodes,
     spsa_gradient,
     spsa_optimize,
 )
@@ -89,21 +89,30 @@ class TestMap:
         with pytest.raises(CalibrationError):
             map_thresholds(samples, min_samples=30)
 
-    def test_map_calibrate_charges_episodes(self, desk):
+    def test_map_calibrate_charges_episodes(self, desk, monkeypatch):
+        calls = []
+
+        def logged(scenario, triples, seeds, *args):
+            calls.append(list(seeds))
+            return run_episodes(scenario, triples, seeds, *args)
+
+        monkeypatch.setattr(baselines_mod, "run_episodes", logged)
         objective = IsacObjective(desk)
         t = map_calibrate(objective, seed=3, episodes=3, min_samples=5)
         assert objective.ledger.n_eq == 3.0
+        # One call over the three calibration episodes, each on its own seed.
+        assert len(calls) == 1 and len(set(calls[0])) == 3
         assert t.dtype == float and t.shape == (3,)
         assert t[0] <= t[1] <= t[2]
 
     def test_map_calibrate_rejects_non_finite_echo_strengths(self, desk, monkeypatch):
         # ScenarioConfig rejects the geometries whose phase ramps overflow to
         # nan echo strengths (a BS 1e300 m away, say), so the nan is injected.
-        def nan_episode(*args, **kwargs):
-            trace = run_episode(*args, **kwargs)
-            return replace(trace, resi=np.full(trace.horizon, np.nan))
+        def nan_episodes(*args, **kwargs):
+            return [replace(trace, resi=np.full(trace.horizon, np.nan))
+                    for trace in run_episodes(*args, **kwargs)]
 
-        monkeypatch.setattr(baselines_mod, "run_episode", nan_episode)
+        monkeypatch.setattr(baselines_mod, "run_episodes", nan_episodes)
         objective = IsacObjective(desk)
         with pytest.raises(CalibrationError, match="must be finite"):
             map_calibrate(objective, seed=3, episodes=1, min_samples=1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from racecma import bench as bench_mod
 from racecma import cli as cli_mod
 from racecma import cma as cma_mod
 from racecma import validate as validate_mod
@@ -25,8 +26,9 @@ from racecma.bench import (
 )
 from racecma.cli import build_spec, main
 from racecma.config import schema
-from racecma.feedback import detection_reliability, run_episode
+from racecma.feedback import detection_reliability, run_episode, run_episodes
 from racecma.objective import CostLedger
+from racecma.scenario import desk_scenario
 from racecma.validate import validate
 
 
@@ -144,7 +146,14 @@ class TestHelpers:
         _, nan_ci = _mean_ci([1.0])
         assert math.isnan(nan_ci)
 
-    def test_assess_excludes_nothing_by_default(self, desk):
+    def test_assess_excludes_nothing_by_default(self, desk, monkeypatch):
+        calls = []
+
+        def logged(scenario, triples, seeds, *args):
+            calls.append(list(seeds))
+            return run_episodes(scenario, triples, seeds, *args)
+
+        monkeypatch.setattr(bench_mod, "run_episodes", logged)
         thresholds = np.array([0.5, 1.0, 1.5])
         [(j_det, j_lat, j_pow)] = assess(desk, tiny_spec().actions, [thresholds], seeds=[1, 2])
         assert 0.0 <= j_det <= 1.0 and 0.0 <= j_lat <= 1.0 and 0.0 <= j_pow <= 1.0
@@ -157,6 +166,8 @@ class TestHelpers:
         together = assess(desk, tiny_spec().actions, [other, thresholds, other], seeds=[1, 2])
         assert together == [assess(desk, tiny_spec().actions, [t], seeds=[1, 2])[0]
                             for t in (other, thresholds, other)]
+        # Each assess is one call over its (seed, triple) pairs, seed-major.
+        assert calls[:2] == [[1, 2], [1, 1, 1, 2, 2, 2]]
 
     def test_unknown_method_rejected(self, desk):
         spec = tiny_spec()
@@ -291,7 +302,7 @@ class TestCli:
             return replace(good, cov=good.cov - 1.5 * eig_max * np.eye(good.dimension))
 
         monkeypatch.setattr(validate_mod, "update", corrupted_update)
-        ok, results = validate(level="quick")
+        ok, results = validate()
         assert not ok
         failed = {r.name for r in results if not r.passed}
         assert "cma-invariants" in failed
@@ -304,10 +315,24 @@ class TestCli:
                 add(self, weight, kind)
 
         monkeypatch.setattr(CostLedger, "add", drop_stage1)
-        ok, results = validate(level="quick")
+        ok, results = validate()
         assert not ok
         failed = {r.name for r in results if not r.passed}
         assert "cost-identity" in failed
+
+    def test_validate_full_spec_adds_the_monte_carlo_checks(self, tmp_path):
+        # The three comparisons run on the spec given (here a few seconds'
+        # worth); whether they pass at this size is not the point.
+        spec = ExperimentSpec(
+            scenario=desk_scenario(sensing_horizon=0.032), repetitions=1, budget=24.0,
+            generations=4, eval_repeats=1, power_grid=(10.0, 30.0), map_min_samples=2,
+            map_episodes=1,
+        )
+        _, results = validate(spec, tmp_path)
+        assert len(results) == 12
+        assert [r.name for r in results[9:]] == [
+            "efficiency-ordering", "convergence-direction", "sweep-direction"]
+        assert (tmp_path / "sweep" / "sweep_runs.csv").exists()
 
     def test_validate_scratch_dir_removes_only_its_own(self, tmp_path):
         # Without a scratch directory a check writes into a temporary one

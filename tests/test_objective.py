@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -6,20 +7,23 @@ import pytest
 
 from racecma import (
     CostLedger,
+    CrnSeedPlan,
     IsacObjective,
     RacingConfig,
+    RepeatedEstimate,
     SyntheticObjective,
     cma_optimize,
     default_params,
     derive_seed_plan,
     episode_objectives,
-    evaluate_repeated,
     ipn_optimize,
     map_unconstrained,
     race_cma_optimize,
     run_episode,
     spsa_optimize,
+    stage2_refine,
 )
+from racecma import feedback as feedback_mod
 
 
 class StubObjective:
@@ -29,9 +33,23 @@ class StubObjective:
         self.values = values_by_seed
         self.ledger = CostLedger()
 
-    def evaluate(self, point, seed, fidelity=1.0, kind="full"):
-        self.ledger.add(fidelity, kind)
-        return self.values[seed]
+    def evaluate_many(self, points, seeds, fidelity=1.0, kind="full"):
+        values = []
+        for seed in seeds:
+            self.ledger.add(fidelity, kind)
+            values.append(self.values[seed])
+        return values
+
+
+def evaluate_one(objective, point, seed, fidelity=1.0, kind="full"):
+    """One point under one seed: a batch of one."""
+    [value] = objective.evaluate_many([point], [seed], fidelity, kind)
+    return value
+
+
+def evaluate_repeated(objective, point, seeds):
+    """One point under each seed, summarised as stage 2 summarises it."""
+    return RepeatedEstimate.of(objective.evaluate_many([point] * len(seeds), seeds))
 
 
 class TestLedger:
@@ -69,6 +87,8 @@ class TestLedger:
 
 
 class TestEvaluateRepeated:
+    """One point evaluated under several seeds, then RepeatedEstimate.of."""
+
     def test_single_repetition_has_no_variance(self):
         obj = StubObjective({0: 0.7})
         est = evaluate_repeated(obj, None, [0])
@@ -90,9 +110,12 @@ class TestEvaluateRepeated:
             evaluate_repeated(StubObjective({}), None, [])
 
     def test_ledger_charged_per_repetition(self):
+        # Stage 2 of one promoted point under three seeds: three entries.
         obj = StubObjective({0: 0.1, 1: 0.2, 2: 0.3})
-        evaluate_repeated(obj, None, [0, 1, 2])
-        assert obj.ledger.n_eq == 3.0
+        [estimate] = stage2_refine([None], obj, CrnSeedPlan(9, (0, 1, 2)), 0.8)
+        assert estimate.mean == pytest.approx(0.2) and estimate.repetitions == 3
+        assert obj.ledger.exact_total == Fraction(12, 5)
+        assert obj.ledger.breakdown["stage2"] == (3, 2.4)
 
 
 class TestSeedPlan:
@@ -162,53 +185,98 @@ _OBJECTIVES = {
 class TestEvaluateMany:
     @pytest.mark.parametrize("make", list(_OBJECTIVES.values()), ids=list(_OBJECTIVES))
     def test_values_and_charges_equal_an_evaluate_loop(self, desk, make):
+        # One batch with the seeds mixed (as plain CMA-ES and stage 2 call it)
+        # gives each point's value alone and charges one entry per point.
         points = [np.array([0.5, 1.0, 1.5]), np.array([1.0, 2.0, 3.0]),
                   np.array([0.5, 1.0, 1.5]), np.array([2.0, 2.5, 6.0])]
         batched, looped = make(desk), make(desk)
-        for fidelity, kind, seed in ((0.2, "stage1", 3), (0.8, "stage2", 5), (1.0, "full", 3)):
-            values = batched.evaluate_many(points, seed, fidelity, kind)
-            assert values == [looped.evaluate(p, seed, fidelity, kind) for p in points]
+        for fidelity, kind, seeds in ((0.2, "stage1", [3, 3, 3, 3]),
+                                      (0.8, "stage2", [5, 3, 5, 3]),
+                                      (1.0, "full", [3, 4, 5, np.int64(3)])):
+            values = batched.evaluate_many(points, seeds, fidelity, kind)
+            assert values == [evaluate_one(looped, p, s, fidelity, kind)
+                              for p, s in zip(points, seeds)]
         assert batched.ledger.exact_total == looped.ledger.exact_total == Fraction(8)
         assert batched.ledger.breakdown == looped.ledger.breakdown == {
             "stage1": (4, 0.8), "stage2": (4, 3.2), "full": (4, 4.0)}
+
+    @pytest.mark.parametrize("make", list(_OBJECTIVES.values()), ids=list(_OBJECTIVES))
+    @pytest.mark.parametrize("n_seeds", [0, 1, 3])
+    def test_seed_count_mismatch_raises_before_any_work(self, desk, make, monkeypatch,
+                                                        n_seeds):
+        def no_world(*_args):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(feedback_mod, "EpisodeWorld", no_world)
+        feedback_mod._SLOT.world = None
+        objective = make(desk)
+        points = [np.array([0.5, 1.0, 1.5]), np.array([1.0, 2.0, 3.0])]
+        with pytest.raises(ValueError, match="one seed per"):
+            objective.evaluate_many(points, list(range(n_seeds)), 0.2, "stage1")
+        assert objective.ledger.exact_total == 0
+        assert objective.ledger.breakdown["stage1"] == (0, 0.0)
 
 
 class TestSyntheticObjective:
     def test_deterministic_when_noiseless(self):
         obj = SyntheticObjective(lambda x: float(np.sum(x**2)))
-        assert obj.evaluate([1.0, 2.0], 0) == 5.0
-        assert obj.evaluate([1.0, 2.0], 99) == 5.0
+        assert obj.evaluate_many([[1.0, 2.0], [1.0, 2.0]], [0, 99]) == [5.0, 5.0]
 
     def test_common_noise_cancels_in_comparisons(self):
         obj = SyntheticObjective(lambda x: float(np.sum(x**2)), noise_std=0.5,
                                  noise_mode="common")
-        a = obj.evaluate([1.0, 0.0], seed=7)
-        b = obj.evaluate([0.0, 1.0], seed=7)
+        a, b = obj.evaluate_many([[1.0, 0.0], [0.0, 1.0]], [7, 7])
         assert a == b  # identical true value, identical offset
 
     def test_point_noise_differs_between_points(self):
         obj = SyntheticObjective(lambda x: 0.0, noise_std=0.5)
-        assert obj.evaluate([1.0], seed=7) != obj.evaluate([2.0], seed=7)
-        assert obj.evaluate([1.0], seed=7) == obj.evaluate([1.0], seed=7)
+        one, two, again = obj.evaluate_many([[1.0], [2.0], [1.0]], [7, 7, 7])
+        assert one != two and one == again
 
     def test_low_fidelity_widens_noise(self):
         obj = SyntheticObjective(lambda x: 0.0, noise_std=1.0, noise_mode="common")
-        full = abs(obj.evaluate([0.0], seed=3, fidelity=1.0))
-        coarse = abs(obj.evaluate([0.0], seed=3, fidelity=0.25))
+        full = abs(evaluate_one(obj, [0.0], 3, fidelity=1.0))
+        coarse = abs(evaluate_one(obj, [0.0], 3, fidelity=0.25))
         assert coarse == pytest.approx(2.0 * full)
 
 
 START = np.array([0.5, 1.5, 2.5])
 MAPPER = partial(map_unconstrained, min_spacing=0.1)
 OPTIMIZERS = {
-    "CMA-ES": lambda obj: cma_optimize(
-        obj, default_params(3, 6), (START, 1.0), 24.0, 1, feasible_map=MAPPER),
-    "RACE-CMA": lambda obj: race_cma_optimize(
-        obj, default_params(3, 6), RacingConfig(), (START, 1.0), 24.0, 1,
+    "CMA-ES": lambda obj, budget=24.0: cma_optimize(
+        obj, default_params(3, 6), (START, 1.0), budget, 1, feasible_map=MAPPER),
+    "RACE-CMA": lambda obj, budget=24.0: race_cma_optimize(
+        obj, default_params(3, 6), RacingConfig(), (START, 1.0), budget, 1,
         feasible_map=MAPPER),
-    "IPN": lambda obj: ipn_optimize(obj, START, budget=24.0, seed=1),
-    "SPSA": lambda obj: spsa_optimize(obj, START, budget=24.0, seed=1),
+    "IPN": lambda obj, budget=24.0: ipn_optimize(obj, START, budget=budget, seed=1),
+    "SPSA": lambda obj, budget=24.0: spsa_optimize(obj, START, budget=budget, seed=1),
 }
+
+
+class CallLog(SyntheticObjective):
+    """A sphere objective that records the kind and seeds of every call."""
+
+    def __init__(self):
+        super().__init__(lambda x: float(np.sum(x**2)))
+        self.calls = []
+
+    def evaluate_many(self, points, seeds, fidelity=1.0, kind="full"):
+        self.calls.append((kind, list(seeds)))
+        return super().evaluate_many(points, seeds, fidelity, kind)
+
+
+def test_each_cma_round_is_one_call():
+    plain = CallLog()
+    cma_optimize(plain, default_params(3, 6), (START, 1.0), 12.0, 1, feasible_map=MAPPER)
+    assert [(kind, len(set(seeds))) for kind, seeds in plain.calls] == [("full", 6)] * 2
+    racing = CallLog()
+    race_cma_optimize(racing, default_params(3, 6), RacingConfig(repetitions=2), (START, 1.0),
+                      7.2, 1, feasible_map=MAPPER)
+    (kind1, seeds1), (kind2, seeds2) = racing.calls
+    assert kind1 == "stage1" and len(seeds1) == 6 and len(set(seeds1)) == 1
+    # The 3 promoted candidates under each of the 2 stage-2 seeds, seed-major.
+    assert kind2 == "stage2" and seeds2 == [seeds2[0]] * 3 + [seeds2[3]] * 3
+    assert seeds2[0] != seeds2[3]
 
 
 @pytest.mark.parametrize("method", sorted(OPTIMIZERS))
@@ -220,3 +288,14 @@ def test_every_optimizer_returns_a_float_triple(method):
     for record in result.history:
         assert type(record.point) is tuple and len(record.point) == 3
         assert all(isinstance(v, float) for v in record.point)
+
+
+@pytest.mark.parametrize("budget", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("method", sorted(OPTIMIZERS))
+def test_every_optimizer_needs_a_positive_finite_budget(method, budget):
+    # At inf SPSA never returned, at nan IPN spent 96 and both CMA loops ran
+    # no generation at all.
+    obj = SyntheticObjective(lambda x: float(np.sum(x**2)))
+    with pytest.raises(ValueError, match="budget must be positive and finite"):
+        OPTIMIZERS[method](obj, budget)
+    assert obj.ledger.exact_total == 0

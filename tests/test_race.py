@@ -9,12 +9,12 @@ from hypothesis.extra.numpy import arrays
 from racecma import (
     IsacObjective,
     RacingConfig,
+    RepeatedEstimate,
     SyntheticObjective,
     assemble_ranking,
     cma_optimize,
     default_params,
     derive_seed_plan,
-    evaluate_repeated,
     init_state,
     inverse_feasible,
     map_unconstrained,
@@ -193,7 +193,9 @@ class TestStages:
         batched, looped = make(desk), make(desk)
         estimates = stage2_refine(points, batched, plan, 0.8)
         assert estimates == [
-            evaluate_repeated(looped, p, plan.stage2_seeds, 0.8, kind="stage2") for p in points
+            RepeatedEstimate.of([looped.evaluate_many([p], [s], 0.8, "stage2")[0]
+                                 for s in plan.stage2_seeds])
+            for p in points
         ]
         assert all(e.repetitions == 3 and e.variance is not None for e in estimates)
         assert batched.ledger.exact_total == looped.ledger.exact_total == Fraction(36, 5)

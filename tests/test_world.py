@@ -158,38 +158,56 @@ class TestReplay:
 
 
 class TestBatch:
-    """A lockstep batch replays each triple exactly as it would run alone."""
+    """A batch replays each (triple, seed) exactly as it would run alone."""
 
     @settings(max_examples=40, deadline=None)
-    @given(triples=st.lists(thresholds_st, min_size=1, max_size=5), actions=actions_st,
-           fidelity=fidelity_st, seed=st.integers(0, 3),
+    @given(episodes=st.lists(st.tuples(thresholds_st, st.integers(0, 3)), min_size=1,
+                             max_size=5),
+           actions=actions_st, fidelity=fidelity_st, warm_seed=st.integers(0, 3),
            warm=st.lists(episode_st, max_size=2))
-    def test_batch_equals_separate_cold_episodes(self, short_desk, triples, actions, fidelity,
-                                                 seed, warm):
+    def test_batch_equals_separate_cold_episodes(self, short_desk, episodes, actions, fidelity,
+                                                 warm_seed, warm):
         alone = []
-        for thresholds in triples:
+        for thresholds, seed in episodes:
             cold_start()
             alone.append(run_episode(short_desk, thresholds, actions, seed, fidelity))
         cold_start()
         for thresholds, warm_actions, warm_fidelity in warm:
-            run_episode(short_desk, thresholds, warm_actions, seed, warm_fidelity)
-        batch = run_episodes(short_desk, triples, actions, seed, fidelity)
-        assert len(batch) == len(triples)
-        for thresholds, together, single in zip(triples, batch, alone):
+            run_episode(short_desk, thresholds, warm_actions, warm_seed, warm_fidelity)
+        triples, seeds = zip(*episodes)
+        batch = run_episodes(short_desk, triples, seeds, actions, fidelity)
+        assert len(batch) == len(episodes)
+        for (thresholds, seed), together, single in zip(episodes, batch, alone):
             assert_identical(together, single)
             assert_identical(together, reference_episode(short_desk, thresholds, actions, seed,
                                                           fidelity))
+
+    def test_seed_type_splits_a_batch(self, short_desk, draws):
+        # 3 and np.int64(3) are different seeds (derive_seed hashes repr), so
+        # one batch of both replays two worlds and gives the two solo traces.
+        t = (1e9, 2e9, 3e9)  # never leaves state 0: every frame measured
+        seeds = (3, np.int64(3))
+        cold_start()
+        together = run_episodes(short_desk, [t, t], seeds)
+        assert len(draws) == 80
+        assert type(held_world().seed) is np.int64
+        for trace, seed in zip(together, seeds):
+            cold_start()
+            assert_identical(trace, run_episode(short_desk, t, seed=seed))
+            assert_identical(trace, reference_episode(short_desk, t, StateActionTable(), seed,
+                                                      1.0))
+        assert together[0].resi.tobytes() != together[1].resi.tobytes()
 
     def test_noise_is_drawn_once_per_frame(self, short_desk, draws):
         # Twelve triples that spread over states, so a frame has several cells.
         triples = [(0.2 * i, 0.2 * i + 1.0, 0.2 * i + 2.0) for i in range(12)]
         cold_start()
-        run_episodes(short_desk, triples, seed=7)
+        run_episodes(short_desk, triples, [7] * len(triples))
         world = held_world()
         assert len(draws) == len(world.frames) == 40
         assert len(world.cells) > len(world.frames)
         # A warm replay of the same batch draws nothing.
-        run_episodes(short_desk, triples, seed=7)
+        run_episodes(short_desk, triples, [7] * len(triples))
         assert len(draws) == 40
 
     @pytest.mark.parametrize("position", [0, 1, 2])
@@ -202,10 +220,10 @@ class TestBatch:
         world = held_world()
         before = (len(world.targets), len(world.frames), len(world.cells))
         with pytest.raises(InfeasibleThresholdsError):
-            run_episodes(short_desk, triples, seed=2)
+            run_episodes(short_desk, triples, [2] * len(triples))
         objective = IsacObjective(short_desk)
         with pytest.raises(InfeasibleThresholdsError):
-            objective.evaluate_many(triples, 2, 0.2, kind="stage1")
+            objective.evaluate_many(triples, [2] * len(triples), 0.2, kind="stage1")
         assert held_world() is world
         assert (len(world.targets), len(world.frames), len(world.cells)) == before
         assert objective.ledger.exact_total == 0
@@ -222,7 +240,7 @@ class TestSlot:
         steps = [sign * 0.4 * np.eye(3)[i] for i in range(3) for sign in (1, -1)]
         stencil = [center, *(center + step for step in steps)]
         cold_start()
-        run_episodes(short_desk, stencil, seed=4)
+        run_episodes(short_desk, stencil, [4] * len(stencil))
         world, after_stencil = held_world(), len(draws)
         run_episode(short_desk, stencil[3], seed=4)
         assert len(draws) == after_stencil  # every cell was measured by the stencil
