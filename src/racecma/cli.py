@@ -9,7 +9,10 @@ from pathlib import Path
 
 from .bench import ExperimentSpec, run_compare, run_convergence, run_sweep
 from .config import load_config, spec_from_config
-from .validate import CONVERGENCE_GENERATION, ORDERING_METHODS, validate, write_validation_report
+from .validate import (
+    CONVERGENCE_GENERATION, ORDERING_METHODS, require_full_spec, validate,
+    write_validation_report,
+)
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
@@ -91,13 +94,11 @@ def main(argv: list[str] | None = None) -> int:
                  if getattr(args, name) is not None]
         if given and full_spec is None:
             val.error(f"spec flags only apply with --full: {', '.join(given)}")
-        missing = [m for m in ORDERING_METHODS if full_spec and m not in full_spec.methods]
-        if missing:
-            val.error(f"--full compares {', '.join(ORDERING_METHODS)}; "
-                      f"the methods lack {', '.join(missing)}")
-        if full_spec and full_spec.generations < CONVERGENCE_GENERATION:
-            val.error(f"--full reads generation {CONVERGENCE_GENERATION}; "
-                      f"experiment.generations is {full_spec.generations}")
+        if full_spec is not None:
+            try:
+                require_full_spec(full_spec)
+            except ValueError as exc:
+                val.error(str(exc))
         if args.out:
             _make_out(val, args.out)
         passed, results = validate(full_spec, args.out / "scratch" if args.out else None)

@@ -6,6 +6,13 @@ feedback actions applied at frame t+1: how much of the power budget the next
 sensing transmission uses, how often a measurement is taken, and whether the
 beam keeps sweeping (nothing seen yet) or holds on the sector that produced
 the echo (candidate/detected/locked).
+
+An episode splits into an :class:`EpisodeWorld`, what the thresholds cannot
+change, and a replay of the decisions over it. A world holds the target's
+states and bearings and the echo strength of each (frame, beam, power
+factor) cell visited so far. A visit to a frame builds the frame's channel
+and noise draw anew (:func:`radar.build_frame`), once for all the cells it
+measures, and keeps none of it.
 """
 
 from __future__ import annotations
@@ -18,9 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .radar import (
-    FrameRecord, cell_constants, frame_noise, frame_record, measure_cell, realize_channel,
-)
+from .radar import build_frame, cell_constants, measure_cell, realize_channel
 # Not used here: the benchmark tracer wraps these three names at this import
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
 # package (ROADMAP item 4b).
@@ -110,11 +115,11 @@ class EpisodeWorld:
     Target motion is a pure function of (scenario, seed, frame), and a
     frame's echo strength is a pure function of those plus the beam and
     power factor the loop chooses. The world propagates the target up to
-    the longest prefix asked of it. At a frame's first measure it keeps the
-    frame's :class:`FrameRecord` (channel, arrival gain, noise seed), and it
-    measures each (frame, beam, power factor) cell once, on first visit,
-    from that record and a draw of the frame's noise that the cells of one
-    visit share. Replays under any thresholds and action table then read
+    the longest prefix asked of it and measures each (frame, beam, power
+    factor) cell once, on first visit. It holds the targets, their bearings
+    and the measured floats, nothing per frame beyond them: each visit
+    builds the frame (channel and noise draw) anew, once for all the cells
+    it measures. Replays under any thresholds and action table then read
     the stored floats.
     """
 
@@ -123,7 +128,6 @@ class EpisodeWorld:
         self.seed = seed
         self.targets: list[TargetState] = []
         self.bearings: list[float] = []  # target angle seen from the BS
-        self.frames: dict[int, FrameRecord] = {}
         self.cells: dict[tuple[int, int, float], float] = {}
         # Looked up once: each lookup hashes the whole scenario.
         self._const = cell_constants(scenario)
@@ -147,15 +151,11 @@ class EpisodeWorld:
     def measure(self, t: int, cells: Sequence[tuple[int, float]]) -> None:
         """Measure frame ``t`` under each (beam, power factor) of ``cells``
         into ``self.cells``, from one draw of the frame's noise."""
-        frame = self.frames.get(t)
-        if frame is None:
-            channel = realize_channel(self.scenario, self.targets[t])
-            frame = frame_record(self._const, channel, derive_seed(self.seed, "frame", t))
-            self.frames[t] = frame
-        noise = frame_noise(self._const, frame)
+        channel = realize_channel(self.scenario, self.targets[t])
+        frame = build_frame(self._const, channel, derive_seed(self.seed, "frame", t))
         for beam, eta in cells:
             self.cells[(t, beam, eta)] = measure_cell(
-                self._const, frame, noise, beam, eta * self._budget_w
+                self._const, frame, beam, eta * self._budget_w
             )
 
 

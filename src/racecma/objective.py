@@ -157,16 +157,13 @@ class IsacObjective:
     """
 
     def __init__(
-        self,
-        scenario: ScenarioConfig,
-        actions: StateActionTable = DEFAULT_ACTIONS,
+        self, scenario: ScenarioConfig, actions: StateActionTable = DEFAULT_ACTIONS,
         weights: tuple[float, float, float] = (1.0, 0.0, 0.0),
-        ledger: CostLedger | None = None,
     ) -> None:
         self.scenario = scenario
         self.actions = actions
         self.weights = weights
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = CostLedger()
 
     def evaluate_many(
         self, points, seeds, fidelity: float = 1.0, kind: str = "full"
@@ -207,19 +204,13 @@ class SyntheticObjective:
     built from fewer trials.
     """
 
-    def __init__(
-        self,
-        fn,
-        noise_std: float = 0.0,
-        noise_mode: str = "point",
-        ledger: CostLedger | None = None,
-    ) -> None:
+    def __init__(self, fn, noise_std: float = 0.0, noise_mode: str = "point") -> None:
         if noise_mode not in ("common", "point"):
             raise ValueError("noise_mode must be 'common' or 'point'")
         self.fn = fn
         self.noise_std = noise_std
         self.noise_mode = noise_mode
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = CostLedger()
 
     def evaluate_many(
         self, points, seeds, fidelity: float = 1.0, kind: str = "full"

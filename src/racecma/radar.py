@@ -8,11 +8,10 @@ noise floor estimated on guard (null) resource elements.
 
 Two ways run it. The reference chain, ``synthesize_rx_grid`` ->
 ``matched_filter`` -> ``compute_resi``, hands each stage's result to the
-next. The episode loop instead builds one :class:`FrameRecord` per frame,
-draws the frame's :class:`FrameNoise` once for all the cells it measures
-there, and passes both to :func:`measure_cell` once per (beam, power) cell,
-which makes the same floating-point operations in the same order in one
-pass.
+next. The episode loop instead builds one :class:`Frame` per visit to a
+frame, from the channel and one draw of the frame's noise, and passes it to
+:func:`measure_cell` once per (beam, power) cell it measures there, which
+makes the same floating-point operations in the same order in one pass.
 """
 
 from __future__ import annotations
@@ -79,12 +78,9 @@ def _steer(phases: np.ndarray, cos_angle: float) -> np.ndarray:
     return np.exp(1j * (phases * cos_angle))
 
 
-@lru_cache(maxsize=64)
 def _element_phases(n_elements: int, spacing_wl: float) -> np.ndarray:
     """``2π·spacing·arange(n)``: each element's phase per unit cos(angle)."""
-    phases = 2.0 * math.pi * spacing_wl * np.arange(n_elements)
-    phases.setflags(write=False)
-    return phases
+    return 2.0 * math.pi * spacing_wl * np.arange(n_elements)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -158,17 +154,13 @@ class RxGrid:
             raise ValueError("samples and pilot dimensions must match")
 
 
-def pilot_grid(scenario: ScenarioConfig) -> np.ndarray:
-    """Unit pilots on active resource elements, zero on the guard band."""
-    return cell_constants(scenario).pilot
-
-
 @dataclass(frozen=True)
 class CellConstants:
     """The values every cell of one scenario shares, built once per scenario.
 
     A caller looks them up once, so a cell neither rebuilds them nor hashes
-    the whole scenario once per value.
+    the whole scenario once per value. Every array is read-only, since all
+    callers of one scenario share it.
     """
 
     bs: np.ndarray
@@ -200,16 +192,17 @@ def cell_constants(scenario: ScenarioConfig) -> CellConstants:
         f = steering_vector(angle, scenario.n_bs_antennas, scenario.antenna_spacing)
         f = f / math.sqrt(scenario.n_bs_antennas)
         beamformers.append(f)
+    bs_phases = _element_phases(scenario.n_bs_antennas, scenario.antenna_spacing)
+    ue_phases = _element_phases(scenario.n_ue_antennas, scenario.antenna_spacing)
     delay_phases = -2j * math.pi * scenario.subcarrier_spacing * np.arange(scenario.n_subcarriers)
     symbols = np.arange(scenario.n_symbols)
-    for array in (bs, ue, pilot, conj_pilot, delay_phases, symbols, *beamformers):
-        array.setflags(write=False)
-    delays, dopplers = scenario.search_window()
     e_delay, e_doppler = _filter_bank(
         scenario.subcarrier_spacing, scenario.symbol_duration,
-        scenario.n_subcarriers, scenario.n_symbols,
-        tuple(delays.tolist()), tuple(dopplers.tolist()),
+        scenario.n_subcarriers, scenario.n_symbols, *scenario.search_window(),
     )
+    for array in (bs, ue, pilot, conj_pilot, bs_phases, ue_phases, delay_phases, symbols,
+                  e_delay, e_doppler, *beamformers):
+        array.setflags(write=False)
     return CellConstants(
         bs=bs,
         ue=ue,
@@ -218,8 +211,8 @@ def cell_constants(scenario: ScenarioConfig) -> CellConstants:
         conj_pilot=conj_pilot,
         null_row=scenario.n_subcarriers - scenario.null_subcarriers,
         beamformers=tuple(beamformers),
-        bs_phases=_element_phases(scenario.n_bs_antennas, scenario.antenna_spacing),
-        ue_phases=_element_phases(scenario.n_ue_antennas, scenario.antenna_spacing),
+        bs_phases=bs_phases,
+        ue_phases=ue_phases,
         noise_scale=math.sqrt(scenario.noise_variance / 2.0),
         delay_phases=delay_phases,
         symbols=symbols,
@@ -229,22 +222,24 @@ def cell_constants(scenario: ScenarioConfig) -> CellConstants:
     )
 
 
-class FrameRecord(NamedTuple):
-    """What every (beam, power) cell of one frame shares.
+class Frame(NamedTuple):
+    """What every (beam, power) cell of one visit to a frame shares.
 
-    Built once per frame from the channel; a cell adds only the transmit
-    gain of its beam and its power to the frame's echo and noise.
+    Built from the channel and one draw of the frame's noise for the cells
+    measured at that visit, then dropped, so no more than one grid of noise
+    is held. A cell adds only the transmit gain of its beam and its power.
     """
 
-    cos_departure: float
     a0: complex  # sqrt(bs_gain·ue_gain)·rx_gain: the echo amplitude before the transmit gain
     delay: float  # forward plus return delay
     doppler: float
     nlos: tuple[complex, float, float] | None  # (a0, delay, doppler) of the specular echo
-    noise_seed: int
+    noise: np.ndarray  # noise_scale times the frame's complex Gaussian draw
+    floor: float  # compute_resi's noise floor of every cell of the frame
+    departure: np.ndarray  # the BS steering vector towards the target
 
 
-def frame_record(const: CellConstants, channel: ChannelRealization, seed: int) -> FrameRecord:
+def build_frame(const: CellConstants, channel: ChannelRealization, seed: int) -> Frame:
     """The per-frame part of a cell; ``seed`` is the frame's seed, from which
     the noise draw derives its own."""
     arrival = _steer(const.ue_phases, math.cos(channel.arrival_angle))
@@ -258,40 +253,19 @@ def frame_record(const: CellConstants, channel: ChannelRealization, seed: int) -
             channel.forward_delay + channel.nlos.delay,
             channel.nlos.doppler,
         )
-    return FrameRecord(
-        cos_departure=math.cos(channel.departure_angle),
-        a0=a0,
-        delay=channel.total_delay,
-        doppler=channel.doppler,
-        nlos=nlos,
-        noise_seed=derive_seed(seed, "rx-noise"),
-    )
-
-
-class FrameNoise(NamedTuple):
-    """What every cell of one frame draws on beyond its record: the scaled
-    noise grid, its RMS over the guard rows and the departure steering
-    vector. Drawn for the cells measured at one visit and then dropped, so
-    no more than one grid of noise is held."""
-
-    scaled: np.ndarray  # noise_scale times the frame's complex Gaussian draw
-    floor: float  # compute_resi's noise floor of every cell of the frame
-    departure: np.ndarray
-
-
-def frame_noise(const: CellConstants, frame: FrameRecord) -> FrameNoise:
-    """Draw the frame's noise from its record's seed."""
-    rng = np.random.default_rng(frame.noise_seed)
-    draw = rng.standard_normal((*const.pilot.shape, 2)).view(np.complex128)[..., 0]
-    np.multiply(const.noise_scale, draw, out=draw)
+    rng = np.random.default_rng(derive_seed(seed, "rx-noise"))
+    noise = rng.standard_normal((*const.pilot.shape, 2)).view(np.complex128)[..., 0]
+    np.multiply(const.noise_scale, noise, out=noise)
     # compute_resi's floor. The pilot is 0 on the guard rows, which are the
     # last rows, so a cell's samples there are this noise plus the exact zero
     # of its finite echo times the pilot, and in row-major order they are one
     # contiguous run.
-    power = np.abs(draw[const.null_row:].reshape(-1))
+    power = np.abs(noise[const.null_row:].reshape(-1))
     np.square(power, out=power)
     floor = math.sqrt(np.add.reduce(power) / power.size)
-    return FrameNoise(draw, floor, _steer(const.bs_phases, frame.cos_departure))
+    departure = _steer(const.bs_phases, math.cos(channel.departure_angle))
+    return Frame(a0=a0, delay=channel.total_delay, doppler=channel.doppler, nlos=nlos,
+                 noise=noise, floor=floor, departure=departure)
 
 
 def _echo_term(
@@ -304,8 +278,7 @@ def _echo_term(
 
 
 def _cell_samples(
-    const: CellConstants, frame: FrameRecord, noise: FrameNoise, beam_index: int,
-    power_w: float,
+    const: CellConstants, frame: Frame, beam_index: int, power_w: float
 ) -> np.ndarray:
     """The received grid of one cell: the frame's echo under the sweep beam
     at ``power_w``, plus the frame's noise."""
@@ -314,7 +287,7 @@ def _cell_samples(
     if power_w < 0:
         raise ValueError("power must be nonnegative")
 
-    tx_gain = np.vdot(noise.departure, const.beamformers[beam_index])
+    tx_gain = np.vdot(frame.departure, const.beamformers[beam_index])
     samples = _echo_term(const, frame.a0 * tx_gain, frame.delay, frame.doppler)
     if frame.nlos is not None:
         a0_nlos, delay_nlos, doppler_nlos = frame.nlos
@@ -323,7 +296,7 @@ def _cell_samples(
 
     np.multiply(math.sqrt(power_w), samples, out=samples)
     np.multiply(samples, const.pilot, out=samples)
-    np.add(samples, noise.scaled, out=samples)
+    np.add(samples, frame.noise, out=samples)
     return samples
 
 
@@ -341,8 +314,7 @@ def synthesize_rx_grid(
     is white complex Gaussian at the configured noise-figure level.
     """
     const = cell_constants(scenario)
-    frame = frame_record(const, channel, seed)
-    samples = _cell_samples(const, frame, frame_noise(const, frame), beam_index, power_w)
+    samples = _cell_samples(const, build_frame(const, channel, seed), beam_index, power_w)
     return RxGrid(
         samples=samples,
         pilot=const.pilot,
@@ -351,55 +323,44 @@ def synthesize_rx_grid(
     )
 
 
-def measure_cell(
-    const: CellConstants, frame: FrameRecord, noise: FrameNoise, beam_index: int,
-    power_w: float,
-) -> float:
+def measure_cell(const: CellConstants, frame: Frame, beam_index: int, power_w: float) -> float:
     """Echo strength of one (frame, beam, power) cell in one pass.
 
     Equals ``compute_resi(matched_filter(grid, window), grid, null_mask).value``
     for the grid ``synthesize_rx_grid`` builds, bit for bit: the same
-    operations run in the same order on the same operands. ``noise`` is the
-    frame's :func:`frame_noise`, which any number of its cells may share.
+    operations run in the same order on the same operands. Any number of
+    the frame's cells may share one ``frame``.
     """
-    samples = _cell_samples(const, frame, noise, beam_index, power_w)
+    samples = _cell_samples(const, frame, beam_index, power_w)
     n_sc, n_sym = samples.shape
-    if noise.floor <= 0:
+    if frame.floor <= 0:
         raise ValueError("noise floor must be positive")
     # matched_filter's surface; the grid is not read again, so it is reused.
     weighted = np.multiply(const.conj_pilot, samples, out=samples)
     surface = const.e_delay @ weighted @ const.e_doppler_t
     np.true_divide(surface, n_sc * n_sym, out=surface)
-    value = float(np.abs(surface).max()) / noise.floor
+    value = float(np.abs(surface).max()) / frame.floor
     if value < 0:
         raise ValueError("invalid echo-strength sample")
     return value
 
 
-@lru_cache(maxsize=64)
 def _filter_bank(
-    subcarrier_spacing: float,
-    symbol_duration: float,
-    n_sc: int,
-    n_sym: int,
-    delays: tuple[float, ...],
-    dopplers: tuple[float, ...],
+    subcarrier_spacing: float, symbol_duration: float, n_sc: int, n_sym: int,
+    delays: np.ndarray, dopplers: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate replica phase banks for a fixed grid geometry and window.
 
-    Rejects bins outside the unambiguous range. The cache keeps no
-    exception, so a rejected window raises again on every call.
+    Rejects bins outside the unambiguous range.
     """
-    if any(d < 0 or d >= 1.0 / subcarrier_spacing for d in delays):
+    if np.any(delays < 0) or np.any(delays >= 1.0 / subcarrier_spacing):
         raise ValueError("delay bins outside the unambiguous range")
-    if any(abs(v) > 0.5 / symbol_duration for v in dopplers):
+    if np.any(np.abs(dopplers) > 0.5 / symbol_duration):
         raise ValueError("doppler bins outside the unambiguous range")
     k = np.arange(n_sc)
     m = np.arange(n_sym)
     e_delay = np.exp(2j * math.pi * subcarrier_spacing * np.outer(delays, k))
     e_doppler = np.exp(-2j * math.pi * symbol_duration * np.outer(dopplers, m))
-    e_delay.setflags(write=False)
-    e_doppler.setflags(write=False)
     return e_delay, e_doppler
 
 
@@ -414,8 +375,7 @@ def matched_filter(grid: RxGrid, window: tuple[np.ndarray, np.ndarray]) -> np.nd
     delays, dopplers = np.asarray(window[0], float), np.asarray(window[1], float)
     n_sc, n_sym = grid.samples.shape
     e_delay, e_doppler = _filter_bank(
-        grid.subcarrier_spacing, grid.symbol_duration, n_sc, n_sym,
-        tuple(delays.tolist()), tuple(dopplers.tolist()),
+        grid.subcarrier_spacing, grid.symbol_duration, n_sc, n_sym, delays, dopplers
     )
     weighted = np.conj(grid.pilot) * grid.samples
     return e_delay @ weighted @ e_doppler.T / (n_sc * n_sym)

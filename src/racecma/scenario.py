@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -146,8 +145,7 @@ class ScenarioConfig:
             raise ValueError("carrier_freq and subcarrier_spacing must be positive")
         # The bins radar.matched_filter scans, which it rejects outside the
         # unambiguous range of the OFDM grid.
-        delays = np.linspace(*self.delay_window, self.n_delay_bins)
-        dopplers = np.linspace(*self.doppler_window, self.n_doppler_bins)
+        delays, dopplers = self.search_window()
         if np.any(delays < 0) or np.any(delays >= 1.0 / self.subcarrier_spacing):
             raise ValueError("delay_window outside the unambiguous range "
                              "[0, 1/subcarrier_spacing)")
@@ -220,7 +218,9 @@ class ScenarioConfig:
         return max(1, int(math.ceil(self.null_fraction * self.n_subcarriers)))
 
     def beam_centers(self) -> np.ndarray:
-        return _beam_centers(self)
+        lo, hi = self.sweep_range
+        width = (hi - lo) / self.n_beams
+        return lo + (np.arange(self.n_beams) + 0.5) * width
 
     def beam_contains(self, beam_index: int, angle: float) -> bool:
         """Whether ``angle`` falls inside the angular sector of a beam."""
@@ -231,7 +231,8 @@ class ScenarioConfig:
 
     def search_window(self) -> tuple[np.ndarray, np.ndarray]:
         """Delay and Doppler bin centers scanned by the matched filter."""
-        return _search_window(self)
+        return (np.linspace(*self.delay_window, self.n_delay_bins),
+                np.linspace(*self.doppler_window, self.n_doppler_bins))
 
     def null_mask(self) -> np.ndarray:
         """Guard resource elements: the top subcarriers carry no pilot.
@@ -239,7 +240,9 @@ class ScenarioConfig:
         Those cells of the received grid contain disturbance only, giving an
         unbiased noise-floor estimate that is disjoint from the echo support.
         """
-        return _null_mask(self)
+        mask = np.zeros((self.n_subcarriers, self.n_symbols), dtype=bool)
+        mask[self.n_subcarriers - self.null_subcarriers :, :] = True
+        return mask
 
     def with_power(self, tx_power_dbm: float) -> "ScenarioConfig":
         return replace(self, tx_power_dbm=tx_power_dbm)
@@ -247,32 +250,6 @@ class ScenarioConfig:
 
 def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-@lru_cache(maxsize=64)
-def _beam_centers(scenario: "ScenarioConfig") -> np.ndarray:
-    lo, hi = scenario.sweep_range
-    width = (hi - lo) / scenario.n_beams
-    centers = lo + (np.arange(scenario.n_beams) + 0.5) * width
-    centers.setflags(write=False)
-    return centers
-
-
-@lru_cache(maxsize=64)
-def _search_window(scenario: "ScenarioConfig") -> tuple[np.ndarray, np.ndarray]:
-    delays = np.linspace(*scenario.delay_window, scenario.n_delay_bins)
-    dopplers = np.linspace(*scenario.doppler_window, scenario.n_doppler_bins)
-    delays.setflags(write=False)
-    dopplers.setflags(write=False)
-    return delays, dopplers
-
-
-@lru_cache(maxsize=64)
-def _null_mask(scenario: "ScenarioConfig") -> np.ndarray:
-    mask = np.zeros((scenario.n_subcarriers, scenario.n_symbols), dtype=bool)
-    mask[scenario.n_subcarriers - scenario.null_subcarriers :, :] = True
-    mask.setflags(write=False)
-    return mask
 
 
 def desk_scenario(**overrides) -> ScenarioConfig:

@@ -384,12 +384,30 @@ def check_sweep_direction(spec: ExperimentSpec, scratch: Path | None = None) -> 
 # Driver
 
 
+def require_full_spec(spec: ExperimentSpec) -> None:
+    """Raise ``ValueError`` unless the Monte-Carlo checks can read ``spec``'s
+    results: its methods include ``ORDERING_METHODS`` and it runs at least
+    ``CONVERGENCE_GENERATION`` generations. ``--full`` is the CLI's name for
+    those checks."""
+    missing = [m for m in ORDERING_METHODS if m not in spec.methods]
+    if missing:
+        raise ValueError(f"--full compares {', '.join(ORDERING_METHODS)}; "
+                         f"the methods lack {', '.join(missing)}")
+    if spec.generations < CONVERGENCE_GENERATION:
+        raise ValueError(f"--full reads generation {CONVERGENCE_GENERATION}; "
+                         f"experiment.generations is {spec.generations}")
+
+
 def validate(
     full_spec: ExperimentSpec | None = None,
     scratch: Path | None = None,
 ) -> tuple[bool, list[CheckResult]]:
     """Run the acceptance checks; returns overall pass and per-check rows.
-    The Monte-Carlo comparisons run exactly when ``full_spec`` is given."""
+    The Monte-Carlo comparisons run exactly when ``full_spec`` is given, and
+    a ``full_spec`` they cannot read raises (:func:`require_full_spec`)
+    before any check runs."""
+    if full_spec is not None:
+        require_full_spec(full_spec)
     results = [
         check_cost_identity(),
         check_table_cost(),

@@ -334,6 +334,21 @@ class TestCli:
             "efficiency-ordering", "convergence-direction", "sweep-direction"]
         assert (tmp_path / "sweep" / "sweep_runs.csv").exists()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"methods": ("MAP", "IPN", "CMA-ES", "RACE-CMA")}, "the methods lack SPSA$"),
+        ({"generations": 3}, "reads generation 4; experiment.generations is 3$"),
+    ])
+    def test_validate_rejects_a_full_spec_its_checks_cannot_read(self, monkeypatch, changes,
+                                                                  message):
+        # It raises before the quick checks and before any experiment runs.
+        def never(*args, **kwargs):
+            raise AssertionError("ran on a full spec its checks cannot read")
+
+        for name in ("check_cost_identity", "run_compare", "run_convergence", "run_sweep"):
+            monkeypatch.setattr(validate_mod, name, never)
+        with pytest.raises(ValueError, match=message):
+            validate(replace(ExperimentSpec(), **changes))
+
     def test_validate_scratch_dir_removes_only_its_own(self, tmp_path):
         # Without a scratch directory a check writes into a temporary one
         # that is gone when the check returns; a given directory keeps its files.

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,9 @@ from racecma import (
     realize_channel,
     synthesize_rx_grid,
 )
+from racecma import feedback as feedback_mod
 from racecma.feedback import EpisodeWorld
-from racecma.radar import (
-    NlosComponent, RxGrid, cell_constants, frame_noise, pilot_grid, steering_vector,
-)
+from racecma.radar import NlosComponent, RxGrid, build_frame, cell_constants, steering_vector
 from racecma.scenario import SPEED_OF_LIGHT
 from racecma.seeding import derive_seed, rng_from
 
@@ -126,7 +126,7 @@ class TestMatchedFilter:
     def test_zero_grid_maps_to_zero_surface(self, desk):
         grid = RxGrid(
             samples=np.zeros((desk.n_subcarriers, desk.n_symbols), complex),
-            pilot=pilot_grid(desk),
+            pilot=cell_constants(desk).pilot,
             subcarrier_spacing=desk.subcarrier_spacing, symbol_duration=desk.symbol_duration,
         )
         surface = matched_filter(grid, desk.search_window())
@@ -235,6 +235,46 @@ class TestResi:
         u = steering_vector(1.2, 16, 0.5)
         assert np.allclose(np.abs(u), 1.0)
         assert np.allclose(steering_vector(math.pi / 2, 8, 0.5), np.ones(8))
+
+
+def _const_arrays(const):
+    """Every array of a CellConstants, by field name (beamformers indexed)."""
+    arrays = {}
+    for f in fields(const):
+        value = getattr(const, f.name)
+        if isinstance(value, tuple):
+            arrays.update({f"{f.name}[{i}]": a for i, a in enumerate(value)})
+        elif isinstance(value, np.ndarray):
+            arrays[f.name] = value
+    return arrays
+
+
+class TestCellConstants:
+    def test_shared_arrays_are_read_only_and_scenario_arrays_are_the_callers(self):
+        scenario = desk_scenario(n_beams=11)  # a scenario no other test caches
+        # Every array the scenario's methods return is the caller's own:
+        # writing it changes neither the next call nor cell_constants.
+        mask = scenario.null_mask()
+        delays, dopplers = scenario.search_window()
+        centers = scenario.beam_centers()
+        expected = [a.copy() for a in (mask, delays, dopplers, centers)]
+        mask[:] = ~mask
+        delays += 1.0
+        dopplers[:] = 0.0
+        centers[:] = 0.0
+        again = [scenario.null_mask(), *scenario.search_window(), scenario.beam_centers()]
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in expected]
+
+        const = cell_constants(scenario)
+        arrays = _const_arrays(const)
+        assert {"bs_phases", "ue_phases", "e_delay", "e_doppler_t", "beamformers[10]"} <= set(
+            arrays)
+        assert [name for name, a in arrays.items() if a.flags.writeable] == []
+        with pytest.raises(ValueError, match="read-only"):
+            const.bs_phases[0] = 1.0
+        built_fresh = _const_arrays(cell_constants.__wrapped__(scenario))
+        assert {name: a.tobytes() for name, a in arrays.items()} == {
+            name: a.tobytes() for name, a in built_fresh.items()}
 
 
 # Reference: the radar chain as written before its scenario constants were
@@ -393,8 +433,8 @@ def _chain_values(scenario, world, t, beam, eta):
 
 
 class TestWorldCellIsTheChain:
-    """A world measures every missing cell of a frame from the frame's
-    record and one draw of its noise; each value must equal the chain's, bit
+    """A world measures every missing cell of a frame from one frame, built
+    with one draw of its noise; each value must equal the chain's, bit
     for bit, whichever cells share the draw and in whichever order. The
     chain shares its synthesis with the one pass, so the value is also held
     to the reference formulas, and the noise's floor to both floors."""
@@ -418,11 +458,18 @@ class TestWorldCellIsTheChain:
         for order in (cells, cells[::-1]):
             world = EpisodeWorld(scenario, seed)
             world.extend(t + 1)
-            world.measure(t, order)  # every cell from one draw
-            floor = frame_noise(cell_constants(scenario), world.frames[t]).floor
+            built = []
+
+            def counted(*args):
+                built.append(build_frame(*args))
+                return built[-1]
+
+            with mock.patch.object(feedback_mod, "build_frame", counted):
+                world.measure(t, order)
+            assert len(built) == 1  # one frame, so one draw, served every cell
+            floor = built[0].floor
             for beam, eta in order:
                 value = world.cells[(t, beam, eta)]
                 assert (value, value, floor, floor) == _chain_values(scenario, world, t, beam, eta)
                 assert values.setdefault((beam, eta), value) == value
-            assert list(world.frames) == [t]  # one record served every cell
             assert len(world.cells) == len(cells)

@@ -68,15 +68,15 @@ def held_world():
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The frame records whose noise is drawn, in order."""
+    """The seed of each frame built, so of each noise draw, in order."""
     drawn = []
-    frame_noise = feedback_mod.frame_noise
+    build_frame = feedback_mod.build_frame
 
-    def counted(const, frame):
-        drawn.append(frame)
-        return frame_noise(const, frame)
+    def counted(const, channel, seed):
+        drawn.append(seed)
+        return build_frame(const, channel, seed)
 
-    monkeypatch.setattr(feedback_mod, "frame_noise", counted)
+    monkeypatch.setattr(feedback_mod, "build_frame", counted)
     return drawn
 
 
@@ -204,8 +204,8 @@ class TestBatch:
         cold_start()
         run_episodes(short_desk, triples, [7] * len(triples))
         world = held_world()
-        assert len(draws) == len(world.frames) == 40
-        assert len(world.cells) > len(world.frames)
+        assert len(draws) == len(set(draws)) == 40  # one draw per frame visit
+        assert len(world.cells) > 40
         # A warm replay of the same batch draws nothing.
         run_episodes(short_desk, triples, [7] * len(triples))
         assert len(draws) == 40
@@ -218,14 +218,14 @@ class TestBatch:
         cold_start()
         run_episode(short_desk, (1.0, 2.0, 3.0), seed=2, fidelity=0.5)
         world = held_world()
-        before = (len(world.targets), len(world.frames), len(world.cells))
+        before = (len(world.targets), dict(world.cells))
         with pytest.raises(InfeasibleThresholdsError):
             run_episodes(short_desk, triples, [2] * len(triples))
         objective = IsacObjective(short_desk)
         with pytest.raises(InfeasibleThresholdsError):
             objective.evaluate_many(triples, [2] * len(triples), 0.2, kind="stage1")
         assert held_world() is world
-        assert (len(world.targets), len(world.frames), len(world.cells)) == before
+        assert (len(world.targets), world.cells) == before
         assert objective.ledger.exact_total == 0
         assert objective.ledger.breakdown["stage1"] == (0, 0.0)
 
@@ -262,4 +262,4 @@ class TestSlot:
             run_episode(short_desk, t, seed=seed)
             counts.append(len(draws))
         assert counts == [40, 40, 80, 120]
-        assert held_world().seed == 1 and len(held_world().frames) == 40
+        assert held_world().seed == 1 and len(held_world().cells) == 40
