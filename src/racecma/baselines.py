@@ -105,7 +105,6 @@ def _gaussian_crossing(
 
 def map_thresholds(
     samples_by_state: dict[int, np.ndarray],
-    priors: tuple[float, ...] | None = None,
     min_spacing: float = 0.1,
     min_samples: int = 30,
 ) -> np.ndarray:
@@ -113,9 +112,10 @@ def map_thresholds(
 
     Needs labeled calibration samples for all four states with
     increasingly-ordered fitted means; the three crossings are repaired to
-    the minimum spacing if the fit brings two of them too close.
+    the minimum spacing if the fit brings two of them too close. The priors
+    are the states' sample proportions.
     """
-    model = fit_density_model(samples_by_state, priors, min_samples)
+    model = fit_density_model(samples_by_state, min_samples=min_samples)
     if len(model.means) != 4:
         raise CalibrationError("expected calibration samples for four states")
     crossings = [
@@ -135,12 +135,9 @@ def posterior_crossing(
     samples_low: np.ndarray,
     samples_high: np.ndarray,
     priors: tuple[float, float] | None = None,
-    min_samples: int = 30,
 ) -> float:
     """Posterior-equality point of two fitted Gaussian hypotheses."""
-    model = fit_density_model(
-        {0: np.asarray(samples_low), 1: np.asarray(samples_high)}, priors, min_samples
-    )
+    model = fit_density_model({0: np.asarray(samples_low), 1: np.asarray(samples_high)}, priors)
     return _gaussian_crossing(
         model.means[0], model.stds[0], model.priors[0],
         model.means[1], model.stds[1], model.priors[1],
@@ -175,7 +172,7 @@ def map_calibrate(
     provisional = (q[0], max(q[1], q[0] + min_spacing), max(q[2], q[1] + 2 * min_spacing))
     labels = np.array([classify(v, provisional) for v in x])
     samples_by_state = {s: x[labels == s] for s in range(4)}
-    return map_thresholds(samples_by_state, None, min_spacing, min_samples)
+    return map_thresholds(samples_by_state, min_spacing, min_samples)
 
 
 # ---------------------------------------------------------------------------

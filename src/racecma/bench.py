@@ -30,7 +30,7 @@ from .baselines import (
     spsa_optimize,
 )
 from .cma import default_params
-from .config import config_hash, spec_to_config
+from .config import config_hash, spec_from_config, spec_to_config
 from .feedback import (
     DEFAULT_ACTIONS,
     InfeasibleThresholdsError,
@@ -90,7 +90,7 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        check_integers(self, _COUNT_MINIMA)
+        check_integers(self, (*_COUNT_MINIMA, "master_seed"))
         for name, least in _COUNT_MINIMA.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
@@ -290,7 +290,11 @@ def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
     processes; write ``<name>_runs.csv``, ``<name>_summary.csv`` and
     ``spec.cfg`` into ``out_dir``. ``summarize(spec, runs)`` turns the runs,
     keyed by ``raw_header``, into summary rows in ``summary_header`` order,
-    which are returned keyed by that header."""
+    which are returned keyed by that header. The reps run on the values that
+    ``spec.cfg`` spells: ``derive_seed`` hashes ``repr``, so ``10``, ``10.0``
+    and ``np.float64(10.0)`` would otherwise draw apart."""
+    cfg = spec_to_config(spec)
+    spec = spec_from_config(cfg, spec)
     reps = range(spec.repetitions)
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
@@ -301,7 +305,6 @@ def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
     summary = summarize(spec, [dict(zip(raw_header, row)) for row in raw])
 
     out = Path(out_dir)
-    cfg = spec_to_config(spec)
     digest = config_hash(cfg)
     comment = f"config_hash={digest} master_seed={spec.master_seed}"
     write_csv(out / f"{name}_runs.csv", comment, raw_header, raw)

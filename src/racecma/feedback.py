@@ -30,7 +30,8 @@ from .radar import build_frame, cell_constants, measure_cell, realize_channel
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
 # package (ROADMAP item 4b).
 from .radar import compute_resi, matched_filter, synthesize_rx_grid  # noqa: F401
-from .scenario import ScenarioConfig, TargetState, initial_target_state, propagate_target
+from .scenario import (ScenarioConfig, TargetState, check_integers, initial_target_state,
+                       propagate_target)
 from .seeding import derive_seed
 
 
@@ -83,6 +84,7 @@ class StateActionTable:
             raise ValueError("power factors must lie in [0, 1]")
         if any(a < b for a, b in zip(self.power_factors, self.power_factors[1:])):
             raise ValueError("power factors must be non-increasing in state index")
+        check_integers(self, ("period_multipliers",))
         if any(p < 1 for p in self.period_multipliers):
             raise ValueError("period multipliers must be positive integers")
 

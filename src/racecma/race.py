@@ -56,7 +56,11 @@ class RacingConfig:
     mirrored_sampling: bool = True
 
     def __post_init__(self) -> None:
-        check_integers(self, ("repetitions",))
+        check_integers(self, ("repetitions", "diagonal_warmup_generations"))
+        # "no" would sample mirrored and read back false from spec.cfg; 0 and
+        # 1 equal a bool and spell as one.
+        if self.mirrored_sampling not in (True, False):
+            raise ValueError("mirrored_sampling must be a bool")
         if not 0.0 < self.promotion_fraction <= 1.0:
             raise ValueError("promotion fraction must lie in (0, 1]")
         if not 0.0 < self.fidelity_ratio <= 1.0:

@@ -61,11 +61,14 @@ class GainModel:
 
 def check_integers(config, names) -> None:
     """Reject a count field of ``config`` that is not an integer
-    (``operator.index``): a float count passes every range check and fails
-    only mid-run, in ``range`` or in an array shape."""
+    (``operator.index``), or a tuple field with an entry that is not: a
+    float count passes every range check and fails only mid-run, in
+    ``range`` or in an array shape, and ``spec.cfg`` cannot read it back."""
     for name in names:
+        value = getattr(config, name)
         try:
-            operator.index(getattr(config, name))
+            for item in value if isinstance(value, tuple) else (value,):
+                operator.index(item)
         except TypeError:
             raise ValueError(f"{name} must be an integer") from None
 

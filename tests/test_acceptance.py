@@ -11,14 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from racecma import (
-    RacingConfig,
-    SyntheticObjective,
-    cma_optimize,
-    default_params,
-    race_cma_optimize,
-)
+from racecma import RacingConfig, cma_optimize, default_params, race_cma_optimize
 from racecma.bench import ExperimentSpec
+from racecma.objective import SyntheticObjective
 from racecma.validate import (
     check_cma_invariants,
     check_convergence_direction,

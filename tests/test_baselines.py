@@ -6,20 +6,24 @@ import pytest
 
 from racecma import baselines as baselines_mod
 from racecma import (
-    CalibrationError,
-    IpnConfig,
     IsacObjective,
-    SpsaSchedule,
-    SyntheticObjective,
     ipn_optimize,
     map_calibrate,
-    map_thresholds,
-    posterior_crossing,
     run_episodes,
-    spsa_gradient,
     spsa_optimize,
 )
-from racecma.baselines import _barrier_value, fit_density_model, project_thresholds
+from racecma.baselines import (
+    CalibrationError,
+    IpnConfig,
+    SpsaSchedule,
+    _barrier_value,
+    fit_density_model,
+    map_thresholds,
+    posterior_crossing,
+    project_thresholds,
+    spsa_gradient,
+)
+from racecma.objective import SyntheticObjective
 from racecma.seeding import rng_from
 
 

@@ -194,6 +194,12 @@ class TestHelpers:
         ("ipn", {"newton_iters": 2.0}, "newton_iters must be an integer"),
         *((name, value, f"{name} must be positive and finite")
           for name in ("budget", "init_sigma") for value in (math.inf, math.nan)),
+        # spec.cfg could not read these back, or would read back another value.
+        ("master_seed", 1.5, "master_seed must be an integer"),
+        ("racing", {"diagonal_warmup_generations": 1.5},
+         "diagonal_warmup_generations must be an integer"),
+        ("actions", {"period_multipliers": (1, 1, 1, 2.5)}, "period_multipliers must be an integer"),
+        ("racing", {"mirrored_sampling": "no"}, "mirrored_sampling must be a bool"),
     ])
     def test_meaningless_specs_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

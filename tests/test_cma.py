@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from racecma import (
-    CmaParams,
-    CmaState,
-    SyntheticObjective,
-    cma_optimize,
-    default_params,
-    init_state,
-    sample_population,
-    update,
-)
+from racecma import cma_optimize, default_params
+from racecma.cma import CmaParams, CmaState, init_state, sample_population, update
+from racecma.objective import SyntheticObjective
 from racecma.seeding import derive_seed, rng_from
 
 

@@ -26,6 +26,7 @@ from racecma.config import (
 from racecma.feedback import DEFAULT_ACTIONS
 
 SCHEMA = schema(ExperimentSpec)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_snapshot(spec: ExperimentSpec, out: Path) -> None:
@@ -133,12 +134,13 @@ class TestHash:
         assert config_hash({"a.b": "1"}) != config_hash({"a.b": "2"})
 
     def test_cast_keeps_unequal_specs_apart(self):
-        # ExperimentSpec accepts a non-integral master seed (its counts no
-        # longer do); int(1.5) is the default 1, but the spec must not read as
-        # the default.
-        odd = ExperimentSpec(master_seed=1.5)
-        assert spec_to_config(odd)["experiment.master_seed"] == "1.5"
-        assert config_hash(spec_to_config(odd)) != config_hash(spec_to_config(ExperimentSpec()))
+        # int(1.5) is the default master seed 1, but 1.5 must not read as the
+        # default. ExperimentSpec now rejects a non-integral seed, so the
+        # key's spelling is checked on its own.
+        default = spec_to_config(ExperimentSpec())
+        odd = {**default, "experiment.master_seed": SCHEMA["experiment.master_seed"].format(1.5)}
+        assert odd["experiment.master_seed"] == "1.5"
+        assert config_hash(odd) != config_hash(default)
 
 
 def _changed_values(key: str):
@@ -333,10 +335,19 @@ class TestSchema:
         assert snapshots[0] == snapshots[1]
 
     def test_readme_key_table_matches_schema(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         table = readme.split("<!-- config-keys:begin -->\n", 1)[1]
         table = table.split("\n<!-- config-keys:end -->", 1)[0]
         assert table == key_table(ExperimentSpec()), (
             "README key table is stale; paste the output of "
             "racecma.config.key_table(racecma.bench.ExperimentSpec())"
         )
+
+    def test_readme_quick_start_runs(self):
+        # The example imports only from the package top level, so it also
+        # guards the names kept there.
+        section = README.read_text(encoding="utf-8").split("## Quick start (library)\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert namespace["result"].n_eq == 72.0

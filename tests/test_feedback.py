@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racecma import (
+from racecma import classify, run_episode
+from racecma.feedback import (
     DEFAULT_ACTIONS,
     EpisodeTrace,
     InfeasibleThresholdsError,
     StateActionTable,
-    classify,
     detection_reliability,
     episode_objectives,
     power_overhead,
-    run_episode,
     scalarize,
     sensing_latency,
 )

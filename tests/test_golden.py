@@ -8,6 +8,7 @@ not only a comparison of two runs of the same code.
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from racecma.bench import ExperimentSpec, _fmt, run_compare, run_convergence, run_sweep
@@ -46,6 +47,25 @@ def test_two_jobs_match_golden_digests(body, tmp_path):
     # ``jobs`` only says how many processes run the repetitions: no output
     # byte, spec.cfg included, may depend on it.
     _check_digests(body, replace(SPEC, jobs=2), tmp_path)
+
+
+# Specs that differ from SPEC only in the types of their values write SPEC's
+# spec.cfg byte for byte, so they must write its CSVs too: a run uses the
+# values its spec.cfg spells. Only the sweep reads power_grid; every
+# experiment derives its seeds from master_seed.
+TYPE_VARIANTS = {
+    "int_powers": replace(SPEC, power_grid=(10, 30)),
+    "numpy_powers": replace(SPEC, power_grid=tuple(np.array([10.0, 30.0]))),
+    "numpy_seed": replace(SPEC, master_seed=np.int64(7)),
+}
+
+
+@pytest.mark.parametrize("body, variant", [
+    (run_sweep, "int_powers"), (run_sweep, "numpy_powers"),
+    *((body, "numpy_seed") for body in GOLDEN),
+], ids=lambda param: getattr(param, "__name__", param))
+def test_type_variants_match_golden_digests(body, variant, tmp_path):
+    _check_digests(body, TYPE_VARIANTS[variant], tmp_path)
 
 
 def _check_digests(body, spec, tmp_path):

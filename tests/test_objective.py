@@ -6,24 +6,26 @@ import numpy as np
 import pytest
 
 from racecma import (
-    CostLedger,
-    CrnSeedPlan,
     IsacObjective,
     RacingConfig,
-    RepeatedEstimate,
-    SyntheticObjective,
     cma_optimize,
     default_params,
-    derive_seed_plan,
-    episode_objectives,
     ipn_optimize,
     map_unconstrained,
     race_cma_optimize,
     run_episode,
     spsa_optimize,
-    stage2_refine,
 )
 from racecma import feedback as feedback_mod
+from racecma.feedback import episode_objectives
+from racecma.objective import (
+    CostLedger,
+    CrnSeedPlan,
+    RepeatedEstimate,
+    SyntheticObjective,
+    derive_seed_plan,
+)
+from racecma.race import stage2_refine
 
 
 class StubObjective:

@@ -9,24 +9,23 @@ from hypothesis.extra.numpy import arrays
 from racecma import (
     IsacObjective,
     RacingConfig,
-    RepeatedEstimate,
-    SyntheticObjective,
-    assemble_ranking,
     cma_optimize,
     default_params,
-    derive_seed_plan,
-    init_state,
-    inverse_feasible,
     map_unconstrained,
-    promote,
     race_cma_optimize,
+)
+from racecma.cma import init_state, sample_population, update
+from racecma.objective import RepeatedEstimate, SyntheticObjective, derive_seed_plan
+from racecma.race import (
+    assemble_ranking,
+    inverse_feasible,
+    promote,
     stage1_screen,
     stage2_refine,
     structured_sample,
     uncertainty_weights,
 )
 from racecma import race as race_mod
-from racecma.cma import update
 
 
 def sphere(x):
@@ -132,8 +131,6 @@ class TestStructuredSample:
             structured_sample(state, default_params(3, 5), seed=1, mirrored=True)
 
     def test_unmirrored_matches_plain_sampling(self):
-        from racecma import sample_population
-
         state = init_state(np.array([1.0, 2.0]), 0.5)
         params = default_params(2, 6)
         z_plain, u_plain = sample_population(state, params, seed=11)

@@ -6,21 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from racecma import (
-    ChannelRealization,
-    GeometryError,
-    ScenarioConfig,
-    TargetState,
-    compute_resi,
-    desk_scenario,
-    matched_filter,
-    realize_channel,
-    synthesize_rx_grid,
-)
+from racecma import ScenarioConfig, desk_scenario
 from racecma import feedback as feedback_mod
 from racecma.feedback import EpisodeWorld
-from racecma.radar import NlosComponent, RxGrid, build_frame, cell_constants, steering_vector
-from racecma.scenario import SPEED_OF_LIGHT
+from racecma.radar import (
+    ChannelRealization,
+    GeometryError,
+    NlosComponent,
+    RxGrid,
+    build_frame,
+    cell_constants,
+    compute_resi,
+    matched_filter,
+    realize_channel,
+    steering_vector,
+    synthesize_rx_grid,
+)
+from racecma.scenario import SPEED_OF_LIGHT, TargetState
 from racecma.seeding import derive_seed, rng_from
 
 

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racecma import (
+from racecma import ScenarioConfig, desk_scenario
+from racecma.feedback import EpisodeWorld
+from racecma.scenario import (
+    TARGET_SPAWN_MARGIN,
     Rect,
-    ScenarioConfig,
     TargetState,
-    desk_scenario,
+    dbm_to_watt,
     initial_target_state,
     propagate_target,
 )
-from racecma.feedback import EpisodeWorld
-from racecma.scenario import TARGET_SPAWN_MARGIN, dbm_to_watt
 
 ARENA = Rect(-10.0, 10.0, -10.0, 10.0)
 

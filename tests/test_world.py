@@ -9,12 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racecma import (
-    InfeasibleThresholdsError, IsacObjective, StateActionTable, classify, desk_scenario,
-    run_episode, run_episodes,
-)
+from racecma import IsacObjective, classify, desk_scenario, run_episode, run_episodes
 from racecma import feedback as feedback_mod
-from racecma.feedback import EpisodeTrace
+from racecma.feedback import EpisodeTrace, InfeasibleThresholdsError, StateActionTable
 from racecma.radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
 from racecma.scenario import initial_target_state, propagate_target
 from racecma.seeding import derive_seed
