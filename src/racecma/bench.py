@@ -42,7 +42,7 @@ from .feedback import (
 )
 from .objective import IsacObjective
 from .race import RacingConfig, inverse_feasible, map_unconstrained, race_cma_optimize
-from .scenario import ScenarioConfig, check_integers, desk_scenario
+from .scenario import ScenarioConfig, check_finite, check_integers, desk_scenario
 from .seeding import derive_seed, rng_from
 
 METHODS = ("MAP", "IPN", "SPSA", "CMA-ES", "RACE-CMA")
@@ -115,6 +115,7 @@ class ExperimentSpec:
             if not t[0] < t[1] < t[2]:
                 raise ValueError("racing.min_spacing vanishes in rounding next to "
                                  f"experiment.resi_bounds value {end}")
+        check_finite(self, ("weights",))
         check_weights(self.weights)
         check_weights(self.sweep_weights)
         try:

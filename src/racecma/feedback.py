@@ -10,9 +10,11 @@ the echo (candidate/detected/locked).
 An episode splits into an :class:`EpisodeWorld`, what the thresholds cannot
 change, and a replay of the decisions over it. A world holds the target's
 states and bearings and the echo strength of each (frame, beam, power
-factor) cell visited so far. A visit to a frame builds the frame's channel
-and noise draw anew (:func:`radar.build_frame`), once for all the cells it
-measures, and keeps none of it.
+factor) cell visited so far. The episodes of a batch, whatever their seeds,
+advance in one lockstep, a frame at a time, and the cells they miss at a
+frame are measured together: one channel and noise draw per world that
+misses any, built anew and not kept, and the frames and cells of several
+worlds as stacks (:func:`radar.build_frames`, :func:`radar.measure_cells`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .radar import build_frame, cell_constants, measure_cell, realize_channel
+from .radar import (CellConstants, build_frame, build_frames, cell_constants, measure_cell,
+                    measure_cells, realize_channel)
 # Not used here: the benchmark tracer wraps these three names at this import
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
 # package (ROADMAP item 4b).
@@ -116,49 +119,99 @@ class EpisodeWorld:
 
     Target motion is a pure function of (scenario, seed, frame), and a
     frame's echo strength is a pure function of those plus the beam and
-    power factor the loop chooses. The world propagates the target up to
-    the longest prefix asked of it and measures each (frame, beam, power
-    factor) cell once, on first visit. It holds the targets, their bearings
-    and the measured floats, nothing per frame beyond them: each visit
-    builds the frame (channel and noise draw) anew, once for all the cells
-    it measures. Replays under any thresholds and action table then read
-    the stored floats.
+    power factor the loop chooses. A world walks the target through the
+    frames in order and measures each (frame, beam, power factor) cell
+    once, on first visit (:func:`_measure_frame`). A kept world holds every
+    target, its bearing and every measured float, so replays under any
+    thresholds and action table read the stored floats and grow its prefix
+    only where none reached. A streaming world (``keep=False``) holds those
+    of the current frame only. Neither holds anything else per frame: each
+    visit builds the frame (channel and noise draw) anew.
     """
 
-    def __init__(self, scenario: ScenarioConfig, seed: int) -> None:
+    def __init__(self, scenario: ScenarioConfig, seed: int, keep: bool = True) -> None:
         self.scenario = scenario
         self.seed = seed
+        self.keep = keep
         self.targets: list[TargetState] = []
         self.bearings: list[float] = []  # target angle seen from the BS
         self.cells: dict[tuple[int, int, float], float] = {}
-        # Looked up once: each lookup hashes the whole scenario.
-        self._const = cell_constants(scenario)
-        self._budget_w = scenario.tx_power_w
+        self.target: TargetState | None = None  # the current frame's
+        self.bearing = math.nan
+
+    def advance(self, t: int) -> None:
+        """Make frame ``t`` current: the first frame no target reached yet
+        (frame 0 of a new world, the frame after the current one of a
+        streaming world) or, in a kept world, any frame before it."""
+        if t < len(self.targets):
+            self.target, self.bearing = self.targets[t], self.bearings[t]
+            return
+        sc = self.scenario
+        if t == 0:
+            target = initial_target_state(sc, self.seed)
+        else:
+            target = self.targets[-1] if self.keep else self.target
+        target = propagate_target(target, sc.frame_duration, derive_seed(self.seed, "motion", t),
+                                  sc.region, sc.heading_jitter)
+        bs = sc.bs_position
+        self.target = target
+        self.bearing = math.atan2(target.position[1] - bs[1], target.position[0] - bs[0])
+        if self.keep:
+            self.targets.append(target)
+            self.bearings.append(self.bearing)
+        else:
+            self.cells.clear()
 
     def extend(self, n_frames: int) -> None:
-        """Propagate the target through frame ``n_frames - 1``."""
-        sc = self.scenario
-        dt = sc.frame_duration
-        bs = sc.bs_position
-        target = self.targets[-1] if self.targets else initial_target_state(sc, self.seed)
+        """Propagate a kept world's target through frame ``n_frames - 1``."""
         for t in range(len(self.targets), n_frames):
-            target = propagate_target(
-                target, dt, derive_seed(self.seed, "motion", t), sc.region, sc.heading_jitter
-            )
-            self.targets.append(target)
-            self.bearings.append(
-                math.atan2(target.position[1] - bs[1], target.position[0] - bs[0])
-            )
+            self.advance(t)
 
-    def measure(self, t: int, cells: Sequence[tuple[int, float]]) -> None:
-        """Measure frame ``t`` under each (beam, power factor) of ``cells``
-        into ``self.cells``, from one draw of the frame's noise."""
-        channel = realize_channel(self.scenario, self.targets[t])
-        frame = build_frame(self._const, channel, derive_seed(self.seed, "frame", t))
-        for beam, eta in cells:
-            self.cells[(t, beam, eta)] = measure_cell(
-                self._const, frame, beam, eta * self._budget_w
-            )
+
+# The most bytes of grids one stack holds: the noise grids of a stack of
+# frames, or the received grids of a stack of cells. A grid of more than
+# half of it (the 40x100 paper grid, 64 000 B) is drawn and measured alone,
+# since stacked such grids outgrow the core's cache and cost more than
+# apart; the 24x32 desk grid (12 288 B) stacks by six, so a generation of
+# twelve seeds makes two even stacks. Larger stacks hold more grids at once
+# for little more speed.
+STACK_BYTES = 73_728
+
+
+def _measure_frame(
+    const: CellConstants,
+    scenario: ScenarioConfig,
+    t: int,
+    requests: Sequence[tuple[EpisodeWorld, Sequence[tuple[int, int, float]]]],
+) -> None:
+    """Measure the missing cells ``(t, beam, power factor)`` of each
+    ``(world, cells)`` request at its current frame ``t`` into
+    ``world.cells``, from one draw of each world's noise. The frames are
+    built in stacks, and their cells measured in stacks, of at most
+    ``STACK_BYTES`` of grids each; a stack of one frame is built and
+    measured as the frame alone."""
+    budget_w = scenario.tx_power_w
+    size = max(1, STACK_BYTES // const.pilot.nbytes)
+    for start in range(0, len(requests), size):
+        part = requests[start:start + size]
+        if len(part) == 1:
+            [(world, keys)] = part
+            frame = build_frame(const, realize_channel(scenario, world.target),
+                                derive_seed(world.seed, "frame", t))
+            for key in keys:
+                world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)
+            continue
+        frames = build_frames(const,
+                              [realize_channel(scenario, world.target) for world, _ in part],
+                              [derive_seed(world.seed, "frame", t) for world, _ in part])
+        cells = [(b, world, key) for b, (world, keys) in enumerate(part) for key in keys]
+        for lo in range(0, len(cells), size):
+            piece = cells[lo:lo + size]
+            values = measure_cells(const, frames,
+                                   [(b, key[1], key[2] * budget_w) for b, _, key in piece])
+            for (_, world, key), value in zip(piece, values):
+                world.cells[key] = value
+        del frames  # before the next stack is built, so one stack of noise is held at a time
 
 
 # The world each thread replayed last (``_SLOT.world``). Threads never share
@@ -169,18 +222,20 @@ _SLOT = threading.local()
 def _closed_loop(
     thresholds: tuple[float, float, float],
     actions: StateActionTable,
-    scenario: ScenarioConfig,
-    bearings: list[float],
-    out: tuple[list, list, list, list],
+    world: EpisodeWorld,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ):
     """One episode's decisions, a frame per step. At each frame it yields
     the cell it measures, ``(t, beam, power factor)``, and is sent that
     cell's echo strength, or yields None and is sent None when the cadence
-    skips the frame. It appends the frame to ``out`` (resi, states, in_beam,
-    power). It never ends by itself: the caller stops sending after the last
-    frame, so the decision it yields for the frame after is never used."""
+    skips the frame. It then writes frame t of ``out`` (resi, states,
+    in_beam, power), with ``world``'s current bearing. It never ends by
+    itself: the caller stops sending after the last frame, so the decision
+    it yields for the frame after is never used."""
     t1, t2, t3 = thresholds
-    resi, states, in_beam, power = out
+    # Item writes through a memoryview cost half of numpy's.
+    resi, states, in_beam, power = map(memoryview, out)
+    scenario = world.scenario
     periods, factors = actions.period_multipliers, actions.power_factors
     state = sweep_ptr = beam = frames_since_measure = 0
     belief = 0.0  # last measured echo strength
@@ -196,13 +251,13 @@ def _closed_loop(
             belief = yield (t, beam, eta)
             # classify(belief, thresholds), with the check done once per episode.
             state = 0 if belief <= t1 else 1 if belief <= t2 else 2 if belief <= t3 else 3
-            power.append(eta)
+            power[t] = eta
         else:
             yield None
-            power.append(0.0)
-        resi.append(belief)
-        states.append(state)
-        in_beam.append(scenario.beam_contains(beam, bearings[t]))
+            power[t] = 0.0
+        resi[t] = belief
+        states[t] = state
+        in_beam[t] = scenario.beam_contains(beam, world.bearing)
 
 
 def run_episodes(
@@ -224,15 +279,19 @@ def run_episodes(
     does not depend on the decisions it makes. That is what lets every
     episode of a (scenario, seed) replay one :class:`EpisodeWorld`.
 
-    The episodes are grouped by seed, in order of first appearance, and the
-    groups run one after another. Within a group the episodes advance in
-    lockstep, a frame at a time, and the cells they miss at a frame are
-    measured together from one draw of its noise. Each thread keeps the
-    world it replayed last and grows it for the next group on the same
-    scenario and seed (IPN's line-search probes after its stencil); a group
-    on any other seed replaces it. The seeds and triples are checked before
-    any frame runs. Each trace equals, bit for bit, the one its triple gives
-    alone on its seed.
+    The episodes are grouped by seed, in order of first appearance, one
+    world per group, and every episode of every group advances in one
+    lockstep, a frame at a time, writing into arrays allocated up front.
+    At each frame the cells the episodes miss are measured together: one
+    noise draw per world that misses any, the frames and cells of several
+    worlds as stacks, and a lone world's frame alone
+    (:func:`_measure_frame`). Each thread keeps the world of the last
+    group, whole, and grows it for the next call on the same scenario and
+    seed (IPN's line-search probes after its stencil); the first group
+    starts from it if it is that group's. The other groups' worlds stream:
+    each holds the current frame's target, bearing and cells only. The
+    seeds and triples are checked before any frame runs. Each trace
+    equals, bit for bit, the one its triple gives alone on its seed.
     """
     if len(seeds) != len(triples):
         raise ValueError("need one seed per threshold triple")
@@ -244,40 +303,50 @@ def run_episodes(
     groups: dict[tuple[type, int], list[int]] = {}
     for i, seed in enumerate(seeds):
         groups.setdefault((type(seed), seed), []).append(i)
-    traces: dict[int, EpisodeTrace] = {}
-    for (_, seed), members in groups.items():
-        world = getattr(_SLOT, "world", None)
-        if world is None or (world.scenario, type(world.seed), world.seed) != (
-            scenario, type(seed), seed
+    worlds = []
+    for g, (kind, seed) in enumerate(groups):
+        held = getattr(_SLOT, "world", None) if g == 0 else None
+        if held is not None and (held.scenario, type(held.seed), held.seed) == (
+            scenario, kind, seed
         ):
-            world = _SLOT.world = EpisodeWorld(scenario, seed)
-        world.extend(n_frames)
-        cells = world.cells
-        outs = [([], [], [], []) for _ in members]
-        loops = [_closed_loop(checked[i], actions, scenario, world.bearings, out)
-                 for i, out in zip(members, outs)]
-        wanted = [next(loop) for loop in loops]
+            worlds.append(held)
+        else:
+            worlds.append(EpisodeWorld(scenario, seed, keep=g == len(groups) - 1))
+    # Replacing the slot now frees the world it held, unless the first
+    # group replays it, before any frame runs.
+    held = None
+    _SLOT.world = worlds[-1]
 
-        for t in range(n_frames):
+    const = cell_constants(scenario)  # looked up once: each lookup hashes the scenario
+    world_of = [None] * len(checked)
+    for world, members in zip(worlds, groups.values()):
+        for i in members:
+            world_of[i] = world
+    outs = [(np.empty(n_frames), np.empty(n_frames, dtype=np.int64),
+             np.empty(n_frames, dtype=bool), np.empty(n_frames)) for _ in checked]
+    loops = [_closed_loop(thresholds, actions, world, out)
+             for thresholds, world, out in zip(checked, world_of, outs)]
+    wanted = [next(loop) for loop in loops]
+
+    for t in range(n_frames):
+        requests = []
+        for world, members in zip(worlds, groups.values()):
+            world.advance(t)
             missing = []
-            for key in wanted:
-                if key is not None and key not in cells and key not in missing:
+            for i in members:
+                key = wanted[i]
+                if key is not None and key not in world.cells and key not in missing:
                     missing.append(key)
             if missing:
-                world.measure(t, [key[1:] for key in missing])
-            asked, wanted = wanted, []
-            for loop, key in zip(loops, asked):
-                wanted.append(loop.send(None if key is None else cells[key]))
+                requests.append((world, missing))
+        if requests:
+            _measure_frame(const, scenario, t, requests)
+        for i, loop in enumerate(loops):
+            key = wanted[i]
+            wanted[i] = loop.send(None if key is None else world_of[i].cells[key])
 
-        for i, (resi, states, in_beam, power) in zip(members, outs):
-            traces[i] = EpisodeTrace(
-                resi=np.array(resi, dtype=float),
-                states=np.array(states, dtype=np.int64),
-                in_beam=np.array(in_beam, dtype=bool),
-                power=np.array(power, dtype=float),
-                horizon=n_frames,
-            )
-    return [traces[i] for i in range(len(checked))]
+    return [EpisodeTrace(resi=resi, states=states, in_beam=in_beam, power=power,
+                         horizon=n_frames) for resi, states, in_beam, power in outs]
 
 
 def run_episode(

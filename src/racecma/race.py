@@ -37,7 +37,7 @@ from .objective import (
     StochasticObjective,
     derive_seed_plan,
 )
-from .scenario import check_integers
+from .scenario import check_finite, check_integers
 from .seeding import derive_seed, rng_from
 
 
@@ -57,6 +57,7 @@ class RacingConfig:
 
     def __post_init__(self) -> None:
         check_integers(self, ("repetitions", "diagonal_warmup_generations"))
+        check_finite(self, ("weighting_floor",))
         # "no" would sample mirrored and read back false from spec.cfg; 0 and
         # 1 equal a bool and spell as one.
         if self.mirrored_sampling not in (True, False):

@@ -9,9 +9,17 @@ noise floor estimated on guard (null) resource elements.
 Two ways run it. The reference chain, ``synthesize_rx_grid`` ->
 ``matched_filter`` -> ``compute_resi``, hands each stage's result to the
 next. The episode loop instead builds one :class:`Frame` per visit to a
-frame, from the channel and one draw of the frame's noise, and passes it to
-:func:`measure_cell` once per (beam, power) cell it measures there, which
-makes the same floating-point operations in the same order in one pass.
+frame, from the channel and one draw of the frame's noise, and measures
+each (beam, power) cell it needs there in one pass (:func:`measure_cell`).
+Where several worlds need a frame at once, it builds their frames as one
+stack (:func:`build_frames`) and measures their cells as one stack
+(:func:`measure_cells`): each kind of steering vector and phase ramp from
+one ``exp`` over the stack, one (C, K, M) stack of received grids, one
+stacked pair of matched-filter products and one peak per slice. The
+chain, the per-cell pass and the stack share the cell's helpers, which
+take one cell's values or a stack's along a leading axis, so each cell
+gets the same floating-point operations in the same order on the same
+operands as the chain, and equals its value bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,7 +82,8 @@ def steering_vector(angle: float, n_elements: int, spacing_wl: float) -> np.ndar
     return _steer(_element_phases(n_elements, spacing_wl), math.cos(angle))
 
 
-def _steer(phases: np.ndarray, cos_angle: float) -> np.ndarray:
+def _steer(phases: np.ndarray, cos_angle: float | np.ndarray) -> np.ndarray:
+    """``exp(1j·phases·cos_angle)``; a (B, 1) column of cosines gives B rows."""
     return np.exp(1j * (phases * cos_angle))
 
 
@@ -226,17 +235,19 @@ class Frame(NamedTuple):
     """What every (beam, power) cell of one visit to a frame shares.
 
     Built from the channel and one draw of the frame's noise for the cells
-    measured at that visit, then dropped, so no more than one grid of noise
-    is held. A cell adds only the transmit gain of its beam and its power.
+    measured at that visit, then dropped, so the frame holds the only noise
+    grid. A cell adds only the transmit gain of its beam and its power. A
+    stack of B frames (:func:`build_frames`) holds each array with a leading
+    axis of B and each number as a list of B.
     """
 
     a0: complex  # sqrt(bs_gain·ue_gain)·rx_gain: the echo amplitude before the transmit gain
     delay: float  # forward plus return delay
     doppler: float
     nlos: tuple[complex, float, float] | None  # (a0, delay, doppler) of the specular echo
-    noise: np.ndarray  # noise_scale times the frame's complex Gaussian draw
+    noise: np.ndarray  # (K, M): noise_scale times the frame's complex Gaussian draw
     floor: float  # compute_resi's noise floor of every cell of the frame
-    departure: np.ndarray  # the BS steering vector towards the target
+    departure: np.ndarray  # (n_bs,): the BS steering vector towards the target
 
 
 def build_frame(const: CellConstants, channel: ChannelRealization, seed: int) -> Frame:
@@ -268,36 +279,104 @@ def build_frame(const: CellConstants, channel: ChannelRealization, seed: int) ->
                  noise=noise, floor=floor, departure=departure)
 
 
-def _echo_term(
-    const: CellConstants, amplitude: complex, delay: float, doppler: float
-) -> np.ndarray:
-    delay_ramp = np.exp(const.delay_phases * delay)
-    doppler_ramp = np.exp(2j * math.pi * doppler * const.symbols * const.symbol_duration)
-    term = np.multiply(delay_ramp[:, None], doppler_ramp)
-    return np.multiply(amplitude, term, out=term)
+def build_frames(
+    const: CellConstants, channels: Sequence[ChannelRealization], seeds: Sequence[int]
+) -> Frame:
+    """:func:`build_frame` of each ``(channels[b], seeds[b])``, as one stack
+    of frames of one scenario: each array operation runs once over the stack
+    and gives every frame what it gives the frame built alone."""
+    cosines = np.array([(math.cos(c.arrival_angle), math.cos(c.departure_angle))
+                        for c in channels])
+    arrival = _steer(const.ue_phases, cosines[:, :1])
+    w = arrival / math.sqrt(arrival.shape[1])
+    a0 = [math.sqrt(c.bs_gain * c.ue_gain) * np.vdot(w_b, arrival_b)
+          for c, w_b, arrival_b in zip(channels, w, arrival)]
+    nlos = None
+    if channels[0].nlos is not None:
+        specular = _steer(const.ue_phases,
+                          np.array([[math.cos(c.nlos.arrival_angle)] for c in channels]))
+        nlos = ([math.sqrt(c.bs_gain * c.nlos.gain) * np.vdot(w_b, specular_b)
+                 for c, w_b, specular_b in zip(channels, w, specular)],
+                [c.forward_delay + c.nlos.delay for c in channels],
+                [c.nlos.doppler for c in channels])
+    # Each frame draws from a generator of its own, into its slice of one buffer.
+    draws = np.empty((len(seeds), *const.pilot.shape, 2))
+    for seed, out in zip(seeds, draws):
+        np.random.default_rng(derive_seed(seed, "rx-noise")).standard_normal(out=out)
+    noise = draws.view(np.complex128)[..., 0]
+    np.multiply(const.noise_scale, noise, out=noise)
+    # Each frame's floor as build_frame takes it: the row-wise reduce over
+    # the stack's runs of guard rows equals the 1-D reduce of each run.
+    power = np.abs(noise[:, const.null_row:]).reshape(len(seeds), -1)
+    np.square(power, out=power)
+    floor = [math.sqrt(total / power.shape[1])
+             for total in np.add.reduce(power, axis=1).tolist()]
+    return Frame(a0=a0, delay=[c.total_delay for c in channels],
+                 doppler=[c.doppler for c in channels], nlos=nlos, noise=noise, floor=floor,
+                 departure=_steer(const.bs_phases, cosines[:, 1:]))
 
 
-def _cell_samples(
-    const: CellConstants, frame: Frame, beam_index: int, power_w: float
-) -> np.ndarray:
-    """The received grid of one cell: the frame's echo under the sweep beam
-    at ``power_w``, plus the frame's noise."""
+# The helpers below take one cell's values, or a stack of cells' values
+# along a leading axis (each number as a column), and give each cell the
+# same operations on the same operands.
+
+
+def _tx_gain(
+    const: CellConstants, departure: np.ndarray, beam_index: int, power_w: float
+) -> complex:
     if not 0 <= beam_index < len(const.beamformers):
         raise ValueError("beam_index out of range")
     if power_w < 0:
         raise ValueError("power must be nonnegative")
+    return np.vdot(departure, const.beamformers[beam_index])
 
-    tx_gain = np.vdot(frame.departure, const.beamformers[beam_index])
-    samples = _echo_term(const, frame.a0 * tx_gain, frame.delay, frame.doppler)
+
+def _echo_term(
+    const: CellConstants, amplitude: complex | np.ndarray, delay: float | np.ndarray,
+    coef: complex | np.ndarray,
+) -> np.ndarray:
+    """``amplitude`` times the outer product of the delay ramp of ``delay``
+    and the Doppler ramp of ``coef``, which is 2jπ times the Doppler shift."""
+    delay_ramp = np.exp(const.delay_phases * delay)
+    doppler_ramp = np.exp(coef * const.symbols * const.symbol_duration)
+    term = np.multiply(delay_ramp[..., :, None], doppler_ramp[..., None, :])
+    return np.multiply(amplitude, term, out=term)
+
+
+def _cell_samples(
+    const: CellConstants, echo: tuple, specular: tuple | None, root: float | np.ndarray
+) -> np.ndarray:
+    """The received grid but its noise: the echo ``(amplitude, delay,
+    2jπ·doppler)`` plus the specular one, at the power whose square root is
+    ``root``, times the pilot. The caller adds the frame's noise."""
+    samples = _echo_term(const, *echo)
+    if specular is not None:
+        np.add(samples, _echo_term(const, *specular), out=samples)
+    np.multiply(root, samples, out=samples)
+    return np.multiply(samples, const.pilot, out=samples)
+
+
+def _surface(const: CellConstants, samples: np.ndarray) -> np.ndarray:
+    """matched_filter's surface of each received grid; the grids are not
+    read again, so they are reused."""
+    n_sc, n_sym = const.pilot.shape
+    weighted = np.multiply(const.conj_pilot, samples, out=samples)
+    surface = const.e_delay @ weighted @ const.e_doppler_t
+    return np.true_divide(surface, n_sc * n_sym, out=surface)
+
+
+def _frame_cell(
+    const: CellConstants, frame: Frame, beam_index: int, power_w: float
+) -> np.ndarray:
+    """The received grid of one cell of a frame built alone."""
+    tx_gain = _tx_gain(const, frame.departure, beam_index, power_w)
+    specular = None
     if frame.nlos is not None:
-        a0_nlos, delay_nlos, doppler_nlos = frame.nlos
-        np.add(samples, _echo_term(const, a0_nlos * tx_gain, delay_nlos, doppler_nlos),
-               out=samples)
-
-    np.multiply(math.sqrt(power_w), samples, out=samples)
-    np.multiply(samples, const.pilot, out=samples)
-    np.add(samples, frame.noise, out=samples)
-    return samples
+        a0, delay, doppler = frame.nlos
+        specular = (a0 * tx_gain, delay, 2j * math.pi * doppler)
+    samples = _cell_samples(const, (frame.a0 * tx_gain, frame.delay, 2j * math.pi * frame.doppler),
+                            specular, math.sqrt(power_w))
+    return np.add(samples, frame.noise, out=samples)
 
 
 def synthesize_rx_grid(
@@ -314,9 +393,8 @@ def synthesize_rx_grid(
     is white complex Gaussian at the configured noise-figure level.
     """
     const = cell_constants(scenario)
-    samples = _cell_samples(const, build_frame(const, channel, seed), beam_index, power_w)
     return RxGrid(
-        samples=samples,
+        samples=_frame_cell(const, build_frame(const, channel, seed), beam_index, power_w),
         pilot=const.pilot,
         subcarrier_spacing=scenario.subcarrier_spacing,
         symbol_duration=scenario.symbol_duration,
@@ -324,25 +402,58 @@ def synthesize_rx_grid(
 
 
 def measure_cell(const: CellConstants, frame: Frame, beam_index: int, power_w: float) -> float:
-    """Echo strength of one (frame, beam, power) cell in one pass.
+    """Echo strength of one (frame, beam, power) cell of a frame built alone:
+    :func:`measure_cells` of one cell, without the stack's gathering.
 
-    Equals ``compute_resi(matched_filter(grid, window), grid, null_mask).value``
-    for the grid ``synthesize_rx_grid`` builds, bit for bit: the same
-    operations run in the same order on the same operands. Any number of
-    the frame's cells may share one ``frame``.
+    Equals ``compute_resi(matched_filter(grid, window), grid,
+    null_mask).value`` for the grid ``synthesize_rx_grid`` builds, bit for
+    bit: the same operations run in the same order on the same operands.
+    Any number of the frame's cells may share one ``frame``.
     """
-    samples = _cell_samples(const, frame, beam_index, power_w)
-    n_sc, n_sym = samples.shape
     if frame.floor <= 0:
         raise ValueError("noise floor must be positive")
-    # matched_filter's surface; the grid is not read again, so it is reused.
-    weighted = np.multiply(const.conj_pilot, samples, out=samples)
-    surface = const.e_delay @ weighted @ const.e_doppler_t
-    np.true_divide(surface, n_sc * n_sym, out=surface)
-    value = float(np.abs(surface).max()) / frame.floor
-    if value < 0:
-        raise ValueError("invalid echo-strength sample")
-    return value
+    surface = _surface(const, _frame_cell(const, frame, beam_index, power_w))
+    return float(np.abs(surface).max()) / frame.floor
+
+
+def measure_cells(
+    const: CellConstants, frames: Frame, cells: Sequence[tuple[int, int, float]]
+) -> list[float]:
+    """Echo strength of each cell ``(b, beam, power_w)`` of a stack of
+    frames, in one pass: one (C, K, M) stack of received grids, one stacked
+    pair of matched-filter products and one peak per slice. Each equals
+    :func:`measure_cell` of the cell on frame b built alone, bit for bit.
+    """
+    # Per cell, as complex columns: the echo's amplitude, delay and 2jπ·doppler,
+    # the root of the power and, if any, the specular echo's three; a float
+    # multiplies a complex as x + 0j.
+    scalars = []
+    for b, beam_index, power_w in cells:
+        tx_gain = _tx_gain(const, frames.departure[b], beam_index, power_w)
+        row = [frames.a0[b] * tx_gain, frames.delay[b], 2j * math.pi * frames.doppler[b],
+               math.sqrt(power_w)]
+        if frames.nlos is not None:
+            a0, delay, doppler = frames.nlos
+            row += [a0[b] * tx_gain, delay[b], 2j * math.pi * doppler[b]]
+        scalars.append(row)
+    columns = np.array(scalars)
+
+    def echo(first: int) -> tuple:  # amplitude (C, 1, 1), delay and 2jπ·doppler (C, 1)
+        amplitude, delay, coef = columns[:, first:first + 3].T
+        return amplitude[:, None, None], delay[:, None], coef[:, None]
+
+    samples = _cell_samples(const, echo(0), None if frames.nlos is None else echo(4),
+                            columns[:, 3, None, None])
+    at = [b for b, _, _ in cells]
+    if at == list(range(len(frames.floor))):  # each frame's one cell, in order
+        np.add(samples, frames.noise, out=samples)
+    else:  # grid by grid, rather than gather a copy of the noise per cell
+        for grid, b in zip(samples, at):
+            np.add(grid, frames.noise[b], out=grid)
+    if any(frames.floor[b] <= 0 for b in at):
+        raise ValueError("noise floor must be positive")
+    peaks = np.abs(_surface(const, samples)).reshape(len(at), -1).max(axis=1).tolist()
+    return [peak / frames.floor[b] for peak, b in zip(peaks, at)]
 
 
 def _filter_bank(

@@ -9,6 +9,7 @@ rectangular sensing region, bouncing off its edges.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -53,6 +54,8 @@ class GainModel:
     nlos_doppler_ratio: float = 0.5
 
     def __post_init__(self) -> None:
+        check_finite(self, ("scattering_gain", "nlos_gain_ratio", "nlos_excess_delay",
+                            "nlos_angle_offset", "nlos_doppler_ratio"))
         if self.scattering_gain <= 0:
             raise ValueError("scattering_gain must be positive")
         if self.nlos_gain_ratio < 0 or self.nlos_excess_delay < 0:
@@ -71,6 +74,18 @@ def check_integers(config, names) -> None:
                 operator.index(item)
         except TypeError:
             raise ValueError(f"{name} must be an integer") from None
+
+
+def check_finite(config, names) -> None:
+    """Reject a float field of ``config`` that is not a finite real number,
+    or a tuple field with an entry that is not: inf and nan pass most range
+    checks and fail only mid-run, a string or None fails at its first use,
+    and ``spec.cfg`` cannot read any of them back."""
+    for name in names:
+        value = getattr(config, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if not (isinstance(item, numbers.Real) and math.isfinite(item)):
+                raise ValueError(f"{name} must be finite and real")
 
 
 # Count fields that must be at least 1.
@@ -126,6 +141,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_integers(self, (*_POSITIVE_COUNTS, "n_targets", "nlos_path_count"))
+        check_finite(self, ("sensing_horizon", "carrier_freq", "antenna_spacing",
+                            "heading_jitter"))
         if any(getattr(self, name) < 1 for name in _POSITIVE_COUNTS):
             raise ValueError("all counts must be >= 1")
         if self.n_targets != 1:

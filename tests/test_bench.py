@@ -41,6 +41,14 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**params)
 
 
+def _replaced(config, changes: dict):
+    """``config`` with the fields in ``changes`` replaced; a dict value
+    replaces fields of the nested config of that name in turn."""
+    return replace(config, **{
+        name: _replaced(getattr(config, name), value) if isinstance(value, dict) else value
+        for name, value in changes.items()})
+
+
 def read_rows(path: Path):
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
@@ -200,11 +208,27 @@ class TestHelpers:
          "diagonal_warmup_generations must be an integer"),
         ("actions", {"period_multipliers": (1, 1, 1, 2.5)}, "period_multipliers must be an integer"),
         ("racing", {"mirrored_sampling": "no"}, "mirrored_sampling must be a bool"),
+        # Non-finite or non-real floats pass most range checks and fail mid-run.
+        *(("scenario", {name: value}, f"{name} must be finite and real")
+          for name in ("sensing_horizon", "carrier_freq", "antenna_spacing", "heading_jitter")
+          for value in (math.inf, math.nan)),
+        ("scenario", {"antenna_spacing": "0.5"}, "antenna_spacing must be finite and real"),
+        *(("scenario", {"gain_model": {name: value}}, f"{name} must be finite and real")
+          for name in ("scattering_gain", "nlos_gain_ratio", "nlos_excess_delay",
+                       "nlos_angle_offset", "nlos_doppler_ratio")
+          for value in (math.inf, None)),
+        ("racing", {"weighting_floor": math.inf}, "weighting_floor must be finite and real"),
+        *(("ipn", {name: math.inf}, f"{name} must be finite and real")
+          for name in ("barrier_init", "barrier_shrink")),
+        *(("spsa", {name: math.inf}, f"{name} must be finite and real")
+          for name in ("a", "c", "stability")),
+        ("weights", (math.inf, 0.0, 0.0), "weights must be finite and real"),
+        ("weights", (1.0, math.nan, 0.0), "weights must be finite and real"),
     ])
     def test_meaningless_specs_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             if isinstance(value, dict):
-                value = replace(getattr(tiny_spec(), field), **value)
+                value = _replaced(getattr(tiny_spec(), field), value)
             tiny_spec(**{field: value})
 
     def test_spec_config_covers_scenario_and_experiment(self):

@@ -15,9 +15,11 @@ from racecma.radar import (
     NlosComponent,
     RxGrid,
     build_frame,
+    build_frames,
     cell_constants,
     compute_resi,
     matched_filter,
+    measure_cells,
     realize_channel,
     steering_vector,
     synthesize_rx_grid,
@@ -467,7 +469,8 @@ class TestWorldCellIsTheChain:
                 return built[-1]
 
             with mock.patch.object(feedback_mod, "build_frame", counted):
-                world.measure(t, order)
+                feedback_mod._measure_frame(cell_constants(scenario), scenario, t,
+                                            [(world, [(t, *c) for c in order])])
             assert len(built) == 1  # one frame, so one draw, served every cell
             floor = built[0].floor
             for beam, eta in order:
@@ -475,3 +478,61 @@ class TestWorldCellIsTheChain:
                 assert (value, value, floor, floor) == _chain_values(scenario, world, t, beam, eta)
                 assert values.setdefault((beam, eta), value) == value
             assert len(world.cells) == len(cells)
+
+
+_GRIDS = {"desk": desk_scenario(), "paper": ScenarioConfig()}
+
+
+class TestStackedArithmetic:
+    """What the stacked frames and cells assume of numpy and its BLAS on the
+    running machine. Each check is bit for bit, so a BLAS that rounds a
+    stacked product differently fails here by name, not only as a digest
+    mismatch further on."""
+
+    @pytest.mark.parametrize("grid", list(_GRIDS))
+    @pytest.mark.parametrize("size", [2, 8, 12])
+    def test_stacked_operations_equal_per_slice(self, grid, size):
+        const = cell_constants(_GRIDS[grid])
+        n_sc, n_sym = const.pilot.shape
+        rng = np.random.default_rng(size)
+        grids = rng.standard_normal((size, n_sc, n_sym, 2)).view(np.complex128)[..., 0]
+        stacked = const.e_delay @ grids @ const.e_doppler_t
+        for b in range(size):
+            assert stacked[b].tobytes() == (const.e_delay @ grids[b] @ const.e_doppler_t).tobytes()
+        power = np.abs(grids[:, const.null_row:]).reshape(size, -1) ** 2
+        rows = np.add.reduce(power, axis=1)
+        assert rows.tolist() == [np.add.reduce(row) for row in power.copy()]
+        seeds = [derive_seed(grid, size, b) for b in range(size)]
+        draws = np.empty((size, n_sc, n_sym, 2))
+        for seed, out in zip(seeds, draws):
+            np.random.default_rng(seed).standard_normal(out=out)
+        for seed, out in zip(seeds, draws):
+            fresh = np.random.default_rng(seed).standard_normal((n_sc, n_sym, 2))
+            assert out.tobytes() == fresh.tobytes()
+
+
+class TestStackedCells:
+    """A stack of frames and cells gives each cell the chain's value."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        key=st.sampled_from(list(_SCENARIOS)),
+        frames=st.lists(
+            st.tuples(st.tuples(st.floats(-40.0, 40.0), st.floats(20.0, 90.0)),
+                      st.integers(0, 2**63 - 1)),
+            min_size=1, max_size=5),
+        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 19),
+                                 st.sampled_from((0.0, 0.2, 0.5, 1.0))),
+                       min_size=1, max_size=8),
+    )
+    def test_stack_equals_chain(self, key, frames, picks):
+        scenario = _SCENARIOS[key]
+        const = cell_constants(scenario)
+        channels = [realize_channel(scenario, _target(p, (1.0, -0.5))) for p, _ in frames]
+        seeds = [seed for _, seed in frames]
+        cells = [(b % len(frames), beam, eta * scenario.tx_power_w) for b, beam, eta in picks]
+        values = measure_cells(const, build_frames(const, channels, seeds), cells)
+        for (b, beam, power_w), value in zip(cells, values):
+            grid = synthesize_rx_grid(scenario, channels[b], beam, power_w, seeds[b])
+            surface = matched_filter(grid, scenario.search_window())
+            assert value == compute_resi(surface, grid, scenario.null_mask()).value

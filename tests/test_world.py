@@ -1,8 +1,10 @@
 """Episode worlds: a replay over a warm world equals a cold episode bit for bit,
 and each thread keeps only the world it replayed last."""
 
+import gc
 import math
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from racecma import IsacObjective, classify, desk_scenario, run_episode, run_episodes
 from racecma import feedback as feedback_mod
+from racecma import radar as radar_mod
 from racecma.feedback import EpisodeTrace, InfeasibleThresholdsError, StateActionTable
-from racecma.radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
+from racecma.radar import (cell_constants, compute_resi, matched_filter, realize_channel,
+                           synthesize_rx_grid)
 from racecma.scenario import initial_target_state, propagate_target
 from racecma.seeding import derive_seed
 
@@ -65,15 +69,18 @@ def held_world():
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The seed of each frame built, so of each noise draw, in order."""
+    """The frame seed of each noise draw, in order, wherever it is drawn:
+    a frame built alone or in a stack seeds its draw with
+    ``derive_seed(frame_seed, "rx-noise")``."""
     drawn = []
-    build_frame = feedback_mod.build_frame
+    derive_seed = radar_mod.derive_seed
 
-    def counted(const, channel, seed):
-        drawn.append(seed)
-        return build_frame(const, channel, seed)
+    def counted(*parts):
+        if parts[1:] == ("rx-noise",):
+            drawn.append(parts[0])
+        return derive_seed(*parts)
 
-    monkeypatch.setattr(feedback_mod, "build_frame", counted)
+    monkeypatch.setattr(radar_mod, "derive_seed", counted)
     return drawn
 
 
@@ -154,30 +161,70 @@ class TestReplay:
         assert held_world() is main_world and main_world.seed == seed + 1
 
 
+SHORT_NLOS = desk_scenario(sensing_horizon=0.128, nlos_path_count=1)  # 40 frames
+WIDE_GRID = desk_scenario(sensing_horizon=0.15, n_subcarriers=40, n_symbols=100)  # 15 frames
+
+batch_given = given(
+    episodes=st.lists(st.tuples(thresholds_st, st.integers(0, 3)), min_size=1, max_size=5),
+    actions=actions_st, fidelity=fidelity_st, warm_seed=st.integers(0, 3),
+    warm=st.lists(episode_st, max_size=2))
+
+
+def check_batch(scenario, episodes, actions, fidelity, warm_seed, warm) -> None:
+    """A batch over a warm slot gives each episode its solo cold trace and
+    the reference's."""
+    alone = []
+    for thresholds, seed in episodes:
+        cold_start()
+        alone.append(run_episode(scenario, thresholds, actions, seed, fidelity))
+    cold_start()
+    for thresholds, warm_actions, warm_fidelity in warm:
+        run_episode(scenario, thresholds, warm_actions, warm_seed, warm_fidelity)
+    triples, seeds = zip(*episodes)
+    batch = run_episodes(scenario, triples, seeds, actions, fidelity)
+    assert len(batch) == len(episodes)
+    for (thresholds, seed), together, single in zip(episodes, batch, alone):
+        assert_identical(together, single)
+        assert_identical(together, reference_episode(scenario, thresholds, actions, seed,
+                                                      fidelity))
+
+
 class TestBatch:
     """A batch replays each (triple, seed) exactly as it would run alone."""
 
     @settings(max_examples=40, deadline=None)
-    @given(episodes=st.lists(st.tuples(thresholds_st, st.integers(0, 3)), min_size=1,
-                             max_size=5),
-           actions=actions_st, fidelity=fidelity_st, warm_seed=st.integers(0, 3),
-           warm=st.lists(episode_st, max_size=2))
+    @batch_given
     def test_batch_equals_separate_cold_episodes(self, short_desk, episodes, actions, fidelity,
                                                  warm_seed, warm):
-        alone = []
-        for thresholds, seed in episodes:
-            cold_start()
-            alone.append(run_episode(short_desk, thresholds, actions, seed, fidelity))
+        check_batch(short_desk, episodes, actions, fidelity, warm_seed, warm)
+
+    @settings(max_examples=25, deadline=None)
+    @batch_given
+    def test_nlos_batch_equals_separate_cold_episodes(self, episodes, actions, fidelity,
+                                                      warm_seed, warm):
+        check_batch(SHORT_NLOS, episodes, actions, fidelity, warm_seed, warm)
+
+    @settings(max_examples=10, deadline=None)
+    @batch_given
+    def test_unstacked_grid_batch_equals_separate_cold_episodes(self, episodes, actions,
+                                                                fidelity, warm_seed, warm):
+        # Above the stacking cap, each world's frame and cells run alone.
+        assert cell_constants(WIDE_GRID).pilot.nbytes > feedback_mod.STACK_BYTES // 2
+        check_batch(WIDE_GRID, episodes, actions, fidelity, warm_seed, warm)
+
+    @pytest.mark.parametrize("grids", [1, 3, 5])
+    def test_stack_size_changes_no_trace(self, short_desk, monkeypatch, grids):
+        # A CMA-ES generation: twelve seeds, so several stacks of frames and of
+        # cells per frame, each cut at another place.
+        triples = [(0.3 * i, 0.3 * i + 1.0, 0.3 * i + 2.0) for i in range(12)]
+        seeds = [derive_seed(2, i) for i in range(12)]
         cold_start()
-        for thresholds, warm_actions, warm_fidelity in warm:
-            run_episode(short_desk, thresholds, warm_actions, warm_seed, warm_fidelity)
-        triples, seeds = zip(*episodes)
-        batch = run_episodes(short_desk, triples, seeds, actions, fidelity)
-        assert len(batch) == len(episodes)
-        for (thresholds, seed), together, single in zip(episodes, batch, alone):
-            assert_identical(together, single)
-            assert_identical(together, reference_episode(short_desk, thresholds, actions, seed,
-                                                          fidelity))
+        default = run_episodes(short_desk, triples, seeds)
+        monkeypatch.setattr(feedback_mod, "STACK_BYTES",
+                            grids * cell_constants(short_desk).pilot.nbytes)
+        cold_start()
+        for together, apart in zip(run_episodes(short_desk, triples, seeds), default):
+            assert_identical(together, apart)
 
     def test_seed_type_splits_a_batch(self, short_desk, draws):
         # 3 and np.int64(3) are different seeds (derive_seed hashes repr), so
@@ -186,7 +233,9 @@ class TestBatch:
         seeds = (3, np.int64(3))
         cold_start()
         together = run_episodes(short_desk, [t, t], seeds)
-        assert len(draws) == 80
+        # One noise draw per (seed, frame), wherever it is drawn.
+        assert sorted(draws) == sorted(derive_seed(seed, "frame", frame)
+                                       for seed in seeds for frame in range(40))
         assert type(held_world().seed) is np.int64
         for trace, seed in zip(together, seeds):
             cold_start()
@@ -250,6 +299,44 @@ class TestSlot:
             assert_identical(trace, reference_episode(short_desk, probe, StateActionTable(),
                                                       4, 1.0))
         assert len(draws) > after_stencil  # a probe visited cells of its own
+
+    def test_slot_keeps_only_the_last_world_whole(self, short_desk, monkeypatch):
+        # The worlds of every group but the last stream: each holds the
+        # current frame's target, bearing and cells only, and none outlives
+        # the call.
+        built, held_cells = [], []
+
+        class Recorded(feedback_mod.EpisodeWorld):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+            def advance(self, t):
+                if not self.keep:
+                    assert self.targets == [] and self.bearings == []
+                    held_cells.extend(key[0] for key in self.cells)
+                super().advance(t)
+                if not self.keep:
+                    assert not self.cells
+
+        monkeypatch.setattr(feedback_mod, "EpisodeWorld", Recorded)
+        t = (1e9, 2e9, 3e9)  # never leaves state 0: every frame measured
+        cold_start()
+        run_episode(short_desk, t, seed=5)
+        first = held_world()  # the first group's world, reused and then dropped
+        seeds = [5, 6, 5, 7]
+        run_episodes(short_desk, [t] * len(seeds), seeds)
+        world = held_world()
+        del first
+        gc.collect()
+        assert [ref() for ref in built if ref() is not None] == [world]
+        assert len(built) == 3 and held_cells == list(range(39))  # seed 6 streamed
+        cold_start()
+        run_episode(short_desk, t, seed=7)
+        alone = held_world()
+        assert (world.seed, world.keep) == (7, True)
+        assert world.targets == alone.targets and world.bearings == alone.bearings
+        assert world.cells == alone.cells and len(world.cells) == 40
 
     def test_other_seed_replaces_the_world(self, short_desk, draws):
         t = (1e9, 2e9, 3e9)  # never leaves state 0: every frame measured
