@@ -31,7 +31,7 @@ from .radar import (CellConstants, build_frame, build_frames, cell_constants, me
                     measure_cells, realize_channel)
 # Not used here: the benchmark tracer wraps these three names at this import
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
-# package (ROADMAP item 4b).
+# package (ROADMAP item 2b).
 from .radar import compute_resi, matched_filter, synthesize_rx_grid  # noqa: F401
 from .scenario import (ScenarioConfig, TargetState, check_integers, initial_target_state,
                        propagate_target)
@@ -151,7 +151,9 @@ class EpisodeWorld:
             target = initial_target_state(sc, self.seed)
         else:
             target = self.targets[-1] if self.keep else self.target
-        target = propagate_target(target, sc.frame_duration, derive_seed(self.seed, "motion", t),
+        # The motion seed's parts: propagate_target derives it only on a
+        # reflection it jitters.
+        target = propagate_target(target, sc.frame_duration, (self.seed, "motion", t),
                                   sc.region, sc.heading_jitter)
         bs = sc.bs_position
         self.target = target
@@ -168,13 +170,13 @@ class EpisodeWorld:
             self.advance(t)
 
 
-# The most bytes of grids one stack holds: the noise grids of a stack of
-# frames, or the received grids of a stack of cells. A grid of more than
-# half of it (the 40x100 paper grid, 64 000 B) is drawn and measured alone,
-# since stacked such grids outgrow the core's cache and cost more than
-# apart; the 24x32 desk grid (12 288 B) stacks by six, so a generation of
-# twelve seeds makes two even stacks. Larger stacks hold more grids at once
-# for little more speed.
+# The most bytes of noise grids one stack of frames holds. A grid of more
+# than half of it (the 40x100 paper grid, 64 000 B) is drawn alone, since
+# stacked such grids outgrow the core's cache and cost more than apart; the
+# 24x32 desk grid (12 288 B) stacks by six, so a generation of twelve seeds
+# makes two even stacks. Larger stacks hold more grids at once for little
+# more speed. The cells of a stack are (D, V) surfaces and are measured as
+# one stack.
 STACK_BYTES = 73_728
 
 
@@ -187,9 +189,9 @@ def _measure_frame(
     """Measure the missing cells ``(t, beam, power factor)`` of each
     ``(world, cells)`` request at its current frame ``t`` into
     ``world.cells``, from one draw of each world's noise. The frames are
-    built in stacks, and their cells measured in stacks, of at most
-    ``STACK_BYTES`` of grids each; a stack of one frame is built and
-    measured as the frame alone."""
+    built in stacks of at most ``STACK_BYTES`` of noise grids each, and
+    the cells of a stack measured as one stack; a stack of one frame is
+    built and measured as the frame alone."""
     budget_w = scenario.tx_power_w
     size = max(1, STACK_BYTES // const.pilot.nbytes)
     for start in range(0, len(requests), size):
@@ -205,13 +207,10 @@ def _measure_frame(
                               [realize_channel(scenario, world.target) for world, _ in part],
                               [derive_seed(world.seed, "frame", t) for world, _ in part])
         cells = [(b, world, key) for b, (world, keys) in enumerate(part) for key in keys]
-        for lo in range(0, len(cells), size):
-            piece = cells[lo:lo + size]
-            values = measure_cells(const, frames,
-                                   [(b, key[1], key[2] * budget_w) for b, _, key in piece])
-            for (_, world, key), value in zip(piece, values):
-                world.cells[key] = value
-        del frames  # before the next stack is built, so one stack of noise is held at a time
+        values = measure_cells(const, frames,
+                               [(b, key[1], key[2] * budget_w) for b, _, key in cells])
+        for (_, world, key), value in zip(cells, values):
+            world.cells[key] = value
 
 
 # The world each thread replayed last (``_SLOT.world``). Threads never share

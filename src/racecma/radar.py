@@ -7,19 +7,28 @@ and reduce the peak to a scalar echo-strength indicator normalized by the
 noise floor estimated on guard (null) resource elements.
 
 Two ways run it. The reference chain, ``synthesize_rx_grid`` ->
-``matched_filter`` -> ``compute_resi``, hands each stage's result to the
-next. The episode loop instead builds one :class:`Frame` per visit to a
-frame, from the channel and one draw of the frame's noise, and measures
-each (beam, power) cell it needs there in one pass (:func:`measure_cell`).
-Where several worlds need a frame at once, it builds their frames as one
-stack (:func:`build_frames`) and measures their cells as one stack
-(:func:`measure_cells`): each kind of steering vector and phase ramp from
-one ``exp`` over the stack, one (C, K, M) stack of received grids, one
-stacked pair of matched-filter products and one peak per slice. The
-chain, the per-cell pass and the stack share the cell's helpers, which
-take one cell's values or a stack's along a leading axis, so each cell
-gets the same floating-point operations in the same order on the same
-operands as the chain, and equals its value bit for bit.
+``matched_filter`` -> ``compute_resi``, builds the (K, M) received grid of
+one cell and hands each stage's result to the next. The episode loop uses
+that the matched filter is linear and that the pilot covers whole
+subcarrier rows: a cell's surface over the (D, V) search window is
+
+    sqrt(power) · tx_gain(beam) · S_t + N_t,
+
+where the frame's echo surface ``S_t`` (the direct echo plus the optional
+specular one, each the outer product of a delay factor and a Doppler
+factor) and its noise surface ``N_t`` (the matched filter of the frame's
+noise draw over the active rows) do not depend on the beam or the power.
+So it builds one :class:`Frame` per visit to a frame, the two surfaces,
+the noise floor and the departure steering vector, from the channel and
+one draw of the frame's noise, and a cell (:func:`measure_cell`) is a
+scalar times a (D, V) surface, an add and a peak; no (K, M) grid is built
+per cell. Where several worlds need a frame at once, it builds their
+frames as one stack (:func:`build_frames`) and measures their cells as one
+stack (:func:`measure_cells`), each array operation once over the stack;
+every frame and cell of a stack equals, bit for bit, the one built alone.
+The split equals the chain up to rounding (a relative difference of the
+order of 1e-15), and the two share no cell arithmetic, so the chain stays
+an independent reference model.
 """
 
 from __future__ import annotations
@@ -176,7 +185,6 @@ class CellConstants:
     ue: np.ndarray
     bs_ue_distance: float
     pilot: np.ndarray
-    conj_pilot: np.ndarray
     null_row: int  # first guard subcarrier: scenario.null_mask() is every row from it on
     beamformers: tuple[np.ndarray, ...]  # unit-norm transmit weights per sweep beam
     bs_phases: np.ndarray  # 2π·spacing·arange(n_bs): each element's phase per unit cos(angle)
@@ -185,17 +193,22 @@ class CellConstants:
     delay_phases: np.ndarray  # -2jπ·Δf·arange(K): each subcarrier's phase per second of delay
     symbols: np.ndarray  # arange(M)
     symbol_duration: float
-    e_delay: np.ndarray  # the matched filter's delay bank over search_window()
-    e_doppler_t: np.ndarray  # its Doppler bank, transposed
+    doppler_phases: np.ndarray  # 2jπ·T·arange(M): each symbol's phase per hertz of Doppler
+    # The matched filter's banks over search_window(): the delay bank's
+    # columns of the active (pilot) subcarriers, over K·M, and the Doppler
+    # bank, transposed.
+    e_delay_active: np.ndarray
+    e_doppler_t: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def cell_constants(scenario: ScenarioConfig) -> CellConstants:
     bs = np.asarray(scenario.bs_position, float)
     ue = np.asarray(scenario.ue_position, float)
-    pilot = np.ones((scenario.n_subcarriers, scenario.n_symbols), dtype=complex)
+    n_sc, n_sym = scenario.n_subcarriers, scenario.n_symbols
+    pilot = np.ones((n_sc, n_sym), dtype=complex)
     pilot[scenario.null_mask()] = 0.0
-    conj_pilot = np.conj(pilot)
+    null_row = n_sc - scenario.null_subcarriers
     beamformers = []
     for angle in scenario.beam_centers().tolist():
         f = steering_vector(angle, scenario.n_bs_antennas, scenario.antenna_spacing)
@@ -203,22 +216,23 @@ def cell_constants(scenario: ScenarioConfig) -> CellConstants:
         beamformers.append(f)
     bs_phases = _element_phases(scenario.n_bs_antennas, scenario.antenna_spacing)
     ue_phases = _element_phases(scenario.n_ue_antennas, scenario.antenna_spacing)
-    delay_phases = -2j * math.pi * scenario.subcarrier_spacing * np.arange(scenario.n_subcarriers)
-    symbols = np.arange(scenario.n_symbols)
+    delay_phases = -2j * math.pi * scenario.subcarrier_spacing * np.arange(n_sc)
+    symbols = np.arange(n_sym)
+    doppler_phases = 2j * math.pi * scenario.symbol_duration * symbols
     e_delay, e_doppler = _filter_bank(
-        scenario.subcarrier_spacing, scenario.symbol_duration,
-        scenario.n_subcarriers, scenario.n_symbols, *scenario.search_window(),
+        scenario.subcarrier_spacing, scenario.symbol_duration, n_sc, n_sym,
+        *scenario.search_window(),
     )
-    for array in (bs, ue, pilot, conj_pilot, bs_phases, ue_phases, delay_phases, symbols,
-                  e_delay, e_doppler, *beamformers):
+    e_delay_active = e_delay[:, :null_row] / (n_sc * n_sym)
+    for array in (bs, ue, pilot, bs_phases, ue_phases, delay_phases, symbols, doppler_phases,
+                  e_delay_active, e_doppler, *beamformers):
         array.setflags(write=False)
     return CellConstants(
         bs=bs,
         ue=ue,
         bs_ue_distance=_norm(ue - bs),
         pilot=pilot,
-        conj_pilot=conj_pilot,
-        null_row=scenario.n_subcarriers - scenario.null_subcarriers,
+        null_row=null_row,
         beamformers=tuple(beamformers),
         bs_phases=bs_phases,
         ue_phases=ue_phases,
@@ -226,57 +240,137 @@ def cell_constants(scenario: ScenarioConfig) -> CellConstants:
         delay_phases=delay_phases,
         symbols=symbols,
         symbol_duration=scenario.symbol_duration,
-        e_delay=e_delay,
+        doppler_phases=doppler_phases,
+        e_delay_active=e_delay_active,
         e_doppler_t=e_doppler.T,
     )
 
 
-class Frame(NamedTuple):
-    """What every (beam, power) cell of one visit to a frame shares.
+def _echo_term(
+    const: CellConstants, amplitude: complex, delay: float, doppler: float
+) -> np.ndarray:
+    """The chain's (K, M) echo: ``amplitude`` times the outer product of the
+    delay ramp of ``delay`` and the Doppler ramp of ``doppler``."""
+    delay_ramp = np.exp(const.delay_phases * delay)
+    doppler_ramp = np.exp(2j * math.pi * doppler * const.symbols * const.symbol_duration)
+    term = np.multiply(delay_ramp[:, None], doppler_ramp[None, :])
+    return np.multiply(amplitude, term, out=term)
 
-    Built from the channel and one draw of the frame's noise for the cells
-    measured at that visit, then dropped, so the frame holds the only noise
-    grid. A cell adds only the transmit gain of its beam and its power. A
-    stack of B frames (:func:`build_frames`) holds each array with a leading
-    axis of B and each number as a list of B.
+
+def synthesize_rx_grid(
+    scenario: ScenarioConfig,
+    channel: ChannelRealization,
+    beam_index: int,
+    power_w: float,
+    seed: int,
+) -> RxGrid:
+    """Received grid under the selected sweep beam at the given sensing power.
+
+    The transmit beamformer is the steering vector of the sweep direction,
+    the combiner is matched to the direct arrival angle, and the disturbance
+    is white complex Gaussian at the configured noise-figure level, drawn
+    from ``derive_seed(seed, "rx-noise")``.
     """
-
-    a0: complex  # sqrt(bs_gain·ue_gain)·rx_gain: the echo amplitude before the transmit gain
-    delay: float  # forward plus return delay
-    doppler: float
-    nlos: tuple[complex, float, float] | None  # (a0, delay, doppler) of the specular echo
-    noise: np.ndarray  # (K, M): noise_scale times the frame's complex Gaussian draw
-    floor: float  # compute_resi's noise floor of every cell of the frame
-    departure: np.ndarray  # (n_bs,): the BS steering vector towards the target
-
-
-def build_frame(const: CellConstants, channel: ChannelRealization, seed: int) -> Frame:
-    """The per-frame part of a cell; ``seed`` is the frame's seed, from which
-    the noise draw derives its own."""
+    const = cell_constants(scenario)
+    tx_gain = _tx_gain(const, _steer(const.bs_phases, math.cos(channel.departure_angle)),
+                       beam_index, power_w)
     arrival = _steer(const.ue_phases, math.cos(channel.arrival_angle))
     w = arrival / math.sqrt(len(arrival))
     a0 = math.sqrt(channel.bs_gain * channel.ue_gain) * np.vdot(w, arrival)
-    nlos = None
+    samples = _echo_term(const, a0 * tx_gain, channel.total_delay, channel.doppler)
     if channel.nlos is not None:
-        rx_gain_nlos = np.vdot(w, _steer(const.ue_phases, math.cos(channel.nlos.arrival_angle)))
-        nlos = (
-            math.sqrt(channel.bs_gain * channel.nlos.gain) * rx_gain_nlos,
-            channel.forward_delay + channel.nlos.delay,
-            channel.nlos.doppler,
-        )
+        specular = _steer(const.ue_phases, math.cos(channel.nlos.arrival_angle))
+        a0_nlos = math.sqrt(channel.bs_gain * channel.nlos.gain) * np.vdot(w, specular)
+        np.add(samples, _echo_term(const, a0_nlos * tx_gain,
+                                   channel.forward_delay + channel.nlos.delay,
+                                   channel.nlos.doppler), out=samples)
+    np.multiply(math.sqrt(power_w), samples, out=samples)
+    np.multiply(samples, const.pilot, out=samples)
     rng = np.random.default_rng(derive_seed(seed, "rx-noise"))
     noise = rng.standard_normal((*const.pilot.shape, 2)).view(np.complex128)[..., 0]
     np.multiply(const.noise_scale, noise, out=noise)
-    # compute_resi's floor. The pilot is 0 on the guard rows, which are the
-    # last rows, so a cell's samples there are this noise plus the exact zero
-    # of its finite echo times the pilot, and in row-major order they are one
-    # contiguous run.
-    power = np.abs(noise[const.null_row:].reshape(-1))
-    np.square(power, out=power)
-    floor = math.sqrt(np.add.reduce(power) / power.size)
-    departure = _steer(const.bs_phases, math.cos(channel.departure_angle))
-    return Frame(a0=a0, delay=channel.total_delay, doppler=channel.doppler, nlos=nlos,
-                 noise=noise, floor=floor, departure=departure)
+    return RxGrid(
+        samples=np.add(samples, noise, out=samples),
+        pilot=const.pilot,
+        subcarrier_spacing=scenario.subcarrier_spacing,
+        symbol_duration=scenario.symbol_duration,
+    )
+
+
+class Frame(NamedTuple):
+    """What every (beam, power) cell of one visit to a frame shares: the
+    frame's two delay-Doppler surfaces over the search window, its noise
+    floor and its departure steering vector.
+
+    Built from the channel and one draw of the frame's noise for the cells
+    measured at that visit, then dropped. A cell adds only the gain of its
+    beam and power. A stack of B frames (:func:`build_frames`) holds each
+    array with a leading axis of B and each floor in a list of B.
+    """
+
+    echo: np.ndarray  # (D, V): the echo surface at unit transmit gain and power
+    noise: np.ndarray  # (D, V): the noise surface
+    floor: float  # the RMS of the noise over the guard rows
+    departure: np.ndarray  # (n_bs,): the BS steering vector towards the target
+
+
+# The helpers below take one frame's values, or a stack of frames' values
+# along a leading axis (each number as a column), and give each frame the
+# same operations on the same operands.
+
+
+def _echo_surface(
+    const: CellConstants, amplitude: complex | np.ndarray, delay: float | np.ndarray,
+    doppler: float | np.ndarray,
+) -> np.ndarray:
+    """The (D, V) surface of an echo of ``amplitude``, ``delay`` and
+    ``doppler``: the matched filter of a rank-one grid is the outer product
+    of its delay factor, the delay bank times the delay ramp over the active
+    subcarriers, and its Doppler factor, the Doppler ramp times the Doppler
+    bank. Each factor is one matrix-vector product per frame, also in a
+    stack, since a stacked matrix-matrix product may round differently."""
+    delay_ramp = np.exp(const.delay_phases[:const.null_row] * delay)
+    doppler_ramp = np.exp(doppler * const.doppler_phases)
+    column = const.e_delay_active @ delay_ramp[..., :, None]  # (D, 1)
+    np.multiply(amplitude, column, out=column)
+    return np.multiply(column, doppler_ramp[..., None, :] @ const.e_doppler_t)
+
+
+def _noise_surface(const: CellConstants, noise: np.ndarray) -> np.ndarray:
+    """The (D, V) surface of each (K, M) unit noise draw, over its active
+    rows, at the noise's scale. The Doppler bank goes first: that order
+    takes fewer multiplications, since the window is smaller than the grid."""
+    surface = const.e_delay_active @ (noise[..., :const.null_row, :] @ const.e_doppler_t)
+    return np.multiply(const.noise_scale, surface, out=surface)
+
+
+def _guard_power(const: CellConstants, noise: np.ndarray) -> np.ndarray:
+    """``|noise|²`` over the guard rows of each (K, M) unit noise draw,
+    flattened. The guard rows are the last rows, so in row-major order they
+    are one contiguous run."""
+    power = np.abs(noise[..., const.null_row:, :])
+    power = power.reshape(*noise.shape[:-2], -1)
+    return np.square(power, out=power)
+
+
+def build_frame(const: CellConstants, channel: ChannelRealization, seed: int) -> Frame:
+    """The per-frame part of every cell of a frame; ``seed`` is the frame's
+    seed, from which the noise draw derives its own."""
+    arrival = _steer(const.ue_phases, math.cos(channel.arrival_angle))
+    w = arrival / math.sqrt(len(arrival))
+    a0 = math.sqrt(channel.bs_gain * channel.ue_gain) * np.vdot(w, arrival)
+    echo = _echo_surface(const, a0, channel.total_delay, channel.doppler)
+    if channel.nlos is not None:
+        specular = _steer(const.ue_phases, math.cos(channel.nlos.arrival_angle))
+        a0_nlos = math.sqrt(channel.bs_gain * channel.nlos.gain) * np.vdot(w, specular)
+        np.add(echo, _echo_surface(const, a0_nlos, channel.forward_delay + channel.nlos.delay,
+                                   channel.nlos.doppler), out=echo)
+    rng = np.random.default_rng(derive_seed(seed, "rx-noise"))
+    noise = rng.standard_normal((*const.pilot.shape, 2)).view(np.complex128)[..., 0]
+    power = _guard_power(const, noise)
+    floor = const.noise_scale * math.sqrt(np.add.reduce(power) / power.size)
+    return Frame(echo=echo, noise=_noise_surface(const, noise), floor=floor,
+                 departure=_steer(const.bs_phases, math.cos(channel.departure_angle)))
 
 
 def build_frames(
@@ -291,34 +385,28 @@ def build_frames(
     w = arrival / math.sqrt(arrival.shape[1])
     a0 = [math.sqrt(c.bs_gain * c.ue_gain) * np.vdot(w_b, arrival_b)
           for c, w_b, arrival_b in zip(channels, w, arrival)]
-    nlos = None
+    columns = np.array([(c.total_delay, c.doppler) for c in channels])
+    echo = _echo_surface(const, np.array(a0)[:, None, None], columns[:, :1], columns[:, 1:])
     if channels[0].nlos is not None:
         specular = _steer(const.ue_phases,
                           np.array([[math.cos(c.nlos.arrival_angle)] for c in channels]))
-        nlos = ([math.sqrt(c.bs_gain * c.nlos.gain) * np.vdot(w_b, specular_b)
-                 for c, w_b, specular_b in zip(channels, w, specular)],
-                [c.forward_delay + c.nlos.delay for c in channels],
-                [c.nlos.doppler for c in channels])
+        a0_nlos = [math.sqrt(c.bs_gain * c.nlos.gain) * np.vdot(w_b, specular_b)
+                   for c, w_b, specular_b in zip(channels, w, specular)]
+        columns = np.array([(c.forward_delay + c.nlos.delay, c.nlos.doppler) for c in channels])
+        np.add(echo, _echo_surface(const, np.array(a0_nlos)[:, None, None], columns[:, :1],
+                                   columns[:, 1:]), out=echo)
     # Each frame draws from a generator of its own, into its slice of one buffer.
     draws = np.empty((len(seeds), *const.pilot.shape, 2))
     for seed, out in zip(seeds, draws):
         np.random.default_rng(derive_seed(seed, "rx-noise")).standard_normal(out=out)
     noise = draws.view(np.complex128)[..., 0]
-    np.multiply(const.noise_scale, noise, out=noise)
     # Each frame's floor as build_frame takes it: the row-wise reduce over
     # the stack's runs of guard rows equals the 1-D reduce of each run.
-    power = np.abs(noise[:, const.null_row:]).reshape(len(seeds), -1)
-    np.square(power, out=power)
-    floor = [math.sqrt(total / power.shape[1])
+    power = _guard_power(const, noise)
+    floor = [const.noise_scale * math.sqrt(total / power.shape[1])
              for total in np.add.reduce(power, axis=1).tolist()]
-    return Frame(a0=a0, delay=[c.total_delay for c in channels],
-                 doppler=[c.doppler for c in channels], nlos=nlos, noise=noise, floor=floor,
+    return Frame(echo=echo, noise=_noise_surface(const, noise), floor=floor,
                  departure=_steer(const.bs_phases, cosines[:, 1:]))
-
-
-# The helpers below take one cell's values, or a stack of cells' values
-# along a leading axis (each number as a column), and give each cell the
-# same operations on the same operands.
 
 
 def _tx_gain(
@@ -331,88 +419,24 @@ def _tx_gain(
     return np.vdot(departure, const.beamformers[beam_index])
 
 
-def _echo_term(
-    const: CellConstants, amplitude: complex | np.ndarray, delay: float | np.ndarray,
-    coef: complex | np.ndarray,
-) -> np.ndarray:
-    """``amplitude`` times the outer product of the delay ramp of ``delay``
-    and the Doppler ramp of ``coef``, which is 2jπ times the Doppler shift."""
-    delay_ramp = np.exp(const.delay_phases * delay)
-    doppler_ramp = np.exp(coef * const.symbols * const.symbol_duration)
-    term = np.multiply(delay_ramp[..., :, None], doppler_ramp[..., None, :])
-    return np.multiply(amplitude, term, out=term)
-
-
-def _cell_samples(
-    const: CellConstants, echo: tuple, specular: tuple | None, root: float | np.ndarray
-) -> np.ndarray:
-    """The received grid but its noise: the echo ``(amplitude, delay,
-    2jπ·doppler)`` plus the specular one, at the power whose square root is
-    ``root``, times the pilot. The caller adds the frame's noise."""
-    samples = _echo_term(const, *echo)
-    if specular is not None:
-        np.add(samples, _echo_term(const, *specular), out=samples)
-    np.multiply(root, samples, out=samples)
-    return np.multiply(samples, const.pilot, out=samples)
-
-
-def _surface(const: CellConstants, samples: np.ndarray) -> np.ndarray:
-    """matched_filter's surface of each received grid; the grids are not
-    read again, so they are reused."""
-    n_sc, n_sym = const.pilot.shape
-    weighted = np.multiply(const.conj_pilot, samples, out=samples)
-    surface = const.e_delay @ weighted @ const.e_doppler_t
-    return np.true_divide(surface, n_sc * n_sym, out=surface)
-
-
-def _frame_cell(
-    const: CellConstants, frame: Frame, beam_index: int, power_w: float
-) -> np.ndarray:
-    """The received grid of one cell of a frame built alone."""
-    tx_gain = _tx_gain(const, frame.departure, beam_index, power_w)
-    specular = None
-    if frame.nlos is not None:
-        a0, delay, doppler = frame.nlos
-        specular = (a0 * tx_gain, delay, 2j * math.pi * doppler)
-    samples = _cell_samples(const, (frame.a0 * tx_gain, frame.delay, 2j * math.pi * frame.doppler),
-                            specular, math.sqrt(power_w))
-    return np.add(samples, frame.noise, out=samples)
-
-
-def synthesize_rx_grid(
-    scenario: ScenarioConfig,
-    channel: ChannelRealization,
-    beam_index: int,
-    power_w: float,
-    seed: int,
-) -> RxGrid:
-    """Received grid under the selected sweep beam at the given sensing power.
-
-    The transmit beamformer is the steering vector of the sweep direction,
-    the combiner is matched to the direct arrival angle, and the disturbance
-    is white complex Gaussian at the configured noise-figure level.
-    """
-    const = cell_constants(scenario)
-    return RxGrid(
-        samples=_frame_cell(const, build_frame(const, channel, seed), beam_index, power_w),
-        pilot=const.pilot,
-        subcarrier_spacing=scenario.subcarrier_spacing,
-        symbol_duration=scenario.symbol_duration,
-    )
-
-
 def measure_cell(const: CellConstants, frame: Frame, beam_index: int, power_w: float) -> float:
     """Echo strength of one (frame, beam, power) cell of a frame built alone:
-    :func:`measure_cells` of one cell, without the stack's gathering.
+    the peak of the frame's echo surface times the cell's gain,
+    ``sqrt(power_w)`` times the beam's transmit gain, plus the noise
+    surface, over the floor. Any number of the frame's cells may share one
+    ``frame``.
 
-    Equals ``compute_resi(matched_filter(grid, window), grid,
-    null_mask).value`` for the grid ``synthesize_rx_grid`` builds, bit for
-    bit: the same operations run in the same order on the same operands.
-    Any number of the frame's cells may share one ``frame``.
+    The matched filter is linear and the pilot covers whole subcarrier
+    rows, so this is the value of the chain ``synthesize_rx_grid`` ->
+    ``matched_filter`` -> ``compute_resi`` up to rounding: a relative
+    difference of the order of 1e-15, where the chain spends a (K, M)
+    received grid and two matched-filter products on every cell.
     """
     if frame.floor <= 0:
         raise ValueError("noise floor must be positive")
-    surface = _surface(const, _frame_cell(const, frame, beam_index, power_w))
+    gain = _tx_gain(const, frame.departure, beam_index, power_w) * math.sqrt(power_w)
+    surface = np.multiply(gain, frame.echo)
+    np.add(surface, frame.noise, out=surface)
     return float(np.abs(surface).max()) / frame.floor
 
 
@@ -420,39 +444,18 @@ def measure_cells(
     const: CellConstants, frames: Frame, cells: Sequence[tuple[int, int, float]]
 ) -> list[float]:
     """Echo strength of each cell ``(b, beam, power_w)`` of a stack of
-    frames, in one pass: one (C, K, M) stack of received grids, one stacked
-    pair of matched-filter products and one peak per slice. Each equals
-    :func:`measure_cell` of the cell on frame b built alone, bit for bit.
+    frames, in one pass over a (C, D, V) stack of surfaces with one peak per
+    slice. Each equals :func:`measure_cell` of the cell on frame b built
+    alone, bit for bit.
     """
-    # Per cell, as complex columns: the echo's amplitude, delay and 2jπ·doppler,
-    # the root of the power and, if any, the specular echo's three; a float
-    # multiplies a complex as x + 0j.
-    scalars = []
-    for b, beam_index, power_w in cells:
-        tx_gain = _tx_gain(const, frames.departure[b], beam_index, power_w)
-        row = [frames.a0[b] * tx_gain, frames.delay[b], 2j * math.pi * frames.doppler[b],
-               math.sqrt(power_w)]
-        if frames.nlos is not None:
-            a0, delay, doppler = frames.nlos
-            row += [a0[b] * tx_gain, delay[b], 2j * math.pi * doppler[b]]
-        scalars.append(row)
-    columns = np.array(scalars)
-
-    def echo(first: int) -> tuple:  # amplitude (C, 1, 1), delay and 2jπ·doppler (C, 1)
-        amplitude, delay, coef = columns[:, first:first + 3].T
-        return amplitude[:, None, None], delay[:, None], coef[:, None]
-
-    samples = _cell_samples(const, echo(0), None if frames.nlos is None else echo(4),
-                            columns[:, 3, None, None])
     at = [b for b, _, _ in cells]
-    if at == list(range(len(frames.floor))):  # each frame's one cell, in order
-        np.add(samples, frames.noise, out=samples)
-    else:  # grid by grid, rather than gather a copy of the noise per cell
-        for grid, b in zip(samples, at):
-            np.add(grid, frames.noise[b], out=grid)
     if any(frames.floor[b] <= 0 for b in at):
         raise ValueError("noise floor must be positive")
-    peaks = np.abs(_surface(const, samples)).reshape(len(at), -1).max(axis=1).tolist()
+    gains = np.array([_tx_gain(const, frames.departure[b], beam, power_w) * math.sqrt(power_w)
+                      for b, beam, power_w in cells])
+    surface = np.multiply(gains[:, None, None], frames.echo[at])
+    np.add(surface, frames.noise[at], out=surface)
+    peaks = np.abs(surface).reshape(len(at), -1).max(axis=1).tolist()
     return [peak / frames.floor[b] for peak, b in zip(peaks, at)]
 
 

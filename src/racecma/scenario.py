@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .seeding import rng_from
+from .seeding import derive_seed, rng_from
 
 SPEED_OF_LIGHT = 299_792_458.0
 BOLTZMANN_X_T0 = 1.380649e-23 * 290.0  # thermal noise density at 290 K, W/Hz
@@ -317,7 +317,7 @@ def initial_target_state(scenario: ScenarioConfig, seed: int) -> TargetState:
 def propagate_target(
     state: TargetState,
     dt: float,
-    rng_seed: int,
+    rng_seed: int | tuple,
     region: Rect,
     heading_jitter: float = 0.0,
 ) -> TargetState:
@@ -325,9 +325,11 @@ def propagate_target(
 
     Motion is straight-line; only a boundary hit changes the direction:
     the velocity is mirrored on the wall normal and, when ``heading_jitter``
-    is nonzero, rotated by a seeded perturbation. Speed is preserved exactly
-    and the target ends inside ``region``: a step too long to fold back in
-    16 reflections (about 15 region widths) raises ``ValueError``.
+    is nonzero, rotated by a perturbation drawn from ``rng_seed``. A tuple
+    ``rng_seed`` holds the parts of that seed, ``derive_seed(*rng_seed)``,
+    which is then derived only for such a rotation. Speed is preserved
+    exactly and the target ends inside ``region``: a step too long to fold
+    back in 16 reflections (about 15 region widths) raises ``ValueError``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -355,6 +357,8 @@ def propagate_target(
         raise ValueError("step too long to fold back into the region")
 
     if reflected and heading_jitter > 0.0:
+        if isinstance(rng_seed, tuple):
+            rng_seed = derive_seed(*rng_seed)
         rng = rng_from(rng_seed, "reflect")
         angle = rng.uniform(-heading_jitter, heading_jitter)
         c, s = math.cos(angle), math.sin(angle)

@@ -19,6 +19,7 @@ from racecma.radar import (
     cell_constants,
     compute_resi,
     matched_filter,
+    measure_cell,
     measure_cells,
     realize_channel,
     steering_vector,
@@ -271,8 +272,8 @@ class TestCellConstants:
 
         const = cell_constants(scenario)
         arrays = _const_arrays(const)
-        assert {"bs_phases", "ue_phases", "e_delay", "e_doppler_t", "beamformers[10]"} <= set(
-            arrays)
+        assert {"bs_phases", "ue_phases", "e_delay_active", "e_doppler_t",
+                "beamformers[10]"} <= set(arrays)
         assert [name for name, a in arrays.items() if a.flags.writeable] == []
         with pytest.raises(ValueError, match="read-only"):
             const.bs_phases[0] = 1.0
@@ -436,12 +437,51 @@ def _chain_values(scenario, world, t, beam, eta):
     return chain.value, peak / ref_floor, chain.noise_floor, ref_floor
 
 
+# How far a cell measured from the split may be from the chain's value: the
+# two differ only in rounding, by about 1e-15 relative.
+SPLIT_RTOL = 1e-12
+
+
+def assert_near(value, reference):
+    assert value == pytest.approx(reference, rel=SPLIT_RTOL, abs=0)
+
+
+class TestSplitMatchesChain:
+    """A cell from the frame's echo and noise surfaces equals the chain's
+    value up to rounding, at any power, zero included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.sampled_from(list(_SCENARIOS)),
+        position=st.tuples(st.floats(-40.0, 40.0), st.floats(20.0, 90.0)),
+        velocity=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        beam=st.integers(0, 19),
+        power_w=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e3)),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    @example(key=("desk", 1), position=(0.0, 50.0), velocity=(0.0, 0.0), beam=0, power_w=0.0,
+             seed=0)
+    @example(key=("paper", 1), position=(0.0, 50.0), velocity=(1.0, -1.0), beam=10,
+             power_w=1e3, seed=1)
+    def test_cell_within_tolerance_of_the_chain(self, key, position, velocity, beam, power_w,
+                                                 seed):
+        scenario = _SCENARIOS[key]
+        const = cell_constants(scenario)
+        channel = realize_channel(scenario, _target(position, velocity))
+        frame = build_frame(const, channel, seed)
+        grid = synthesize_rx_grid(scenario, channel, beam, power_w, seed)
+        chain = compute_resi(matched_filter(grid, scenario.search_window()), grid,
+                             scenario.null_mask())
+        assert_near(frame.floor, chain.noise_floor)
+        assert_near(measure_cell(const, frame, beam, power_w), chain.value)
+
+
 class TestWorldCellIsTheChain:
     """A world measures every missing cell of a frame from one frame, built
-    with one draw of its noise; each value must equal the chain's, bit
-    for bit, whichever cells share the draw and in whichever order. The
-    chain shares its synthesis with the one pass, so the value is also held
-    to the reference formulas, and the noise's floor to both floors."""
+    with one draw of its noise; each value must match the chain's, and the
+    line-for-line reference's, to within ``SPLIT_RTOL``, whichever cells
+    share the draw, and be the same value in whichever order they are
+    visited. The frame's floor matches both floors likewise."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -475,7 +515,10 @@ class TestWorldCellIsTheChain:
             floor = built[0].floor
             for beam, eta in order:
                 value = world.cells[(t, beam, eta)]
-                assert (value, value, floor, floor) == _chain_values(scenario, world, t, beam, eta)
+                chain, ref, chain_floor, ref_floor = _chain_values(scenario, world, t, beam, eta)
+                for got, expected in ((value, chain), (value, ref), (floor, chain_floor),
+                                      (floor, ref_floor)):
+                    assert_near(got, expected)
                 assert values.setdefault((beam, eta), value) == value
             assert len(world.cells) == len(cells)
 
@@ -486,22 +529,36 @@ _GRIDS = {"desk": desk_scenario(), "paper": ScenarioConfig()}
 class TestStackedArithmetic:
     """What the stacked frames and cells assume of numpy and its BLAS on the
     running machine. Each check is bit for bit, so a BLAS that rounds a
-    stacked product differently fails here by name, not only as a digest
-    mismatch further on."""
+    stacked product differently fails here by name, not only as a trace
+    that differs between a batch and its episodes run alone."""
 
     @pytest.mark.parametrize("grid", list(_GRIDS))
     @pytest.mark.parametrize("size", [2, 8, 12])
     def test_stacked_operations_equal_per_slice(self, grid, size):
         const = cell_constants(_GRIDS[grid])
         n_sc, n_sym = const.pilot.shape
+        active = const.null_row
         rng = np.random.default_rng(size)
         grids = rng.standard_normal((size, n_sc, n_sym, 2)).view(np.complex128)[..., 0]
-        stacked = const.e_delay @ grids @ const.e_doppler_t
+        # The noise surface: the active rows of each grid through both banks.
+        stacked = const.e_delay_active @ (grids[:, :active] @ const.e_doppler_t)
         for b in range(size):
-            assert stacked[b].tobytes() == (const.e_delay @ grids[b] @ const.e_doppler_t).tobytes()
+            alone = const.e_delay_active @ (grids[b, :active] @ const.e_doppler_t)
+            assert stacked[b].tobytes() == alone.tobytes()
+        # The echo surface's factors: a matrix-vector product per frame, as
+        # a stack of (K', 1) columns and of (1, M) rows.
+        delay_ramps = np.exp(1j * rng.uniform(-3.0, 3.0, (size, active)))
+        doppler_ramps = np.exp(1j * rng.uniform(-3.0, 3.0, (size, n_sym)))
+        columns = const.e_delay_active @ delay_ramps[..., :, None]
+        rows = doppler_ramps[..., None, :] @ const.e_doppler_t
+        for b in range(size):
+            column = const.e_delay_active @ delay_ramps[b][..., :, None]
+            assert columns[b].tobytes() == column.tobytes()
+            assert rows[b].tobytes() == (doppler_ramps[b][..., None, :] @ const.e_doppler_t
+                                         ).tobytes()
         power = np.abs(grids[:, const.null_row:]).reshape(size, -1) ** 2
-        rows = np.add.reduce(power, axis=1)
-        assert rows.tolist() == [np.add.reduce(row) for row in power.copy()]
+        sums = np.add.reduce(power, axis=1)
+        assert sums.tolist() == [np.add.reduce(row) for row in power.copy()]
         seeds = [derive_seed(grid, size, b) for b in range(size)]
         draws = np.empty((size, n_sc, n_sym, 2))
         for seed, out in zip(seeds, draws):
@@ -511,28 +568,53 @@ class TestStackedArithmetic:
             assert out.tobytes() == fresh.tobytes()
 
 
+stack_given = given(
+    key=st.sampled_from(list(_SCENARIOS)),
+    frames=st.lists(
+        st.tuples(st.tuples(st.floats(-40.0, 40.0), st.floats(20.0, 90.0)),
+                  st.integers(0, 2**63 - 1)),
+        min_size=1, max_size=5),
+    picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 19),
+                             st.one_of(st.sampled_from((0.0, 0.2, 0.5, 1.0)),
+                                       st.floats(0.0, 1.0))),
+                   min_size=1, max_size=8),
+)
+
+
+def _stack(key, frames, picks):
+    """A stack's scenario, constants, channels, frame seeds and cells."""
+    scenario = _SCENARIOS[key]
+    channels = [realize_channel(scenario, _target(p, (1.0, -0.5))) for p, _ in frames]
+    seeds = [seed for _, seed in frames]
+    cells = [(b % len(frames), beam, eta * scenario.tx_power_w) for b, beam, eta in picks]
+    return scenario, cell_constants(scenario), channels, seeds, cells
+
+
 class TestStackedCells:
-    """A stack of frames and cells gives each cell the chain's value."""
+    """A stack of frames and cells gives each frame and cell exactly what it
+    gets built alone, and each cell the chain's value up to rounding."""
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        key=st.sampled_from(list(_SCENARIOS)),
-        frames=st.lists(
-            st.tuples(st.tuples(st.floats(-40.0, 40.0), st.floats(20.0, 90.0)),
-                      st.integers(0, 2**63 - 1)),
-            min_size=1, max_size=5),
-        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 19),
-                                 st.sampled_from((0.0, 0.2, 0.5, 1.0))),
-                       min_size=1, max_size=8),
-    )
+    @stack_given
+    def test_stack_equals_frames_and_cells_built_alone(self, key, frames, picks):
+        scenario, const, channels, seeds, cells = _stack(key, frames, picks)
+        stack = build_frames(const, channels, seeds)
+        for b, (channel, seed) in enumerate(zip(channels, seeds)):
+            alone = build_frame(const, channel, seed)
+            for name in ("echo", "noise", "departure"):
+                assert getattr(stack, name)[b].tobytes() == getattr(alone, name).tobytes(), name
+            assert stack.floor[b] == alone.floor
+        values = measure_cells(const, stack, cells)
+        for (b, beam, power_w), value in zip(cells, values):
+            assert value == measure_cell(const, build_frame(const, channels[b], seeds[b]), beam,
+                                         power_w)
+
+    @settings(max_examples=40, deadline=None)
+    @stack_given
     def test_stack_equals_chain(self, key, frames, picks):
-        scenario = _SCENARIOS[key]
-        const = cell_constants(scenario)
-        channels = [realize_channel(scenario, _target(p, (1.0, -0.5))) for p, _ in frames]
-        seeds = [seed for _, seed in frames]
-        cells = [(b % len(frames), beam, eta * scenario.tx_power_w) for b, beam, eta in picks]
+        scenario, const, channels, seeds, cells = _stack(key, frames, picks)
         values = measure_cells(const, build_frames(const, channels, seeds), cells)
         for (b, beam, power_w), value in zip(cells, values):
             grid = synthesize_rx_grid(scenario, channels[b], beam, power_w, seeds[b])
             surface = matched_filter(grid, scenario.search_window())
-            assert value == compute_resi(surface, grid, scenario.null_mask()).value
+            assert_near(value, compute_resi(surface, grid, scenario.null_mask()).value)

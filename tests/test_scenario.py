@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from racecma import ScenarioConfig, desk_scenario
+from racecma import scenario as scenario_mod
 from racecma.feedback import EpisodeWorld
 from racecma.scenario import (
     TARGET_SPAWN_MARGIN,
@@ -56,6 +57,30 @@ def test_reflection_jitter_deterministic():
     a = propagate_target(state, 1.0, rng_seed=7, region=ARENA, heading_jitter=0.4)
     b = propagate_target(state, 1.0, rng_seed=7, region=ARENA, heading_jitter=0.4)
     assert a.position == b.position and a.velocity == b.velocity
+
+
+@pytest.mark.parametrize("start, jitter, derived", [
+    ((9.5, 0.0), 0.4, True),  # a jittered reflection
+    ((9.5, 0.0), 0.0, False),  # a reflection without jitter
+    ((0.0, 0.0), 0.4, False),  # no reflection
+])
+def test_seed_parts_are_derived_only_for_a_jittered_reflection(monkeypatch, start, jitter,
+                                                                derived):
+    calls = []
+    derive = scenario_mod.derive_seed
+
+    def recorded(*parts):
+        calls.append(parts)
+        return derive(*parts)
+
+    monkeypatch.setattr(scenario_mod, "derive_seed", recorded)
+    state = TargetState(position=start, velocity=(3.0, 0.0))
+    lazy = propagate_target(state, 1.0, rng_seed=(7, "motion", 2), region=ARENA,
+                            heading_jitter=jitter)
+    assert calls == ([(7, "motion", 2)] if derived else [])
+    eager = propagate_target(state, 1.0, rng_seed=derive(7, "motion", 2), region=ARENA,
+                             heading_jitter=jitter)
+    assert (lazy.position, lazy.velocity) == (eager.position, eager.velocity)
 
 
 def test_overlong_step_rejected():

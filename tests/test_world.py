@@ -1,5 +1,6 @@
 """Episode worlds: a replay over a warm world equals a cold episode bit for bit,
-and each thread keeps only the world it replayed last."""
+both match the radar chain, and each thread keeps only the world it replayed
+last."""
 
 import gc
 import math
@@ -14,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from racecma import IsacObjective, classify, desk_scenario, run_episode, run_episodes
 from racecma import feedback as feedback_mod
 from racecma import radar as radar_mod
-from racecma.feedback import EpisodeTrace, InfeasibleThresholdsError, StateActionTable
+from racecma import scenario as scenario_mod
+from racecma.feedback import (EpisodeTrace, EpisodeWorld, InfeasibleThresholdsError,
+                              StateActionTable)
 from racecma.radar import (cell_constants, compute_resi, matched_filter, realize_channel,
                            synthesize_rx_grid)
 from racecma.scenario import initial_target_state, propagate_target
@@ -22,7 +25,8 @@ from racecma.seeding import derive_seed
 
 
 def reference_episode(scenario, thresholds, actions, seed, fidelity) -> EpisodeTrace:
-    """The closed loop with no world: every measured frame runs the radar chain."""
+    """The closed loop with no world: every measured frame runs the radar chain
+    and the motion seed is derived on every frame."""
     n_frames = math.ceil(fidelity * scenario.frame_count)
     target = initial_target_state(scenario, seed)
     resi = np.zeros(n_frames)
@@ -91,6 +95,17 @@ def assert_identical(a: EpisodeTrace, b: EpisodeTrace) -> None:
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
+def assert_matches_reference(trace: EpisodeTrace, reference: EpisodeTrace) -> None:
+    """The episode equals the chain's: the same decisions, and each echo
+    strength within 1e-12 relative, since a cell's surface is the chain's
+    up to rounding."""
+    assert trace.horizon == reference.horizon
+    for name in ("states", "in_beam", "power"):
+        assert getattr(trace, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert trace.resi.dtype == reference.resi.dtype
+    np.testing.assert_allclose(trace.resi, reference.resi, rtol=1e-12, atol=0)
+
+
 @pytest.fixture(scope="module")
 def short_desk():
     return desk_scenario(sensing_horizon=0.128)  # 40 frames
@@ -118,7 +133,8 @@ class TestReplay:
         for thresholds, actions, fidelity in warm:
             run_episode(short_desk, thresholds, actions, seed, fidelity)
         assert_identical(run_episode(short_desk, *target[:2], seed, target[2]), cold)
-        assert_identical(cold, reference_episode(short_desk, *target[:2], seed, target[2]))
+        assert_matches_reference(cold, reference_episode(short_desk, *target[:2], seed,
+                                                         target[2]))
 
     @pytest.mark.parametrize("first, second", [(0.3, 1.0), (1.0, 0.3)])
     def test_prefix_in_either_order(self, desk, first, second):
@@ -126,7 +142,7 @@ class TestReplay:
         cold_start()
         run_episode(desk, t, seed=5, fidelity=first)
         warm = run_episode(desk, t, seed=5, fidelity=second)
-        assert_identical(warm, reference_episode(desk, t, StateActionTable(), 5, second))
+        assert_matches_reference(warm, reference_episode(desk, t, StateActionTable(), 5, second))
 
     def test_seed_type_is_part_of_the_world(self, short_desk):
         # derive_seed hashes repr(seed), so np.int64(3) and 3 seed different worlds.
@@ -134,8 +150,9 @@ class TestReplay:
         cold_start()
         run_episode(short_desk, t, seed=3)
         world = held_world()
-        assert_identical(run_episode(short_desk, t, seed=np.int64(3)),
-                         reference_episode(short_desk, t, StateActionTable(), np.int64(3), 1.0))
+        assert_matches_reference(
+            run_episode(short_desk, t, seed=np.int64(3)),
+            reference_episode(short_desk, t, StateActionTable(), np.int64(3), 1.0))
         assert held_world() is not world and type(held_world().seed) is np.int64
 
     def test_concurrent_generation_matches_serial(self, desk):
@@ -161,6 +178,34 @@ class TestReplay:
         assert held_world() is main_world and main_world.seed == seed + 1
 
 
+class TestMotion:
+    def test_motion_seed_is_derived_only_on_a_jittered_reflection(self, monkeypatch):
+        # A fast target on a small desk reflects often; every frame's target
+        # must equal the eager derivation's, which reference_episode makes.
+        scenario = desk_scenario(target_speed=2000.0)  # 6.4 m a frame, 100 frames
+        derived = []
+        derive = scenario_mod.derive_seed
+
+        def recorded(*parts):
+            if parts[1:2] == ("motion",):
+                derived.append(parts[2])
+            return derive(*parts)
+
+        monkeypatch.setattr(scenario_mod, "derive_seed", recorded)
+        world = EpisodeWorld(scenario, 9)
+        world.extend(scenario.frame_count)
+        target = initial_target_state(scenario, 9)
+        reflected = []
+        for t, lazy in enumerate(world.targets):
+            target = propagate_target(target, scenario.frame_duration,
+                                      derive(9, "motion", t), scenario.region,
+                                      scenario.heading_jitter)
+            assert lazy == target
+            if t and lazy.velocity != world.targets[t - 1].velocity:
+                reflected.append(t)
+        assert derived == reflected and 0 < len(derived) < scenario.frame_count
+
+
 SHORT_NLOS = desk_scenario(sensing_horizon=0.128, nlos_path_count=1)  # 40 frames
 WIDE_GRID = desk_scenario(sensing_horizon=0.15, n_subcarriers=40, n_symbols=100)  # 15 frames
 
@@ -171,8 +216,8 @@ batch_given = given(
 
 
 def check_batch(scenario, episodes, actions, fidelity, warm_seed, warm) -> None:
-    """A batch over a warm slot gives each episode its solo cold trace and
-    the reference's."""
+    """A batch over a warm slot gives each episode its solo cold trace, bit
+    for bit, and matches the reference's."""
     alone = []
     for thresholds, seed in episodes:
         cold_start()
@@ -185,8 +230,8 @@ def check_batch(scenario, episodes, actions, fidelity, warm_seed, warm) -> None:
     assert len(batch) == len(episodes)
     for (thresholds, seed), together, single in zip(episodes, batch, alone):
         assert_identical(together, single)
-        assert_identical(together, reference_episode(scenario, thresholds, actions, seed,
-                                                      fidelity))
+        assert_matches_reference(together, reference_episode(scenario, thresholds, actions,
+                                                              seed, fidelity))
 
 
 class TestBatch:
@@ -214,8 +259,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("grids", [1, 3, 5])
     def test_stack_size_changes_no_trace(self, short_desk, monkeypatch, grids):
-        # A CMA-ES generation: twelve seeds, so several stacks of frames and of
-        # cells per frame, each cut at another place.
+        # A CMA-ES generation: twelve seeds, so several stacks of frames per
+        # frame, each cut at another place.
         triples = [(0.3 * i, 0.3 * i + 1.0, 0.3 * i + 2.0) for i in range(12)]
         seeds = [derive_seed(2, i) for i in range(12)]
         cold_start()
@@ -240,8 +285,8 @@ class TestBatch:
         for trace, seed in zip(together, seeds):
             cold_start()
             assert_identical(trace, run_episode(short_desk, t, seed=seed))
-            assert_identical(trace, reference_episode(short_desk, t, StateActionTable(), seed,
-                                                      1.0))
+            assert_matches_reference(trace, reference_episode(short_desk, t, StateActionTable(),
+                                                              seed, 1.0))
         assert together[0].resi.tobytes() != together[1].resi.tobytes()
 
     def test_noise_is_drawn_once_per_frame(self, short_desk, draws):
@@ -296,8 +341,8 @@ class TestSlot:
             assert held_world() is world
             # An episode measures one cell a frame, so one draw per new cell.
             assert len(draws) - n_draws == len(world.cells) - cells
-            assert_identical(trace, reference_episode(short_desk, probe, StateActionTable(),
-                                                      4, 1.0))
+            assert_matches_reference(trace, reference_episode(short_desk, probe,
+                                                              StateActionTable(), 4, 1.0))
         assert len(draws) > after_stencil  # a probe visited cells of its own
 
     def test_slot_keeps_only_the_last_world_whole(self, short_desk, monkeypatch):
