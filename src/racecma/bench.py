@@ -102,6 +102,11 @@ class ExperimentSpec:
             raise ValueError("population must be even while racing.mirrored_sampling is on")
         if len(self.power_grid) < 2:
             raise ValueError("power_grid needs at least two points")
+        # Empty, either would reach spec.cfg as "" and fail every experiment.
+        if not self.methods:
+            raise ValueError("methods needs at least one method")
+        if not self.convergence_powers:
+            raise ValueError("convergence_powers needs at least one power")
         if not 0 < self.init_sigma < math.inf:
             raise ValueError("init_sigma must be positive and finite")
         x_min, x_max, y_min, y_max = self.ue_box

@@ -13,8 +13,8 @@ states and bearings and the echo strength of each (frame, beam, power
 factor) cell visited so far. The episodes of a batch, whatever their seeds,
 advance in one lockstep, a frame at a time, and the cells they miss at a
 frame are measured together: one channel and noise draw per world that
-misses any, built anew and not kept, and the frames and cells of several
-worlds as stacks (:func:`radar.build_frames`, :func:`radar.measure_cells`).
+misses any, built anew and not kept, and the frames and cells of all such
+worlds as one stack (:func:`radar.build_frames`, :func:`radar.measure_cells`).
 """
 
 from __future__ import annotations
@@ -164,21 +164,6 @@ class EpisodeWorld:
         else:
             self.cells.clear()
 
-    def extend(self, n_frames: int) -> None:
-        """Propagate a kept world's target through frame ``n_frames - 1``."""
-        for t in range(len(self.targets), n_frames):
-            self.advance(t)
-
-
-# The most bytes of noise grids one stack of frames holds. A grid of more
-# than half of it (the 40x100 paper grid, 64 000 B) is drawn alone, since
-# stacked such grids outgrow the core's cache and cost more than apart; the
-# 24x32 desk grid (12 288 B) stacks by six, so a generation of twelve seeds
-# makes two even stacks. Larger stacks hold more grids at once for little
-# more speed. The cells of a stack are (D, V) surfaces and are measured as
-# one stack.
-STACK_BYTES = 73_728
-
 
 def _measure_frame(
     const: CellConstants,
@@ -188,29 +173,25 @@ def _measure_frame(
 ) -> None:
     """Measure the missing cells ``(t, beam, power factor)`` of each
     ``(world, cells)`` request at its current frame ``t`` into
-    ``world.cells``, from one draw of each world's noise. The frames are
-    built in stacks of at most ``STACK_BYTES`` of noise grids each, and
-    the cells of a stack measured as one stack; a stack of one frame is
-    built and measured as the frame alone."""
+    ``world.cells``, from one draw of each world's noise. The frames of two
+    or more worlds are built as one stack and their cells measured as one
+    stack; a lone world's frame is built and measured alone."""
     budget_w = scenario.tx_power_w
-    size = max(1, STACK_BYTES // const.pilot.nbytes)
-    for start in range(0, len(requests), size):
-        part = requests[start:start + size]
-        if len(part) == 1:
-            [(world, keys)] = part
-            frame = build_frame(const, realize_channel(scenario, world.target),
-                                derive_seed(world.seed, "frame", t))
-            for key in keys:
-                world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)
-            continue
-        frames = build_frames(const,
-                              [realize_channel(scenario, world.target) for world, _ in part],
-                              [derive_seed(world.seed, "frame", t) for world, _ in part])
-        cells = [(b, world, key) for b, (world, keys) in enumerate(part) for key in keys]
-        values = measure_cells(const, frames,
-                               [(b, key[1], key[2] * budget_w) for b, _, key in cells])
-        for (_, world, key), value in zip(cells, values):
-            world.cells[key] = value
+    if len(requests) == 1:
+        [(world, keys)] = requests
+        frame = build_frame(const, realize_channel(scenario, world.target),
+                            derive_seed(world.seed, "frame", t))
+        for key in keys:
+            world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)
+        return
+    frames = build_frames(const,
+                          [realize_channel(scenario, world.target) for world, _ in requests],
+                          [derive_seed(world.seed, "frame", t) for world, _ in requests])
+    cells = [(b, world, key) for b, (world, keys) in enumerate(requests) for key in keys]
+    values = measure_cells(const, frames,
+                           [(b, key[1], key[2] * budget_w) for b, _, key in cells])
+    for (_, world, key), value in zip(cells, values):
+        world.cells[key] = value
 
 
 # The world each thread replayed last (``_SLOT.world``). Threads never share
@@ -282,21 +263,24 @@ def run_episodes(
     world per group, and every episode of every group advances in one
     lockstep, a frame at a time, writing into arrays allocated up front.
     At each frame the cells the episodes miss are measured together: one
-    noise draw per world that misses any, the frames and cells of several
-    worlds as stacks, and a lone world's frame alone
+    noise draw per world that misses any, the frames and cells of all such
+    worlds as one stack, or a lone world's frame alone
     (:func:`_measure_frame`). Each thread keeps the world of the last
     group, whole, and grows it for the next call on the same scenario and
     seed (IPN's line-search probes after its stencil); the first group
     starts from it if it is that group's. The other groups' worlds stream:
     each holds the current frame's target, bearing and cells only. The
-    seeds and triples are checked before any frame runs. Each trace
-    equals, bit for bit, the one its triple gives alone on its seed.
+    seeds and triples are checked before any frame runs, and an empty batch
+    returns ``[]`` with the thread's world kept. Each trace equals, bit for
+    bit, the one its triple gives alone on its seed.
     """
     if len(seeds) != len(triples):
         raise ValueError("need one seed per threshold triple")
     if not 0.0 < fidelity <= 1.0:
         raise ValueError("fidelity must lie in (0, 1]")
     checked = [check_thresholds(t) for t in triples]
+    if not checked:
+        return []
     n_frames = math.ceil(fidelity * scenario.frame_count)
     # derive_seed hashes repr(seed), so 3 and np.int64(3) are different seeds.
     groups: dict[tuple[type, int], list[int]] = {}

@@ -20,6 +20,7 @@ from .feedback import (
     DEFAULT_ACTIONS,
     ObjectiveValues,
     StateActionTable,
+    check_weights,
     episode_objectives,
     run_episode,
     run_episodes,
@@ -160,6 +161,7 @@ class IsacObjective:
         self, scenario: ScenarioConfig, actions: StateActionTable = DEFAULT_ACTIONS,
         weights: tuple[float, float, float] = (1.0, 0.0, 0.0),
     ) -> None:
+        check_weights(weights)  # here, not only after a batch is simulated
         self.scenario = scenario
         self.actions = actions
         self.weights = weights

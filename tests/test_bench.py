@@ -224,6 +224,9 @@ class TestHelpers:
           for name in ("a", "c", "stability")),
         ("weights", (math.inf, 0.0, 0.0), "weights must be finite and real"),
         ("weights", (1.0, math.nan, 0.0), "weights must be finite and real"),
+        # spec.cfg would write either as "", which no experiment reads back.
+        ("methods", (), "methods needs at least one method"),
+        ("convergence_powers", (), "convergence_powers needs at least one power"),
     ])
     def test_meaningless_specs_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

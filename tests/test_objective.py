@@ -150,6 +150,12 @@ class TestIsacObjective:
         obj.evaluate(t, seed=0, fidelity=0.2)
         assert obj.ledger.exact_total == Fraction(6, 5)
 
+    @pytest.mark.parametrize("weights", [(-1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, -0.1)])
+    def test_bad_weights_raise_when_built(self, desk, weights):
+        # Not only from scalarize, after a whole batch is simulated.
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            IsacObjective(desk, weights=weights)
+
     def test_referential_transparency(self, desk):
         obj = IsacObjective(desk)
         t = np.array([0.5, 1.0, 1.5])
@@ -198,6 +204,10 @@ class TestEvaluateMany:
             values = batched.evaluate_many(points, seeds, fidelity, kind)
             assert values == [evaluate_one(looped, p, s, fidelity, kind)
                               for p, s in zip(points, seeds)]
+        # An empty batch returns [], charges nothing and keeps the thread's world.
+        held = feedback_mod._SLOT.world
+        assert batched.evaluate_many([], [], 0.2, "stage1") == []
+        assert feedback_mod._SLOT.world is held
         assert batched.ledger.exact_total == looped.ledger.exact_total == Fraction(8)
         assert batched.ledger.breakdown == looped.ledger.breakdown == {
             "stage1": (4, 0.8), "stage2": (4, 3.2), "full": (4, 4.0)}

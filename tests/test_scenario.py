@@ -112,7 +112,8 @@ def test_target_never_leaves_the_region(corner, extent, step_share, jitter, seed
         speed = math.nextafter(speed, 0.0)
     sc = desk_scenario(region=region, target_speed=speed, heading_jitter=jitter)
     world = EpisodeWorld(sc, seed)
-    world.extend(sc.frame_count)
+    for t in range(sc.frame_count):
+        world.advance(t)
     assert len(world.targets) == sc.frame_count
     for target in world.targets:
         assert inside(region, target.position), target.position

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from racecma import IsacObjective, classify, desk_scenario, run_episode, run_episodes
 from racecma import feedback as feedback_mod
@@ -18,8 +18,7 @@ from racecma import radar as radar_mod
 from racecma import scenario as scenario_mod
 from racecma.feedback import (EpisodeTrace, EpisodeWorld, InfeasibleThresholdsError,
                               StateActionTable)
-from racecma.radar import (cell_constants, compute_resi, matched_filter, realize_channel,
-                           synthesize_rx_grid)
+from racecma.radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
 from racecma.scenario import initial_target_state, propagate_target
 from racecma.seeding import derive_seed
 
@@ -193,7 +192,8 @@ class TestMotion:
 
         monkeypatch.setattr(scenario_mod, "derive_seed", recorded)
         world = EpisodeWorld(scenario, 9)
-        world.extend(scenario.frame_count)
+        for t in range(scenario.frame_count):
+            world.advance(t)
         target = initial_target_state(scenario, 9)
         reflected = []
         for t, lazy in enumerate(world.targets):
@@ -225,9 +225,12 @@ def check_batch(scenario, episodes, actions, fidelity, warm_seed, warm) -> None:
     cold_start()
     for thresholds, warm_actions, warm_fidelity in warm:
         run_episode(scenario, thresholds, warm_actions, warm_seed, warm_fidelity)
-    triples, seeds = zip(*episodes)
-    batch = run_episodes(scenario, triples, seeds, actions, fidelity)
+    held = held_world()
+    batch = run_episodes(scenario, [t for t, _ in episodes], [s for _, s in episodes], actions,
+                         fidelity)
     assert len(batch) == len(episodes)
+    if not episodes:  # an empty batch keeps the slot's world
+        assert held_world() is held
     for (thresholds, seed), together, single in zip(episodes, batch, alone):
         assert_identical(together, single)
         assert_matches_reference(together, reference_episode(scenario, thresholds, actions,
@@ -239,6 +242,12 @@ class TestBatch:
 
     @settings(max_examples=40, deadline=None)
     @batch_given
+    @example(episodes=[], actions=StateActionTable(), fidelity=0.5, warm_seed=1,
+             warm=[((1.0, 2.0, 3.0), StateActionTable(), 0.5)])
+    # A CMA-ES generation: twelve seeds, so one stack of twelve frames per frame.
+    @example(episodes=[((0.3 * i, 0.3 * i + 1.0, 0.3 * i + 2.0), derive_seed(2, i))
+                       for i in range(12)],
+             actions=StateActionTable(), fidelity=1.0, warm_seed=0, warm=[])
     def test_batch_equals_separate_cold_episodes(self, short_desk, episodes, actions, fidelity,
                                                  warm_seed, warm):
         check_batch(short_desk, episodes, actions, fidelity, warm_seed, warm)
@@ -251,25 +260,9 @@ class TestBatch:
 
     @settings(max_examples=10, deadline=None)
     @batch_given
-    def test_unstacked_grid_batch_equals_separate_cold_episodes(self, episodes, actions,
-                                                                fidelity, warm_seed, warm):
-        # Above the stacking cap, each world's frame and cells run alone.
-        assert cell_constants(WIDE_GRID).pilot.nbytes > feedback_mod.STACK_BYTES // 2
+    def test_wide_grid_batch_equals_separate_cold_episodes(self, episodes, actions, fidelity,
+                                                           warm_seed, warm):
         check_batch(WIDE_GRID, episodes, actions, fidelity, warm_seed, warm)
-
-    @pytest.mark.parametrize("grids", [1, 3, 5])
-    def test_stack_size_changes_no_trace(self, short_desk, monkeypatch, grids):
-        # A CMA-ES generation: twelve seeds, so several stacks of frames per
-        # frame, each cut at another place.
-        triples = [(0.3 * i, 0.3 * i + 1.0, 0.3 * i + 2.0) for i in range(12)]
-        seeds = [derive_seed(2, i) for i in range(12)]
-        cold_start()
-        default = run_episodes(short_desk, triples, seeds)
-        monkeypatch.setattr(feedback_mod, "STACK_BYTES",
-                            grids * cell_constants(short_desk).pilot.nbytes)
-        cold_start()
-        for together, apart in zip(run_episodes(short_desk, triples, seeds), default):
-            assert_identical(together, apart)
 
     def test_seed_type_splits_a_batch(self, short_desk, draws):
         # 3 and np.int64(3) are different seeds (derive_seed hashes repr), so
