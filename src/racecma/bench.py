@@ -91,6 +91,8 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         check_integers(self, (*_COUNT_MINIMA, "master_seed"))
+        check_finite(self, ("weights", "sweep_weights", "power_grid", "convergence_powers",
+                            "resi_bounds", "ue_box"))
         for name, least in _COUNT_MINIMA.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
@@ -107,6 +109,9 @@ class ExperimentSpec:
             raise ValueError("methods needs at least one method")
         if not self.convergence_powers:
             raise ValueError("convergence_powers needs at least one power")
+        for name in ("methods", "power_grid", "convergence_powers"):  # else rows repeat
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} lists an entry twice")
         if not 0 < self.init_sigma < math.inf:
             raise ValueError("init_sigma must be positive and finite")
         x_min, x_max, y_min, y_max = self.ue_box
@@ -120,7 +125,6 @@ class ExperimentSpec:
             if not t[0] < t[1] < t[2]:
                 raise ValueError("racing.min_spacing vanishes in rounding next to "
                                  f"experiment.resi_bounds value {end}")
-        check_finite(self, ("weights",))
         check_weights(self.weights)
         check_weights(self.sweep_weights)
         try:

@@ -4,7 +4,8 @@ The chain per sensing frame: realize the two-leg channel from the current
 geometry, synthesize the received pilot grid under the active beam and
 sensing power, correlate it against delay/Doppler-shifted pilot replicas,
 and reduce the peak to a scalar echo-strength indicator normalized by the
-noise floor estimated on guard (null) resource elements.
+noise floor estimated on guard (null) resource elements. The channel is in
+plain floats, so its last bit does not depend on the BLAS kernel.
 
 Two ways run it. The reference chain, ``synthesize_rx_grid`` ->
 ``matched_filter`` -> ``compute_resi``, builds the (K, M) received grid of
@@ -40,12 +41,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, ScenarioConfig, TargetState
+from .scenario import SPEED_OF_LIGHT, ScenarioConfig, TargetState, planar_distance
 from .seeding import derive_seed
 
 
 class GeometryError(ValueError):
-    """Raised for degenerate placements (coincident BS/UE/target)."""
+    """Raised for a target on the BS or the UE; ``ScenarioConfig`` rejects a
+    BS on the UE when it is built."""
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,6 @@ def _element_phases(n_elements: int, spacing_wl: float) -> np.ndarray:
     return 2.0 * math.pi * spacing_wl * np.arange(n_elements)
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a real vector, by the same dot product and sqrt."""
-    return math.sqrt(v.dot(v))
-
-
 def _free_space_gain(wavelength: float, distance: float) -> float:
     return (wavelength / (4.0 * math.pi * distance)) ** 2
 
@@ -116,26 +113,23 @@ def realize_channel(scenario: ScenarioConfig, target: TargetState) -> ChannelRea
     Delays are path length over the speed of light; Doppler is the radial
     velocity projected on the target-to-UE leg (receding target gives a
     negative shift); leg gains follow the free-space/scattering model.
+    Plain float arithmetic, with no numpy call and no ``cell_constants`` lookup.
     """
-    const = cell_constants(scenario)
-    tg = np.asarray(target.position, float)
-    to_bs = tg - const.bs
-    to_ue = tg - const.ue
-
-    d_fwd = _norm(to_bs)
-    d_ret = _norm(to_ue)
-    if min(d_fwd, d_ret, const.bs_ue_distance) < 1e-6:
-        raise GeometryError("BS, UE and target positions must be distinct")
+    (x, y), (vx, vy) = target.position, target.velocity
+    (bx, by), (ux, uy) = scenario.bs_position, scenario.ue_position
+    fx, fy, rx, ry = x - bx, y - by, x - ux, y - uy  # from the BS and from the UE
+    d_fwd, d_ret = planar_distance(fx, fy), planar_distance(rx, ry)
+    if min(d_fwd, d_ret) < 1e-6:
+        raise GeometryError("the target must not sit on the BS or the UE")
 
     lam = scenario.wavelength
-    radial_unit = to_ue / d_ret
-    range_rate = float(np.dot(np.asarray(target.velocity, float), radial_unit))
+    range_rate = vx * (rx / d_ret) + vy * (ry / d_ret)
     doppler = -range_rate / lam
 
     gains = scenario.gain_model
     bs_gain = _free_space_gain(lam, d_fwd)
     ue_gain = gains.scattering_gain * _free_space_gain(lam, d_ret)
-    arrival_angle = math.atan2(to_ue[1], to_ue[0])
+    arrival_angle = math.atan2(ry, rx)
 
     nlos = None
     if scenario.nlos_path_count == 1:
@@ -150,7 +144,7 @@ def realize_channel(scenario: ScenarioConfig, target: TargetState) -> ChannelRea
         forward_delay=d_fwd / SPEED_OF_LIGHT,
         return_delay=d_ret / SPEED_OF_LIGHT,
         doppler=doppler,
-        departure_angle=math.atan2(to_bs[1], to_bs[0]),
+        departure_angle=math.atan2(fy, fx),
         arrival_angle=arrival_angle,
         bs_gain=bs_gain,
         ue_gain=ue_gain,
@@ -181,9 +175,6 @@ class CellConstants:
     callers of one scenario share it.
     """
 
-    bs: np.ndarray
-    ue: np.ndarray
-    bs_ue_distance: float
     pilot: np.ndarray
     null_row: int  # first guard subcarrier: scenario.null_mask() is every row from it on
     beamformers: tuple[np.ndarray, ...]  # unit-norm transmit weights per sweep beam
@@ -203,8 +194,6 @@ class CellConstants:
 
 @lru_cache(maxsize=64)
 def cell_constants(scenario: ScenarioConfig) -> CellConstants:
-    bs = np.asarray(scenario.bs_position, float)
-    ue = np.asarray(scenario.ue_position, float)
     n_sc, n_sym = scenario.n_subcarriers, scenario.n_symbols
     pilot = np.ones((n_sc, n_sym), dtype=complex)
     pilot[scenario.null_mask()] = 0.0
@@ -224,13 +213,10 @@ def cell_constants(scenario: ScenarioConfig) -> CellConstants:
         *scenario.search_window(),
     )
     e_delay_active = e_delay[:, :null_row] / (n_sc * n_sym)
-    for array in (bs, ue, pilot, bs_phases, ue_phases, delay_phases, symbols, doppler_phases,
+    for array in (pilot, bs_phases, ue_phases, delay_phases, symbols, doppler_phases,
                   e_delay_active, e_doppler, *beamformers):
         array.setflags(write=False)
     return CellConstants(
-        bs=bs,
-        ue=ue,
-        bs_ue_distance=_norm(ue - bs),
         pilot=pilot,
         null_row=null_row,
         beamformers=tuple(beamformers),

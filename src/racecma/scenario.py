@@ -88,6 +88,11 @@ def check_finite(config, names) -> None:
                 raise ValueError(f"{name} must be finite and real")
 
 
+def planar_distance(dx: float, dy: float) -> float:
+    """The scenario's checks and the channel's legs share it, overflow and all."""
+    return math.sqrt(dx * dx + dy * dy)
+
+
 # Count fields that must be at least 1.
 _POSITIVE_COUNTS = (
     "n_bs_antennas",
@@ -142,7 +147,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         check_integers(self, (*_POSITIVE_COUNTS, "n_targets", "nlos_path_count"))
         check_finite(self, ("sensing_horizon", "carrier_freq", "antenna_spacing",
-                            "heading_jitter"))
+                            "heading_jitter", "tx_power_range_dbm", "delay_window",
+                            "doppler_window", "bs_position", "ue_position"))
         if any(getattr(self, name) < 1 for name in _POSITIVE_COUNTS):
             raise ValueError("all counts must be >= 1")
         if self.n_targets != 1:
@@ -193,15 +199,16 @@ class ScenarioConfig:
         if not math.isfinite(self.wavelength):
             raise ValueError("carrier_freq is too small: the wavelength overflows")
         r = self.region
-        bs = np.asarray(self.bs_position, float)
-        ue = np.asarray(self.ue_position, float)
-        corners = np.array([(x, y) for x in (r.x_min, r.x_max) for y in (r.y_min, r.y_max)])
-        with np.errstate(over="ignore"):
-            distances = [np.linalg.norm(ue - bs)]
-            distances += [np.linalg.norm(c - p) for c in corners for p in (bs, ue)]
+        (bx, by), (ux, uy) = self.bs_position, self.ue_position
+        distances = [planar_distance(ux - bx, uy - by)]
+        distances += [planar_distance(cx - px, cy - py)
+                      for cx in (r.x_min, r.x_max) for cy in (r.y_min, r.y_max)
+                      for px, py in (self.bs_position, self.ue_position)]
         if not all(math.isfinite(d) for d in distances):
             raise ValueError("bs_position, ue_position and region must lie within finite "
                              "distances of each other")
+        if distances[0] < 1e-6:
+            raise ValueError("bs_position and ue_position must be distinct")
         step = abs(self.target_speed) * self.frame_duration
         if not step <= min(r.x_max - r.x_min, r.y_max - r.y_min):
             raise ValueError("target_speed * frame_duration must not exceed the "

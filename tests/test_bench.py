@@ -227,6 +227,15 @@ class TestHelpers:
         # spec.cfg would write either as "", which no experiment reads back.
         ("methods", (), "methods needs at least one method"),
         ("convergence_powers", (), "convergence_powers needs at least one power"),
+        ("racing", {"min_spacing": math.inf}, "min_spacing must be finite and real"),
+        ("racing", {"min_spacing": math.nan}, "min_spacing must be finite and real"),
+        # A repeated entry repeats its summary row and counts every rep twice;
+        # powers compare as floats.
+        ("methods", ("MAP", "RACE-CMA", "MAP"), "methods lists an entry twice"),
+        ("power_grid", (10.0, 10.0), "power_grid lists an entry twice"),
+        ("power_grid", (10, 20.0, 10.0), "power_grid lists an entry twice"),
+        ("convergence_powers", (20.0, np.float64(20.0)),
+         "convergence_powers lists an entry twice"),
     ])
     def test_meaningless_specs_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

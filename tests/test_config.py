@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import math
 import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -286,6 +287,32 @@ class TestSchema:
             assert config_hash(spec_to_config(changed)) != base_hash
             return
         pytest.fail(f"no valid non-default value found for {key}")
+
+    @pytest.mark.parametrize("key", sorted(k for k, entry in SCHEMA.items()
+                                           if entry.item is float))
+    def test_every_float_entry_rejects_non_finite_values(self, key):
+        # No config file can spell inf or nan, so a constructor that took one
+        # would build a spec whose spec.cfg no experiment reads back, or one
+        # that runs to nan echo strengths. Each entry of a list or a value
+        # type is set on its own.
+        spec = ExperimentSpec()
+        entry = SCHEMA[key]
+        value = _get(spec, entry.path)
+        if entry.pack is None:
+            paths = [entry.path]
+        elif entry.pack is tuple:
+            paths = [entry.path + (i,) for i in range(len(value))]
+        else:
+            paths = [entry.path + (f.name,) for f in fields(value)]
+        accepted = []
+        for path in paths:
+            for bad in (math.nan, math.inf, -math.inf):
+                try:
+                    _apply(spec, {path: bad})
+                except ValueError:
+                    continue
+                accepted.append((path[-1], bad))
+        assert accepted == []
 
     def test_spec_snapshot_golden(self, tmp_path):
         write_snapshot(ExperimentSpec(repetitions=1, master_seed=1, jobs=1), tmp_path)

@@ -36,6 +36,26 @@ GOLDEN = {
     },
 }
 
+# The same spec with the specular (NLOS) echo, whose channel fields the
+# LOS-only digests above do not cover.
+NLOS_SPEC = replace(SPEC, scenario=desk_scenario(nlos_path_count=1))
+NLOS_SPEC_CFG = "2467bd3d09f8fc72d632a2106352b970fabf73df5730217dac4fdca165db1f6f"
+NLOS_GOLDEN = {
+    run_compare: {
+        "compare_runs.csv": "215999ebf3d853a9289c18103acb0f354804f942cd5452a6400e8a1e811e38a7",
+        "compare_summary.csv": "7a287aa24ebc56a9f103c43e963891b812d1e843ae3de34ffe81182b238e3f38",
+    },
+    run_sweep: {
+        "sweep_runs.csv": "63ca3ff6ef40ea4a784b5150b627f7feaccd635266109a1f7aa2d74144388cbc",
+        "sweep_summary.csv": "6da709ee5ebb127cd1337059f7eebb932d7843dd91ad73302f81509795d6e1f3",
+    },
+    run_convergence: {
+        "convergence_runs.csv": "57f1129515e059cb17c487683275a602a346d5675790d315828bfa9b62561db3",
+        "convergence_summary.csv":
+            "535fdabd53721eebeb2579cea2fd9188e4652fd871872a09e6f0c6823ed845d3",
+    },
+}
+
 
 @pytest.mark.parametrize("body", list(GOLDEN), ids=lambda body: body.__name__)
 def test_outputs_match_golden_digests(body, tmp_path):
@@ -68,14 +88,20 @@ def test_type_variants_match_golden_digests(body, variant, tmp_path):
     _check_digests(body, TYPE_VARIANTS[variant], tmp_path)
 
 
-def _check_digests(body, spec, tmp_path):
+@pytest.mark.parametrize("body", list(NLOS_GOLDEN), ids=lambda body: body.__name__)
+def test_nlos_outputs_match_golden_digests(body, tmp_path):
+    _check_digests(body, NLOS_SPEC, tmp_path, NLOS_GOLDEN[body], NLOS_SPEC_CFG)
+
+
+def _check_digests(body, spec, tmp_path, golden=None, spec_cfg=SPEC_CFG):
+    golden = GOLDEN[body] if golden is None else golden
     rows = body(spec, tmp_path)
-    expected = {**GOLDEN[body], "spec.cfg": SPEC_CFG}
+    expected = {**golden, "spec.cfg": spec_cfg}
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
     assert got == expected
 
     # The returned rows are the summary CSV, keyed by its header.
-    summary = next(name for name in GOLDEN[body] if name.endswith("_summary.csv"))
+    summary = next(name for name in golden if name.endswith("_summary.csv"))
     header, *cells = (
         line.split(",") for line in (tmp_path / summary).read_text().splitlines()[1:]
     )

@@ -283,7 +283,9 @@ class TestCellConstants:
 
 
 # Reference: the radar chain as written before its scenario constants were
-# cached, line for line. The chain must reproduce it bit for bit, since the
+# cached, line for line, except that the channel's leg lengths and range rate
+# are plain float sums, not BLAS dot products (whose last bit depends on the
+# kernel the CPU selects). The chain must reproduce it bit for bit, since the
 # pinned output digests rest on every measured cell.
 
 
@@ -293,16 +295,16 @@ def _ref_steering_vector(angle, n_elements, spacing_wl):
 
 
 def _ref_realize_channel(scenario, target):
-    bs = np.asarray(scenario.bs_position, float)
-    ue = np.asarray(scenario.ue_position, float)
-    tg = np.asarray(target.position, float)
+    bx, by = scenario.bs_position
+    ux, uy = scenario.ue_position
+    x, y = target.position
+    vx, vy = target.velocity
 
-    d_fwd = float(np.linalg.norm(tg - bs))
-    d_ret = float(np.linalg.norm(tg - ue))
+    d_fwd = math.sqrt((x - bx) * (x - bx) + (y - by) * (y - by))
+    d_ret = math.sqrt((x - ux) * (x - ux) + (y - uy) * (y - uy))
 
     lam = scenario.wavelength
-    radial_unit = (tg - ue) / d_ret
-    range_rate = float(np.dot(np.asarray(target.velocity, float), radial_unit))
+    range_rate = vx * ((x - ux) / d_ret) + vy * ((y - uy) / d_ret)
     doppler = -range_rate / lam
 
     gains = scenario.gain_model
@@ -314,7 +316,7 @@ def _ref_realize_channel(scenario, target):
         nlos = NlosComponent(
             delay=d_ret / SPEED_OF_LIGHT + gains.nlos_excess_delay,
             doppler=doppler * gains.nlos_doppler_ratio,
-            arrival_angle=math.atan2(*(tg - ue)[::-1]) + gains.nlos_angle_offset,
+            arrival_angle=math.atan2(y - uy, x - ux) + gains.nlos_angle_offset,
             gain=ue_gain * gains.nlos_gain_ratio,
         )
 
@@ -322,8 +324,8 @@ def _ref_realize_channel(scenario, target):
         forward_delay=d_fwd / SPEED_OF_LIGHT,
         return_delay=d_ret / SPEED_OF_LIGHT,
         doppler=doppler,
-        departure_angle=math.atan2(*(tg - bs)[::-1]),
-        arrival_angle=math.atan2(*(tg - ue)[::-1]),
+        departure_angle=math.atan2(y - by, x - bx),
+        arrival_angle=math.atan2(y - uy, x - ux),
         bs_gain=bs_gain,
         ue_gain=ue_gain,
         nlos=nlos,

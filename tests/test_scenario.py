@@ -144,6 +144,12 @@ def test_config_invariants_rejected():
     with pytest.raises(ValueError, match="delay_window"):
         ScenarioConfig(delay_window=(0.0, 1.0 / 15e3))
     ScenarioConfig(doppler_window=(-0.5 / 100e-6, 0.5 / 100e-6))
+    # A BS on the UE is rejected once, when the scenario is built, rather
+    # than on every frame; the UE sits at (15, 10).
+    for x in (15.0, 15.0 - 9e-7):
+        with pytest.raises(ValueError, match="bs_position and ue_position must be distinct"):
+            ScenarioConfig(bs_position=(x, 10.0))
+    ScenarioConfig(bs_position=(15.0 - 2e-6, 10.0))
 
 
 @pytest.mark.parametrize("whole_float", [False, True])
