@@ -201,7 +201,7 @@ class IpnConfig:
 
     def __post_init__(self) -> None:
         check_integers(self, ("outer_rounds", "newton_iters"))
-        check_finite(self, ("barrier_init", "barrier_shrink"))
+        check_finite(self, ("barrier_init", "barrier_shrink", "fd_step"))
         if self.fd_step <= 0 or self.barrier_init <= 0:
             raise ValueError("fd_step and barrier_init must be positive")
         if not 0 < self.fd_step * self.fd_step < math.inf:
@@ -350,7 +350,7 @@ class SpsaSchedule:
     gamma: float = 0.101
 
     def __post_init__(self) -> None:
-        check_finite(self, ("a", "c", "stability"))
+        check_finite(self, ("a", "c", "stability", "alpha", "gamma"))
         if self.a <= 0 or self.c <= 0:
             raise ValueError("gain constants must be positive")
         if self.stability < 0:

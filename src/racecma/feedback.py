@@ -28,13 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from .radar import (CellConstants, build_frame, build_frames, cell_constants, measure_cell,
-                    measure_cells, realize_channel)
+                    measure_cells, noise_words, realize_channel)
 # Not used here: the benchmark tracer wraps these three names at this import
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
 # package (ROADMAP item 2b).
 from .radar import compute_resi, matched_filter, synthesize_rx_grid  # noqa: F401
-from .scenario import (ScenarioConfig, TargetState, check_integers, initial_target_state,
-                       propagate_target)
+from .scenario import (ScenarioConfig, TargetState, check_finite, check_integers,
+                       initial_target_state, propagate_target)
 from .seeding import derive_seed
 
 
@@ -83,6 +83,7 @@ class StateActionTable:
     period_multipliers: tuple[int, int, int, int] = (1, 1, 1, 2)
 
     def __post_init__(self) -> None:
+        check_finite(self, ("power_factors",))
         if any(not 0.0 <= f <= 1.0 for f in self.power_factors):
             raise ValueError("power factors must lie in [0, 1]")
         if any(a < b for a, b in zip(self.power_factors, self.power_factors[1:])):
@@ -125,8 +126,9 @@ class EpisodeWorld:
     target, its bearing and every measured float, so replays under any
     thresholds and action table read the stored floats and grow its prefix
     only where none reached. A streaming world (``keep=False``) holds those
-    of the current frame only. Neither holds anything else per frame: each
-    visit builds the frame (channel and noise draw) anew.
+    of the current frame only. Both hold the noise seed words of every
+    frame a call has asked for (:func:`_seed_frames`), and nothing else per
+    frame: each visit builds the frame (channel and noise draw) anew.
     """
 
     def __init__(self, scenario: ScenarioConfig, seed: int, keep: bool = True) -> None:
@@ -138,6 +140,7 @@ class EpisodeWorld:
         self.cells: dict[tuple[int, int, float], float] = {}
         self.target: TargetState | None = None  # the current frame's
         self.bearing = math.nan
+        self.words = np.empty((0, 4), dtype=np.uint64)  # a row per frame: radar.noise_words
 
     def advance(self, t: int) -> None:
         """Make frame ``t`` current: the first frame no target reached yet
@@ -165,6 +168,25 @@ class EpisodeWorld:
             self.cells.clear()
 
 
+def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
+    """Give each world the noise seed words of its frames before
+    ``n_frames``, mixed in one pass over every frame the worlds lack:
+    :func:`radar.noise_words` of the frame seeds ``derive_seed(seed,
+    "frame", t)``. The pass has a fixed cost that one stack's frames would
+    not repay, so it covers a call's frames up front, the ones the cadence
+    will skip included."""
+    lacking = [world for world in worlds if len(world.words) < n_frames]
+    if not lacking:
+        return
+    words = noise_words(derive_seed(world.seed, "frame", t)
+                        for world in lacking for t in range(len(world.words), n_frames))
+    start = 0
+    for world in lacking:
+        end = start + n_frames - len(world.words)
+        world.words = np.concatenate((world.words, words[start:end]))  # its own copy
+        start = end
+
+
 def _measure_frame(
     const: CellConstants,
     scenario: ScenarioConfig,
@@ -179,14 +201,13 @@ def _measure_frame(
     budget_w = scenario.tx_power_w
     if len(requests) == 1:
         [(world, keys)] = requests
-        frame = build_frame(const, realize_channel(scenario, world.target),
-                            derive_seed(world.seed, "frame", t))
+        frame = build_frame(const, realize_channel(scenario, world.target), world.words[t])
         for key in keys:
             world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)
         return
     frames = build_frames(const,
                           [realize_channel(scenario, world.target) for world, _ in requests],
-                          [derive_seed(world.seed, "frame", t) for world, _ in requests])
+                          [world.words[t] for world, _ in requests])
     cells = [(b, world, key) for b, (world, keys) in enumerate(requests) for key in keys]
     values = measure_cells(const, frames,
                            [(b, key[1], key[2] * budget_w) for b, _, key in cells])
@@ -269,7 +290,9 @@ def run_episodes(
     group, whole, and grows it for the next call on the same scenario and
     seed (IPN's line-search probes after its stencil); the first group
     starts from it if it is that group's. The other groups' worlds stream:
-    each holds the current frame's target, bearing and cells only. The
+    each holds the current frame's target, bearing and cells only. Before
+    the first frame, one pass mixes the noise seed words of every frame the
+    worlds lack (:func:`_seed_frames`). The
     seeds and triples are checked before any frame runs, and an empty batch
     returns ``[]`` with the thread's world kept. Each trace equals, bit for
     bit, the one its triple gives alone on its seed.
@@ -299,6 +322,7 @@ def run_episodes(
     # group replays it, before any frame runs.
     held = None
     _SLOT.world = worlds[-1]
+    _seed_frames(worlds, n_frames)
 
     const = cell_constants(scenario)  # looked up once: each lookup hashes the scenario
     world_of = [None] * len(checked)

@@ -57,7 +57,8 @@ class RacingConfig:
 
     def __post_init__(self) -> None:
         check_integers(self, ("repetitions", "diagonal_warmup_generations"))
-        check_finite(self, ("weighting_floor", "min_spacing"))
+        check_finite(self, ("promotion_fraction", "fidelity_ratio", "truncation",
+                            "weighting_floor", "min_spacing"))
         # "no" would sample mirrored and read back false from spec.cfg; 0 and
         # 1 equal a bool and spell as one.
         if self.mirrored_sampling not in (True, False):

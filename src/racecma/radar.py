@@ -21,7 +21,8 @@ factor) and its noise surface ``N_t`` (the matched filter of the frame's
 noise draw over the active rows) do not depend on the beam or the power.
 So it builds one :class:`Frame` per visit to a frame, the two surfaces,
 the noise floor and the departure steering vector, from the channel and
-one draw of the frame's noise, and a cell (:func:`measure_cell`) is a
+one draw of the frame's noise (the chain's generator, seeded from the
+frame's row of :func:`noise_words`), and a cell (:func:`measure_cell`) is a
 scalar times a (D, V) surface, an add and a peak; no (K, M) grid is built
 per cell. Where several worlds need a frame at once, it builds their
 frames as one stack (:func:`build_frames`) and measures their cells as one
@@ -37,12 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, ScenarioConfig, TargetState, planar_distance
-from .seeding import derive_seed
+from .seeding import derive_seed, generator_from_words, seed_words
 
 
 class GeometryError(ValueError):
@@ -339,9 +340,18 @@ def _guard_power(const: CellConstants, noise: np.ndarray) -> np.ndarray:
     return np.square(power, out=power)
 
 
-def build_frame(const: CellConstants, channel: ChannelRealization, seed: int) -> Frame:
-    """The per-frame part of every cell of a frame; ``seed`` is the frame's
-    seed, from which the noise draw derives its own."""
+def noise_words(seeds: Iterable[int]) -> np.ndarray:
+    """The noise seed words of the frame of each frame seed in ``seeds``,
+    one row of (N, 4) per frame (:func:`seeding.seed_words`). A frame's
+    noise seed is ``derive_seed(seed, "rx-noise")``, as in
+    :func:`synthesize_rx_grid`, so a frame built from its row draws the
+    chain's noise."""
+    return seed_words(np.fromiter((derive_seed(seed, "rx-noise") for seed in seeds), np.uint64))
+
+
+def build_frame(const: CellConstants, channel: ChannelRealization, words: np.ndarray) -> Frame:
+    """The per-frame part of every cell of a frame; ``words`` is the frame's
+    row of :func:`noise_words`, which seeds its noise draw."""
     arrival = _steer(const.ue_phases, math.cos(channel.arrival_angle))
     w = arrival / math.sqrt(len(arrival))
     a0 = math.sqrt(channel.bs_gain * channel.ue_gain) * np.vdot(w, arrival)
@@ -351,7 +361,7 @@ def build_frame(const: CellConstants, channel: ChannelRealization, seed: int) ->
         a0_nlos = math.sqrt(channel.bs_gain * channel.nlos.gain) * np.vdot(w, specular)
         np.add(echo, _echo_surface(const, a0_nlos, channel.forward_delay + channel.nlos.delay,
                                    channel.nlos.doppler), out=echo)
-    rng = np.random.default_rng(derive_seed(seed, "rx-noise"))
+    rng = generator_from_words(words)
     noise = rng.standard_normal((*const.pilot.shape, 2)).view(np.complex128)[..., 0]
     power = _guard_power(const, noise)
     floor = const.noise_scale * math.sqrt(np.add.reduce(power) / power.size)
@@ -360,9 +370,9 @@ def build_frame(const: CellConstants, channel: ChannelRealization, seed: int) ->
 
 
 def build_frames(
-    const: CellConstants, channels: Sequence[ChannelRealization], seeds: Sequence[int]
+    const: CellConstants, channels: Sequence[ChannelRealization], words: Sequence[np.ndarray]
 ) -> Frame:
-    """:func:`build_frame` of each ``(channels[b], seeds[b])``, as one stack
+    """:func:`build_frame` of each ``(channels[b], words[b])``, as one stack
     of frames of one scenario: each array operation runs once over the stack
     and gives every frame what it gives the frame built alone."""
     cosines = np.array([(math.cos(c.arrival_angle), math.cos(c.departure_angle))
@@ -382,9 +392,9 @@ def build_frames(
         np.add(echo, _echo_surface(const, np.array(a0_nlos)[:, None, None], columns[:, :1],
                                    columns[:, 1:]), out=echo)
     # Each frame draws from a generator of its own, into its slice of one buffer.
-    draws = np.empty((len(seeds), *const.pilot.shape, 2))
-    for seed, out in zip(seeds, draws):
-        np.random.default_rng(derive_seed(seed, "rx-noise")).standard_normal(out=out)
+    draws = np.empty((len(words), *const.pilot.shape, 2))
+    for row, out in zip(words, draws):
+        generator_from_words(row).standard_normal(out=out)
     noise = draws.view(np.complex128)[..., 0]
     # Each frame's floor as build_frame takes it: the row-wise reduce over
     # the stack's runs of guard rows equals the 1-D reduce of each run.

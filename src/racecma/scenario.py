@@ -34,6 +34,7 @@ class Rect:
     y_max: float
 
     def __post_init__(self) -> None:
+        check_finite(self, ("x_min", "x_max", "y_min", "y_max"))
         if self.x_min >= self.x_max or self.y_min >= self.y_max:
             raise ValueError("rectangle must have positive extent")
 
@@ -146,9 +147,12 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_integers(self, (*_POSITIVE_COUNTS, "n_targets", "nlos_path_count"))
-        check_finite(self, ("sensing_horizon", "carrier_freq", "antenna_spacing",
-                            "heading_jitter", "tx_power_range_dbm", "delay_window",
-                            "doppler_window", "bs_position", "ue_position"))
+        check_finite(self, ("antenna_spacing", "carrier_freq", "subcarrier_spacing",
+                            "symbol_duration", "sweep_range", "tx_power_dbm",
+                            "tx_power_range_dbm", "noise_figure_db", "target_speed",
+                            "sensing_horizon", "bs_position", "ue_position", "delay_window",
+                            "doppler_window", "null_fraction", "noise_bandwidth_scale",
+                            "interference_factor", "heading_jitter"))
         if any(getattr(self, name) < 1 for name in _POSITIVE_COUNTS):
             raise ValueError("all counts must be >= 1")
         if self.n_targets != 1:

@@ -21,12 +21,13 @@ from racecma.radar import (
     matched_filter,
     measure_cell,
     measure_cells,
+    noise_words,
     realize_channel,
     steering_vector,
     synthesize_rx_grid,
 )
 from racecma.scenario import SPEED_OF_LIGHT, TargetState
-from racecma.seeding import derive_seed, rng_from
+from racecma.seeding import derive_seed, generator_from_words, rng_from, seed_words
 
 
 def _target(position, velocity=(0.0, 0.0)):
@@ -470,7 +471,7 @@ class TestSplitMatchesChain:
         scenario = _SCENARIOS[key]
         const = cell_constants(scenario)
         channel = realize_channel(scenario, _target(position, velocity))
-        frame = build_frame(const, channel, seed)
+        frame = build_frame(const, channel, noise_words([seed])[0])
         grid = synthesize_rx_grid(scenario, channel, beam, power_w, seed)
         chain = compute_resi(matched_filter(grid, scenario.search_window()), grid,
                              scenario.null_mask())
@@ -503,6 +504,7 @@ class TestWorldCellIsTheChain:
         values = {}
         for order in (cells, cells[::-1]):
             world = EpisodeWorld(scenario, seed)
+            feedback_mod._seed_frames([world], t + 1)
             for frame in range(t + 1):
                 world.advance(frame)
             built = []
@@ -562,12 +564,12 @@ class TestStackedArithmetic:
         power = np.abs(grids[:, const.null_row:]).reshape(size, -1) ** 2
         sums = np.add.reduce(power, axis=1)
         assert sums.tolist() == [np.add.reduce(row) for row in power.copy()]
-        seeds = [derive_seed(grid, size, b) for b in range(size)]
+        words = seed_words([derive_seed(grid, size, b) for b in range(size)])
         draws = np.empty((size, n_sc, n_sym, 2))
-        for seed, out in zip(seeds, draws):
-            np.random.default_rng(seed).standard_normal(out=out)
-        for seed, out in zip(seeds, draws):
-            fresh = np.random.default_rng(seed).standard_normal((n_sc, n_sym, 2))
+        for row, out in zip(words, draws):
+            generator_from_words(row).standard_normal(out=out)
+        for row, out in zip(words, draws):
+            fresh = generator_from_words(row).standard_normal((n_sc, n_sym, 2))
             assert out.tobytes() == fresh.tobytes()
 
 
@@ -585,12 +587,13 @@ stack_given = given(
 
 
 def _stack(key, frames, picks):
-    """A stack's scenario, constants, channels, frame seeds and cells."""
+    """A stack's scenario, constants, channels, frame seeds, their noise
+    words and cells."""
     scenario = _SCENARIOS[key]
     channels = [realize_channel(scenario, _target(p, (1.0, -0.5))) for p, _ in frames]
     seeds = [seed for _, seed in frames]
     cells = [(b % len(frames), beam, eta * scenario.tx_power_w) for b, beam, eta in picks]
-    return scenario, cell_constants(scenario), channels, seeds, cells
+    return scenario, cell_constants(scenario), channels, seeds, noise_words(seeds), cells
 
 
 class TestStackedCells:
@@ -600,23 +603,23 @@ class TestStackedCells:
     @settings(max_examples=40, deadline=None)
     @stack_given
     def test_stack_equals_frames_and_cells_built_alone(self, key, frames, picks):
-        scenario, const, channels, seeds, cells = _stack(key, frames, picks)
-        stack = build_frames(const, channels, seeds)
-        for b, (channel, seed) in enumerate(zip(channels, seeds)):
-            alone = build_frame(const, channel, seed)
+        scenario, const, channels, _, words, cells = _stack(key, frames, picks)
+        stack = build_frames(const, channels, words)
+        for b, (channel, row) in enumerate(zip(channels, words)):
+            alone = build_frame(const, channel, row)
             for name in ("echo", "noise", "departure"):
                 assert getattr(stack, name)[b].tobytes() == getattr(alone, name).tobytes(), name
             assert stack.floor[b] == alone.floor
         values = measure_cells(const, stack, cells)
         for (b, beam, power_w), value in zip(cells, values):
-            assert value == measure_cell(const, build_frame(const, channels[b], seeds[b]), beam,
+            assert value == measure_cell(const, build_frame(const, channels[b], words[b]), beam,
                                          power_w)
 
     @settings(max_examples=40, deadline=None)
     @stack_given
     def test_stack_equals_chain(self, key, frames, picks):
-        scenario, const, channels, seeds, cells = _stack(key, frames, picks)
-        values = measure_cells(const, build_frames(const, channels, seeds), cells)
+        scenario, const, channels, seeds, words, cells = _stack(key, frames, picks)
+        values = measure_cells(const, build_frames(const, channels, words), cells)
         for (b, beam, power_w), value in zip(cells, values):
             grid = synthesize_rx_grid(scenario, channels[b], beam, power_w, seeds[b])
             surface = matched_filter(grid, scenario.search_window())

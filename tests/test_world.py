@@ -73,17 +73,24 @@ def held_world():
 @pytest.fixture
 def draws(monkeypatch):
     """The frame seed of each noise draw, in order, wherever it is drawn:
-    a frame built alone or in a stack seeds its draw with
-    ``derive_seed(frame_seed, "rx-noise")``."""
-    drawn = []
-    derive_seed = radar_mod.derive_seed
+    a frame built alone or in a stack seeds its draw's generator with the
+    frame's row of ``radar.noise_words``, which a call mixes up front for
+    every frame, drawn or not."""
+    drawn, seed_of = [], {}
+    noise_words, generator_from_words = radar_mod.noise_words, radar_mod.generator_from_words
 
-    def counted(*parts):
-        if parts[1:] == ("rx-noise",):
-            drawn.append(parts[0])
-        return derive_seed(*parts)
+    def mixed(seeds):
+        seeds = list(seeds)
+        words = noise_words(seeds)
+        seed_of.update((row.tobytes(), seed) for row, seed in zip(words, seeds))
+        return words
 
-    monkeypatch.setattr(radar_mod, "derive_seed", counted)
+    def counted(words):
+        drawn.append(seed_of[words.tobytes()])
+        return generator_from_words(words)
+
+    monkeypatch.setattr(feedback_mod, "noise_words", mixed)
+    monkeypatch.setattr(radar_mod, "generator_from_words", counted)
     return drawn
 
 
