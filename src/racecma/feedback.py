@@ -13,8 +13,12 @@ states and bearings and the echo strength of each (frame, beam, power
 factor) cell visited so far. The episodes of a batch, whatever their seeds,
 advance in one lockstep, a frame at a time, and the cells they miss at a
 frame are measured together: one channel and noise draw per world that
-misses any, built anew and not kept, and the frames and cells of all such
-worlds as one stack (:func:`radar.build_frames`, :func:`radar.measure_cells`).
+misses any, and the frames and cells of all such worlds as one stack
+(:func:`radar.build_frames`, :func:`radar.measure_cells`). A batch of one
+seed builds the frames no earlier call reached in blocks of
+:data:`BLOCK_FRAMES`, one stack each, and measures each cell on its frame
+of the block (:func:`radar.measure_cell`). Every frame is built in a
+stack, and none is kept past the call that built it.
 """
 
 from __future__ import annotations
@@ -27,15 +31,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .radar import (CellConstants, build_frame, build_frames, cell_constants, measure_cell,
+from .radar import (CellConstants, Frame, build_frames, cell_constants, measure_cell,
                     measure_cells, noise_words, realize_channel)
-# Not used here: the benchmark tracer wraps these three names at this import
+from .scenario import (ScenarioConfig, TargetState, check_finite, check_integers,
+                       initial_target_state, propagate_target)
+from .seeding import frame_seeds
+# Not used here: the benchmark tracer wraps these four names at this import
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
 # package (ROADMAP item 2b).
 from .radar import compute_resi, matched_filter, synthesize_rx_grid  # noqa: F401
-from .scenario import (ScenarioConfig, TargetState, check_finite, check_integers,
-                       initial_target_state, propagate_target)
-from .seeding import derive_seed
+from .seeding import derive_seed  # noqa: F401
 
 
 class InfeasibleThresholdsError(ValueError):
@@ -122,13 +127,17 @@ class EpisodeWorld:
     frame's echo strength is a pure function of those plus the beam and
     power factor the loop chooses. A world walks the target through the
     frames in order and measures each (frame, beam, power factor) cell
-    once, on first visit (:func:`_measure_frame`). A kept world holds every
+    once, on first visit (:func:`run_episodes`). A kept world holds every
     target, its bearing and every measured float, so replays under any
     thresholds and action table read the stored floats and grow its prefix
-    only where none reached. A streaming world (``keep=False``) holds those
-    of the current frame only. Both hold the noise seed words of every
-    frame a call has asked for (:func:`_seed_frames`), and nothing else per
-    frame: each visit builds the frame (channel and noise draw) anew.
+    only where none reached; a one-seed batch grows it up to
+    :data:`BLOCK_FRAMES` frames ahead of the loop (:meth:`grow`). A
+    streaming world (``keep=False``) holds those of the current frame only.
+    Both hold the noise seed words of every frame a call has asked for
+    (:func:`_seed_frames`), and nothing else per frame: no built frame
+    (channel, noise draw and surfaces) outlives the call that built it, so
+    a later call that misses a cell of a frame before its old horizon
+    builds that frame anew, in a stack of one.
     """
 
     def __init__(self, scenario: ScenarioConfig, seed: int, keep: bool = True) -> None:
@@ -143,48 +152,73 @@ class EpisodeWorld:
         self.words = np.empty((0, 4), dtype=np.uint64)  # a row per frame: radar.noise_words
 
     def advance(self, t: int) -> None:
-        """Make frame ``t`` current: the first frame no target reached yet
-        (frame 0 of a new world, the frame after the current one of a
-        streaming world) or, in a kept world, any frame before it."""
-        if t < len(self.targets):
+        """Make frame ``t`` current: in a kept world any frame, grown to it
+        if no target reached it yet; in a streaming world frame 0 or the
+        frame after the current one."""
+        if self.keep:
+            if t >= len(self.targets):
+                self.grow(t + 1)
             self.target, self.bearing = self.targets[t], self.bearings[t]
-            return
+        else:
+            self.target, self.bearing = self._step(t, self.target)
+            self.cells.clear()
+
+    def grow(self, n_frames: int) -> None:
+        """Walk a kept world's target through every frame before
+        ``n_frames`` that no target reached yet."""
+        for t in range(len(self.targets), n_frames):
+            target, bearing = self._step(t, self.targets[-1] if t else None)
+            self.targets.append(target)
+            self.bearings.append(bearing)
+
+    def _step(self, t: int, before: TargetState | None) -> tuple[TargetState, float]:
+        """Frame ``t``'s target and bearing, from frame t-1's target
+        ``before`` (None for frame 0)."""
         sc = self.scenario
         if t == 0:
-            target = initial_target_state(sc, self.seed)
-        else:
-            target = self.targets[-1] if self.keep else self.target
+            before = initial_target_state(sc, self.seed)
         # The motion seed's parts: propagate_target derives it only on a
         # reflection it jitters.
-        target = propagate_target(target, sc.frame_duration, (self.seed, "motion", t),
+        target = propagate_target(before, sc.frame_duration, (self.seed, "motion", t),
                                   sc.region, sc.heading_jitter)
         bs = sc.bs_position
-        self.target = target
-        self.bearing = math.atan2(target.position[1] - bs[1], target.position[0] - bs[0])
-        if self.keep:
-            self.targets.append(target)
-            self.bearings.append(self.bearing)
-        else:
-            self.cells.clear()
+        return target, math.atan2(target.position[1] - bs[1], target.position[0] - bs[0])
 
 
 def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
     """Give each world the noise seed words of its frames before
     ``n_frames``, mixed in one pass over every frame the worlds lack:
     :func:`radar.noise_words` of the frame seeds ``derive_seed(seed,
-    "frame", t)``. The pass has a fixed cost that one stack's frames would
-    not repay, so it covers a call's frames up front, the ones the cadence
-    will skip included."""
+    "frame", t)`` (:func:`seeding.frame_seeds`). The pass has a fixed cost
+    that one stack's frames would not repay, so it covers a call's frames
+    up front, the ones the cadence will skip included."""
     lacking = [world for world in worlds if len(world.words) < n_frames]
     if not lacking:
         return
-    words = noise_words(derive_seed(world.seed, "frame", t)
-                        for world in lacking for t in range(len(world.words), n_frames))
+    words = noise_words([seed for world in lacking
+                         for seed in frame_seeds(world.seed, len(world.words), n_frames)])
     start = 0
     for world in lacking:
         end = start + n_frames - len(world.words)
         world.words = np.concatenate((world.words, words[start:end]))  # its own copy
         start = end
+
+
+# How many frames a one-seed batch builds ahead as one stack. The cost per
+# frame falls with the stack up to about 8 paper or 16 desk frames and is
+# flat beyond (CHANGES.md); sixteen paper frames draw 1 MB of noise at once.
+BLOCK_FRAMES = 16
+
+
+def _build_ahead(const: CellConstants, world: EpisodeWorld, start: int, stop: int) -> Frame:
+    """Frames ``start`` to ``stop - 1`` of a kept world as one stack, its
+    targets grown to ``stop`` first: motion does not depend on the
+    thresholds."""
+    world.grow(stop)
+    scenario = world.scenario
+    return build_frames(const, [realize_channel(scenario, target)
+                                for target in world.targets[start:stop]],
+                        world.words[start:stop])
 
 
 def _measure_frame(
@@ -195,16 +229,9 @@ def _measure_frame(
 ) -> None:
     """Measure the missing cells ``(t, beam, power factor)`` of each
     ``(world, cells)`` request at its current frame ``t`` into
-    ``world.cells``, from one draw of each world's noise. The frames of two
-    or more worlds are built as one stack and their cells measured as one
-    stack; a lone world's frame is built and measured alone."""
+    ``world.cells``, from one draw of each world's noise: the worlds' frames
+    as one stack (of one for a lone world) and their cells as one stack."""
     budget_w = scenario.tx_power_w
-    if len(requests) == 1:
-        [(world, keys)] = requests
-        frame = build_frame(const, realize_channel(scenario, world.target), world.words[t])
-        for key in keys:
-            world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)
-        return
     frames = build_frames(const,
                           [realize_channel(scenario, world.target) for world, _ in requests],
                           [world.words[t] for world, _ in requests])
@@ -285,8 +312,14 @@ def run_episodes(
     lockstep, a frame at a time, writing into arrays allocated up front.
     At each frame the cells the episodes miss are measured together: one
     noise draw per world that misses any, the frames and cells of all such
-    worlds as one stack, or a lone world's frame alone
-    (:func:`_measure_frame`). Each thread keeps the world of the last
+    worlds as one stack, of one for a lone world (:func:`_measure_frame`).
+    A batch of one seed builds ahead instead, at frames no earlier call
+    reached (all of a new world's, and those past the old horizon of a
+    thread's world replayed at a longer fidelity): at the first such frame
+    where it misses a cell, its next :data:`BLOCK_FRAMES` frames become one
+    stack, kept until the loop has passed them, and each cell is measured
+    on its frame of the stack; a frame of it no episode measures is drawn
+    all the same. Each thread keeps the world of the last
     group, whole, and grows it for the next call on the same scenario and
     seed (IPN's line-search probes after its stencil); the first group
     starts from it if it is that group's. The other groups' worlds stream:
@@ -325,6 +358,7 @@ def run_episodes(
     _seed_frames(worlds, n_frames)
 
     const = cell_constants(scenario)  # looked up once: each lookup hashes the scenario
+    budget_w = scenario.tx_power_w
     world_of = [None] * len(checked)
     for world, members in zip(worlds, groups.values()):
         for i in members:
@@ -335,6 +369,10 @@ def run_episodes(
              for thresholds, world, out in zip(checked, world_of, outs)]
     wanted = [next(loop) for loop in loops]
 
+    # A one-seed batch builds the frames from the first one no earlier call
+    # reached in blocks: the stack ``block`` holds frames start to stop - 1.
+    ahead = len(worlds[0].targets) if len(worlds) == 1 else n_frames
+    block, start, stop = None, 0, 0
     for t in range(n_frames):
         requests = []
         for world, members in zip(worlds, groups.values()):
@@ -346,7 +384,16 @@ def run_episodes(
                     missing.append(key)
             if missing:
                 requests.append((world, missing))
-        if requests:
+        if requests and t >= ahead:
+            [(world, keys)] = requests
+            if t >= stop:
+                block = None  # the loop has passed it: free it before the next
+                start, stop = t, min(t + BLOCK_FRAMES, n_frames)
+                block = _build_ahead(const, world, start, stop)
+            frame = block.at(t - start)
+            for key in keys:
+                world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)
+        elif requests:
             _measure_frame(const, scenario, t, requests)
         for i, loop in enumerate(loops):
             key = wanted[i]

@@ -24,13 +24,16 @@ the noise floor and the departure steering vector, from the channel and
 one draw of the frame's noise (the chain's generator, seeded from the
 frame's row of :func:`noise_words`), and a cell (:func:`measure_cell`) is a
 scalar times a (D, V) surface, an add and a peak; no (K, M) grid is built
-per cell. Where several worlds need a frame at once, it builds their
-frames as one stack (:func:`build_frames`) and measures their cells as one
-stack (:func:`measure_cells`), each array operation once over the stack;
-every frame and cell of a stack equals, bit for bit, the one built alone.
-The split equals the chain up to rounding (a relative difference of the
-order of 1e-15), and the two share no cell arithmetic, so the chain stays
-an independent reference model.
+per cell. Every frame is built in a stack (:func:`build_frames`), each
+array operation once over the stack: the frames of every world that
+misses a cell at one frame, a block of one world's next frames, or a
+stack of one. A stack's cells are measured one at a time on a frame of it
+(:meth:`Frame.at`) or as one stack (:func:`measure_cells`). A frame's
+values, and each of its cells, are the same bit for bit whatever stack
+it is built in and however its cells are measured. The split equals the
+chain up to rounding (a relative difference of the order of 1e-15), and
+the two share no cell arithmetic, so the chain stays an independent
+reference model.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, ScenarioConfig, TargetState, planar_distance
-from .seeding import derive_seed, generator_from_words, seed_words
+from .seeding import derive_seed, generator_from_words, noise_seeds, seed_words
 
 
 class GeometryError(ValueError):
@@ -289,10 +292,10 @@ class Frame(NamedTuple):
     frame's two delay-Doppler surfaces over the search window, its noise
     floor and its departure steering vector.
 
-    Built from the channel and one draw of the frame's noise for the cells
-    measured at that visit, then dropped. A cell adds only the gain of its
-    beam and power. A stack of B frames (:func:`build_frames`) holds each
-    array with a leading axis of B and each floor in a list of B.
+    Built from the channel and one draw of the frame's noise, always in a
+    stack of B frames (:func:`build_frames`), which holds each array with a
+    leading axis of B and each floor in a list of B; :meth:`at` is one frame
+    of it. A cell adds only the gain of its beam and power.
     """
 
     echo: np.ndarray  # (D, V): the echo surface at unit transmit gain and power
@@ -300,15 +303,18 @@ class Frame(NamedTuple):
     floor: float  # the RMS of the noise over the guard rows
     departure: np.ndarray  # (n_bs,): the BS steering vector towards the target
 
+    def at(self, b: int) -> Frame:
+        """Frame ``b`` of a stack, as :func:`measure_cell` takes it."""
+        return Frame(self.echo[b], self.noise[b], self.floor[b], self.departure[b])
 
-# The helpers below take one frame's values, or a stack of frames' values
-# along a leading axis (each number as a column), and give each frame the
-# same operations on the same operands.
+
+# The helpers below take a stack of frames' values along a leading axis
+# (each number as a column) and give each frame the same operations on the
+# same operands, whatever the stack.
 
 
 def _echo_surface(
-    const: CellConstants, amplitude: complex | np.ndarray, delay: float | np.ndarray,
-    doppler: float | np.ndarray,
+    const: CellConstants, amplitude: np.ndarray, delay: np.ndarray, doppler: np.ndarray
 ) -> np.ndarray:
     """The (D, V) surface of an echo of ``amplitude``, ``delay`` and
     ``doppler``: the matched filter of a rank-one grid is the outer product
@@ -341,40 +347,23 @@ def _guard_power(const: CellConstants, noise: np.ndarray) -> np.ndarray:
 
 
 def noise_words(seeds: Iterable[int]) -> np.ndarray:
-    """The noise seed words of the frame of each frame seed in ``seeds``,
-    one row of (N, 4) per frame (:func:`seeding.seed_words`). A frame's
-    noise seed is ``derive_seed(seed, "rx-noise")``, as in
+    """The noise seed words of the frame of each frame seed in ``seeds`` (a
+    Python int, as :func:`seeding.frame_seeds` gives it), one row of (N, 4)
+    per frame (:func:`seeding.seed_words`). A frame's noise seed is
+    ``derive_seed(seed, "rx-noise")`` (:func:`seeding.noise_seeds`), as in
     :func:`synthesize_rx_grid`, so a frame built from its row draws the
     chain's noise."""
-    return seed_words(np.fromiter((derive_seed(seed, "rx-noise") for seed in seeds), np.uint64))
-
-
-def build_frame(const: CellConstants, channel: ChannelRealization, words: np.ndarray) -> Frame:
-    """The per-frame part of every cell of a frame; ``words`` is the frame's
-    row of :func:`noise_words`, which seeds its noise draw."""
-    arrival = _steer(const.ue_phases, math.cos(channel.arrival_angle))
-    w = arrival / math.sqrt(len(arrival))
-    a0 = math.sqrt(channel.bs_gain * channel.ue_gain) * np.vdot(w, arrival)
-    echo = _echo_surface(const, a0, channel.total_delay, channel.doppler)
-    if channel.nlos is not None:
-        specular = _steer(const.ue_phases, math.cos(channel.nlos.arrival_angle))
-        a0_nlos = math.sqrt(channel.bs_gain * channel.nlos.gain) * np.vdot(w, specular)
-        np.add(echo, _echo_surface(const, a0_nlos, channel.forward_delay + channel.nlos.delay,
-                                   channel.nlos.doppler), out=echo)
-    rng = generator_from_words(words)
-    noise = rng.standard_normal((*const.pilot.shape, 2)).view(np.complex128)[..., 0]
-    power = _guard_power(const, noise)
-    floor = const.noise_scale * math.sqrt(np.add.reduce(power) / power.size)
-    return Frame(echo=echo, noise=_noise_surface(const, noise), floor=floor,
-                 departure=_steer(const.bs_phases, math.cos(channel.departure_angle)))
+    return seed_words(noise_seeds(seeds))
 
 
 def build_frames(
     const: CellConstants, channels: Sequence[ChannelRealization], words: Sequence[np.ndarray]
 ) -> Frame:
-    """:func:`build_frame` of each ``(channels[b], words[b])``, as one stack
-    of frames of one scenario: each array operation runs once over the stack
-    and gives every frame what it gives the frame built alone."""
+    """The per-frame part of every cell of each frame ``(channels[b],
+    words[b])``, as one stack of frames of one scenario; ``words[b]`` is the
+    frame's row of :func:`noise_words`, which seeds its noise draw. Each
+    array operation runs once over the stack, and each frame's values do not
+    depend on the other frames of the stack or on its size."""
     cosines = np.array([(math.cos(c.arrival_angle), math.cos(c.departure_angle))
                         for c in channels])
     arrival = _steer(const.ue_phases, cosines[:, :1])
@@ -396,8 +385,8 @@ def build_frames(
     for row, out in zip(words, draws):
         generator_from_words(row).standard_normal(out=out)
     noise = draws.view(np.complex128)[..., 0]
-    # Each frame's floor as build_frame takes it: the row-wise reduce over
-    # the stack's runs of guard rows equals the 1-D reduce of each run.
+    # The row-wise reduce over the stack's runs of guard rows equals the
+    # 1-D reduce of each run, so a frame's floor does not depend on the stack.
     power = _guard_power(const, noise)
     floor = [const.noise_scale * math.sqrt(total / power.shape[1])
              for total in np.add.reduce(power, axis=1).tolist()]
@@ -416,11 +405,11 @@ def _tx_gain(
 
 
 def measure_cell(const: CellConstants, frame: Frame, beam_index: int, power_w: float) -> float:
-    """Echo strength of one (frame, beam, power) cell of a frame built alone:
-    the peak of the frame's echo surface times the cell's gain,
-    ``sqrt(power_w)`` times the beam's transmit gain, plus the noise
-    surface, over the floor. Any number of the frame's cells may share one
-    ``frame``.
+    """Echo strength of one (frame, beam, power) cell of one frame (a
+    :meth:`Frame.at` of a stack): the peak of the frame's echo surface
+    times the cell's gain, ``sqrt(power_w)`` times the beam's transmit gain,
+    plus the noise surface, over the floor. Any number of the frame's cells
+    may share one ``frame``.
 
     The matched filter is linear and the pilot covers whole subcarrier
     rows, so this is the value of the chain ``synthesize_rx_grid`` ->
@@ -441,8 +430,8 @@ def measure_cells(
 ) -> list[float]:
     """Echo strength of each cell ``(b, beam, power_w)`` of a stack of
     frames, in one pass over a (C, D, V) stack of surfaces with one peak per
-    slice. Each equals :func:`measure_cell` of the cell on frame b built
-    alone, bit for bit.
+    slice. Each equals :func:`measure_cell` of the cell on ``frames.at(b)``,
+    bit for bit.
     """
     at = [b for b, _, _ in cells]
     if any(frames.floor[b] <= 0 for b in at):

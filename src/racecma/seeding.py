@@ -16,13 +16,16 @@ seeds at once in numpy arrays, and :func:`generator_from_words` seeds a
 ``PCG64`` with one seed's words. So its stream is ``default_rng(s)``'s, bit
 for bit (``tests/test_seeding.py`` holds both to numpy's over the whole
 63-bit range), and building it skips ``SeedSequence``, most of
-``default_rng``'s cost.
+``default_rng``'s cost. The seeds themselves, ``derive_seed(seed, "frame",
+t)`` and its child ``derive_seed(frame_seed, "rx-noise")``, come from
+:func:`frame_seeds` and :func:`noise_seeds`, which hash the same bytes
+with less formatting.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -40,6 +43,30 @@ def derive_seed(*parts) -> int:
     # One buffer, hashed once: each part's repr followed by a unit separator.
     data = (("%r\x1f" * len(parts)) % parts).encode()
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little") & _MASK63
+
+
+def frame_seeds(seed, start: int, stop: int) -> list[int]:
+    """``derive_seed(seed, "frame", t)`` of each frame t in [start, stop),
+    from one SHA-256 pre-fed with ``repr(seed)`` and ``"frame"`` and copied
+    per frame, so each frame hashes only its own index."""
+    prefix = hashlib.sha256(("%r\x1f'frame'\x1f" % (seed,)).encode())
+    seeds = []
+    for t in range(start, stop):
+        digest = prefix.copy()
+        digest.update(b"%d\x1f" % t)
+        seeds.append(int.from_bytes(digest.digest()[:8], "little") & _MASK63)
+    return seeds
+
+
+def noise_seeds(seeds: Iterable[int]) -> np.ndarray:
+    """``derive_seed(s, "rx-noise")`` of each frame seed ``s``, a Python int
+    as :func:`frame_seeds` gives it (whose repr is its decimal digits), as a
+    ``uint64`` array. Each is one SHA-256 of a buffer formatted in place."""
+    sha256 = hashlib.sha256
+    return np.fromiter(
+        (int.from_bytes(sha256(b"%d\x1f'rx-noise'\x1f" % s).digest()[:8], "little") & _MASK63
+         for s in seeds),
+        np.uint64)
 
 
 def rng_from(*parts) -> np.random.Generator:

@@ -14,7 +14,6 @@ from racecma.radar import (
     GeometryError,
     NlosComponent,
     RxGrid,
-    build_frame,
     build_frames,
     cell_constants,
     compute_resi,
@@ -471,7 +470,7 @@ class TestSplitMatchesChain:
         scenario = _SCENARIOS[key]
         const = cell_constants(scenario)
         channel = realize_channel(scenario, _target(position, velocity))
-        frame = build_frame(const, channel, noise_words([seed])[0])
+        frame = build_frames(const, [channel], noise_words([seed])).at(0)
         grid = synthesize_rx_grid(scenario, channel, beam, power_w, seed)
         chain = compute_resi(matched_filter(grid, scenario.search_window()), grid,
                              scenario.null_mask())
@@ -510,14 +509,15 @@ class TestWorldCellIsTheChain:
             built = []
 
             def counted(*args):
-                built.append(build_frame(*args))
+                built.append(build_frames(*args))
                 return built[-1]
 
-            with mock.patch.object(feedback_mod, "build_frame", counted):
+            with mock.patch.object(feedback_mod, "build_frames", counted):
                 feedback_mod._measure_frame(cell_constants(scenario), scenario, t,
                                             [(world, [(t, *c) for c in order])])
-            assert len(built) == 1  # one frame, so one draw, served every cell
-            floor = built[0].floor
+            # A stack of one frame, so one draw, served every cell.
+            assert len(built) == 1 and len(built[0].floor) == 1
+            floor = built[0].floor[0]
             for beam, eta in order:
                 value = world.cells[(t, beam, eta)]
                 chain, ref, chain_floor, ref_floor = _chain_values(scenario, world, t, beam, eta)
@@ -538,7 +538,7 @@ class TestStackedArithmetic:
     that differs between a batch and its episodes run alone."""
 
     @pytest.mark.parametrize("grid", list(_GRIDS))
-    @pytest.mark.parametrize("size", [2, 8, 12, 40])
+    @pytest.mark.parametrize("size", [1, 2, 8, 12, 16, 40])
     def test_stacked_operations_equal_per_slice(self, grid, size):
         const = cell_constants(_GRIDS[grid])
         n_sc, n_sym = const.pilot.shape
@@ -596,9 +596,15 @@ def _stack(key, frames, picks):
     return scenario, cell_constants(scenario), channels, seeds, noise_words(seeds), cells
 
 
+def _alone(const, channel, row):
+    """The frame of one channel and noise row, built in a stack of one."""
+    return build_frames(const, [channel], [row]).at(0)
+
+
 class TestStackedCells:
     """A stack of frames and cells gives each frame and cell exactly what it
-    gets built alone, and each cell the chain's value up to rounding."""
+    gets built in a stack of one, and each cell the chain's value up to
+    rounding."""
 
     @settings(max_examples=40, deadline=None)
     @stack_given
@@ -606,14 +612,15 @@ class TestStackedCells:
         scenario, const, channels, _, words, cells = _stack(key, frames, picks)
         stack = build_frames(const, channels, words)
         for b, (channel, row) in enumerate(zip(channels, words)):
-            alone = build_frame(const, channel, row)
+            frame, alone = stack.at(b), _alone(const, channel, row)
             for name in ("echo", "noise", "departure"):
-                assert getattr(stack, name)[b].tobytes() == getattr(alone, name).tobytes(), name
-            assert stack.floor[b] == alone.floor
+                assert getattr(frame, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert frame.floor == alone.floor
         values = measure_cells(const, stack, cells)
         for (b, beam, power_w), value in zip(cells, values):
-            assert value == measure_cell(const, build_frame(const, channels[b], words[b]), beam,
+            assert value == measure_cell(const, _alone(const, channels[b], words[b]), beam,
                                          power_w)
+            assert value == measure_cell(const, stack.at(b), beam, power_w)
 
     @settings(max_examples=40, deadline=None)
     @stack_given

@@ -1,7 +1,8 @@
 """derive_seed hashes one joined buffer; its seeds are those of the
-streaming form it replaced, so no seeded stream moves. A frame's noise
-generator, built from seed words mixed in a batch, is numpy's
-``default_rng`` of the same seed."""
+streaming form it replaced, so no seeded stream moves. The frame and noise
+seeds hashed from a copied prefix and a formatted buffer are derive_seed's.
+A frame's noise generator, built from seed words mixed in a batch, is
+numpy's ``default_rng`` of the same seed."""
 
 import hashlib
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from racecma.seeding import derive_seed, generator_from_words, seed_words
+from racecma.seeding import (derive_seed, frame_seeds, generator_from_words, noise_seeds,
+                             seed_words)
 
 
 def _streaming_derive_seed(*parts) -> int:
@@ -40,6 +42,22 @@ def test_joined_buffer_matches_streaming_digest(parts):
 
 
 seeds_63 = st.integers(0, 2**63 - 1)
+
+
+# Every pinned noise draw rests on these two being derive_seed's seeds.
+@given(seed=st.one_of(seeds_63, seeds_63.map(np.int64)), start=st.integers(0, 5000),
+       count=st.integers(0, 4))
+@example(seed=0, start=0, count=1)
+@example(seed=np.int64(3), start=4997, count=4)
+@example(seed=2**63 - 1, start=5000, count=1)
+@example(seed=np.int64(2**63 - 1), start=0, count=2)
+def test_frame_and_noise_seeds_equal_derive_seeds(seed, start, count):
+    stop = min(start + count, 5001)
+    frames = frame_seeds(seed, start, stop)
+    assert frames == [derive_seed(seed, "frame", t) for t in range(start, stop)]
+    noise = noise_seeds(frames)
+    assert noise.dtype == np.uint64
+    assert noise.tolist() == [derive_seed(s, "rx-noise") for s in frames]
 
 
 # This rests on numpy's SeedSequence algorithm, which seed_words ports: a

@@ -19,7 +19,7 @@ from racecma import scenario as scenario_mod
 from racecma.feedback import (EpisodeTrace, EpisodeWorld, InfeasibleThresholdsError,
                               StateActionTable)
 from racecma.radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
-from racecma.scenario import initial_target_state, propagate_target
+from racecma.scenario import ScenarioConfig, initial_target_state, propagate_target
 from racecma.seeding import derive_seed
 
 
@@ -73,7 +73,7 @@ def held_world():
 @pytest.fixture
 def draws(monkeypatch):
     """The frame seed of each noise draw, in order, wherever it is drawn:
-    a frame built alone or in a stack seeds its draw's generator with the
+    a frame built in any stack seeds its draw's generator with the
     frame's row of ``radar.noise_words``, which a call mixes up front for
     every frame, drawn or not."""
     drawn, seed_of = [], {}
@@ -392,3 +392,58 @@ class TestSlot:
             counts.append(len(draws))
         assert counts == [40, 40, 80, 120]
         assert held_world().seed == 1 and len(held_world().cells) == 40
+
+
+BLOCK_SCENARIOS = {
+    "desk": desk_scenario(),
+    "desk-nlos": desk_scenario(nlos_path_count=1),
+    "paper": ScenarioConfig(),
+}
+
+
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """The number of frames of every stack ``run_episodes`` builds."""
+    sizes = []
+    build_frames = feedback_mod.build_frames
+
+    def recorded(const, channels, words):
+        sizes.append(len(channels))
+        return build_frames(const, channels, words)
+
+    monkeypatch.setattr(feedback_mod, "build_frames", recorded)
+    return sizes
+
+
+class TestBlocks:
+    """A one-seed batch builds the frames no earlier call reached in blocks
+    of ``BLOCK_FRAMES``; every byte it gives equals a frame at a time's."""
+
+    @pytest.mark.parametrize("key", list(BLOCK_SCENARIOS))
+    def test_blocks_equal_frames_built_one_at_a_time(self, key, monkeypatch, stack_sizes):
+        scenario = BLOCK_SCENARIOS[key]
+        triples = [(0.2 * i, 0.2 * i + 1.0, 0.2 * i + 2.0) for i in range(0, 12, 3)]
+        # New triples and a revisit, on the held world.
+        probes = [(0.1, 0.6, 1.4), (3.0, 4.0, 5.0), triples[1]]
+        # 0.37 and 0.81 of a horizon: neither is a multiple of the block.
+        calls = [(triples, 0.37), (probes, 0.37), (triples + probes, 0.81)]
+        runs = {}
+        for block_frames in (feedback_mod.BLOCK_FRAMES, 1):
+            monkeypatch.setattr(feedback_mod, "BLOCK_FRAMES", block_frames)
+            stack_sizes.clear()
+            cold_start()
+            traces = [run_episodes(scenario, batch, [3] * len(batch), fidelity=fidelity)
+                      for batch, fidelity in calls]
+            world = held_world()
+            runs[block_frames] = traces, world.cells, world.targets, world.bearings
+            assert max(stack_sizes) == block_frames
+        (blocked, *kept), (single, *kept_single) = runs.values()
+        for batch, batch_single in zip(blocked, single):
+            for trace, trace_single in zip(batch, batch_single):
+                assert_identical(trace, trace_single)
+        assert kept == kept_single
+
+    def test_paper_episode_stacks_at_most_a_block(self, stack_sizes):
+        cold_start()
+        run_episode(BLOCK_SCENARIOS["paper"], (1.0, 2.0, 3.0), seed=3)
+        assert max(stack_sizes) == feedback_mod.BLOCK_FRAMES
