@@ -297,17 +297,18 @@ def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
          raw_header: Sequence[str], summarize: Callable,
          summary_header: Sequence[str]) -> list[dict]:
     """Run ``rep_fn(spec, rep)`` for every repetition, in ``spec.jobs``
-    processes; write ``<name>_runs.csv``, ``<name>_summary.csv`` and
-    ``spec.cfg`` into ``out_dir``. ``summarize(spec, runs)`` turns the runs,
-    keyed by ``raw_header``, into summary rows in ``summary_header`` order,
-    which are returned keyed by that header. The reps run on the values that
+    processes but no more than one per repetition; write
+    ``<name>_runs.csv``, ``<name>_summary.csv`` and ``spec.cfg`` into
+    ``out_dir``. ``summarize(spec, runs)`` turns the runs, keyed by
+    ``raw_header``, into summary rows in ``summary_header`` order, which are
+    returned keyed by that header. The reps run on the values that
     ``spec.cfg`` spells: ``derive_seed`` hashes ``repr``, so ``10``, ``10.0``
     and ``np.float64(10.0)`` would otherwise draw apart."""
     cfg = spec_to_config(spec)
     spec = spec_from_config(cfg, spec)
     reps = range(spec.repetitions)
     if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(spec.jobs, spec.repetitions)) as pool:
             per_rep = list(pool.map(rep_fn, [spec] * spec.repetitions, reps))
     else:
         per_rep = [rep_fn(spec, rep) for rep in reps]

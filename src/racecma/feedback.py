@@ -15,10 +15,10 @@ advance in one lockstep, a frame at a time, and the cells they miss at a
 frame are measured together: one channel and noise draw per world that
 misses any, and the frames and cells of all such worlds as one stack
 (:func:`radar.build_frames`, :func:`radar.measure_cells`). A batch of one
-seed builds the frames no earlier call reached in blocks of
-:data:`BLOCK_FRAMES`, one stack each, and measures each cell on its frame
-of the block (:func:`radar.measure_cell`). Every frame is built in a
-stack, and none is kept past the call that built it.
+seed builds a block of :data:`BLOCK_FRAMES` frames, one stack, at each
+frame where it misses a cell past its last block, and measures each cell
+on its frame of the block (:func:`radar.measure_cell`). Every frame is
+built in a stack, and none is kept past the call that built it.
 """
 
 from __future__ import annotations
@@ -130,14 +130,13 @@ class EpisodeWorld:
     once, on first visit (:func:`run_episodes`). A kept world holds every
     target, its bearing and every measured float, so replays under any
     thresholds and action table read the stored floats and grow its prefix
-    only where none reached; a one-seed batch grows it up to
-    :data:`BLOCK_FRAMES` frames ahead of the loop (:meth:`grow`). A
-    streaming world (``keep=False``) holds those of the current frame only.
-    Both hold the noise seed words of every frame a call has asked for
-    (:func:`_seed_frames`), and nothing else per frame: no built frame
-    (channel, noise draw and surfaces) outlives the call that built it, so
-    a later call that misses a cell of a frame before its old horizon
-    builds that frame anew, in a stack of one.
+    only where none reached; a one-seed batch grows it to the end of each
+    block it builds (:meth:`grow`). A streaming world (``keep=False``)
+    holds those of the current frame only. Both hold the noise seed words
+    of every frame a call has asked for (:func:`_seed_frames`), and nothing
+    else per frame: no built frame (channel, noise draw and surfaces)
+    outlives the call that built it, so a later call that misses a cell of
+    a frame builds that frame anew, in a block.
     """
 
     def __init__(self, scenario: ScenarioConfig, seed: int, keep: bool = True) -> None:
@@ -204,13 +203,13 @@ def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
         start = end
 
 
-# How many frames a one-seed batch builds ahead as one stack. The cost per
+# How many frames a one-seed batch builds as one stack. The cost per
 # frame falls with the stack up to about 8 paper or 16 desk frames and is
 # flat beyond (CHANGES.md); sixteen paper frames draw 1 MB of noise at once.
 BLOCK_FRAMES = 16
 
 
-def _build_ahead(const: CellConstants, world: EpisodeWorld, start: int, stop: int) -> Frame:
+def _build_block(const: CellConstants, world: EpisodeWorld, start: int, stop: int) -> Frame:
     """Frames ``start`` to ``stop - 1`` of a kept world as one stack, its
     targets grown to ``stop`` first: motion does not depend on the
     thresholds."""
@@ -230,7 +229,7 @@ def _measure_frame(
     """Measure the missing cells ``(t, beam, power factor)`` of each
     ``(world, cells)`` request at its current frame ``t`` into
     ``world.cells``, from one draw of each world's noise: the worlds' frames
-    as one stack (of one for a lone world) and their cells as one stack."""
+    as one stack and their cells as one stack."""
     budget_w = scenario.tx_power_w
     frames = build_frames(const,
                           [realize_channel(scenario, world.target) for world, _ in requests],
@@ -312,23 +311,21 @@ def run_episodes(
     lockstep, a frame at a time, writing into arrays allocated up front.
     At each frame the cells the episodes miss are measured together: one
     noise draw per world that misses any, the frames and cells of all such
-    worlds as one stack, of one for a lone world (:func:`_measure_frame`).
-    A batch of one seed builds ahead instead, at frames no earlier call
-    reached (all of a new world's, and those past the old horizon of a
-    thread's world replayed at a longer fidelity): at the first such frame
-    where it misses a cell, its next :data:`BLOCK_FRAMES` frames become one
-    stack, kept until the loop has passed them, and each cell is measured
-    on its frame of the stack; a frame of it no episode measures is drawn
-    all the same. Each thread keeps the world of the last
-    group, whole, and grows it for the next call on the same scenario and
-    seed (IPN's line-search probes after its stencil); the first group
-    starts from it if it is that group's. The other groups' worlds stream:
-    each holds the current frame's target, bearing and cells only. Before
-    the first frame, one pass mixes the noise seed words of every frame the
-    worlds lack (:func:`_seed_frames`). The
-    seeds and triples are checked before any frame runs, and an empty batch
-    returns ``[]`` with the thread's world kept. Each trace equals, bit for
-    bit, the one its triple gives alone on its seed.
+    worlds as one stack (:func:`_measure_frame`). A batch of one seed
+    builds blocks instead: at a frame where it misses a cell past its last
+    block, that frame and the next ones, :data:`BLOCK_FRAMES` in all, become
+    one stack, kept until the loop has passed them, and each cell is
+    measured on its frame of the stack; a frame of it no episode measures
+    is drawn all the same. Each thread keeps the world of the last group,
+    whole, and grows it for the next call on the same scenario and seed
+    (IPN's line-search probes after its stencil); the first group starts
+    from it if it is that group's. The other groups' worlds stream: each
+    holds the current frame's target, bearing and cells only. Before the
+    first frame, one pass mixes the noise seed words of every frame the
+    worlds lack (:func:`_seed_frames`). The seeds and triples are checked
+    before any frame runs, and an empty batch returns ``[]`` with the
+    thread's world kept. Each trace equals, bit for bit, the one its triple
+    gives alone on its seed.
     """
     if len(seeds) != len(triples):
         raise ValueError("need one seed per threshold triple")
@@ -369,9 +366,7 @@ def run_episodes(
              for thresholds, world, out in zip(checked, world_of, outs)]
     wanted = [next(loop) for loop in loops]
 
-    # A one-seed batch builds the frames from the first one no earlier call
-    # reached in blocks: the stack ``block`` holds frames start to stop - 1.
-    ahead = len(worlds[0].targets) if len(worlds) == 1 else n_frames
+    # A one-seed batch's stack ``block`` holds frames start to stop - 1.
     block, start, stop = None, 0, 0
     for t in range(n_frames):
         requests = []
@@ -384,12 +379,12 @@ def run_episodes(
                     missing.append(key)
             if missing:
                 requests.append((world, missing))
-        if requests and t >= ahead:
+        if requests and len(worlds) == 1:
             [(world, keys)] = requests
             if t >= stop:
                 block = None  # the loop has passed it: free it before the next
                 start, stop = t, min(t + BLOCK_FRAMES, n_frames)
-                block = _build_ahead(const, world, start, stop)
+                block = _build_block(const, world, start, stop)
             frame = block.at(t - start)
             for key in keys:
                 world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)

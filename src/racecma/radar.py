@@ -25,9 +25,9 @@ one draw of the frame's noise (the chain's generator, seeded from the
 frame's row of :func:`noise_words`), and a cell (:func:`measure_cell`) is a
 scalar times a (D, V) surface, an add and a peak; no (K, M) grid is built
 per cell. Every frame is built in a stack (:func:`build_frames`), each
-array operation once over the stack: the frames of every world that
-misses a cell at one frame, a block of one world's next frames, or a
-stack of one. A stack's cells are measured one at a time on a frame of it
+array operation once over the stack: the frames of every world of a batch
+that misses a cell at one frame, or a block of a one-seed batch's next
+frames. A stack's cells are measured one at a time on a frame of it
 (:meth:`Frame.at`) or as one stack (:func:`measure_cells`). A frame's
 values, and each of its cells, are the same bit for bit whatever stack
 it is built in and however its cells are measured. The split equals the
@@ -54,20 +54,19 @@ class GeometryError(ValueError):
     BS on the UE when it is built."""
 
 
-@dataclass(frozen=True)
-class NlosComponent:
+class NlosComponent(NamedTuple):
     delay: float
     doppler: float
     arrival_angle: float
     gain: float
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(NamedTuple):
     """Deterministic channel parameters for one frame.
 
     Gains are linear power factors; delays compound along the forward
-    (BS-to-target) and return (target-to-UE) legs.
+    (BS-to-target) and return (target-to-UE) legs. A hand-built channel is
+    checked where it enters the chain (:func:`synthesize_rx_grid`).
     """
 
     forward_delay: float
@@ -78,14 +77,6 @@ class ChannelRealization:
     bs_gain: float
     ue_gain: float
     nlos: NlosComponent | None = None
-
-    def __post_init__(self) -> None:
-        if self.forward_delay < 0 or self.return_delay < 0:
-            raise ValueError("delays must be nonnegative")
-        if self.bs_gain < 0 or self.ue_gain < 0:
-            raise ValueError("gains must be nonnegative")
-        if self.nlos is not None and self.nlos.delay < self.return_delay:
-            raise ValueError("specular return cannot arrive before the direct return")
 
     @property
     def total_delay(self) -> float:
@@ -261,6 +252,12 @@ def synthesize_rx_grid(
     is white complex Gaussian at the configured noise-figure level, drawn
     from ``derive_seed(seed, "rx-noise")``.
     """
+    if channel.forward_delay < 0 or channel.return_delay < 0:
+        raise ValueError("delays must be nonnegative")
+    if channel.bs_gain < 0 or channel.ue_gain < 0:
+        raise ValueError("gains must be nonnegative")
+    if channel.nlos is not None and channel.nlos.delay < channel.return_delay:
+        raise ValueError("specular return cannot arrive before the direct return")
     const = cell_constants(scenario)
     tx_gain = _tx_gain(const, _steer(const.bs_phases, math.cos(channel.departure_angle)),
                        beam_index, power_w)

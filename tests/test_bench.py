@@ -177,6 +177,30 @@ class TestHelpers:
         # Each assess is one call over its (seed, triple) pairs, seed-major.
         assert calls[:2] == [[1, 2], [1, 1, 1, 2, 2, 2]]
 
+    @pytest.mark.parametrize("jobs, repetitions, workers", [(16, 2, 2), (2, 3, 2)])
+    def test_pool_has_no_more_workers_than_reps(self, tmp_path, monkeypatch, jobs, repetitions,
+                                                workers):
+        # With the fork start method a pool forks all its workers at the
+        # first submit, used or not. The fake maps in this process.
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", InProcess)
+        run_compare(tiny_spec(methods=("MAP",), repetitions=repetitions, jobs=jobs), tmp_path)
+        assert sizes == [workers]
+
     def test_unknown_method_rejected(self, desk):
         spec = tiny_spec()
         with pytest.raises(ValueError):

@@ -108,6 +108,26 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize_rx_grid(desk, ch, desk.n_beams, 0.1, seed=0)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"forward_delay": -1e-9}, "delays must be nonnegative"),
+        ({"return_delay": -1e-9}, "delays must be nonnegative"),
+        ({"bs_gain": -1e-12}, "gains must be nonnegative"),
+        ({"ue_gain": -1e-12}, "gains must be nonnegative"),
+        ({"nlos": NlosComponent(delay=1e-7, doppler=0.0, arrival_angle=0.9, gain=1e-9)},
+         "specular return cannot arrive before the direct return"),
+    ])
+    def test_hand_built_channel_validated(self, desk, changes, message):
+        values = dict(forward_delay=2e-7, return_delay=1.5e-7, doppler=80.0,
+                      departure_angle=0.5, arrival_angle=0.9, bs_gain=2e-10, ue_gain=3e-9)
+        # A specular return as late as the direct one is valid.
+        valid = NlosComponent(delay=1.5e-7, doppler=0.0, arrival_angle=0.9, gain=1e-9)
+        synthesize_rx_grid(desk, ChannelRealization(**values, nlos=valid), 3, 0.1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            # The channel is built inside the block: a check may run when it
+            # is built or when it enters the chain.
+            synthesize_rx_grid(desk, ChannelRealization(**{**values, **changes}), 3, 0.1,
+                               seed=0)
+
 
 def _on_grid_channel(scenario, delay_idx, doppler_idx, beam):
     delays, dopplers = scenario.search_window()
@@ -599,6 +619,24 @@ def _stack(key, frames, picks):
 def _alone(const, channel, row):
     """The frame of one channel and noise row, built in a stack of one."""
     return build_frames(const, [channel], [row]).at(0)
+
+
+@pytest.mark.parametrize("split", [measure_cell, measure_cells])
+@pytest.mark.parametrize("beam, power_w, message", [
+    (-1, 0.1, "beam_index out of range"),
+    (20, 0.1, "beam_index out of range"),  # the desk's n_beams
+    (3, -1e-3, "power must be nonnegative"),
+])
+def test_split_validates_beam_and_power(desk, split, beam, power_w, message):
+    assert desk.n_beams == 20
+    const = cell_constants(desk)
+    frames = build_frames(const, [realize_channel(desk, _target((0.0, 50.0)))],
+                          noise_words([1]))
+    with pytest.raises(ValueError, match=message):
+        if split is measure_cell:
+            split(const, frames.at(0), beam, power_w)
+        else:
+            split(const, frames, [(0, 3, 0.1), (0, beam, power_w)])
 
 
 class TestStackedCells:

@@ -324,7 +324,7 @@ class TestBatch:
 class TestSlot:
     """Each thread keeps the one world it replayed last."""
 
-    def test_probe_after_stencil_draws_only_for_new_cells(self, short_desk, draws):
+    def test_probe_after_stencil_draws_blocks_from_its_misses(self, short_desk, draws):
         # IPN's pattern: a 7-point stencil as one batch, then line-search
         # probes on the same seed.
         center = np.array([1.0, 2.0, 3.0])
@@ -336,11 +336,18 @@ class TestSlot:
         run_episode(short_desk, stencil[3], seed=4)
         assert len(draws) == after_stencil  # every cell was measured by the stencil
         for probe in (center - 0.7, center + 0.25):
-            cells, n_draws = len(world.cells), len(draws)
+            cells, n_draws = set(world.cells), len(draws)
             trace = run_episode(short_desk, probe, seed=4)
             assert held_world() is world
-            # An episode measures one cell a frame, so one draw per new cell.
-            assert len(draws) - n_draws == len(world.cells) - cells
+            # A frame where the probe misses a cell past its last block
+            # starts a block of BLOCK_FRAMES frames (cut at the horizon),
+            # and every frame of the block is drawn, missed or not.
+            blocks, stop = [], 0
+            for t in sorted({key[0] for key in set(world.cells) - cells}):
+                if t >= stop:
+                    stop = min(t + feedback_mod.BLOCK_FRAMES, 40)
+                    blocks.extend(range(t, stop))
+            assert draws[n_draws:] == [derive_seed(4, "frame", t) for t in blocks]
             assert_matches_reference(trace, reference_episode(short_desk, probe,
                                                               StateActionTable(), 4, 1.0))
         assert len(draws) > after_stencil  # a probe visited cells of its own
@@ -416,8 +423,9 @@ def stack_sizes(monkeypatch):
 
 
 class TestBlocks:
-    """A one-seed batch builds the frames no earlier call reached in blocks
-    of ``BLOCK_FRAMES``; every byte it gives equals a frame at a time's."""
+    """A one-seed batch builds each frame where it misses a cell in a block
+    of ``BLOCK_FRAMES`` frames from that miss on, on a new world and on the
+    held one alike; every byte it gives equals a frame at a time's."""
 
     @pytest.mark.parametrize("key", list(BLOCK_SCENARIOS))
     def test_blocks_equal_frames_built_one_at_a_time(self, key, monkeypatch, stack_sizes):
