@@ -1,6 +1,12 @@
 """Benchmark harness: method comparison, power sweep, convergence traces and
 the self-validation suite, all reproducible from one master seed.
 
+Each method is one entry of the table ``OPTIMIZERS``, ``name ->
+fn(objective, spec, t0, seed) -> OptimizeResult``, which :func:`run_method`
+runs against a fresh objective. The entries call the optimizers by this
+module's names when a run starts, so a wrapper set on ``bench`` (the
+benchmark tracer's) sees every call.
+
 Every repetition draws its own UE placement and initial thresholds from the
 per-repetition seed; all methods inside a repetition share that seed family,
 so they face the same environment and the same evaluation randomness. Final
@@ -40,12 +46,47 @@ from .feedback import (
     episode_objectives,
     run_episodes,
 )
-from .objective import IsacObjective
+from .objective import IsacObjective, OptimizeResult, RoundRecord
 from .race import RacingConfig, inverse_feasible, map_unconstrained, race_cma_optimize
 from .scenario import ScenarioConfig, check_finite, check_integers, desk_scenario
 from .seeding import derive_seed, rng_from
 
-METHODS = ("MAP", "IPN", "SPSA", "CMA-ES", "RACE-CMA")
+# ---------------------------------------------------------------------------
+# The method table
+
+
+def _map(objective: IsacObjective, spec: ExperimentSpec, t0: np.ndarray,
+         seed: int) -> OptimizeResult:
+    """MAP placement, or ``t0`` when calibration yields no ordered crossings:
+    no cost estimate, and one round that spent the calibration episodes."""
+    try:
+        point = map_calibrate(objective, seed, spec.map_episodes, spec.racing.min_spacing,
+                              spec.map_min_samples)
+    except CalibrationError:
+        point = t0
+    n_eq = objective.ledger.n_eq
+    return OptimizeResult(point, math.nan, n_eq, [RoundRecord(1, n_eq, tuple(point))])
+
+
+def _cma_args(spec: ExperimentSpec, t0: np.ndarray, seed: int) -> dict:
+    """The arguments the two CMA loops share, from the spec and the start."""
+    delta = spec.racing.min_spacing
+    return dict(params=default_params(3, spec.population),
+                init=(inverse_feasible(t0, delta), spec.init_sigma), budget=spec.budget,
+                seed=seed, feasible_map=partial(map_unconstrained, min_spacing=delta),
+                max_generations=spec.generations)
+
+
+OPTIMIZERS = {
+    "MAP": _map,
+    "IPN": lambda obj, spec, t0, seed: ipn_optimize(obj, t0, spec.ipn, spec.budget, seed),
+    "SPSA": lambda obj, spec, t0, seed: spsa_optimize(
+        obj, t0, spec.spsa, spec.budget, seed, min_spacing=spec.racing.min_spacing),
+    "CMA-ES": lambda obj, spec, t0, seed: cma_mod.cma_optimize(obj, **_cma_args(spec, t0, seed)),
+    "RACE-CMA": lambda obj, spec, t0, seed: race_cma_optimize(
+        obj, racing=spec.racing, **_cma_args(spec, t0, seed)),
+}
+METHODS = tuple(OPTIMIZERS)
 # ExperimentSpec's count fields and the least value of each.
 _COUNT_MINIMA = {
     "repetitions": 1, "eval_repeats": 1, "map_episodes": 1, "population": 2,
@@ -223,70 +264,22 @@ def assess(
 
 
 @dataclass
-class MethodRun:
-    final: np.ndarray
-    n_eq: float
-    best_so_far: list[Sequence[float]]
+class MethodRun(OptimizeResult):
+    """A table entry's result, ``n_eq`` from its ledger, ``failed`` past ten budgets."""
+
     failed: bool = False
 
 
-def run_method(
-    method: str,
-    scenario: ScenarioConfig,
-    spec: ExperimentSpec,
-    t0: np.ndarray,
-    seed: int,
-) -> MethodRun:
-    """Run one optimizer against a fresh objective/ledger."""
+def run_method(method: str, scenario: ScenarioConfig, spec: ExperimentSpec, t0: np.ndarray,
+               seed: int) -> MethodRun:
+    """Run the table's entry for ``method`` against a fresh objective/ledger."""
+    if method not in OPTIMIZERS:
+        raise ValueError(f"unknown method {method!r}")
     objective = IsacObjective(scenario, spec.actions, spec.weights)
-    delta = spec.racing.min_spacing
-    rounds = spec.generations
-
-    if method == "MAP":
-        try:
-            final = map_calibrate(
-                objective, seed, episodes=spec.map_episodes,
-                min_spacing=delta, min_samples=spec.map_min_samples,
-            )
-        except CalibrationError:
-            final = t0
-        trail = []
-    else:
-        if method == "IPN":
-            result = ipn_optimize(objective, t0, spec.ipn, spec.budget, seed)
-        elif method == "SPSA":
-            result = spsa_optimize(
-                objective, t0, spec.spsa, spec.budget, seed, min_spacing=delta
-            )
-        elif method in ("CMA-ES", "RACE-CMA"):
-            params = default_params(3, spec.population)
-            init = (inverse_feasible(t0, delta), spec.init_sigma)
-            mapper = partial(map_unconstrained, min_spacing=delta)
-            if method == "CMA-ES":
-                result = cma_mod.cma_optimize(
-                    objective, params, init, spec.budget, seed,
-                    feasible_map=mapper, max_generations=rounds,
-                )
-            else:
-                result = race_cma_optimize(
-                    objective, params, spec.racing, init, spec.budget, seed,
-                    feasible_map=mapper, max_generations=rounds,
-                )
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        final = result.best_point
-        trail = [r.point for r in result.history]
-
+    result = OPTIMIZERS[method](objective, spec, t0, seed)
     n_eq = objective.ledger.n_eq
-    best = _pad_rounds(trail or [final], rounds)
-    return MethodRun(final=final, n_eq=n_eq, best_so_far=best, failed=n_eq > 10.0 * spec.budget)
-
-
-def _pad_rounds(points: list[Sequence[float]], rounds: int) -> list[Sequence[float]]:
-    padded = list(points[:rounds])
-    while len(padded) < rounds:
-        padded.append(padded[-1])
-    return padded
+    return MethodRun(result.best_point, result.best_cost, n_eq, result.history,
+                     failed=n_eq > 10.0 * spec.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +290,19 @@ def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
          raw_header: Sequence[str], summarize: Callable,
          summary_header: Sequence[str]) -> list[dict]:
     """Run ``rep_fn(spec, rep)`` for every repetition, in ``spec.jobs``
-    processes but no more than one per repetition; write
-    ``<name>_runs.csv``, ``<name>_summary.csv`` and ``spec.cfg`` into
-    ``out_dir``. ``summarize(spec, runs)`` turns the runs, keyed by
-    ``raw_header``, into summary rows in ``summary_header`` order, which are
-    returned keyed by that header. The reps run on the values that
+    processes but no more than one per repetition (a lone repetition runs
+    in this process); write ``<name>_runs.csv``, ``<name>_summary.csv`` and
+    ``spec.cfg`` into ``out_dir``. ``summarize(spec, runs)`` turns the runs,
+    keyed by ``raw_header``, into summary rows in ``summary_header`` order,
+    which are returned keyed by that header. The reps run on the values that
     ``spec.cfg`` spells: ``derive_seed`` hashes ``repr``, so ``10``, ``10.0``
     and ``np.float64(10.0)`` would otherwise draw apart."""
     cfg = spec_to_config(spec)
     spec = spec_from_config(cfg, spec)
     reps = range(spec.repetitions)
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(spec.jobs, spec.repetitions)) as pool:
+    workers = min(spec.jobs, spec.repetitions)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(rep_fn, [spec] * spec.repetitions, reps))
     else:
         per_rep = [rep_fn(spec, rep) for rep in reps]
@@ -330,7 +324,8 @@ def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
 def _compare_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     scenario, t0, seeds, opt_seed = _rep_env(spec, rep)
     runs = [run_method(method, scenario, spec, t0, opt_seed) for method in spec.methods]
-    (j_init, _, _), *finals = assess(scenario, spec.actions, [t0, *(r.final for r in runs)], seeds)
+    (j_init, _, _), *finals = assess(
+        scenario, spec.actions, [t0, *(r.best_point for r in runs)], seeds)
     rows = []
     for method, run, (j_final, _, _) in zip(spec.methods, runs, finals):
         delta_j = j_final - j_init
@@ -377,7 +372,7 @@ def _sweep_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
         scenario, t0, seeds, opt_seed = _rep_env(spec, rep, "sweep-", power)
         tuned = run_method("RACE-CMA", scenario, tuning, t0, opt_seed)
         for variant, means in zip(("fixed", "tuned"), assess(
-                scenario, spec.actions, [spec.fixed_thresholds, tuned.final], seeds)):
+                scenario, spec.actions, [spec.fixed_thresholds, tuned.best_point], seeds)):
             rows.append((rep, power, variant, *means))
     return rows
 
@@ -410,18 +405,22 @@ def _convergence_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     for power in spec.convergence_powers:
         scenario, t0, seeds, opt_seed = _rep_env(spec, rep, "conv-", power)
         runs = [run_method(method, scenario, spec, t0, opt_seed) for method in spec.methods]
+        # One point per generation, the last round's repeated; a budget that
+        # paid for no round (IPN below 7, SPSA below 20) leaves the result's.
+        trails = [[r.point for r in run.history] or [run.best_point] for run in runs]
+        trails = [(trail + trail[-1:] * spec.generations)[:spec.generations] for trail in trails]
         # Best-so-far points repeat across generations and methods, and
         # assess is a pure function of the point at a fixed power.
         points = list(dict.fromkeys(
-            tuple(map(float, point)) for run in runs for point in run.best_so_far
+            tuple(map(float, point)) for trail in trails for point in trail
         ))
         j_det_of = {
             point: det for point, (det, _, _)
             in zip(points, assess(scenario, spec.actions, points, seeds))
         }
-        for method, run in zip(spec.methods, runs):
-            per_gen = max(run.n_eq / spec.generations, 0.0)
-            for gen, point in enumerate(run.best_so_far, start=1):
+        for method, run, trail in zip(spec.methods, runs, trails):
+            per_gen = run.n_eq / spec.generations
+            for gen, point in enumerate(trail, start=1):
                 rows.append((rep, power, method, gen, j_det_of[tuple(map(float, point))],
                              per_gen * gen))
     return rows

@@ -27,7 +27,7 @@ from racecma.bench import (
 from racecma.cli import build_spec, main
 from racecma.config import schema
 from racecma.feedback import detection_reliability, run_episode, run_episodes
-from racecma.objective import CostLedger
+from racecma.objective import CostLedger, IsacObjective, OptimizeResult, RoundRecord
 from racecma.scenario import desk_scenario
 from racecma.validate import validate
 
@@ -88,6 +88,25 @@ class TestCompare:
         snapshot = (tmp_path / "spec.cfg").read_text()
         assert "experiment.master_seed = 7" in snapshot
         assert "scenario.n_beams = 20" in snapshot
+
+    def test_map_without_a_calibration_keeps_the_start_point(self, tmp_path):
+        # No state collects a million calibration samples, so MAP returns t0.
+        spec = tiny_spec(methods=("MAP",), repetitions=1, map_min_samples=10**6)
+        run_compare(spec, tmp_path)
+        [row] = read_rows(tmp_path / "compare_runs.csv")
+        assert float(row["delta_j"]) == 0.0
+        assert float(row["n_eq"]) == spec.map_episodes
+        assert row["failed"] == "0"
+
+    def test_run_over_ten_budgets_is_failed(self, tmp_path):
+        # MAP charges its episodes whatever the budget: 2 > 10 x 0.1.
+        [summary] = run_compare(
+            tiny_spec(methods=("MAP",), repetitions=1, budget=0.1, map_episodes=2), tmp_path)
+        [row] = read_rows(tmp_path / "compare_runs.csv")
+        assert (row["n_eq"], row["failed"]) == ("2.0", "1")
+        assert (summary["runs"], summary["failures"]) == (0, 1)
+        assert math.isnan(summary["delta_j"])
+        assert read_rows(tmp_path / "compare_summary.csv")[0]["delta_j"] == "na"
 
     def test_methods_share_environment_within_rep(self):
         spec = tiny_spec()
@@ -177,11 +196,12 @@ class TestHelpers:
         # Each assess is one call over its (seed, triple) pairs, seed-major.
         assert calls[:2] == [[1, 2], [1, 1, 1, 2, 2, 2]]
 
-    @pytest.mark.parametrize("jobs, repetitions, workers", [(16, 2, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("jobs, repetitions, workers", [(16, 2, 2), (2, 3, 2), (2, 1, None)])
     def test_pool_has_no_more_workers_than_reps(self, tmp_path, monkeypatch, jobs, repetitions,
                                                 workers):
         # With the fork start method a pool forks all its workers at the
-        # first submit, used or not. The fake maps in this process.
+        # first submit, used or not. The fake maps in this process. A lone
+        # repetition runs in the calling process: no pool at all (None).
         sizes = []
 
         class InProcess:
@@ -199,7 +219,30 @@ class TestHelpers:
 
         monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", InProcess)
         run_compare(tiny_spec(methods=("MAP",), repetitions=repetitions, jobs=jobs), tmp_path)
-        assert sizes == [workers]
+        assert sizes == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("method", bench_mod.METHODS)
+    def test_every_entry_returns_one_result_shape(self, method):
+        # At a budget of 24 every method records at least one round.
+        spec = tiny_spec(budget=24.0)
+        scenario, t0, _, seed = _rep_env(spec, 0)
+        objective = IsacObjective(scenario, spec.actions, spec.weights)
+        result = bench_mod.OPTIMIZERS[method](objective, spec, t0, seed)
+        assert type(result) is OptimizeResult
+        assert result.best_point.dtype == np.float64 and result.best_point.shape == (3,)
+        assert result.n_eq == objective.ledger.n_eq
+        assert result.history and all(isinstance(r, RoundRecord) for r in result.history)
+        n_eqs = [r.n_eq for r in result.history]
+        assert n_eqs == sorted(n_eqs) and n_eqs[-1] <= result.n_eq
+
+    def test_map_entry_without_a_calibration_is_one_round_at_t0(self):
+        spec = tiny_spec(map_min_samples=10**6)
+        scenario, t0, _, seed = _rep_env(spec, 0)
+        objective = IsacObjective(scenario, spec.actions, spec.weights)
+        result = bench_mod.OPTIMIZERS["MAP"](objective, spec, t0, seed)
+        assert result.best_point is t0 and math.isnan(result.best_cost)
+        assert result.n_eq == spec.map_episodes
+        assert result.history == [RoundRecord(1, spec.map_episodes, tuple(t0))]
 
     def test_unknown_method_rejected(self, desk):
         spec = tiny_spec()

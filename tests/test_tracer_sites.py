@@ -41,3 +41,31 @@ def test_run_probe_names_resolve():
     # RunProbe swaps these two for recording versions in every worker.
     for attr in ("IsacObjective", "run_method"):
         assert callable(_resolve("bench", attr))
+
+
+def test_tracer_counts_every_method_of_a_compare(tmp_path, monkeypatch):
+    # A name wrapped on ``bench`` but bound elsewhere at import would count
+    # no calls and zero its metrics without any error, so the optimizers
+    # must be looked up through ``bench`` when a run starts.
+    tracer_mod = _load_tracer()
+    bench = importlib.import_module("racecma.bench")
+    scenario = importlib.import_module("racecma.scenario")
+    for attr in ("IsacObjective", "run_method"):  # restored after the test
+        monkeypatch.setattr(bench, attr, getattr(bench, attr))
+    spec = bench.ExperimentSpec(
+        scenario=scenario.desk_scenario(sensing_horizon=0.032), repetitions=1, budget=24.0,
+        generations=1, eval_repeats=1, map_min_samples=2, map_episodes=1, master_seed=3,
+    )
+    probe = tracer_mod.RunProbe()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        bench.run_compare(spec, tmp_path)
+    finally:
+        tracer.close()
+    calls = {name: stat[0] for name, stat in tracer.stats.items()}
+    for name in ("bench.run_method", "race.race_cma_optimize", "baselines.ipn_optimize",
+                 "baselines.spsa_optimize", "baselines.map_calibrate"):
+        assert calls[name] >= 1, name
+    assert len(probe.runs) == 5
+    assert probe.take()[2] == 0
