@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cma as cma_mod
+from . import radar
 from .baselines import (
     CalibrationError,
     IpnConfig,
@@ -286,6 +287,12 @@ def run_method(method: str, scenario: ScenarioConfig, spec: ExperimentSpec, t0: 
 # Experiments: one runner, one rep function and one summary per experiment
 
 
+def _pool_worker() -> None:
+    """A pool worker draws its noise on one thread: the pool's repetitions
+    already fill the CPUs."""
+    radar.allow_noise_helper(False)
+
+
 def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
          raw_header: Sequence[str], summarize: Callable,
          summary_header: Sequence[str]) -> list[dict]:
@@ -302,7 +309,7 @@ def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
     reps = range(spec.repetitions)
     workers = min(spec.jobs, spec.repetitions)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_worker) as pool:
             per_rep = list(pool.map(rep_fn, [spec] * spec.repetitions, reps))
     else:
         per_rep = [rep_fn(spec, rep) for rep in reps]

@@ -34,11 +34,23 @@ it is built in and however its cells are measured. The split equals the
 chain up to rounding (a relative difference of the order of 1e-15), and
 the two share no cell arithmetic, so the chain stays an independent
 reference model.
+
+Each frame's noise comes from a generator of its own, and numpy releases
+the GIL while a generator fills, so a large stack's draw is split in two
+(:func:`_draw_noise`): one helper thread per process, made on first use,
+fills half the frames while the caller fills the rest, with the same bytes.
+It engages only where it pays: the helper's share holds at least
+:data:`SPLIT_NORMALS` normals, the process may run on two CPUs or more, and
+the process allows it (``bench``'s pool workers do not). A forked child
+drops its parent's helper and makes its own on first use.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -353,6 +365,90 @@ def noise_words(seeds: Iterable[int]) -> np.ndarray:
     return seed_words(noise_seeds(seeds))
 
 
+# The least number of normals the helper's share of a stack's noise draw
+# must hold before :func:`_draw_noise` splits the draw: two paper frames.
+# On a 2-vCPU x86 VM a split cost 4-28 % at desk scale up to a share of
+# 9 216 normals (a stack of 12) and saved 7 % at 12 288 (a block of 16); at
+# paper scale it saved 12-20 % at one frame's 8 000 and 19-39 % from two
+# frames on (CHANGES.md). The floor keeps a desk stack of up to 21 frames,
+# a block (``feedback.BLOCK_FRAMES``) included, on one thread.
+SPLIT_NORMALS = 16_000
+
+_helper: futures.ThreadPoolExecutor | None = None  # this process's, made on first use
+_helper_lock = threading.Lock()
+_helper_allowed = True
+
+
+def _forget_helper() -> None:
+    """In a forked child: the parent's helper thread did not come along."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def allow_noise_helper(allowed: bool) -> None:
+    """Let this process split its large noise draws with a helper thread,
+    or not. ``bench``'s pool workers turn it off: their repetitions
+    already fill the CPUs."""
+    global _helper_allowed
+    _helper_allowed = allowed
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _hand_off(words: Sequence[np.ndarray], draws: np.ndarray) -> futures.Future | None:
+    """Start the process's helper thread, made on first use, on
+    :func:`_fill` of ``words`` into ``draws``, where that pays: ``draws``
+    holds at least :data:`SPLIT_NORMALS` normals, helping is allowed, and
+    the process may run on a second CPU. None where it does not."""
+    global _helper
+    if draws.size < SPLIT_NORMALS or not _helper_allowed or _cpu_count() < 2:
+        return None
+    with _helper_lock:
+        if _helper is None:
+            _helper = futures.ThreadPoolExecutor(1, thread_name_prefix="racecma-noise")
+        try:
+            return _helper.submit(_fill, words, draws)
+        except RuntimeError:  # the interpreter is shutting its executors down
+            return None
+
+
+def _fill(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
+    """Draw each frame's unit normals into its slice of ``draws`` from the
+    generator of its row of ``words``."""
+    for row, out in zip(words, draws):
+        generator_from_words(row).standard_normal(out=out)
+
+
+def _draw_noise(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
+    """:func:`_fill`, split in two where it pays (:func:`_hand_off`): the
+    helper thread fills the frames past ``half`` while this thread fills
+    the others. numpy releases the GIL while a generator fills, so the
+    halves run at once, and each frame's normals are the same bit for bit,
+    since each comes from its own generator. The helper runs one share at a
+    time, so threads that share it queue, and it takes no lock a caller
+    holds. Its error is raised here, and this thread waits for it before
+    returning or raising, so no half-filled buffer is read."""
+    half = (len(draws) + 1) // 2  # this thread starts first, so it takes the odd frame
+    share = _hand_off(words[half:], draws[half:])
+    if share is None:
+        _fill(words, draws)
+        return
+    try:
+        _fill(words[:half], draws[:half])
+    finally:
+        futures.wait((share,))
+    share.result()
+
+
 def build_frames(
     const: CellConstants, channels: Sequence[ChannelRealization], words: Sequence[np.ndarray]
 ) -> Frame:
@@ -360,7 +456,9 @@ def build_frames(
     words[b])``, as one stack of frames of one scenario; ``words[b]`` is the
     frame's row of :func:`noise_words`, which seeds its noise draw. Each
     array operation runs once over the stack, and each frame's values do not
-    depend on the other frames of the stack or on its size."""
+    depend on the other frames of the stack or on its size. A large stack's
+    noise is drawn on two threads (:func:`_draw_noise`), and the call
+    returns or raises only once both are done. Any thread may call it."""
     cosines = np.array([(math.cos(c.arrival_angle), math.cos(c.departure_angle))
                         for c in channels])
     arrival = _steer(const.ue_phases, cosines[:, :1])
@@ -379,8 +477,7 @@ def build_frames(
                                    columns[:, 1:]), out=echo)
     # Each frame draws from a generator of its own, into its slice of one buffer.
     draws = np.empty((len(words), *const.pilot.shape, 2))
-    for row, out in zip(words, draws):
-        generator_from_words(row).standard_normal(out=out)
+    _draw_noise(words, draws)
     noise = draws.view(np.complex128)[..., 0]
     # The row-wise reduce over the stack's runs of guard rows equals the
     # 1-D reduce of each run, so a frame's floor does not depend on the stack.

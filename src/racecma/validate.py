@@ -323,20 +323,27 @@ ORDERING_METHODS = ("IPN", "SPSA", "CMA-ES", "RACE-CMA")
 
 def check_efficiency_ordering(spec: ExperimentSpec, scratch: Path | None = None) -> CheckResult:
     """Racing beats plain CMA-ES on cost-normalized improvement; both beat
-    the local baselines."""
+    the local baselines. The detail lists all five comparisons, each with
+    both sides and the margin (left minus right), and marks any that failed."""
     with _scratch_dir(scratch) as base:
         rows = run_compare(spec, base / "compare")
     eff = {row["method"]: row["efficiency"] for row in rows}
     race, cma, spsa, ipn = (eff[m] for m in ("RACE-CMA", "CMA-ES", "SPSA", "IPN"))
-    checks = [
-        race >= 1.3 * cma,
-        cma > spsa,
-        cma > ipn,
-        race > spsa,
-        race > ipn,
+    # (left side, its efficiency, right side, its efficiency, whether a tie fails)
+    comparisons = [
+        ("RACE", race, "1.3*CMA", 1.3 * cma, False),
+        ("CMA", cma, "SPSA", spsa, True),
+        ("CMA", cma, "IPN", ipn, True),
+        ("RACE", race, "SPSA", spsa, True),
+        ("RACE", race, "IPN", ipn, True),
     ]
-    detail = f"efficiency: RACE={race:.4f} CMA={cma:.4f} SPSA={spsa:.4f} IPN={ipn:.4f}"
-    return CheckResult("efficiency-ordering", all(checks), detail)
+    passed, parts = True, []
+    for left, a, right, b, strict in comparisons:
+        ok = a > b if strict else a >= b
+        passed = passed and ok
+        parts.append(f"{left}={a:.4f} {'>' if strict else '>='} {right}={b:.4f} "
+                     f"(margin {a - b:+.4f}{'' if ok else ', FAILED'})")
+    return CheckResult("efficiency-ordering", passed, "efficiency: " + "; ".join(parts))
 
 
 # The generation whose convergence rows check_convergence_direction reads.

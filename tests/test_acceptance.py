@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from racecma import RacingConfig, cma_optimize, default_params, race_cma_optimize
+from racecma import validate as validate_mod
 from racecma.bench import ExperimentSpec
 from racecma.objective import SyntheticObjective
 from racecma.validate import (
@@ -126,3 +127,29 @@ class TestCostArithmetic:
         racing = RacingConfig(truncation=0.8)
         assert racing.generation_cost(12) / 12.0 == pytest.approx(0.6)
         assert racing.generation_cost(12) / 12.0 < 1.0
+
+
+class TestEfficiencyOrderingDetail:
+    """The gate's detail says which of its five comparisons decided it."""
+
+    @pytest.mark.parametrize("efficiency, failed", [
+        ({"RACE-CMA": 0.0063, "CMA-ES": 0.0044, "SPSA": 0.0031, "IPN": 0.0031}, []),
+        ({"RACE-CMA": 0.0050, "CMA-ES": 0.0044, "SPSA": 0.0031, "IPN": 0.0060},
+         ["RACE=0.0050 >= 1.3*CMA=0.0057", "CMA=0.0044 > IPN=0.0060",
+          "RACE=0.0050 > IPN=0.0060"]),
+    ])
+    def test_detail_names_all_five_comparisons(self, monkeypatch, tmp_path, efficiency, failed):
+        monkeypatch.setattr(validate_mod, "run_compare", lambda spec, out: [
+            {"method": method, "efficiency": value} for method, value in efficiency.items()])
+        result = check_efficiency_ordering(ExperimentSpec(), tmp_path)
+        parts = result.detail.removeprefix("efficiency: ").split("; ")
+        assert [part.split(" (")[0] for part in parts] == [
+            f"RACE={efficiency['RACE-CMA']:.4f} >= 1.3*CMA={1.3 * efficiency['CMA-ES']:.4f}",
+            f"CMA={efficiency['CMA-ES']:.4f} > SPSA={efficiency['SPSA']:.4f}",
+            f"CMA={efficiency['CMA-ES']:.4f} > IPN={efficiency['IPN']:.4f}",
+            f"RACE={efficiency['RACE-CMA']:.4f} > SPSA={efficiency['SPSA']:.4f}",
+            f"RACE={efficiency['RACE-CMA']:.4f} > IPN={efficiency['IPN']:.4f}",
+        ]
+        assert [part.split(" (")[0] for part in parts if part.endswith(", FAILED)")] == failed
+        assert result.passed == (not failed)
+        assert "(margin +0.0013" in parts[1]  # CMA minus SPSA

@@ -200,12 +200,14 @@ class TestHelpers:
     def test_pool_has_no_more_workers_than_reps(self, tmp_path, monkeypatch, jobs, repetitions,
                                                 workers):
         # With the fork start method a pool forks all its workers at the
-        # first submit, used or not. The fake maps in this process. A lone
-        # repetition runs in the calling process: no pool at all (None).
+        # first submit, used or not. The fake maps in this process, so it
+        # does not run the workers' initializer. A lone repetition runs in
+        # the calling process: no pool at all (None).
         sizes = []
 
         class InProcess:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is bench_mod._pool_worker
                 sizes.append(max_workers)
 
             def __enter__(self):

@@ -1,5 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait as futures_wait
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from racecma import ScenarioConfig, desk_scenario
 from racecma import feedback as feedback_mod
+from racecma import radar as radar_mod
 from racecma.feedback import EpisodeWorld
 from racecma.radar import (
     ChannelRealization,
@@ -669,3 +677,231 @@ class TestStackedCells:
             grid = synthesize_rx_grid(scenario, channels[b], beam, power_w, seeds[b])
             surface = matched_filter(grid, scenario.search_window())
             assert_near(value, compute_resi(surface, grid, scenario.null_mask()).value)
+
+
+@pytest.fixture()
+def helper(monkeypatch):
+    """Split every stack of two frames or more (the helper on), and record
+    the thread that fills each share of a draw; ``radar.allow_noise_helper``
+    turns it off, and the fixture turns it back on."""
+    shares = []
+
+    def fill(words, draws):
+        try:
+            real_fill(words, draws)
+        finally:
+            shares.append((threading.current_thread().name, len(draws)))
+
+    real_fill = radar_mod._fill
+    monkeypatch.setattr(radar_mod, "SPLIT_NORMALS", 1)
+    monkeypatch.setattr(radar_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(radar_mod, "_fill", fill)
+    yield shares
+    radar_mod.allow_noise_helper(True)
+
+
+def _frame_bytes(frames):
+    return [frames.echo.tobytes(), frames.noise.tobytes(), frames.departure.tobytes(),
+            frames.floor]
+
+
+def _frames_of(key, n):
+    """A stack's constants, channels and noise words: n frames of the
+    scenario ``_SCENARIOS[key]``, each on a target of its own and a seed of
+    its own."""
+    scenario = _SCENARIOS[key]
+    channels = [realize_channel(scenario, _target((-30.0 + 3.5 * b, 30.0 + 2.0 * b), (1.0, -0.5)))
+                for b in range(n)]
+    return cell_constants(scenario), channels, noise_words(range(100 + n, 100 + 2 * n))
+
+
+class TestNoiseHelper:
+    """A stack's noise draw split with the helper thread gives the bytes of
+    the draw on one thread, whatever the stack's size; the helper's error
+    reaches the caller, and the helper stays off on one CPU."""
+
+    @pytest.mark.parametrize("key", list(_SCENARIOS), ids=lambda key: f"{key[0]}-nlos{key[1]}")
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 16, 17])
+    def test_helper_on_and_off_give_the_same_bytes(self, helper, key, n):
+        const, channels, words = _frames_of(key, n)
+        split = build_frames(const, channels, words)
+        threads = [name for name, _ in helper]
+        if n == 1:
+            assert threads == [threading.current_thread().name]
+        else:  # this thread takes the odd frame
+            assert len(threads) == 2 and sorted(count for _, count in helper) == [n // 2,
+                                                                                (n + 1) // 2]
+            assert sum(name.startswith("racecma-noise") for name in threads) == 1
+        helper.clear()
+        radar_mod.allow_noise_helper(False)
+        serial = build_frames(const, channels, words)
+        assert helper == [(threading.current_thread().name, n)]
+        assert _frame_bytes(split) == _frame_bytes(serial)
+        for b in range(n):  # and each frame is the frame built alone
+            assert _frame_bytes(split.at(b)) == _frame_bytes(_alone(const, channels[b], words[b]))
+
+    @pytest.mark.parametrize("bad", ["helper", "caller"])
+    def test_a_bad_words_row_raises_in_the_caller_after_the_helper_is_done(self, helper, bad):
+        const, channels, words = _frames_of(("paper", 0), 4)
+        rows = list(words)
+        rows[3 if bad == "helper" else 0] = words[3].astype(np.float64)
+        with pytest.raises(ValueError, match="seed words must be"):
+            build_frames(const, channels, rows)
+        # Both shares ended before the error left build_frames.
+        assert sorted(name.startswith("racecma-noise") for name, _ in helper) == [False, True]
+
+    def test_helper_stays_off_on_one_cpu(self, helper, monkeypatch):
+        monkeypatch.setattr(radar_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        const, channels, words = _frames_of(("paper", 0), 16)
+        frames = build_frames(const, channels, words)
+        assert helper == [(threading.current_thread().name, 16)]
+        radar_mod.allow_noise_helper(False)
+        assert _frame_bytes(frames) == _frame_bytes(build_frames(const, channels, words))
+
+    def test_threads_sharing_the_helper_queue_and_get_their_own_bytes(self, helper):
+        """More caller threads than CPUs, switching often: each stack is its
+        own, whatever the order the helper serves them in."""
+        stacks = [_frames_of(("paper", nlos), n) for nlos in (0, 1) for n in (4, 5, 6)]
+        radar_mod.allow_noise_helper(False)
+        serial = [_frame_bytes(build_frames(*stack)) for stack in stacks]
+        radar_mod.allow_noise_helper(True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(stacks)) as pool:
+                jobs = [[pool.submit(build_frames, *stack) for stack in stacks]
+                        for _ in range(3)]
+                _, pending = futures_wait([job for row in jobs for job in row], timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not pending
+        for row in jobs:
+            assert [_frame_bytes(job.result()) for job in row] == serial
+        assert any(name.startswith("racecma-noise") for name, _ in helper)
+
+
+# Run as a script in a fresh interpreter: starts the helper with a
+# paper-scale draw, then forks. Each pool worker of a two-job compare and a
+# forked child that draws with a helper of its own write the names of their
+# threads and what they drew beside the script.
+_FORK_SCRIPT = """
+import json, multiprocessing, os, sys, threading
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from racecma import ScenarioConfig, bench, radar
+from racecma.bench import ExperimentSpec, run_compare
+
+HERE = Path(__file__).resolve().parent
+os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any runner; forks inherit it
+_real_rep = bench._compare_rep
+
+
+def threads():
+    return [thread.name for thread in threading.enumerate()]
+
+
+def rep(spec, r):
+    rows = _real_rep(spec, r)
+    (HERE / f"worker-{os.getpid()}-{r}.json").write_text(json.dumps(threads()))
+    return rows
+
+
+def draw(name):
+    scenario = ScenarioConfig()
+    const = radar.cell_constants(scenario)
+    words = radar.noise_words(range(16))
+    draws = np.empty((16, *const.pilot.shape, 2))
+    radar._draw_noise(words, draws)
+    (HERE / name).write_bytes(draws.tobytes())
+
+
+def child():
+    draw("child.bin")
+    (HERE / "child.json").write_text(json.dumps(threads()))
+
+
+if __name__ == "__main__":
+    draw("parent.bin")
+    assert any(name.startswith("racecma-noise") for name in threads()), threads()
+    bench._compare_rep = rep
+    spec = ExperimentSpec(
+        scenario=ScenarioConfig(sensing_horizon=0.05), methods=("CMA-ES",), budget=24.0,
+        generations=1, eval_repeats=2, repetitions=2, master_seed=3, jobs=2,
+    )
+    run_compare(spec, HERE / "jobs2")
+    bench._compare_rep = _real_rep
+    run_compare(replace(spec, jobs=1), HERE / "jobs1")
+    forked = multiprocessing.get_context("fork").Process(target=child)
+    forked.start()
+    forked.join(60)
+    if forked.exitcode is None:
+        forked.kill()
+        sys.exit("the forked child hung")
+    sys.exit(forked.exitcode)
+"""
+
+
+# Run as a script: a thread that draws after the main thread has ended,
+# when the interpreter has shut its executors down, draws on its own.
+_LATE_SCRIPT = """
+import os, threading, time
+
+import numpy as np
+
+from racecma import ScenarioConfig, radar
+
+os.sched_getaffinity = lambda pid: {0, 1}
+const = radar.cell_constants(ScenarioConfig())
+words = radar.noise_words(range(8))
+alone = np.empty((8, *const.pilot.shape, 2))
+radar._fill(words, alone)
+radar._draw_noise(words, np.empty_like(alone))  # the helper runs
+
+
+def late():
+    time.sleep(0.5)
+    draws = np.empty_like(alone)
+    radar._draw_noise(words, draws)
+    print(draws.tobytes() == alone.tobytes())
+
+
+threading.Thread(target=late).start()
+"""
+
+
+def _run_script(tmp_path, text, timeout):
+    script = tmp_path / "probe.py"
+    script.write_text(text)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(radar_mod.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, str(script)], env=env, check=True, timeout=timeout,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+class TestHelperLifetime:
+    """The helper across a fork and the interpreter's shutdown, each in a
+    fresh interpreter with a timeout, so a hang fails the test instead of
+    stalling the suite."""
+
+    def test_a_thread_that_outlives_the_main_thread_draws_alone(self, tmp_path):
+        assert _run_script(tmp_path, _LATE_SCRIPT, 120).split() == ["True"]
+
+    def test_forked_workers_finish_without_the_helper_and_match_one_job(self, tmp_path):
+        """The pool forks a process whose helper runs: a helper the workers
+        inherited without its thread would hang them."""
+        _run_script(tmp_path, _FORK_SCRIPT, 180)
+        for name in ("compare_runs.csv", "compare_summary.csv", "spec.cfg"):
+            assert (tmp_path / "jobs2" / name).read_bytes() == (
+                tmp_path / "jobs1" / name).read_bytes(), name
+        workers = sorted(tmp_path.glob("worker-*.json"))
+        assert len(workers) == 2
+        for path in workers:
+            assert not any(name.startswith("racecma-noise")
+                           for name in json.loads(path.read_text())), path.name
+        # A forked child that may help makes a helper of its own.
+        assert (tmp_path / "child.bin").read_bytes() == (tmp_path / "parent.bin").read_bytes()
+        assert any(name.startswith("racecma-noise")
+                   for name in json.loads((tmp_path / "child.json").read_text()))
