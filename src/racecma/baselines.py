@@ -19,7 +19,7 @@ from .feedback import classify, run_episodes
 # perfbench/tracer.py wraps baselines.run_episode and fails if it is missing.
 from .feedback import run_episode  # noqa: F401
 from .objective import OptimizeResult, RoundRecord, StochasticObjective
-from .scenario import ScenarioConfig, check_finite, check_integers
+from .scenario import ScenarioConfig, check_fields
 from .seeding import derive_seed, rng_from
 
 
@@ -200,8 +200,7 @@ class IpnConfig:
     fd_step: float = 0.05
 
     def __post_init__(self) -> None:
-        check_integers(self, ("outer_rounds", "newton_iters"))
-        check_finite(self, ("barrier_init", "barrier_shrink", "fd_step"))
+        check_fields(self)
         if self.fd_step <= 0 or self.barrier_init <= 0:
             raise ValueError("fd_step and barrier_init must be positive")
         if not 0 < self.fd_step * self.fd_step < math.inf:
@@ -350,7 +349,7 @@ class SpsaSchedule:
     gamma: float = 0.101
 
     def __post_init__(self) -> None:
-        check_finite(self, ("a", "c", "stability", "alpha", "gamma"))
+        check_fields(self)
         if self.a <= 0 or self.c <= 0:
             raise ValueError("gain constants must be positive")
         if self.stability < 0:

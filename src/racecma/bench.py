@@ -49,7 +49,7 @@ from .feedback import (
 )
 from .objective import IsacObjective, OptimizeResult, RoundRecord
 from .race import RacingConfig, inverse_feasible, map_unconstrained, race_cma_optimize
-from .scenario import ScenarioConfig, check_finite, check_integers, desk_scenario
+from .scenario import ScenarioConfig, check_fields, desk_scenario
 from .seeding import derive_seed, rng_from
 
 # ---------------------------------------------------------------------------
@@ -132,15 +132,12 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        check_integers(self, (*_COUNT_MINIMA, "master_seed"))
-        check_finite(self, ("weights", "sweep_weights", "power_grid", "convergence_powers",
-                            "resi_bounds", "ue_box"))
+        check_fields(self)
         for name, least in _COUNT_MINIMA.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
-        # A budget of inf never ends SPSA's loop; nan lets IPN alone run.
-        if not 0 < self.budget < math.inf:
-            raise ValueError("budget must be positive and finite")
+        if self.budget <= 0:
+            raise ValueError("budget must be positive")
         # Checked for every method list: sweep always runs RACE-CMA.
         if self.racing.mirrored_sampling and self.population % 2:
             raise ValueError("population must be even while racing.mirrored_sampling is on")
@@ -154,8 +151,8 @@ class ExperimentSpec:
         for name in ("methods", "power_grid", "convergence_powers"):  # else rows repeat
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f"{name} lists an entry twice")
-        if not 0 < self.init_sigma < math.inf:
-            raise ValueError("init_sigma must be positive and finite")
+        if self.init_sigma <= 0:
+            raise ValueError("init_sigma must be positive")
         x_min, x_max, y_min, y_max = self.ue_box
         if not (x_min < x_max and y_min < y_max):
             raise ValueError("ue_box must have positive extent: x_min < x_max, y_min < y_max")
@@ -412,24 +409,22 @@ def _convergence_rep(spec: ExperimentSpec, rep: int) -> list[tuple]:
     for power in spec.convergence_powers:
         scenario, t0, seeds, opt_seed = _rep_env(spec, rep, "conv-", power)
         runs = [run_method(method, scenario, spec, t0, opt_seed) for method in spec.methods]
-        # One point per generation, the last round's repeated; a budget that
-        # paid for no round (IPN below 7, SPSA below 20) leaves the result's.
-        trails = [[r.point for r in run.history] or [run.best_point] for run in runs]
+        # One record per generation, the last round's repeated, or the result's
+        # for a budget that paid for no round (IPN below 7, SPSA below 20).
+        trails = [run.history or [RoundRecord(1, run.n_eq, tuple(run.best_point))]
+                  for run in runs]
         trails = [(trail + trail[-1:] * spec.generations)[:spec.generations] for trail in trails]
         # Best-so-far points repeat across generations and methods, and
         # assess is a pure function of the point at a fixed power.
-        points = list(dict.fromkeys(
-            tuple(map(float, point)) for trail in trails for point in trail
-        ))
+        points = list(dict.fromkeys(tuple(map(float, r.point)) for trail in trails for r in trail))
         j_det_of = {
             point: det for point, (det, _, _)
             in zip(points, assess(scenario, spec.actions, points, seeds))
         }
-        for method, run, trail in zip(spec.methods, runs, trails):
-            per_gen = run.n_eq / spec.generations
-            for gen, point in enumerate(trail, start=1):
-                rows.append((rep, power, method, gen, j_det_of[tuple(map(float, point))],
-                             per_gen * gen))
+        for method, trail in zip(spec.methods, trails):
+            for gen, r in enumerate(trail, start=1):
+                rows.append((rep, power, method, gen, j_det_of[tuple(map(float, r.point))],
+                             float(r.n_eq)))
     return rows
 
 

@@ -15,22 +15,25 @@ from .validate import (
 )
 
 
+# The flags that override a spec field: flag -> (field, argparse type, help).
+_SPEC_FLAGS = {
+    "seed": ("master_seed", int, "master seed override"),
+    "reps": ("repetitions", int, "repetition count override"),
+    "budget": ("budget", float, "per-run evaluation budget (N_eq)"),
+    "methods": ("methods", str, "comma-separated method subset"),
+    "jobs": ("jobs", int, "parallel repetition workers"),
+}
+
+
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Benchmark defaults, overlaid with config-file keys, then CLI flags."""
     cfg = load_config(args.config) if args.config else {}
     spec = spec_from_config(cfg, ExperimentSpec())
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.reps is not None:
-        overrides["repetitions"] = args.reps
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if args.methods is not None:
-        overrides["methods"] = tuple(m.strip() for m in args.methods.split(","))
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
+    overrides = {name: getattr(args, flag) for flag, (name, _, _) in _SPEC_FLAGS.items()
+                 if getattr(args, flag) is not None}
+    if "methods" in overrides:
+        overrides["methods"] = tuple(m.strip() for m in overrides["methods"].split(","))
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -52,11 +55,8 @@ def _make_out(parser: argparse.ArgumentParser, out: Path) -> None:
 
 def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
     parser.add_argument("--config", type=Path, help="key-value config file")
-    parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--reps", type=int, help="repetition count override")
-    parser.add_argument("--budget", type=float, help="per-run evaluation budget (N_eq)")
-    parser.add_argument("--methods", help="comma-separated method subset")
-    parser.add_argument("--jobs", type=int, help="parallel repetition workers")
+    for flag, (_, kind, helptext) in _SPEC_FLAGS.items():
+        parser.add_argument(f"--{flag}", type=kind, help=helptext)
     parser.add_argument("--out", type=Path, required=out_required, help="output directory")
 
 
@@ -90,8 +90,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         full_spec = _spec_or_exit(val, args) if args.full else None
         # The spec flags shape only the spec that the --full checks run.
-        given = [f"--{name}" for name in ("config", "seed", "reps", "budget", "methods", "jobs")
-                 if getattr(args, name) is not None]
+        given = [f"--{flag}" for flag in ("config", *_SPEC_FLAGS)
+                 if getattr(args, flag) is not None]
         if given and full_spec is None:
             val.error(f"spec flags only apply with --full: {', '.join(given)}")
         if full_spec is not None:

@@ -6,7 +6,8 @@ config object nested in it. :func:`schema` derives that key table from the
 dataclass fields, and the table alone drives parsing
 (:func:`spec_from_config`, which rejects every key outside it), the
 ``spec.cfg`` snapshot (:func:`spec_to_config`), the output config hash and
-the key table in the README (:func:`key_table`).
+the key table in the README (:func:`key_table`). The constructors reject a
+value that does not fit the same annotations (``scenario.check_fields``).
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
-from .scenario import Rect
+from .scenario import Rect, field_item
 
 
 class ConfigError(ValueError):
@@ -139,8 +140,8 @@ def schema(spec_type: type) -> dict[str, SchemaKey]:
                 continue
             key = f"{section or 'experiment'}.{f.name}"
             if key in _ITEM_KEYS:
-                for i, (item_key, item) in enumerate(zip(_ITEM_KEYS[key], get_args(hint))):
-                    keys[item_key] = SchemaKey(at + (i,), item)
+                for i, item_key in enumerate(_ITEM_KEYS[key]):
+                    keys[item_key] = SchemaKey(at + (i,), field_item(hint)[0])
             elif key not in _UNFILED:
                 keys[_RENAMED.get(key, key)] = _schema_key(at, hint)
 
@@ -152,13 +153,8 @@ def _schema_key(path: tuple, hint) -> SchemaKey:
     if hint in _VALUE_TYPES:
         (item,) = set(get_type_hints(hint).values())
         return SchemaKey(path, item, len(fields(hint)), hint)
-    if get_origin(hint) is tuple:
-        args = get_args(hint)
-        if args[-1] is Ellipsis:
-            return SchemaKey(path, args[0], None, tuple)
-        (item,) = set(args)
-        return SchemaKey(path, item, len(args), tuple)
-    return SchemaKey(path, hint)
+    item, count, is_tuple = field_item(hint)
+    return SchemaKey(path, item, count, tuple if is_tuple else None)
 
 
 def _get(obj, path: tuple):

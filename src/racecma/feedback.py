@@ -33,8 +33,8 @@ import numpy as np
 
 from .radar import (CellConstants, Frame, build_frames, cell_constants, measure_cell,
                     measure_cells, noise_words, realize_channel)
-from .scenario import (ScenarioConfig, TargetState, check_finite, check_integers,
-                       initial_target_state, propagate_target)
+from .scenario import (ScenarioConfig, TargetState, check_fields, initial_target_state,
+                       propagate_target)
 from .seeding import frame_seeds
 # Not used here: the benchmark tracer wraps these four names at this import
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
@@ -88,12 +88,11 @@ class StateActionTable:
     period_multipliers: tuple[int, int, int, int] = (1, 1, 1, 2)
 
     def __post_init__(self) -> None:
-        check_finite(self, ("power_factors",))
+        check_fields(self)
         if any(not 0.0 <= f <= 1.0 for f in self.power_factors):
             raise ValueError("power factors must lie in [0, 1]")
         if any(a < b for a, b in zip(self.power_factors, self.power_factors[1:])):
             raise ValueError("power factors must be non-increasing in state index")
-        check_integers(self, ("period_multipliers",))
         if any(p < 1 for p in self.period_multipliers):
             raise ValueError("period multipliers must be positive integers")
 

@@ -37,7 +37,7 @@ from .objective import (
     StochasticObjective,
     derive_seed_plan,
 )
-from .scenario import check_finite, check_integers
+from .scenario import check_fields
 from .seeding import derive_seed, rng_from
 
 
@@ -56,23 +56,17 @@ class RacingConfig:
     mirrored_sampling: bool = True
 
     def __post_init__(self) -> None:
-        check_integers(self, ("repetitions", "diagonal_warmup_generations"))
-        check_finite(self, ("promotion_fraction", "fidelity_ratio", "truncation",
-                            "weighting_floor", "min_spacing"))
-        # "no" would sample mirrored and read back false from spec.cfg; 0 and
-        # 1 equal a bool and spell as one.
-        if self.mirrored_sampling not in (True, False):
-            raise ValueError("mirrored_sampling must be a bool")
-        if not 0.0 < self.promotion_fraction <= 1.0:
-            raise ValueError("promotion fraction must lie in (0, 1]")
-        if not 0.0 < self.fidelity_ratio <= 1.0:
-            raise ValueError("fidelity ratio must lie in (0, 1]")
-        if not 0.0 < self.truncation <= 1.0:
-            raise ValueError("truncation must lie in (0, 1]")
-        if self.repetitions < 1 or self.weighting_floor <= 0 or self.min_spacing <= 0:
-            raise ValueError("invalid racing configuration")
+        check_fields(self)
+        for name in ("promotion_fraction", "fidelity_ratio", "truncation"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1]")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        for name in ("weighting_floor", "min_spacing"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.diagonal_warmup_generations < 0:
-            raise ValueError("warmup generations must be >= 0")
+            raise ValueError("diagonal_warmup_generations must be >= 0")
 
     def promoted_count(self, lam: int) -> int:
         return max(1, int(self.promotion_fraction * lam))

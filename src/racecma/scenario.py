@@ -4,14 +4,18 @@ Geometry is planar: the base station sits at a fixed position and sweeps a
 transmit beam across a configured angular range, the sensing receiver (UE)
 sits at another fixed position, and a single point target moves inside a
 rectangular sensing region, bouncing off its edges.
+
+Every config dataclass first checks its fields against their annotations
+(:func:`check_fields`), which ``config.schema`` reads too (:func:`field_item`).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,7 +38,7 @@ class Rect:
     y_max: float
 
     def __post_init__(self) -> None:
-        check_finite(self, ("x_min", "x_max", "y_min", "y_max"))
+        check_fields(self)
         if self.x_min >= self.x_max or self.y_min >= self.y_max:
             raise ValueError("rectangle must have positive extent")
 
@@ -55,38 +59,54 @@ class GainModel:
     nlos_doppler_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        check_finite(self, ("scattering_gain", "nlos_gain_ratio", "nlos_excess_delay",
-                            "nlos_angle_offset", "nlos_doppler_ratio"))
+        check_fields(self)
         if self.scattering_gain <= 0:
             raise ValueError("scattering_gain must be positive")
         if self.nlos_gain_ratio < 0 or self.nlos_excess_delay < 0:
             raise ValueError("specular component must not precede or exceed the direct path")
 
 
-def check_integers(config, names) -> None:
-    """Reject a count field of ``config`` that is not an integer
-    (``operator.index``), or a tuple field with an entry that is not: a
-    float count passes every range check and fails only mid-run, in
-    ``range`` or in an array shape, and ``spec.cfg`` cannot read it back."""
-    for name in names:
-        value = getattr(config, name)
-        try:
-            for item in value if isinstance(value, tuple) else (value,):
-                operator.index(item)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer") from None
+def field_item(hint) -> tuple[type, int | None, bool]:
+    """The entry type of a field annotated ``hint``, its entry count (None for
+    ``tuple[X, ...]``, 1 for a scalar) and whether it is a tuple."""
+    if get_origin(hint) is not tuple:
+        return hint, 1, False
+    args = get_args(hint)
+    if args[-1] is Ellipsis:
+        return args[0], None, True
+    (item,) = set(args)
+    return item, len(args), True
 
 
-def check_finite(config, names) -> None:
-    """Reject a float field of ``config`` that is not a finite real number,
-    or a tuple field with an entry that is not: inf and nan pass most range
-    checks and fail only mid-run, a string or None fails at its first use,
-    and ``spec.cfg`` cannot read any of them back."""
-    for name in names:
+@cache
+def _field_items(cls: type) -> tuple:
+    hints = get_type_hints(cls)
+    return tuple((f.name, *field_item(hints[f.name])) for f in fields(cls))
+
+
+# The rule for an entry annotated int, float or bool; other types take their instances.
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("finite and real", lambda v: isinstance(v, numbers.Real)
+            and not isinstance(v, bool) and math.isfinite(v)),
+    bool: ("a bool", lambda v: v in (True, False)),
+}
+
+
+def check_fields(config) -> None:
+    """Reject a field of the dataclass ``config``, or a tuple field's entry,
+    whose value does not fit the field's annotation, and a tuple of another
+    length than its annotation's. Such a value fails only mid-run, at its
+    first use, or in ``spec.cfg``, which cannot read it back."""
+    for name, item, count, is_tuple in _field_items(type(config)):
         value = getattr(config, name)
-        for item in value if isinstance(value, tuple) else (value,):
-            if not (isinstance(item, numbers.Real) and math.isfinite(item)):
-                raise ValueError(f"{name} must be finite and real")
+        if is_tuple and not isinstance(value, tuple):
+            raise ValueError(f"{name} must be a tuple")
+        if is_tuple and count not in (None, len(value)):
+            raise ValueError(f"{name} must hold {count} entries")
+        kind, fits = _KINDS.get(item, (f"a {item.__name__}", lambda v: isinstance(v, item)))
+        if not all(map(fits, value if is_tuple else (value,))):
+            raise ValueError(f"{name} must be {kind}")
 
 
 def planar_distance(dx: float, dy: float) -> float:
@@ -146,13 +166,7 @@ class ScenarioConfig:
     heading_jitter: float = 0.3
 
     def __post_init__(self) -> None:
-        check_integers(self, (*_POSITIVE_COUNTS, "n_targets", "nlos_path_count"))
-        check_finite(self, ("antenna_spacing", "carrier_freq", "subcarrier_spacing",
-                            "symbol_duration", "sweep_range", "tx_power_dbm",
-                            "tx_power_range_dbm", "noise_figure_db", "target_speed",
-                            "sensing_horizon", "bs_position", "ue_position", "delay_window",
-                            "doppler_window", "null_fraction", "noise_bandwidth_scale",
-                            "interference_factor", "heading_jitter"))
+        check_fields(self)
         if any(getattr(self, name) < 1 for name in _POSITIVE_COUNTS):
             raise ValueError("all counts must be >= 1")
         if self.n_targets != 1:

@@ -158,6 +158,20 @@ class TestConvergence:
         per_gen = {r["method"]: r["n_eq"] for r in rows if r["generation"] == 1}
         assert per_gen["RACE-CMA"] < per_gen["CMA-ES"]
 
+    def test_rows_carry_their_records_n_eq(self, tmp_path):
+        # Each generation's n_eq is the cost of the record whose point it
+        # reports, the last record's on a padded generation. A linear split
+        # of the run's total labelled IPN's records at 8 and 18 as 13 and
+        # 26, and SPSA's one record at 21 as 14.5 and 29.
+        spec = tiny_spec(methods=("IPN", "SPSA"), convergence_powers=(20.0,), budget=30.0,
+                         repetitions=1)
+        rows = run_convergence(spec, tmp_path)
+        scenario, t0, _, seed = _rep_env(spec, 0, "conv-", 20.0)
+        for method in spec.methods:
+            n_eqs = [r.n_eq for r in run_method(method, scenario, spec, t0, seed).history]
+            n_eqs = (n_eqs + n_eqs[-1:] * spec.generations)[:spec.generations]
+            assert [r["n_eq"] for r in rows if r["method"] == method] == n_eqs
+
     def test_map_runs_appear_flat(self, tmp_path):
         spec = tiny_spec(methods=("MAP",), convergence_powers=(20.0,), generations=3)
         rows = run_convergence(spec, tmp_path)
@@ -269,7 +283,7 @@ class TestHelpers:
         ("racing", {"repetitions": 1.5}, "repetitions must be an integer"),
         ("ipn", {"outer_rounds": 2.5}, "outer_rounds must be an integer"),
         ("ipn", {"newton_iters": 2.0}, "newton_iters must be an integer"),
-        *((name, value, f"{name} must be positive and finite")
+        *((name, value, f"{name} must be finite and real")
           for name in ("budget", "init_sigma") for value in (math.inf, math.nan)),
         # spec.cfg could not read these back, or would read back another value.
         ("master_seed", 1.5, "master_seed must be an integer"),
@@ -305,6 +319,13 @@ class TestHelpers:
         ("power_grid", (10, 20.0, 10.0), "power_grid lists an entry twice"),
         ("convergence_powers", (20.0, np.float64(20.0)),
          "convergence_powers lists an entry twice"),
+        # Each racing range error names its field.
+        ("racing", {"repetitions": 0}, "repetitions must be >= 1"),
+        ("racing", {"weighting_floor": 0.0}, "weighting_floor must be positive"),
+        ("racing", {"min_spacing": -0.1}, "min_spacing must be positive"),
+        ("racing", {"promotion_fraction": 1.5}, r"promotion_fraction must lie in \(0, 1\]"),
+        ("racing", {"diagonal_warmup_generations": -1},
+         "diagonal_warmup_generations must be >= 0"),
     ])
     def test_meaningless_specs_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -541,8 +562,8 @@ class TestCli:
         (["--config", "scenario.region = -1e200,1e200,25,75"],
          "must lie within finite distances of each other"),
         # Unchecked, inf never ends SPSA's loop and nan runs IPN alone.
-        (["--budget", "inf"], "budget must be positive and finite"),
-        (["--budget", "nan"], "budget must be positive and finite"),
+        (["--budget", "inf"], "budget must be finite and real"),
+        (["--budget", "nan"], "budget must be finite and real"),
     ])
     def test_bad_spec_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                              flags, message):

@@ -4,7 +4,7 @@ import math
 import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -174,6 +174,45 @@ def _field_paths(cls: type, path: tuple = ()):
             yield from _field_paths(hints[f.name], path + (f.name,))
         else:
             yield path + (f.name,)
+
+
+# Values of the wrong kind for an entry of each annotated type.
+_WRONG = {int: (None, "1", True, 1.5), float: (None, "1", True), bool: (None, "no", 2),
+          str: (None, 1, True)}
+
+
+def _wrong_kinds(cls: type, default, path: tuple = ()):
+    """(attribute path, value) pairs that put a value of the wrong kind in
+    one field, or one tuple entry, of ``cls`` or of a config object in it:
+    each of ``_WRONG``, a string or None for a config object, a list or a
+    tuple one entry too long or short for a tuple."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        hint, at, value = hints[f.name], path + (f.name,), getattr(default, f.name)
+        if is_dataclass(hint):
+            yield from ((at, bad) for bad in (None, "x"))
+            yield from _wrong_kinds(hint, value, at)
+        elif get_origin(hint) is tuple:
+            yield at, list(value)
+            if get_args(hint)[-1] is not Ellipsis:
+                yield from ((at, bad) for bad in (value + value[-1:], value[:-1]))
+            yield from ((at + (i,), bad) for i in range(len(value))
+                        for bad in _WRONG[get_args(hint)[0]])
+        else:
+            yield from ((at, bad) for bad in _WRONG[hint])
+
+
+WRONG_KINDS = list(_wrong_kinds(ExperimentSpec, ExperimentSpec()))
+
+
+@pytest.mark.parametrize("path, value", WRONG_KINDS, ids=[
+    f"{'.'.join(map(str, path))}={value!r}" for path, value in WRONG_KINDS])
+def test_every_field_rejects_a_wrong_kind(path, value):
+    # Each value fails at its first use or mid-run, or is one that spec.cfg
+    # cannot read back: the constructor must reject it, naming the field.
+    name = next(step for step in reversed(path) if isinstance(step, str))
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        _apply(ExperimentSpec(), {path: value})
 
 
 def _other_values(key: str):

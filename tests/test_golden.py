@@ -30,9 +30,9 @@ GOLDEN = {
         "sweep_summary.csv": "40cab4fcfd8ff9478c9a538c3b61a7a15ca91afa8e1269843e02843989cd9251",
     },
     run_convergence: {
-        "convergence_runs.csv": "e6ad452403df4d3f0e4df134478745ce66452d4ce0a1565c51a02d89e8e52521",
+        "convergence_runs.csv": "5f6131965dc39fddd68024c768c9e37011904ae42410c5f39d1190b85a28a904",
         "convergence_summary.csv":
-            "7ed68a959caab79a350dcacc85d5cb12d89299ee16af9e3bde9b05e4e8f57197",
+            "39a5f78f45f9165ff0597c035c74b88e96a48492f01dc5b2663dd49ee693dead",
     },
 }
 
@@ -50,9 +50,9 @@ NLOS_GOLDEN = {
         "sweep_summary.csv": "6da709ee5ebb127cd1337059f7eebb932d7843dd91ad73302f81509795d6e1f3",
     },
     run_convergence: {
-        "convergence_runs.csv": "57f1129515e059cb17c487683275a602a346d5675790d315828bfa9b62561db3",
+        "convergence_runs.csv": "613e1173391678fc42f1f28471aceb792586372cb02bff2fe65c761264f1e399",
         "convergence_summary.csv":
-            "535fdabd53721eebeb2579cea2fd9188e4652fd871872a09e6f0c6823ed845d3",
+            "4f4263d019680eae3be1d1301d866186f7a3ebd7cad9ec847e61143d1cc5622e",
     },
 }
 
