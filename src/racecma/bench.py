@@ -12,12 +12,15 @@ per-repetition seed; all methods inside a repetition share that seed family,
 so they face the same environment and the same evaluation randomness. Final
 and initial configurations are assessed with a fixed set of evaluation seeds
 that is never charged to any optimizer's ledger.
+
+A run with ``jobs > 1`` spreads its repetitions over a process pool. The
+pool's executor, and ``multiprocessing`` with it, is imported when that run
+starts the pool, so a one-process run never loads them.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -306,6 +309,9 @@ def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
     reps = range(spec.repetitions)
     workers = min(spec.jobs, spec.repetitions)
     if workers > 1:
+        # Imported here, not at the top: it loads multiprocessing (module docstring).
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_worker) as pool:
             per_rep = list(pool.map(rep_fn, [spec] * spec.repetitions, reps))
     else:

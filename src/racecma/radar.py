@@ -39,6 +39,8 @@ Each frame's noise comes from a generator of its own, and numpy releases
 the GIL while a generator fills, so a large stack's draw is split in two
 (:func:`_draw_noise`): one helper thread per process, made on first use,
 fills half the frames while the caller fills the rest, with the same bytes.
+``concurrent.futures`` is imported then too, so a process whose draws never
+split never loads an executor.
 It engages only where it pays: the helper's share holds at least
 :data:`SPLIT_NORMALS` normals, the process may run on two CPUs or more, and
 the process allows it (``bench``'s pool workers do not). A forked child
@@ -50,15 +52,17 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent import futures
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, ScenarioConfig, TargetState, planar_distance
 from .seeding import derive_seed, generator_from_words, noise_seeds, seed_words
+
+if TYPE_CHECKING:
+    from concurrent import futures
 
 
 class GeometryError(ValueError):
@@ -412,6 +416,10 @@ def _hand_off(words: Sequence[np.ndarray], draws: np.ndarray) -> futures.Future 
     global _helper
     if draws.size < SPLIT_NORMALS or not _helper_allowed or _cpu_count() < 2:
         return None
+    # Imported on the first draw that splits, not with the module: a process
+    # that never splits a draw never loads the executors.
+    from concurrent import futures
+
     with _helper_lock:
         if _helper is None:
             _helper = futures.ThreadPoolExecutor(1, thread_name_prefix="racecma-noise")
@@ -445,7 +453,7 @@ def _draw_noise(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
     try:
         _fill(words[:half], draws[:half])
     finally:
-        futures.wait((share,))
+        share.exception()  # waits for the helper's share; returns its error, not raises
     share.result()
 
 

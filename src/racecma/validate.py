@@ -317,6 +317,15 @@ def check_reproducibility(scratch: Path | None = None) -> CheckResult:
     return CheckResult("reproducibility", True, "compare outputs byte-identical")
 
 
+def _versus(left: str, a: float, right: str, b: float, strict: bool = True,
+            fmt: str = ".4f") -> tuple[bool, str]:
+    """Whether ``a > b`` (``a >= b`` unless ``strict``), and the comparison
+    as ``left=a > right=b (margin a-b)``, marked ``FAILED`` when it fails."""
+    ok = a > b if strict else a >= b
+    return ok, (f"{left}={a:{fmt}} {'>' if strict else '>='} {right}={b:{fmt}} "
+                f"(margin {a - b:+{fmt}}{'' if ok else ', FAILED'})")
+
+
 # The methods whose compare rows check_efficiency_ordering reads.
 ORDERING_METHODS = ("IPN", "SPSA", "CMA-ES", "RACE-CMA")
 
@@ -337,13 +346,9 @@ def check_efficiency_ordering(spec: ExperimentSpec, scratch: Path | None = None)
         ("RACE", race, "SPSA", spsa, True),
         ("RACE", race, "IPN", ipn, True),
     ]
-    passed, parts = True, []
-    for left, a, right, b, strict in comparisons:
-        ok = a > b if strict else a >= b
-        passed = passed and ok
-        parts.append(f"{left}={a:.4f} {'>' if strict else '>='} {right}={b:.4f} "
-                     f"(margin {a - b:+.4f}{'' if ok else ', FAILED'})")
-    return CheckResult("efficiency-ordering", passed, "efficiency: " + "; ".join(parts))
+    verdicts = [_versus(*comparison) for comparison in comparisons]
+    return CheckResult("efficiency-ordering", all(ok for ok, _ in verdicts),
+                       "efficiency: " + "; ".join(part for _, part in verdicts))
 
 
 # The generation whose convergence rows check_convergence_direction reads.
@@ -360,31 +365,35 @@ def check_convergence_direction(spec: ExperimentSpec, scratch: Path | None = Non
         rows = run_convergence(spec, base / "converge")
     gen4 = {row["method"]: row["j_det"] for row in rows
             if row["generation"] == CONVERGENCE_GENERATION}
-    passed = gen4["RACE-CMA"] > gen4["CMA-ES"]
-    return CheckResult(
-        "convergence-direction", passed,
-        f"generation-4 J_det: RACE={gen4['RACE-CMA']:.4f} CMA={gen4['CMA-ES']:.4f}",
-    )
+    passed, part = _versus("RACE", gen4["RACE-CMA"], "CMA", gen4["CMA-ES"])
+    return CheckResult("convergence-direction", passed,
+                       f"generation-{CONVERGENCE_GENERATION} J_det: {part}")
 
 
 def check_sweep_direction(spec: ExperimentSpec, scratch: Path | None = None) -> CheckResult:
     """Tuned thresholds dominate fixed ones across the power grid and cut
-    latency at the low-power point."""
+    latency at the low-power point. The detail lists each power's J_det
+    comparison and the latency cut, each with both sides and the margin,
+    and marks any that failed; a fixed latency of 0 reads as a 0 % cut,
+    and the detail says so."""
     with _scratch_dir(scratch) as base:
         rows = run_sweep(spec, base / "sweep")
     by_key = {(row["power_dbm"], row["variant"]): row for row in rows}
-    det_ok = all(
-        by_key[(p, "tuned")]["j_det"] >= by_key[(p, "fixed")]["j_det"] for p in spec.power_grid
-    )
+    verdicts = [
+        _versus(f"J_det at {p:g} dBm: tuned", by_key[(p, "tuned")]["j_det"],
+                "fixed", by_key[(p, "fixed")]["j_det"], strict=False)
+        for p in spec.power_grid
+    ]
     low = min(spec.power_grid)
     fixed_lat = by_key[(low, "fixed")]["j_lat_norm"]
     tuned_lat = by_key[(low, "tuned")]["j_lat_norm"]
     reduction = (fixed_lat - tuned_lat) / fixed_lat if fixed_lat > 0 else 0.0
-    passed = det_ok and reduction >= 0.30
-    return CheckResult(
-        "sweep-direction", passed,
-        f"J_det dominance={det_ok}, low-power latency reduction={reduction:.1%}",
-    )
+    verdicts.append(_versus(f"latency at {low:g} dBm: cut", reduction, "bound", 0.30,
+                            strict=False, fmt=".1%"))
+    parts = [part for _, part in verdicts]
+    if not fixed_lat > 0:
+        parts.append("the fixed latency is 0, so the cut reads 0%")
+    return CheckResult("sweep-direction", all(ok for ok, _ in verdicts), "; ".join(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -153,3 +153,59 @@ class TestEfficiencyOrderingDetail:
         assert [part.split(" (")[0] for part in parts if part.endswith(", FAILED)")] == failed
         assert result.passed == (not failed)
         assert "(margin +0.0013" in parts[1]  # CMA minus SPSA
+
+
+class TestConvergenceDirectionDetail:
+    """The gate's detail gives both sides at generation four and the margin."""
+
+    @pytest.mark.parametrize("race, cma, passed", [
+        (0.6250, 0.6000, True), (0.5900, 0.6000, False), (0.6000, 0.6000, False)])
+    def test_detail_gives_both_sides_and_the_margin(self, monkeypatch, tmp_path, race, cma,
+                                                    passed):
+        rows = [{"method": method, "generation": gen, "j_det": value + gen - 4}
+                for gen in (3, 4, 5) for method, value in (("CMA-ES", cma), ("RACE-CMA", race))]
+        monkeypatch.setattr(validate_mod, "run_convergence", lambda spec, out: rows)
+        result = check_convergence_direction(ExperimentSpec(), tmp_path)
+        assert result.passed == passed
+        assert result.detail == (f"generation-4 J_det: RACE={race:.4f} > CMA={cma:.4f} "
+                                 f"(margin {race - cma:+.4f}{'' if passed else ', FAILED'})")
+
+
+class TestSweepDirectionDetail:
+    """The gate's detail lists each power's J_det comparison and the
+    low-power latency cut, and marks the sub-checks that failed."""
+
+    @staticmethod
+    def _rows(tuned_det, fixed_lat, tuned_lat):
+        """Sweep summary rows on the default power grid: fixed J_det 0.7 at
+        every power, the given tuned J_det, and the given latencies at every
+        power."""
+        return [{"power_dbm": p, "variant": variant, "j_det": det, "j_lat_norm": lat}
+                for p, tuned in zip(ExperimentSpec().power_grid, tuned_det)
+                for variant, det, lat in (("fixed", 0.7, fixed_lat), ("tuned", tuned, tuned_lat))]
+
+    @pytest.mark.parametrize("tuned_det, fixed_lat, tuned_lat, failed, note", [
+        ((0.8, 0.7, 0.9, 0.75, 0.8), 0.5, 0.3, [], False),
+        ((0.8, 0.7, 0.6, 0.75, 0.8), 0.5, 0.4,
+         ["J_det at 20 dBm: tuned=0.6000 >= fixed=0.7000",
+          "latency at 10 dBm: cut=20.0% >= bound=30.0%"], False),
+        ((0.8, 0.7, 0.9, 0.75, 0.8), 0.0, 0.0,
+         ["latency at 10 dBm: cut=0.0% >= bound=30.0%"], True),
+    ])
+    def test_detail_lists_every_sub_check(self, monkeypatch, tmp_path, tuned_det, fixed_lat,
+                                          tuned_lat, failed, note):
+        rows = self._rows(tuned_det, fixed_lat, tuned_lat)
+        monkeypatch.setattr(validate_mod, "run_sweep", lambda spec, out: rows)
+        result = check_sweep_direction(ExperimentSpec(), tmp_path)
+        parts = result.detail.split("; ")
+        cut = (fixed_lat - tuned_lat) / fixed_lat if fixed_lat > 0 else 0.0
+        assert [part.split(" (")[0] for part in parts[:6]] == [
+            *(f"J_det at {p:g} dBm: tuned={det:.4f} >= fixed=0.7000"
+              for p, det in zip(ExperimentSpec().power_grid, tuned_det)),
+            f"latency at 10 dBm: cut={cut:.1%} >= bound=30.0%",
+        ]
+        assert [part.split(" (")[0] for part in parts if part.endswith(", FAILED)")] == failed
+        assert result.passed == (not failed)
+        assert parts[6:] == (["the fixed latency is 0, so the cut reads 0%"] if note else [])
+        assert parts[0].endswith("(margin +0.1000)")
+        assert f"(margin {cut - 0.30:+.1%}" in parts[5]

@@ -1,6 +1,11 @@
 import argparse
+import concurrent.futures
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -233,7 +238,8 @@ class TestHelpers:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", InProcess)
+        # _run imports the executor from concurrent.futures when it starts a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
         run_compare(tiny_spec(methods=("MAP",), repetitions=repetitions, jobs=jobs), tmp_path)
         assert sizes == ([] if workers is None else [workers])
 
@@ -338,6 +344,70 @@ class TestHelpers:
         assert cfg["scenario.n_bs_antennas"] == "32"
         assert cfg["experiment.budget"] == "18.0"
         assert cfg["racing.truncation"] == "0.8"
+
+
+# Run as a script in a fresh interpreter, since pytest has imported the
+# executors itself: a tiny desk compare at the given jobs and repetitions on
+# a two-CPU affinity, so a draw large enough to split would start the noise
+# helper. Each repetition writes its process id beside the output, and the
+# script prints its own id and which executor modules the run loaded.
+_FOOTPRINT_SCRIPT = """
+import json, os, sys
+from pathlib import Path
+
+from racecma import bench
+from racecma.bench import ExperimentSpec, run_compare
+
+jobs, repetitions, out = int(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3])
+os.sched_getaffinity = lambda pid: {0, 1}  # forks inherit it
+_real_rep = bench._compare_rep
+
+
+def rep(spec, r):
+    (out.parent / f"{out.name}-rep{r}.pid").write_text(str(os.getpid()))
+    return _real_rep(spec, r)
+
+
+if __name__ == "__main__":
+    bench._compare_rep = rep
+    run_compare(ExperimentSpec(budget=24.0, generations=2, eval_repeats=2, master_seed=5,
+                               jobs=jobs, repetitions=repetitions), out)
+    modules = ("multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
+    print(json.dumps({"pid": os.getpid(), "loaded": [m for m in modules if m in sys.modules]}))
+"""
+
+
+def _footprint(tmp_path: Path, jobs: int, repetitions: int) -> tuple[Path, dict]:
+    """Run the footprint script; its output directory and printed report."""
+    script = tmp_path / "footprint.py"
+    script.write_text(_FOOTPRINT_SCRIPT)
+    out = tmp_path / f"jobs{jobs}-reps{repetitions}"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(bench_mod.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    stdout = subprocess.run(
+        [sys.executable, str(script), str(jobs), str(repetitions), str(out)], env=env,
+        check=True, timeout=300, stdout=subprocess.PIPE, text=True).stdout
+    return out, json.loads(stdout)
+
+
+class TestFootprint:
+    """A run loads the process pool's and the noise helper's executors only
+    when it uses them."""
+
+    def test_a_one_process_desk_run_loads_no_executor(self, tmp_path):
+        out, report = _footprint(tmp_path, jobs=1, repetitions=1)
+        assert report["loaded"] == []
+        assert (out / "compare_runs.csv").exists()
+
+    def test_a_pool_run_still_starts_a_pool_and_writes_the_one_process_bytes(self, tmp_path):
+        alone, report = _footprint(tmp_path, jobs=1, repetitions=2)
+        assert report["loaded"] == []
+        pooled, report = _footprint(tmp_path, jobs=2, repetitions=2)
+        assert {"multiprocessing", "concurrent.futures.process"} <= set(report["loaded"])
+        pids = {int(path.read_text()) for path in tmp_path.glob(f"{pooled.name}-rep*.pid")}
+        assert pids and report["pid"] not in pids
+        for name in ("compare_runs.csv", "compare_summary.csv", "spec.cfg"):
+            assert (pooled / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 # The tiny run every accepted spec must finish: compare, sweep and converge
