@@ -185,21 +185,17 @@ class EpisodeWorld:
 
 def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
     """Give each world the noise seed words of its frames before
-    ``n_frames``, mixed in one pass over every frame the worlds lack:
+    ``n_frames``, mixed in one pass per world that lacks any:
     :func:`radar.noise_words` of the frame seeds ``derive_seed(seed,
-    "frame", t)`` (:func:`seeding.frame_seeds`). The pass has a fixed cost
+    "frame", t)`` (:func:`seeding.frame_seeds`). A pass has a fixed cost
     that one stack's frames would not repay, so it covers a call's frames
-    up front, the ones the cadence will skip included."""
-    lacking = [world for world in worlds if len(world.words) < n_frames]
-    if not lacking:
-        return
-    words = noise_words([seed for world in lacking
-                         for seed in frame_seeds(world.seed, len(world.words), n_frames)])
-    start = 0
-    for world in lacking:
-        end = start + n_frames - len(world.words)
-        world.words = np.concatenate((world.words, words[start:end]))  # its own copy
-        start = end
+    up front, the ones the cadence will skip included; a pass per world
+    keeps a batch's transient arrays those of one world, whatever its
+    seed count."""
+    for world in worlds:
+        if len(world.words) < n_frames:
+            world.words = np.concatenate(
+                (world.words, noise_words(frame_seeds(world.seed, len(world.words), n_frames))))
 
 
 # How many frames a one-seed batch builds as one stack. The cost per
@@ -322,8 +318,8 @@ def run_episodes(
     (IPN's line-search probes after its stencil); the first group starts
     from it if it is that group's. The other groups' worlds stream: each
     holds the current frame's target, bearing and cells only. Before the
-    first frame, one pass mixes the noise seed words of every frame the
-    worlds lack (:func:`_seed_frames`). The seeds and triples are checked
+    first frame, one pass per world mixes the noise seed words of every
+    frame it lacks (:func:`_seed_frames`). The seeds and triples are checked
     before any frame runs, and an empty batch returns ``[]`` with the
     thread's world kept. Each trace equals, bit for bit, the one its triple
     gives alone on its seed.

@@ -5,6 +5,7 @@ last."""
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,7 +21,7 @@ from racecma.feedback import (EpisodeTrace, EpisodeWorld, InfeasibleThresholdsEr
                               StateActionTable)
 from racecma.radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
 from racecma.scenario import ScenarioConfig, initial_target_state, propagate_target
-from racecma.seeding import derive_seed
+from racecma.seeding import derive_seed, frame_seeds
 
 
 def reference_episode(scenario, thresholds, actions, seed, fidelity) -> EpisodeTrace:
@@ -75,7 +76,7 @@ def draws(monkeypatch):
     """The frame seed of each noise draw, in order, wherever it is drawn:
     a frame built in any stack seeds its draw's generator with the
     frame's row of ``radar.noise_words``, which a call mixes up front for
-    every frame, drawn or not."""
+    every frame, drawn or not, in one pass per world."""
     drawn, seed_of = [], {}
     noise_words, generator_from_words = radar_mod.noise_words, radar_mod.generator_from_words
 
@@ -399,6 +400,64 @@ class TestSlot:
             counts.append(len(draws))
         assert counts == [40, 40, 80, 120]
         assert held_world().seed == 1 and len(held_world().cells) == 40
+
+
+class TestSeedPass:
+    """A call mixes the noise seed words of every frame a world lacks in one
+    pass per world, so a batch's transient arrays are one world's, whatever
+    its seed count."""
+
+    def test_one_pass_per_world_that_lacks_frames(self, short_desk, monkeypatch):
+        lengths, seeded = [], []
+        noise_words, seed_frames = feedback_mod.noise_words, feedback_mod._seed_frames
+
+        def recorded_words(seeds):
+            seeds = list(seeds)
+            lengths.append(len(seeds))
+            return noise_words(seeds)
+
+        def recorded_worlds(worlds, n_frames):
+            seeded.extend(worlds)
+            seed_frames(worlds, n_frames)
+
+        monkeypatch.setattr(feedback_mod, "noise_words", recorded_words)
+        monkeypatch.setattr(feedback_mod, "_seed_frames", recorded_worlds)
+        t = (1.0, 2.0, 3.0)
+        cold_start()
+        run_episodes(short_desk, [t] * 12, list(range(12)), fidelity=0.5)
+        world = held_world()
+        assert lengths == [20] * 12
+        # A higher-fidelity call on the held world mixes its new frames only.
+        run_episode(short_desk, t, seed=11)
+        assert held_world() is world and lengths[12:] == [20]
+        # The held world, first of the batch, lacks no frame: no pass.
+        run_episodes(short_desk, [t] * 3, [11, 12, 13])
+        assert held_world().seed == 13 and lengths[13:] == [40, 40]
+        assert len(seeded) == 12 + 1 + 3
+        for world in seeded:
+            n = len(world.words)
+            assert n in (20, 40)
+            expected = radar_mod.noise_words(frame_seeds(world.seed, 0, n))
+            assert world.words.tobytes() == expected.tobytes()
+
+    def test_batch_peak_memory_is_its_words_and_one_worlds_pass(self):
+        # A batch-wide pass gives the same words; only its peak shows it.
+        scenario = ScenarioConfig()
+        n_frames = scenario.frame_count
+
+        def peak(seeds):
+            worlds = [EpisodeWorld(scenario, seed) for seed in seeds]
+            tracemalloc.start()
+            try:
+                feedback_mod._seed_frames(worlds, n_frames)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([0])  # warm: first-call allocations are not the pass's
+        one_pass = peak([1])
+        kept = 12 * n_frames * 32  # each world's (n_frames, 4) uint64 words
+        assert peak(range(100, 112)) <= kept + 1.25 * one_pass
 
 
 BLOCK_SCENARIOS = {
