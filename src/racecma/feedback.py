@@ -201,8 +201,9 @@ def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
 # How many frames a one-seed batch builds as one stack. The cost per
 # frame falls with the stack up to about 8 paper or 16 desk frames and is
 # flat beyond (CHANGES.md); sixteen paper frames draw 1 MB of noise at once.
-# A stack draws its noise on two threads from radar.SPLIT_NORMALS normals a
-# share on: a paper block does, a desk block does not.
+# A stack draws its noise on two threads, starting one for the draw, from
+# radar.SPLIT_NORMALS normals a share on: a paper block does, a desk block
+# does not.
 BLOCK_FRAMES = 16
 
 

@@ -9,6 +9,7 @@ stay order-independent.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,6 +210,8 @@ class SyntheticObjective:
     def __init__(self, fn, noise_std: float = 0.0, noise_mode: str = "point") -> None:
         if noise_mode not in ("common", "point"):
             raise ValueError("noise_mode must be 'common' or 'point'")
+        if not 0.0 <= noise_std < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
         self.fn = fn
         self.noise_std = noise_std
         self.noise_mode = noise_mode

@@ -37,14 +37,12 @@ reference model.
 
 Each frame's noise comes from a generator of its own, and numpy releases
 the GIL while a generator fills, so a large stack's draw is split in two
-(:func:`_draw_noise`): one helper thread per process, made on first use,
-fills half the frames while the caller fills the rest, with the same bytes.
-``concurrent.futures`` is imported then too, so a process whose draws never
-split never loads an executor.
-It engages only where it pays: the helper's share holds at least
+(:func:`_draw_noise`): a thread started for the draw fills half the frames
+while the caller fills the rest, with the same bytes, and ends with the draw.
+It engages only where it pays: the thread's share holds at least
 :data:`SPLIT_NORMALS` normals, the process may run on two CPUs or more, and
-the process allows it (``bench``'s pool workers do not). A forked child
-drops its parent's helper and makes its own on first use.
+the process allows it (``bench``'s pool workers do not). No thread outlives
+a draw, so a forked child inherits none.
 """
 
 from __future__ import annotations
@@ -54,15 +52,12 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, ScenarioConfig, TargetState, planar_distance
 from .seeding import derive_seed, generator_from_words, noise_seeds, seed_words
-
-if TYPE_CHECKING:
-    from concurrent import futures
 
 
 class GeometryError(ValueError):
@@ -369,32 +364,21 @@ def noise_words(seeds: Iterable[int]) -> np.ndarray:
     return seed_words(noise_seeds(seeds))
 
 
-# The least number of normals the helper's share of a stack's noise draw
-# must hold before :func:`_draw_noise` splits the draw: two paper frames.
+# The least number of normals the second thread's share of a stack's noise
+# draw must hold before :func:`_draw_noise` splits the draw: two paper frames.
 # On a 2-vCPU x86 VM a split cost 4-28 % at desk scale up to a share of
 # 9 216 normals (a stack of 12) and saved 7 % at 12 288 (a block of 16); at
 # paper scale it saved 12-20 % at one frame's 8 000 and 19-39 % from two
-# frames on (CHANGES.md). The floor keeps a desk stack of up to 21 frames,
-# a block (``feedback.BLOCK_FRAMES``) included, on one thread.
+# frames on (CHANGES.md). Starting and joining the thread costs 40-90 µs.
+# The floor keeps a desk stack of up to 21 frames, a block
+# (``feedback.BLOCK_FRAMES``) included, on one thread.
 SPLIT_NORMALS = 16_000
 
-_helper: futures.ThreadPoolExecutor | None = None  # this process's, made on first use
-_helper_lock = threading.Lock()
 _helper_allowed = True
 
 
-def _forget_helper() -> None:
-    """In a forked child: the parent's helper thread did not come along."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
 def allow_noise_helper(allowed: bool) -> None:
-    """Let this process split its large noise draws with a helper thread,
+    """Let this process split its large noise draws with a second thread,
     or not. ``bench``'s pool workers turn it off: their repetitions
     already fill the CPUs."""
     global _helper_allowed
@@ -408,27 +392,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _hand_off(words: Sequence[np.ndarray], draws: np.ndarray) -> futures.Future | None:
-    """Start the process's helper thread, made on first use, on
-    :func:`_fill` of ``words`` into ``draws``, where that pays: ``draws``
-    holds at least :data:`SPLIT_NORMALS` normals, helping is allowed, and
-    the process may run on a second CPU. None where it does not."""
-    global _helper
-    if draws.size < SPLIT_NORMALS or not _helper_allowed or _cpu_count() < 2:
-        return None
-    # Imported on the first draw that splits, not with the module: a process
-    # that never splits a draw never loads the executors.
-    from concurrent import futures
-
-    with _helper_lock:
-        if _helper is None:
-            _helper = futures.ThreadPoolExecutor(1, thread_name_prefix="racecma-noise")
-        try:
-            return _helper.submit(_fill, words, draws)
-        except RuntimeError:  # the interpreter is shutting its executors down
-            return None
-
-
 def _fill(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
     """Draw each frame's unit normals into its slice of ``draws`` from the
     generator of its row of ``words``."""
@@ -437,24 +400,40 @@ def _fill(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
 
 
 def _draw_noise(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
-    """:func:`_fill`, split in two where it pays (:func:`_hand_off`): the
-    helper thread fills the frames past ``half`` while this thread fills
-    the others. numpy releases the GIL while a generator fills, so the
+    """:func:`_fill`, split in two where it pays: a thread started here
+    fills the frames past ``half`` while this thread fills the others, if
+    the thread's share holds at least :data:`SPLIT_NORMALS` normals, the
+    process allows it (:func:`allow_noise_helper`) and it may run on a
+    second CPU. numpy releases the GIL while a generator fills, so the
     halves run at once, and each frame's normals are the same bit for bit,
-    since each comes from its own generator. The helper runs one share at a
-    time, so threads that share it queue, and it takes no lock a caller
-    holds. Its error is raised here, and this thread waits for it before
-    returning or raising, so no half-filled buffer is read."""
+    since each comes from its own generator. This thread joins the other
+    before returning or raising, so no half-filled buffer is read, and then
+    raises the other's error. Where no thread can start (as at the
+    interpreter's shutdown), this thread fills every frame."""
     half = (len(draws) + 1) // 2  # this thread starts first, so it takes the odd frame
-    share = _hand_off(words[half:], draws[half:])
-    if share is None:
+    if draws[half:].size < SPLIT_NORMALS or not _helper_allowed or _cpu_count() < 2:
+        _fill(words, draws)
+        return
+    errors = []
+
+    def share() -> None:
+        try:
+            _fill(words[half:], draws[half:])
+        except BaseException as error:  # raised in the caller, after the join
+            errors.append(error)
+
+    helper = threading.Thread(target=share, name="racecma-noise")
+    try:
+        helper.start()
+    except RuntimeError:
         _fill(words, draws)
         return
     try:
         _fill(words[:half], draws[:half])
     finally:
-        share.exception()  # waits for the helper's share; returns its error, not raises
-    share.result()
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 def build_frames(

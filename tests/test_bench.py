@@ -377,22 +377,62 @@ if __name__ == "__main__":
 """
 
 
-def _footprint(tmp_path: Path, jobs: int, repetitions: int) -> tuple[Path, dict]:
-    """Run the footprint script; its output directory and printed report."""
-    script = tmp_path / "footprint.py"
-    script.write_text(_FOOTPRINT_SCRIPT)
-    out = tmp_path / f"jobs{jobs}-reps{repetitions}"
+def _report(script: Path, text: str, *args: str) -> dict:
+    """Run ``text`` as ``script`` in a fresh interpreter; its printed report."""
+    script.write_text(text)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(bench_mod.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-    stdout = subprocess.run(
-        [sys.executable, str(script), str(jobs), str(repetitions), str(out)], env=env,
-        check=True, timeout=300, stdout=subprocess.PIPE, text=True).stdout
-    return out, json.loads(stdout)
+    return json.loads(subprocess.run([sys.executable, str(script), *args], env=env, check=True,
+                                     timeout=300, stdout=subprocess.PIPE, text=True).stdout)
+
+
+def _footprint(tmp_path: Path, jobs: int, repetitions: int) -> tuple[Path, dict]:
+    """Run the footprint script; its output directory and printed report."""
+    out = tmp_path / f"jobs{jobs}-reps{repetitions}"
+    return out, _report(tmp_path / "footprint.py", _FOOTPRINT_SCRIPT,
+                        str(jobs), str(repetitions), str(out))
+
+
+# Run as a script in a fresh interpreter: one paper stack of 8 frames on
+# two CPUs, whose noise draw splits, then what the process holds after it.
+_SPLIT_SCRIPT = """
+import json, os, sys, threading
+
+from racecma import ScenarioConfig, radar
+from racecma.scenario import TargetState
+
+os.sched_getaffinity = lambda pid: {0, 1}
+_real_fill = radar._fill
+fills = []
+
+
+def fill(words, draws):
+    fills.append(threading.current_thread().name)
+    _real_fill(words, draws)
+
+
+radar._fill = fill
+scenario = ScenarioConfig()
+const = radar.cell_constants(scenario)
+target = TargetState(position=(-20.0, 35.0), velocity=(1.0, -0.5))
+radar.build_frames(const, [radar.realize_channel(scenario, target)] * 8,
+                   radar.noise_words(range(8)))
+modules = ("concurrent.futures", "concurrent.futures.thread")
+print(json.dumps({"fills": fills, "main": threading.current_thread().name,
+                  "threads": [thread.name for thread in threading.enumerate()],
+                  "loaded": [m for m in modules if m in sys.modules]}))
+"""
 
 
 class TestFootprint:
-    """A run loads the process pool's and the noise helper's executors only
-    when it uses them."""
+    """A run loads the process pool's executor only when it uses it, and a
+    split noise draw leaves no thread and no executor behind."""
+
+    def test_a_split_draw_leaves_only_the_main_thread_and_loads_no_executor(self, tmp_path):
+        report = _report(tmp_path / "split.py", _SPLIT_SCRIPT)
+        assert len(set(report["fills"])) == 2 and report["main"] in report["fills"]  # it split
+        assert report["threads"] == [report["main"]]
+        assert report["loaded"] == []
 
     def test_a_one_process_desk_run_loads_no_executor(self, tmp_path):
         out, report = _footprint(tmp_path, jobs=1, repetitions=1)

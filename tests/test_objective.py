@@ -234,6 +234,12 @@ class TestSyntheticObjective:
         obj = SyntheticObjective(lambda x: float(np.sum(x**2)))
         assert obj.evaluate_many([[1.0, 2.0], [1.0, 2.0]], [0, 99]) == [5.0, 5.0]
 
+    @pytest.mark.parametrize("noise_std", [-0.1, -math.inf, math.inf, math.nan])
+    def test_meaningless_noise_std_rejected(self, noise_std):
+        """Such a noise_std would otherwise run noiseless without a word."""
+        with pytest.raises(ValueError, match="noise_std"):
+            SyntheticObjective(lambda x: 0.0, noise_std=noise_std)
+
     def test_common_noise_cancels_in_comparisons(self):
         obj = SyntheticObjective(lambda x: float(np.sum(x**2)), noise_std=0.5,
                                  noise_mode="common")

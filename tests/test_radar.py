@@ -681,9 +681,10 @@ class TestStackedCells:
 
 @pytest.fixture()
 def helper(monkeypatch):
-    """Split every stack of two frames or more (the helper on), and record
-    the thread that fills each share of a draw; ``radar.allow_noise_helper``
-    turns it off, and the fixture turns it back on."""
+    """Split every stack of two frames or more (splitting allowed), and
+    record the thread that fills each share of a draw;
+    ``radar.allow_noise_helper`` turns splitting off, and the fixture turns
+    it back on."""
     shares = []
 
     def fill(words, draws):
@@ -715,10 +716,15 @@ def _frames_of(key, n):
     return cell_constants(scenario), channels, noise_words(range(100 + n, 100 + 2 * n))
 
 
+def _noise_threads():
+    return [thread for thread in threading.enumerate() if thread.name == "racecma-noise"]
+
+
 class TestNoiseHelper:
-    """A stack's noise draw split with the helper thread gives the bytes of
-    the draw on one thread, whatever the stack's size; the helper's error
-    reaches the caller, and the helper stays off on one CPU."""
+    """A stack's noise draw split with a second thread gives the bytes of
+    the draw on one thread, whatever the stack's size, and the thread ends
+    with the draw; its error reaches the caller, a thread that cannot start
+    leaves the draw to the caller, and no draw splits on one CPU."""
 
     @pytest.mark.parametrize("key", list(_SCENARIOS), ids=lambda key: f"{key[0]}-nlos{key[1]}")
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 16, 17])
@@ -731,7 +737,8 @@ class TestNoiseHelper:
         else:  # this thread takes the odd frame
             assert len(threads) == 2 and sorted(count for _, count in helper) == [n // 2,
                                                                                 (n + 1) // 2]
-            assert sum(name.startswith("racecma-noise") for name in threads) == 1
+            assert threads.count("racecma-noise") == 1
+        assert not _noise_threads()
         helper.clear()
         radar_mod.allow_noise_helper(False)
         serial = build_frames(const, channels, words)
@@ -748,7 +755,23 @@ class TestNoiseHelper:
         with pytest.raises(ValueError, match="seed words must be"):
             build_frames(const, channels, rows)
         # Both shares ended before the error left build_frames.
-        assert sorted(name.startswith("racecma-noise") for name, _ in helper) == [False, True]
+        assert sorted(name == "racecma-noise" for name, _ in helper) == [False, True]
+        assert not _noise_threads()
+
+    def test_a_thread_that_cannot_start_leaves_the_draw_to_the_caller(self, monkeypatch):
+        """As at the interpreter's shutdown, where a new thread may be refused."""
+        def refuse(thread):
+            raise RuntimeError("can't create new thread at interpreter shutdown")
+
+        monkeypatch.setattr(radar_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        const, _, words = _frames_of(("paper", 0), 8)
+        alone = np.empty((8, *const.pilot.shape, 2))
+        radar_mod._fill(words, alone)
+        assert alone[4:].size >= radar_mod.SPLIT_NORMALS  # a draw that splits
+        draws = np.empty_like(alone)
+        radar_mod._draw_noise(words, draws)
+        assert draws.tobytes() == alone.tobytes()
 
     def test_helper_stays_off_on_one_cpu(self, helper, monkeypatch):
         monkeypatch.setattr(radar_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -758,9 +781,9 @@ class TestNoiseHelper:
         radar_mod.allow_noise_helper(False)
         assert _frame_bytes(frames) == _frame_bytes(build_frames(const, channels, words))
 
-    def test_threads_sharing_the_helper_queue_and_get_their_own_bytes(self, helper):
-        """More caller threads than CPUs, switching often: each stack is its
-        own, whatever the order the helper serves them in."""
+    def test_concurrent_callers_get_their_own_bytes(self, helper):
+        """More caller threads than CPUs, switching often, each splitting
+        its draws: each stack is its own."""
         stacks = [_frames_of(("paper", nlos), n) for nlos in (0, 1) for n in (4, 5, 6)]
         radar_mod.allow_noise_helper(False)
         serial = [_frame_bytes(build_frames(*stack)) for stack in stacks]
@@ -777,13 +800,14 @@ class TestNoiseHelper:
         assert not pending
         for row in jobs:
             assert [_frame_bytes(job.result()) for job in row] == serial
-        assert any(name.startswith("racecma-noise") for name, _ in helper)
+        assert any(name == "racecma-noise" for name, _ in helper)
+        assert not _noise_threads()
 
 
-# Run as a script in a fresh interpreter: starts the helper with a
-# paper-scale draw, then forks. Each pool worker of a two-job compare and a
-# forked child that draws with a helper of its own write the names of their
-# threads and what they drew beside the script.
+# Run as a script in a fresh interpreter: splits a paper-scale draw, then
+# forks. Each pool worker of a two-job compare and a forked child that
+# splits a draw of its own write the names of the threads that filled their
+# draws, the threads they hold and what they drew beside the script.
 _FORK_SCRIPT = """
 import json, multiprocessing, os, sys, threading
 from dataclasses import replace
@@ -797,15 +821,24 @@ from racecma.bench import ExperimentSpec, run_compare
 HERE = Path(__file__).resolve().parent
 os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any runner; forks inherit it
 _real_rep = bench._compare_rep
+_real_fill = radar._fill
+fills = []  # the name of the thread of each fill of this process's draws
 
 
-def threads():
-    return [thread.name for thread in threading.enumerate()]
+def fill(words, draws):
+    fills.append(threading.current_thread().name)
+    _real_fill(words, draws)
+
+
+def report():
+    return json.dumps({"caller": threading.current_thread().name, "fills": fills,
+                       "threads": [thread.name for thread in threading.enumerate()]})
 
 
 def rep(spec, r):
+    fills.clear()
     rows = _real_rep(spec, r)
-    (HERE / f"worker-{os.getpid()}-{r}.json").write_text(json.dumps(threads()))
+    (HERE / f"worker-{os.getpid()}-{r}.json").write_text(report())
     return rows
 
 
@@ -819,13 +852,15 @@ def draw(name):
 
 
 def child():
+    fills.clear()
     draw("child.bin")
-    (HERE / "child.json").write_text(json.dumps(threads()))
+    (HERE / "child.json").write_text(report())
 
 
 if __name__ == "__main__":
+    radar._fill = fill
     draw("parent.bin")
-    assert any(name.startswith("racecma-noise") for name in threads()), threads()
+    assert "racecma-noise" in fills, fills
     bench._compare_rep = rep
     spec = ExperimentSpec(
         scenario=ScenarioConfig(sensing_horizon=0.05), methods=("CMA-ES",), budget=24.0,
@@ -845,7 +880,7 @@ if __name__ == "__main__":
 
 
 # Run as a script: a thread that draws after the main thread has ended,
-# when the interpreter has shut its executors down, draws on its own.
+# when the interpreter may refuse new threads, gets one thread's bytes.
 _LATE_SCRIPT = """
 import os, threading, time
 
@@ -858,7 +893,7 @@ const = radar.cell_constants(ScenarioConfig())
 words = radar.noise_words(range(8))
 alone = np.empty((8, *const.pilot.shape, 2))
 radar._fill(words, alone)
-radar._draw_noise(words, np.empty_like(alone))  # the helper runs
+radar._draw_noise(words, np.empty_like(alone))  # it splits
 
 
 def late():
@@ -882,7 +917,7 @@ def _run_script(tmp_path, text, timeout):
 
 
 class TestHelperLifetime:
-    """The helper across a fork and the interpreter's shutdown, each in a
+    """Split draws across a fork and the interpreter's shutdown, each in a
     fresh interpreter with a timeout, so a hang fails the test instead of
     stalling the suite."""
 
@@ -890,8 +925,8 @@ class TestHelperLifetime:
         assert _run_script(tmp_path, _LATE_SCRIPT, 120).split() == ["True"]
 
     def test_forked_workers_finish_without_the_helper_and_match_one_job(self, tmp_path):
-        """The pool forks a process whose helper runs: a helper the workers
-        inherited without its thread would hang them."""
+        """The pool forks a process that has split draws: its workers finish,
+        draw every stack on their own thread and write one job's bytes."""
         _run_script(tmp_path, _FORK_SCRIPT, 180)
         for name in ("compare_runs.csv", "compare_summary.csv", "spec.cfg"):
             assert (tmp_path / "jobs2" / name).read_bytes() == (
@@ -899,9 +934,10 @@ class TestHelperLifetime:
         workers = sorted(tmp_path.glob("worker-*.json"))
         assert len(workers) == 2
         for path in workers:
-            assert not any(name.startswith("racecma-noise")
-                           for name in json.loads(path.read_text())), path.name
-        # A forked child that may help makes a helper of its own.
+            report = json.loads(path.read_text())
+            assert report["fills"] and set(report["fills"]) == {report["caller"]}, path.name
+        # A forked child splits its own draw into the parent's bytes, and
+        # keeps no thread past it.
         assert (tmp_path / "child.bin").read_bytes() == (tmp_path / "parent.bin").read_bytes()
-        assert any(name.startswith("racecma-noise")
-                   for name in json.loads((tmp_path / "child.json").read_text()))
+        child = json.loads((tmp_path / "child.json").read_text())
+        assert "racecma-noise" in child["fills"] and child["threads"] == [child["caller"]]
