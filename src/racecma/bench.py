@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cma as cma_mod
-from . import radar
 from .baselines import (
     CalibrationError,
     IpnConfig,
@@ -45,6 +44,7 @@ from .feedback import (
     DEFAULT_ACTIONS,
     InfeasibleThresholdsError,
     StateActionTable,
+    allow_noise_helper,
     check_thresholds,
     check_weights,
     episode_objectives,
@@ -288,9 +288,9 @@ def run_method(method: str, scenario: ScenarioConfig, spec: ExperimentSpec, t0: 
 
 
 def _pool_worker() -> None:
-    """A pool worker draws its noise on one thread: the pool's repetitions
+    """A pool worker runs each batch on one thread: the pool's repetitions
     already fill the CPUs."""
-    radar.allow_noise_helper(False)
+    allow_noise_helper(False)
 
 
 def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,

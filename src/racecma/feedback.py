@@ -19,12 +19,19 @@ seed builds a block of :data:`BLOCK_FRAMES` frames, one stack, at each
 frame where it misses a cell past its last block, and measures each cell
 on its frame of the block (:func:`radar.measure_cell`). Every frame is
 built in a stack, and none is kept past the call that built it.
+
+A paper-scale batch of several seeds runs its worlds in two halves, one
+on a thread started for the call (:func:`run_episodes`). numpy releases
+the GIL while a frame's noise generator fills, so one half's draws overlap
+the other's draws and Python work, and since every trace is a function of
+its scenario, seed and triple alone, the split moves no byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -201,9 +208,9 @@ def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
 # How many frames a one-seed batch builds as one stack. The cost per
 # frame falls with the stack up to about 8 paper or 16 desk frames and is
 # flat beyond (CHANGES.md); sixteen paper frames draw 1 MB of noise at once.
-# A stack draws its noise on two threads, starting one for the draw, from
-# radar.SPLIT_NORMALS normals a share on: a paper block does, a desk block
-# does not.
+# A block is drawn on the caller's thread alone: a one-seed batch never
+# splits, and a split batch's halves build world stacks, not blocks, so no
+# two blocks are alive at once.
 BLOCK_FRAMES = 16
 
 
@@ -285,6 +292,113 @@ def _closed_loop(
         in_beam[t] = scenario.beam_contains(beam, world.bearing)
 
 
+# The least number of normals one frame's noise draw must hold before a
+# batch of several seeds splits its worlds over two threads: one paper
+# frame. On a 2-vCPU x86 VM a forced split of a 12-seed batch took 4-51 %
+# longer at desk scale (1 536 normals a frame), 12-66 % longer in 10 of 11
+# runs at 3 200 to 5 120, and from 31 % less to 4 % more at 8 000
+# (CHANGES.md). Every desk batch stays on one thread.
+SPLIT_NORMALS = 8_000
+
+_helper_allowed = True
+
+
+def allow_noise_helper(allowed: bool) -> None:
+    """Let this process run half of a large batch's worlds on a second
+    thread, or not. ``bench``'s pool workers turn it off: their repetitions
+    already fill the CPUs."""
+    global _helper_allowed
+    _helper_allowed = allowed
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _lockstep(
+    const: CellConstants,
+    runs: Sequence[tuple[EpisodeWorld, list]],
+    n_frames: int,
+    blocks: bool,
+) -> None:
+    """Advance every episode of ``runs``, one ``(world, loops)`` pair per
+    seed group, through ``n_frames`` frames in one lockstep, measuring the
+    cells they miss at each frame together: each world's frame in one
+    stack (:func:`_measure_frame`), or with ``blocks`` (one world) a block
+    of :data:`BLOCK_FRAMES` frames from a frame where it misses a cell past
+    its last block on. It first mixes each world's missing noise seed
+    words (:func:`_seed_frames`)."""
+    worlds = [world for world, _ in runs]
+    _seed_frames(worlds, n_frames)
+    scenario = worlds[0].scenario
+    budget_w = scenario.tx_power_w
+    wanted = [[next(loop) for loop in loops] for _, loops in runs]
+    # With ``blocks``, the stack ``block`` holds frames start to stop - 1.
+    block, start, stop = None, 0, 0
+    for t in range(n_frames):
+        requests = []
+        for world, keys in zip(worlds, wanted):
+            world.advance(t)
+            missing = []
+            for key in keys:
+                if key is not None and key not in world.cells and key not in missing:
+                    missing.append(key)
+            if missing:
+                requests.append((world, missing))
+        if requests and blocks:
+            [(world, keys)] = requests
+            if t >= stop:
+                block = None  # the loop has passed it: free it before the next
+                start, stop = t, min(t + BLOCK_FRAMES, n_frames)
+                block = _build_block(const, world, start, stop)
+            frame = block.at(t - start)
+            for key in keys:
+                world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)
+        elif requests:
+            _measure_frame(const, scenario, t, requests)
+        for (world, loops), keys in zip(runs, wanted):
+            cells = world.cells
+            for j, loop in enumerate(loops):
+                key = keys[j]
+                keys[j] = loop.send(None if key is None else cells[key])
+
+
+def _split_lockstep(
+    const: CellConstants,
+    runs: Sequence[tuple[EpisodeWorld, list]],
+    share: slice,
+    n_frames: int,
+) -> None:
+    """:func:`_lockstep` of ``runs[share]`` on a thread started here, and
+    of the other runs on this thread, both in world stacks. This thread
+    joins the other before returning or raising, and then raises the
+    other's error. Where no thread can start (as at the interpreter's
+    shutdown), this thread runs every world."""
+    errors = []
+
+    def run_share() -> None:
+        try:
+            _lockstep(const, runs[share], n_frames, blocks=False)
+        except BaseException as error:  # raised in the caller, after the join
+            errors.append(error)
+
+    helper = threading.Thread(target=run_share, name="racecma-half")
+    try:
+        helper.start()
+    except RuntimeError:
+        _lockstep(const, runs, n_frames, blocks=False)
+        return
+    try:
+        _lockstep(const, [*runs[:share.start], *runs[share.stop:]], n_frames, blocks=False)
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
 def run_episodes(
     scenario: ScenarioConfig,
     triples: Sequence[Sequence[float]],
@@ -320,10 +434,20 @@ def run_episodes(
     from it if it is that group's. The other groups' worlds stream: each
     holds the current frame's target, bearing and cells only. Before the
     first frame, one pass per world mixes the noise seed words of every
-    frame it lacks (:func:`_seed_frames`). The seeds and triples are checked
-    before any frame runs, and an empty batch returns ``[]`` with the
-    thread's world kept. Each trace equals, bit for bit, the one its triple
-    gives alone on its seed.
+    frame it lacks (:func:`_seed_frames`).
+
+    A batch of several seeds splits where it pays: a frame's noise draw
+    holds at least :data:`SPLIT_NORMALS` normals, the process may run on two
+    CPUs or more, and it allows the split (``bench``'s pool workers do
+    not). A thread started for the call then runs half of the worlds, all
+    streaming ones, in a lockstep of world stacks, while this thread runs
+    the others, the held world it replays and the last group's among them,
+    in another (:func:`_split_lockstep`). No thread outlives the call, so a
+    forked child inherits none.
+
+    The seeds and triples are checked before any frame runs, and an empty
+    batch returns ``[]`` with the thread's world kept. Each trace equals,
+    bit for bit, the one its triple gives alone on its seed.
     """
     if len(seeds) != len(triples):
         raise ValueError("need one seed per threshold triple")
@@ -337,61 +461,33 @@ def run_episodes(
     groups: dict[tuple[type, int], list[int]] = {}
     for i, seed in enumerate(seeds):
         groups.setdefault((type(seed), seed), []).append(i)
+    held = getattr(_SLOT, "world", None)
     worlds = []
     for g, (kind, seed) in enumerate(groups):
-        held = getattr(_SLOT, "world", None) if g == 0 else None
-        if held is not None and (held.scenario, type(held.seed), held.seed) == (
+        if g == 0 and held is not None and (held.scenario, type(held.seed), held.seed) == (
             scenario, kind, seed
         ):
             worlds.append(held)
         else:
             worlds.append(EpisodeWorld(scenario, seed, keep=g == len(groups) - 1))
+    lead = int(worlds[0] is held)  # the held world stays on this thread
     # Replacing the slot now frees the world it held, unless the first
     # group replays it, before any frame runs.
     held = None
     _SLOT.world = worlds[-1]
-    _seed_frames(worlds, n_frames)
 
     const = cell_constants(scenario)  # looked up once: each lookup hashes the scenario
-    budget_w = scenario.tx_power_w
-    world_of = [None] * len(checked)
-    for world, members in zip(worlds, groups.values()):
-        for i in members:
-            world_of[i] = world
     outs = [(np.empty(n_frames), np.empty(n_frames, dtype=np.int64),
              np.empty(n_frames, dtype=bool), np.empty(n_frames)) for _ in checked]
-    loops = [_closed_loop(thresholds, actions, world, out)
-             for thresholds, world, out in zip(checked, world_of, outs)]
-    wanted = [next(loop) for loop in loops]
-
-    # A one-seed batch's stack ``block`` holds frames start to stop - 1.
-    block, start, stop = None, 0, 0
-    for t in range(n_frames):
-        requests = []
-        for world, members in zip(worlds, groups.values()):
-            world.advance(t)
-            missing = []
-            for i in members:
-                key = wanted[i]
-                if key is not None and key not in world.cells and key not in missing:
-                    missing.append(key)
-            if missing:
-                requests.append((world, missing))
-        if requests and len(worlds) == 1:
-            [(world, keys)] = requests
-            if t >= stop:
-                block = None  # the loop has passed it: free it before the next
-                start, stop = t, min(t + BLOCK_FRAMES, n_frames)
-                block = _build_block(const, world, start, stop)
-            frame = block.at(t - start)
-            for key in keys:
-                world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)
-        elif requests:
-            _measure_frame(const, scenario, t, requests)
-        for i, loop in enumerate(loops):
-            key = wanted[i]
-            wanted[i] = loop.send(None if key is None else world_of[i].cells[key])
-
+    runs = [(world, [_closed_loop(checked[i], actions, world, outs[i]) for i in members])
+            for world, members in zip(worlds, groups.values())]
+    # The other thread's share: half of the worlds, none held and not the last.
+    n_share = min(len(runs) // 2, len(runs) - 1 - lead)
+    if (n_share > 0 and 2 * const.pilot.size >= SPLIT_NORMALS and _helper_allowed
+            and _cpu_count() >= 2):
+        _split_lockstep(const, runs, slice(lead, lead + n_share), n_frames)
+    else:
+        _lockstep(const, runs, n_frames, blocks=len(runs) == 1)
     return [EpisodeTrace(resi=resi, states=states, in_beam=in_beam, power=power,
                          horizon=n_frames) for resi, states, in_beam, power in outs]
 

@@ -35,21 +35,16 @@ chain up to rounding (a relative difference of the order of 1e-15), and
 the two share no cell arithmetic, so the chain stays an independent
 reference model.
 
-Each frame's noise comes from a generator of its own, and numpy releases
-the GIL while a generator fills, so a large stack's draw is split in two
-(:func:`_draw_noise`): a thread started for the draw fills half the frames
-while the caller fills the rest, with the same bytes, and ends with the draw.
-It engages only where it pays: the thread's share holds at least
-:data:`SPLIT_NORMALS` normals, the process may run on two CPUs or more, and
-the process allows it (``bench``'s pool workers do not). No thread outlives
-a draw, so a forked child inherits none.
+Each frame's noise comes from a generator of its own (:func:`_fill`), and
+numpy releases the GIL while a generator fills, so two threads that build
+stacks at once draw at once. This module starts no thread: a paper-scale
+batch of several seeds splits its worlds over two threads one layer up
+(:func:`feedback.run_episodes`).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -364,76 +359,11 @@ def noise_words(seeds: Iterable[int]) -> np.ndarray:
     return seed_words(noise_seeds(seeds))
 
 
-# The least number of normals the second thread's share of a stack's noise
-# draw must hold before :func:`_draw_noise` splits the draw: two paper frames.
-# On a 2-vCPU x86 VM a split cost 4-28 % at desk scale up to a share of
-# 9 216 normals (a stack of 12) and saved 7 % at 12 288 (a block of 16); at
-# paper scale it saved 12-20 % at one frame's 8 000 and 19-39 % from two
-# frames on (CHANGES.md). Starting and joining the thread costs 40-90 µs.
-# The floor keeps a desk stack of up to 21 frames, a block
-# (``feedback.BLOCK_FRAMES``) included, on one thread.
-SPLIT_NORMALS = 16_000
-
-_helper_allowed = True
-
-
-def allow_noise_helper(allowed: bool) -> None:
-    """Let this process split its large noise draws with a second thread,
-    or not. ``bench``'s pool workers turn it off: their repetitions
-    already fill the CPUs."""
-    global _helper_allowed
-    _helper_allowed = allowed
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _fill(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
     """Draw each frame's unit normals into its slice of ``draws`` from the
     generator of its row of ``words``."""
     for row, out in zip(words, draws):
         generator_from_words(row).standard_normal(out=out)
-
-
-def _draw_noise(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
-    """:func:`_fill`, split in two where it pays: a thread started here
-    fills the frames past ``half`` while this thread fills the others, if
-    the thread's share holds at least :data:`SPLIT_NORMALS` normals, the
-    process allows it (:func:`allow_noise_helper`) and it may run on a
-    second CPU. numpy releases the GIL while a generator fills, so the
-    halves run at once, and each frame's normals are the same bit for bit,
-    since each comes from its own generator. This thread joins the other
-    before returning or raising, so no half-filled buffer is read, and then
-    raises the other's error. Where no thread can start (as at the
-    interpreter's shutdown), this thread fills every frame."""
-    half = (len(draws) + 1) // 2  # this thread starts first, so it takes the odd frame
-    if draws[half:].size < SPLIT_NORMALS or not _helper_allowed or _cpu_count() < 2:
-        _fill(words, draws)
-        return
-    errors = []
-
-    def share() -> None:
-        try:
-            _fill(words[half:], draws[half:])
-        except BaseException as error:  # raised in the caller, after the join
-            errors.append(error)
-
-    helper = threading.Thread(target=share, name="racecma-noise")
-    try:
-        helper.start()
-    except RuntimeError:
-        _fill(words, draws)
-        return
-    try:
-        _fill(words[:half], draws[:half])
-    finally:
-        helper.join()
-    if errors:
-        raise errors[0]
 
 
 def build_frames(
@@ -443,9 +373,8 @@ def build_frames(
     words[b])``, as one stack of frames of one scenario; ``words[b]`` is the
     frame's row of :func:`noise_words`, which seeds its noise draw. Each
     array operation runs once over the stack, and each frame's values do not
-    depend on the other frames of the stack or on its size. A large stack's
-    noise is drawn on two threads (:func:`_draw_noise`), and the call
-    returns or raises only once both are done. Any thread may call it."""
+    depend on the other frames of the stack or on its size. It holds no
+    state between calls, so any thread may call it."""
     cosines = np.array([(math.cos(c.arrival_angle), math.cos(c.departure_angle))
                         for c in channels])
     arrival = _steer(const.ue_phases, cosines[:, :1])
@@ -464,7 +393,7 @@ def build_frames(
                                    columns[:, 1:]), out=echo)
     # Each frame draws from a generator of its own, into its slice of one buffer.
     draws = np.empty((len(words), *const.pilot.shape, 2))
-    _draw_noise(words, draws)
+    _fill(words, draws)
     noise = draws.view(np.complex128)[..., 0]
     # The row-wise reduce over the stack's runs of guard rows equals the
     # 1-D reduce of each run, so a frame's floor does not depend on the stack.
@@ -480,8 +409,8 @@ def _tx_gain(
 ) -> complex:
     if not 0 <= beam_index < len(const.beamformers):
         raise ValueError("beam_index out of range")
-    if power_w < 0:
-        raise ValueError("power must be nonnegative")
+    if not 0.0 <= power_w < math.inf:  # NaN fails both
+        raise ValueError("power must be nonnegative and finite")
     return np.vdot(departure, const.beamformers[beam_index])
 
 
@@ -569,7 +498,7 @@ class ResiSample:
     noise_floor: float
 
     def __post_init__(self) -> None:
-        if self.value < 0 or self.noise_floor <= 0:
+        if not (0.0 <= self.value < math.inf and 0.0 < self.noise_floor < math.inf):
             raise ValueError("invalid echo-strength sample")
 
 

@@ -393,32 +393,27 @@ def _footprint(tmp_path: Path, jobs: int, repetitions: int) -> tuple[Path, dict]
                         str(jobs), str(repetitions), str(out))
 
 
-# Run as a script in a fresh interpreter: one paper stack of 8 frames on
-# two CPUs, whose noise draw splits, then what the process holds after it.
+# Run as a script in a fresh interpreter: a paper batch of two seeds on two
+# CPUs, which splits, then what the process holds after it.
 _SPLIT_SCRIPT = """
 import json, os, sys, threading
 
-from racecma import ScenarioConfig, radar
-from racecma.scenario import TargetState
+from racecma import ScenarioConfig, feedback
 
 os.sched_getaffinity = lambda pid: {0, 1}
-_real_fill = radar._fill
-fills = []
+_real_lockstep = feedback._lockstep
+halves = []
 
 
-def fill(words, draws):
-    fills.append(threading.current_thread().name)
-    _real_fill(words, draws)
+def lockstep(const, runs, n_frames, blocks):
+    halves.append(threading.current_thread().name)
+    _real_lockstep(const, runs, n_frames, blocks)
 
 
-radar._fill = fill
-scenario = ScenarioConfig()
-const = radar.cell_constants(scenario)
-target = TargetState(position=(-20.0, 35.0), velocity=(1.0, -0.5))
-radar.build_frames(const, [radar.realize_channel(scenario, target)] * 8,
-                   radar.noise_words(range(8)))
+feedback._lockstep = lockstep
+feedback.run_episodes(ScenarioConfig(sensing_horizon=0.05), [(1.0, 2.0, 3.0)] * 2, [1, 2])
 modules = ("concurrent.futures", "concurrent.futures.thread")
-print(json.dumps({"fills": fills, "main": threading.current_thread().name,
+print(json.dumps({"halves": halves, "main": threading.current_thread().name,
                   "threads": [thread.name for thread in threading.enumerate()],
                   "loaded": [m for m in modules if m in sys.modules]}))
 """
@@ -426,11 +421,11 @@ print(json.dumps({"fills": fills, "main": threading.current_thread().name,
 
 class TestFootprint:
     """A run loads the process pool's executor only when it uses it, and a
-    split noise draw leaves no thread and no executor behind."""
+    split batch leaves no thread and no executor behind."""
 
-    def test_a_split_draw_leaves_only_the_main_thread_and_loads_no_executor(self, tmp_path):
+    def test_a_split_batch_leaves_only_the_main_thread_and_loads_no_executor(self, tmp_path):
         report = _report(tmp_path / "split.py", _SPLIT_SCRIPT)
-        assert len(set(report["fills"])) == 2 and report["main"] in report["fills"]  # it split
+        assert len(set(report["halves"])) == 2 and report["main"] in report["halves"]  # it split
         assert report["threads"] == [report["main"]]
         assert report["loaded"] == []
 

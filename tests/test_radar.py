@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from racecma import ScenarioConfig, desk_scenario
+from racecma import ScenarioConfig, desk_scenario, run_episodes
 from racecma import feedback as feedback_mod
 from racecma import radar as radar_mod
 from racecma.feedback import EpisodeWorld
@@ -21,6 +21,7 @@ from racecma.radar import (
     ChannelRealization,
     GeometryError,
     NlosComponent,
+    ResiSample,
     RxGrid,
     build_frames,
     cell_constants,
@@ -245,6 +246,21 @@ class TestResi:
             grid = synthesize_rx_grid(desk, ch, 3, 0.0, seed=derive_seed("noise-resi", s))
             values.append(compute_resi(matched_filter(grid, window), grid, mask).value)
         assert np.median(values) < 3.0
+
+    @pytest.mark.parametrize("power_w", [math.nan, math.inf])
+    def test_non_finite_power_rejected(self, desk, power_w):
+        # It gave a NaN sample, or an infinite one.
+        ch = realize_channel(desk, _target((0.0, 50.0)))
+        with pytest.raises(ValueError, match="power must be nonnegative and finite"):
+            synthesize_rx_grid(desk, ch, 0, power_w, seed=3)
+
+    @pytest.mark.parametrize("value, floor", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-1.0, 1.0),
+        (1.0, 0.0),
+    ])
+    def test_meaningless_sample_rejected(self, value, floor):
+        with pytest.raises(ValueError, match="invalid echo-strength sample"):
+            ResiSample(value=value, noise_floor=floor)
 
     def test_empty_null_set_rejected(self, desk):
         ch = realize_channel(desk, _target((0.0, 50.0)))
@@ -634,6 +650,8 @@ def _alone(const, channel, row):
     (-1, 0.1, "beam_index out of range"),
     (20, 0.1, "beam_index out of range"),  # the desk's n_beams
     (3, -1e-3, "power must be nonnegative"),
+    (3, math.nan, "power must be nonnegative and finite"),
+    (3, math.inf, "power must be nonnegative and finite"),
 ])
 def test_split_validates_beam_and_power(desk, split, beam, power_w, message):
     assert desk.n_beams == 20
@@ -679,188 +697,275 @@ class TestStackedCells:
             assert_near(value, compute_resi(surface, grid, scenario.null_mask()).value)
 
 
+# The noise helper is the thread ``feedback.run_episodes`` starts to run
+# half of the worlds of a paper-scale batch of several seeds, each half in
+# a lockstep of its own; every frame and its noise draw is built on the
+# thread of its world's half.
+REAL_SPLIT_NORMALS = feedback_mod.SPLIT_NORMALS
+
+
 @pytest.fixture()
 def helper(monkeypatch):
-    """Split every stack of two frames or more (splitting allowed), and
-    record the thread that fills each share of a draw;
-    ``radar.allow_noise_helper`` turns splitting off, and the fixture turns
-    it back on."""
-    shares = []
+    """Split every batch of two seeds or more on two CPUs (splitting
+    allowed), and record each lockstep as it ends: its thread, its worlds'
+    seeds and whether it built blocks. ``feedback.allow_noise_helper``
+    turns splitting off, and the fixture turns it back on."""
+    halves = []
 
-    def fill(words, draws):
+    def lockstep(const, runs, n_frames, blocks):
         try:
-            real_fill(words, draws)
+            real_lockstep(const, runs, n_frames, blocks)
         finally:
-            shares.append((threading.current_thread().name, len(draws)))
+            halves.append((threading.current_thread().name, [world.seed for world, _ in runs],
+                           blocks))
 
-    real_fill = radar_mod._fill
-    monkeypatch.setattr(radar_mod, "SPLIT_NORMALS", 1)
-    monkeypatch.setattr(radar_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(radar_mod, "_fill", fill)
-    yield shares
-    radar_mod.allow_noise_helper(True)
-
-
-def _frame_bytes(frames):
-    return [frames.echo.tobytes(), frames.noise.tobytes(), frames.departure.tobytes(),
-            frames.floor]
+    real_lockstep = feedback_mod._lockstep
+    monkeypatch.setattr(feedback_mod, "SPLIT_NORMALS", 1)
+    monkeypatch.setattr(feedback_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(feedback_mod, "_lockstep", lockstep)
+    yield halves
+    feedback_mod.allow_noise_helper(True)
 
 
-def _frames_of(key, n):
-    """A stack's constants, channels and noise words: n frames of the
-    scenario ``_SCENARIOS[key]``, each on a target of its own and a seed of
-    its own."""
-    scenario = _SCENARIOS[key]
-    channels = [realize_channel(scenario, _target((-30.0 + 3.5 * b, 30.0 + 2.0 * b), (1.0, -0.5)))
-                for b in range(n)]
-    return cell_constants(scenario), channels, noise_words(range(100 + n, 100 + 2 * n))
+# A scenario's horizon for these batches: 8 paper or 10 desk frames.
+_FIDELITY = {"desk": 0.1, "paper": 0.008}
 
 
-def _noise_threads():
-    return [thread for thread in threading.enumerate() if thread.name == "racecma-noise"]
+def _batch(n):
+    """A batch of n seed groups: 3 beside np.int64(3), the first and last
+    group with two triples each."""
+    seeds = [3, np.int64(3), *range(10, 10 + n)][:n]
+    seeds = [seeds[0], *seeds, seeds[-1]] if n > 1 else seeds * 2
+    return [(0.5 * i, 0.5 * i + 1.0, 0.5 * i + 3.0) for i in range(len(seeds))], seeds
+
+
+def _trace_bytes(traces):
+    return [b"".join(getattr(trace, name).tobytes()
+                     for name in ("resi", "states", "in_beam", "power")) for trace in traces]
+
+
+def _run_cold(scenario, triples, seeds, fidelity=1.0):
+    """The traces' bytes of a batch run on a thread holding no world."""
+    feedback_mod._SLOT.world = None
+    return _trace_bytes(run_episodes(scenario, triples, seeds, fidelity=fidelity))
+
+
+def _main():
+    return threading.current_thread().name
+
+
+def _helper_threads():
+    return [thread for thread in threading.enumerate() if thread.name.startswith("racecma-")]
 
 
 class TestNoiseHelper:
-    """A stack's noise draw split with a second thread gives the bytes of
-    the draw on one thread, whatever the stack's size, and the thread ends
-    with the draw; its error reaches the caller, a thread that cannot start
-    leaves the draw to the caller, and no draw splits on one CPU."""
+    """A batch split over two threads gives the bytes of the batch on one
+    thread, whatever its size, and the thread ends with the call; its error
+    reaches the caller, a thread that cannot start leaves the batch to the
+    caller, and no batch splits on one CPU, in a process that forbids it, at
+    desk scale or with one seed."""
 
     @pytest.mark.parametrize("key", list(_SCENARIOS), ids=lambda key: f"{key[0]}-nlos{key[1]}")
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 16, 17])
     def test_helper_on_and_off_give_the_same_bytes(self, helper, key, n):
-        const, channels, words = _frames_of(key, n)
-        split = build_frames(const, channels, words)
-        threads = [name for name, _ in helper]
-        if n == 1:
-            assert threads == [threading.current_thread().name]
-        else:  # this thread takes the odd frame
-            assert len(threads) == 2 and sorted(count for _, count in helper) == [n // 2,
-                                                                                (n + 1) // 2]
-            assert threads.count("racecma-noise") == 1
-        assert not _noise_threads()
+        scenario, fidelity = _SCENARIOS[key], _FIDELITY[key[0]]
+        triples, seeds = _batch(n)
+        split = _run_cold(scenario, triples, seeds, fidelity)
+        if n == 1:  # a one-seed batch builds blocks on this thread
+            assert helper == [(_main(), [3], True)]
+        else:  # the helper runs the front half of the worlds, this thread the rest
+            groups = list(dict.fromkeys((type(seed), seed) for seed in seeds))
+            assert helper[0][2:] == helper[1][2:] == (False,)
+            assert sorted(helper) == sorted([
+                ("racecma-half", [seed for _, seed in groups[:n // 2]], False),
+                (_main(), [seed for _, seed in groups[n // 2:]], False)])
+        assert not _helper_threads()
         helper.clear()
-        radar_mod.allow_noise_helper(False)
-        serial = build_frames(const, channels, words)
-        assert helper == [(threading.current_thread().name, n)]
-        assert _frame_bytes(split) == _frame_bytes(serial)
-        for b in range(n):  # and each frame is the frame built alone
-            assert _frame_bytes(split.at(b)) == _frame_bytes(_alone(const, channels[b], words[b]))
+        feedback_mod.allow_noise_helper(False)
+        assert _run_cold(scenario, triples, seeds, fidelity) == split
+        assert [name for name, _, _ in helper] == [_main()]
+        for b, (triple, seed) in enumerate(zip(triples, seeds)):  # and each trace alone
+            assert _run_cold(scenario, [triple], [seed], fidelity) == [split[b]]
 
     @pytest.mark.parametrize("bad", ["helper", "caller"])
-    def test_a_bad_words_row_raises_in_the_caller_after_the_helper_is_done(self, helper, bad):
-        const, channels, words = _frames_of(("paper", 0), 4)
-        rows = list(words)
-        rows[3 if bad == "helper" else 0] = words[3].astype(np.float64)
-        with pytest.raises(ValueError, match="seed words must be"):
-            build_frames(const, channels, rows)
-        # Both shares ended before the error left build_frames.
-        assert sorted(name == "racecma-noise" for name, _ in helper) == [False, True]
-        assert not _noise_threads()
+    def test_a_bad_words_row_raises_in_the_caller_after_the_helper_is_done(
+        self, helper, monkeypatch, bad
+    ):
+        seed_frames = feedback_mod._seed_frames
+        bad_seed = 1 if bad == "helper" else 4  # the helper runs worlds 1 and 2
 
-    def test_a_thread_that_cannot_start_leaves_the_draw_to_the_caller(self, monkeypatch):
+        def spoiled(worlds, n_frames):
+            seed_frames(worlds, n_frames)
+            for world in worlds:
+                if world.seed == bad_seed:
+                    world.words = world.words.astype(np.float64)
+
+        monkeypatch.setattr(feedback_mod, "_seed_frames", spoiled)
+        with pytest.raises(ValueError, match="seed words must be"):
+            _run_cold(ScenarioConfig(), [(1.0, 2.0, 3.0)] * 4, [1, 2, 3, 4], 0.008)
+        # Both halves ended before the error left run_episodes.
+        assert sorted(name == "racecma-half" for name, _, _ in helper) == [False, True]
+        assert not _helper_threads()
+
+    def test_a_thread_that_cannot_start_leaves_the_draw_to_the_caller(self, helper,
+                                                                      monkeypatch):
         """As at the interpreter's shutdown, where a new thread may be refused."""
         def refuse(thread):
             raise RuntimeError("can't create new thread at interpreter shutdown")
 
-        monkeypatch.setattr(radar_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        triples, seeds = _batch(5)
+        feedback_mod.allow_noise_helper(False)
+        alone = _run_cold(ScenarioConfig(), triples, seeds, 0.008)
+        feedback_mod.allow_noise_helper(True)
+        helper.clear()
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        const, _, words = _frames_of(("paper", 0), 8)
-        alone = np.empty((8, *const.pilot.shape, 2))
-        radar_mod._fill(words, alone)
-        assert alone[4:].size >= radar_mod.SPLIT_NORMALS  # a draw that splits
-        draws = np.empty_like(alone)
-        radar_mod._draw_noise(words, draws)
-        assert draws.tobytes() == alone.tobytes()
+        assert _run_cold(ScenarioConfig(), triples, seeds, 0.008) == alone
+        # One lockstep on this thread over every world, in world stacks.
+        assert helper == [(_main(), [3, np.int64(3), 10, 11, 12], False)]
 
     def test_helper_stays_off_on_one_cpu(self, helper, monkeypatch):
-        monkeypatch.setattr(radar_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        const, channels, words = _frames_of(("paper", 0), 16)
-        frames = build_frames(const, channels, words)
-        assert helper == [(threading.current_thread().name, 16)]
-        radar_mod.allow_noise_helper(False)
-        assert _frame_bytes(frames) == _frame_bytes(build_frames(const, channels, words))
+        monkeypatch.setattr(feedback_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(threading.Thread, "start", _no_thread)
+        triples, seeds = _batch(12)
+        traces = _run_cold(ScenarioConfig(), triples, seeds, 0.008)
+        assert [name for name, _, _ in helper] == [_main()]
+        feedback_mod.allow_noise_helper(False)
+        assert _run_cold(ScenarioConfig(), triples, seeds, 0.008) == traces
+
+    def test_helper_stays_off_where_the_process_forbids_it(self, helper, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", _no_thread)
+        feedback_mod.allow_noise_helper(False)
+        _run_cold(ScenarioConfig(), *_batch(12), 0.008)
+        assert [name for name, _, _ in helper] == [_main()]
+
+    @pytest.mark.parametrize("nlos", [0, 1])
+    def test_a_desk_batch_never_splits_and_a_paper_batch_does(self, helper, monkeypatch, nlos):
+        monkeypatch.setattr(feedback_mod, "SPLIT_NORMALS", REAL_SPLIT_NORMALS)
+        _run_cold(_SCENARIOS["desk", nlos], *_batch(17), 0.1)
+        assert [name for name, _, _ in helper] == [_main()]
+        helper.clear()
+        _run_cold(_SCENARIOS["paper", nlos], *_batch(2), 0.008)
+        assert sorted(name for name, _, _ in helper) == sorted([_main(), "racecma-half"])
+
+    def test_the_caller_holds_the_last_world_and_replays_the_held_one(self, helper,
+                                                                      monkeypatch):
+        built, stepped = [], []
+
+        class Recorded(feedback_mod.EpisodeWorld):
+            def __init__(self, scenario, seed, keep=True):
+                super().__init__(scenario, seed, keep)
+                built.append(seed)
+
+            def _step(self, t, before):
+                stepped.append(self.seed)
+                return super()._step(t, before)
+
+        monkeypatch.setattr(feedback_mod, "EpisodeWorld", Recorded)
+        scenario, t = ScenarioConfig(), (1e9, 2e9, 3e9)  # every frame measured
+        feedback_mod._SLOT.world = None
+        first = run_episodes(scenario, [t] * 4, [1, 2, 3, 4], fidelity=0.008)
+        world = feedback_mod._SLOT.world
+        assert (world.seed, world.keep, len(world.targets), len(world.cells)) == (4, True, 8, 8)
+        assert sorted(helper) == sorted([("racecma-half", [1, 2], False),
+                                         (_main(), [3, 4], False)])
+        # The held world leads the next batch: it stays on this thread, which
+        # replays its eight frames without a step or a draw, and the helper
+        # takes the next two worlds.
+        helper.clear()
+        built.clear()
+        stepped.clear()
+        second = run_episodes(scenario, [t] * 4, [4, 5, 6, 7], fidelity=0.008)
+        assert built == [5, 6, 7] and 4 not in stepped
+        assert sorted(helper) == sorted([("racecma-half", [5, 6], False),
+                                         (_main(), [4, 7], False)])
+        assert _trace_bytes(second[:1]) == _trace_bytes(first[3:])
+        assert feedback_mod._SLOT.world.seed == 7 and not _helper_threads()
+        # Two seeds led by the held world leave the helper nothing.
+        helper.clear()
+        run_episodes(scenario, [t] * 2, [7, 8], fidelity=0.008)
+        assert helper == [(_main(), [7, 8], False)]
 
     def test_concurrent_callers_get_their_own_bytes(self, helper):
         """More caller threads than CPUs, switching often, each splitting
-        its draws: each stack is its own."""
-        stacks = [_frames_of(("paper", nlos), n) for nlos in (0, 1) for n in (4, 5, 6)]
-        radar_mod.allow_noise_helper(False)
-        serial = [_frame_bytes(build_frames(*stack)) for stack in stacks]
-        radar_mod.allow_noise_helper(True)
+        its batches: each batch is its own."""
+        batches = [(_SCENARIOS["paper", nlos], *_batch(n)) for nlos in (0, 1) for n in (2, 3, 4)]
+        feedback_mod.allow_noise_helper(False)
+        serial = [_run_cold(*batch, 0.008) for batch in batches]
+        feedback_mod.allow_noise_helper(True)
+        helper.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=len(stacks)) as pool:
-                jobs = [[pool.submit(build_frames, *stack) for stack in stacks]
+            with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+                jobs = [[pool.submit(_run_cold, *batch, 0.008) for batch in batches]
                         for _ in range(3)]
                 _, pending = futures_wait([job for row in jobs for job in row], timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not pending
         for row in jobs:
-            assert [_frame_bytes(job.result()) for job in row] == serial
-        assert any(name == "racecma-noise" for name, _ in helper)
-        assert not _noise_threads()
+            assert [job.result() for job in row] == serial
+        assert any(name == "racecma-half" for name, _, _ in helper)
+        assert not _helper_threads()
 
 
-# Run as a script in a fresh interpreter: splits a paper-scale draw, then
+def _no_thread(thread):
+    raise AssertionError(f"a thread started: {thread.name}")
+
+
+# Run as a script in a fresh interpreter: splits a paper-scale batch, then
 # forks. Each pool worker of a two-job compare and a forked child that
-# splits a draw of its own write the names of the threads that filled their
-# draws, the threads they hold and what they drew beside the script.
+# splits a batch of its own write the names of the threads that ran their
+# locksteps, the threads they hold and their traces beside the script.
 _FORK_SCRIPT = """
 import json, multiprocessing, os, sys, threading
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from racecma import ScenarioConfig, bench, radar
+from racecma import ScenarioConfig, bench, feedback
 from racecma.bench import ExperimentSpec, run_compare
 
 HERE = Path(__file__).resolve().parent
 os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any runner; forks inherit it
 _real_rep = bench._compare_rep
-_real_fill = radar._fill
-fills = []  # the name of the thread of each fill of this process's draws
+_real_lockstep = feedback._lockstep
+halves = []  # the name of the thread of each lockstep of this process
 
 
-def fill(words, draws):
-    fills.append(threading.current_thread().name)
-    _real_fill(words, draws)
+def lockstep(const, runs, n_frames, blocks):
+    halves.append(threading.current_thread().name)
+    _real_lockstep(const, runs, n_frames, blocks)
 
 
 def report():
-    return json.dumps({"caller": threading.current_thread().name, "fills": fills,
+    return json.dumps({"caller": threading.current_thread().name, "halves": halves,
                        "threads": [thread.name for thread in threading.enumerate()]})
 
 
 def rep(spec, r):
-    fills.clear()
+    halves.clear()
     rows = _real_rep(spec, r)
     (HERE / f"worker-{os.getpid()}-{r}.json").write_text(report())
     return rows
 
 
-def draw(name):
-    scenario = ScenarioConfig()
-    const = radar.cell_constants(scenario)
-    words = radar.noise_words(range(16))
-    draws = np.empty((16, *const.pilot.shape, 2))
-    radar._draw_noise(words, draws)
-    (HERE / name).write_bytes(draws.tobytes())
+def batch(name):
+    traces = feedback.run_episodes(ScenarioConfig(sensing_horizon=0.05),
+                                   [(1.0, 2.0, 3.0)] * 4, [1, 2, 3, 4])
+    (HERE / name).write_bytes(b"".join(trace.resi.tobytes() for trace in traces))
 
 
 def child():
-    fills.clear()
-    draw("child.bin")
+    halves.clear()
+    feedback._SLOT.world = None
+    batch("child.bin")
     (HERE / "child.json").write_text(report())
 
 
 if __name__ == "__main__":
-    radar._fill = fill
-    draw("parent.bin")
-    assert "racecma-noise" in fills, fills
+    feedback._lockstep = lockstep
+    batch("parent.bin")
+    assert "racecma-half" in halves, halves
     bench._compare_rep = rep
     spec = ExperimentSpec(
         scenario=ScenarioConfig(sensing_horizon=0.05), methods=("CMA-ES",), budget=24.0,
@@ -879,28 +984,32 @@ if __name__ == "__main__":
 """
 
 
-# Run as a script: a thread that draws after the main thread has ended,
-# when the interpreter may refuse new threads, gets one thread's bytes.
+# Run as a script: a thread that runs a batch after the main thread has
+# ended, when the interpreter may refuse new threads, gets one thread's
+# bytes.
 _LATE_SCRIPT = """
 import os, threading, time
 
-import numpy as np
-
-from racecma import ScenarioConfig, radar
+from racecma import ScenarioConfig, feedback
 
 os.sched_getaffinity = lambda pid: {0, 1}
-const = radar.cell_constants(ScenarioConfig())
-words = radar.noise_words(range(8))
-alone = np.empty((8, *const.pilot.shape, 2))
-radar._fill(words, alone)
-radar._draw_noise(words, np.empty_like(alone))  # it splits
+scenario = ScenarioConfig(sensing_horizon=0.05)
+
+
+def traces():
+    return [trace.resi.tobytes() for trace in
+            feedback.run_episodes(scenario, [(1.0, 2.0, 3.0)] * 4, [1, 2, 3, 4])]
+
+
+feedback.allow_noise_helper(False)
+alone = traces()
+feedback.allow_noise_helper(True)
+traces()  # it splits
 
 
 def late():
     time.sleep(0.5)
-    draws = np.empty_like(alone)
-    radar._draw_noise(words, draws)
-    print(draws.tobytes() == alone.tobytes())
+    print(traces() == alone)
 
 
 threading.Thread(target=late).start()
@@ -917,7 +1026,7 @@ def _run_script(tmp_path, text, timeout):
 
 
 class TestHelperLifetime:
-    """Split draws across a fork and the interpreter's shutdown, each in a
+    """Split batches across a fork and the interpreter's shutdown, each in a
     fresh interpreter with a timeout, so a hang fails the test instead of
     stalling the suite."""
 
@@ -925,8 +1034,9 @@ class TestHelperLifetime:
         assert _run_script(tmp_path, _LATE_SCRIPT, 120).split() == ["True"]
 
     def test_forked_workers_finish_without_the_helper_and_match_one_job(self, tmp_path):
-        """The pool forks a process that has split draws: its workers finish,
-        draw every stack on their own thread and write one job's bytes."""
+        """The pool forks a process that has split batches: its workers
+        finish, run every batch on their own thread and write one job's
+        bytes."""
         _run_script(tmp_path, _FORK_SCRIPT, 180)
         for name in ("compare_runs.csv", "compare_summary.csv", "spec.cfg"):
             assert (tmp_path / "jobs2" / name).read_bytes() == (
@@ -935,9 +1045,9 @@ class TestHelperLifetime:
         assert len(workers) == 2
         for path in workers:
             report = json.loads(path.read_text())
-            assert report["fills"] and set(report["fills"]) == {report["caller"]}, path.name
-        # A forked child splits its own draw into the parent's bytes, and
+            assert report["halves"] and set(report["halves"]) == {report["caller"]}, path.name
+        # A forked child splits its own batch into the parent's bytes, and
         # keeps no thread past it.
         assert (tmp_path / "child.bin").read_bytes() == (tmp_path / "parent.bin").read_bytes()
         child = json.loads((tmp_path / "child.json").read_text())
-        assert "racecma-noise" in child["fills"] and child["threads"] == [child["caller"]]
+        assert "racecma-half" in child["halves"] and child["threads"] == [child["caller"]]
