@@ -207,17 +207,19 @@ def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
 
 # How many frames a one-seed batch builds as one stack. The cost per
 # frame falls with the stack up to about 8 paper or 16 desk frames and is
-# flat beyond (CHANGES.md); sixteen paper frames draw 1 MB of noise at once.
-# A block is drawn on the caller's thread alone: a one-seed batch never
-# splits, and a split batch's halves build world stacks, not blocks, so no
-# two blocks are alive at once.
+# flat beyond (CHANGES.md). A block draws its noise a chunk of at most
+# radar.DRAW_NORMALS normals at a time: a desk block all at once, a paper
+# block three frames (192 KB) at a time, so its draw memory does not grow
+# with BLOCK_FRAMES. A one-seed batch never splits, so a block is built on
+# the caller's thread alone; a split batch's halves build world stacks.
 BLOCK_FRAMES = 16
 
 
 def _build_block(const: CellConstants, world: EpisodeWorld, start: int, stop: int) -> Frame:
     """Frames ``start`` to ``stop - 1`` of a kept world as one stack, its
     targets grown to ``stop`` first: motion does not depend on the
-    thresholds."""
+    thresholds. Its noise is drawn a chunk at a time
+    (:func:`radar.build_frames`)."""
     world.grow(stop)
     scenario = world.scenario
     return build_frames(const, [realize_channel(scenario, target)

@@ -25,18 +25,22 @@ one draw of the frame's noise (the chain's generator, seeded from the
 frame's row of :func:`noise_words`), and a cell (:func:`measure_cell`) is a
 scalar times a (D, V) surface, an add and a peak; no (K, M) grid is built
 per cell. Every frame is built in a stack (:func:`build_frames`), each
-array operation once over the stack: the frames of every world of a batch
-that misses a cell at one frame, or a block of a one-seed batch's next
-frames. A stack's cells are measured one at a time on a frame of it
-(:meth:`Frame.at`) or as one stack (:func:`measure_cells`). A frame's
-values, and each of its cells, are the same bit for bit whatever stack
-it is built in and however its cells are measured. The split equals the
-chain up to rounding (a relative difference of the order of 1e-15), and
-the two share no cell arithmetic, so the chain stays an independent
-reference model.
+array operation once over the stack (the noise's once over each chunk of
+it, below): the frames of every world of a batch that misses a cell at
+one frame, or a block of a one-seed batch's next frames. A stack's cells
+are measured one at a time on a frame of it (:meth:`Frame.at`) or as one
+stack (:func:`measure_cells`). A frame's values, and each of its cells,
+are the same bit for bit whatever stack it is built in and however its
+cells are measured. The split equals the chain up to rounding (a
+relative difference of the order of 1e-15), and the two share no cell
+arithmetic, so the chain stays an independent reference model.
 
-Each frame's noise comes from a generator of its own (:func:`_fill`), and
-numpy releases the GIL while a generator fills, so two threads that build
+Each frame's noise comes from a generator of its own (:func:`_fill`). A
+stack draws it a chunk of frames at a time into one buffer of at most
+:data:`DRAW_NORMALS` normals, a 16-frame desk block's, so a desk stack of
+up to 16 frames draws at once and a paper stack three frames at a time,
+and the memory a stack's draw holds does not grow with the stack. numpy
+releases the GIL while a generator fills, so two threads that build
 stacks at once draw at once. This module starts no thread: a paper-scale
 batch of several seeds splits its worlds over two threads one layer up
 (:func:`feedback.run_episodes`).
@@ -332,12 +336,13 @@ def _echo_surface(
     return np.multiply(column, doppler_ramp[..., None, :] @ const.e_doppler_t)
 
 
-def _noise_surface(const: CellConstants, noise: np.ndarray) -> np.ndarray:
+def _noise_surface(const: CellConstants, noise: np.ndarray, out: np.ndarray) -> None:
     """The (D, V) surface of each (K, M) unit noise draw, over its active
-    rows, at the noise's scale. The Doppler bank goes first: that order
-    takes fewer multiplications, since the window is smaller than the grid."""
+    rows, at the noise's scale, into ``out``. The Doppler bank goes first:
+    that order takes fewer multiplications, since the window is smaller than
+    the grid."""
     surface = const.e_delay_active @ (noise[..., :const.null_row, :] @ const.e_doppler_t)
-    return np.multiply(const.noise_scale, surface, out=surface)
+    np.multiply(const.noise_scale, surface, out=out)
 
 
 def _guard_power(const: CellConstants, noise: np.ndarray) -> np.ndarray:
@@ -361,9 +366,20 @@ def noise_words(seeds: Iterable[int]) -> np.ndarray:
 
 def _fill(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
     """Draw each frame's unit normals into its slice of ``draws`` from the
-    generator of its row of ``words``."""
-    for row, out in zip(words, draws):
+    generator of its row of ``words``: every slice, one row each, so the two
+    must be of one length."""
+    for row, out in zip(words, draws, strict=True):
         generator_from_words(row).standard_normal(out=out)
+
+
+# The most unit normals a stack's noise draw buffer holds: one block of 16
+# desk frames (1 536 normals each). So a desk stack of up to 16 frames, a
+# block or a default batch's world stack, draws as one chunk, and a paper
+# stack (8 000 normals a frame) three frames at a time; a frame larger
+# than the budget draws alone. A budget of one paper frame made desk stacks
+# draw in chunks of five and took a 12-seed desk batch 5 % more CPU time
+# (CHANGES.md).
+DRAW_NORMALS = 24_576
 
 
 def build_frames(
@@ -372,9 +388,15 @@ def build_frames(
     """The per-frame part of every cell of each frame ``(channels[b],
     words[b])``, as one stack of frames of one scenario; ``words[b]`` is the
     frame's row of :func:`noise_words`, which seeds its noise draw. Each
-    array operation runs once over the stack, and each frame's values do not
-    depend on the other frames of the stack or on its size. It holds no
-    state between calls, so any thread may call it."""
+    array operation runs once over the stack, but the noise: the frames draw
+    it a chunk at a time into one buffer of at most :data:`DRAW_NORMALS`
+    normals, and each chunk's floors and noise surfaces go into the stack
+    before the next chunk draws. So the draw's memory does not grow with the
+    stack, and each frame's values do not depend on the other frames of the
+    stack, on its size or on its chunks. It holds no state between calls, so
+    any thread may call it."""
+    if len(words) != len(channels):
+        raise ValueError("need one noise words row per channel")
     cosines = np.array([(math.cos(c.arrival_angle), math.cos(c.departure_angle))
                         for c in channels])
     arrival = _steer(const.ue_phases, cosines[:, :1])
@@ -391,16 +413,26 @@ def build_frames(
         columns = np.array([(c.forward_delay + c.nlos.delay, c.nlos.doppler) for c in channels])
         np.add(echo, _echo_surface(const, np.array(a0_nlos)[:, None, None], columns[:, :1],
                                    columns[:, 1:]), out=echo)
-    # Each frame draws from a generator of its own, into its slice of one buffer.
-    draws = np.empty((len(words), *const.pilot.shape, 2))
-    _fill(words, draws)
-    noise = draws.view(np.complex128)[..., 0]
-    # The row-wise reduce over the stack's runs of guard rows equals the
-    # 1-D reduce of each run, so a frame's floor does not depend on the stack.
-    power = _guard_power(const, noise)
-    floor = [const.noise_scale * math.sqrt(total / power.shape[1])
-             for total in np.add.reduce(power, axis=1).tolist()]
-    return Frame(echo=echo, noise=_noise_surface(const, noise), floor=floor,
+    # Each frame draws from a generator of its own, into its slice of the
+    # chunk's part of one buffer.
+    n = len(words)
+    chunk = min(n, max(1, DRAW_NORMALS // (2 * const.pilot.size)))
+    draws = np.empty((chunk, *const.pilot.shape, 2))
+    noise = np.empty_like(echo)
+    floor = []
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        part = draws[:stop - start]
+        _fill(words[start:stop], part)
+        grid = part.view(np.complex128)[..., 0]
+        # The row-wise reduce over the chunk's runs of guard rows equals the
+        # 1-D reduce of each run, so a frame's floor does not depend on the
+        # stack or its chunks.
+        power = _guard_power(const, grid)
+        floor += [const.noise_scale * math.sqrt(total / power.shape[1])
+                  for total in np.add.reduce(power, axis=1).tolist()]
+        _noise_surface(const, grid, out=noise[start:stop])
+    return Frame(echo=echo, noise=noise, floor=floor,
                  departure=_steer(const.bs_phases, cosines[:, 1:]))
 
 

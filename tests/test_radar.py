@@ -582,7 +582,7 @@ class TestStackedArithmetic:
     that differs between a batch and its episodes run alone."""
 
     @pytest.mark.parametrize("grid", list(_GRIDS))
-    @pytest.mark.parametrize("size", [1, 2, 8, 12, 16, 40])
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 12, 16, 40])
     def test_stacked_operations_equal_per_slice(self, grid, size):
         const = cell_constants(_GRIDS[grid])
         n_sc, n_sym = const.pilot.shape
@@ -643,6 +643,26 @@ def _stack(key, frames, picks):
 def _alone(const, channel, row):
     """The frame of one channel and noise row, built in a stack of one."""
     return build_frames(const, [channel], [row]).at(0)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4])
+def test_fill_draws_exactly_the_rows_it_is_given(desk, rows):
+    # A stack's last chunk may be partial: each row of the buffer slice it
+    # is given is drawn, and a words list of another length is an error, as
+    # it is for a stack.
+    const = cell_constants(desk)
+    shape = const.pilot.shape
+    words = noise_words(range(3))
+    draws = np.full((rows, *shape, 2), np.nan)
+    if rows != len(words):
+        with pytest.raises(ValueError):
+            radar_mod._fill(words, draws)
+        with pytest.raises(ValueError, match="one noise words row per channel"):
+            build_frames(const, [realize_channel(desk, _target((0.0, 50.0)))] * rows, words)
+        return
+    radar_mod._fill(words, draws)
+    for row, out in zip(words, draws):
+        assert out.tobytes() == generator_from_words(row).standard_normal((*shape, 2)).tobytes()
 
 
 @pytest.mark.parametrize("split", [measure_cell, measure_cells])

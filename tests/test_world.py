@@ -514,3 +514,128 @@ class TestBlocks:
         cold_start()
         run_episode(BLOCK_SCENARIOS["paper"], (1.0, 2.0, 3.0), seed=3)
         assert max(stack_sizes) == feedback_mod.BLOCK_FRAMES
+
+
+CHUNK_SCENARIOS = {
+    **BLOCK_SCENARIOS,
+    "paper-nlos": ScenarioConfig(nlos_path_count=1),
+}
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """The number of frames of every chunk ``radar.build_frames`` draws."""
+    sizes = []
+    fill = radar_mod._fill
+
+    def recorded(words, draws):
+        sizes.append(len(draws))
+        fill(words, draws)
+
+    monkeypatch.setattr(radar_mod, "_fill", recorded)
+    return sizes
+
+
+class TestDrawChunks:
+    """A stack draws its frames' noise a chunk of at most
+    ``radar.DRAW_NORMALS`` normals at a time: its frames do not depend on
+    the chunks, and its draw memory does not grow with the stack."""
+
+    @pytest.mark.parametrize("kind", ["block", "worlds"])
+    @pytest.mark.parametrize("key", list(CHUNK_SCENARIOS))
+    def test_frames_do_not_depend_on_the_draw_budget(self, key, kind, monkeypatch, chunks):
+        scenario = CHUNK_SCENARIOS[key]
+        const = radar_mod.cell_constants(scenario)
+        per_frame = 2 * const.pilot.size
+        if kind == "block":  # a one-seed batch's 16 frames from frame 5 on
+            world = EpisodeWorld(scenario, 3)
+            feedback_mod._seed_frames([world], 21)
+
+            def build():
+                return feedback_mod._build_block(const, world, 5, 21)
+        else:  # frame 5 of each world of a 12-seed batch
+            worlds = [EpisodeWorld(scenario, seed, keep=False) for seed in range(20, 32)]
+            feedback_mod._seed_frames(worlds, 6)
+            for t in range(6):
+                for world in worlds:
+                    world.advance(t)
+
+            def build():
+                return radar_mod.build_frames(
+                    const, [realize_channel(scenario, world.target) for world in worlds],
+                    [world.words[5] for world in worlds])
+        n = 16 if kind == "block" else 12
+        default = radar_mod.DRAW_NORMALS // per_frame
+        # One frame a chunk, five (a partial last chunk), the whole stack in
+        # one, and the default budget: 16 desk frames, 3 paper frames.
+        stacks = []
+        for frames in (1, 5, n, default):
+            monkeypatch.setattr(radar_mod, "DRAW_NORMALS", frames * per_frame)
+            chunks.clear()
+            stacks.append(build())
+            expected = [frames] * (n // frames) + ([n % frames] if n % frames else [])
+            assert chunks == expected
+        assert default == (16 if key.startswith("desk") else 3)
+        first, *others = stacks
+        for stack in others:
+            for name in ("echo", "noise", "departure"):
+                assert getattr(stack, name).tobytes() == getattr(first, name).tobytes(), name
+            assert stack.floor == first.floor
+
+    def test_peak_memory_is_one_chunk_per_thread_and_the_stack(self, monkeypatch):
+        # A stack-wide draw buffer gives the same bytes; only its peak shows it.
+        scenario = ScenarioConfig()
+        const = radar_mod.cell_constants(scenario)
+        per_frame = 2 * const.pilot.size
+        chunk_bytes = radar_mod.DRAW_NORMALS // per_frame * per_frame * 8
+        surface_bytes = const.e_delay_active.shape[0] * const.e_doppler_t.shape[1] * 16
+
+        def traced(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def block_peak(seed):
+            world = EpisodeWorld(scenario, seed)
+            feedback_mod._seed_frames([world], 16)
+            world.grow(16)
+            return traced(lambda: feedback_mod._build_block(const, world, 0, 16))
+
+        block_peak(0)  # warm: first-call allocations are not the block's
+        # The block's echo and noise surfaces are its own.
+        bound = chunk_bytes + 2 * 16 * surface_bytes + 128 * 1024
+        assert bound < 16 * per_frame * 8  # a whole block's draws (1 MB) exceed it
+        assert block_peak(1) <= bound
+
+        # A 12-seed batch, on one thread and split in two halves: one
+        # chunk's buffer per thread. Each half drawing its six frames at once
+        # would hold 384 KB, and one thread its twelve 768 KB, on top of the
+        # rest.
+        halves = []
+        lockstep = feedback_mod._lockstep
+
+        def recorded(const, runs, n_frames, blocks):
+            halves.append(len(runs))
+            lockstep(const, runs, n_frames, blocks)
+
+        monkeypatch.setattr(feedback_mod, "_lockstep", recorded)
+        triples = [(0.2 * i, 0.2 * i + 1.0, 0.2 * i + 2.0) for i in range(12)]
+        fidelity = 0.05
+        n_frames = math.ceil(fidelity * scenario.frame_count)
+        kept = 12 * n_frames * 32  # each world's (n_frames, 4) uint64 words
+
+        def batch_peak(seeds):
+            cold_start()
+            return traced(lambda: run_episodes(scenario, triples, seeds, fidelity=fidelity))
+
+        for cpus, threads in (({0}, [12]), ({0, 1}, [6, 6])):
+            monkeypatch.setattr(feedback_mod.os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            batch_peak(list(range(12)))  # warm
+            halves.clear()
+            peak = batch_peak(list(range(100, 112)))
+            assert halves == threads
+            assert peak <= kept + len(threads) * chunk_bytes + 320 * 1024, threads
