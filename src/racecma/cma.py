@@ -79,7 +79,7 @@ class CmaState:
     generation: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("step size must be positive")
         if not np.allclose(self.cov, self.cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
@@ -145,7 +145,7 @@ def update(
     if pts.shape != (params.mu, state.dimension):
         raise ValueError("expected the mu best points, best first")
     w = params.weights if weights_used is None else np.asarray(weights_used, float)
-    if len(w) != params.mu or abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
+    if len(w) != params.mu or not abs(w.sum() - 1.0) <= 1e-9 or np.any(w < 0):
         raise ValueError("recombination weights must be nonnegative and sum to 1")
 
     _, inv_root = _decompose(state.cov)

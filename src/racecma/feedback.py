@@ -18,7 +18,9 @@ misses any, and the frames and cells of all such worlds as one stack
 seed builds a block of :data:`BLOCK_FRAMES` frames, one stack, at each
 frame where it misses a cell past its last block, and measures each cell
 on its frame of the block (:func:`radar.measure_cell`). Every frame is
-built in a stack, and none is kept past the call that built it.
+built in a stack, and none is kept past the call that built it. Only a
+one-seed batch's world outlives the call, held for the next one-seed
+batch on its scenario and seed; a batch of several seeds streams them all.
 
 A paper-scale batch of several seeds runs its worlds in two halves, one
 on a thread started for the call (:func:`run_episodes`). numpy releases
@@ -133,16 +135,16 @@ class EpisodeWorld:
     frame's echo strength is a pure function of those plus the beam and
     power factor the loop chooses. A world walks the target through the
     frames in order and measures each (frame, beam, power factor) cell
-    once, on first visit (:func:`run_episodes`). A kept world holds every
-    target, its bearing and every measured float, so replays under any
-    thresholds and action table read the stored floats and grow its prefix
-    only where none reached; a one-seed batch grows it to the end of each
-    block it builds (:meth:`grow`). A streaming world (``keep=False``)
-    holds those of the current frame only. Both hold the noise seed words
-    of every frame a call has asked for (:func:`_seed_frames`), and nothing
-    else per frame: no built frame (channel, noise draw and surfaces)
-    outlives the call that built it, so a later call that misses a cell of
-    a frame builds that frame anew, in a block.
+    once, on first visit (:func:`run_episodes`). A one-seed batch's world
+    is kept: it holds every target, its bearing and every measured float,
+    so replays under any thresholds and action table read the stored
+    floats and grow its prefix only where none reached, to the end of each
+    block built (:meth:`grow`). Each world of a several-seed batch streams
+    (``keep=False``), holding those of the current frame only. Both hold
+    the noise seed words of every frame a call has asked for
+    (:func:`_seed_frames`), and nothing else per frame: no built frame
+    (channel, noise draw and surfaces) outlives the call that built it, so
+    a later call that misses a cell of a frame builds that frame anew.
     """
 
     def __init__(self, scenario: ScenarioConfig, seed: int, keep: bool = True) -> None:
@@ -248,8 +250,8 @@ def _measure_frame(
         world.cells[key] = value
 
 
-# The world each thread replayed last (``_SLOT.world``). Threads never share
-# a world, so no lock is needed, and at most one per thread is held.
+# The world of each thread's last one-seed batch (``_SLOT.world``), None
+# after a several-seed one. Threads never share a world, so need no lock.
 _SLOT = threading.local()
 
 
@@ -324,21 +326,20 @@ def _lockstep(
     const: CellConstants,
     runs: Sequence[tuple[EpisodeWorld, list]],
     n_frames: int,
-    blocks: bool,
 ) -> None:
     """Advance every episode of ``runs``, one ``(world, loops)`` pair per
     seed group, through ``n_frames`` frames in one lockstep, measuring the
-    cells they miss at each frame together: each world's frame in one
-    stack (:func:`_measure_frame`), or with ``blocks`` (one world) a block
-    of :data:`BLOCK_FRAMES` frames from a frame where it misses a cell past
-    its last block on. It first mixes each world's missing noise seed
-    words (:func:`_seed_frames`)."""
+    cells they miss at each frame together: the streaming worlds' frames in
+    one stack (:func:`_measure_frame`), or a kept world's, the one world of
+    a one-seed batch, in a block of :data:`BLOCK_FRAMES` frames from a
+    frame where it misses a cell past its last block on. It first mixes
+    each world's missing noise seed words (:func:`_seed_frames`)."""
     worlds = [world for world, _ in runs]
     _seed_frames(worlds, n_frames)
     scenario = worlds[0].scenario
     budget_w = scenario.tx_power_w
     wanted = [[next(loop) for loop in loops] for _, loops in runs]
-    # With ``blocks``, the stack ``block`` holds frames start to stop - 1.
+    # A kept world's stack ``block`` holds frames start to stop - 1.
     block, start, stop = None, 0, 0
     for t in range(n_frames):
         requests = []
@@ -350,7 +351,7 @@ def _lockstep(
                     missing.append(key)
             if missing:
                 requests.append((world, missing))
-        if requests and blocks:
+        if requests and worlds[0].keep:
             [(world, keys)] = requests
             if t >= stop:
                 block = None  # the loop has passed it: free it before the next
@@ -371,30 +372,30 @@ def _lockstep(
 def _split_lockstep(
     const: CellConstants,
     runs: Sequence[tuple[EpisodeWorld, list]],
-    share: slice,
     n_frames: int,
 ) -> None:
-    """:func:`_lockstep` of ``runs[share]`` on a thread started here, and
-    of the other runs on this thread, both in world stacks. This thread
-    joins the other before returning or raising, and then raises the
-    other's error. Where no thread can start (as at the interpreter's
-    shutdown), this thread runs every world."""
+    """:func:`_lockstep` of the first half of ``runs`` on a thread started
+    here, and of the second half on this thread, both in stacks of their
+    streaming worlds. This thread joins the other before returning or
+    raising, and then raises the other's error. Where no thread can start
+    (as at the interpreter's shutdown), this thread runs every world."""
+    half = len(runs) // 2
     errors = []
 
-    def run_share() -> None:
+    def run_half() -> None:
         try:
-            _lockstep(const, runs[share], n_frames, blocks=False)
+            _lockstep(const, runs[:half], n_frames)
         except BaseException as error:  # raised in the caller, after the join
             errors.append(error)
 
-    helper = threading.Thread(target=run_share, name="racecma-half")
+    helper = threading.Thread(target=run_half, name="racecma-half")
     try:
         helper.start()
     except RuntimeError:
-        _lockstep(const, runs, n_frames, blocks=False)
+        _lockstep(const, runs, n_frames)
         return
     try:
-        _lockstep(const, [*runs[:share.start], *runs[share.stop:]], n_frames, blocks=False)
+        _lockstep(const, runs[half:], n_frames)
     finally:
         helper.join()
     if errors:
@@ -430,22 +431,22 @@ def run_episodes(
     block, that frame and the next ones, :data:`BLOCK_FRAMES` in all, become
     one stack, kept until the loop has passed them, and each cell is
     measured on its frame of the stack; a frame of it no episode measures
-    is drawn all the same. Each thread keeps the world of the last group,
-    whole, and grows it for the next call on the same scenario and seed
-    (IPN's line-search probes after its stencil); the first group starts
-    from it if it is that group's. The other groups' worlds stream: each
-    holds the current frame's target, bearing and cells only. Before the
-    first frame, one pass per world mixes the noise seed words of every
-    frame it lacks (:func:`_seed_frames`).
+    is drawn all the same. Each thread keeps the world of its last one-seed
+    batch, whole, and the next one-seed batch on the same scenario and seed
+    replays and grows it (IPN's line-search probes after its stencil). A
+    batch of several seeds streams every world, each holding the current
+    frame's target, bearing and cells only, and leaves the thread holding
+    none, so no world of it outlives the call. Before the first frame, one
+    pass per world mixes the noise seed words of every frame it lacks
+    (:func:`_seed_frames`).
 
     A batch of several seeds splits where it pays: a frame's noise draw
     holds at least :data:`SPLIT_NORMALS` normals, the process may run on two
     CPUs or more, and it allows the split (``bench``'s pool workers do
-    not). A thread started for the call then runs half of the worlds, all
-    streaming ones, in a lockstep of world stacks, while this thread runs
-    the others, the held world it replays and the last group's among them,
-    in another (:func:`_split_lockstep`). No thread outlives the call, so a
-    forked child inherits none.
+    not). A thread started for the call then runs the first half of the
+    worlds in a lockstep of world stacks, while this thread runs the
+    second half in another (:func:`_split_lockstep`). No thread outlives
+    the call, so a forked child inherits none.
 
     The seeds and triples are checked before any frame runs, and an empty
     batch returns ``[]`` with the thread's world kept. Each trace equals,
@@ -464,32 +465,26 @@ def run_episodes(
     for i, seed in enumerate(seeds):
         groups.setdefault((type(seed), seed), []).append(i)
     held = getattr(_SLOT, "world", None)
-    worlds = []
-    for g, (kind, seed) in enumerate(groups):
-        if g == 0 and held is not None and (held.scenario, type(held.seed), held.seed) == (
-            scenario, kind, seed
-        ):
-            worlds.append(held)
-        else:
-            worlds.append(EpisodeWorld(scenario, seed, keep=g == len(groups) - 1))
-    lead = int(worlds[0] is held)  # the held world stays on this thread
-    # Replacing the slot now frees the world it held, unless the first
-    # group replays it, before any frame runs.
+    if (len(groups) == 1 and held is not None and held.scenario == scenario
+            and (type(held.seed), held.seed) in groups):
+        worlds = [held]
+    else:
+        worlds = [EpisodeWorld(scenario, seed, keep=len(groups) == 1) for _, seed in groups]
+    # Replacing the slot now frees the world it held, unless this batch
+    # replays it, before any frame runs.
     held = None
-    _SLOT.world = worlds[-1]
+    _SLOT.world = worlds[0] if worlds[0].keep else None
 
     const = cell_constants(scenario)  # looked up once: each lookup hashes the scenario
     outs = [(np.empty(n_frames), np.empty(n_frames, dtype=np.int64),
              np.empty(n_frames, dtype=bool), np.empty(n_frames)) for _ in checked]
     runs = [(world, [_closed_loop(checked[i], actions, world, outs[i]) for i in members])
             for world, members in zip(worlds, groups.values())]
-    # The other thread's share: half of the worlds, none held and not the last.
-    n_share = min(len(runs) // 2, len(runs) - 1 - lead)
-    if (n_share > 0 and 2 * const.pilot.size >= SPLIT_NORMALS and _helper_allowed
+    if (len(runs) > 1 and 2 * const.pilot.size >= SPLIT_NORMALS and _helper_allowed
             and _cpu_count() >= 2):
-        _split_lockstep(const, runs, slice(lead, lead + n_share), n_frames)
+        _split_lockstep(const, runs, n_frames)
     else:
-        _lockstep(const, runs, n_frames, blocks=len(runs) == 1)
+        _lockstep(const, runs, n_frames)
     return [EpisodeTrace(resi=resi, states=states, in_beam=in_beam, power=power,
                          horizon=n_frames) for resi, states, in_beam, power in outs]
 
@@ -540,8 +535,10 @@ class ObjectiveValues:
 
 
 def check_weights(weights: tuple[float, float, float]) -> None:
-    """Reject objective weights that are negative or all zero."""
+    """Reject objective weights that are not finite, negative or all zero."""
     w_det, w_lat, w_pow = weights
+    if not all(math.isfinite(w) for w in weights):
+        raise ValueError("weights must be finite")
     if w_det < 0 or w_lat < 0 or w_pow < 0 or w_det + w_lat + w_pow == 0:
         raise ValueError("weights must be nonnegative and not all zero")
 

@@ -45,13 +45,15 @@ class CostLedger:
         self._weighted: dict[str, Fraction] = {k: Fraction(0) for k in self._counts}
 
     def add(self, weight: float, kind: str = "full") -> None:
-        if weight < 0:
-            raise ValueError("cost increments must be nonnegative")
+        if not math.isfinite(weight) or weight < 0:
+            raise ValueError(f"cost increments must be finite and nonnegative, not {weight!r}")
+        if kind not in self._counts:
+            raise ValueError(f"cost kind must be stage1, stage2 or full, not {kind!r}")
         exact = _exact(weight)
         with self._lock:
             self._total += exact
-            self._counts[kind] = self._counts.get(kind, 0) + 1
-            self._weighted[kind] = self._weighted.get(kind, Fraction(0)) + exact
+            self._counts[kind] += 1
+            self._weighted[kind] += exact
 
     @property
     def n_eq(self) -> float:

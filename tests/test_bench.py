@@ -405,9 +405,9 @@ _real_lockstep = feedback._lockstep
 halves = []
 
 
-def lockstep(const, runs, n_frames, blocks):
+def lockstep(const, runs, n_frames):
     halves.append(threading.current_thread().name)
-    _real_lockstep(const, runs, n_frames, blocks)
+    _real_lockstep(const, runs, n_frames)
 
 
 feedback._lockstep = lockstep

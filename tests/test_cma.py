@@ -48,6 +48,12 @@ class TestSampling:
             CmaState(mean=np.zeros(2), sigma=0.0, cov=np.eye(2),
                      path_sigma=np.zeros(2), path_cov=np.zeros(2))
 
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan])
+    def test_negative_or_nan_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="step size must be positive"):
+            CmaState(mean=np.zeros(2), sigma=sigma, cov=np.eye(2),
+                     path_sigma=np.zeros(2), path_cov=np.zeros(2))
+
     def test_asymmetric_covariance_rejected(self):
         cov = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
@@ -99,6 +105,14 @@ class TestUpdate:
         state = init_state(np.zeros(2), 1.0)
         with pytest.raises(ValueError):
             update(state, params, np.zeros((params.mu + 1, 2)))
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.4, 0.2], [0.5, 0.6, -0.1],
+                                         [math.nan, 0.5, 0.5], [math.nan] * 3])
+    def test_bad_recombination_weights_rejected(self, weights):
+        params = default_params(2, 6)
+        state = init_state(np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            update(state, params, np.zeros((params.mu, 2)), weights_used=weights)
 
 
 class TestOptimize:

@@ -185,6 +185,12 @@ class TestObjectives:
         with pytest.raises(ValueError):
             scalarize(0.5, 0, 0.0, 100, (0, 0, 0))
 
+    @pytest.mark.parametrize("weights", [(math.nan, 0, 0), (1, math.inf, 0), (1, 0, -math.inf),
+                                         (math.nan, 1, 0)])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            scalarize(0.5, 0, 0.0, 100, weights)
+
     def test_threshold_monotonicity_of_indicator(self, rng):
         xs = rng.uniform(0, 5, 300)
         lows = np.sort(rng.uniform(0, 5, 10))

@@ -87,6 +87,20 @@ class TestLedger:
         with pytest.raises(ValueError):
             CostLedger().add(-0.1)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, weight):
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match=f"finite and nonnegative, not {weight!r}"):
+            ledger.add(weight, "stage1")
+        assert ledger.exact_total == 0 and ledger.breakdown["stage1"] == (0, 0.0)
+
+    def test_unknown_kind_rejected(self):
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match="stage1, stage2 or full, not 'stage3'"):
+            ledger.add(1.0, "stage3")
+        assert ledger.exact_total == 0
+        assert sorted(ledger.breakdown) == ["full", "stage1", "stage2"]
+
 
 class TestEvaluateRepeated:
     """One point evaluated under several seeds, then RepeatedEstimate.of."""
@@ -154,6 +168,11 @@ class TestIsacObjective:
     def test_bad_weights_raise_when_built(self, desk, weights):
         # Not only from scalarize, after a whole batch is simulated.
         with pytest.raises(ValueError, match="weights must be nonnegative"):
+            IsacObjective(desk, weights=weights)
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0, 0.0), (1.0, math.inf, 0.0)])
+    def test_non_finite_weights_raise_when_built(self, desk, weights):
+        with pytest.raises(ValueError, match="weights must be finite"):
             IsacObjective(desk, weights=weights)
 
     def test_referential_transparency(self, desk):

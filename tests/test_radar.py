@@ -728,16 +728,17 @@ REAL_SPLIT_NORMALS = feedback_mod.SPLIT_NORMALS
 def helper(monkeypatch):
     """Split every batch of two seeds or more on two CPUs (splitting
     allowed), and record each lockstep as it ends: its thread, its worlds'
-    seeds and whether it built blocks. ``feedback.allow_noise_helper``
-    turns splitting off, and the fixture turns it back on."""
+    seeds and whether it built blocks (its world is kept: a one-seed
+    batch's). ``feedback.allow_noise_helper`` turns splitting off, and the
+    fixture turns it back on."""
     halves = []
 
-    def lockstep(const, runs, n_frames, blocks):
+    def lockstep(const, runs, n_frames):
         try:
-            real_lockstep(const, runs, n_frames, blocks)
+            real_lockstep(const, runs, n_frames)
         finally:
             halves.append((threading.current_thread().name, [world.seed for world, _ in runs],
-                           blocks))
+                           runs[0][0].keep))
 
     real_lockstep = feedback_mod._lockstep
     monkeypatch.setattr(feedback_mod, "SPLIT_NORMALS", 1)
@@ -867,8 +868,9 @@ class TestNoiseHelper:
         _run_cold(_SCENARIOS["paper", nlos], *_batch(2), 0.008)
         assert sorted(name for name, _, _ in helper) == sorted([_main(), "racecma-half"])
 
-    def test_the_caller_holds_the_last_world_and_replays_the_held_one(self, helper,
-                                                                      monkeypatch):
+    def test_a_split_batch_keeps_no_world_and_a_one_seed_batch_replays_the_held_one(
+        self, helper, monkeypatch
+    ):
         built, stepped = [], []
 
         class Recorded(feedback_mod.EpisodeWorld):
@@ -883,27 +885,34 @@ class TestNoiseHelper:
         monkeypatch.setattr(feedback_mod, "EpisodeWorld", Recorded)
         scenario, t = ScenarioConfig(), (1e9, 2e9, 3e9)  # every frame measured
         feedback_mod._SLOT.world = None
-        first = run_episodes(scenario, [t] * 4, [1, 2, 3, 4], fidelity=0.008)
+        alone = run_episodes(scenario, [t], [4], fidelity=0.008)
         world = feedback_mod._SLOT.world
         assert (world.seed, world.keep, len(world.targets), len(world.cells)) == (4, True, 8, 8)
-        assert sorted(helper) == sorted([("racecma-half", [1, 2], False),
-                                         (_main(), [3, 4], False)])
-        # The held world leads the next batch: it stays on this thread, which
-        # replays its eight frames without a step or a draw, and the helper
-        # takes the next two worlds.
+        assert helper == [(_main(), [4], True)]
+        # A batch of several seeds replays no held world, even one of its
+        # seeds': the helper runs the front half of its worlds, all
+        # streaming, this thread the rest, and no world is held after it.
         helper.clear()
         built.clear()
-        stepped.clear()
-        second = run_episodes(scenario, [t] * 4, [4, 5, 6, 7], fidelity=0.008)
-        assert built == [5, 6, 7] and 4 not in stepped
-        assert sorted(helper) == sorted([("racecma-half", [5, 6], False),
-                                         (_main(), [4, 7], False)])
-        assert _trace_bytes(second[:1]) == _trace_bytes(first[3:])
-        assert feedback_mod._SLOT.world.seed == 7 and not _helper_threads()
-        # Two seeds led by the held world leave the helper nothing.
+        batch = run_episodes(scenario, [t] * 4, [4, 5, 6, 7], fidelity=0.008)
+        assert built == [4, 5, 6, 7] and feedback_mod._SLOT.world is None
+        assert sorted(helper) == sorted([("racecma-half", [4, 5], False),
+                                         (_main(), [6, 7], False)])
+        assert _trace_bytes(batch[:1]) == _trace_bytes(alone)
+        # Two seeds split one each.
         helper.clear()
         run_episodes(scenario, [t] * 2, [7, 8], fidelity=0.008)
-        assert helper == [(_main(), [7, 8], False)]
+        assert sorted(helper) == sorted([("racecma-half", [7], False), (_main(), [8], False)])
+        assert feedback_mod._SLOT.world is None and not _helper_threads()
+        # A one-seed batch builds a kept world, and the next one on its seed
+        # replays its eight frames without a step or a draw.
+        run_episodes(scenario, [t], [4], fidelity=0.008)
+        world = feedback_mod._SLOT.world
+        built.clear()
+        stepped.clear()
+        again = run_episodes(scenario, [t], [4], fidelity=0.008)
+        assert feedback_mod._SLOT.world is world and built == stepped == []
+        assert _trace_bytes(again) == _trace_bytes(alone)
 
     def test_concurrent_callers_get_their_own_bytes(self, helper):
         """More caller threads than CPUs, switching often, each splitting
@@ -952,9 +961,9 @@ _real_lockstep = feedback._lockstep
 halves = []  # the name of the thread of each lockstep of this process
 
 
-def lockstep(const, runs, n_frames, blocks):
+def lockstep(const, runs, n_frames):
     halves.append(threading.current_thread().name)
-    _real_lockstep(const, runs, n_frames, blocks)
+    _real_lockstep(const, runs, n_frames)
 
 
 def report():

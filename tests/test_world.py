@@ -1,6 +1,6 @@
 """Episode worlds: a replay over a warm world equals a cold episode bit for bit,
-both match the radar chain, and each thread keeps only the world it replayed
-last."""
+both match the radar chain, and each thread keeps only the world of its last
+one-seed batch."""
 
 import gc
 import math
@@ -239,6 +239,8 @@ def check_batch(scenario, episodes, actions, fidelity, warm_seed, warm) -> None:
     assert len(batch) == len(episodes)
     if not episodes:  # an empty batch keeps the slot's world
         assert held_world() is held
+    elif len({(type(seed), seed) for _, seed in episodes}) > 1:
+        assert held_world() is None  # a batch of several seeds keeps none
     for (thresholds, seed), together, single in zip(episodes, batch, alone):
         assert_identical(together, single)
         assert_matches_reference(together, reference_episode(scenario, thresholds, actions,
@@ -282,7 +284,7 @@ class TestBatch:
         # One noise draw per (seed, frame), wherever it is drawn.
         assert sorted(draws) == sorted(derive_seed(seed, "frame", frame)
                                        for seed in seeds for frame in range(40))
-        assert type(held_world().seed) is np.int64
+        assert held_world() is None  # two seeds: no world is kept
         for trace, seed in zip(together, seeds):
             cold_start()
             assert_identical(trace, run_episode(short_desk, t, seed=seed))
@@ -323,7 +325,8 @@ class TestBatch:
 
 
 class TestSlot:
-    """Each thread keeps the one world it replayed last."""
+    """Each thread keeps the world of its last one-seed batch, and a batch of
+    several seeds leaves it none."""
 
     def test_probe_after_stencil_draws_blocks_from_its_misses(self, short_desk, draws):
         # IPN's pattern: a 7-point stencil as one batch, then line-search
@@ -353,16 +356,16 @@ class TestSlot:
                                                               StateActionTable(), 4, 1.0))
         assert len(draws) > after_stencil  # a probe visited cells of its own
 
-    def test_slot_keeps_only_the_last_world_whole(self, short_desk, monkeypatch):
-        # The worlds of every group but the last stream: each holds the
-        # current frame's target, bearing and cells only, and none outlives
-        # the call.
+    def test_a_several_seed_batch_streams_every_world(self, short_desk, monkeypatch):
+        # Each world of a batch of several seeds holds the current frame's
+        # target, bearing and cells only, the held world's seed's included;
+        # a one-seed batch after it builds a kept world anew.
         built, held_cells = [], []
 
         class Recorded(feedback_mod.EpisodeWorld):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                built.append(weakref.ref(self))
+                built.append((self.seed, self.keep))
 
             def advance(self, t):
                 if not self.keep:
@@ -376,20 +379,52 @@ class TestSlot:
         t = (1e9, 2e9, 3e9)  # never leaves state 0: every frame measured
         cold_start()
         run_episode(short_desk, t, seed=5)
-        first = held_world()  # the first group's world, reused and then dropped
         seeds = [5, 6, 5, 7]
         run_episodes(short_desk, [t] * len(seeds), seeds)
-        world = held_world()
-        del first
-        gc.collect()
-        assert [ref() for ref in built if ref() is not None] == [world]
-        assert len(built) == 3 and held_cells == list(range(39))  # seed 6 streamed
-        cold_start()
+        assert held_world() is None
+        assert built == [(5, True), (5, False), (6, False), (7, False)]
+        # Each of the three streamed the 39 frames before the last.
+        assert sorted(held_cells) == sorted(list(range(39)) * 3)
         run_episode(short_desk, t, seed=7)
-        alone = held_world()
-        assert (world.seed, world.keep) == (7, True)
-        assert world.targets == alone.targets and world.bearings == alone.bearings
-        assert world.cells == alone.cells and len(world.cells) == 40
+        world = held_world()
+        assert built[4:] == [(7, True)]
+        assert (world.seed, world.keep, len(world.targets), len(world.cells)) == (7, True, 40, 40)
+
+    @pytest.mark.parametrize("scale", ["desk", "paper-split"])
+    def test_no_world_of_a_several_seed_batch_outlives_it(self, short_desk, monkeypatch,
+                                                          scale):
+        built, split = [], []
+
+        class Recorded(feedback_mod.EpisodeWorld):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        split_lockstep = feedback_mod._split_lockstep
+
+        def recorded(*args):
+            split.append(True)
+            split_lockstep(*args)
+
+        monkeypatch.setattr(feedback_mod, "EpisodeWorld", Recorded)
+        monkeypatch.setattr(feedback_mod, "_split_lockstep", recorded)
+        monkeypatch.setattr(feedback_mod.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        scenario, fidelity = ((short_desk, 1.0) if scale == "desk"
+                              else (ScenarioConfig(), 0.008))
+        t = (1e9, 2e9, 3e9)  # never leaves state 0: every frame measured
+        cold_start()
+        run_episode(scenario, t, seed=5, fidelity=fidelity)  # a held world of one seed
+        seeds = [5, 6, 7, np.int64(7)]
+        traces = run_episodes(scenario, [t] * len(seeds), seeds, fidelity=fidelity)
+        assert held_world() is None
+        assert split == ([True] if scale == "paper-split" else [])
+        gc.collect()
+        assert len(built) == 5 and all(ref() is None for ref in built)
+        # The traces outlive their worlds and still equal each seed's alone.
+        for trace, seed in zip(traces, seeds):
+            cold_start()
+            assert_identical(trace, run_episode(scenario, t, seed=seed, fidelity=fidelity))
 
     def test_other_seed_replaces_the_world(self, short_desk, draws):
         t = (1e9, 2e9, 3e9)  # never leaves state 0: every frame measured
@@ -425,15 +460,17 @@ class TestSeedPass:
         t = (1.0, 2.0, 3.0)
         cold_start()
         run_episodes(short_desk, [t] * 12, list(range(12)), fidelity=0.5)
+        assert lengths == [20] * 12 and held_world() is None
+        # A one-seed batch builds a kept world, and a higher-fidelity call on
+        # it mixes its new frames only.
+        run_episode(short_desk, t, seed=11, fidelity=0.5)
         world = held_world()
-        assert lengths == [20] * 12
-        # A higher-fidelity call on the held world mixes its new frames only.
         run_episode(short_desk, t, seed=11)
-        assert held_world() is world and lengths[12:] == [20]
-        # The held world, first of the batch, lacks no frame: no pass.
+        assert held_world() is world and lengths[12:] == [20, 20]
+        # A batch of several seeds replays no held world: a pass per world.
         run_episodes(short_desk, [t] * 3, [11, 12, 13])
-        assert held_world().seed == 13 and lengths[13:] == [40, 40]
-        assert len(seeded) == 12 + 1 + 3
+        assert held_world() is None and lengths[14:] == [40, 40, 40]
+        assert len(seeded) == 12 + 1 + 1 + 3
         for world in seeded:
             n = len(world.words)
             assert n in (20, 40)
@@ -617,9 +654,9 @@ class TestDrawChunks:
         halves = []
         lockstep = feedback_mod._lockstep
 
-        def recorded(const, runs, n_frames, blocks):
+        def recorded(const, runs, n_frames):
             halves.append(len(runs))
-            lockstep(const, runs, n_frames, blocks)
+            lockstep(const, runs, n_frames)
 
         monkeypatch.setattr(feedback_mod, "_lockstep", recorded)
         triples = [(0.2 * i, 0.2 * i + 1.0, 0.2 * i + 2.0) for i in range(12)]
