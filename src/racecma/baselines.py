@@ -38,9 +38,10 @@ class HypothesisDensityModel:
     def __post_init__(self) -> None:
         if not (len(self.means) == len(self.stds) == len(self.priors)):
             raise ValueError("model components must have equal length")
-        if any(s <= 0 for s in self.stds):
+        # Written so that a nan fails them too.
+        if not all(s > 0 for s in self.stds):
             raise ValueError("stds must be positive")
-        if abs(sum(self.priors) - 1.0) > 1e-9:
+        if not abs(sum(self.priors) - 1.0) <= 1e-9:
             raise ValueError("priors must sum to 1")
 
     def log_posterior(self, x: float, i: int) -> float:
@@ -53,11 +54,18 @@ def fit_density_model(
     priors: tuple[float, ...] | None = None,
     min_samples: int = 30,
 ) -> HypothesisDensityModel:
-    """Fit one Gaussian per state; priors default to sample proportions."""
+    """Fit one Gaussian per state; priors default to sample proportions.
+
+    A state needs ``min_samples`` samples, and at least 2 for a spread.
+    """
     states = sorted(samples_by_state)
     groups = [np.asarray(samples_by_state[s], float) for s in states]
     if any(len(g) < min_samples for g in groups):
         raise CalibrationError(f"each state needs >= {min_samples} calibration samples")
+    for state, g in zip(states, groups):
+        if len(g) < 2:
+            raise CalibrationError(
+                f"state {state} has {len(g)} calibration sample(s); a spread needs 2")
     means = tuple(float(g.mean()) for g in groups)
     stds = tuple(max(float(g.std(ddof=1)), 1e-9) for g in groups)
     if priors is None:
@@ -115,6 +123,8 @@ def map_thresholds(
     the minimum spacing if the fit brings two of them too close. The priors
     are the states' sample proportions.
     """
+    if not min_spacing > 0:
+        raise ValueError("min_spacing must be positive")
     model = fit_density_model(samples_by_state, min_samples=min_samples)
     if len(model.means) != 4:
         raise CalibrationError("expected calibration samples for four states")
@@ -144,6 +154,37 @@ def posterior_crossing(
     )
 
 
+def _linear_quantiles(x: np.ndarray, q) -> np.ndarray:
+    """``np.quantile(x, q)`` for a finite 1-D ``x`` and ``q`` in [0, 1],
+    bit for bit, by numpy's own steps for its default linear method.
+
+    numpy builds its partition's kth set with ``np.unique``, which imports
+    ``numpy.ma`` on its first call, so the first MAP calibration of a
+    process would load that module mid-run. Here the set is built in Python;
+    the rest is numpy's: the virtual index ``(n - 1) * q``, both neighbour
+    indexes set to -1 at or past the last element, one partition of a copy,
+    and the two-sided lerp. A sort in place of the partition differs from
+    numpy in the sign of some zeros.
+    """
+    arr = np.array(x, dtype=float)  # a copy: the partition works in place
+    n = len(arr)
+    if n == 0:
+        raise ValueError("quantiles need at least one value")
+    virtual = (n - 1) * np.asarray(q, float)
+    previous = np.floor(virtual)
+    following = previous + 1
+    last = virtual >= n - 1
+    previous[last] = following[last] = -1
+    previous, following = previous.astype(np.intp), following.astype(np.intp)
+    arr.partition(sorted({0, -1, *previous.tolist(), *following.tolist()}))
+    a, b = arr[previous], arr[following]
+    gamma = virtual - previous
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def map_calibrate(
     objective,
     seed: int,
@@ -155,9 +196,15 @@ def map_calibrate(
 
     Runs sweep-only episodes (thresholds nothing reaches), labels the
     collected echo-strength values with provisional thresholds at their
-    observed quantiles, fits the per-state densities and solves the
-    crossings. Charges one full evaluation per episode.
+    median, 75th and 90th percentiles (:func:`_linear_quantiles`), fits the
+    per-state densities and solves the crossings. Charges one full
+    evaluation per episode; ``episodes < 1`` or a ``min_spacing`` that is
+    not positive is rejected before any episode runs.
     """
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    if not min_spacing > 0:
+        raise ValueError("min_spacing must be positive")
     scenario: ScenarioConfig = objective.scenario
     passive = (1e9, 2e9, 3e9)
     seeds = [derive_seed(seed, "map-calibration", ep) for ep in range(episodes)]
@@ -168,7 +215,7 @@ def map_calibrate(
     x = np.asarray(values)
     if not np.all(np.isfinite(x)):
         raise CalibrationError("calibration echo strengths must be finite")
-    q = np.quantile(x, [0.5, 0.75, 0.9])
+    q = _linear_quantiles(x, [0.5, 0.75, 0.9])
     provisional = (q[0], max(q[1], q[0] + min_spacing), max(q[2], q[1] + 2 * min_spacing))
     labels = np.array([classify(v, provisional) for v in x])
     samples_by_state = {s: x[labels == s] for s in range(4)}
@@ -368,6 +415,8 @@ class SpsaSchedule:
 
 def project_thresholds(values: np.ndarray, min_spacing: float) -> np.ndarray:
     """Feasibility projection: sort ascending, then push entries apart."""
+    if not min_spacing > 0:
+        raise ValueError("min_spacing must be positive")
     t = np.sort(np.asarray(values, float))
     t[1] = max(t[1], t[0] + min_spacing)
     t[2] = max(t[2], t[1] + min_spacing)
@@ -412,6 +461,8 @@ def spsa_optimize(
     """
     if not 0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
+    if not min_spacing > 0:
+        raise ValueError("min_spacing must be positive")
     t = np.array(t0, float)
     spent = 0.0
     best_cost = math.inf

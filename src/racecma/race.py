@@ -94,7 +94,7 @@ def map_unconstrained(u, min_spacing: float) -> np.ndarray:
     about 1e4, ``t1 + min_spacing`` rounds off part of the spacing, though
     every finite input still maps to an ordered triple.
     """
-    if min_spacing <= 0:
+    if not min_spacing > 0:
         raise ValueError("min_spacing must be positive")
     u = np.asarray(u, float)
     t1 = u[..., 0]
@@ -109,6 +109,8 @@ def inverse_feasible(thresholds: np.ndarray, min_spacing: float) -> np.ndarray:
     Gaps at exactly the minimum spacing clamp to a large negative
     coordinate (the softplus offset saturates at zero from above).
     """
+    if not min_spacing > 0:
+        raise ValueError("min_spacing must be positive")
 
     def inv_softplus(y: float) -> float:
         y = max(y, 1e-9)

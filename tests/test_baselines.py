@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from racecma import baselines as baselines_mod
 from racecma import (
@@ -12,11 +13,14 @@ from racecma import (
     run_episodes,
     spsa_optimize,
 )
+from racecma.bench import ExperimentSpec, run_method
 from racecma.baselines import (
     CalibrationError,
+    HypothesisDensityModel,
     IpnConfig,
     SpsaSchedule,
     _barrier_value,
+    _linear_quantiles,
     fit_density_model,
     map_thresholds,
     posterior_crossing,
@@ -29,6 +33,56 @@ from racecma.seeding import rng_from
 
 def sphere(x):
     return float(np.sum(np.asarray(x, float) ** 2))
+
+
+# Sample values: signed zeros and small ties beside general floats.
+_QUANTILE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.integers(-12, 12).map(lambda k: k / 4),
+    st.floats(-1e6, 1e6).map(lambda v: round(v, 1)),
+    st.floats(-1e300, 1e300),
+)
+_QUANTILE_LEVELS = st.one_of(
+    st.just([0.5, 0.75, 0.9]),  # MAP's
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=5),
+)
+
+
+@st.composite
+def quantile_samples(draw):
+    """1-500 values drawn from a pool of at most eight, so most repeat, and
+    a share of them replaced by unrounded normals. Drawing each value
+    through hypothesis makes the test about ten times slower."""
+    pool = np.array(draw(st.lists(_QUANTILE_VALUES, min_size=1, max_size=8)))
+    n = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.choice(pool, size=n)
+    share = draw(st.sampled_from([0.0, 0.0, 0.1, 1.0]))
+    return np.where(rng.random(n) < share, rng.normal(0.0, 3.0, n), x)
+
+
+class TestLinearQuantiles:
+    """MAP's quantiles are numpy's default linear ones, to the bit, so its
+    thresholds do not depend on whether numpy's own code runs."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=quantile_samples(), q=_QUANTILE_LEVELS)
+    def test_equals_numpys_quantile_bit_for_bit(self, x, q):
+        assert _linear_quantiles(x, q).tobytes() == np.quantile(x, q).tobytes()
+
+    def test_signed_zeros_keep_numpys_signs(self):
+        x = np.array([-0.0, 0.0, -0.0])
+        for q in ([0.0], [0.5], [1.0], [0.5, 0.75, 0.9]):
+            assert _linear_quantiles(x, q).tobytes() == np.quantile(x, q).tobytes()
+
+    def test_leaves_its_input_as_it_was(self):
+        x = np.array([3.0, 1.0, 2.0])
+        _linear_quantiles(x, [0.5])
+        assert x.tolist() == [3.0, 1.0, 2.0]
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            _linear_quantiles(np.array([]), [0.5, 0.75, 0.9])
 
 
 class TestMap:
@@ -120,6 +174,59 @@ class TestMap:
         objective = IsacObjective(desk)
         with pytest.raises(CalibrationError, match="must be finite"):
             map_calibrate(objective, seed=3, episodes=1, min_samples=1)
+
+    @pytest.mark.parametrize("episodes, spacing, message", [
+        (0, 0.1, "episodes must be >= 1"),
+        (-1, 0.1, "episodes must be >= 1"),
+        (1, math.nan, "min_spacing must be positive"),
+        (1, -0.1, "min_spacing must be positive"),
+    ])
+    def test_map_calibrate_rejects_before_any_episode(self, desk, monkeypatch, episodes,
+                                                      spacing, message):
+        calls = []
+        monkeypatch.setattr(baselines_mod, "run_episodes", lambda *args: calls.append(args))
+        objective = IsacObjective(desk)
+        with pytest.raises(ValueError, match=message):
+            map_calibrate(objective, seed=3, episodes=episodes, min_spacing=spacing)
+        assert calls == [] and objective.ledger.n_eq == 0.0
+
+    @pytest.mark.parametrize("spacing", [math.nan, 0.0, -0.1])
+    def test_map_thresholds_rejects_a_spacing_that_is_not_positive(self, spacing):
+        samples = {i: np.array([2.0 * i, 2.0 * i + 1.0]) for i in range(4)}
+        with pytest.raises(ValueError, match="min_spacing must be positive"):
+            map_thresholds(samples, spacing, min_samples=2)
+
+    def test_a_one_sample_state_is_named(self):
+        samples = {0: np.array([0.0, 1.0]), 1: np.array([2.0]), 2: np.array([4.0, 5.0])}
+        with pytest.raises(CalibrationError, match="state 1 has 1 calibration sample"):
+            fit_density_model(samples, min_samples=1)
+
+    @pytest.mark.parametrize("stds, priors, message", [
+        ((1.0, math.nan), (0.5, 0.5), "stds must be positive"),
+        ((1.0, 1.0), (0.5, math.nan), "priors must sum to 1"),
+    ])
+    def test_model_rejects_nan_spreads_and_priors(self, stds, priors, message):
+        with pytest.raises(ValueError, match=message):
+            HypothesisDensityModel(means=(0.0, 1.0), stds=stds, priors=priors)
+
+    @pytest.mark.parametrize("min_samples", [1, 2])
+    def test_a_one_sample_state_falls_back_to_the_start(self, desk, monkeypatch, min_samples):
+        # 95 zeros and five spread values: the provisional thresholds sit at
+        # (0, 0.1, 0.2), so states 1 and 2 get two samples each and state 3
+        # one, which no spread can be fitted to. At either minimum the MAP
+        # row is the start point and the calibration episode's charge.
+        def spread_episodes(scenario, triples, seeds, *args):
+            [trace] = run_episodes(scenario, triples, seeds, *args)
+            resi = np.zeros(trace.horizon)
+            resi[:5] = (0.05, 0.05, 0.15, 0.15, 1.0)
+            return [replace(trace, resi=resi)]
+
+        monkeypatch.setattr(baselines_mod, "run_episodes", spread_episodes)
+        spec = ExperimentSpec(scenario=desk, methods=("MAP",), map_episodes=1,
+                              map_min_samples=min_samples)
+        t0 = np.array([1.0, 2.0, 3.0])
+        run = run_method("MAP", desk, spec, t0, seed=3)
+        assert run.best_point is t0 and run.n_eq == 1.0
 
 
 class TestIpn:
@@ -220,6 +327,16 @@ class TestSpsaOptimize:
         assert out == pytest.approx([3.9, 4.0, 7.0])
         out = project_thresholds(np.array([2.0, 2.0, 2.0]), 0.5)
         assert out == pytest.approx([2.0, 2.5, 3.0])
+
+    @pytest.mark.parametrize("spacing", [math.nan, 0.0, -0.1])
+    def test_a_spacing_that_is_not_positive_rejected(self, spacing):
+        # max(x, x + nan) is x: a nan spacing would be silently ignored.
+        with pytest.raises(ValueError, match="min_spacing must be positive"):
+            project_thresholds(np.array([2.0, 2.0, 2.0]), spacing)
+        obj = SyntheticObjective(sphere)
+        with pytest.raises(ValueError, match="min_spacing must be positive"):
+            spsa_optimize(obj, np.array([1.0, 2.0, 3.0]), budget=20.0, min_spacing=spacing)
+        assert obj.ledger.n_eq == 0.0
 
     def test_budget_twenty_gives_ten_iterations(self):
         obj = SyntheticObjective(sphere)

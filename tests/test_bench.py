@@ -347,20 +347,23 @@ class TestHelpers:
 
 
 # Run as a script in a fresh interpreter, since pytest has imported the
-# executors itself: a tiny desk compare at the given jobs and repetitions on
-# a two-CPU affinity, so a draw large enough to split would start the noise
-# helper. Each repetition writes its process id beside the output, and the
-# script prints its own id and which executor modules the run loaded.
+# executors and numpy.ma itself: a tiny desk compare or convergence run at
+# the given jobs and repetitions on a two-CPU affinity, so a draw large
+# enough to split would start the noise helper. Each repetition writes its
+# process id beside the output, and the script prints its own id and which
+# watched modules the run loaded: the executors, and numpy.ma, which
+# np.quantile's np.unique imports on first use and MAP's calibration avoids.
 _FOOTPRINT_SCRIPT = """
 import json, os, sys
 from pathlib import Path
 
 from racecma import bench
-from racecma.bench import ExperimentSpec, run_compare
+from racecma.bench import ExperimentSpec
 
 jobs, repetitions, out = int(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3])
+experiment = sys.argv[4]
 os.sched_getaffinity = lambda pid: {0, 1}  # forks inherit it
-_real_rep = bench._compare_rep
+_real_rep = getattr(bench, f"_{experiment}_rep")
 
 
 def rep(spec, r):
@@ -369,10 +372,12 @@ def rep(spec, r):
 
 
 if __name__ == "__main__":
-    bench._compare_rep = rep
-    run_compare(ExperimentSpec(budget=24.0, generations=2, eval_repeats=2, master_seed=5,
-                               jobs=jobs, repetitions=repetitions), out)
-    modules = ("multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
+    setattr(bench, f"_{experiment}_rep", rep)
+    getattr(bench, f"run_{experiment}")(
+        ExperimentSpec(budget=24.0, generations=2, eval_repeats=2, master_seed=5,
+                       jobs=jobs, repetitions=repetitions), out)
+    modules = ("multiprocessing", "concurrent.futures.process", "concurrent.futures.thread",
+               "numpy.ma")
     print(json.dumps({"pid": os.getpid(), "loaded": [m for m in modules if m in sys.modules]}))
 """
 
@@ -386,11 +391,12 @@ def _report(script: Path, text: str, *args: str) -> dict:
                                      timeout=300, stdout=subprocess.PIPE, text=True).stdout)
 
 
-def _footprint(tmp_path: Path, jobs: int, repetitions: int) -> tuple[Path, dict]:
+def _footprint(tmp_path: Path, jobs: int, repetitions: int,
+               experiment: str = "compare") -> tuple[Path, dict]:
     """Run the footprint script; its output directory and printed report."""
-    out = tmp_path / f"jobs{jobs}-reps{repetitions}"
+    out = tmp_path / f"{experiment}-jobs{jobs}-reps{repetitions}"
     return out, _report(tmp_path / "footprint.py", _FOOTPRINT_SCRIPT,
-                        str(jobs), str(repetitions), str(out))
+                        str(jobs), str(repetitions), str(out), experiment)
 
 
 # Run as a script in a fresh interpreter: a paper batch of two seeds on two
@@ -420,8 +426,9 @@ print(json.dumps({"halves": halves, "main": threading.current_thread().name,
 
 
 class TestFootprint:
-    """A run loads the process pool's executor only when it uses it, and a
-    split batch leaves no thread and no executor behind."""
+    """A run loads the process pool's executor only when it uses it, a
+    one-process run that calls MAP loads no numpy.ma, and a split batch
+    leaves no thread and no executor behind."""
 
     def test_a_split_batch_leaves_only_the_main_thread_and_loads_no_executor(self, tmp_path):
         report = _report(tmp_path / "split.py", _SPLIT_SCRIPT)
@@ -433,6 +440,11 @@ class TestFootprint:
         out, report = _footprint(tmp_path, jobs=1, repetitions=1)
         assert report["loaded"] == []
         assert (out / "compare_runs.csv").exists()
+
+    def test_a_one_process_desk_convergence_run_loads_no_executor(self, tmp_path):
+        out, report = _footprint(tmp_path, jobs=1, repetitions=1, experiment="convergence")
+        assert report["loaded"] == []
+        assert (out / "convergence_runs.csv").exists()
 
     def test_a_pool_run_still_starts_a_pool_and_writes_the_one_process_bytes(self, tmp_path):
         alone, report = _footprint(tmp_path, jobs=1, repetitions=2)

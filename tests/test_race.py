@@ -96,6 +96,14 @@ class TestFeasibleMap:
         back = map_unconstrained(u, 0.1)
         assert back == pytest.approx(t, rel=1e-9)
 
+    @pytest.mark.parametrize("spacing", [math.nan, 0.0, -0.1])
+    def test_a_spacing_that_is_not_positive_rejected(self, spacing):
+        # A nan spacing passes `min_spacing <= 0` and gives nan coordinates.
+        with pytest.raises(ValueError, match="min_spacing must be positive"):
+            map_unconstrained(np.zeros(3), spacing)
+        with pytest.raises(ValueError, match="min_spacing must be positive"):
+            inverse_feasible(np.array([0.7, 1.4, 2.9]), spacing)
+
 
 class TestStructuredSample:
     def test_mirrored_pairs_interleaved(self):
