@@ -301,8 +301,8 @@ def ipn_optimize(
     if not 0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
     t = np.array(t0, float)
-    if t[1] <= t[0] or t[2] <= t[1]:
-        raise ValueError("initial point must be strictly feasible")
+    if not (np.isfinite(t).all() and t[0] < t[1] < t[2]):
+        raise ValueError("initial point must be finite and strictly feasible")
 
     def schedule():
         """One barrier weight per Newton step, shrunk after each outer round."""
@@ -464,6 +464,8 @@ def spsa_optimize(
     if not min_spacing > 0:
         raise ValueError("min_spacing must be positive")
     t = np.array(t0, float)
+    if not np.isfinite(t).all():
+        raise ValueError("initial point must be finite")
     spent = 0.0
     best_cost = math.inf
     best_point = t.copy()

@@ -44,7 +44,7 @@ from .feedback import (
     DEFAULT_ACTIONS,
     InfeasibleThresholdsError,
     StateActionTable,
-    allow_noise_helper,
+    allow_batch_split,
     check_thresholds,
     check_weights,
     episode_objectives,
@@ -290,7 +290,7 @@ def run_method(method: str, scenario: ScenarioConfig, spec: ExperimentSpec, t0: 
 def _pool_worker() -> None:
     """A pool worker runs each batch on one thread: the pool's repetitions
     already fill the CPUs."""
-    allow_noise_helper(False)
+    allow_batch_split(False)
 
 
 def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,

@@ -90,7 +90,13 @@ class CmaState:
 
 
 def init_state(mean, sigma: float) -> CmaState:
+    """The state both loops start from; a non-finite start is rejected
+    before any evaluation."""
     mean = np.asarray(mean, float)
+    if not np.isfinite(mean).all():
+        raise ValueError("initial mean must be finite")
+    if not 0 < sigma < math.inf:  # NaN fails both
+        raise ValueError("step size must be positive and finite")
     n = len(mean)
     return CmaState(
         mean=mean, sigma=float(sigma), cov=np.eye(n),

@@ -17,10 +17,12 @@ misses any, and the frames and cells of all such worlds as one stack
 (:func:`radar.build_frames`, :func:`radar.measure_cells`). A batch of one
 seed builds a block of :data:`BLOCK_FRAMES` frames, one stack, at each
 frame where it misses a cell past its last block, and measures each cell
-on its frame of the block (:func:`radar.measure_cell`). Every frame is
-built in a stack, and none is kept past the call that built it. Only a
-one-seed batch's world outlives the call, held for the next one-seed
-batch on its scenario and seed; a batch of several seeds streams them all.
+by its frame's index in the block (:func:`radar.measure_cell`). Both
+stacks are built from targets and noise seed words alone
+(:func:`_build_stack`), and none is kept past the call that built it.
+Only a one-seed batch's world outlives the call, held for the next
+one-seed batch on its scenario and seed; a batch of several seeds streams
+them all.
 
 A paper-scale batch of several seeds runs its worlds in two halves, one
 on a thread started for the call (:func:`run_episodes`). numpy releases
@@ -207,9 +209,10 @@ def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
                 (world.words, noise_words(frame_seeds(world.seed, len(world.words), n_frames))))
 
 
-# How many frames a one-seed batch builds as one stack. The cost per
-# frame falls with the stack up to about 8 paper or 16 desk frames and is
-# flat beyond (CHANGES.md). A block draws its noise a chunk of at most
+# How many frames a one-seed batch builds as one stack, its block, whose
+# cells it measures one at a time by frame index. The cost per frame falls
+# with the stack up to about 8 paper or 16 desk frames and is flat beyond
+# (CHANGES.md). A block draws its noise a chunk of at most
 # radar.DRAW_NORMALS normals at a time: a desk block all at once, a paper
 # block three frames (192 KB) at a time, so its draw memory does not grow
 # with BLOCK_FRAMES. A one-seed batch never splits, so a block is built on
@@ -217,37 +220,13 @@ def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
 BLOCK_FRAMES = 16
 
 
-def _build_block(const: CellConstants, world: EpisodeWorld, start: int, stop: int) -> Frame:
-    """Frames ``start`` to ``stop - 1`` of a kept world as one stack, its
-    targets grown to ``stop`` first: motion does not depend on the
-    thresholds. Its noise is drawn a chunk at a time
-    (:func:`radar.build_frames`)."""
-    world.grow(stop)
-    scenario = world.scenario
-    return build_frames(const, [realize_channel(scenario, target)
-                                for target in world.targets[start:stop]],
-                        world.words[start:stop])
-
-
-def _measure_frame(
-    const: CellConstants,
-    scenario: ScenarioConfig,
-    t: int,
-    requests: Sequence[tuple[EpisodeWorld, Sequence[tuple[int, int, float]]]],
-) -> None:
-    """Measure the missing cells ``(t, beam, power factor)`` of each
-    ``(world, cells)`` request at its current frame ``t`` into
-    ``world.cells``, from one draw of each world's noise: the worlds' frames
-    as one stack and their cells as one stack."""
-    budget_w = scenario.tx_power_w
-    frames = build_frames(const,
-                          [realize_channel(scenario, world.target) for world, _ in requests],
-                          [world.words[t] for world, _ in requests])
-    cells = [(b, world, key) for b, (world, keys) in enumerate(requests) for key in keys]
-    values = measure_cells(const, frames,
-                           [(b, key[1], key[2] * budget_w) for b, _, key in cells])
-    for (_, world, key), value in zip(cells, values):
-        world.cells[key] = value
+def _build_stack(
+    const: CellConstants, scenario: ScenarioConfig, targets: Sequence[TargetState],
+    words: Sequence[np.ndarray],
+) -> Frame:
+    """The frame of each target, its noise seeded from its row of
+    ``words``, as one stack (:func:`radar.build_frames`)."""
+    return build_frames(const, [realize_channel(scenario, target) for target in targets], words)
 
 
 # The world of each thread's last one-seed batch (``_SLOT.world``), None
@@ -304,15 +283,15 @@ def _closed_loop(
 # (CHANGES.md). Every desk batch stays on one thread.
 SPLIT_NORMALS = 8_000
 
-_helper_allowed = True
+_split_allowed = True
 
 
-def allow_noise_helper(allowed: bool) -> None:
+def allow_batch_split(allowed: bool) -> None:
     """Let this process run half of a large batch's worlds on a second
     thread, or not. ``bench``'s pool workers turn it off: their repetitions
     already fill the CPUs."""
-    global _helper_allowed
-    _helper_allowed = allowed
+    global _split_allowed
+    _split_allowed = allowed
 
 
 def _cpu_count() -> int:
@@ -330,10 +309,12 @@ def _lockstep(
     """Advance every episode of ``runs``, one ``(world, loops)`` pair per
     seed group, through ``n_frames`` frames in one lockstep, measuring the
     cells they miss at each frame together: the streaming worlds' frames in
-    one stack (:func:`_measure_frame`), or a kept world's, the one world of
-    a one-seed batch, in a block of :data:`BLOCK_FRAMES` frames from a
-    frame where it misses a cell past its last block on. It first mixes
-    each world's missing noise seed words (:func:`_seed_frames`)."""
+    one stack, their cells in one pass (:func:`radar.measure_cells`), or a
+    kept world's, the one world of a one-seed batch, in a block of
+    :data:`BLOCK_FRAMES` frames from a frame where it misses a cell past its
+    last block on, each cell by its frame's index in the block
+    (:func:`radar.measure_cell`). It first mixes each world's missing noise
+    seed words (:func:`_seed_frames`)."""
     worlds = [world for world, _ in runs]
     _seed_frames(worlds, n_frames)
     scenario = worlds[0].scenario
@@ -356,12 +337,20 @@ def _lockstep(
             if t >= stop:
                 block = None  # the loop has passed it: free it before the next
                 start, stop = t, min(t + BLOCK_FRAMES, n_frames)
-                block = _build_block(const, world, start, stop)
-            frame = block.at(t - start)
+                world.grow(stop)  # motion does not depend on the thresholds
+                block = _build_stack(const, scenario, world.targets[start:stop],
+                                     world.words[start:stop])
             for key in keys:
-                world.cells[key] = measure_cell(const, frame, key[1], key[2] * budget_w)
+                world.cells[key] = measure_cell(const, block, t - start, key[1],
+                                                key[2] * budget_w)
         elif requests:
-            _measure_frame(const, scenario, t, requests)
+            frames = _build_stack(const, scenario, [world.target for world, _ in requests],
+                                  [world.words[t] for world, _ in requests])
+            asked = [(b, world, key) for b, (world, keys) in enumerate(requests) for key in keys]
+            values = measure_cells(const, frames,
+                                   [(b, key[1], key[2] * budget_w) for b, _, key in asked])
+            for (_, world, key), value in zip(asked, values):
+                world.cells[key] = value
         for (world, loops), keys in zip(runs, wanted):
             cells = world.cells
             for j, loop in enumerate(loops):
@@ -426,17 +415,17 @@ def run_episodes(
     lockstep, a frame at a time, writing into arrays allocated up front.
     At each frame the cells the episodes miss are measured together: one
     noise draw per world that misses any, the frames and cells of all such
-    worlds as one stack (:func:`_measure_frame`). A batch of one seed
-    builds blocks instead: at a frame where it misses a cell past its last
-    block, that frame and the next ones, :data:`BLOCK_FRAMES` in all, become
-    one stack, kept until the loop has passed them, and each cell is
-    measured on its frame of the stack; a frame of it no episode measures
-    is drawn all the same. Each thread keeps the world of its last one-seed
-    batch, whole, and the next one-seed batch on the same scenario and seed
-    replays and grows it (IPN's line-search probes after its stencil). A
-    batch of several seeds streams every world, each holding the current
-    frame's target, bearing and cells only, and leaves the thread holding
-    none, so no world of it outlives the call. Before the first frame, one
+    worlds as one stack. A batch of one seed builds blocks instead: at a
+    frame where it misses a cell past its last block, that frame and the
+    next ones, :data:`BLOCK_FRAMES` in all, become one stack, kept until the
+    loop has passed them, and each cell is measured by its frame's index in
+    the stack; a frame of it no episode measures is drawn all the same.
+    Each thread keeps the world of its last one-seed batch, whole, and the
+    next one-seed batch on the same scenario and seed replays and grows it
+    (IPN's line-search probes after its stencil). A batch of several seeds
+    streams every world, each holding the current frame's target, bearing
+    and cells only, and leaves the thread holding none, so no world of it
+    outlives the call. Before the first frame, one
     pass per world mixes the noise seed words of every frame it lacks
     (:func:`_seed_frames`).
 
@@ -480,7 +469,7 @@ def run_episodes(
              np.empty(n_frames, dtype=bool), np.empty(n_frames)) for _ in checked]
     runs = [(world, [_closed_loop(checked[i], actions, world, outs[i]) for i in members])
             for world, members in zip(worlds, groups.values())]
-    if (len(runs) > 1 and 2 * const.pilot.size >= SPLIT_NORMALS and _helper_allowed
+    if (len(runs) > 1 and 2 * const.pilot.size >= SPLIT_NORMALS and _split_allowed
             and _cpu_count() >= 2):
         _split_lockstep(const, runs, n_frames)
     else:

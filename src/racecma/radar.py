@@ -19,21 +19,22 @@ where the frame's echo surface ``S_t`` (the direct echo plus the optional
 specular one, each the outer product of a delay factor and a Doppler
 factor) and its noise surface ``N_t`` (the matched filter of the frame's
 noise draw over the active rows) do not depend on the beam or the power.
-So it builds one :class:`Frame` per visit to a frame, the two surfaces,
-the noise floor and the departure steering vector, from the channel and
-one draw of the frame's noise (the chain's generator, seeded from the
-frame's row of :func:`noise_words`), and a cell (:func:`measure_cell`) is a
-scalar times a (D, V) surface, an add and a peak; no (K, M) grid is built
-per cell. Every frame is built in a stack (:func:`build_frames`), each
-array operation once over the stack (the noise's once over each chunk of
-it, below): the frames of every world of a batch that misses a cell at
-one frame, or a block of a one-seed batch's next frames. A stack's cells
-are measured one at a time on a frame of it (:meth:`Frame.at`) or as one
-stack (:func:`measure_cells`). A frame's values, and each of its cells,
-are the same bit for bit whatever stack it is built in and however its
-cells are measured. The split equals the chain up to rounding (a
-relative difference of the order of 1e-15), and the two share no cell
-arithmetic, so the chain stays an independent reference model.
+So each visit to a frame builds the two surfaces, the noise floor and the
+departure steering vector, from the channel and one draw of the frame's
+noise (the chain's generator, seeded from the frame's row of
+:func:`noise_words`), and a cell is a scalar times a (D, V) surface, an
+add and a peak; no (K, M) grid is built per cell. Every frame is built in
+a stack, a :class:`Frame` (:func:`build_frames`), each array operation
+once over the stack (the noise's once over each chunk of it, below): the
+frames of every world of a batch that misses a cell at one frame, or a
+block of a one-seed batch's next frames. A cell is addressed by its stack
+and its frame's index in it, and measured alone (:func:`measure_cell`) or
+with others of the stack in one pass (:func:`measure_cells`). A frame's
+values, and each of its cells, are the same bit for bit whatever stack it
+is built in and however its cells are measured. The split equals the
+chain up to rounding (a relative difference of the order of 1e-15), and
+the two share no cell arithmetic, so the chain stays an independent
+reference model.
 
 Each frame's noise comes from a generator of its own (:func:`_fill`). A
 stack draws it a chunk of frames at a time into one buffer of at most
@@ -295,24 +296,20 @@ def synthesize_rx_grid(
 
 
 class Frame(NamedTuple):
-    """What every (beam, power) cell of one visit to a frame shares: the
-    frame's two delay-Doppler surfaces over the search window, its noise
-    floor and its departure steering vector.
+    """A stack of B frames: what every (beam, power) cell of one visit to
+    each frame shares, the frame's two delay-Doppler surfaces over the
+    search window, its noise floor and its departure steering vector.
 
-    Built from the channel and one draw of the frame's noise, always in a
-    stack of B frames (:func:`build_frames`), which holds each array with a
-    leading axis of B and each floor in a list of B; :meth:`at` is one frame
-    of it. A cell adds only the gain of its beam and power.
+    Built from each frame's channel and one draw of its noise
+    (:func:`build_frames`). Frame ``b`` is index ``b`` of each field, and a
+    cell of it adds only the gain of its beam and power
+    (:func:`measure_cell`).
     """
 
-    echo: np.ndarray  # (D, V): the echo surface at unit transmit gain and power
-    noise: np.ndarray  # (D, V): the noise surface
-    floor: float  # the RMS of the noise over the guard rows
-    departure: np.ndarray  # (n_bs,): the BS steering vector towards the target
-
-    def at(self, b: int) -> Frame:
-        """Frame ``b`` of a stack, as :func:`measure_cell` takes it."""
-        return Frame(self.echo[b], self.noise[b], self.floor[b], self.departure[b])
+    echo: np.ndarray  # (B, D, V): the echo surfaces at unit transmit gain and power
+    noise: np.ndarray  # (B, D, V): the noise surfaces
+    floor: list[float]  # the RMS of each frame's noise over the guard rows
+    departure: np.ndarray  # (B, n_bs): the BS steering vectors towards the targets
 
 
 # The helpers below take a stack of frames' values along a leading axis
@@ -446,12 +443,14 @@ def _tx_gain(
     return np.vdot(departure, const.beamformers[beam_index])
 
 
-def measure_cell(const: CellConstants, frame: Frame, beam_index: int, power_w: float) -> float:
-    """Echo strength of one (frame, beam, power) cell of one frame (a
-    :meth:`Frame.at` of a stack): the peak of the frame's echo surface
-    times the cell's gain, ``sqrt(power_w)`` times the beam's transmit gain,
-    plus the noise surface, over the floor. Any number of the frame's cells
-    may share one ``frame``.
+def measure_cell(
+    const: CellConstants, frames: Frame, b: int, beam_index: int, power_w: float
+) -> float:
+    """Echo strength of the cell ``(beam_index, power_w)`` of frame ``b`` of
+    a stack: the peak of the frame's echo surface times the cell's gain,
+    ``sqrt(power_w)`` times the beam's transmit gain, plus the noise surface,
+    over the floor. It reads the frame's arrays as views of the stack, so
+    any number of cells of any of its frames may share one stack.
 
     The matched filter is linear and the pilot covers whole subcarrier
     rows, so this is the value of the chain ``synthesize_rx_grid`` ->
@@ -459,12 +458,13 @@ def measure_cell(const: CellConstants, frame: Frame, beam_index: int, power_w: f
     difference of the order of 1e-15, where the chain spends a (K, M)
     received grid and two matched-filter products on every cell.
     """
-    if frame.floor <= 0:
+    floor = frames.floor[b]
+    if floor <= 0:
         raise ValueError("noise floor must be positive")
-    gain = _tx_gain(const, frame.departure, beam_index, power_w) * math.sqrt(power_w)
-    surface = np.multiply(gain, frame.echo)
-    np.add(surface, frame.noise, out=surface)
-    return float(np.abs(surface).max()) / frame.floor
+    gain = _tx_gain(const, frames.departure[b], beam_index, power_w) * math.sqrt(power_w)
+    surface = np.multiply(gain, frames.echo[b])
+    np.add(surface, frames.noise[b], out=surface)
+    return float(np.abs(surface).max()) / floor
 
 
 def measure_cells(
@@ -472,8 +472,7 @@ def measure_cells(
 ) -> list[float]:
     """Echo strength of each cell ``(b, beam, power_w)`` of a stack of
     frames, in one pass over a (C, D, V) stack of surfaces with one peak per
-    slice. Each equals :func:`measure_cell` of the cell on ``frames.at(b)``,
-    bit for bit.
+    slice. Each equals :func:`measure_cell` of the same cell, bit for bit.
     """
     at = [b for b, _, _ in cells]
     if any(frames.floor[b] <= 0 for b in at):

@@ -266,6 +266,14 @@ class TestIpn:
         with pytest.raises(ValueError):
             ipn_optimize(obj, np.array([2.0, 2.0, 3.0]), IpnConfig(), 50.0, 0)
 
+    @pytest.mark.parametrize("t0", [[math.nan, 1.0, 2.0], [0.0, 1.0, math.inf],
+                                    [-math.inf, 1.0, 2.0]])
+    def test_non_finite_start_rejected_before_any_charge(self, t0):
+        obj = SyntheticObjective(sphere)
+        with pytest.raises(ValueError, match="initial point must be finite"):
+            ipn_optimize(obj, np.array(t0), IpnConfig(), 20.0, 0)
+        assert obj.ledger.n_eq == 0.0
+
     def test_schedule_holds_only_the_steps_taken(self):
         # Far more Newton steps than any budget pays for, none built ahead.
         obj = SyntheticObjective(sphere)
@@ -336,6 +344,13 @@ class TestSpsaOptimize:
         obj = SyntheticObjective(sphere)
         with pytest.raises(ValueError, match="min_spacing must be positive"):
             spsa_optimize(obj, np.array([1.0, 2.0, 3.0]), budget=20.0, min_spacing=spacing)
+        assert obj.ledger.n_eq == 0.0
+
+    @pytest.mark.parametrize("t0", [[math.nan, 1.0, 2.0], [0.0, 1.0, math.inf]])
+    def test_non_finite_start_rejected_before_any_charge(self, t0):
+        obj = SyntheticObjective(sphere)
+        with pytest.raises(ValueError, match="initial point must be finite"):
+            spsa_optimize(obj, np.array(t0), budget=20.0)
         assert obj.ledger.n_eq == 0.0
 
     def test_budget_twenty_gives_ten_iterations(self):

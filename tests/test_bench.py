@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import csv
+import inspect
 import json
 import math
 import os
@@ -8,15 +9,18 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from racecma import baselines as baselines_mod
 from racecma import bench as bench_mod
 from racecma import cli as cli_mod
 from racecma import cma as cma_mod
+from racecma import objective as objective_mod
 from racecma import validate as validate_mod
 from racecma.bench import (
     ExperimentSpec,
@@ -126,6 +130,91 @@ class TestCompare:
         assert swept.ue_position == a.ue_position and np.array_equal(t0_swept, t0)
         assert swept.tx_power_dbm == 20.0
         assert not set(seeds_swept) & set(seeds) and opt_swept != opt_seed
+
+
+class TestLedgerIsTheSimulatedWork:
+    """Each method's ledger charges exactly the episodes it simulates, and
+    assessment charges none: one rep of a compare on the golden spec, with
+    ``run_episodes`` wrapped wherever the package calls it."""
+
+    def test_compare_charges_every_simulated_episode_and_nothing_else(self, tmp_path,
+                                                                      monkeypatch):
+        spec = ExperimentSpec(
+            scenario=desk_scenario(), repetitions=1, generations=2, budget=36.0,
+            eval_repeats=4, power_grid=(10.0, 30.0), map_min_samples=2, map_episodes=1,
+            master_seed=7, jobs=1,
+        )
+        calls = []  # (site, method, kind, fidelity, seeds) of each run_episodes call
+        now = {"method": None, "kind": None}
+        ledgers = {}
+        real_episodes = bench_mod.run_episodes
+        signature = inspect.signature(real_episodes)
+
+        def wrap(site):
+            def run_episodes(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                calls.append((site, now["method"], now["kind"], bound.arguments["fidelity"],
+                              list(bound.arguments["seeds"])))
+                return real_episodes(*args, **kwargs)
+            return run_episodes
+
+        for module in (objective_mod, baselines_mod, bench_mod):
+            assert module.run_episodes is real_episodes
+            monkeypatch.setattr(module, "run_episodes", wrap(module.__name__.split(".")[-1]))
+
+        real_evaluate = IsacObjective.evaluate_many
+
+        def evaluate_many(self, points, seeds, fidelity=1.0, kind="full"):
+            now["kind"] = kind
+            try:
+                return real_evaluate(self, points, seeds, fidelity, kind)
+            finally:
+                now["kind"] = None
+
+        class Recorded(IsacObjective):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                ledgers[now["method"]] = self.ledger
+
+        real_run_method, real_assess = bench_mod.run_method, bench_mod.assess
+
+        def run_method(method, *args):
+            now["method"] = method
+            try:
+                return real_run_method(method, *args)
+            finally:
+                now["method"] = None
+
+        def assess(*args):
+            before = {method: ledger.exact_total for method, ledger in ledgers.items()}
+            means = real_assess(*args)
+            assert {method: ledger.exact_total for method, ledger in ledgers.items()} == before
+            return means
+
+        monkeypatch.setattr(IsacObjective, "evaluate_many", evaluate_many)
+        monkeypatch.setattr(bench_mod, "IsacObjective", Recorded)
+        monkeypatch.setattr(bench_mod, "run_method", run_method)
+        monkeypatch.setattr(bench_mod, "assess", assess)
+        run_compare(spec, tmp_path)
+
+        assert list(ledgers) == list(spec.methods)
+        for method, ledger in ledgers.items():
+            mine = [call for call in calls if call[1] == method]
+            assert {site for site, *_ in mine} <= {"objective", "baselines"}, method
+            # The ledger reads each fidelity as its shortest decimal.
+            charges = {"stage1": Fraction(0), "stage2": Fraction(0), "full": Fraction(0)}
+            for _, _, kind, fidelity, seeds in mine:
+                charges[kind or "full"] += Fraction(str(fidelity)) * len(seeds)
+            assert sum(charges.values()) == ledger.exact_total > 0, method
+            assert {kind: weight for kind, (_, weight) in ledger.breakdown.items()} == {
+                kind: float(total) for kind, total in charges.items()}, method
+        # Stage 1 screens every candidate on one seed, the racing premise.
+        stage1 = [seeds for _, _, kind, _, seeds in calls if kind == "stage1"]
+        assert stage1 and all(len(set(seeds)) == 1 for seeds in stage1)
+        # Every call outside a method is assessment's, made by bench itself.
+        assessed = [call for call in calls if call[1] is None]
+        assert assessed and {site for site, *_ in assessed} == {"bench"}
 
 
 class TestSweep:

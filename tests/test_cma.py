@@ -142,6 +142,17 @@ class TestOptimize:
         b = cma_optimize(SyntheticObjective(sphere), params, (np.full(3, 2.0), 1.0), 80.0, 5)
         assert a.history == b.history
 
+    @pytest.mark.parametrize("mean, sigma, message", [
+        ([math.nan, 0.0, 0.0], 1.0, "initial mean must be finite"),
+        ([math.inf, 0.0, 0.0], 1.0, "initial mean must be finite"),
+        ([0.0, 0.0, 0.0], math.inf, "step size must be positive and finite"),
+    ])
+    def test_non_finite_start_rejected_before_any_charge(self, mean, sigma, message):
+        obj = SyntheticObjective(sphere)
+        with pytest.raises(ValueError, match=message):
+            cma_optimize(obj, default_params(3, 12), (np.array(mean), sigma), 96.0, 0)
+        assert obj.ledger.n_eq == 0.0
+
     def test_generation_cap(self):
         params = default_params(3, 8)
         result = cma_optimize(

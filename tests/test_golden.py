@@ -1,4 +1,4 @@
-"""Golden output digests: the benchmark CSVs of a tiny pinned spec.
+"""Golden output digests: the benchmark CSVs of tiny pinned specs.
 
 The digests were taken from the reference implementation, so a refactor of
 the simulator or the optimizers that changes any output byte fails here,
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from racecma.bench import ExperimentSpec, _fmt, run_compare, run_convergence, run_sweep
-from racecma.scenario import desk_scenario
+from racecma.scenario import ScenarioConfig, desk_scenario
 
 # Two reps, two generations, all five methods on the 100-frame desk episode.
 SPEC = ExperimentSpec(
@@ -57,6 +57,45 @@ NLOS_GOLDEN = {
 }
 
 
+# The same spec on 100 frames of the paper's 40x100 grid: the one scale
+# whose stacks draw their noise in several chunks (radar.DRAW_NORMALS) and
+# whose batches of several seeds split over two threads in this process
+# (feedback.SPLIT_NORMALS). Pool workers never split, so the two-job run
+# checks that the split writes one thread's bytes.
+PAPER_SPEC = replace(SPEC, scenario=ScenarioConfig(sensing_horizon=1.0))
+PAPER_SPEC_CFG = "bcc2260e948479561013aa26a24fdd8392f58d820313cf7550de64c463ddb1d0"
+PAPER_GOLDEN = {
+    run_compare: {
+        "compare_runs.csv": "b0dd637a0080a23bfe72603f76dc4009ff018a3d6bc2ffe778fcfb21c66dc297",
+        "compare_summary.csv": "8693c645ed04a87c7868f4eab2edd8b05ca01811228c82002bd3c4dfd96e3504",
+    },
+    run_sweep: {
+        "sweep_runs.csv": "97c1750603493ac547bdab25fc2b0da538d799bd9242b622d8ed8191094f43dd",
+        "sweep_summary.csv": "ae529ee2983d4f45ca8352adc047876caa3b7b61552421d8ed913ef3a5302589",
+    },
+    run_convergence: {
+        "convergence_runs.csv": "374803fa2e3f6de9f0ba3c2f1c7876431d937758a3960b09b92fb940c70b4d5d",
+        "convergence_summary.csv":
+            "ef6738e19d70f9316db9906bb7e7b10726a2e7bdc32783168c14085f1ced34dd",
+    },
+}
+
+# The paper spec with the specular echo, for the two cheaper bodies (the
+# convergence run alone would take about 5 s).
+PAPER_NLOS_SPEC = replace(SPEC, scenario=ScenarioConfig(sensing_horizon=1.0, nlos_path_count=1))
+PAPER_NLOS_SPEC_CFG = "f3065b08530b7999cc36a9f4f39ca2132a67d27bf59391ff574ff04fa316065d"
+PAPER_NLOS_GOLDEN = {
+    run_compare: {
+        "compare_runs.csv": "b14532519b4d853c6486b49c0d63c606037c5a7ca435325ae4c880b843deb1a4",
+        "compare_summary.csv": "5598ea6ef0e6602420fcca6186cc4876a77a639cab3f05cfb2bbc209b014a3dd",
+    },
+    run_sweep: {
+        "sweep_runs.csv": "2a52515471c6bfba3df42683cfcc93f3bf317ad5aaca8ee6e0822a9728d22adb",
+        "sweep_summary.csv": "b0e96a1eb1b3533c2c72a0e2ac1091b7dbacec6fc8b0d0f67a0be407f4636c7c",
+    },
+}
+
+
 @pytest.mark.parametrize("body", list(GOLDEN), ids=lambda body: body.__name__)
 def test_outputs_match_golden_digests(body, tmp_path):
     _check_digests(body, SPEC, tmp_path)
@@ -91,6 +130,19 @@ def test_type_variants_match_golden_digests(body, variant, tmp_path):
 @pytest.mark.parametrize("body", list(NLOS_GOLDEN), ids=lambda body: body.__name__)
 def test_nlos_outputs_match_golden_digests(body, tmp_path):
     _check_digests(body, NLOS_SPEC, tmp_path, NLOS_GOLDEN[body], NLOS_SPEC_CFG)
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["one_job", "two_jobs"])
+@pytest.mark.parametrize("body", list(PAPER_GOLDEN), ids=lambda body: body.__name__)
+def test_paper_outputs_match_golden_digests(body, jobs, tmp_path):
+    _check_digests(body, replace(PAPER_SPEC, jobs=jobs), tmp_path, PAPER_GOLDEN[body],
+                   PAPER_SPEC_CFG)
+
+
+@pytest.mark.parametrize("body", list(PAPER_NLOS_GOLDEN), ids=lambda body: body.__name__)
+def test_paper_nlos_outputs_match_golden_digests(body, tmp_path):
+    _check_digests(body, PAPER_NLOS_SPEC, tmp_path, PAPER_NLOS_GOLDEN[body],
+                   PAPER_NLOS_SPEC_CFG)
 
 
 def _check_digests(body, spec, tmp_path, golden=None, spec_cfg=SPEC_CFG):

@@ -282,6 +282,18 @@ class TestRaceOptimize:
         assert [r.mean for r in race.history] == [c.mean for c in plain.history]
         assert [r.sigma for r in race.history] == [c.sigma for c in plain.history]
 
+    @pytest.mark.parametrize("mean, sigma, message", [
+        ([math.nan, 0.0, 0.0], 1.0, "initial mean must be finite"),
+        ([math.inf, 0.0, 0.0], 1.0, "initial mean must be finite"),
+        ([0.0, 0.0, 0.0], math.inf, "step size must be positive and finite"),
+    ])
+    def test_non_finite_start_rejected_before_any_charge(self, mean, sigma, message):
+        obj = SyntheticObjective(sphere)
+        with pytest.raises(ValueError, match=message):
+            race_cma_optimize(obj, default_params(3, 12), RacingConfig(truncation=1.0),
+                              (np.array(mean), sigma), 96.0, 0)
+        assert obj.ledger.n_eq == 0.0
+
     def test_ledger_cost_identity_per_generation(self):
         params = default_params(3, 12)
         racing = RacingConfig(promotion_fraction=0.5, fidelity_ratio=0.2, repetitions=1,

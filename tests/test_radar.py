@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -514,20 +515,27 @@ class TestSplitMatchesChain:
         scenario = _SCENARIOS[key]
         const = cell_constants(scenario)
         channel = realize_channel(scenario, _target(position, velocity))
-        frame = build_frames(const, [channel], noise_words([seed])).at(0)
+        frames = build_frames(const, [channel], noise_words([seed]))
         grid = synthesize_rx_grid(scenario, channel, beam, power_w, seed)
         chain = compute_resi(matched_filter(grid, scenario.search_window()), grid,
                              scenario.null_mask())
-        assert_near(frame.floor, chain.noise_floor)
-        assert_near(measure_cell(const, frame, beam, power_w), chain.value)
+        assert_near(frames.floor[0], chain.noise_floor)
+        assert_near(measure_cell(const, frames, 0, beam, power_w), chain.value)
+
+
+def _asks(cell):
+    """A closed loop, as ``feedback._lockstep`` drives one, that asks for
+    ``cell`` at its frame and for nothing at any other."""
+    for t in itertools.count():
+        yield cell if t == cell[0] else None
 
 
 class TestWorldCellIsTheChain:
-    """A world measures every missing cell of a frame from one frame, built
-    with one draw of its noise; each value must match the chain's, and the
-    line-for-line reference's, to within ``SPLIT_RTOL``, whichever cells
-    share the draw, and be the same value in whichever order they are
-    visited. The frame's floor matches both floors likewise."""
+    """A streaming world measures every missing cell of a frame from one
+    frame, built with one draw of its noise; each value must match the
+    chain's, and the line-for-line reference's, to within ``SPLIT_RTOL``,
+    whichever cells share the draw, and be the same value in whichever order
+    they are visited. The frame's floor matches both floors likewise."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -545,11 +553,10 @@ class TestWorldCellIsTheChain:
     def test_cell_equals_chain_in_either_visit_order(self, key, seed, t, cells):
         scenario = _SCENARIOS[key]
         values = {}
+        kept = EpisodeWorld(scenario, seed)  # the chain's targets
+        kept.grow(t + 1)
         for order in (cells, cells[::-1]):
-            world = EpisodeWorld(scenario, seed)
-            feedback_mod._seed_frames([world], t + 1)
-            for frame in range(t + 1):
-                world.advance(frame)
+            world = EpisodeWorld(scenario, seed, keep=False)
             built = []
 
             def counted(*args):
@@ -557,14 +564,15 @@ class TestWorldCellIsTheChain:
                 return built[-1]
 
             with mock.patch.object(feedback_mod, "build_frames", counted):
-                feedback_mod._measure_frame(cell_constants(scenario), scenario, t,
-                                            [(world, [(t, *c) for c in order])])
+                feedback_mod._lockstep(cell_constants(scenario),
+                                       [(world, [_asks((t, *c)) for c in order])], t + 1)
             # A stack of one frame, so one draw, served every cell.
             assert len(built) == 1 and len(built[0].floor) == 1
+            assert world.target == kept.targets[t]
             floor = built[0].floor[0]
             for beam, eta in order:
                 value = world.cells[(t, beam, eta)]
-                chain, ref, chain_floor, ref_floor = _chain_values(scenario, world, t, beam, eta)
+                chain, ref, chain_floor, ref_floor = _chain_values(scenario, kept, t, beam, eta)
                 for got, expected in ((value, chain), (value, ref), (floor, chain_floor),
                                       (floor, ref_floor)):
                     assert_near(got, expected)
@@ -641,8 +649,8 @@ def _stack(key, frames, picks):
 
 
 def _alone(const, channel, row):
-    """The frame of one channel and noise row, built in a stack of one."""
-    return build_frames(const, [channel], [row]).at(0)
+    """The frame of one channel and noise row, as a stack of one."""
+    return build_frames(const, [channel], [row])
 
 
 @pytest.mark.parametrize("rows", [2, 3, 4])
@@ -680,7 +688,7 @@ def test_split_validates_beam_and_power(desk, split, beam, power_w, message):
                           noise_words([1]))
     with pytest.raises(ValueError, match=message):
         if split is measure_cell:
-            split(const, frames.at(0), beam, power_w)
+            split(const, frames, 0, beam, power_w)
         else:
             split(const, frames, [(0, 3, 0.1), (0, beam, power_w)])
 
@@ -696,15 +704,15 @@ class TestStackedCells:
         scenario, const, channels, _, words, cells = _stack(key, frames, picks)
         stack = build_frames(const, channels, words)
         for b, (channel, row) in enumerate(zip(channels, words)):
-            frame, alone = stack.at(b), _alone(const, channel, row)
+            alone = _alone(const, channel, row)
             for name in ("echo", "noise", "departure"):
-                assert getattr(frame, name).tobytes() == getattr(alone, name).tobytes(), name
-            assert frame.floor == alone.floor
+                assert getattr(stack, name)[b].tobytes() == getattr(alone, name)[0].tobytes(), name
+            assert stack.floor[b] == alone.floor[0]
         values = measure_cells(const, stack, cells)
         for (b, beam, power_w), value in zip(cells, values):
-            assert value == measure_cell(const, _alone(const, channels[b], words[b]), beam,
+            assert value == measure_cell(const, _alone(const, channels[b], words[b]), 0, beam,
                                          power_w)
-            assert value == measure_cell(const, stack.at(b), beam, power_w)
+            assert value == measure_cell(const, stack, b, beam, power_w)
 
     @settings(max_examples=40, deadline=None)
     @stack_given
@@ -717,19 +725,19 @@ class TestStackedCells:
             assert_near(value, compute_resi(surface, grid, scenario.null_mask()).value)
 
 
-# The noise helper is the thread ``feedback.run_episodes`` starts to run
-# half of the worlds of a paper-scale batch of several seeds, each half in
-# a lockstep of its own; every frame and its noise draw is built on the
+# The batch split: ``feedback.run_episodes`` starts a thread to run half of
+# the worlds of a paper-scale batch of several seeds, each half in a
+# lockstep of its own; every frame and its noise draw is built on the
 # thread of its world's half.
 REAL_SPLIT_NORMALS = feedback_mod.SPLIT_NORMALS
 
 
 @pytest.fixture()
-def helper(monkeypatch):
+def locksteps(monkeypatch):
     """Split every batch of two seeds or more on two CPUs (splitting
     allowed), and record each lockstep as it ends: its thread, its worlds'
     seeds and whether it built blocks (its world is kept: a one-seed
-    batch's). ``feedback.allow_noise_helper`` turns splitting off, and the
+    batch's). ``feedback.allow_batch_split`` turns splitting off, and the
     fixture turns it back on."""
     halves = []
 
@@ -745,7 +753,7 @@ def helper(monkeypatch):
     monkeypatch.setattr(feedback_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(feedback_mod, "_lockstep", lockstep)
     yield halves
-    feedback_mod.allow_noise_helper(True)
+    feedback_mod.allow_batch_split(True)
 
 
 # A scenario's horizon for these batches: 8 paper or 10 desk frames.
@@ -788,32 +796,32 @@ class TestNoiseHelper:
 
     @pytest.mark.parametrize("key", list(_SCENARIOS), ids=lambda key: f"{key[0]}-nlos{key[1]}")
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 16, 17])
-    def test_helper_on_and_off_give_the_same_bytes(self, helper, key, n):
+    def test_helper_on_and_off_give_the_same_bytes(self, locksteps, key, n):
         scenario, fidelity = _SCENARIOS[key], _FIDELITY[key[0]]
         triples, seeds = _batch(n)
         split = _run_cold(scenario, triples, seeds, fidelity)
         if n == 1:  # a one-seed batch builds blocks on this thread
-            assert helper == [(_main(), [3], True)]
-        else:  # the helper runs the front half of the worlds, this thread the rest
+            assert locksteps == [(_main(), [3], True)]
+        else:  # the helper thread runs the front half of the worlds, this thread the rest
             groups = list(dict.fromkeys((type(seed), seed) for seed in seeds))
-            assert helper[0][2:] == helper[1][2:] == (False,)
-            assert sorted(helper) == sorted([
+            assert locksteps[0][2:] == locksteps[1][2:] == (False,)
+            assert sorted(locksteps) == sorted([
                 ("racecma-half", [seed for _, seed in groups[:n // 2]], False),
                 (_main(), [seed for _, seed in groups[n // 2:]], False)])
         assert not _helper_threads()
-        helper.clear()
-        feedback_mod.allow_noise_helper(False)
+        locksteps.clear()
+        feedback_mod.allow_batch_split(False)
         assert _run_cold(scenario, triples, seeds, fidelity) == split
-        assert [name for name, _, _ in helper] == [_main()]
+        assert [name for name, _, _ in locksteps] == [_main()]
         for b, (triple, seed) in enumerate(zip(triples, seeds)):  # and each trace alone
             assert _run_cold(scenario, [triple], [seed], fidelity) == [split[b]]
 
     @pytest.mark.parametrize("bad", ["helper", "caller"])
     def test_a_bad_words_row_raises_in_the_caller_after_the_helper_is_done(
-        self, helper, monkeypatch, bad
+        self, locksteps, monkeypatch, bad
     ):
         seed_frames = feedback_mod._seed_frames
-        bad_seed = 1 if bad == "helper" else 4  # the helper runs worlds 1 and 2
+        bad_seed = 1 if bad == "helper" else 4  # the helper thread runs worlds 1 and 2
 
         def spoiled(worlds, n_frames):
             seed_frames(worlds, n_frames)
@@ -825,51 +833,52 @@ class TestNoiseHelper:
         with pytest.raises(ValueError, match="seed words must be"):
             _run_cold(ScenarioConfig(), [(1.0, 2.0, 3.0)] * 4, [1, 2, 3, 4], 0.008)
         # Both halves ended before the error left run_episodes.
-        assert sorted(name == "racecma-half" for name, _, _ in helper) == [False, True]
+        assert sorted(name == "racecma-half" for name, _, _ in locksteps) == [False, True]
         assert not _helper_threads()
 
-    def test_a_thread_that_cannot_start_leaves_the_draw_to_the_caller(self, helper,
+    def test_a_thread_that_cannot_start_leaves_the_draw_to_the_caller(self, locksteps,
                                                                       monkeypatch):
         """As at the interpreter's shutdown, where a new thread may be refused."""
         def refuse(thread):
             raise RuntimeError("can't create new thread at interpreter shutdown")
 
         triples, seeds = _batch(5)
-        feedback_mod.allow_noise_helper(False)
+        feedback_mod.allow_batch_split(False)
         alone = _run_cold(ScenarioConfig(), triples, seeds, 0.008)
-        feedback_mod.allow_noise_helper(True)
-        helper.clear()
+        feedback_mod.allow_batch_split(True)
+        locksteps.clear()
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert _run_cold(ScenarioConfig(), triples, seeds, 0.008) == alone
         # One lockstep on this thread over every world, in world stacks.
-        assert helper == [(_main(), [3, np.int64(3), 10, 11, 12], False)]
+        assert locksteps == [(_main(), [3, np.int64(3), 10, 11, 12], False)]
 
-    def test_helper_stays_off_on_one_cpu(self, helper, monkeypatch):
+    def test_helper_stays_off_on_one_cpu(self, locksteps, monkeypatch):
         monkeypatch.setattr(feedback_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(threading.Thread, "start", _no_thread)
         triples, seeds = _batch(12)
         traces = _run_cold(ScenarioConfig(), triples, seeds, 0.008)
-        assert [name for name, _, _ in helper] == [_main()]
-        feedback_mod.allow_noise_helper(False)
+        assert [name for name, _, _ in locksteps] == [_main()]
+        feedback_mod.allow_batch_split(False)
         assert _run_cold(ScenarioConfig(), triples, seeds, 0.008) == traces
 
-    def test_helper_stays_off_where_the_process_forbids_it(self, helper, monkeypatch):
+    def test_helper_stays_off_where_the_process_forbids_it(self, locksteps, monkeypatch):
         monkeypatch.setattr(threading.Thread, "start", _no_thread)
-        feedback_mod.allow_noise_helper(False)
+        feedback_mod.allow_batch_split(False)
         _run_cold(ScenarioConfig(), *_batch(12), 0.008)
-        assert [name for name, _, _ in helper] == [_main()]
+        assert [name for name, _, _ in locksteps] == [_main()]
 
     @pytest.mark.parametrize("nlos", [0, 1])
-    def test_a_desk_batch_never_splits_and_a_paper_batch_does(self, helper, monkeypatch, nlos):
+    def test_a_desk_batch_never_splits_and_a_paper_batch_does(self, locksteps, monkeypatch,
+                                                              nlos):
         monkeypatch.setattr(feedback_mod, "SPLIT_NORMALS", REAL_SPLIT_NORMALS)
         _run_cold(_SCENARIOS["desk", nlos], *_batch(17), 0.1)
-        assert [name for name, _, _ in helper] == [_main()]
-        helper.clear()
+        assert [name for name, _, _ in locksteps] == [_main()]
+        locksteps.clear()
         _run_cold(_SCENARIOS["paper", nlos], *_batch(2), 0.008)
-        assert sorted(name for name, _, _ in helper) == sorted([_main(), "racecma-half"])
+        assert sorted(name for name, _, _ in locksteps) == sorted([_main(), "racecma-half"])
 
     def test_a_split_batch_keeps_no_world_and_a_one_seed_batch_replays_the_held_one(
-        self, helper, monkeypatch
+        self, locksteps, monkeypatch
     ):
         built, stepped = [], []
 
@@ -888,21 +897,21 @@ class TestNoiseHelper:
         alone = run_episodes(scenario, [t], [4], fidelity=0.008)
         world = feedback_mod._SLOT.world
         assert (world.seed, world.keep, len(world.targets), len(world.cells)) == (4, True, 8, 8)
-        assert helper == [(_main(), [4], True)]
+        assert locksteps == [(_main(), [4], True)]
         # A batch of several seeds replays no held world, even one of its
-        # seeds': the helper runs the front half of its worlds, all
+        # seeds': the helper thread runs the front half of its worlds, all
         # streaming, this thread the rest, and no world is held after it.
-        helper.clear()
+        locksteps.clear()
         built.clear()
         batch = run_episodes(scenario, [t] * 4, [4, 5, 6, 7], fidelity=0.008)
         assert built == [4, 5, 6, 7] and feedback_mod._SLOT.world is None
-        assert sorted(helper) == sorted([("racecma-half", [4, 5], False),
-                                         (_main(), [6, 7], False)])
+        assert sorted(locksteps) == sorted([("racecma-half", [4, 5], False),
+                                            (_main(), [6, 7], False)])
         assert _trace_bytes(batch[:1]) == _trace_bytes(alone)
         # Two seeds split one each.
-        helper.clear()
+        locksteps.clear()
         run_episodes(scenario, [t] * 2, [7, 8], fidelity=0.008)
-        assert sorted(helper) == sorted([("racecma-half", [7], False), (_main(), [8], False)])
+        assert sorted(locksteps) == sorted([("racecma-half", [7], False), (_main(), [8], False)])
         assert feedback_mod._SLOT.world is None and not _helper_threads()
         # A one-seed batch builds a kept world, and the next one on its seed
         # replays its eight frames without a step or a draw.
@@ -914,14 +923,14 @@ class TestNoiseHelper:
         assert feedback_mod._SLOT.world is world and built == stepped == []
         assert _trace_bytes(again) == _trace_bytes(alone)
 
-    def test_concurrent_callers_get_their_own_bytes(self, helper):
+    def test_concurrent_callers_get_their_own_bytes(self, locksteps):
         """More caller threads than CPUs, switching often, each splitting
         its batches: each batch is its own."""
         batches = [(_SCENARIOS["paper", nlos], *_batch(n)) for nlos in (0, 1) for n in (2, 3, 4)]
-        feedback_mod.allow_noise_helper(False)
+        feedback_mod.allow_batch_split(False)
         serial = [_run_cold(*batch, 0.008) for batch in batches]
-        feedback_mod.allow_noise_helper(True)
-        helper.clear()
+        feedback_mod.allow_batch_split(True)
+        locksteps.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -934,7 +943,7 @@ class TestNoiseHelper:
         assert not pending
         for row in jobs:
             assert [job.result() for job in row] == serial
-        assert any(name == "racecma-half" for name, _, _ in helper)
+        assert any(name == "racecma-half" for name, _, _ in locksteps)
         assert not _helper_threads()
 
 
@@ -1030,9 +1039,9 @@ def traces():
             feedback.run_episodes(scenario, [(1.0, 2.0, 3.0)] * 4, [1, 2, 3, 4])]
 
 
-feedback.allow_noise_helper(False)
+feedback.allow_batch_split(False)
 alone = traces()
-feedback.allow_noise_helper(True)
+feedback.allow_batch_split(True)
 traces()  # it splits
 
 

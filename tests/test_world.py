@@ -587,9 +587,11 @@ class TestDrawChunks:
         if kind == "block":  # a one-seed batch's 16 frames from frame 5 on
             world = EpisodeWorld(scenario, 3)
             feedback_mod._seed_frames([world], 21)
+            world.grow(21)
 
             def build():
-                return feedback_mod._build_block(const, world, 5, 21)
+                return feedback_mod._build_stack(const, scenario, world.targets[5:21],
+                                                 world.words[5:21])
         else:  # frame 5 of each world of a 12-seed batch
             worlds = [EpisodeWorld(scenario, seed, keep=False) for seed in range(20, 32)]
             feedback_mod._seed_frames(worlds, 6)
@@ -639,7 +641,8 @@ class TestDrawChunks:
             world = EpisodeWorld(scenario, seed)
             feedback_mod._seed_frames([world], 16)
             world.grow(16)
-            return traced(lambda: feedback_mod._build_block(const, world, 0, 16))
+            return traced(lambda: feedback_mod._build_stack(const, scenario, world.targets,
+                                                            world.words))
 
         block_peak(0)  # warm: first-call allocations are not the block's
         # The block's echo and noise surfaces are its own.
