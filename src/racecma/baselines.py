@@ -44,10 +44,6 @@ class HypothesisDensityModel:
         if not abs(sum(self.priors) - 1.0) <= 1e-9:
             raise ValueError("priors must sum to 1")
 
-    def log_posterior(self, x: float, i: int) -> float:
-        mu, sd, pr = self.means[i], self.stds[i], self.priors[i]
-        return math.log(pr) - math.log(sd) - (x - mu) ** 2 / (2.0 * sd**2)
-
 
 def fit_density_model(
     samples_by_state: dict[int, np.ndarray],

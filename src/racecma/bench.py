@@ -44,7 +44,6 @@ from .feedback import (
     DEFAULT_ACTIONS,
     InfeasibleThresholdsError,
     StateActionTable,
-    allow_batch_split,
     check_thresholds,
     check_weights,
     episode_objectives,
@@ -287,12 +286,6 @@ def run_method(method: str, scenario: ScenarioConfig, spec: ExperimentSpec, t0: 
 # Experiments: one runner, one rep function and one summary per experiment
 
 
-def _pool_worker() -> None:
-    """A pool worker runs each batch on one thread: the pool's repetitions
-    already fill the CPUs."""
-    allow_batch_split(False)
-
-
 def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
          raw_header: Sequence[str], summarize: Callable,
          summary_header: Sequence[str]) -> list[dict]:
@@ -312,7 +305,7 @@ def _run(spec: ExperimentSpec, out_dir: Path | str, name: str, rep_fn: Callable,
         # Imported here, not at the top: it loads multiprocessing (module docstring).
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_worker) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(rep_fn, [spec] * spec.repetitions, reps))
     else:
         per_rep = [rep_fn(spec, rep) for rep in reps]

@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -72,9 +73,12 @@ def check_thresholds(thresholds: Sequence[float]) -> tuple[float, float, float]:
 def classify(x: float, thresholds: Sequence[float]) -> int:
     """Map an echo-strength value to a hypothesis state (upper-inclusive).
 
-    State 0 for x <= t1, 1 for t1 < x <= t2, 2 for t2 < x <= t3, 3 above.
+    State 0 for x <= t1, 1 for t1 < x <= t2, 2 for t2 < x <= t3, 3 above;
+    a NaN value is rejected, since it lies in no state.
     """
     t1, t2, t3 = check_thresholds(thresholds)
+    if math.isnan(x):
+        raise ValueError(f"echo strength must not be NaN, got {x}")
     if x <= t1:
         return 0
     if x <= t2:
@@ -283,22 +287,20 @@ def _closed_loop(
 # (CHANGES.md). Every desk batch stays on one thread.
 SPLIT_NORMALS = 8_000
 
-_split_allowed = True
-
-
-def allow_batch_split(allowed: bool) -> None:
-    """Let this process run half of a large batch's worlds on a second
-    thread, or not. ``bench``'s pool workers turn it off: their repetitions
-    already fill the CPUs."""
-    global _split_allowed
-    _split_allowed = allowed
-
 
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _multiprocessing_child() -> bool:
+    """Whether this process is a ``multiprocessing`` child (a pool worker or
+    a ``Process``), whose siblings already fill the CPUs. A process that
+    never loaded ``multiprocessing`` is none, and is not made to load it."""
+    multiprocessing = sys.modules.get("multiprocessing")
+    return multiprocessing is not None and multiprocessing.parent_process() is not None
 
 
 def _lockstep(
@@ -431,11 +433,14 @@ def run_episodes(
 
     A batch of several seeds splits where it pays: a frame's noise draw
     holds at least :data:`SPLIT_NORMALS` normals, the process may run on two
-    CPUs or more, and it allows the split (``bench``'s pool workers do
-    not). A thread started for the call then runs the first half of the
-    worlds in a lockstep of world stacks, while this thread runs the
+    CPUs or more, and it is no ``multiprocessing`` child. A pool's workers,
+    ``bench``'s included, share the CPUs with their siblings, so every
+    ``multiprocessing`` child, a lone ``Process`` too, runs each batch on
+    one thread. A thread started for the call then runs the first half of
+    the worlds in a lockstep of world stacks, while this thread runs the
     second half in another (:func:`_split_lockstep`). No thread outlives
-    the call, so a forked child inherits none.
+    the call, so a child forked by ``os.fork`` inherits none and splits
+    its own batches.
 
     The seeds and triples are checked before any frame runs, and an empty
     batch returns ``[]`` with the thread's world kept. Each trace equals,
@@ -469,8 +474,8 @@ def run_episodes(
              np.empty(n_frames, dtype=bool), np.empty(n_frames)) for _ in checked]
     runs = [(world, [_closed_loop(checked[i], actions, world, outs[i]) for i in members])
             for world, members in zip(worlds, groups.values())]
-    if (len(runs) > 1 and 2 * const.pilot.size >= SPLIT_NORMALS and _split_allowed
-            and _cpu_count() >= 2):
+    if (len(runs) > 1 and 2 * const.pilot.size >= SPLIT_NORMALS and _cpu_count() >= 2
+            and not _multiprocessing_child()):
         _split_lockstep(const, runs, n_frames)
     else:
         _lockstep(const, runs, n_frames)

@@ -121,9 +121,12 @@ class TestMap:
         model = fit_density_model(samples)
         crossing = posterior_crossing(samples[0], samples[1])
         grid = np.linspace(1.0, 3.0, 200_001)
-        diff = np.abs(
-            np.array([model.log_posterior(x, 0) - model.log_posterior(x, 1) for x in grid])
-        )
+
+        def log_posterior(i):  # of state i's Gaussian, up to a shared constant
+            mu, sd, pr = model.means[i], model.stds[i], model.priors[i]
+            return math.log(pr) - math.log(sd) - (grid - mu) ** 2 / (2.0 * sd**2)
+
+        diff = np.abs(log_posterior(0) - log_posterior(1))
         assert crossing == pytest.approx(float(grid[np.argmin(diff)]), abs=2e-5)
 
     def test_deterministic_given_samples(self):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +37,8 @@ from racecma.bench import (
 from racecma.cli import build_spec, main
 from racecma.config import schema
 from racecma.feedback import detection_reliability, run_episode, run_episodes
-from racecma.objective import CostLedger, IsacObjective, OptimizeResult, RoundRecord
+from racecma.objective import (CostLedger, IsacObjective, OptimizeResult, RoundRecord,
+                               derive_seed_plan)
 from racecma.scenario import desk_scenario
 from racecma.validate import validate
 
@@ -133,20 +135,24 @@ class TestCompare:
 
 
 class TestLedgerIsTheSimulatedWork:
-    """Each method's ledger charges exactly the episodes it simulates, and
-    assessment charges none: one rep of a compare on the golden spec, with
-    ``run_episodes`` wrapped wherever the package calls it."""
+    """Each ``run_method`` call's ledger charges exactly the episodes it
+    simulates, and assessment charges none: one rep of a compare, a sweep
+    and a convergence on the golden spec, with ``run_episodes`` wrapped
+    wherever the package calls it."""
 
-    def test_compare_charges_every_simulated_episode_and_nothing_else(self, tmp_path,
-                                                                      monkeypatch):
-        spec = ExperimentSpec(
-            scenario=desk_scenario(), repetitions=1, generations=2, budget=36.0,
-            eval_repeats=4, power_grid=(10.0, 30.0), map_min_samples=2, map_episodes=1,
-            master_seed=7, jobs=1,
-        )
-        calls = []  # (site, method, kind, fidelity, seeds) of each run_episodes call
-        now = {"method": None, "kind": None}
-        ledgers = {}
+    SPEC = ExperimentSpec(
+        scenario=desk_scenario(), repetitions=1, generations=2, budget=36.0,
+        eval_repeats=4, power_grid=(10.0, 30.0), map_min_samples=2, map_episodes=1,
+        master_seed=7, jobs=1,
+    )
+
+    def _charges(self, tmp_path, monkeypatch, experiment) -> list[tuple]:
+        """Run ``experiment`` on SPEC and check every run_method call's
+        ledger against the run_episodes calls it made; the (method, stage-2
+        repetitions) of each call."""
+        calls = []  # (site, run_method call, kind, fidelity, seeds) of each run_episodes call
+        now = {"call": None, "kind": None}
+        runs = []  # [method, spec, seed, ledger] of each run_method call
         real_episodes = bench_mod.run_episodes
         signature = inspect.signature(real_episodes)
 
@@ -154,7 +160,7 @@ class TestLedgerIsTheSimulatedWork:
             def run_episodes(*args, **kwargs):
                 bound = signature.bind(*args, **kwargs)
                 bound.apply_defaults()
-                calls.append((site, now["method"], now["kind"], bound.arguments["fidelity"],
+                calls.append((site, now["call"], now["kind"], bound.arguments["fidelity"],
                               list(bound.arguments["seeds"])))
                 return real_episodes(*args, **kwargs)
             return run_episodes
@@ -175,32 +181,32 @@ class TestLedgerIsTheSimulatedWork:
         class Recorded(IsacObjective):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                ledgers[now["method"]] = self.ledger
+                runs[now["call"]][3] = self.ledger
 
         real_run_method, real_assess = bench_mod.run_method, bench_mod.assess
 
-        def run_method(method, *args):
-            now["method"] = method
+        def run_method(method, scenario, spec, t0, seed):
+            now["call"] = len(runs)
+            runs.append([method, spec, seed, None])
             try:
-                return real_run_method(method, *args)
+                return real_run_method(method, scenario, spec, t0, seed)
             finally:
-                now["method"] = None
+                now["call"] = None
 
         def assess(*args):
-            before = {method: ledger.exact_total for method, ledger in ledgers.items()}
+            before = [ledger.exact_total for *_, ledger in runs]
             means = real_assess(*args)
-            assert {method: ledger.exact_total for method, ledger in ledgers.items()} == before
+            assert [ledger.exact_total for *_, ledger in runs] == before
             return means
 
         monkeypatch.setattr(IsacObjective, "evaluate_many", evaluate_many)
         monkeypatch.setattr(bench_mod, "IsacObjective", Recorded)
         monkeypatch.setattr(bench_mod, "run_method", run_method)
         monkeypatch.setattr(bench_mod, "assess", assess)
-        run_compare(spec, tmp_path)
+        getattr(bench_mod, f"run_{experiment}")(self.SPEC, tmp_path)
 
-        assert list(ledgers) == list(spec.methods)
-        for method, ledger in ledgers.items():
-            mine = [call for call in calls if call[1] == method]
+        for i, (method, spec, seed, ledger) in enumerate(runs):
+            mine = [call for call in calls if call[1] == i]
             assert {site for site, *_ in mine} <= {"objective", "baselines"}, method
             # The ledger reads each fidelity as its shortest decimal.
             charges = {"stage1": Fraction(0), "stage2": Fraction(0), "full": Fraction(0)}
@@ -209,12 +215,42 @@ class TestLedgerIsTheSimulatedWork:
             assert sum(charges.values()) == ledger.exact_total > 0, method
             assert {kind: weight for kind, (_, weight) in ledger.breakdown.items()} == {
                 kind: float(total) for kind, total in charges.items()}, method
-        # Stage 1 screens every candidate on one seed, the racing premise.
-        stage1 = [seeds for _, _, kind, _, seeds in calls if kind == "stage1"]
-        assert stage1 and all(len(set(seeds)) == 1 for seeds in stage1)
+            # Generation g screens every candidate on its plan's one stage-1
+            # seed, the racing premise, and refines on exactly its plan's
+            # stage-2 seeds, each point once per seed.
+            stage1 = [seeds for _, _, kind, _, seeds in mine if kind == "stage1"]
+            stage2 = [seeds for _, _, kind, _, seeds in mine if kind == "stage2"]
+            assert len(stage1) == len(stage2) and bool(stage1) == (method == "RACE-CMA"), method
+            for gen, (screened, refined) in enumerate(zip(stage1, stage2)):
+                plan = derive_seed_plan(seed, gen, spec.racing.repetitions)
+                assert set(screened) == {plan.stage1_seed}, (method, gen)
+                k, rest = divmod(len(refined), len(plan.stage2_seeds))
+                assert rest == 0 and Counter(refined) == {s: k for s in plan.stage2_seeds}, (
+                    method, gen)
         # Every call outside a method is assessment's, made by bench itself.
         assessed = [call for call in calls if call[1] is None]
         assert assessed and {site for site, *_ in assessed} == {"bench"}
+        return [(method, spec.racing.repetitions if method == "RACE-CMA" else None)
+                for method, spec, *_ in runs]
+
+    def test_compare_charges_every_simulated_episode_and_nothing_else(self, tmp_path,
+                                                                      monkeypatch):
+        assert self._charges(tmp_path, monkeypatch, "compare") == [
+            (method, 1 if method == "RACE-CMA" else None) for method in self.SPEC.methods]
+
+    def test_sweep_charges_every_simulated_episode_and_nothing_else(self, tmp_path,
+                                                                    monkeypatch):
+        # RACE-CMA once per power, refining on two stage-2 seeds.
+        assert self.SPEC.sweep_stage2_repetitions == 2
+        assert self._charges(tmp_path, monkeypatch, "sweep") == [
+            ("RACE-CMA", 2)] * len(self.SPEC.power_grid)
+
+    def test_convergence_charges_every_simulated_episode_and_nothing_else(self, tmp_path,
+                                                                          monkeypatch):
+        # Every method once per power.
+        assert self._charges(tmp_path, monkeypatch, "convergence") == [
+            (method, 1 if method == "RACE-CMA" else None)
+            for _ in self.SPEC.convergence_powers for method in self.SPEC.methods]
 
 
 class TestSweep:
@@ -308,14 +344,14 @@ class TestHelpers:
     def test_pool_has_no_more_workers_than_reps(self, tmp_path, monkeypatch, jobs, repetitions,
                                                 workers):
         # With the fork start method a pool forks all its workers at the
-        # first submit, used or not. The fake maps in this process, so it
-        # does not run the workers' initializer. A lone repetition runs in
-        # the calling process: no pool at all (None).
+        # first submit, used or not. The pool gets no initializer: its
+        # workers keep each batch on one thread by themselves (feedback). A
+        # lone repetition runs in the calling process: no pool at all (None).
         sizes = []
 
         class InProcess:
-            def __init__(self, max_workers, initializer):
-                assert initializer is bench_mod._pool_worker
+            def __init__(self, max_workers, **options):
+                assert options == {}
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -489,7 +525,8 @@ def _footprint(tmp_path: Path, jobs: int, repetitions: int,
 
 
 # Run as a script in a fresh interpreter: a paper batch of two seeds on two
-# CPUs, which splits, then what the process holds after it.
+# CPUs, which splits, then what the process holds after it. The split's
+# check for a multiprocessing child must not load multiprocessing.
 _SPLIT_SCRIPT = """
 import json, os, sys, threading
 
@@ -507,7 +544,7 @@ def lockstep(const, runs, n_frames):
 
 feedback._lockstep = lockstep
 feedback.run_episodes(ScenarioConfig(sensing_horizon=0.05), [(1.0, 2.0, 3.0)] * 2, [1, 2])
-modules = ("concurrent.futures", "concurrent.futures.thread")
+modules = ("concurrent.futures", "concurrent.futures.thread", "multiprocessing")
 print(json.dumps({"halves": halves, "main": threading.current_thread().name,
                   "threads": [thread.name for thread in threading.enumerate()],
                   "loaded": [m for m in modules if m in sys.modules]}))
@@ -517,13 +554,13 @@ print(json.dumps({"halves": halves, "main": threading.current_thread().name,
 class TestFootprint:
     """A run loads the process pool's executor only when it uses it, a
     one-process run that calls MAP loads no numpy.ma, and a split batch
-    leaves no thread and no executor behind."""
+    leaves no thread, no executor and no multiprocessing behind."""
 
     def test_a_split_batch_leaves_only_the_main_thread_and_loads_no_executor(self, tmp_path):
         report = _report(tmp_path / "split.py", _SPLIT_SCRIPT)
         assert len(set(report["halves"])) == 2 and report["main"] in report["halves"]  # it split
         assert report["threads"] == [report["main"]]
-        assert report["loaded"] == []
+        assert report["loaded"] == []  # multiprocessing included
 
     def test_a_one_process_desk_run_loads_no_executor(self, tmp_path):
         out, report = _footprint(tmp_path, jobs=1, repetitions=1)

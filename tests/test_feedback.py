@@ -1,14 +1,20 @@
+import hashlib
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racecma import classify, run_episode
+from racecma import classify, desk_scenario, run_episode, run_episodes
+from racecma import feedback as feedback_mod
 from racecma.feedback import (
     DEFAULT_ACTIONS,
     EpisodeTrace,
+    EpisodeWorld,
     InfeasibleThresholdsError,
+    ObjectiveValues,
     StateActionTable,
     detection_reliability,
     episode_objectives,
@@ -16,6 +22,8 @@ from racecma.feedback import (
     scalarize,
     sensing_latency,
 )
+from racecma.radar import noise_words
+from racecma.seeding import frame_seeds
 
 T357 = (3.0, 5.0, 7.0)
 
@@ -44,6 +52,13 @@ class TestClassify:
     def test_unordered_thresholds_rejected(self):
         with pytest.raises(InfeasibleThresholdsError):
             classify(1.0, (5.0, 3.0, 7.0))
+
+    @pytest.mark.parametrize("x", [math.nan, np.float64("nan"), -math.nan])
+    def test_nan_echo_strength_rejected(self, x):
+        # Every comparison with NaN is false, so it would read as locked.
+        with pytest.raises(ValueError, match="echo strength must not be NaN, got nan"):
+            classify(x, T357)
+        assert classify(math.inf, T357) == 3 and classify(-math.inf, T357) == 0
 
     def test_spacing_contract(self):
         # Thresholds only need finite values: the minimum spacing is kept by
@@ -205,3 +220,106 @@ class TestObjectives:
         assert 0.0 <= a.j_det <= 1.0
         assert 0.0 <= a.j_lat <= desk.frame_count
         assert 0.0 <= a.j_pow <= max(DEFAULT_ACTIONS.power_factors)
+
+
+# An executable specification of the closed loop: a plain reference of one
+# episode, a frame at a time, from the rules the README and run_episodes'
+# docstring state, fed the same echo oracle as run_episodes.
+
+
+def _echo(levels):
+    """An echo oracle: a pure function of a frame's noise seed word row, the
+    beam and the power in watts, onto one of ``levels``."""
+    def echo(row, beam, power_w):
+        key = np.asarray(row, np.uint64).tobytes() + struct.pack("<qd", beam, power_w)
+        return levels[int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
+                      % len(levels)]
+    return echo
+
+
+def _reference(scenario, thresholds, actions, seed, fidelity, echo):
+    """One episode by the stated rules. The state after frame t sets frame
+    t+1's power and cadence (state 0 before frame 0): state 0 sweeps the
+    beams in turn and a higher state holds the beam that produced the echo,
+    and a frame is measured once the state's period multiplier of frames
+    has passed since the last measured one (frame -1 counts as measured).
+    A skipped frame spends no power and keeps the last measured value (0.0
+    before the first). The state is the number of thresholds the last
+    measured value exceeds."""
+    n = math.ceil(fidelity * scenario.frame_count)
+    world = EpisodeWorld(scenario, seed)
+    world.grow(n)
+    words = noise_words(frame_seeds(seed, 0, n))
+    state, belief, last, swept, beam = 0, 0.0, -1, 0, None
+    resi, states, in_beam, power = [], [], [], []
+    for t in range(n):
+        if state == 0:
+            beam, swept = swept % scenario.n_beams, swept + 1
+        eta = 0.0
+        if t - last >= actions.period_multipliers[state]:
+            eta, last = actions.power_factors[state], t
+            belief = echo(words[t], beam, eta * scenario.tx_power_w)
+            state = sum(belief > x for x in thresholds)
+        resi.append(belief)
+        states.append(state)
+        in_beam.append(scenario.beam_contains(beam, world.bearings[t]))
+        power.append(eta)
+    # J_det counts frames with the beam on the target and the echo above t1,
+    # the latency frames below lock (the horizon if no echo exceeds t1), and
+    # the power overhead is the mean power fraction.
+    seen = [x > thresholds[0] for x in resi]
+    j_det = sum(a and b for a, b in zip(in_beam, seen)) / n
+    j_lat = float(sum(s < 3 for s in states) if any(seen) else n)
+    j_pow = float(np.mean(power))
+    return (resi, states, in_beam, power), ObjectiveValues(j_det, j_lat, j_pow, 1.0 - j_det)
+
+
+@st.composite
+def _loop_cases(draw):
+    """A beam count, an action table, echo levels, and batches of (seed,
+    ordered thresholds) episodes at a fidelity each, whose thresholds
+    sometimes equal an echo level."""
+    n_beams = draw(st.sampled_from([1, 2, 3, 5, 20]))
+    factors = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)), reverse=True)
+    periods = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
+    levels = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+    threshold = st.one_of(st.sampled_from(levels), st.floats(-2.5, 2.5))
+    episode = st.tuples(st.sampled_from([1, 2, np.int64(2)]),
+                        st.lists(threshold, min_size=3, max_size=3).map(sorted))
+    batch = st.tuples(st.lists(episode, min_size=1, max_size=4),
+                      st.integers(1, 100).map(lambda k: k / 100))
+    return (n_beams, StateActionTable(tuple(factors), tuple(periods)), levels,
+            draw(st.lists(batch, min_size=1, max_size=4)))
+
+
+class TestClosedLoopSpecification:
+    """run_episodes writes, frame for frame, what the stated rules give, and
+    its objectives equal the stated ones: batches that mix and repeat
+    seeds, one-seed batches that replay the held world, every threshold
+    tie."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_loop_cases())
+    def test_run_episodes_follows_the_stated_rules(self, case):
+        n_beams, actions, levels, batches = case
+        scenario = replace(desk_scenario(), n_beams=n_beams)
+        echo = _echo(levels)
+        with pytest.MonkeyPatch.context() as patch:
+            # A "stack" is its frames' noise seed word rows.
+            patch.setattr(feedback_mod, "_build_stack",
+                          lambda const, scenario, targets, words: list(words))
+            patch.setattr(feedback_mod, "measure_cell",
+                          lambda const, frames, b, beam, power_w: echo(frames[b], beam, power_w))
+            patch.setattr(feedback_mod, "measure_cells", lambda const, frames, cells: [
+                echo(frames[b], beam, power_w) for b, beam, power_w in cells])
+            patch.setattr(feedback_mod._SLOT, "world", None, raising=False)
+            for episodes, fidelity in batches:
+                seeds = [seed for seed, _ in episodes]
+                triples = [thresholds for _, thresholds in episodes]
+                traces = run_episodes(scenario, triples, seeds, actions, fidelity)
+                for trace, seed, thresholds in zip(traces, seeds, triples):
+                    series, objectives = _reference(scenario, thresholds, actions, seed,
+                                                    fidelity, echo)
+                    assert [trace.resi.tolist(), trace.states.tolist(), trace.in_beam.tolist(),
+                            trace.power.tolist()] == [list(s) for s in series]
+                    assert episode_objectives(trace, thresholds) == objectives

@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -734,11 +736,10 @@ REAL_SPLIT_NORMALS = feedback_mod.SPLIT_NORMALS
 
 @pytest.fixture()
 def locksteps(monkeypatch):
-    """Split every batch of two seeds or more on two CPUs (splitting
-    allowed), and record each lockstep as it ends: its thread, its worlds'
-    seeds and whether it built blocks (its world is kept: a one-seed
-    batch's). ``feedback.allow_batch_split`` turns splitting off, and the
-    fixture turns it back on."""
+    """Split every batch of two seeds or more on two CPUs, and record each
+    lockstep as it ends: its thread, its worlds' seeds and whether it built
+    blocks (its world is kept: a one-seed batch's). Inside :func:`_one_cpu`
+    no batch splits."""
     halves = []
 
     def lockstep(const, runs, n_frames):
@@ -752,8 +753,16 @@ def locksteps(monkeypatch):
     monkeypatch.setattr(feedback_mod, "SPLIT_NORMALS", 1)
     monkeypatch.setattr(feedback_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(feedback_mod, "_lockstep", lockstep)
-    yield halves
-    feedback_mod.allow_batch_split(True)
+    return halves
+
+
+@contextlib.contextmanager
+def _one_cpu():
+    """This process may run on one CPU inside, so each batch runs on one
+    thread: the reference bytes of a split batch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feedback_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        yield
 
 
 # A scenario's horizon for these batches: 8 paper or 10 desk frames.
@@ -791,8 +800,8 @@ class TestNoiseHelper:
     """A batch split over two threads gives the bytes of the batch on one
     thread, whatever its size, and the thread ends with the call; its error
     reaches the caller, a thread that cannot start leaves the batch to the
-    caller, and no batch splits on one CPU, in a process that forbids it, at
-    desk scale or with one seed."""
+    caller, and no batch splits on one CPU, in a ``multiprocessing`` child,
+    at desk scale or with one seed."""
 
     @pytest.mark.parametrize("key", list(_SCENARIOS), ids=lambda key: f"{key[0]}-nlos{key[1]}")
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 16, 17])
@@ -810,8 +819,8 @@ class TestNoiseHelper:
                 (_main(), [seed for _, seed in groups[n // 2:]], False)])
         assert not _helper_threads()
         locksteps.clear()
-        feedback_mod.allow_batch_split(False)
-        assert _run_cold(scenario, triples, seeds, fidelity) == split
+        with _one_cpu():
+            assert _run_cold(scenario, triples, seeds, fidelity) == split
         assert [name for name, _, _ in locksteps] == [_main()]
         for b, (triple, seed) in enumerate(zip(triples, seeds)):  # and each trace alone
             assert _run_cold(scenario, [triple], [seed], fidelity) == [split[b]]
@@ -843,9 +852,8 @@ class TestNoiseHelper:
             raise RuntimeError("can't create new thread at interpreter shutdown")
 
         triples, seeds = _batch(5)
-        feedback_mod.allow_batch_split(False)
-        alone = _run_cold(ScenarioConfig(), triples, seeds, 0.008)
-        feedback_mod.allow_batch_split(True)
+        with _one_cpu():
+            alone = _run_cold(ScenarioConfig(), triples, seeds, 0.008)
         locksteps.clear()
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert _run_cold(ScenarioConfig(), triples, seeds, 0.008) == alone
@@ -853,17 +861,19 @@ class TestNoiseHelper:
         assert locksteps == [(_main(), [3, np.int64(3), 10, 11, 12], False)]
 
     def test_helper_stays_off_on_one_cpu(self, locksteps, monkeypatch):
+        triples, seeds = _batch(12)
+        split = _run_cold(ScenarioConfig(), triples, seeds, 0.008)
+        assert "racecma-half" in [name for name, _, _ in locksteps]
+        locksteps.clear()
         monkeypatch.setattr(feedback_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(threading.Thread, "start", _no_thread)
-        triples, seeds = _batch(12)
-        traces = _run_cold(ScenarioConfig(), triples, seeds, 0.008)
+        assert _run_cold(ScenarioConfig(), triples, seeds, 0.008) == split
         assert [name for name, _, _ in locksteps] == [_main()]
-        feedback_mod.allow_batch_split(False)
-        assert _run_cold(ScenarioConfig(), triples, seeds, 0.008) == traces
 
-    def test_helper_stays_off_where_the_process_forbids_it(self, locksteps, monkeypatch):
+    def test_split_stays_off_in_a_multiprocessing_child(self, locksteps, monkeypatch):
+        """A pool worker or a lone ``Process``: its parent process is known."""
         monkeypatch.setattr(threading.Thread, "start", _no_thread)
-        feedback_mod.allow_batch_split(False)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         _run_cold(ScenarioConfig(), *_batch(12), 0.008)
         assert [name for name, _, _ in locksteps] == [_main()]
 
@@ -927,9 +937,8 @@ class TestNoiseHelper:
         """More caller threads than CPUs, switching often, each splitting
         its batches: each batch is its own."""
         batches = [(_SCENARIOS["paper", nlos], *_batch(n)) for nlos in (0, 1) for n in (2, 3, 4)]
-        feedback_mod.allow_batch_split(False)
-        serial = [_run_cold(*batch, 0.008) for batch in batches]
-        feedback_mod.allow_batch_split(True)
+        with _one_cpu():
+            serial = [_run_cold(*batch, 0.008) for batch in batches]
         locksteps.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -952,11 +961,12 @@ def _no_thread(thread):
 
 
 # Run as a script in a fresh interpreter: splits a paper-scale batch, then
-# forks. Each pool worker of a two-job compare and a forked child that
-# splits a batch of its own write the names of the threads that ran their
-# locksteps, the threads they hold and their traces beside the script.
+# forks. Each pool worker of a two-job compare, a multiprocessing Process
+# and a child of a bare os.fork, each running a batch of its own, write the
+# names of the threads that ran their locksteps, the threads they hold and
+# their traces beside the script.
 _FORK_SCRIPT = """
-import json, multiprocessing, os, sys, threading
+import json, multiprocessing, os, sys, threading, traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -993,11 +1003,11 @@ def batch(name):
     (HERE / name).write_bytes(b"".join(trace.resi.tobytes() for trace in traces))
 
 
-def child():
+def child(name):
     halves.clear()
     feedback._SLOT.world = None
-    batch("child.bin")
-    (HERE / "child.json").write_text(report())
+    batch(f"{name}.bin")
+    (HERE / f"{name}.json").write_text(report())
 
 
 if __name__ == "__main__":
@@ -1012,13 +1022,23 @@ if __name__ == "__main__":
     run_compare(spec, HERE / "jobs2")
     bench._compare_rep = _real_rep
     run_compare(replace(spec, jobs=1), HERE / "jobs1")
-    forked = multiprocessing.get_context("fork").Process(target=child)
+    forked = multiprocessing.get_context("fork").Process(target=child, args=("process",))
     forked.start()
     forked.join(60)
     if forked.exitcode is None:
         forked.kill()
-        sys.exit("the forked child hung")
-    sys.exit(forked.exitcode)
+        sys.exit("the multiprocessing child hung")
+    if forked.exitcode:
+        sys.exit(forked.exitcode)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            child("bare")
+        except BaseException:
+            traceback.print_exc()
+            os._exit(1)
+        os._exit(0)
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
 
@@ -1030,7 +1050,6 @@ import os, threading, time
 
 from racecma import ScenarioConfig, feedback
 
-os.sched_getaffinity = lambda pid: {0, 1}
 scenario = ScenarioConfig(sensing_horizon=0.05)
 
 
@@ -1039,9 +1058,9 @@ def traces():
             feedback.run_episodes(scenario, [(1.0, 2.0, 3.0)] * 4, [1, 2, 3, 4])]
 
 
-feedback.allow_batch_split(False)
-alone = traces()
-feedback.allow_batch_split(True)
+os.sched_getaffinity = lambda pid: {0}
+alone = traces()  # on one CPU: one thread
+os.sched_getaffinity = lambda pid: {0, 1}
 traces()  # it splits
 
 
@@ -1051,6 +1070,45 @@ def late():
 
 
 threading.Thread(target=late).start()
+"""
+
+
+# Run as a script: a worker of a caller's own process pool, started with no
+# initializer, runs a paper-scale batch of several seeds, and then the main
+# process runs it; each reports the threads of its locksteps and its bytes.
+# The patches sit at module level so that a worker of any start method
+# runs them.
+_OWN_POOL_SCRIPT = """
+import json, os, threading
+from concurrent.futures import ProcessPoolExecutor
+
+from racecma import ScenarioConfig, feedback
+
+os.sched_getaffinity = lambda pid: {0, 1}
+_real_lockstep = feedback._lockstep
+halves = []
+
+
+def lockstep(const, runs, n_frames):
+    halves.append(threading.current_thread().name)
+    _real_lockstep(const, runs, n_frames)
+
+
+feedback._lockstep = lockstep
+
+
+def batch():
+    halves.clear()
+    traces = feedback.run_episodes(ScenarioConfig(sensing_horizon=0.05),
+                                   [(1.0, 2.0, 3.0)] * 4, [1, 2, 3, 4])
+    return {"caller": threading.current_thread().name, "halves": list(halves),
+            "resi": b"".join(trace.resi.tobytes() for trace in traces).hex()}
+
+
+if __name__ == "__main__":
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(batch).result(timeout=120)
+    print(json.dumps({"worker": worker, "main": batch()}))
 """
 
 
@@ -1071,6 +1129,16 @@ class TestHelperLifetime:
     def test_a_thread_that_outlives_the_main_thread_draws_alone(self, tmp_path):
         assert _run_script(tmp_path, _LATE_SCRIPT, 120).split() == ["True"]
 
+    def test_a_worker_of_any_process_pool_runs_a_paper_batch_on_one_thread(self, tmp_path):
+        """A caller's own pool gives its workers no initializer: each still
+        runs every batch on its own thread, while the main process, after
+        the pool, splits the same batch into the same bytes."""
+        report = json.loads(_run_script(tmp_path, _OWN_POOL_SCRIPT, 180))
+        worker, main = report["worker"], report["main"]
+        assert worker["halves"] and set(worker["halves"]) == {worker["caller"]}
+        assert sorted(main["halves"]) == sorted([main["caller"], "racecma-half"])
+        assert worker["resi"] == main["resi"]
+
     def test_forked_workers_finish_without_the_helper_and_match_one_job(self, tmp_path):
         """The pool forks a process that has split batches: its workers
         finish, run every batch on their own thread and write one job's
@@ -1084,8 +1152,13 @@ class TestHelperLifetime:
         for path in workers:
             report = json.loads(path.read_text())
             assert report["halves"] and set(report["halves"]) == {report["caller"]}, path.name
-        # A forked child splits its own batch into the parent's bytes, and
-        # keeps no thread past it.
-        assert (tmp_path / "child.bin").read_bytes() == (tmp_path / "parent.bin").read_bytes()
-        child = json.loads((tmp_path / "child.json").read_text())
-        assert "racecma-half" in child["halves"] and child["threads"] == [child["caller"]]
+        # A multiprocessing child runs its batch on its own thread, a child
+        # of a bare fork splits it, each into the parent's bytes, and neither
+        # keeps a thread past it.
+        for name, split in (("process", False), ("bare", True)):
+            assert (tmp_path / f"{name}.bin").read_bytes() == (
+                tmp_path / "parent.bin").read_bytes(), name
+            child = json.loads((tmp_path / f"{name}.json").read_text())
+            assert child["halves"] and child["threads"] == [child["caller"]], name
+            assert ("racecma-half" in child["halves"]) is split, name
+            assert set(child["halves"]) <= {child["caller"], "racecma-half"}, name
