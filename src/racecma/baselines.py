@@ -43,6 +43,8 @@ class HypothesisDensityModel:
             raise ValueError("stds must be positive")
         if not abs(sum(self.priors) - 1.0) <= 1e-9:
             raise ValueError("priors must sum to 1")
+        if not all(0.0 < p <= 1.0 for p in self.priors):  # log(p1 / p2) needs both positive
+            raise ValueError("priors must lie in (0, 1]")
 
 
 def fit_density_model(
@@ -275,6 +277,26 @@ def _barrier_hessian(t: np.ndarray) -> np.ndarray:
     return h1 + h2
 
 
+def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """The solve of ``(hess + ridge·I) d = -grad`` at the first ridge of 0,
+    1e-6, 2e-6, 4e-6, ... that makes the system definite; None when none
+    does before the ridge, or the shifted system, overflows."""
+    ridge = 0.0
+    while math.isfinite(ridge):
+        with np.errstate(over="ignore"):
+            shifted = hess + ridge * np.eye(3)
+        if not np.isfinite(shifted).all():
+            return None
+        try:
+            direction = np.linalg.solve(shifted, -grad)
+            if np.min(np.linalg.eigvalsh(shifted)) > 0:
+                return direction
+        except np.linalg.LinAlgError:
+            pass
+        ridge = max(2.0 * ridge, 1e-6)
+    return None
+
+
 def ipn_optimize(
     objective: StochasticObjective,
     t0: np.ndarray,
@@ -290,9 +312,10 @@ def ipn_optimize(
     :func:`spsa_gradient`, so a step longer than a gap keeps the order. The
     Hessian of the objective is diagonal (that is all the stencil supports);
     the barrier contributes its exact full Hessian, and a ridge is added
-    until the solve is definite.
+    until the solve is definite (:func:`_newton_direction`).
     The descent stops early when the budget cannot pay for the next stencil
-    or probe, or when the line search accepts no step.
+    or probe, when no finite ridge makes the solve definite, or when the
+    line search accepts no step.
     """
     if not 0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
@@ -337,15 +360,9 @@ def ipn_optimize(
         hess = np.diag(hess_diag) + mu * _barrier_hessian(t)
         if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
             break  # the stencil or the barrier overflowed: no Newton step to take
-        ridge = 0.0
-        while True:
-            try:
-                direction = np.linalg.solve(hess + ridge * np.eye(3), -grad)
-                if np.min(np.linalg.eigvalsh(hess + ridge * np.eye(3))) > 0:
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            ridge = max(2.0 * ridge, 1e-6)
+        direction = _newton_direction(hess, grad)
+        if direction is None:
+            break  # no finite ridge makes the solve definite: no Newton step to take
 
         phi_current = j_center + mu * _barrier_value(t)
         slope = float(grad @ direction)

@@ -407,9 +407,11 @@ def run_episodes(
     uses state 0). While in state 0 the beam sweeps cyclically; any higher
     state holds the beam that produced the echo. Frames skipped by the
     cadence spend no sensing power and keep the last measured value as the
-    current belief. Noise and motion draw from per-frame seeds derived from
-    the episode's seed, so the randomness a candidate threshold vector faces
-    does not depend on the decisions it makes. That is what lets every
+    current belief, 0.0 before the first measurement. Frame -1 counts as
+    measured, so a state-0 period multiplier p skips frames 0 to p-2. Noise
+    and motion draw from per-frame seeds derived from the episode's seed,
+    so the randomness a candidate threshold vector faces does not depend on
+    the decisions it makes. That is what lets every
     episode of a (scenario, seed) replay one :class:`EpisodeWorld`.
 
     The episodes are grouped by seed, in order of first appearance, one

@@ -182,7 +182,7 @@ class CellConstants:
     """
 
     pilot: np.ndarray
-    null_row: int  # first guard subcarrier: scenario.null_mask() is every row from it on
+    null_row: int  # first guard subcarrier: the pilot is zero on every row from it on
     beamformers: tuple[np.ndarray, ...]  # unit-norm transmit weights per sweep beam
     bs_phases: np.ndarray  # 2π·spacing·arange(n_bs): each element's phase per unit cos(angle)
     ue_phases: np.ndarray  # the same for the UE array
@@ -201,9 +201,9 @@ class CellConstants:
 @lru_cache(maxsize=64)
 def cell_constants(scenario: ScenarioConfig) -> CellConstants:
     n_sc, n_sym = scenario.n_subcarriers, scenario.n_symbols
-    pilot = np.ones((n_sc, n_sym), dtype=complex)
-    pilot[scenario.null_mask()] = 0.0
     null_row = n_sc - scenario.null_subcarriers
+    pilot = np.ones((n_sc, n_sym), dtype=complex)
+    pilot[null_row:] = 0.0
     beamformers = []
     for angle in scenario.beam_centers().tolist():
         f = steering_vector(angle, scenario.n_bs_antennas, scenario.antenna_spacing)
@@ -533,13 +533,14 @@ class ResiSample:
             raise ValueError("invalid echo-strength sample")
 
 
-def compute_resi(surface: np.ndarray, grid: RxGrid, null_mask: np.ndarray) -> ResiSample:
+def compute_resi(surface: np.ndarray, grid: RxGrid) -> ResiSample:
     """Reduce the delay-Doppler surface to the scalar echo-strength indicator:
     the peak magnitude over the noise floor, the RMS of the grid samples over
-    the null set."""
-    if null_mask is None or not null_mask.any():
-        raise ValueError("null set must be non-empty")
-    power = np.abs(grid.samples[null_mask]) ** 2
+    its guard set, the elements its pilot leaves empty."""
+    guard = grid.pilot == 0
+    if not guard.any():
+        raise ValueError("the pilot must leave a guard element empty")
+    power = np.abs(grid.samples[guard]) ** 2
     floor = math.sqrt(np.add.reduce(power) / power.size)  # np.mean's sum and division
     if floor <= 0:
         raise ValueError("noise floor must be positive")

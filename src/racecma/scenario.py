@@ -260,6 +260,8 @@ class ScenarioConfig:
 
     @property
     def null_subcarriers(self) -> int:
+        """The guard subcarriers, the top ones: they carry no pilot, so the
+        received grid holds only disturbance there (the noise floor's set)."""
         return max(1, int(math.ceil(self.null_fraction * self.n_subcarriers)))
 
     def beam_centers(self) -> np.ndarray:
@@ -278,16 +280,6 @@ class ScenarioConfig:
         """Delay and Doppler bin centers scanned by the matched filter."""
         return (np.linspace(*self.delay_window, self.n_delay_bins),
                 np.linspace(*self.doppler_window, self.n_doppler_bins))
-
-    def null_mask(self) -> np.ndarray:
-        """Guard resource elements: the top subcarriers carry no pilot.
-
-        Those cells of the received grid contain disturbance only, giving an
-        unbiased noise-floor estimate that is disjoint from the echo support.
-        """
-        mask = np.zeros((self.n_subcarriers, self.n_symbols), dtype=bool)
-        mask[self.n_subcarriers - self.null_subcarriers :, :] = True
-        return mask
 
     def with_power(self, tx_power_dbm: float) -> "ScenarioConfig":
         return replace(self, tx_power_dbm=tx_power_dbm)

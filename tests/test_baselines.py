@@ -207,6 +207,11 @@ class TestMap:
     @pytest.mark.parametrize("stds, priors, message", [
         ((1.0, math.nan), (0.5, 0.5), "stds must be positive"),
         ((1.0, 1.0), (0.5, math.nan), "priors must sum to 1"),
+        # Each sums to 1 and failed only in the crossing: "math domain
+        # error", or ZeroDivisionError for (1, 0).
+        ((1.0, 1.0), (0.0, 1.0), r"priors must lie in \(0, 1\]"),
+        ((1.0, 1.0), (1.5, -0.5), r"priors must lie in \(0, 1\]"),
+        ((1.0, 1.0), (1.0, 0.0), r"priors must lie in \(0, 1\]"),
     ])
     def test_model_rejects_nan_spreads_and_priors(self, stds, priors, message):
         with pytest.raises(ValueError, match=message):
@@ -288,6 +293,19 @@ class TestIpn:
         # Hessian there is no ridge that makes the solve definite.
         obj = SyntheticObjective(lambda x: 1e307 * sphere(x))
         result = ipn_optimize(obj, np.array([1.0, 2.0, 3.0]), IpnConfig(), 50.0, 0)
+        assert obj.ledger.n_eq == 7.0
+        assert result.history == []
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: -7.5e307 * x[0] ** 2,
+        lambda x: -7.5e307 * x[0] ** 2 + 7e307 * x[1] ** 2,
+    ], ids=["ridge-overflows", "shifted-system-overflows"])
+    def test_unbounded_ridge_stops_the_descent(self, fn):
+        # A finite Hessian with a curvature of -1.5e308 needs a ridge past
+        # the float range: the ridge, or the shifted system's other diagonal
+        # entry, overflows first. The search spun on an infinite ridge.
+        obj = SyntheticObjective(fn)
+        result = ipn_optimize(obj, np.array([0.5, 1.0, 2.0]), IpnConfig(), budget=8.0, seed=1)
         assert obj.ledger.n_eq == 7.0
         assert result.history == []
 

@@ -21,6 +21,7 @@ from racecma import baselines as baselines_mod
 from racecma import bench as bench_mod
 from racecma import cli as cli_mod
 from racecma import cma as cma_mod
+from racecma import feedback as feedback_mod
 from racecma import objective as objective_mod
 from racecma import validate as validate_mod
 from racecma.bench import (
@@ -39,7 +40,7 @@ from racecma.config import schema
 from racecma.feedback import detection_reliability, run_episode, run_episodes
 from racecma.objective import (CostLedger, IsacObjective, OptimizeResult, RoundRecord,
                                derive_seed_plan)
-from racecma.scenario import desk_scenario
+from racecma.scenario import ScenarioConfig, desk_scenario
 from racecma.validate import validate
 
 
@@ -137,8 +138,11 @@ class TestCompare:
 class TestLedgerIsTheSimulatedWork:
     """Each ``run_method`` call's ledger charges exactly the episodes it
     simulates, and assessment charges none: one rep of a compare, a sweep
-    and a convergence on the golden spec, with ``run_episodes`` wrapped
-    wherever the package calls it."""
+    and a convergence on the golden spec, and a compare at paper scale,
+    with ``run_episodes`` wrapped wherever the package calls it. Every
+    episode of a call at fidelity f simulates ceil(f · frame_count) frames,
+    which is f · frame_count at these specs, so the ledger's charge is the
+    frames simulated over frame_count."""
 
     SPEC = ExperimentSpec(
         scenario=desk_scenario(), repetitions=1, generations=2, budget=36.0,
@@ -146,11 +150,13 @@ class TestLedgerIsTheSimulatedWork:
         master_seed=7, jobs=1,
     )
 
-    def _charges(self, tmp_path, monkeypatch, experiment) -> list[tuple]:
-        """Run ``experiment`` on SPEC and check every run_method call's
+    def _charges(self, tmp_path, monkeypatch, experiment, spec=SPEC) -> list[tuple]:
+        """Run ``experiment`` on ``spec`` and check every run_method call's
         ledger against the run_episodes calls it made; the (method, stage-2
         repetitions) of each call."""
-        calls = []  # (site, run_method call, kind, fidelity, seeds) of each run_episodes call
+        # (site, run_method call, kind, fidelity, seeds, frames of each
+        # episode) of each run_episodes call
+        calls = []
         now = {"call": None, "kind": None}
         runs = []  # [method, spec, seed, ledger] of each run_method call
         real_episodes = bench_mod.run_episodes
@@ -160,9 +166,10 @@ class TestLedgerIsTheSimulatedWork:
             def run_episodes(*args, **kwargs):
                 bound = signature.bind(*args, **kwargs)
                 bound.apply_defaults()
+                traces = real_episodes(*args, **kwargs)
                 calls.append((site, now["call"], now["kind"], bound.arguments["fidelity"],
-                              list(bound.arguments["seeds"])))
-                return real_episodes(*args, **kwargs)
+                              list(bound.arguments["seeds"]), [len(t.resi) for t in traces]))
+                return traces
             return run_episodes
 
         for module in (objective_mod, baselines_mod, bench_mod):
@@ -203,14 +210,19 @@ class TestLedgerIsTheSimulatedWork:
         monkeypatch.setattr(bench_mod, "IsacObjective", Recorded)
         monkeypatch.setattr(bench_mod, "run_method", run_method)
         monkeypatch.setattr(bench_mod, "assess", assess)
-        getattr(bench_mod, f"run_{experiment}")(self.SPEC, tmp_path)
+        getattr(bench_mod, f"run_{experiment}")(spec, tmp_path)
 
+        frame_count = spec.scenario.frame_count
+        for _, _, _, fidelity, seeds, frames in calls:
+            per_episode = Fraction(str(fidelity)) * frame_count
+            assert frames == [math.ceil(fidelity * frame_count)] * len(seeds), fidelity
+            assert frames == [per_episode] * len(seeds), fidelity
         for i, (method, spec, seed, ledger) in enumerate(runs):
             mine = [call for call in calls if call[1] == i]
             assert {site for site, *_ in mine} <= {"objective", "baselines"}, method
             # The ledger reads each fidelity as its shortest decimal.
             charges = {"stage1": Fraction(0), "stage2": Fraction(0), "full": Fraction(0)}
-            for _, _, kind, fidelity, seeds in mine:
+            for _, _, kind, fidelity, seeds, _ in mine:
                 charges[kind or "full"] += Fraction(str(fidelity)) * len(seeds)
             assert sum(charges.values()) == ledger.exact_total > 0, method
             assert {kind: weight for kind, (_, weight) in ledger.breakdown.items()} == {
@@ -218,8 +230,8 @@ class TestLedgerIsTheSimulatedWork:
             # Generation g screens every candidate on its plan's one stage-1
             # seed, the racing premise, and refines on exactly its plan's
             # stage-2 seeds, each point once per seed.
-            stage1 = [seeds for _, _, kind, _, seeds in mine if kind == "stage1"]
-            stage2 = [seeds for _, _, kind, _, seeds in mine if kind == "stage2"]
+            stage1 = [seeds for _, _, kind, _, seeds, _ in mine if kind == "stage1"]
+            stage2 = [seeds for _, _, kind, _, seeds, _ in mine if kind == "stage2"]
             assert len(stage1) == len(stage2) and bool(stage1) == (method == "RACE-CMA"), method
             for gen, (screened, refined) in enumerate(zip(stage1, stage2)):
                 plan = derive_seed_plan(seed, gen, spec.racing.repetitions)
@@ -237,6 +249,25 @@ class TestLedgerIsTheSimulatedWork:
                                                                       monkeypatch):
         assert self._charges(tmp_path, monkeypatch, "compare") == [
             (method, 1 if method == "RACE-CMA" else None) for method in self.SPEC.methods]
+
+    def test_paper_scale_compare_charges_every_simulated_frame(self, tmp_path, monkeypatch):
+        # The paper-scale golden spec's scenario: 100 frames of the 40x100
+        # grid, whose batches of several seeds split over two threads, on a
+        # one-CPU machine too.
+        spec = replace(self.SPEC, scenario=ScenarioConfig(sensing_horizon=1.0))
+        assert spec.scenario.frame_count == 100
+        splits = []
+        real_split = feedback_mod._split_lockstep
+
+        def split_lockstep(const, runs, n_frames):
+            splits.append(len(runs))
+            real_split(const, runs, n_frames)
+
+        monkeypatch.setattr(feedback_mod, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(feedback_mod, "_split_lockstep", split_lockstep)
+        assert self._charges(tmp_path, monkeypatch, "compare", spec) == [
+            (method, 1 if method == "RACE-CMA" else None) for method in spec.methods]
+        assert splits and min(splits) > 1
 
     def test_sweep_charges_every_simulated_episode_and_nothing_else(self, tmp_path,
                                                                     monkeypatch):

@@ -108,8 +108,7 @@ class TestSynthesize:
         )
         p = 0.25
         grid = synthesize_rx_grid(quiet, ch, beam, p, seed=1)
-        active = ~quiet.null_mask()
-        mags = np.abs(grid.samples[active])
+        mags = np.abs(grid.samples[:-quiet.null_subcarriers])
         expected = math.sqrt(
             p * ch.bs_gain * ch.ue_gain * quiet.n_bs_antennas * quiet.n_ue_antennas
         )
@@ -192,7 +191,7 @@ class TestMatchedFilter:
         assert out[d, v] == pytest.approx(acc, rel=1e-10)
 
         # Coherent on-grid sum: composite amplitude scaled by the active share.
-        active_share = float(np.mean(~quiet.null_mask()))
+        active_share = 1.0 - quiet.null_subcarriers / quiet.n_subcarriers
         w_gain = math.sqrt(quiet.n_ue_antennas)
         f_gain = math.sqrt(quiet.n_bs_antennas)
         expected = (
@@ -236,18 +235,18 @@ class TestResi:
         ch = _on_grid_channel(quiet, 4, 2, beam=10)
         grid = synthesize_rx_grid(quiet, ch, 10, 0.1, seed=2)
         surface = matched_filter(grid, quiet.search_window())
-        sample = compute_resi(surface, grid, quiet.null_mask())
+        sample = compute_resi(surface, grid)
         magnitudes = np.abs(surface)
         assert sample.value * sample.noise_floor == pytest.approx(magnitudes.max(), rel=1e-12)
         assert np.unravel_index(int(np.argmax(magnitudes)), magnitudes.shape)[0] == 4
 
     def test_pure_noise_median_below_three(self, desk):
         ch = realize_channel(desk, _target((0.0, 50.0)))
-        window, mask = desk.search_window(), desk.null_mask()
+        window = desk.search_window()
         values = []
         for s in range(200):
             grid = synthesize_rx_grid(desk, ch, 3, 0.0, seed=derive_seed("noise-resi", s))
-            values.append(compute_resi(matched_filter(grid, window), grid, mask).value)
+            values.append(compute_resi(matched_filter(grid, window), grid).value)
         assert np.median(values) < 3.0
 
     @pytest.mark.parametrize("power_w", [math.nan, math.inf])
@@ -269,8 +268,9 @@ class TestResi:
         ch = realize_channel(desk, _target((0.0, 50.0)))
         grid = synthesize_rx_grid(desk, ch, 3, 0.1, seed=1)
         surface = matched_filter(grid, desk.search_window())
-        with pytest.raises(ValueError):
-            compute_resi(surface, grid, np.zeros_like(desk.null_mask()))
+        full = replace(grid, pilot=np.ones_like(grid.pilot))
+        with pytest.raises(ValueError, match="must leave a guard element empty"):
+            compute_resi(surface, full)
 
     def test_high_snr_peak_stable_across_seeds(self, desk):
         # Wideband variant: bin spacing on the order of the delay resolution,
@@ -306,15 +306,13 @@ class TestCellConstants:
         scenario = desk_scenario(n_beams=11)  # a scenario no other test caches
         # Every array the scenario's methods return is the caller's own:
         # writing it changes neither the next call nor cell_constants.
-        mask = scenario.null_mask()
         delays, dopplers = scenario.search_window()
         centers = scenario.beam_centers()
-        expected = [a.copy() for a in (mask, delays, dopplers, centers)]
-        mask[:] = ~mask
+        expected = [a.copy() for a in (delays, dopplers, centers)]
         delays += 1.0
         dopplers[:] = 0.0
         centers[:] = 0.0
-        again = [scenario.null_mask(), *scenario.search_window(), scenario.beam_centers()]
+        again = [*scenario.search_window(), scenario.beam_centers()]
         assert [a.tobytes() for a in again] == [a.tobytes() for a in expected]
 
         const = cell_constants(scenario)
@@ -395,7 +393,7 @@ def _ref_synthesize_rx_grid(scenario, channel, beam_index, power_w, seed):
     w = _ref_steering_vector(channel.arrival_angle, n_ue, spacing) / math.sqrt(n_ue)
 
     pilot = np.ones((scenario.n_subcarriers, scenario.n_symbols), dtype=complex)
-    pilot[scenario.null_mask()] = 0.0
+    pilot[scenario.n_subcarriers - scenario.null_subcarriers:] = 0.0
     tx_gain = np.vdot(_ref_steering_vector(channel.departure_angle, n_bs, spacing), f)
     rx_gain = np.vdot(w, _ref_steering_vector(channel.arrival_angle, n_ue, spacing))
     amp = math.sqrt(channel.bs_gain * channel.ue_gain) * rx_gain * tx_gain
@@ -428,8 +426,9 @@ def _ref_surface(scenario, samples, pilot):
     return e_delay @ (np.conj(pilot) * samples) @ e_doppler.T / (n_sc * n_sym)
 
 
-def _ref_floor(samples, null_mask):
-    return float(np.sqrt(np.mean(np.abs(samples[null_mask]) ** 2)))
+def _ref_floor(scenario, samples):
+    """The RMS over the guard set, the top ``null_subcarriers`` rows."""
+    return float(np.sqrt(np.mean(np.abs(samples[-scenario.null_subcarriers:]) ** 2)))
 
 
 _SCENARIOS = {
@@ -464,9 +463,8 @@ class TestChainMatchesReference:
         ref_surface = _ref_surface(scenario, ref_samples, ref_pilot)
         assert np.array_equal(surface, ref_surface)
 
-        mask = scenario.null_mask()
-        sample = compute_resi(surface, grid, mask)
-        ref_floor = _ref_floor(ref_samples, mask)
+        sample = compute_resi(surface, grid)
+        ref_floor = _ref_floor(scenario, ref_samples)
         assert sample.noise_floor == ref_floor
         assert sample.value == float(np.abs(ref_surface).max()) / ref_floor
 
@@ -479,10 +477,10 @@ def _chain_values(scenario, world, t, beam, eta):
     args = (scenario, channel, beam, eta * scenario.tx_power_w, derive_seed(world.seed, "frame", t))
     grid = synthesize_rx_grid(*args)
     surface = matched_filter(grid, scenario.search_window())
-    chain = compute_resi(surface, grid, scenario.null_mask())
+    chain = compute_resi(surface, grid)
     samples, pilot = _ref_synthesize_rx_grid(*args)
     peak = float(np.abs(_ref_surface(scenario, samples, pilot)).max())
-    ref_floor = _ref_floor(samples, scenario.null_mask())
+    ref_floor = _ref_floor(scenario, samples)
     return chain.value, peak / ref_floor, chain.noise_floor, ref_floor
 
 
@@ -519,8 +517,7 @@ class TestSplitMatchesChain:
         channel = realize_channel(scenario, _target(position, velocity))
         frames = build_frames(const, [channel], noise_words([seed]))
         grid = synthesize_rx_grid(scenario, channel, beam, power_w, seed)
-        chain = compute_resi(matched_filter(grid, scenario.search_window()), grid,
-                             scenario.null_mask())
+        chain = compute_resi(matched_filter(grid, scenario.search_window()), grid)
         assert_near(frames.floor[0], chain.noise_floor)
         assert_near(measure_cell(const, frames, 0, beam, power_w), chain.value)
 
@@ -724,7 +721,7 @@ class TestStackedCells:
         for (b, beam, power_w), value in zip(cells, values):
             grid = synthesize_rx_grid(scenario, channels[b], beam, power_w, seeds[b])
             surface = matched_filter(grid, scenario.search_window())
-            assert_near(value, compute_resi(surface, grid, scenario.null_mask()).value)
+            assert_near(value, compute_resi(surface, grid).value)
 
 
 # The batch split: ``feedback.run_episodes`` starts a thread to run half of

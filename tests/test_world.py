@@ -47,8 +47,7 @@ def reference_episode(scenario, thresholds, actions, seed, fidelity) -> EpisodeT
             eta = actions.power_factors[state]
             grid = synthesize_rx_grid(scenario, realize_channel(scenario, target), beam,
                                       eta * scenario.tx_power_w, derive_seed(seed, "frame", t))
-            belief = compute_resi(matched_filter(grid, scenario.search_window()), grid,
-                                  scenario.null_mask()).value
+            belief = compute_resi(matched_filter(grid, scenario.search_window()), grid).value
             states[t] = classify(belief, thresholds)
             power[t] = eta
         else:
