@@ -313,9 +313,9 @@ def ipn_optimize(
     Hessian of the objective is diagonal (that is all the stencil supports);
     the barrier contributes its exact full Hessian, and a ridge is added
     until the solve is definite (:func:`_newton_direction`).
-    The descent stops early when the budget cannot pay for the next stencil
-    or probe, when no finite ridge makes the solve definite, or when the
-    line search accepts no step.
+    The descent stops early when the budget, less the objective's ledger
+    total, cannot pay for the next stencil or probe, when no finite ridge
+    makes the solve definite, or when the line search accepts no step.
     """
     if not 0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
@@ -330,13 +330,13 @@ def ipn_optimize(
             yield from itertools.repeat(mu, config.newton_iters)
             mu /= config.barrier_shrink
 
-    spent = 0.0
+    ledger = objective.ledger
     best_cost = math.inf
     best_point = t.copy()
     history: list[RoundRecord] = []
 
     for iteration, mu in enumerate(schedule()):
-        if spent + 7 > budget + 1e-12:
+        if ledger.n_eq + 7 > budget + 1e-12:
             break
         iter_seed = derive_seed(seed, "ipn", iteration)
         h = config.fd_step
@@ -350,7 +350,6 @@ def ipn_optimize(
             j_plus, j_minus = probes[2 * i], probes[2 * i + 1]
             grad_j[i] = (j_plus - j_minus) / (2.0 * h)
             hess_diag[i] = (j_plus - 2.0 * j_center + j_minus) / h**2
-        spent += 7.0
 
         if j_center < best_cost:
             best_cost = j_center
@@ -371,11 +370,10 @@ def ipn_optimize(
         for _bt in range(MAX_BACKTRACKS):
             candidate = t + alpha * direction
             if candidate[1] > candidate[0] and candidate[2] > candidate[1]:
-                if spent + 1 > budget + 1e-12:
+                if ledger.n_eq + 1 > budget + 1e-12:
                     exhausted = True
                     break
                 [j_cand] = objective.evaluate_many([candidate], [iter_seed], 1.0)
-                spent += 1.0
                 phi_cand = j_cand + mu * _barrier_value(candidate)
                 if phi_cand <= phi_current + ARMIJO * alpha * slope:
                     t = candidate
@@ -384,11 +382,11 @@ def ipn_optimize(
             alpha *= BACKTRACK
         if exhausted:
             break
-        history.append(RoundRecord(iteration + 1, spent, tuple(t)))
+        history.append(RoundRecord(iteration + 1, ledger.n_eq, tuple(t)))
         if not accepted:
             break
 
-    return OptimizeResult(best_point, best_cost, spent, history)
+    return OptimizeResult(best_point, best_cost, ledger.n_eq, history)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +468,9 @@ def spsa_optimize(
 
     The iterate sequence is not monotone under noise, so the returned point
     is the best among periodic full-fidelity probes (the final iterate when
-    the budget never allowed a probe). Probes are charged to the ledger.
+    the budget never allowed a probe). Probes are charged to the ledger,
+    and each step and probe runs only while the objective's ledger total
+    leaves room for it in the budget.
     """
     if not 0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
@@ -479,36 +479,34 @@ def spsa_optimize(
     t = np.array(t0, float)
     if not np.isfinite(t).all():
         raise ValueError("initial point must be finite")
-    spent = 0.0
+    ledger = objective.ledger
     best_cost = math.inf
     best_point = t.copy()
     probed = False
     history: list[RoundRecord] = []
 
     k = 0
-    while spent + 2 <= budget + 1e-12:
+    while ledger.n_eq + 2 <= budget + 1e-12:
         delta = rng_from(seed, "spsa-delta", k).choice([-1.0, 1.0], size=3)
         grad = spsa_gradient(
             objective, t, schedule.perturbation(k), delta, derive_seed(seed, "spsa", k)
         )
-        spent += 2.0
         with np.errstate(over="ignore"):
             step = project_thresholds(t - schedule.gain(k) * grad, min_spacing)
         if not np.isfinite(step).all():
             break  # the step left the float range: there is no iterate to take
         t = step
         k += 1
-        if k % SPSA_PROBE_EVERY == 0 and spent + 1 <= budget + 1e-12:
+        if k % SPSA_PROBE_EVERY == 0 and ledger.n_eq + 1 <= budget + 1e-12:
             [probe] = objective.evaluate_many(
                 [t.copy()], [derive_seed(seed, "spsa-probe", k)], 1.0
             )
-            spent += 1.0
             probed = True
             if probe < best_cost:
                 best_cost = probe
                 best_point = t.copy()
-            history.append(RoundRecord(k, spent, tuple(t)))
+            history.append(RoundRecord(k, ledger.n_eq, tuple(t)))
 
     if not probed:
         best_point = t.copy()
-    return OptimizeResult(best_point, best_cost, spent, history)
+    return OptimizeResult(best_point, best_cost, ledger.n_eq, history)

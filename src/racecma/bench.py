@@ -277,9 +277,8 @@ def run_method(method: str, scenario: ScenarioConfig, spec: ExperimentSpec, t0: 
         raise ValueError(f"unknown method {method!r}")
     objective = IsacObjective(scenario, spec.actions, spec.weights)
     result = OPTIMIZERS[method](objective, spec, t0, seed)
-    n_eq = objective.ledger.n_eq
-    return MethodRun(result.best_point, result.best_cost, n_eq, result.history,
-                     failed=n_eq > 10.0 * spec.budget)
+    return MethodRun(result.best_point, result.best_cost, result.n_eq, result.history,
+                     failed=result.n_eq > 10.0 * spec.budget)
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,9 @@ def cma_optimize(
     Each candidate is charged one independent simulation draw (seeded per
     candidate); correlating draws across a generation is the racing loop's
     improvement, not the baseline's. The loop runs whole generations while
-    the budget allows lambda more full evaluations, the step size stays
-    above ``SIGMA_STOP`` and the generation cap (if any) is not reached.
+    the budget allows lambda more full evaluations on top of the
+    objective's ledger total, the step size stays above ``SIGMA_STOP`` and
+    the generation cap (if any) is not reached.
     ``feasible_map`` translates raw search points into the points the
     objective evaluates and the result reports; identity when omitted.
     """
@@ -215,13 +216,13 @@ def cma_optimize(
         raise ValueError("budget must be positive and finite")
     state = init_state(*init)
     mapper = feasible_map if feasible_map is not None else (lambda u: u)
+    ledger = objective.ledger
 
-    spent = 0.0
     best_cost = math.inf
     best_point = mapper(state.mean)
     history: list[GenerationRecord] = []
 
-    while spent + params.lam <= budget + 1e-12 and state.sigma > SIGMA_STOP:
+    while ledger.n_eq + params.lam <= budget + 1e-12 and state.sigma > SIGMA_STOP:
         if max_generations is not None and state.generation >= max_generations:
             break
         gen = state.generation
@@ -229,7 +230,6 @@ def cma_optimize(
         mapped = [mapper(u) for u in points]
         seeds = [derive_seed(seed, gen, "eval", j) for j in range(params.lam)]
         costs = np.array(objective.evaluate_many(mapped, seeds, 1.0))
-        spent += params.lam
 
         order = np.argsort(costs, kind="stable")
         if costs[order[0]] < best_cost:
@@ -238,9 +238,9 @@ def cma_optimize(
         state = update(state, params, points[order[: params.mu]])
         history.append(
             GenerationRecord(
-                index=gen, n_eq=spent, point=tuple(best_point),
+                index=gen, n_eq=ledger.n_eq, point=tuple(best_point),
                 mean=tuple(state.mean), sigma=state.sigma,
             )
         )
 
-    return OptimizeResult(best_point, best_cost, spent, history)
+    return OptimizeResult(best_point, best_cost, ledger.n_eq, history)

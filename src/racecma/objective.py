@@ -76,39 +76,19 @@ class CrnSeedPlan:
     stage1_seed: int
     stage2_seeds: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.stage2_seeds) == 0:
+            raise ValueError("stage 2 needs at least one seed")
+
 
 def derive_seed_plan(master_seed: int, generation: int, repetitions: int) -> CrnSeedPlan:
     """Deterministic, collision-free seed plan for one generation."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
     return CrnSeedPlan(
         stage1_seed=derive_seed(master_seed, generation, "stage1"),
         stage2_seeds=tuple(
             derive_seed(master_seed, generation, "stage2", rep) for rep in range(repetitions)
         ),
     )
-
-
-@dataclass(frozen=True)
-class RepeatedEstimate:
-    """Mean/variance summary of repeated evaluations at one point.
-
-    ``variance`` is the unbiased sample variance and is None for a single
-    repetition; inverse-variance weighting counts that as variance 0.
-    """
-
-    mean: float
-    variance: float | None
-    repetitions: int
-
-    @classmethod
-    def of(cls, values) -> "RepeatedEstimate":
-        """Mean and unbiased variance of one point's values, one per seed."""
-        values = np.array(values)
-        if len(values) == 0:
-            raise ValueError("need at least one value")
-        variance = float(np.var(values, ddof=1)) if len(values) >= 2 else None
-        return cls(mean=float(np.mean(values)), variance=variance, repetitions=len(values))
 
 
 class StochasticObjective(Protocol):
@@ -129,7 +109,8 @@ class RoundRecord:
     """One optimizer round and the point the convergence trace reports for it.
 
     ``index`` is the generation for the CMA loops and the iteration for IPN
-    and SPSA; ``n_eq`` is the cost spent up to the end of the round. The
+    and SPSA; ``n_eq`` is the objective's ledger total at the end of the
+    round, charges made before the optimizer started included. The
     point is the best so far for CMA-ES and RACE-CMA, the iterate after the
     step for IPN and the probed iterate for SPSA.
     """
@@ -142,8 +123,9 @@ class RoundRecord:
 @dataclass
 class OptimizeResult:
     """What every optimizer returns: the best point it found (a float array
-    of shape (3,)), that point's estimated cost, the n_eq it spent and one
-    record per round."""
+    of shape (3,)), that point's estimated cost, the objective's ledger
+    total when it stopped and one record per round. The budget caps that
+    total: an optimizer stops before a round would take it past the budget."""
 
     best_point: np.ndarray
     best_cost: float

@@ -33,7 +33,6 @@ from .feedback import run_episode  # noqa: F401
 from .objective import (
     CrnSeedPlan,
     OptimizeResult,
-    RepeatedEstimate,
     StochasticObjective,
     derive_seed_plan,
 )
@@ -182,8 +181,10 @@ def stage2_refine(
     objective: StochasticObjective,
     plan: CrnSeedPlan,
     truncation: float = 1.0,
-) -> list[RepeatedEstimate]:
-    """Evaluate each promoted candidate once under each Stage-2 seed of the plan.
+) -> tuple[list[float], list[float]]:
+    """Evaluate each promoted candidate once under each Stage-2 seed of the
+    plan, and return each candidate's mean and unbiased variance over its
+    seeds (variance 0.0 at one seed, where there is no spread).
 
     ``truncation`` below 1 emulates early stopping by shortening each
     evaluation (and its charge) to that fraction of a full one. Every
@@ -196,7 +197,10 @@ def stage2_refine(
         [seed for seed in plan.stage2_seeds for _ in range(k)],
         truncation, kind="stage2",
     )
-    return [RepeatedEstimate.of(values[i::k]) for i in range(k)]
+    per_point = [np.array(values[i::k]) for i in range(k)]
+    means = [float(np.mean(v)) for v in per_point]
+    variances = [float(np.var(v, ddof=1)) if len(v) >= 2 else 0.0 for v in per_point]
+    return means, variances
 
 
 def assemble_ranking(
@@ -243,15 +247,14 @@ def uncertainty_weights(
 @dataclass(frozen=True)
 class GenerationReport(GenerationRecord):
     """A racing generation with its diagnostics: every screening value, the
-    promoted indices, their Stage-2 estimates, the recombination weights
-    and the generation's charge."""
+    promoted indices, their Stage-2 means and variances and the
+    recombination weights."""
 
     stage1_values: tuple[float, ...]
     promoted: tuple[int, ...]
     stage2_means: tuple[float, ...]
     stage2_variances: tuple[float, ...]
     effective_weights: tuple[float, ...]
-    ledger_delta: float
 
 
 def race_cma_optimize(
@@ -270,20 +273,21 @@ def race_cma_optimize(
     then adapts fully. The returned best point is the best Stage-2 mean seen
     (screening values are never trusted as the final answer unless nothing
     was ever promoted, which cannot happen with at least one promotion per
-    generation).
+    generation). A generation runs only while the objective's ledger total
+    plus the generation's exact charge stays within the budget.
     """
     if not 0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
     state = init_state(*init)
     mapper = feasible_map if feasible_map is not None else (lambda u: u)
     gen_cost = racing.generation_cost(params.lam)
+    ledger = objective.ledger
 
-    spent = Fraction(0)
     best_cost = math.inf
     best_point = mapper(state.mean)
     history: list[GenerationReport] = []
 
-    while float(spent + gen_cost) <= budget + 1e-12 and state.sigma > SIGMA_STOP:
+    while float(ledger.exact_total + gen_cost) <= budget + 1e-12 and state.sigma > SIGMA_STOP:
         if max_generations is not None and state.generation >= max_generations:
             break
         gen = state.generation
@@ -295,17 +299,12 @@ def race_cma_optimize(
 
         stage1 = stage1_screen(mapped, objective, plan, racing.fidelity_ratio)
         promoted = promote(stage1, racing.promoted_count(params.lam))
-        estimates = stage2_refine(
+        means, stage2_variances = stage2_refine(
             [mapped[i] for i in promoted], objective, plan, racing.truncation
         )
-        means = [e.mean for e in estimates]
-        # Every estimate has racing.repetitions values: all variances are
-        # None at one repetition, which counts as no spread, and none at more.
-        stage2_variances = [0.0 if e.variance is None else e.variance for e in estimates]
         costs, variances = assemble_ranking(
             stage1, promoted, means, stage2_variances, racing.weighting_floor
         )
-        spent += gen_cost
 
         for idx, mean in zip(promoted, means):
             if mean < best_cost:
@@ -323,15 +322,14 @@ def race_cma_optimize(
 
         history.append(
             GenerationReport(
-                index=gen, n_eq=float(spent), point=tuple(best_point),
+                index=gen, n_eq=ledger.n_eq, point=tuple(best_point),
                 mean=tuple(state.mean), sigma=state.sigma,
                 stage1_values=tuple(float(v) for v in stage1),
                 promoted=tuple(int(i) for i in promoted),
                 stage2_means=tuple(means),
                 stage2_variances=tuple(stage2_variances),
                 effective_weights=tuple(float(w) for w in weights),
-                ledger_delta=float(gen_cost),
             )
         )
 
-    return OptimizeResult(best_point, best_cost, float(spent), history)
+    return OptimizeResult(best_point, best_cost, ledger.n_eq, history)

@@ -198,6 +198,11 @@ class ScenarioConfig:
                              "[-0.5/symbol_duration, 0.5/symbol_duration]")
         if not (0.0 < self.null_fraction < 1.0):
             raise ValueError("null_fraction must lie in (0, 1)")
+        # A guard row on every subcarrier leaves the pilot all zero: no echo.
+        if self.null_subcarriers >= self.n_subcarriers:
+            raise ValueError(f"null_fraction {self.null_fraction!r} makes all "
+                             f"{self.n_subcarriers} of n_subcarriers guard rows; at least "
+                             "one subcarrier must carry the pilot")
         if self.interference_factor < 0 or self.heading_jitter < 0:
             raise ValueError("interference_factor and heading_jitter must be >= 0")
         try:

@@ -21,7 +21,6 @@ from racecma.feedback import episode_objectives
 from racecma.objective import (
     CostLedger,
     CrnSeedPlan,
-    RepeatedEstimate,
     SyntheticObjective,
     derive_seed_plan,
 )
@@ -50,8 +49,9 @@ def evaluate_one(objective, point, seed, fidelity=1.0, kind="full"):
 
 
 def evaluate_repeated(objective, point, seeds):
-    """One point under each seed, summarised as stage 2 summarises it."""
-    return RepeatedEstimate.of(objective.evaluate_many([point] * len(seeds), seeds))
+    """One point under each seed through stage 2: its mean and variance."""
+    [mean], [variance] = stage2_refine([point], objective, CrnSeedPlan(0, tuple(seeds)))
+    return mean, variance
 
 
 class TestLedger:
@@ -103,33 +103,36 @@ class TestLedger:
 
 
 class TestEvaluateRepeated:
-    """One point evaluated under several seeds, then RepeatedEstimate.of."""
+    """One point evaluated under several seeds through stage 2."""
 
     def test_single_repetition_has_no_variance(self):
+        # One seed has no spread: inverse-variance weighting reads it as 0.0.
         obj = StubObjective({0: 0.7})
-        est = evaluate_repeated(obj, None, [0])
-        assert est.mean == 0.7 and est.variance is None and est.repetitions == 1
+        assert evaluate_repeated(obj, None, [0]) == (0.7, 0.0)
+        assert obj.ledger.breakdown["stage2"] == (1, 1.0)
 
     def test_hand_computed_mean_and_variance(self):
         obj = StubObjective({0: 0.4, 1: 0.6})
-        est = evaluate_repeated(obj, None, [0, 1])
-        assert est.mean == pytest.approx(0.5)
-        assert est.variance == pytest.approx(0.02)  # (0.1^2 + 0.1^2) / 1
+        mean, variance = evaluate_repeated(obj, None, [0, 1])
+        assert mean == pytest.approx(0.5)
+        assert variance == pytest.approx(0.02)  # (0.1^2 + 0.1^2) / 1
 
     def test_identical_seeds_zero_variance(self):
         obj = StubObjective({5: 0.3})
-        est = evaluate_repeated(obj, None, [5, 5, 5])
-        assert est.variance == 0.0
+        _, variance = evaluate_repeated(obj, None, [5, 5, 5])
+        assert variance == 0.0
 
     def test_empty_seed_list_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_repeated(StubObjective({}), None, [])
+        obj = StubObjective({})
+        with pytest.raises(ValueError, match="stage 2 needs at least one seed"):
+            evaluate_repeated(obj, None, [])
+        assert obj.ledger.exact_total == 0
 
     def test_ledger_charged_per_repetition(self):
         # Stage 2 of one promoted point under three seeds: three entries.
         obj = StubObjective({0: 0.1, 1: 0.2, 2: 0.3})
-        [estimate] = stage2_refine([None], obj, CrnSeedPlan(9, (0, 1, 2)), 0.8)
-        assert estimate.mean == pytest.approx(0.2) and estimate.repetitions == 3
+        [mean], [variance] = stage2_refine([None], obj, CrnSeedPlan(9, (0, 1, 2)), 0.8)
+        assert mean == pytest.approx(0.2) and variance == pytest.approx(0.01)
         assert obj.ledger.exact_total == Fraction(12, 5)
         assert obj.ledger.breakdown["stage2"] == (3, 2.4)
 
@@ -336,3 +339,71 @@ def test_every_optimizer_needs_a_positive_finite_budget(method, budget):
     with pytest.raises(ValueError, match="budget must be positive and finite"):
         OPTIMIZERS[method](obj, budget)
     assert obj.ledger.exact_total == 0
+
+
+# Charges an objective may hold before an optimizer gets it: three stage-1
+# screens at 0.2 and five full episodes.
+PRECHARGE = Fraction(28, 5)
+
+
+def precharged(objective):
+    for _ in range(3):
+        objective.ledger.add(0.2, "stage1")
+    for _ in range(5):
+        objective.ledger.add(1.0)
+    assert objective.ledger.exact_total == PRECHARGE
+    return objective
+
+
+class LedgerLog(SyntheticObjective):
+    """A sphere objective that logs each call's kind and size, and its
+    ledger total right after the call."""
+
+    def __init__(self):
+        super().__init__(lambda x: float(np.sum(x**2)))
+        self.calls = []
+
+    def evaluate_many(self, points, seeds, fidelity=1.0, kind="full"):
+        values = super().evaluate_many(points, seeds, fidelity, kind)
+        self.calls.append((kind, len(points), self.ledger.n_eq))
+        return values
+
+
+def round_ends(method, calls):
+    """The ledger totals after each round's last call: a CMA-ES call, a
+    RACE-CMA stage 2, the call before each IPN stencil after the first and
+    IPN's last call, and an SPSA full-fidelity probe."""
+    if method == "CMA-ES":
+        return [n_eq for _, _, n_eq in calls]
+    if method == "RACE-CMA":
+        return [n_eq for kind, _, n_eq in calls if kind == "stage2"]
+    if method == "IPN":
+        return [before[2] for before, (_, size, _) in zip(calls, calls[1:]) if size == 7] + [
+            calls[-1][2]]
+    return [n_eq for _, size, n_eq in calls if size == 1]
+
+
+class TestBudgetReadsTheLedger:
+    """The budget caps the objective's whole ledger, and every n_eq an
+    optimizer reports is that ledger's total."""
+
+    @pytest.mark.parametrize("method", sorted(OPTIMIZERS))
+    def test_a_charged_ledger_stops_where_a_fresh_one_with_less_budget_does(self, method):
+        charged = precharged(SyntheticObjective(lambda x: float(np.sum(x**2))))
+        fresh = SyntheticObjective(lambda x: float(np.sum(x**2)))
+        result = OPTIMIZERS[method](charged, 48.0)
+        reference = OPTIMIZERS[method](fresh, 48.0 - float(PRECHARGE))
+        assert charged.ledger.exact_total == PRECHARGE + fresh.ledger.exact_total
+        assert result.n_eq == charged.ledger.n_eq
+        assert [r.point for r in result.history] == [r.point for r in reference.history]
+        assert [r.n_eq for r in result.history] == pytest.approx(
+            [r.n_eq + float(PRECHARGE) for r in reference.history], abs=1e-12)
+
+    @pytest.mark.parametrize("method", sorted(OPTIMIZERS))
+    def test_every_record_reads_the_ledger_after_its_round(self, method):
+        objective = precharged(LedgerLog())
+        result = OPTIMIZERS[method](objective, 48.0)
+        ends = round_ends(method, objective.calls)
+        n_eqs = [r.n_eq for r in result.history]
+        assert len(n_eqs) >= 2 and n_eqs == ends
+        assert result.n_eq == objective.calls[-1][2] == objective.ledger.n_eq

@@ -15,7 +15,7 @@ from racecma import (
     race_cma_optimize,
 )
 from racecma.cma import init_state, sample_population, update
-from racecma.objective import RepeatedEstimate, SyntheticObjective, derive_seed_plan
+from racecma.objective import SyntheticObjective, derive_seed_plan
 from racecma.race import (
     assemble_ranking,
     inverse_feasible,
@@ -175,10 +175,10 @@ class TestStages:
     def test_stage2_cost_counting(self):
         obj = SyntheticObjective(sphere)
         plan = derive_seed_plan(1, 0, 1)
-        ests = stage2_refine([np.zeros(2)] * 6, obj, plan)
+        means, variances = stage2_refine([np.zeros(2)] * 6, obj, plan)
         assert obj.ledger.n_eq == 6.0
         assert obj.ledger.breakdown["stage2"] == (6, 6.0)
-        assert all(e.variance is None for e in ests)
+        assert means == [0.0] * 6 and variances == [0.0] * 6  # one seed: no spread
 
     def test_generation_cost_formula(self):
         racing = RacingConfig(promotion_fraction=0.5, fidelity_ratio=0.2, repetitions=1)
@@ -196,21 +196,20 @@ class TestStages:
         points = [np.array([0.5, 1.0, 1.5]), np.array([1.0, 2.0, 3.0]),
                   np.array([0.5, 1.0, 1.5])]
         batched, looped = make(desk), make(desk)
-        estimates = stage2_refine(points, batched, plan, 0.8)
-        assert estimates == [
-            RepeatedEstimate.of([looped.evaluate_many([p], [s], 0.8, "stage2")[0]
-                                 for s in plan.stage2_seeds])
-            for p in points
-        ]
-        assert all(e.repetitions == 3 and e.variance is not None for e in estimates)
+        means, variances = stage2_refine(points, batched, plan, 0.8)
+        per_point = [np.array([looped.evaluate_many([p], [s], 0.8, "stage2")[0]
+                               for s in plan.stage2_seeds]) for p in points]
+        assert means == [float(np.mean(v)) for v in per_point]
+        assert variances == [float(np.var(v, ddof=1)) for v in per_point]
+        assert all(v > 0.0 for v in variances)
         assert batched.ledger.exact_total == looped.ledger.exact_total == Fraction(36, 5)
         assert batched.ledger.breakdown == looped.ledger.breakdown
 
     def test_deterministic_objective_zero_variance(self):
         obj = SyntheticObjective(sphere)
         plan = derive_seed_plan(1, 0, 3)
-        ests = stage2_refine([np.ones(2)], obj, plan)
-        assert ests[0].variance == 0.0
+        means, variances = stage2_refine([np.ones(2)], obj, plan)
+        assert means == [2.0] and variances == [0.0]
 
 
 class TestAssembleRanking:
@@ -303,7 +302,9 @@ class TestRaceOptimize:
                                    1e9, 3, max_generations=10)
         assert obj.ledger.exact_total == Fraction(84)
         assert result.n_eq == 84.0
-        assert [rec.ledger_delta for rec in result.history] == [8.4] * 10
+        # Record g (from 1) reads the ledger after g generations of 42/5.
+        assert [rec.n_eq for rec in result.history] == [
+            float(Fraction(42, 5) * g) for g in range(1, 11)]
 
     def test_crn_ranking_matches_noiseless_under_common_noise(self):
         params = default_params(3, 12)

@@ -152,6 +152,16 @@ def test_config_invariants_rejected():
     ScenarioConfig(bs_position=(15.0 - 2e-6, 10.0))
 
 
+@pytest.mark.parametrize("overrides, guarded", [
+    ({"null_fraction": 0.99}, 24), ({"n_subcarriers": 1}, 1),
+], ids=["null_fraction_0.99", "one_subcarrier"])
+def test_guard_rows_on_every_subcarrier_rejected(overrides, guarded):
+    # With no pilot row left every echo strength was 0.0, without an error.
+    with pytest.raises(ValueError, match=f"all {guarded} of n_subcarriers guard rows"):
+        desk_scenario(**overrides)
+    assert desk_scenario(null_fraction=0.95).null_subcarriers == 23  # one pilot row of 24
+
+
 @pytest.mark.parametrize("whole_float", [False, True])
 @pytest.mark.parametrize("name", [
     "n_bs_antennas", "n_ue_antennas", "n_subcarriers", "n_symbols", "n_beams",
