@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .feedback import classify, run_episodes
 # perfbench/tracer.py wraps baselines.run_episode and fails if it is missing.
 from .feedback import run_episode  # noqa: F401
 from .objective import OptimizeResult, RoundRecord, StochasticObjective
-from .scenario import ScenarioConfig, check_fields
+from .scenario import Bound, Count, NonNegative, Positive, ScenarioConfig, check_fields
 from .seeding import derive_seed, rng_from
 
 
@@ -193,9 +194,10 @@ def map_calibrate(
     """One-shot MAP placement from seeded calibration episodes.
 
     Runs sweep-only episodes (thresholds nothing reaches), labels the
-    collected echo-strength values with provisional thresholds at their
-    median, 75th and 90th percentiles (:func:`_linear_quantiles`), fits the
-    per-state densities and solves the crossings. Charges one full
+    echo-strength values of the frames they measure, not of the frames the
+    cadence skips, with provisional thresholds at their median, 75th and
+    90th percentiles (:func:`_linear_quantiles`), fits the per-state
+    densities and solves the crossings. Charges one full
     evaluation per episode; ``episodes < 1`` or a ``min_spacing`` that is
     not positive is rejected before any episode runs.
     """
@@ -206,10 +208,13 @@ def map_calibrate(
     scenario: ScenarioConfig = objective.scenario
     passive = (1e9, 2e9, 3e9)
     seeds = [derive_seed(seed, "map-calibration", ep) for ep in range(episodes)]
+    # The passive loop stays in state 0 and counts frame -1 as measured, so
+    # with a state-0 period p it measures frames p-1, 2p-1, ...
+    period = objective.actions.period_multipliers[0]
     values: list[float] = []
     for trace in run_episodes(scenario, [passive] * episodes, seeds, objective.actions, 1.0):
         objective.ledger.add(1.0, "full")
-        values.extend(trace.resi.tolist())
+        values.extend(trace.resi[period - 1::period].tolist())
     x = np.asarray(values)
     if not np.all(np.isfinite(x)):
         raise CalibrationError("calibration echo strengths must be finite")
@@ -238,22 +243,16 @@ class IpnConfig:
     so the penalty shapes feasibility without drowning a flat objective.
     """
 
-    barrier_init: float = 0.1
-    barrier_shrink: float = 10.0
-    outer_rounds: int = 6
-    newton_iters: int = 2
-    fd_step: float = 0.05
+    barrier_init: Positive = 0.1
+    barrier_shrink: Annotated[float, Bound(1, ends="()")] = 10.0
+    outer_rounds: Count = 6
+    newton_iters: Count = 2
+    fd_step: Positive = 0.05
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.fd_step <= 0 or self.barrier_init <= 0:
-            raise ValueError("fd_step and barrier_init must be positive")
         if not 0 < self.fd_step * self.fd_step < math.inf:
             raise ValueError("fd_step squared, the stencil's divisor, must be a positive float")
-        if self.barrier_shrink <= 1:
-            raise ValueError("barrier_shrink must be > 1")
-        if self.outer_rounds < 1 or self.newton_iters < 1:
-            raise ValueError("outer_rounds and newton_iters must be >= 1")
 
 
 def _barrier_value(t: np.ndarray) -> float:
@@ -400,22 +399,14 @@ SPSA_PROBE_EVERY = 10
 class SpsaSchedule:
     """Diminishing gain and perturbation sequences."""
 
-    a: float = 0.5
-    stability: float = 10.0
-    c: float = 0.2
-    alpha: float = 0.602
-    gamma: float = 0.101
+    a: Positive = 0.5
+    stability: NonNegative = 10.0
+    c: Positive = 0.2
+    alpha: Annotated[float, Bound(0.5, 1, "(]")] = 0.602
+    gamma: Annotated[float, Bound(0, 0.5, "()")] = 0.101
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError("gain constants must be positive")
-        if self.stability < 0:
-            raise ValueError("stability must be >= 0")
-        if not 0.5 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0.5, 1]")
-        if not 0.0 < self.gamma < 0.5:
-            raise ValueError("gamma must lie in (0, 0.5)")
 
     def gain(self, k: int) -> float:
         return self.a / (self.stability + k + 1) ** self.alpha

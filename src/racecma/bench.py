@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Annotated, Callable, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .feedback import (
 )
 from .objective import IsacObjective, OptimizeResult, RoundRecord
 from .race import RacingConfig, inverse_feasible, map_unconstrained, race_cma_optimize
-from .scenario import ScenarioConfig, check_fields, desk_scenario
+from .scenario import Bound, Count, Positive, ScenarioConfig, check_fields, desk_scenario
 from .seeding import derive_seed, rng_from
 
 # ---------------------------------------------------------------------------
@@ -90,11 +90,6 @@ OPTIMIZERS = {
         obj, racing=spec.racing, **_cma_args(spec, t0, seed)),
 }
 METHODS = tuple(OPTIMIZERS)
-# ExperimentSpec's count fields and the least value of each.
-_COUNT_MINIMA = {
-    "repetitions": 1, "eval_repeats": 1, "map_episodes": 1, "population": 2,
-    "generations": 1, "sweep_stage2_repetitions": 1, "jobs": 1, "map_min_samples": 1,
-}
 
 
 @dataclass(frozen=True)
@@ -103,9 +98,9 @@ class ExperimentSpec:
 
     scenario: ScenarioConfig = field(default_factory=desk_scenario)
     methods: tuple[str, ...] = METHODS
-    repetitions: int = 20
+    repetitions: Count = 20
     power_grid: tuple[float, ...] = (10.0, 15.0, 20.0, 25.0, 30.0)
-    budget: float = 96.0
+    budget: Positive = 96.0
     master_seed: int = 1
     actions: StateActionTable = DEFAULT_ACTIONS
     weights: tuple[float, float, float] = (1.0, 0.0, 0.0)
@@ -114,32 +109,27 @@ class ExperimentSpec:
     sweep_weights: tuple[float, float, float] = (1.0, 0.6, 0.05)
     # Deployment tuning repeats Stage 2 so the returned optimum rests on
     # averaged estimates (and inverse-variance weighting has real input).
-    sweep_stage2_repetitions: int = 2
+    sweep_stage2_repetitions: Count = 2
     # Replication configuration: Stage-2 early-stopping emulation at 0.8.
     racing: RacingConfig = field(default_factory=lambda: RacingConfig(truncation=0.8))
-    population: int = 12
-    generations: int = 10
+    population: Annotated[int, Bound(2)] = 12
+    generations: Count = 10
     convergence_powers: tuple[float, ...] = (20.0, 24.7)
     resi_bounds: tuple[float, float] = (0.05, 6.0)
     # Static reference configuration: conservative, interference-proof
     # thresholds of the kind a worst-case network default would use.
     fixed_thresholds: tuple[float, float, float] = (3.0, 4.5, 6.0)
     ue_box: tuple[float, float, float, float] = (-20.0, 20.0, 5.0, 15.0)
-    init_sigma: float = 1.5
-    eval_repeats: int = 10
+    init_sigma: Positive = 1.5
+    eval_repeats: Count = 10
     ipn: IpnConfig = field(default_factory=IpnConfig)
     spsa: SpsaSchedule = field(default_factory=SpsaSchedule)
-    map_min_samples: int = 8
-    map_episodes: int = 3
-    jobs: int = 1
+    map_min_samples: Count = 8
+    map_episodes: Count = 3
+    jobs: Count = 1
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name, least in _COUNT_MINIMA.items():
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
         # Checked for every method list: sweep always runs RACE-CMA.
         if self.racing.mirrored_sampling and self.population % 2:
             raise ValueError("population must be even while racing.mirrored_sampling is on")
@@ -153,8 +143,6 @@ class ExperimentSpec:
         for name in ("methods", "power_grid", "convergence_powers"):  # else rows repeat
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f"{name} lists an entry twice")
-        if self.init_sigma <= 0:
-            raise ValueError("init_sigma must be positive")
         x_min, x_max, y_min, y_max = self.ue_box
         if not (x_min < x_max and y_min < y_max):
             raise ValueError("ue_box must have positive extent: x_min < x_max, y_min < y_max")
@@ -227,7 +215,7 @@ def _rep_env(
     ue = (float(rng.uniform(x_min, x_max)), float(rng.uniform(y_min, y_max)))
     scenario = replace(spec.scenario, ue_position=ue)
     if power is not None:
-        scenario = scenario.with_power(power)
+        scenario = replace(scenario, tx_power_dbm=power)
     rng = rng_from(spec.master_seed, "rep", rep, "init-thresholds")
     draw = rng.uniform(*spec.resi_bounds, size=3)
     t0 = project_thresholds(draw, spec.racing.min_spacing)

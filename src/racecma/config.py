@@ -6,8 +6,10 @@ config object nested in it. :func:`schema` derives that key table from the
 dataclass fields, and the table alone drives parsing
 (:func:`spec_from_config`, which rejects every key outside it), the
 ``spec.cfg`` snapshot (:func:`spec_to_config`), the output config hash and
-the key table in the README (:func:`key_table`). The constructors reject a
-value that does not fit the same annotations (``scenario.check_fields``).
+the key table in the README (:func:`key_table`). It reads each field's kind
+and range from the same table the constructors check every value against
+(``scenario.field_items`` and ``scenario.check_fields``), so the README
+states each key's range as the code checks it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
-from typing import get_type_hints
 
-from .scenario import Rect, field_item
+from .scenario import Bound, Rect, field_items
 
 
 class ConfigError(ValueError):
@@ -69,6 +70,7 @@ class SchemaKey:
     item: type  # int, float, bool or str: the type of each listed value
     count: int | None = 1  # comma-separated values; None means one or more
     pack: type | None = None  # tuple or a value type for lists, None for scalars
+    bound: Bound | None = None  # the range of each value, None for none
 
     def parse(self, key: str, raw: str):
         parts = [part.strip() for part in raw.split(",")] if self.pack else [raw]
@@ -100,12 +102,12 @@ class SchemaKey:
         return _text(cast if cast == value else value)
 
     def describe(self) -> str:
-        name = self.item.__name__
-        if self.pack is None:
-            return name
-        if self.pack is not tuple:
+        if self.pack not in (None, tuple):
             return ",".join(f.name for f in fields(self.pack))
-        return f"{name} list" if self.count is None else f"{self.count} {name}s"
+        kind = self.item.__name__
+        if self.pack is tuple:
+            kind = f"{kind} list" if self.count is None else f"{self.count} {kind}s"
+        return kind if self.bound is None else f"{kind} {self.bound}"
 
 
 # Written as their comma-separated fields, not as a section of their own.
@@ -124,37 +126,32 @@ def schema(spec_type: type) -> dict[str, SchemaKey]:
 
     A config object on the spec is the section named after its field, with
     config objects nested inside it flattened into that section. Every other
-    spec field is an ``experiment.*`` key. Value types come from the field
-    annotations: ``tuple[float, ...]`` is a list of any length, while
-    ``tuple[float, float]`` and ``Rect`` take exactly as many values as they
-    have entries.
+    spec field is an ``experiment.*`` key. Value types and ranges come from
+    ``scenario.field_items``: ``tuple[float, ...]`` is a list of any length,
+    while ``tuple[float, float]`` and ``Rect`` take exactly as many values as
+    they have entries.
     """
     keys: dict[str, SchemaKey] = {}
 
     def walk(cls: type, path: tuple, section: str) -> None:
-        hints = get_type_hints(cls)
-        for f in fields(cls):
-            hint, at = hints[f.name], path + (f.name,)
-            if is_dataclass(hint) and hint not in _VALUE_TYPES:
-                walk(hint, at, section or f.name)
+        for name, item, count, is_tuple, bound in field_items(cls):
+            at = path + (name,)
+            if is_dataclass(item) and item not in _VALUE_TYPES:
+                walk(item, at, section or name)
                 continue
-            key = f"{section or 'experiment'}.{f.name}"
+            key = f"{section or 'experiment'}.{name}"
             if key in _ITEM_KEYS:
                 for i, item_key in enumerate(_ITEM_KEYS[key]):
-                    keys[item_key] = SchemaKey(at + (i,), field_item(hint)[0])
+                    keys[item_key] = SchemaKey(at + (i,), item, bound=bound)
             elif key not in _UNFILED:
-                keys[_RENAMED.get(key, key)] = _schema_key(at, hint)
+                pack = item if item in _VALUE_TYPES else tuple if is_tuple else None
+                if pack not in (None, tuple):  # a value type's fields share one type
+                    (item,) = {entry for _, entry, *_ in field_items(pack)}
+                    count = len(fields(pack))
+                keys[_RENAMED.get(key, key)] = SchemaKey(at, item, count, pack, bound)
 
     walk(spec_type, (), "")
     return dict(sorted(keys.items()))
-
-
-def _schema_key(path: tuple, hint) -> SchemaKey:
-    if hint in _VALUE_TYPES:
-        (item,) = set(get_type_hints(hint).values())
-        return SchemaKey(path, item, len(fields(hint)), hint)
-    item, count, is_tuple = field_item(hint)
-    return SchemaKey(path, item, count, tuple if is_tuple else None)
 
 
 def _get(obj, path: tuple):

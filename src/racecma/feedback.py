@@ -45,8 +45,8 @@ import numpy as np
 
 from .radar import (CellConstants, Frame, build_frames, cell_constants, measure_cell,
                     measure_cells, noise_words, realize_channel)
-from .scenario import (ScenarioConfig, TargetState, check_fields, initial_target_state,
-                       propagate_target)
+from .scenario import (Count, ScenarioConfig, TargetState, UnitShare, check_fields,
+                       initial_target_state, propagate_target)
 from .seeding import frame_seeds
 # Not used here: the benchmark tracer wraps these four names at this import
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
@@ -97,19 +97,15 @@ class StateActionTable:
     multipliers stretch the measurement cadence; 1 means every frame.
     """
 
-    power_factors: tuple[float, float, float, float] = (1.0, 0.8, 0.5, 0.2)
+    power_factors: tuple[UnitShare, UnitShare, UnitShare, UnitShare] = (1.0, 0.8, 0.5, 0.2)
     # Once locked, coast every other frame: the echo is strong enough that
     # halving the cadence saves power without losing the track.
-    period_multipliers: tuple[int, int, int, int] = (1, 1, 1, 2)
+    period_multipliers: tuple[Count, Count, Count, Count] = (1, 1, 1, 2)
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if any(not 0.0 <= f <= 1.0 for f in self.power_factors):
-            raise ValueError("power factors must lie in [0, 1]")
         if any(a < b for a, b in zip(self.power_factors, self.power_factors[1:])):
             raise ValueError("power factors must be non-increasing in state index")
-        if any(p < 1 for p in self.period_multipliers):
-            raise ValueError("period multipliers must be positive integers")
 
 
 DEFAULT_ACTIONS = StateActionTable()

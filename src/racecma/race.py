@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Annotated, Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .objective import (
     StochasticObjective,
     derive_seed_plan,
 )
-from .scenario import check_fields
+from .scenario import Bound, Count, Positive, UnitFraction, check_fields
 from .seeding import derive_seed, rng_from
 
 
@@ -45,27 +45,17 @@ class RacingConfig:
     """Racing knobs: promotion fraction, fidelity ratio, Stage-2 truncation,
     repetitions, weighting floor, threshold spacing and sampling structure."""
 
-    promotion_fraction: float = 0.5
-    fidelity_ratio: float = 0.2
-    truncation: float = 1.0
-    repetitions: int = 1
-    weighting_floor: float = 1e-8
-    min_spacing: float = 0.1
-    diagonal_warmup_generations: int = 2
+    promotion_fraction: UnitFraction = 0.5
+    fidelity_ratio: UnitFraction = 0.2
+    truncation: UnitFraction = 1.0
+    repetitions: Count = 1
+    weighting_floor: Positive = 1e-8
+    min_spacing: Positive = 0.1
+    diagonal_warmup_generations: Annotated[int, Bound(0)] = 2
     mirrored_sampling: bool = True
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("promotion_fraction", "fidelity_ratio", "truncation"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        for name in ("weighting_floor", "min_spacing"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.diagonal_warmup_generations < 0:
-            raise ValueError("diagonal_warmup_generations must be >= 0")
 
     def promoted_count(self, lam: int) -> int:
         return max(1, int(self.promotion_fraction * lam))

@@ -6,16 +6,18 @@ sits at another fixed position, and a single point target moves inside a
 rectangular sensing region, bouncing off its edges.
 
 Every config dataclass first checks its fields against their annotations
-(:func:`check_fields`), which ``config.schema`` reads too (:func:`field_item`).
+(:func:`check_fields`): each field's kind, and its range where the annotation
+carries a :class:`Bound`. ``config.schema`` reads the same per-field table
+(:func:`field_items`), so the key table states both.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,6 +28,42 @@ BOLTZMANN_X_T0 = 1.380649e-23 * 290.0  # thermal noise density at 290 K, W/Hz
 # Inset of the target's spawn band from each side of the region, as a
 # fraction of the region's extent.
 TARGET_SPAWN_MARGIN = 0.25
+
+
+@dataclass(frozen=True)
+class Bound:
+    """The range of a field, or of each entry of a tuple field, carried by
+    its annotation: ``Annotated[float, Bound(0, 1, "(]")]``. ``hi`` None is
+    no upper end; ``ends`` says which ends are closed, ``[`` and ``]``, or
+    open, ``(`` and ``)``."""
+
+    lo: float
+    hi: float | None = None
+    ends: str = "[]"
+
+    def holds(self, v) -> bool:
+        if not (v > self.lo if self.ends[0] == "(" else v >= self.lo):
+            return False
+        return self.hi is None or (v < self.hi if self.ends[1] == ")" else v <= self.hi)
+
+    def __str__(self) -> str:
+        """``>= 1``, ``> 0`` or ``in (0, 1]``."""
+        if self.hi is None:
+            return f"{'>' if self.ends[0] == '(' else '>='} {self.lo:g}"
+        return f"in {self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+
+    def rule(self) -> str:
+        """What a value past the bound is told: ``be >= 1``, ``be positive``
+        or ``lie in (0, 1]``."""
+        text = str(self)
+        return "be positive" if text == "> 0" else f"{'be' if self.hi is None else 'lie'} {text}"
+
+
+Count = Annotated[int, Bound(1)]
+Positive = Annotated[float, Bound(0, ends="()")]
+NonNegative = Annotated[float, Bound(0)]
+UnitShare = Annotated[float, Bound(0, 1)]  # [0, 1]
+UnitFraction = Annotated[float, Bound(0, 1, "(]")]  # (0, 1]
 
 
 @dataclass(frozen=True)
@@ -52,36 +90,34 @@ class GainModel:
     models one extra echo arriving later, weaker and offset in angle.
     """
 
-    scattering_gain: float = 100.0
-    nlos_gain_ratio: float = 0.2
-    nlos_excess_delay: float = 1.5e-7
+    scattering_gain: Positive = 100.0
+    nlos_gain_ratio: UnitShare = 0.2
+    nlos_excess_delay: NonNegative = 1.5e-7
     nlos_angle_offset: float = 0.35
     nlos_doppler_ratio: float = 0.5
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.scattering_gain <= 0:
-            raise ValueError("scattering_gain must be positive")
-        if self.nlos_gain_ratio < 0 or self.nlos_excess_delay < 0:
-            raise ValueError("specular component must not precede or exceed the direct path")
 
 
-def field_item(hint) -> tuple[type, int | None, bool]:
-    """The entry type of a field annotated ``hint``, its entry count (None for
-    ``tuple[X, ...]``, 1 for a scalar) and whether it is a tuple."""
-    if get_origin(hint) is not tuple:
-        return hint, 1, False
-    args = get_args(hint)
-    if args[-1] is Ellipsis:
-        return args[0], None, True
-    (item,) = set(args)
-    return item, len(args), True
+def _field_item(hint) -> tuple[type, int | None, bool, Bound | None]:
+    count, is_tuple = 1, get_origin(hint) is tuple
+    if is_tuple:
+        args = get_args(hint)
+        count = None if args[-1] is Ellipsis else len(args)
+        (hint,) = set(args) - {Ellipsis}
+    hint, bound = get_args(hint) if get_origin(hint) is Annotated else (hint, None)
+    return hint, count, is_tuple, bound
 
 
 @cache
-def _field_items(cls: type) -> tuple:
-    hints = get_type_hints(cls)
-    return tuple((f.name, *field_item(hints[f.name])) for f in fields(cls))
+def field_items(cls: type) -> tuple:
+    """``(name, item, count, is_tuple, bound)`` for each field of the
+    dataclass ``cls``: the entry type, the entry count (None for
+    ``tuple[X, ...]``, 1 for a scalar), whether the field is a tuple and
+    the :class:`Bound` of each entry (None for no range)."""
+    hints = get_type_hints(cls, include_extras=True)
+    return tuple((f.name, *_field_item(hints[f.name])) for f in fields(cls))
 
 
 # The rule for an entry annotated int, float or bool; other types take their instances.
@@ -97,33 +133,26 @@ def check_fields(config) -> None:
     """Reject a field of the dataclass ``config``, or a tuple field's entry,
     whose value does not fit the field's annotation, and a tuple of another
     length than its annotation's. Such a value fails only mid-run, at its
-    first use, or in ``spec.cfg``, which cannot read it back."""
-    for name, item, count, is_tuple in _field_items(type(config)):
+    first use, or in ``spec.cfg``, which cannot read it back. A value of the
+    right kind is then checked against the annotation's :class:`Bound`, and
+    every error names its field."""
+    for name, item, count, is_tuple, bound in field_items(type(config)):
         value = getattr(config, name)
         if is_tuple and not isinstance(value, tuple):
             raise ValueError(f"{name} must be a tuple")
         if is_tuple and count not in (None, len(value)):
             raise ValueError(f"{name} must hold {count} entries")
+        entries = value if is_tuple else (value,)
         kind, fits = _KINDS.get(item, (f"a {item.__name__}", lambda v: isinstance(v, item)))
-        if not all(map(fits, value if is_tuple else (value,))):
+        if not all(map(fits, entries)):
             raise ValueError(f"{name} must be {kind}")
+        if bound and not all(map(bound.holds, entries)):
+            raise ValueError(f"{name} must {bound.rule()}")
 
 
 def planar_distance(dx: float, dy: float) -> float:
     """The scenario's checks and the channel's legs share it, overflow and all."""
     return math.sqrt(dx * dx + dy * dy)
-
-
-# Count fields that must be at least 1.
-_POSITIVE_COUNTS = (
-    "n_bs_antennas",
-    "n_ue_antennas",
-    "n_subcarriers",
-    "n_symbols",
-    "n_beams",
-    "n_delay_bins",
-    "n_doppler_bins",
-)
 
 
 @dataclass(frozen=True)
@@ -135,44 +164,40 @@ class ScenarioConfig:
     quarter-to-three-quarter-pi cone, one target at 3 m/s and a 10 s horizon.
     """
 
-    n_bs_antennas: int = 32
-    n_ue_antennas: int = 16
+    n_bs_antennas: Count = 32
+    n_ue_antennas: Count = 16
     antenna_spacing: float = 0.5  # in carrier wavelengths
-    carrier_freq: float = 24e9
-    subcarrier_spacing: float = 15e3
-    n_subcarriers: int = 40
-    n_symbols: int = 100
-    symbol_duration: float = 100e-6
-    n_beams: int = 20
+    carrier_freq: Positive = 24e9
+    subcarrier_spacing: Positive = 15e3
+    n_subcarriers: Count = 40
+    n_symbols: Count = 100
+    symbol_duration: Positive = 100e-6
+    n_beams: Count = 20
     sweep_range: tuple[float, float] = (math.pi / 4, 3 * math.pi / 4)
     tx_power_dbm: float = 20.0
     tx_power_range_dbm: tuple[float, float] = (10.0, 30.0)
     noise_figure_db: float = 6.0
     n_targets: int = 1
     target_speed: float = 3.0
-    sensing_horizon: float = 10.0
-    n_delay_bins: int = 10
-    n_doppler_bins: int = 10
-    nlos_path_count: int = 0
+    sensing_horizon: Positive = 10.0
+    n_delay_bins: Count = 10
+    n_doppler_bins: Count = 10
+    nlos_path_count: Annotated[int, Bound(0, 1)] = 0
     region: Rect = field(default_factory=lambda: Rect(-25.0, 25.0, 25.0, 75.0))
     gain_model: GainModel = field(default_factory=GainModel)
     bs_position: tuple[float, float] = (0.0, 0.0)
     ue_position: tuple[float, float] = (15.0, 10.0)
     delay_window: tuple[float, float] = (0.05e-6, 0.75e-6)
     doppler_window: tuple[float, float] = (-250.0, 250.0)
-    null_fraction: float = 0.1
+    null_fraction: Annotated[float, Bound(0, 1, "()")] = 0.1
     noise_bandwidth_scale: float = 1.0
-    interference_factor: float = 0.0
-    heading_jitter: float = 0.3
+    interference_factor: NonNegative = 0.0
+    heading_jitter: NonNegative = 0.3
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if any(getattr(self, name) < 1 for name in _POSITIVE_COUNTS):
-            raise ValueError("all counts must be >= 1")
         if self.n_targets != 1:
             raise ValueError("n_targets must be 1: the simulator models a single target")
-        if self.nlos_path_count not in (0, 1):
-            raise ValueError("nlos_path_count must be 0 or 1")
         lo, hi = self.sweep_range
         if not (0.0 < lo < hi < math.pi):
             raise ValueError("sweep_range must be an increasing interval inside (0, pi)")
@@ -183,10 +208,6 @@ class ScenarioConfig:
             dbm_to_watt(p_hi)
         except OverflowError:
             raise ValueError("tx_power_range_dbm exceeds the float range in watts") from None
-        if self.symbol_duration <= 0 or self.sensing_horizon <= 0:
-            raise ValueError("durations must be positive")
-        if self.carrier_freq <= 0 or self.subcarrier_spacing <= 0:
-            raise ValueError("carrier_freq and subcarrier_spacing must be positive")
         # The bins radar.matched_filter scans, which it rejects outside the
         # unambiguous range of the OFDM grid.
         delays, dopplers = self.search_window()
@@ -196,15 +217,11 @@ class ScenarioConfig:
         if np.any(np.abs(dopplers) > 0.5 / self.symbol_duration):
             raise ValueError("doppler_window outside the unambiguous range "
                              "[-0.5/symbol_duration, 0.5/symbol_duration]")
-        if not (0.0 < self.null_fraction < 1.0):
-            raise ValueError("null_fraction must lie in (0, 1)")
         # A guard row on every subcarrier leaves the pilot all zero: no echo.
         if self.null_subcarriers >= self.n_subcarriers:
             raise ValueError(f"null_fraction {self.null_fraction!r} makes all "
                              f"{self.n_subcarriers} of n_subcarriers guard rows; at least "
                              "one subcarrier must carry the pilot")
-        if self.interference_factor < 0 or self.heading_jitter < 0:
-            raise ValueError("interference_factor and heading_jitter must be >= 0")
         try:
             noise = self.noise_variance
         except OverflowError:  # 10 ** (noise_figure_db / 10) beyond the float range
@@ -285,9 +302,6 @@ class ScenarioConfig:
         """Delay and Doppler bin centers scanned by the matched filter."""
         return (np.linspace(*self.delay_window, self.n_delay_bins),
                 np.linspace(*self.doppler_window, self.n_doppler_bins))
-
-    def with_power(self, tx_power_dbm: float) -> "ScenarioConfig":
-        return replace(self, tx_power_dbm=tx_power_dbm)
 
 
 def dbm_to_watt(dbm: float) -> float:

@@ -27,8 +27,9 @@ from racecma.baselines import (
     project_thresholds,
     spsa_gradient,
 )
+from racecma.feedback import StateActionTable
 from racecma.objective import SyntheticObjective
-from racecma.seeding import rng_from
+from racecma.seeding import derive_seed, rng_from
 
 
 def sphere(x):
@@ -165,6 +166,28 @@ class TestMap:
         assert len(calls) == 1 and len(set(calls[0])) == 3
         assert t.dtype == float and t.shape == (3,)
         assert t[0] <= t[1] <= t[2]
+
+    def test_map_calibrate_fits_only_the_frames_it_measures(self, desk, monkeypatch):
+        # With a state-0 period of 3 the passive episodes measure every third
+        # frame; the two between hold the last value, 0.0 before the first.
+        # MAP fitted all 200 frames of two episodes, zeros and repeats too.
+        fitted = []
+
+        def captured(x, q):
+            fitted.append(np.array(x))
+            return _linear_quantiles(x, q)
+
+        monkeypatch.setattr(baselines_mod, "_linear_quantiles", captured)
+        actions = StateActionTable(period_multipliers=(3, 1, 1, 2))
+        try:
+            map_calibrate(IsacObjective(desk, actions), seed=3, episodes=2, min_samples=1)
+        except CalibrationError:
+            pass
+        seeds = [derive_seed(3, "map-calibration", ep) for ep in range(2)]
+        traces = run_episodes(desk, [(1e9, 2e9, 3e9)] * 2, seeds, actions, 1.0)
+        measured = np.concatenate([t.resi[t.power > 0] for t in traces])
+        assert len(measured) == 66
+        assert [x.tolist() for x in fitted] == [measured.tolist()]
 
     def test_map_calibrate_rejects_non_finite_echo_strengths(self, desk, monkeypatch):
         # ScenarioConfig rejects the geometries whose phase ramps overflow to

@@ -792,7 +792,9 @@ class TestCli:
          "population must be even while racing.mirrored_sampling is on"),
         (["--config", "experiment.power_grid = 20"], "power_grid needs at least two points"),
         (["--config", "experiment.generations = 0"], "generations must be >= 1"),
-        (["--config", "ipn.fd_step = 0"], "fd_step and barrier_init must be positive"),
+        # Ids kept from when one message named both fields.
+        pytest.param(["--config", "ipn.fd_step = 0"], "fd_step must be positive",
+                     id="flags12-fd_step and barrier_init must be positive"),
         (["--config", "ipn.barrier_shrink = 0"], "barrier_shrink must be > 1"),
         (["--config", "spsa.stability = -5"], "stability must be >= 0"),
         (["--config", "experiment.fixed_thresholds = 3,2,1"],
@@ -809,7 +811,8 @@ class TestCli:
         (["--config", "weights.power = -1"], "weights must be nonnegative and not all zero"),
         (["--config", "experiment.sweep_weights = 0,0,0"],
          "weights must be nonnegative and not all zero"),
-        (["--config", "scenario.carrier_freq = 0"], "carrier_freq and subcarrier_spacing must"),
+        pytest.param(["--config", "scenario.carrier_freq = 0"], "carrier_freq must be positive",
+                     id="flags24-carrier_freq and subcarrier_spacing must"),
         (["--config", "scenario.noise_bandwidth_scale = 0"],
          "noise power per resource element must lie in (1e-300, inf) W"),
         (["--config", "scenario.noise_bandwidth_scale = -1"],

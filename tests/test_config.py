@@ -25,6 +25,7 @@ from racecma.config import (
     spec_to_config,
 )
 from racecma.feedback import DEFAULT_ACTIONS
+from racecma.scenario import field_items
 
 SCHEMA = schema(ExperimentSpec)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -213,6 +214,56 @@ def test_every_field_rejects_a_wrong_kind(path, value):
     name = next(step for step in reversed(path) if isinstance(step, str))
     with pytest.raises(ValueError, match=f"^{name} must "):
         _apply(ExperimentSpec(), {path: value})
+
+
+def _past_bounds(cls: type, path: tuple = ()):
+    """(attribute path, value) pairs that put a value just past one end of
+    its range in one bounded field, or one entry of a bounded tuple field, of
+    ``cls`` or of a config object in it: the end itself where it is open, the
+    next integer or float past it where it is closed."""
+    for name, item, count, is_tuple, bound in field_items(cls):
+        at = path + (name,)
+        if is_dataclass(item):
+            yield from _past_bounds(item, at)
+            continue
+        if bound is None:
+            continue
+        past = []
+        for end, closed, way in ((bound.lo, bound.ends[0] == "[", -1),
+                                 (bound.hi, bound.ends[1] == "]", 1)):
+            if end is None:
+                continue
+            if not closed:
+                past.append(item(end))
+            else:
+                past.append(end + way if item is int else math.nextafter(end, way * math.inf))
+        entries = [at + (i,) for i in range(count)] if is_tuple else [at]
+        yield from ((entry, value) for entry in entries for value in past)
+
+
+PAST_BOUNDS = list(_past_bounds(ExperimentSpec))
+
+
+@pytest.mark.parametrize("path, value", PAST_BOUNDS, ids=[
+    f"{'.'.join(map(str, path))}={value!r}" for path, value in PAST_BOUNDS])
+def test_every_bounded_field_rejects_a_value_past_its_bound(path, value):
+    # A range is read from the field's annotation and nowhere else: each
+    # value just past an end must be rejected by a message that names the
+    # field, on the spec and through the key that spells it.
+    name = next(step for step in reversed(path) if isinstance(step, str))
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        _apply(ExperimentSpec(), {path: value})
+    key = next((k for k, entry in SCHEMA.items() if entry.path in (path, path[:-1])), None)
+    if key is None:
+        assert path == ("jobs",)  # the only field no file sets
+        return
+    entry = SCHEMA[key]
+    whole = value
+    if entry.path != path:  # one entry of a tuple key
+        whole = list(_get(ExperimentSpec(), entry.path))
+        whole[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        spec_from_config({key: entry.format(whole)}, ExperimentSpec())
 
 
 def _other_values(key: str):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from racecma import scenario as scenario_mod
 from racecma.feedback import EpisodeWorld
 from racecma.scenario import (
     TARGET_SPAWN_MARGIN,
+    GainModel,
     Rect,
     TargetState,
     dbm_to_watt,
@@ -162,6 +164,14 @@ def test_guard_rows_on_every_subcarrier_rejected(overrides, guarded):
     assert desk_scenario(null_fraction=0.95).null_subcarriers == 23  # one pilot row of 24
 
 
+@pytest.mark.parametrize("ratio", [1.0 + 1e-9, 5.0])
+def test_specular_echo_is_no_stronger_than_the_direct_one(ratio):
+    # GainModel's specular echo is the weaker one; a ratio above 1 was accepted.
+    with pytest.raises(ValueError, match=r"^nlos_gain_ratio must lie in \[0, 1\]$"):
+        GainModel(nlos_gain_ratio=ratio)
+    assert GainModel(nlos_gain_ratio=1.0).nlos_gain_ratio == 1.0
+
+
 @pytest.mark.parametrize("whole_float", [False, True])
 @pytest.mark.parametrize("name", [
     "n_bs_antennas", "n_ue_antennas", "n_subcarriers", "n_symbols", "n_beams",
@@ -207,7 +217,7 @@ def test_derived_quantities(desk):
     delays, dopplers = desk.search_window()
     assert len(delays) == desk.n_delay_bins and len(dopplers) == desk.n_doppler_bins
     assert dbm_to_watt(30.0) == pytest.approx(1.0)
-    assert desk.with_power(25.0).tx_power_w == pytest.approx(10 ** (-0.5))
+    assert replace(desk, tx_power_dbm=25.0).tx_power_w == pytest.approx(10 ** (-0.5))
 
 
 def test_beam_geometry(desk):
