@@ -44,10 +44,10 @@ from typing import Sequence
 import numpy as np
 
 from .radar import (CellConstants, Frame, build_frames, cell_constants, measure_cell,
-                    measure_cells, noise_words, realize_channel)
+                    measure_cells, realize_channel)
 from .scenario import (Count, ScenarioConfig, TargetState, UnitShare, check_fields,
                        initial_target_state, propagate_target)
-from .seeding import frame_seeds
+from .seeding import frame_noise_words
 # Not used here: the benchmark tracer wraps these four names at this import
 # site (perfbench/tracer.py SITES) until it reads counters kept inside the
 # package (ROADMAP item 2b).
@@ -158,7 +158,7 @@ class EpisodeWorld:
         self.cells: dict[tuple[int, int, float], float] = {}
         self.target: TargetState | None = None  # the current frame's
         self.bearing = math.nan
-        self.words = np.empty((0, 4), dtype=np.uint64)  # a row per frame: radar.noise_words
+        self.words = np.empty((0, 4), dtype=np.uint64)  # a row per frame: frame_noise_words
 
     def advance(self, t: int) -> None:
         """Make frame ``t`` current: in a kept world any frame, grown to it
@@ -196,17 +196,15 @@ class EpisodeWorld:
 
 def _seed_frames(worlds: Sequence[EpisodeWorld], n_frames: int) -> None:
     """Give each world the noise seed words of its frames before
-    ``n_frames``, mixed in one pass per world that lacks any:
-    :func:`radar.noise_words` of the frame seeds ``derive_seed(seed,
-    "frame", t)`` (:func:`seeding.frame_seeds`). A pass has a fixed cost
-    that one stack's frames would not repay, so it covers a call's frames
-    up front, the ones the cadence will skip included; a pass per world
-    keeps a batch's transient arrays those of one world, whatever its
-    seed count."""
+    ``n_frames``, mixed in one pass per world that lacks any
+    (:func:`seeding.frame_noise_words`). A pass has a fixed cost that one
+    stack's frames would not repay, so it covers a call's frames up front,
+    the ones the cadence will skip included; a pass per world keeps a
+    batch's transient arrays those of one world, whatever its seed count."""
     for world in worlds:
         if len(world.words) < n_frames:
             world.words = np.concatenate(
-                (world.words, noise_words(frame_seeds(world.seed, len(world.words), n_frames))))
+                (world.words, frame_noise_words(world.seed, len(world.words), n_frames)))
 
 
 # How many frames a one-seed batch builds as one stack, its block, whose

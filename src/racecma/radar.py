@@ -22,29 +22,29 @@ noise draw over the active rows) do not depend on the beam or the power.
 So each visit to a frame builds the two surfaces, the noise floor and the
 departure steering vector, from the channel and one draw of the frame's
 noise (the chain's generator, seeded from the frame's row of
-:func:`noise_words`), and a cell is a scalar times a (D, V) surface, an
-add and a peak; no (K, M) grid is built per cell. Every frame is built in
-a stack, a :class:`Frame` (:func:`build_frames`), each array operation
-once over the stack (the noise's once over each chunk of it, below): the
-frames of every world of a batch that misses a cell at one frame, or a
-block of a one-seed batch's next frames. A cell is addressed by its stack
-and its frame's index in it, and measured alone (:func:`measure_cell`) or
-with others of the stack in one pass (:func:`measure_cells`). A frame's
-values, and each of its cells, are the same bit for bit whatever stack it
-is built in and however its cells are measured. The split equals the
-chain up to rounding (a relative difference of the order of 1e-15), and
-the two share no cell arithmetic, so the chain stays an independent
-reference model.
+:func:`seeding.frame_noise_words`), and a cell is a scalar times a (D, V)
+surface, an add and a peak; no (K, M) grid is built per cell. Every frame
+is built in a stack, a :class:`Frame` (:func:`build_frames`), each array
+operation once over the stack (the noise's once over each chunk of it,
+below): the frames of every world of a batch that misses a cell at one
+frame, or a block of a one-seed batch's next frames. A cell is addressed
+by its stack and its frame's index in it, and measured alone
+(:func:`measure_cell`) or with others of the stack in one pass
+(:func:`measure_cells`). A frame's values, and each of its cells, are the
+same bit for bit whatever stack it is built in and however its cells are
+measured. The split equals the chain up to rounding (a relative
+difference of the order of 1e-15), and the two share no cell arithmetic,
+so the chain stays an independent reference model.
 
-Each frame's noise comes from a generator of its own (:func:`_fill`). A
-stack draws it a chunk of frames at a time into one buffer of at most
-:data:`DRAW_NORMALS` normals, a 16-frame desk block's, so a desk stack of
-up to 16 frames draws at once and a paper stack three frames at a time,
-and the memory a stack's draw holds does not grow with the stack. numpy
-releases the GIL while a generator fills, so two threads that build
-stacks at once draw at once. This module starts no thread: a paper-scale
-batch of several seeds splits its worlds over two threads one layer up
-(:func:`feedback.run_episodes`).
+Each frame's noise comes from a generator of its own, seeded from its
+words (:func:`seeding.fill_normals`). A stack draws it a chunk of frames
+at a time into one buffer of at most :data:`DRAW_NORMALS` normals, a
+16-frame desk block's, so a desk stack of up to 16 frames draws at once
+and a paper stack three frames at a time, and the memory a stack's draw
+holds does not grow with the stack. numpy releases the GIL while a
+generator fills, so two threads that build stacks at once draw at once.
+This module starts no thread: a paper-scale batch of several seeds splits
+its worlds over two threads one layer up (:func:`feedback.run_episodes`).
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, ScenarioConfig, TargetState, planar_distance
-from .seeding import derive_seed, generator_from_words, noise_seeds, seed_words
+from .seeding import derive_seed, fill_normals
 
 
 class GeometryError(ValueError):
@@ -351,24 +351,6 @@ def _guard_power(const: CellConstants, noise: np.ndarray) -> np.ndarray:
     return np.square(power, out=power)
 
 
-def noise_words(seeds: Iterable[int]) -> np.ndarray:
-    """The noise seed words of the frame of each frame seed in ``seeds`` (a
-    Python int, as :func:`seeding.frame_seeds` gives it), one row of (N, 4)
-    per frame (:func:`seeding.seed_words`). A frame's noise seed is
-    ``derive_seed(seed, "rx-noise")`` (:func:`seeding.noise_seeds`), as in
-    :func:`synthesize_rx_grid`, so a frame built from its row draws the
-    chain's noise."""
-    return seed_words(noise_seeds(seeds))
-
-
-def _fill(words: Sequence[np.ndarray], draws: np.ndarray) -> None:
-    """Draw each frame's unit normals into its slice of ``draws`` from the
-    generator of its row of ``words``: every slice, one row each, so the two
-    must be of one length."""
-    for row, out in zip(words, draws, strict=True):
-        generator_from_words(row).standard_normal(out=out)
-
-
 # The most unit normals a stack's noise draw buffer holds: one block of 16
 # desk frames (1 536 normals each). So a desk stack of up to 16 frames, a
 # block or a default batch's world stack, draws as one chunk, and a paper
@@ -384,10 +366,10 @@ def build_frames(
 ) -> Frame:
     """The per-frame part of every cell of each frame ``(channels[b],
     words[b])``, as one stack of frames of one scenario; ``words[b]`` is the
-    frame's row of :func:`noise_words`, which seeds its noise draw. Each
-    array operation runs once over the stack, but the noise: the frames draw
-    it a chunk at a time into one buffer of at most :data:`DRAW_NORMALS`
-    normals, and each chunk's floors and noise surfaces go into the stack
+    frame's row of :func:`seeding.frame_noise_words`, which seeds its noise
+    draw. Each array operation runs once over the stack, but the noise: the
+    frames draw it a chunk at a time into one buffer of at most
+    :data:`DRAW_NORMALS` normals, and each chunk's floors and noise surfaces go into the stack
     before the next chunk draws. So the draw's memory does not grow with the
     stack, and each frame's values do not depend on the other frames of the
     stack, on its size or on its chunks. It holds no state between calls, so
@@ -420,7 +402,7 @@ def build_frames(
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         part = draws[:stop - start]
-        _fill(words[start:stop], part)
+        fill_normals(words[start:stop], part)
         grid = part.view(np.complex128)[..., 0]
         # The row-wise reduce over the chunk's runs of guard rows equals the
         # 1-D reduce of each run, so a frame's floor does not depend on the

@@ -166,7 +166,7 @@ class ScenarioConfig:
 
     n_bs_antennas: Count = 32
     n_ue_antennas: Count = 16
-    antenna_spacing: float = 0.5  # in carrier wavelengths
+    antenna_spacing: Positive = 0.5  # in carrier wavelengths
     carrier_freq: Positive = 24e9
     subcarrier_spacing: Positive = 15e3
     n_subcarriers: Count = 40
@@ -178,7 +178,7 @@ class ScenarioConfig:
     tx_power_range_dbm: tuple[float, float] = (10.0, 30.0)
     noise_figure_db: float = 6.0
     n_targets: int = 1
-    target_speed: float = 3.0
+    target_speed: NonNegative = 3.0
     sensing_horizon: Positive = 10.0
     n_delay_bins: Count = 10
     n_doppler_bins: Count = 10
@@ -249,7 +249,7 @@ class ScenarioConfig:
                              "distances of each other")
         if distances[0] < 1e-6:
             raise ValueError("bs_position and ue_position must be distinct")
-        step = abs(self.target_speed) * self.frame_duration
+        step = self.target_speed * self.frame_duration
         if not step <= min(r.x_max - r.x_min, r.y_max - r.y_min):
             raise ValueError("target_speed * frame_duration must not exceed the "
                              "region's shorter side")

@@ -6,26 +6,27 @@ per-frame noise, target motion, candidate evaluations and benchmark
 repetitions can be computed in any order (or concurrently) and still
 reproduce bit-identically.
 
-Most generators are ``np.random.default_rng(seed)``. A frame's noise
-generator is seeded the same way, through a cheaper path, since the episode
-loop makes one per drawn frame. ``default_rng(s)`` mixes ``s`` in numpy's
-``SeedSequence`` into four 64-bit words, ``generate_state(4, np.uint64)``,
-and seeds a ``PCG64`` with them. That mixing is a fixed sequence of 32-bit
-xors, multiplications and shifts, which :func:`seed_words` runs over many
-seeds at once in numpy arrays, and :func:`generator_from_words` seeds a
-``PCG64`` with one seed's words. So its stream is ``default_rng(s)``'s, bit
-for bit (``tests/test_seeding.py`` holds both to numpy's over the whole
-63-bit range), and building it skips ``SeedSequence``, most of
-``default_rng``'s cost. The seeds themselves, ``derive_seed(seed, "frame",
-t)`` and its child ``derive_seed(frame_seed, "rx-noise")``, come from
-:func:`frame_seeds` and :func:`noise_seeds`, which hash the same bytes
-with less formatting.
+Most generators are ``np.random.default_rng(seed)``. This module also owns
+a frame's noise stream, which the episode loop needs once per drawn frame,
+so it builds it through a cheaper path. ``default_rng(s)`` mixes ``s`` in
+numpy's ``SeedSequence`` into four 64-bit words,
+``generate_state(4, np.uint64)``, and seeds a ``PCG64`` with them. That
+mixing is a fixed sequence of 32-bit xors, multiplications and shifts,
+which :func:`seed_words` runs over many seeds at once in numpy arrays, and
+:func:`generator_from_words` seeds a ``PCG64`` with one seed's words. So
+its stream is ``default_rng(s)``'s, bit for bit (``tests/test_seeding.py``
+holds both to numpy's over the whole 63-bit range), and building it skips
+``SeedSequence``, most of ``default_rng``'s cost. :func:`frame_noise_words`
+gives the words of a run of frames, whose seeds,
+``derive_seed(derive_seed(seed, "frame", t), "rx-noise")``, it hashes from
+the same bytes with less formatting, and :func:`fill_normals` draws each
+frame's normals from its words.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -42,31 +43,30 @@ def derive_seed(*parts) -> int:
     """
     # One buffer, hashed once: each part's repr followed by a unit separator.
     data = (("%r\x1f" * len(parts)) % parts).encode()
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little") & _MASK63
+    return _seed63(hashlib.sha256(data))
 
 
-def frame_seeds(seed, start: int, stop: int) -> list[int]:
-    """``derive_seed(seed, "frame", t)`` of each frame t in [start, stop),
-    from one SHA-256 pre-fed with ``repr(seed)`` and ``"frame"`` and copied
-    per frame, so each frame hashes only its own index."""
+def _seed63(digest) -> int:
+    """A SHA-256's first 8 bytes, little-endian, truncated to 63 bits."""
+    return int.from_bytes(digest.digest()[:8], "little") & _MASK63
+
+
+def frame_noise_words(seed, start: int, stop: int) -> np.ndarray:
+    """The noise seed words of each frame t in [start, stop) of the episode
+    of ``seed``, one row of (N, 4) per frame: :func:`seed_words` of
+    ``derive_seed(derive_seed(seed, "frame", t), "rx-noise")``, the seed
+    from which the reference chain draws frame t's noise. Each frame hashes
+    the same bytes with less formatting: a copy of one SHA-256 pre-fed with
+    ``repr(seed)`` and ``"frame"`` takes the frame index, and the noise
+    seed's buffer, its frame seed's decimal digits (a Python int's repr)
+    and ``"rx-noise"``, is formatted in place."""
     prefix = hashlib.sha256(("%r\x1f'frame'\x1f" % (seed,)).encode())
-    seeds = []
+    noise = []
     for t in range(start, stop):
-        digest = prefix.copy()
-        digest.update(b"%d\x1f" % t)
-        seeds.append(int.from_bytes(digest.digest()[:8], "little") & _MASK63)
-    return seeds
-
-
-def noise_seeds(seeds: Iterable[int]) -> np.ndarray:
-    """``derive_seed(s, "rx-noise")`` of each frame seed ``s``, a Python int
-    as :func:`frame_seeds` gives it (whose repr is its decimal digits), as a
-    ``uint64`` array. Each is one SHA-256 of a buffer formatted in place."""
-    sha256 = hashlib.sha256
-    return np.fromiter(
-        (int.from_bytes(sha256(b"%d\x1f'rx-noise'\x1f" % s).digest()[:8], "little") & _MASK63
-         for s in seeds),
-        np.uint64)
+        frame = prefix.copy()
+        frame.update(b"%d\x1f" % t)
+        noise.append(_seed63(hashlib.sha256(b"%d\x1f'rx-noise'\x1f" % _seed63(frame))))
+    return seed_words(noise)
 
 
 def rng_from(*parts) -> np.random.Generator:
@@ -161,3 +161,11 @@ def generator_from_words(words: np.ndarray) -> np.random.Generator:
     if words.shape != (4,) or words.dtype != np.uint64 or not words.flags.c_contiguous:
         raise ValueError("seed words must be a contiguous (4,) uint64 array")
     return np.random.Generator(np.random.PCG64(_Words(words)))
+
+
+def fill_normals(words: Sequence[np.ndarray], out: np.ndarray) -> None:
+    """Draw each frame's unit normals into its slice of ``out`` from the
+    generator of its row of ``words`` (:func:`generator_from_words`):
+    every slice, one row each, so the two must be of one length."""
+    for row, draws in zip(words, out, strict=True):
+        generator_from_words(row).standard_normal(out=draws)

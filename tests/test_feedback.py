@@ -22,8 +22,7 @@ from racecma.feedback import (
     scalarize,
     sensing_latency,
 )
-from racecma.radar import noise_words
-from racecma.seeding import frame_seeds
+from racecma.seeding import frame_noise_words
 
 T357 = (3.0, 5.0, 7.0)
 
@@ -249,7 +248,7 @@ def _reference(scenario, thresholds, actions, seed, fidelity, echo):
     n = math.ceil(fidelity * scenario.frame_count)
     world = EpisodeWorld(scenario, seed)
     world.grow(n)
-    words = noise_words(frame_seeds(seed, 0, n))
+    words = frame_noise_words(seed, 0, n)
     state, belief, last, swept, beam = 0, 0.0, -1, 0, None
     resi, states, in_beam, power = [], [], [], []
     for t in range(n):

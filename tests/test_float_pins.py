@@ -30,9 +30,9 @@ import pytest
 
 from racecma import ScenarioConfig, desk_scenario, run_episode
 from racecma.radar import (build_frames, cell_constants, compute_resi, matched_filter,
-                           measure_cell, noise_words, realize_channel, synthesize_rx_grid)
+                           measure_cell, realize_channel, synthesize_rx_grid)
 from racecma.scenario import TargetState, dbm_to_watt
-from racecma.seeding import derive_seed
+from racecma.seeding import derive_seed, seed_words
 
 FIXTURE = Path(__file__).parent / "data" / "cells.json"
 SCENARIOS = {
@@ -80,7 +80,9 @@ def _cell_values(scenario: ScenarioConfig, cell: dict) -> dict:
     grid = synthesize_rx_grid(scenario, channel, cell["beam"], cell["power_w"], cell["seed"])
     chain = compute_resi(matched_filter(grid, scenario.search_window()), grid)
     const = cell_constants(scenario)
-    frames = build_frames(const, [channel], noise_words([cell["seed"]]))
+    # The chain's grid of seed s draws from derive_seed(s, "rx-noise").
+    words = seed_words([derive_seed(cell["seed"], "rx-noise")])
+    frames = build_frames(const, [channel], words)
     values = {f: getattr(channel, f) for f in CHANNEL_FIELDS}
     if channel.nlos is not None:
         values.update({f"nlos_{f}": getattr(channel.nlos, f) for f in NLOS_FIELDS})

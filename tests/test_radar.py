@@ -32,17 +32,23 @@ from racecma.radar import (
     matched_filter,
     measure_cell,
     measure_cells,
-    noise_words,
     realize_channel,
     steering_vector,
     synthesize_rx_grid,
 )
 from racecma.scenario import SPEED_OF_LIGHT, TargetState
-from racecma.seeding import derive_seed, generator_from_words, rng_from, seed_words
+from racecma.seeding import (derive_seed, fill_normals, frame_noise_words, generator_from_words,
+                             rng_from, seed_words)
 
 
 def _target(position, velocity=(0.0, 0.0)):
     return TargetState(position=position, velocity=velocity)
+
+
+def chain_words(seeds):
+    """The noise seed words of the chain's grid of each seed: the grid of
+    ``seed`` draws from ``derive_seed(seed, "rx-noise")``."""
+    return seed_words([derive_seed(seed, "rx-noise") for seed in seeds])
 
 
 class TestRealizeChannel:
@@ -515,7 +521,7 @@ class TestSplitMatchesChain:
         scenario = _SCENARIOS[key]
         const = cell_constants(scenario)
         channel = realize_channel(scenario, _target(position, velocity))
-        frames = build_frames(const, [channel], noise_words([seed]))
+        frames = build_frames(const, [channel], chain_words([seed]))
         grid = synthesize_rx_grid(scenario, channel, beam, power_w, seed)
         chain = compute_resi(matched_filter(grid, scenario.search_window()), grid)
         assert_near(frames.floor[0], chain.noise_floor)
@@ -638,13 +644,13 @@ stack_given = given(
 
 
 def _stack(key, frames, picks):
-    """A stack's scenario, constants, channels, frame seeds, their noise
-    words and cells."""
+    """A stack's scenario, constants, channels, the chain seed of each
+    frame, their noise words and cells."""
     scenario = _SCENARIOS[key]
     channels = [realize_channel(scenario, _target(p, (1.0, -0.5))) for p, _ in frames]
     seeds = [seed for _, seed in frames]
     cells = [(b % len(frames), beam, eta * scenario.tx_power_w) for b, beam, eta in picks]
-    return scenario, cell_constants(scenario), channels, seeds, noise_words(seeds), cells
+    return scenario, cell_constants(scenario), channels, seeds, chain_words(seeds), cells
 
 
 def _alone(const, channel, row):
@@ -659,15 +665,15 @@ def test_fill_draws_exactly_the_rows_it_is_given(desk, rows):
     # it is for a stack.
     const = cell_constants(desk)
     shape = const.pilot.shape
-    words = noise_words(range(3))
+    words = frame_noise_words(0, 0, 3)
     draws = np.full((rows, *shape, 2), np.nan)
     if rows != len(words):
         with pytest.raises(ValueError):
-            radar_mod._fill(words, draws)
+            fill_normals(words, draws)
         with pytest.raises(ValueError, match="one noise words row per channel"):
             build_frames(const, [realize_channel(desk, _target((0.0, 50.0)))] * rows, words)
         return
-    radar_mod._fill(words, draws)
+    fill_normals(words, draws)
     for row, out in zip(words, draws):
         assert out.tobytes() == generator_from_words(row).standard_normal((*shape, 2)).tobytes()
 
@@ -684,7 +690,7 @@ def test_split_validates_beam_and_power(desk, split, beam, power_w, message):
     assert desk.n_beams == 20
     const = cell_constants(desk)
     frames = build_frames(const, [realize_channel(desk, _target((0.0, 50.0)))],
-                          noise_words([1]))
+                          chain_words([1]))
     with pytest.raises(ValueError, match=message):
         if split is measure_cell:
             split(const, frames, 0, beam, power_w)

@@ -1,8 +1,8 @@
 """derive_seed hashes one joined buffer; its seeds are those of the
-streaming form it replaced, so no seeded stream moves. The frame and noise
-seeds hashed from a copied prefix and a formatted buffer are derive_seed's.
-A frame's noise generator, built from seed words mixed in a batch, is
-numpy's ``default_rng`` of the same seed."""
+streaming form it replaced, so no seeded stream moves. A frame's noise seed
+words, hashed from a copied prefix and a formatted buffer and mixed in a
+batch, are SeedSequence's of its derive_seed noise seed, and its noise
+generator and draws are numpy's ``default_rng`` of the same seed."""
 
 import hashlib
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from racecma.seeding import (derive_seed, frame_seeds, generator_from_words, noise_seeds,
+from racecma.seeding import (derive_seed, fill_normals, frame_noise_words, generator_from_words,
                              seed_words)
 
 
@@ -44,7 +44,8 @@ def test_joined_buffer_matches_streaming_digest(parts):
 seeds_63 = st.integers(0, 2**63 - 1)
 
 
-# Every pinned noise draw rests on these two being derive_seed's seeds.
+# Every pinned noise draw rests on these words being those of derive_seed's
+# noise seeds, from any frame on.
 @given(seed=st.one_of(seeds_63, seeds_63.map(np.int64)), start=st.integers(0, 5000),
        count=st.integers(0, 4))
 @example(seed=0, start=0, count=1)
@@ -53,11 +54,13 @@ seeds_63 = st.integers(0, 2**63 - 1)
 @example(seed=np.int64(2**63 - 1), start=0, count=2)
 def test_frame_and_noise_seeds_equal_derive_seeds(seed, start, count):
     stop = min(start + count, 5001)
-    frames = frame_seeds(seed, start, stop)
-    assert frames == [derive_seed(seed, "frame", t) for t in range(start, stop)]
-    noise = noise_seeds(frames)
-    assert noise.dtype == np.uint64
-    assert noise.tolist() == [derive_seed(s, "rx-noise") for s in frames]
+    words = frame_noise_words(seed, start, stop)
+    assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
+    assert words.flags.c_contiguous
+    for t, row in zip(range(start, stop), words, strict=True):
+        noise_seed = derive_seed(derive_seed(seed, "frame", t), "rx-noise")
+        expected = np.random.SeedSequence(noise_seed).generate_state(4, np.uint64)
+        assert row.tobytes() == expected.tobytes()
 
 
 # This rests on numpy's SeedSequence algorithm, which seed_words ports: a
@@ -77,6 +80,11 @@ def test_words_and_draws_equal_numpys(seed, others):
         assert row.tobytes() == np.random.SeedSequence(s).generate_state(4, np.uint64).tobytes()
         drawn = generator_from_words(row).standard_normal(64)
         assert drawn.tobytes() == np.random.default_rng(s).standard_normal(64).tobytes()
+    # fill_normals draws each row's stream into its slice of one buffer.
+    filled = np.empty((len(seeds), 64))
+    fill_normals(words, filled)
+    for s, out in zip(seeds, filled):
+        assert out.tobytes() == np.random.default_rng(s).standard_normal(64).tobytes()
 
 
 @pytest.mark.parametrize("words", [

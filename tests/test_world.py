@@ -17,11 +17,12 @@ from racecma import IsacObjective, classify, desk_scenario, run_episode, run_epi
 from racecma import feedback as feedback_mod
 from racecma import radar as radar_mod
 from racecma import scenario as scenario_mod
+from racecma import seeding as seeding_mod
 from racecma.feedback import (EpisodeTrace, EpisodeWorld, InfeasibleThresholdsError,
                               StateActionTable)
 from racecma.radar import compute_resi, matched_filter, realize_channel, synthesize_rx_grid
 from racecma.scenario import ScenarioConfig, initial_target_state, propagate_target
-from racecma.seeding import derive_seed, frame_seeds
+from racecma.seeding import derive_seed, seed_words
 
 
 def reference_episode(scenario, thresholds, actions, seed, fidelity) -> EpisodeTrace:
@@ -73,24 +74,25 @@ def held_world():
 @pytest.fixture
 def draws(monkeypatch):
     """The frame seed of each noise draw, in order, wherever it is drawn:
-    a frame built in any stack seeds its draw's generator with the
-    frame's row of ``radar.noise_words``, which a call mixes up front for
+    a frame built in any stack seeds its draw's generator with the frame's
+    row of ``seeding.frame_noise_words``, which a call mixes up front for
     every frame, drawn or not, in one pass per world."""
     drawn, seed_of = [], {}
-    noise_words, generator_from_words = radar_mod.noise_words, radar_mod.generator_from_words
+    frame_noise_words = feedback_mod.frame_noise_words
+    generator_from_words = seeding_mod.generator_from_words
 
-    def mixed(seeds):
-        seeds = list(seeds)
-        words = noise_words(seeds)
-        seed_of.update((row.tobytes(), seed) for row, seed in zip(words, seeds))
+    def mixed(seed, start, stop):
+        words = frame_noise_words(seed, start, stop)
+        seed_of.update((row.tobytes(), derive_seed(seed, "frame", t))
+                       for row, t in zip(words, range(start, stop), strict=True))
         return words
 
     def counted(words):
         drawn.append(seed_of[words.tobytes()])
         return generator_from_words(words)
 
-    monkeypatch.setattr(feedback_mod, "noise_words", mixed)
-    monkeypatch.setattr(radar_mod, "generator_from_words", counted)
+    monkeypatch.setattr(feedback_mod, "frame_noise_words", mixed)
+    monkeypatch.setattr(seeding_mod, "generator_from_words", counted)
     return drawn
 
 
@@ -443,18 +445,17 @@ class TestSeedPass:
 
     def test_one_pass_per_world_that_lacks_frames(self, short_desk, monkeypatch):
         lengths, seeded = [], []
-        noise_words, seed_frames = feedback_mod.noise_words, feedback_mod._seed_frames
+        frame_noise_words, seed_frames = feedback_mod.frame_noise_words, feedback_mod._seed_frames
 
-        def recorded_words(seeds):
-            seeds = list(seeds)
-            lengths.append(len(seeds))
-            return noise_words(seeds)
+        def recorded_words(seed, start, stop):
+            lengths.append(stop - start)
+            return frame_noise_words(seed, start, stop)
 
         def recorded_worlds(worlds, n_frames):
             seeded.extend(worlds)
             seed_frames(worlds, n_frames)
 
-        monkeypatch.setattr(feedback_mod, "noise_words", recorded_words)
+        monkeypatch.setattr(feedback_mod, "frame_noise_words", recorded_words)
         monkeypatch.setattr(feedback_mod, "_seed_frames", recorded_worlds)
         t = (1.0, 2.0, 3.0)
         cold_start()
@@ -473,7 +474,8 @@ class TestSeedPass:
         for world in seeded:
             n = len(world.words)
             assert n in (20, 40)
-            expected = radar_mod.noise_words(frame_seeds(world.seed, 0, n))
+            expected = seed_words([derive_seed(derive_seed(world.seed, "frame", t), "rx-noise")
+                                   for t in range(n)])
             assert world.words.tobytes() == expected.tobytes()
 
     def test_batch_peak_memory_is_its_words_and_one_worlds_pass(self):
@@ -562,13 +564,13 @@ CHUNK_SCENARIOS = {
 def chunks(monkeypatch):
     """The number of frames of every chunk ``radar.build_frames`` draws."""
     sizes = []
-    fill = radar_mod._fill
+    fill_normals = radar_mod.fill_normals
 
-    def recorded(words, draws):
-        sizes.append(len(draws))
-        fill(words, draws)
+    def recorded(words, out):
+        sizes.append(len(out))
+        fill_normals(words, out)
 
-    monkeypatch.setattr(radar_mod, "_fill", recorded)
+    monkeypatch.setattr(radar_mod, "fill_normals", recorded)
     return sizes
 
 
